@@ -2,11 +2,12 @@
 
 Times the registered kernel backends head-to-head on the 64³ Laplace3D
 matrix (the acceptance configuration) and writes the machine-readable
-``BENCH_backends.json``.  The assertion encodes the perf guardrail: the
-SciPy compiled CSR SpMV must stay at least 3× faster than the
-``np.add.reduceat`` reference in fp64 — if a refactor ever drags the fast
-path back toward the reference, this benchmark fails before the regression
-lands.
+``BENCH_backends.json``.  The assertions encode the perf guardrails, both
+against the plan-free ``np.add.reduceat`` reference function in fp64: the
+SciPy compiled CSR SpMV must stay at least 3× faster than it, and the
+NumPy backend's cached DIA SpMV at least 2× — if a refactor ever drags a
+fast path back toward the reference, this benchmark fails before the
+regression lands.
 """
 
 import json
@@ -23,10 +24,14 @@ def test_backend_comparison_spmv_speedup(benchmark):
     backends = {e["backend"] for e in entries}
     assert {"numpy", "scipy"} <= backends
 
-    # Acceptance gate: SciPy SpMV >= 3x the NumPy reference on Laplace3D64
-    # in fp64 (measured ~6x on the CI-class hardware this was tuned on).
-    speedup = payload["summary"]["spmv_speedup_scipy_over_numpy_double"]
+    # Acceptance gates on Laplace3D64 in fp64, both against the plan-free
+    # reference function: SciPy SpMV >= 3x (measured 5.5-8x), and the
+    # NumPy backend's DIA SpMV >= 2x (measured 3.9-6.2x).
+    summary = payload["summary"]
+    speedup = summary["spmv_speedup_scipy_over_reference_double"]
     assert speedup >= 3.0, f"scipy SpMV speedup degraded to {speedup:.2f}x (< 3x)"
+    speedup = summary["spmv_speedup_numpy_over_reference_double"]
+    assert speedup >= 2.0, f"numpy SpMV speedup degraded to {speedup:.2f}x (< 2x)"
 
     # On the compiled path, batching pays: SpMM(k) must beat k sequential
     # SpMVs (the matrix streams through memory once).  The NumPy reference

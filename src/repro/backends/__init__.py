@@ -6,10 +6,11 @@ held by the :class:`~repro.linalg.context.ExecutionContext`.  Two backends
 ship with the library:
 
 ``numpy``
-    The pure-NumPy reference (``np.add.reduceat`` SpMV).  This is the
-    numerical ground truth: it accumulates strictly in the working
-    precision, including fp16, which the paper's half-precision
-    experiments depend on.
+    The pure-NumPy backend: a cached diagonal-format SpMV/SpMM for
+    stencil-like matrices, the ``np.add.reduceat`` reference for the
+    rest.  Its module-level kernels are the numerical ground truth: they
+    accumulate strictly in the working precision, including fp16, which
+    the paper's half-precision experiments depend on.
 ``scipy``
     A fast path that routes SpMV/SpMM/SpMV^T through the compiled
     :mod:`scipy.sparse` CSR kernels (several times faster on the paper's

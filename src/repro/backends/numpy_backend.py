@@ -1,26 +1,48 @@
 """Pure-NumPy reference backend.
 
-The raw CSR kernels here are the library's numerical ground truth (moved
-from :mod:`repro.sparse.ops`, which keeps only deprecation shims that
-route through the active backend): vectorised NumPy with no per-row
-Python loops, following the HPC-Python guidance —
-``np.add.reduceat`` for the row sums of the SpMV/SpMM and
-``np.bincount``/fancy indexing for scatter operations.
+The module-level CSR kernels here (:func:`spmv`, :func:`spmv_transpose`,
+:func:`spmm`) are the library's numerical ground truth (moved from
+:mod:`repro.sparse.ops`, which keeps only deprecation shims that route
+through the active backend): vectorised NumPy with no per-row Python
+loops, following the HPC-Python guidance — ``np.add.reduceat`` for the
+row sums of the SpMV/SpMM and ``np.bincount``/fancy indexing for scatter
+operations.  They carry no per-matrix state, and tests and benchmarks
+validate every faster path against them.
 
-Accumulation precision note: ``np.add.reduceat`` accumulates in the dtype
-of its operand, so an fp32 SpMV really is computed in fp32 — important,
-because the numerical behaviour of the fp32 inner solver (stagnation around
-1e-5…1e-6 relative residual) is part of what the paper studies.  This is
-why the reference lives here and faster backends are validated against it
-(see ``tests/test_backends.py``).
+Accumulation precision note: every path accumulates in the dtype of its
+operands, so an fp32 SpMV really is computed in fp32 — important, because
+the numerical behaviour of the fp32 inner solver (stagnation around
+1e-5…1e-6 relative residual) is part of what the paper studies.
+
+Which SpMV/SpMM path :class:`NumpyBackend` runs, per matrix:
+
+* **DIA** (diagonal format) when the matrix has at most
+  ``_DIA_MAX_DIAGONALS`` distinct diagonals and padding them to full
+  length costs at most ``_DIA_MAX_PAD_FACTOR`` times its nonzeros — the
+  stencil matrices of the paper.  The diagonals are stored densely once
+  per matrix, and each product is a sweep of contiguous slice
+  multiply-adds, so fp32 moves half the bytes of fp64.  The SpMV is the
+  SpMM kernel on ``k = 1`` views.  DIA sums each row in diagonal order,
+  the reference in column order, so the two agree to rounding, not
+  bit for bit.  The padding zeros also multiply every ``x`` entry their
+  diagonal slides over, so an ``inf`` in ``x`` can turn into ``0·inf =
+  NaN`` in a row the reference leaves finite; the solvers treat any
+  non-finite value as ``BREAKDOWN`` either way.
+* **Gather** (CSR gather + ``np.add.reduceat``) for every other matrix,
+  e.g. the SuiteSparse proxies, with ``x`` of another dtype than the
+  matrix, and for plan-free matrix views.  Without ``out=`` it is the
+  reference function itself; with ``out=`` it is the same arithmetic on
+  cached temporaries, so it is bit-identical to the reference.
 
 Allocation discipline: when a caller supplies ``out=``, the class methods
-run allocation-free.  The SpMV caches its row-geometry arrays and per-dtype
-gather/reduce scratch in the matrix's ``backend_cache`` (keyed on the
-``indptr`` identity, so a structurally different matrix gets a fresh plan),
-and the dense GEMV kernels write through ``np.dot(..., out=...)`` /
-caller-provided ``work`` buffers.  The arithmetic — gather, multiply,
-segmented reduce — is bit-identical to the allocating path.
+run allocation-free.  Per-matrix plans live in the matrix's
+``backend_cache`` (keyed on the ``indptr`` identity, so a structurally
+different matrix gets a fresh plan) and are built lazily — the DIA view
+or the gather geometry, whichever the matrix uses.  Only ``out=`` calls,
+whose caller owns the workspace, reuse the plan's per-dtype scratch;
+allocating calls use call-local temporaries, so they may run concurrently
+on a shared matrix.  The dense GEMV kernels write through ``np.dot(...,
+out=...)`` / caller-provided ``work`` buffers.
 """
 
 from __future__ import annotations
@@ -169,33 +191,40 @@ _SPMV_PLAN_KEY = "numpy_spmv_plan"
 
 
 def _spmv_plan(matrix: "CsrMatrix") -> Optional[dict]:
-    """Cached row geometry + per-dtype scratch for the ``out=`` SpMV path.
+    """Per-matrix plan: the DIA view and gather geometry, both built lazily.
 
     The plan is keyed on the identity of the matrix's ``indptr`` array
-    (matrices are treated as structurally immutable); ``rows`` is ``None``
-    when every row is non-empty, which skips the zero-fill and the fancy
-    scatter on the hot path.
+    (matrices are treated as structurally immutable).  It starts empty;
+    :func:`_dia_plan` and :func:`_gather_plan` fill in only what the path
+    actually taken needs, so a matrix on the DIA path never pays for the
+    gather path's nnz-sized index copy.
     """
     cache = getattr(matrix, "backend_cache", None)
     if cache is None:
         return None
     plan = cache.get(_SPMV_PLAN_KEY)
     if plan is None or plan["indptr"] is not matrix.indptr:
-        nonempty = np.diff(matrix.indptr) > 0
-        plan = {
-            "indptr": matrix.indptr,
-            "starts": np.ascontiguousarray(matrix.indptr[:-1][nonempty]),
-            # np.take converts non-intp index arrays on every call; cache the
-            # widened copy once so the hot path gathers without a temporary.
-            "indices": np.ascontiguousarray(matrix.indices, dtype=np.intp),
-            "rows": None if nonempty.all() else np.flatnonzero(nonempty),
-            "scratch": {},
-        }
+        plan = {"indptr": matrix.indptr, "scratch": {}}
         cache[_SPMV_PLAN_KEY] = plan
     return plan
 
 
-#: DIA-format SpMM eligibility: at most this many distinct diagonals and at
+def _gather_plan(matrix: "CsrMatrix", plan: dict) -> None:
+    """Row geometry for the gather/reduceat path, cached on ``plan``.
+
+    ``rows`` is ``None`` when every row is non-empty, which skips the
+    zero-fill and the fancy scatter on the hot path.
+    """
+    if "indices" not in plan:
+        nonempty = np.diff(matrix.indptr) > 0
+        plan["starts"] = np.ascontiguousarray(matrix.indptr[:-1][nonempty])
+        plan["rows"] = None if nonempty.all() else np.flatnonzero(nonempty)
+        # np.take converts non-intp index arrays on every call; cache the
+        # widened copy once so the hot path gathers without a temporary.
+        plan["indices"] = np.ascontiguousarray(matrix.indices, dtype=np.intp)
+
+
+#: DIA-format eligibility: at most this many distinct diagonals and at
 #: most 2x storage blow-up from padding (stencil matrices sit at ~1x).
 _DIA_MAX_DIAGONALS = 48
 _DIA_MAX_PAD_FACTOR = 2.0
@@ -205,24 +234,27 @@ def _dia_plan(matrix: "CsrMatrix", plan: dict) -> Optional[dict]:
     """Cached DIA (diagonal) view of a stencil-like matrix, or ``None``.
 
     Finite-difference matrices concentrate their nonzeros on a handful of
-    diagonals.  Storing those diagonals densely turns the SpMM gather into
-    pure *slicing* — each diagonal contributes ``Y[lo:hi] += vals[lo:hi] *
-    X[lo+d:hi+d]`` — which is how the batched product actually amortizes
-    the matrix traversal on this backend (the CSR gather/reduceat path
-    costs more than ``k`` independent SpMVs).  Built lazily, once per
-    matrix; matrices whose diagonal count or padding blow-up exceeds the
-    thresholds are marked ineligible and use the gather path.
+    diagonals.  Storing those diagonals densely turns the SpMV/SpMM gather
+    into pure *slicing* — each diagonal contributes ``Y[lo:hi] +=
+    vals[lo:hi] * X[lo+d:hi+d]`` — so the products stream contiguous
+    memory and move fewer bytes in lower precision (the CSR
+    gather/reduceat path costs about the same in fp32 as in fp64).  Built
+    lazily, once per matrix; matrices whose diagonal count or padding
+    blow-up exceeds the thresholds are marked ineligible and use the
+    gather path.
     """
     dia = plan.get("dia", None)
     if dia is False:
         return None
     if dia is not None:
         return dia
-    n_rows = matrix.shape[0]
+    n_rows, n_cols = matrix.shape
     nnz = matrix.data.size
-    counts = np.diff(matrix.indptr)
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-    offs = matrix.indices.astype(np.int64) - rows
+    # int32 temporaries (half the bytes of intp) whenever the offsets fit.
+    idx = np.int32 if max(n_rows, n_cols) < 2**31 else np.int64
+    rows = np.repeat(np.arange(n_rows, dtype=idx), np.diff(matrix.indptr))
+    offs = matrix.indices.astype(idx)
+    offs -= rows
     offsets = np.unique(offs)
     if (
         nnz == 0
@@ -232,10 +264,22 @@ def _dia_plan(matrix: "CsrMatrix", plan: dict) -> Optional[dict]:
         plan["dia"] = False
         return None
     values = np.zeros((offsets.size, n_rows), dtype=matrix.data.dtype)
-    values[np.searchsorted(offsets, offs), rows] = matrix.data
+    # One diagonal at a time: the only nnz-sized temporary is a bool mask.
+    for di, d in enumerate(offsets):
+        on_diag = offs == d
+        values[di, rows[on_diag]] = matrix.data[on_diag]
     dia = {"offsets": [int(d) for d in offsets], "values": values, "scratch": {}}
     plan["dia"] = dia
     return dia
+
+
+def _scratch_buffer(scratch: dict, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
+    """Buffer ``name`` of ``shape``/``dtype`` from ``scratch``, made on first use."""
+    key = (name, dtype.str, shape)
+    buf = scratch.get(key)
+    if buf is None:
+        buf = scratch[key] = np.empty(shape, dtype=dtype)
+    return buf
 
 
 def _dia_spmm(
@@ -246,38 +290,37 @@ def _dia_spmm(
 ) -> np.ndarray:
     """Diagonal-format batched product ``Y = A X`` (see :func:`_dia_plan`).
 
-    Works in the transposed ``(k, n)`` orientation so that the
-    Fortran-ordered blocks the solvers pass (Krylov basis panels) are
-    C-contiguous views and every slice update runs buffer-free; blocks in
-    other layouts are staged through cached scratch column by column.
+    The one DIA kernel: the SpMV runs it on ``k = 1`` views.  Works in the
+    transposed ``(k, n)`` orientation so that the Fortran-ordered blocks
+    the solvers pass (Krylov basis panels) and contiguous vectors are
+    C-contiguous views and every slice update runs buffer-free; operands
+    in other layouts are staged through scratch column by column.
+
+    Only callers that pass ``out=`` own their workspace, so only they
+    reuse the matrix's cached scratch (allocation-free).  With
+    ``out=None`` the result and every temporary are call-local, so
+    concurrent allocating products on a shared matrix cannot race.
     """
     n_rows, n_cols = matrix.shape
     k = X.shape[1]
     dtype = X.dtype
     if out is None:
-        out = np.zeros((n_rows, k), dtype=dtype)
+        out = np.empty((n_rows, k), dtype=dtype)
+        scratch: dict = {}
     elif out.shape != (n_rows, k):
         raise ValueError("output block has wrong shape")
+    else:
+        scratch = dia["scratch"]
     if k == 0:
         return out
-    scratch = dia["scratch"]
-    key = (dtype.str, k)
-    bufs = scratch.get(key)
-    if bufs is None:
-        bufs = scratch[key] = (
-            np.empty((k, n_rows), dtype=dtype),  # product scratch
-            np.empty((k, n_cols), dtype=dtype),  # staging for non-F sources
-            np.empty((k, n_rows), dtype=dtype),  # staging for non-F outputs
-        )
-    g_t, x_stage, y_stage = bufs
     if X.flags.f_contiguous:
         x_t = X.T
     else:
+        x_t = _scratch_buffer(scratch, "x", dtype, (k, n_cols))
         for c in range(k):
-            x_stage[c] = X[:, c]
-        x_t = x_stage
+            x_t[c] = X[:, c]
     out_is_f = out.flags.f_contiguous
-    y_t = out.T if out_is_f else y_stage
+    y_t = out.T if out_is_f else _scratch_buffer(scratch, "y", dtype, (k, n_rows))
     values = dia["values"]
     offsets = dia["offsets"]
     # Process row ranges small enough that the x panel, the product scratch
@@ -287,6 +330,7 @@ def _dia_spmm(
     # diagonal touching a chunk writes its product straight into y (only
     # the uncovered edges are zero-filled), saving a full zero+add pass.
     chunk = max(1024, (1 << 19) // (k * dtype.itemsize))
+    g_t = _scratch_buffer(scratch, "g", dtype, (k, min(chunk, n_rows)))
     for c0 in range(0, n_rows, chunk):
         c1 = min(c0 + chunk, n_rows)
         filled = False
@@ -304,7 +348,7 @@ def _dia_spmm(
                 np.multiply(x_slice, values[di, lo:hi], out=y_t[:, lo:hi])
                 filled = True
             else:
-                g = g_t[:, lo:hi]
+                g = g_t[:, : hi - lo]
                 np.multiply(x_slice, values[di, lo:hi], out=g)
                 np.add(y_t[:, lo:hi], g, out=y_t[:, lo:hi])
         if not filled:
@@ -328,21 +372,34 @@ class NumpyBackend(KernelBackend):
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         plan = None
-        if out is not None and matrix.data.dtype == x.dtype:
+        if (
+            matrix.data.dtype == x.dtype
+            and x.ndim == 1
+            and (out is None or out.dtype == x.dtype)
+        ):
             plan = _spmv_plan(matrix)
         if plan is None:
             return spmv(matrix.data, matrix.indices, matrix.indptr, x, out=out)
-        if out.shape[0] != matrix.shape[0]:
+        if out is not None and out.shape[0] != matrix.shape[0]:
             raise ValueError("output vector has wrong length")
         if x.shape[0] != matrix.shape[1]:
-            # The clipped gather below would silently fold out-of-range
-            # column indices onto x[-1] instead of raising.
+            # Neither the DIA slices nor the clipped gather below would
+            # raise on a wrong-length x; they would silently misread it.
             raise ValueError("input vector has wrong length")
+        dia = _dia_plan(matrix, plan)
+        if dia is not None:
+            if out is None:
+                return _dia_spmm(matrix, dia, x[:, None], None)[:, 0]
+            _dia_spmm(matrix, dia, x[:, None], out[:, None])
+            return out
+        if out is None:
+            return spmv(matrix.data, matrix.indices, matrix.indptr, x)
         nnz = matrix.data.size
         if nnz == 0:
             out[:] = 0
             return out
         dtype = x.dtype
+        _gather_plan(matrix, plan)
         starts = plan["starts"]
         rows = plan["rows"]
         scratch = plan["scratch"]
@@ -413,6 +470,7 @@ class NumpyBackend(KernelBackend):
             out[:] = 0
             return out
         dtype = X.dtype
+        _gather_plan(matrix, plan)
         starts = plan["starts"]
         rows = plan["rows"]
         scratch = plan["scratch"]

@@ -68,7 +68,9 @@ class TestBackendParity:
             warnings.simplefilter("ignore", DeprecationWarning)
             shim = ops.spmv(data, indices, indptr, x)
         expected = get_backend(backend_name).spmv(matrix, x)
-        np.testing.assert_array_equal(shim, expected)
+        # As for spmm below: the shim's cache-free view takes the
+        # plan-free path, the real matrix the DIA plan — parity to rounding.
+        np.testing.assert_allclose(shim, expected, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("backend_name", ["numpy", "scipy"])
     def test_spmv_transpose_matches_active_backend(self, matrix, arrays, backend_name):
