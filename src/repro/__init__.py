@@ -179,33 +179,6 @@ def farm(**kwargs) -> "serve.SolverFarm":
     return serve.SolverFarm(**kwargs)
 
 
-#: Top-level serve re-exports predate the facade; they still resolve (via
-#: PEP 562) but warn — the supported spellings are repro.session(...) /
-#: repro.farm(...) and the curated repro.serve namespace.
-_DEPRECATED_SERVE_EXPORTS = (
-    "OperatorSession",
-    "SolveScheduler",
-    "ServeResult",
-    "BatchingPolicy",
-    "ServeStats",
-    "ServeTelemetry",
-)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_SERVE_EXPORTS:
-        import warnings
-
-        warnings.warn(
-            f"repro.{name} is deprecated; use repro.serve.{name} "
-            "(or the repro.session()/repro.farm() facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(serve, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def ones_rhs(matrix: CsrMatrix, precision="double") -> np.ndarray:
     """The paper's right-hand side: a vector of all ones.
 

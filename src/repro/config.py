@@ -15,7 +15,6 @@ The paper's experimental setup (Section V) is encoded here as defaults:
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -154,25 +153,6 @@ class ObsConfig:
     slo_slow_window_s: float = 3600.0
 
 
-#: Deprecated flat ``ReproConfig`` field -> canonical ``ServeConfig`` field.
-_DEPRECATED_SERVE_ALIASES = {
-    "serve_max_block": "max_block",
-    "serve_max_wait_ms": "max_wait_ms",
-    "serve_policy": "policy",
-}
-
-
-def _warn_serve_alias(old: str, *, stacklevel: int = 3) -> str:
-    new = _DEPRECATED_SERVE_ALIASES[old]
-    warnings.warn(
-        f"ReproConfig.{old} is deprecated; use ReproConfig.serve.{new} "
-        f"(a ServeConfig field) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return new
-
-
 @dataclass(frozen=True)
 class ReproConfig:
     """Immutable bundle of library-wide defaults.
@@ -201,11 +181,7 @@ class ReproConfig:
         environment variable, falling back to the NumPy reference.
     serve:
         :class:`ServeConfig` bundle of the service-layer defaults
-        (micro-batching knobs plus the multi-tenant farm knobs).  The
-        former flat fields ``serve_max_block`` / ``serve_max_wait_ms`` /
-        ``serve_policy`` still work — as constructor keywords, through
-        :func:`set_config`, and as read-only attributes — but emit
-        :class:`DeprecationWarning`.
+        (micro-batching knobs plus the multi-tenant farm knobs).
     obs:
         :class:`ObsConfig` bundle of the observability defaults (request
         tracing, metrics publication — see :mod:`repro.obs`).
@@ -220,61 +196,6 @@ class ReproConfig:
     backend: str = field(default_factory=_default_backend)
     serve: ServeConfig = field(default_factory=ServeConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
-
-    def __init__(
-        self,
-        rtol: float = 1e-10,
-        restart: int = 50,
-        max_restarts: int = 400,
-        device_name: str = "v100",
-        seed: int = 20210516,
-        meter_kernels: bool = True,
-        backend: Optional[str] = None,
-        serve: Optional[ServeConfig] = None,
-        obs: Optional[ObsConfig] = None,
-        **legacy,
-    ) -> None:
-        # Hand-written so the deprecated flat serve fields keep working as
-        # constructor keywords (dataclasses leave a class-defined __init__
-        # alone; replace() still round-trips through the canonical names).
-        unknown = set(legacy) - set(_DEPRECATED_SERVE_ALIASES)
-        if unknown:
-            raise TypeError(
-                f"ReproConfig() got unexpected keyword arguments {sorted(unknown)}"
-            )
-        serve = serve if serve is not None else ServeConfig()
-        if legacy:
-            serve = replace(
-                serve,
-                **{_warn_serve_alias(old): value for old, value in legacy.items()},
-            )
-        object.__setattr__(self, "rtol", rtol)
-        object.__setattr__(self, "restart", restart)
-        object.__setattr__(self, "max_restarts", max_restarts)
-        object.__setattr__(self, "device_name", device_name)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "meter_kernels", meter_kernels)
-        object.__setattr__(
-            self, "backend", backend if backend is not None else _default_backend()
-        )
-        object.__setattr__(self, "serve", serve)
-        object.__setattr__(self, "obs", obs if obs is not None else ObsConfig())
-
-    # -- deprecated flat serve fields (read-only aliases) ----------------- #
-    @property
-    def serve_max_block(self) -> int:
-        _warn_serve_alias("serve_max_block")
-        return self.serve.max_block
-
-    @property
-    def serve_max_wait_ms(self) -> float:
-        _warn_serve_alias("serve_max_wait_ms")
-        return self.serve.max_wait_ms
-
-    @property
-    def serve_policy(self) -> str:
-        _warn_serve_alias("serve_policy")
-        return self.serve.policy
 
 
 _DEFAULT = ReproConfig()
@@ -296,22 +217,9 @@ def set_config(config: Optional[ReproConfig] = None, **overrides) -> ReproConfig
 
     Either pass a full :class:`ReproConfig` or keyword overrides applied on
     top of the current one.  Returns the new active configuration.
-
-    The deprecated flat serve fields (``serve_max_block`` /
-    ``serve_max_wait_ms`` / ``serve_policy``) are still accepted as
-    overrides — they emit :class:`DeprecationWarning` and are folded into
-    the canonical :attr:`ReproConfig.serve` bundle.
     """
     global _CURRENT
     base = config if config is not None else _CURRENT
-    serve_overrides = {
-        _warn_serve_alias(old): overrides.pop(old)
-        for old in list(overrides)
-        if old in _DEPRECATED_SERVE_ALIASES
-    }
-    if serve_overrides:
-        serve = overrides.get("serve", base.serve)
-        overrides["serve"] = replace(serve, **serve_overrides)
     _CURRENT = replace(base, **overrides) if overrides else base
     return _CURRENT
 

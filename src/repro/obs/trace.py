@@ -10,7 +10,7 @@ design goals, in order:
    :func:`enable_tracing` call).  When it is off, the serve hot paths
    carry a single ``tracer is None`` check and allocate nothing.
 2. **Thread-safe.**  Spans are started and finished from client threads,
-   dispatcher threads and farm workers concurrently; all mutation of the
+   session and farm worker threads concurrently; all mutation of the
    shared buffer happens under one lock, and ``Span.finish`` is
    idempotent so racing closers are harmless.
 3. **Viewable.**  :func:`export_chrome_trace` emits the Chrome

@@ -16,12 +16,13 @@ Pieces
     preconditioner setup, a per-width pool of allocation-free Krylov
     workspaces, and the scheduler.
 :class:`SolveScheduler`
-    Thread-safe micro-batching queue: ``session.submit(b)`` returns a
-    ``Future``; waiting requests are coalesced up to ``max_block`` wide or
-    ``max_wait_ms`` old (whichever first), dispatched as **one** batched
-    solve, and the per-column results are demultiplexed back to the
-    futures — including per-column failure statuses, so one diverging
-    right-hand side cannot fail its batchmates.
+    The request-lifecycle engine — a session's is one tenant queue and
+    one worker: ``session.submit(b)`` returns a ``Future``; waiting
+    requests are coalesced up to ``max_block`` wide or ``max_wait_ms``
+    old (whichever first), dispatched as **one** batched solve, and the
+    per-column results are demultiplexed back to the futures — including
+    per-column failure statuses, so one diverging right-hand side cannot
+    fail its batchmates.
 :class:`BatchingPolicy`
     Decides sequential-vs-block and the dispatch width per operator from
     the analytic kernel cost model (SpMM vs ``k`` SpMVs, GEMM vs ``k``
@@ -32,10 +33,11 @@ Pieces
     ``benchmarks/_harness.py --serve`` into ``BENCH_serve.json``).
 
 :class:`SolverFarm` / :class:`SessionRegistry`
-    The multi-tenant form: many operators registered by key, warmed
-    sessions LRU-cached under a session-count/byte budget, bounded
-    per-tenant queues with :class:`RejectedError` backpressure, and a
-    shared worker pool with weighted-fair dispatch.  Fleet and per-tenant
+    The multi-tenant form, a :class:`SolveScheduler` subclass: many
+    operators registered by key, warmed sessions LRU-cached under a
+    session-count/byte budget, bounded per-tenant queues with
+    :class:`RejectedError` backpressure, and a shared worker pool with
+    weighted-fair dispatch.  Fleet and per-tenant
     accounting via :class:`FarmTelemetry` / :class:`FarmStats`
     (``benchmarks/_harness.py --farm`` → ``BENCH_farm.json``).
 

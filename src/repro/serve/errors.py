@@ -45,6 +45,9 @@ class RejectedError(ReproServeError):
     request — a hint, not a promise.
     """
 
+    #: the rejection reason stamped on the request's trace
+    reason = "queue_full"
+
     def __init__(self, message: str, *, retry_after_ms: float) -> None:
         super().__init__(message)
         self.retry_after_ms = float(retry_after_ms)
@@ -77,6 +80,8 @@ class CircuitOpenError(ReproServeError):
     breaker goes half-open and admits one probe request before deciding
     whether to readmit traffic.
     """
+
+    reason = "circuit_open"
 
     def __init__(
         self, message: str, *, key: str = "", retry_after_ms: float = 0.0

@@ -1,40 +1,33 @@
 """Solver farm: many operators, many tenants, one shared worker pool.
 
-:class:`~repro.serve.session.OperatorSession` (PR 4) serves one operator
-with a dedicated dispatcher thread — the right shape for a single hot
-operator, the wrong one for a fleet: N operators would pin N threads and
-N warmed sessions regardless of traffic.  The :class:`SolverFarm` is the
-multi-tenant form of the same service:
+:class:`~repro.serve.session.OperatorSession` serves one operator with a
+dedicated worker — the right shape for a single hot operator, the wrong
+one for a fleet: N operators would pin N threads and N warmed sessions
+regardless of traffic.  The :class:`SolverFarm` is the multi-tenant form
+of the same service, built on the same request-lifecycle engine
+(:class:`~repro.serve.scheduler.SolveScheduler`: tenant queues,
+micro-batching window, worker loop, ``close(drain=...)``).  What the farm
+adds:
 
 * **registration is cheap** — ``register(key, matrix, ...)`` stores a
   session *factory*; the expensive warm-up happens on first traffic, and
   the warmed session lives in an LRU
   :class:`~repro.serve.registry.SessionRegistry` under a session-count /
   byte budget.  An evicted operator transparently re-warms on its next
-  request;
-* **queues belong to the farm, not the sessions** — each tenant has a
-  bounded queue of :class:`~repro.serve.scheduler.PendingRequest`, so an
-  eviction can never lose a future;
+  request, and its queue lives in the farm, so an eviction can never lose
+  a future;
 * **admission control** — a submit against a full tenant queue raises
   :class:`RejectedError` carrying a ``retry_after_ms`` hint, instead of
-  queueing unbounded work (backpressure the client can act on);
-* **fault tolerance** — per-request deadlines (queue expiry fails fast
-  with :class:`~repro.serve.errors.DeadlineExceededError`, mid-solve
-  expiry resolves with status ``TIMED_OUT``), cooperative cancellation
-  through the futures, and a per-operator
-  :class:`~repro.serve.breaker.CircuitBreaker`: an operator whose solves
-  keep breaking down is quarantined (its warmed session evicted, submits
-  failing fast with :class:`~repro.serve.errors.CircuitOpenError`) until
-  a cool-down elapses and a half-open probe succeeds;
-* **a shared worker pool** drains the queues.  Each worker repeatedly
-  picks the neediest ready tenant — under ``fairness="weighted"`` the one
-  with the smallest served-work/weight ratio (deficit-style weighted
-  round-robin, so a hot tenant cannot starve the others beyond its
-  weight); under ``"fifo"`` the tenant holding the globally oldest
-  request — marks it busy (one worker per tenant at a time: batches must
-  not be split across workers), micro-batches its queue exactly like the
-  single-session scheduler, and runs the shared dispatch core
-  :func:`~repro.serve.scheduler.run_batch`;
+  queueing unbounded work (backpressure the client can act on), and a
+  per-operator :class:`~repro.serve.breaker.CircuitBreaker` quarantines
+  an operator whose solves keep breaking down (its warmed session
+  evicted, submits failing fast with
+  :class:`~repro.serve.errors.CircuitOpenError`) until a cool-down
+  elapses and a half-open probe succeeds;
+* **tenant priority** — under ``fairness="weighted"`` a worker serves the
+  ready tenant with the smallest served-work/weight ratio (deficit-style
+  weighted round-robin, so a hot tenant cannot starve the others beyond
+  its weight); under ``"fifo"`` the tenant holding the oldest request;
 * **two-level telemetry** — every event is recorded in the tenant's own
   :class:`~repro.serve.telemetry.ServeTelemetry` *and* the fleet-wide one
   via a :class:`~repro.serve.telemetry.TelemetryFanout`;
@@ -59,11 +52,8 @@ Quickstart::
 from __future__ import annotations
 
 import logging
-import threading
-import time
-from collections import deque
 from concurrent.futures import Future
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -71,22 +61,12 @@ from ..config import get_config
 from ..obs import resolve_observability
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import watch_farm
-from ..obs.trace import RequestTrace
 from ..sparse.csr import CsrMatrix
 from .breaker import BREAKER_STATES, CircuitBreaker
-from .errors import CircuitOpenError, RejectedError
+from .errors import CircuitOpenError, RejectedError, ReproServeError
 from .registry import SessionRegistry
-from .scheduler import (
-    BatchReport,
-    PendingRequest,
-    ServeResult,
-    deadline_slack_seconds,
-    expire_requests,
-    fail_future,
-    run_batch,
-    sweep_expired,
-)
-from .session import OperatorSession, validate_rhs
+from .scheduler import BatchReport, ServeResult, SolveScheduler, Tenant, run_batch
+from .session import OperatorSession
 from .telemetry import FarmStats, FarmTelemetry
 
 __all__ = ["RejectedError", "CircuitOpenError", "SolverFarm", "FAIRNESS_MODES"]
@@ -98,29 +78,7 @@ FAIRNESS_MODES = ("weighted", "fifo")
 _LOGGER = get_logger("serve.farm")
 
 
-class _Tenant:
-    """Farm-side state of one registered operator (not the session)."""
-
-    __slots__ = ("key", "n_rows", "weight", "queue", "busy", "served", "breaker")
-
-    def __init__(
-        self, key: str, n_rows: int, weight: float, breaker: CircuitBreaker
-    ) -> None:
-        self.key = key
-        self.n_rows = n_rows
-        self.weight = weight
-        self.queue: Deque[PendingRequest] = deque()
-        #: a worker is currently batching/dispatching this tenant —
-        #: no second worker may touch its queue (batches must coalesce,
-        #: not race).
-        self.busy = False
-        #: requests completed, the numerator of the deficit ratio
-        self.served = 0
-        #: quarantines the operator after consecutive hard failures
-        self.breaker = breaker
-
-
-class SolverFarm:
+class SolverFarm(SolveScheduler):
     """Multi-operator, multi-tenant solver service over a shared worker pool.
 
     Parameters (all defaulting from ``ReproConfig.serve``)
@@ -166,7 +124,6 @@ class SolverFarm:
         obs=None,
     ) -> None:
         cfg = get_config().serve
-        self.name = name
         self.queue_depth = cfg.queue_depth if queue_depth is None else int(queue_depth)
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
@@ -175,12 +132,6 @@ class SolverFarm:
             raise ValueError(
                 f"unknown fairness mode {self.fairness!r}; choose from {FAIRNESS_MODES}"
             )
-        self.workers = cfg.workers if workers is None else int(workers)
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.max_wait_seconds = (
-            cfg.max_wait_ms if max_wait_ms is None else float(max_wait_ms)
-        ) / 1e3
         self.breaker_threshold = (
             cfg.breaker_threshold
             if breaker_threshold is None
@@ -191,17 +142,16 @@ class SolverFarm:
             if breaker_cooldown_ms is None
             else float(breaker_cooldown_ms)
         )
-        self.obs = resolve_observability(obs)
-        #: The farm's tracer (None = tracing off); farm-queued requests
-        #: get their span trees from here, not from the sessions.
-        self.tracer = self.obs.tracer
-        #: Optional HealthMonitor (explicit via obs=): its SLO trackers
-        #: ride the telemetry fanout and the farm registers itself for
-        #: breaker/queue health.
-        self.health = self.obs.health
-        self.telemetry = FarmTelemetry(
-            slo=None if self.health is None else self.health.slo,
-            scope=self.name,
+        obs = resolve_observability(obs)
+        # A HealthMonitor's SLO trackers ride the telemetry fanout.
+        super().__init__(
+            max_wait_ms=cfg.max_wait_ms if max_wait_ms is None else float(max_wait_ms),
+            telemetry=FarmTelemetry(
+                slo=None if obs.health is None else obs.health.slo, scope=name
+            ),
+            workers=cfg.workers if workers is None else int(workers),
+            name=name,
+            obs=obs,
         )
         if self.health is not None:
             self.health.watch_farm(self)
@@ -220,11 +170,6 @@ class SolverFarm:
             on_create=self.telemetry.record_creation,
             on_evict=_on_evict,
         )
-        self._tenants: Dict[str, _Tenant] = {}
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._closed = False
-        self._threads: List[threading.Thread] = []
         if self.obs.registry is not None:
             watch_farm(self, registry=self.obs.registry)
 
@@ -286,11 +231,13 @@ class SolverFarm:
                 raise RuntimeError("farm is closed")
             tenant = self._tenants.get(key)
             if tenant is None:
-                self._tenants[key] = _Tenant(
+                self._tenants[key] = Tenant(
                     key,
                     rows,
-                    float(weight),
-                    CircuitBreaker(
+                    self.telemetry.sink(key),
+                    {"farm": self.name, "tenant": key},
+                    weight=float(weight),
+                    breaker=CircuitBreaker(
                         threshold=self.breaker_threshold,
                         cooldown_ms=self.breaker_cooldown_ms,
                     ),
@@ -313,117 +260,42 @@ class SolverFarm:
         """Enqueue one right-hand side for operator ``key``.
 
         Returns a ``Future[ServeResult]``.  Validation failures resolve
-        the future with ``ValueError`` (mirroring
-        :meth:`SolveScheduler.submit`); a full tenant queue raises
+        the future with ``ValueError``; a full tenant queue raises
         :class:`RejectedError` and a quarantined operator
         :class:`~repro.serve.errors.CircuitOpenError`, both
         *synchronously* — backpressure must reach the caller before the
-        work is accepted, not inside the future.
-
-        ``deadline_ms`` bounds the request end to end: expiry while
-        queued fails the future fast with
-        :class:`~repro.serve.errors.DeadlineExceededError` (the request
-        is never dispatched); expiry mid-solve resolves it normally with
-        status ``TIMED_OUT``.  Cancelling the future reaches an in-flight
-        solve cooperatively (status ``CANCELLED`` within one restart
-        cycle).
+        work is accepted, not inside the future.  Deadlines and
+        cancellation behave as in :meth:`SolveScheduler.submit`.
         """
         with self._lock:
             tenant = self._tenants.get(key)
         if tenant is None:
             raise KeyError(f"no operator registered under key {key!r}")
-        sink = self.telemetry.sink(key)
-        try:
-            column = validate_rhs(b, tenant.n_rows)
-        except ValueError as exc:
-            failed: "Future[ServeResult]" = Future()
-            failed.set_exception(exc)
-            sink.record_rejected()
-            if self.tracer is not None:
-                RequestTrace.rejected(
-                    self.tracer,
-                    "rejected",
-                    farm=self.name,
-                    tenant=key,
-                    error=repr(exc),
-                )
-            return failed
-        request = PendingRequest(column, deadline_ms=deadline_ms)
-        if self.tracer is not None:
-            request.trace = RequestTrace(
-                self.tracer, farm=self.name, tenant=key, deadline_ms=deadline_ms
+        return self._submit(tenant, b, deadline_ms)
+
+    def _admit_locked(self, tenant: Tenant) -> Optional[ReproServeError]:
+        """Bounded queue first, then the operator's circuit breaker."""
+        if len(tenant.queue) >= self.queue_depth:
+            hint = self._retry_after_ms_locked(tenant)
+            rejection: ReproServeError = RejectedError(
+                f"tenant {tenant.key!r} queue is full ({self.queue_depth} pending); "
+                f"retry in ~{hint:.0f} ms",
+                retry_after_ms=hint,
             )
-        if request.expired:
-            # Dead on arrival (non-positive budget): fail fast through
-            # the future without ever touching the queue.
-            sink.record_submitted()
-            expire_requests([request], sink)
-            return request.future
-        retry_hint: Optional[float] = None
-        breaker_hint: Optional[float] = None
-        if request.trace is not None:
-            # Admission decided before the queue append: once appended a
-            # worker may advance the trace concurrently.  A rejection below
-            # finishes the already-advanced trace, which is still a single
-            # complete tree.
-            request.trace.submitted()
-        with self._wakeup:
-            if self._closed:
-                if request.trace is not None:
-                    # Not telemetry-counted (the submit raises), so the
-                    # outcome is distinct from the counted rejections.
-                    request.trace.finish("closed")
-                raise RuntimeError("farm is closed; no new requests accepted")
-            if len(tenant.queue) >= self.queue_depth:
-                retry_hint = self._retry_after_ms_locked(tenant)
-                self._wakeup.notify_all()
-            else:
-                breaker_hint = tenant.breaker.admit()
-                if breaker_hint is None:
-                    tenant.queue.append(request)
-                    self._ensure_workers_locked()
-                    self._wakeup.notify_all()
-        if retry_hint is not None:
-            self.telemetry.record_rejected(key)
-            if request.trace is not None:
-                request.trace.finish("rejected", reason="queue_full")
-            raise RejectedError(
-                f"tenant {key!r} queue is full ({self.queue_depth} pending); "
-                f"retry in ~{retry_hint:.0f} ms",
-                retry_after_ms=retry_hint,
+        else:
+            hint = tenant.breaker.admit()
+            if hint is None:
+                return None
+            rejection = CircuitOpenError(
+                f"operator {tenant.key!r} is quarantined after consecutive solve "
+                f"failures; retry in ~{hint:.0f} ms",
+                key=tenant.key,
+                retry_after_ms=hint,
             )
-        if breaker_hint is not None:
-            self.telemetry.record_rejected(key)
-            if request.trace is not None:
-                request.trace.finish("rejected", reason="circuit_open")
-            raise CircuitOpenError(
-                f"operator {key!r} is quarantined after consecutive solve "
-                f"failures; retry in ~{breaker_hint:.0f} ms",
-                key=key,
-                retry_after_ms=breaker_hint,
-            )
-        sink.record_submitted()
-        return request.future
+        self.telemetry.record_rejected(tenant.key)
+        return rejection
 
-    async def asubmit(
-        self, key: str, b: np.ndarray, *, deadline_ms: Optional[float] = None
-    ) -> ServeResult:
-        """Awaitable :meth:`submit` — the ``asyncio`` front of the farm.
-
-        The request rides the same queues and worker pool; only the
-        waiting is non-blocking.  :class:`RejectedError` and
-        :class:`~repro.serve.errors.CircuitOpenError` raise immediately
-        (before any awaiting); validation errors surface as ``ValueError``
-        and queue-expired deadlines as
-        :class:`~repro.serve.errors.DeadlineExceededError` when awaited.
-        """
-        import asyncio
-
-        return await asyncio.wrap_future(
-            self.submit(key, b, deadline_ms=deadline_ms)
-        )
-
-    def _retry_after_ms_locked(self, tenant: _Tenant) -> float:
+    def _retry_after_ms_locked(self, tenant: Tenant) -> float:
         """Drain-time estimate for one queue-depth of backlog (a hint)."""
         stats = self.telemetry.tenant(tenant.key).snapshot()
         per_batch_ms = stats.solve.mean_ms
@@ -434,17 +306,18 @@ class SolverFarm:
         batches = max(1.0, len(tenant.queue) / max(1, width))
         return per_batch_ms * batches / self.workers
 
+    def _priority(self, tenant: Tenant):
+        if self.fairness == "fifo":
+            return super()._priority(tenant)
+        # Deficit-style weighted round-robin: serve the tenant with the
+        # smallest served-work/weight ratio, ties broken by oldest head
+        # request.  A hot tenant's ratio races ahead, so idle-then-active
+        # tenants always win the next worker — that is the fairness.
+        return (tenant.served / tenant.weight, tenant.queue[0].enqueued_at)
+
     # ------------------------------------------------------------------ #
     # introspection                                                      #
     # ------------------------------------------------------------------ #
-    def pending(self, key: Optional[str] = None) -> int:
-        """Queued requests — one tenant's, or the whole farm's."""
-        with self._lock:
-            if key is not None:
-                tenant = self._tenants.get(key)
-                return len(tenant.queue) if tenant is not None else 0
-            return sum(len(t.queue) for t in self._tenants.values())
-
     def stats(self) -> FarmStats:
         """Snapshot the whole farm: fleet + per-tenant + registry state."""
         with self._lock:
@@ -456,10 +329,6 @@ class SolverFarm:
             sessions_live=self.registry.live_count,
             estimated_session_bytes=self.registry.estimated_bytes(),
         )
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def breaker_states(self) -> Dict[str, int]:
         """Each tenant's breaker state as a :data:`BREAKER_STATES` index.
@@ -473,83 +342,27 @@ class SolverFarm:
         return {t.key: BREAKER_STATES.index(t.breaker.state) for t in tenants}
 
     # ------------------------------------------------------------------ #
-    # worker pool                                                        #
+    # dispatch                                                           #
     # ------------------------------------------------------------------ #
-    def _ensure_workers_locked(self) -> None:
-        # Lazy like the scheduler's dispatcher: an idle farm pins no
-        # threads until its first request.
-        if self._threads:
-            return
-        for i in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker,
-                name=f"repro-farm-worker-{self.name}-{i}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
+    def _serve_one(self, tenant: Tenant) -> None:
+        """Warm ``tenant``'s session, then batch and dispatch one round.
 
-    def _pick_tenant_locked(self) -> Optional[_Tenant]:
-        """The neediest ready tenant (non-empty queue, no worker on it)."""
-        ready = [
-            t for t in self._tenants.values() if t.queue and not t.busy
-        ]
-        if not ready:
-            return None
-        if self.fairness == "fifo":
-            return min(ready, key=lambda t: t.queue[0].enqueued_at)
-        # Deficit-style weighted round-robin: serve the tenant with the
-        # smallest served-work/weight ratio, ties broken by oldest head
-        # request.  A hot tenant's ratio races ahead, so idle-then-active
-        # tenants always win the next worker — that is the fairness.
-        return min(
-            ready, key=lambda t: (t.served / t.weight, t.queue[0].enqueued_at)
-        )
-
-    def _worker(self) -> None:
-        # Purely event-driven: workers sleep on the condition until a
-        # submit, a batch completion or close() notifies them — no idle
-        # polling tick.  Liveness argument: a ready tenant (non-empty
-        # queue, not busy) is picked without waiting, so queued deadlines
-        # are always in the hands of some worker's batch assembler, which
-        # bounds its own waits by the tightest deadline.
-        while True:
-            with self._wakeup:
-                tenant = self._pick_tenant_locked()
-                while tenant is None:
-                    if self._closed and not any(
-                        t.queue for t in self._tenants.values()
-                    ):
-                        return
-                    self._wakeup.wait()
-                    tenant = self._pick_tenant_locked()
-                tenant.busy = True
-            try:
-                self._serve_one(tenant)
-            finally:
-                with self._wakeup:
-                    tenant.busy = False
-                    self._wakeup.notify_all()
-
-    def _serve_one(self, tenant: _Tenant) -> None:
-        """Batch and dispatch one round of ``tenant``'s queue (tenant is busy).
-
-        Any exception is contained: session build failures resolve the
-        queued futures (never raise into the worker loop), and
-        :func:`run_batch` already forwards solver errors to the futures.
-        The batch outcome feeds the tenant's circuit breaker; a trip
-        quarantines the operator (evicts its warmed session).
+        A failed warm-up — the factory raised, or built a session whose
+        row count differs from the registered ``n_rows`` — fails the
+        tenant's queued requests and keeps the farm serving everyone
+        else; it is as hard a failure as a broken solve, so it feeds the
+        breaker too.  :func:`run_batch` already forwards solver errors to
+        the futures, so nothing here raises into the worker loop.
         """
-        sink = self.telemetry.sink(tenant.key)
         try:
             session = self.registry.get_or_create(tenant.key)
+            if session.n_rows != tenant.n_rows:
+                raise ValueError(
+                    f"operator {tenant.key!r} was registered with n_rows="
+                    f"{tenant.n_rows} but its session has {session.n_rows} rows"
+                )
         except Exception as exc:  # noqa: BLE001 - forwarded to the futures
-            # The factory (warm-up) failed: fail this tenant's currently
-            # queued requests — batchmates-to-be of the broken session —
-            # and keep the farm serving everyone else.  A broken factory
-            # is as hard a failure as a broken solve, so it feeds the
-            # breaker too.
-            with self._wakeup:
+            with self._lock:
                 doomed = list(tenant.queue)
                 tenant.queue.clear()
             log_event(
@@ -562,18 +375,8 @@ class SolverFarm:
                 error=repr(exc),
             )
             for request in doomed:
-                if request.future.set_running_or_notify_cancel():
-                    if fail_future(request.future, exc):
-                        sink.record_abandoned()
-                    if request.trace is not None:
-                        request.trace.finish("error", error=repr(exc))
-                else:
-                    sink.record_cancelled()
-                    if request.trace is not None:
-                        request.trace.finish("cancelled")
-            self._feed_breaker(
-                tenant, BatchReport(width=len(doomed), exception=exc)
-            )
+                request.drop(tenant.sink, exc, "error")
+            self._feed_breaker(tenant, BatchReport(width=len(doomed), exception=exc))
             return
         batch = self._collect_batch(tenant, session)
         if not batch:
@@ -581,7 +384,7 @@ class SolverFarm:
         report = run_batch(
             session,
             batch,
-            sink,
+            tenant.sink,
             tracer=self.tracer,
             tenant=tenant.key,
             health=self.health,
@@ -591,7 +394,7 @@ class SolverFarm:
         with self._lock:
             tenant.served += len(batch)
 
-    def _feed_breaker(self, tenant: _Tenant, report: BatchReport) -> None:
+    def _feed_breaker(self, tenant: Tenant, report: BatchReport) -> None:
         """Update ``tenant``'s breaker from one dispatch outcome.
 
         Hard failures (exceptions, breakdowns, non-finite results) count
@@ -622,62 +425,6 @@ class SolverFarm:
         elif report.healthy:
             tenant.breaker.record_success()
 
-    def _collect_batch(
-        self, tenant: _Tenant, session: OperatorSession
-    ) -> List[PendingRequest]:
-        """Pop one dispatch's worth of ``tenant``'s queue (micro-batching).
-
-        Mirrors :meth:`SolveScheduler._collect_batch`: wait up to the
-        micro-batching window for the queue to fill to the session's
-        ``max_block`` — skipped when more arrivals cannot change the
-        dispatch (width-1 session, sequential policy) or the farm is
-        draining — then let the policy choose the width.  The window is
-        capped by the tightest queued deadline, and requests whose
-        deadline already lapsed are failed fast here, never dispatched.
-        """
-        sink = self.telemetry.sink(tenant.key)
-        expired: List[PendingRequest] = []
-        with self._wakeup:
-            expired.extend(sweep_expired(tenant.queue))
-            can_batch = (
-                session.max_block > 1
-                and getattr(session.policy, "mode", "auto") != "sequential"
-            )
-            if can_batch and not self._closed:
-                window_ends = time.perf_counter() + self.max_wait_seconds
-                while len(tenant.queue) < session.max_block and not self._closed:
-                    remaining = window_ends - time.perf_counter()
-                    slack = deadline_slack_seconds(tenant.queue)
-                    if slack is not None:
-                        remaining = min(remaining, slack)
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(timeout=remaining)
-                    expired.extend(sweep_expired(tenant.queue))
-                    if not tenant.queue:
-                        # Nothing left to batch (everything expired or
-                        # was cancelled): resolve the sweep now instead
-                        # of idling out the window.
-                        break
-            expired.extend(sweep_expired(tenant.queue))
-            if not tenant.queue:
-                popped: List[PendingRequest] = []
-            else:
-                width = session.policy.block_width(len(tenant.queue))
-                popped = [tenant.queue.popleft() for _ in range(width)]
-        expire_requests(expired, sink)
-        batch = []
-        for request in popped:
-            # Transition the future to RUNNING; a client that cancelled
-            # while queued is dropped here and never enters the block.
-            if request.future.set_running_or_notify_cancel():
-                batch.append(request)
-            else:
-                sink.record_cancelled()
-                if request.trace is not None:
-                    request.trace.finish("cancelled")
-        return batch
-
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
     # ------------------------------------------------------------------ #
@@ -687,42 +434,8 @@ class SolverFarm:
         ``drain=True`` (default) serves everything already queued first;
         ``drain=False`` fails queued requests with :class:`RuntimeError`.
         """
-        with self._wakeup:
-            if self._closed and not self._threads:
-                return
-            self._closed = True
-            abandoned: List[tuple] = []
-            if not drain:
-                for tenant in self._tenants.values():
-                    abandoned.extend((tenant.key, r) for r in tenant.queue)
-                    tenant.queue.clear()
-            threads = list(self._threads)
-            self._threads.clear()
-            self._wakeup.notify_all()
-        for key, request in abandoned:
-            sink = self.telemetry.sink(key)
-            if request.future.set_running_or_notify_cancel():
-                if fail_future(
-                    request.future,
-                    RuntimeError("farm closed before the request was served"),
-                ):
-                    sink.record_abandoned()
-                if request.trace is not None:
-                    request.trace.finish("abandoned")
-            else:
-                sink.record_cancelled()
-                if request.trace is not None:
-                    request.trace.finish("cancelled")
-        for thread in threads:
-            if threading.current_thread() is not thread:
-                thread.join(timeout=timeout)
+        super().close(drain=drain, timeout=timeout)
         self.registry.release_all()
-
-    def __enter__(self) -> "SolverFarm":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

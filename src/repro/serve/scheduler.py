@@ -1,21 +1,31 @@
-"""Micro-batching scheduler: coalesce single-RHS requests into block solves.
+"""The request-lifecycle engine: tenant queues, micro-batching, workers.
 
 The serving workload the roadmap targets is many independent clients, each
 submitting *one* right-hand side against a shared operator.  Block-GMRES
-(PR 3) only pays off when right-hand sides arrive in blocks, so this module
-supplies the missing coupling: a thread-safe queue plus one dispatcher
-thread that
+only pays off when right-hand sides arrive in blocks, so this module
+supplies the coupling: :class:`SolveScheduler` holds one thread-safe queue
+per tenant, drained by a lazily started worker pool.  A worker
 
-1. waits for the first request, then keeps collecting until either
-   ``max_block`` requests are waiting or ``max_wait_ms`` has elapsed since
-   the *oldest* waiting request arrived (whichever comes first);
-2. asks the :class:`~repro.serve.policy.BatchingPolicy` how wide the
-   dispatch should be, assembles the column block, and runs **one**
-   batched solve through the session (one SpMM per block iteration for the
-   whole batch);
-3. demultiplexes the :class:`~repro.solvers.result.MultiSolveResult` back
+1. picks the ready tenant (queue non-empty, no other worker on it) with
+   the best priority;
+2. waits up to ``max_wait_ms`` — measured from when it starts assembling,
+   capped by the tightest queued deadline — for the queue to fill to the
+   session's ``max_block``;
+3. asks the :class:`~repro.serve.policy.BatchingPolicy` how wide the
+   dispatch should be and runs **one** batched solve through
+   :func:`run_batch` (one SpMM per block iteration for the whole batch);
+4. demultiplexes the :class:`~repro.solvers.result.MultiSolveResult` back
    into the per-request futures — each client gets its own column, with
    its own terminal status.
+
+An :class:`~repro.serve.session.OperatorSession`'s scheduler is this
+engine with one tenant and one worker;
+:class:`~repro.serve.farm.SolverFarm` is a subclass with one tenant per
+registered operator, ``workers`` workers, admission control and weighted
+priority.  Every outcome that is not a solve — a cancel while queued
+(:meth:`PendingRequest.start`), queue expiry, ``close(drain=False)``, a
+failed warm-up (:meth:`PendingRequest.drop`) — sets the future, records
+the counter and finishes the trace in one place.
 
 Failure isolation: a request that fails *validation* (wrong shape,
 non-finite entries — which would poison the shared Krylov basis of every
@@ -44,12 +54,13 @@ from typing import Deque, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from ..obs import resolve_observability
 from ..obs.log import get_logger, log_event
 from ..obs.probe import span_probe
 from ..obs.trace import RequestTrace
 from ..solvers.result import ConvergenceHistory, SolveResult, SolverStatus
 from ..solvers.status import SolveControl
-from .errors import DeadlineExceededError
+from .errors import DeadlineExceededError, ReproServeError
 from .telemetry import ServeStats, ServeTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -61,12 +72,11 @@ __all__ = [
     "ServeFuture",
     "ServeResult",
     "SolveScheduler",
+    "Tenant",
     "run_batch",
     "complete_future",
     "fail_future",
-    "sweep_expired",
-    "expire_requests",
-    "deadline_slack_seconds",
+    "validate_rhs",
 ]
 
 
@@ -148,38 +158,6 @@ class ServeFuture(Future):
         return cancelled
 
 
-class PendingRequest:
-    """One queued right-hand side: the validated column, its future, its
-    cooperative control token (deadline + cancellation), the enqueue
-    timestamp, and — when tracing is on — the request's span state
-    machine (shared by :class:`SolveScheduler` queues and the farm's
-    per-tenant queues)."""
-
-    __slots__ = ("b", "future", "control", "deadline_ms", "enqueued_at", "trace")
-
-    def __init__(
-        self, b: np.ndarray, *, deadline_ms: Optional[float] = None
-    ) -> None:
-        self.b = b
-        self.deadline_ms = None if deadline_ms is None else float(deadline_ms)
-        if self.deadline_ms is None:
-            self.control = SolveControl()
-        else:
-            self.control = SolveControl.with_timeout(self.deadline_ms)
-        self.future: ServeFuture = ServeFuture(self.control)
-        self.enqueued_at = time.perf_counter()
-        #: :class:`repro.obs.RequestTrace` when the owner traces, else None.
-        self.trace = None
-
-    @property
-    def expired(self) -> bool:
-        """True when the request's deadline already lapsed."""
-        return self.control.expired()
-
-
-# --------------------------------------------------------------------- #
-# future resolution and queue maintenance (shared with the farm)        #
-# --------------------------------------------------------------------- #
 def complete_future(future: Future, result: object) -> bool:
     """``set_result`` that tolerates a future already resolved elsewhere.
 
@@ -204,15 +182,102 @@ def fail_future(future: Future, exc: BaseException) -> bool:
         return False
 
 
-def sweep_expired(queue: Deque[PendingRequest]) -> List[PendingRequest]:
-    """Remove and return queued requests whose deadline already lapsed.
+def validate_rhs(b: np.ndarray, n_rows: int) -> np.ndarray:
+    """Normalize one right-hand side to an owned length-``n_rows`` column.
 
-    The caller holds the queue's lock; the removed requests still need
-    :func:`expire_requests` (outside the lock) to resolve their futures.
+    The single validation path of the serve layer: shape-checks, rejects
+    non-finite entries (they would poison a shared Krylov basis — and a
+    direct NaN solve is equally meaningless), and copies so a caller
+    mutating its array afterwards cannot corrupt a queued batch.  Raises
+    :class:`ValueError` on invalid input.  Takes the row count rather
+    than a session so the farm can validate against a registered
+    operator without forcing its (possibly evicted) session to warm.
     """
+    column = np.asarray(b, dtype=np.float64)
+    if column.ndim == 2 and column.shape[1] == 1:
+        column = column[:, 0]
+    if column.ndim != 1 or column.shape[0] != n_rows:
+        raise ValueError(
+            f"right-hand side must be a length-{n_rows} vector, "
+            f"got shape {np.asarray(b).shape}"
+        )
+    if not np.all(np.isfinite(column)):
+        raise ValueError(
+            "right-hand side contains non-finite entries; rejecting it "
+            "before it can poison a shared Krylov basis"
+        )
+    return np.array(column, copy=True)
+
+
+class PendingRequest:
+    """One queued right-hand side: the validated column, its future, its
+    cooperative control token (deadline + cancellation), the enqueue
+    timestamp, and — when tracing is on — the request's span state
+    machine.
+
+    A request leaves the queue through exactly one of :meth:`start` (it
+    rides a batch; :func:`run_batch` resolves it) or :meth:`drop` (it
+    never reaches a solver).
+    """
+
+    __slots__ = ("b", "future", "control", "deadline_ms", "enqueued_at", "trace")
+
+    def __init__(
+        self, b: np.ndarray, *, deadline_ms: Optional[float] = None
+    ) -> None:
+        self.b = b
+        self.deadline_ms = None if deadline_ms is None else float(deadline_ms)
+        if self.deadline_ms is None:
+            self.control = SolveControl()
+        else:
+            self.control = SolveControl.with_timeout(self.deadline_ms)
+        self.future: ServeFuture = ServeFuture(self.control)
+        self.enqueued_at = time.perf_counter()
+        #: :class:`repro.obs.RequestTrace` when the owner traces, else None.
+        self.trace = None
+
+    @property
+    def expired(self) -> bool:
+        """True when the request's deadline already lapsed."""
+        return self.control.expired()
+
+    def start(self, sink) -> bool:
+        """Move the future to RUNNING; ``False`` when the client cancelled.
+
+        A request cancelled while queued is dropped here: counted as
+        cancelled in ``sink`` and its trace finished.
+        """
+        if self.future.set_running_or_notify_cancel():
+            return True
+        sink.record_cancelled()
+        if self.trace is not None:
+            self.trace.finish("cancelled")
+        return False
+
+    def drop(self, sink, exc: BaseException, outcome: str) -> None:
+        """Resolve a request that will never be solved.
+
+        Fails the future with ``exc``, records the counter in ``sink``
+        (a timeout for ``outcome="deadline_exceeded"``, otherwise an
+        abandoned request) and finishes the trace with ``outcome``.  A
+        request the client already cancelled is accounted as cancelled
+        instead.
+        """
+        if not self.start(sink):
+            return
+        fail_future(self.future, exc)
+        if outcome == "deadline_exceeded":
+            sink.record_timeout()
+        else:
+            sink.record_abandoned()
+        if self.trace is not None:
+            self.trace.finish(outcome, error=repr(exc))
+
+
+def _sweep_expired(queue: Deque[PendingRequest]) -> List[PendingRequest]:
+    """Remove and return queued requests whose deadline already lapsed
+    (the caller holds the engine lock and expires them after releasing it)."""
     expired: List[PendingRequest] = []
-    if not queue:
-        return expired
     keep: List[PendingRequest] = []
     for request in queue:
         (expired if request.expired else keep).append(request)
@@ -222,38 +287,24 @@ def sweep_expired(queue: Deque[PendingRequest]) -> List[PendingRequest]:
     return expired
 
 
-def expire_requests(expired: List[PendingRequest], telemetry) -> None:
-    """Fail swept-out requests fast with :class:`DeadlineExceededError`."""
-    for request in expired:
-        if request.future.set_running_or_notify_cancel():
-            budget = request.deadline_ms
-            shown = "?" if budget is None else format(budget, ".0f")
-            fail_future(
-                request.future,
-                DeadlineExceededError(
-                    f"request deadline of {shown} ms lapsed in the queue; "
-                    "the request was never dispatched",
-                    deadline_ms=budget,
-                ),
-            )
-            telemetry.record_timeout()
-            if request.trace is not None:
-                request.trace.finish("deadline_exceeded")
-        else:
-            # Cancelled while queued: the sweep doubles as the drop point.
-            telemetry.record_cancelled()
-            if request.trace is not None:
-                request.trace.finish("cancelled")
+def _expire(requests: List[PendingRequest], sink) -> None:
+    """Fail requests whose deadline lapsed before dispatch."""
+    for request in requests:
+        budget = request.deadline_ms
+        shown = "?" if budget is None else format(budget, ".0f")
+        request.drop(
+            sink,
+            DeadlineExceededError(
+                f"request deadline of {shown} ms lapsed in the queue; "
+                "the request was never dispatched",
+                deadline_ms=budget,
+            ),
+            "deadline_exceeded",
+        )
 
 
-def deadline_slack_seconds(queue: Deque[PendingRequest]) -> Optional[float]:
-    """Seconds until the tightest queued deadline (None when none is set).
-
-    The caller holds the queue's lock.  The batch assemblers cap their
-    micro-batching wait window by this slack, so a near-deadline request
-    is dispatched (or expired) promptly instead of being held for the
-    full ``max_wait_ms``.
-    """
+def _deadline_slack_seconds(queue: Deque[PendingRequest]) -> Optional[float]:
+    """Seconds until the tightest queued deadline (None when none is set)."""
     slack: Optional[float] = None
     for request in queue:
         remaining = request.control.remaining_seconds()
@@ -262,56 +313,106 @@ def deadline_slack_seconds(queue: Deque[PendingRequest]) -> Optional[float]:
     return slack
 
 
+class Tenant:
+    """Engine-side state of one tenant queue: a session's only one, or one
+    farm operator's (the farm also uses ``weight``, ``served`` and
+    ``breaker``)."""
+
+    __slots__ = (
+        "key", "n_rows", "sink", "labels", "weight", "breaker", "queue", "busy", "served"
+    )
+
+    def __init__(
+        self,
+        key: str,
+        n_rows: int,
+        sink,
+        labels: Dict[str, str],
+        *,
+        weight: float = 1.0,
+        breaker=None,
+    ) -> None:
+        self.key = key
+        self.n_rows = n_rows
+        #: telemetry the tenant's events are recorded in
+        self.sink = sink
+        #: attributes stamped on the tenant's request traces
+        self.labels = labels
+        self.weight = weight
+        self.breaker = breaker
+        self.queue: Deque[PendingRequest] = deque()
+        #: a worker is batching/dispatching this tenant — no second
+        #: worker may touch its queue (batches must coalesce, not race)
+        self.busy = False
+        #: requests dispatched, the numerator of the farm's deficit ratio
+        self.served = 0
+
+
 class SolveScheduler:
-    """Thread-safe micro-batching front of one :class:`OperatorSession`.
+    """Thread-safe request-lifecycle engine: tenant queues + worker pool.
+
+    Built by :class:`~repro.serve.session.OperatorSession` as its
+    micro-batching front (``session=``: one tenant, one worker) and
+    subclassed by :class:`~repro.serve.farm.SolverFarm` (one tenant per
+    registered operator).  Workers start lazily on the first submit, so
+    a warm session only ever driven through a farm, or through direct
+    ``solve()`` calls, never pins a thread of its own.
 
     Parameters
     ----------
     session:
-        The owning session; the scheduler calls its ``_solve_block`` for
-        each dispatch (pinned context, pooled workspaces).
-    max_block:
-        Queue capacity per batch — at most this many requests ride in one
-        dispatch (also the cap the policy works under).
+        The served session; every dispatch runs its ``_solve_block``
+        (pinned context, pooled workspaces).  ``None`` for a subclass that
+        registers its own tenants.
     max_wait_ms:
-        Micro-batching window: a waiting request is dispatched at most
-        this many milliseconds after it became the oldest in the queue,
-        full batch or not.  The latency/throughput dial: larger windows
-        coalesce sparser traffic into wider (cheaper per RHS) blocks at
-        the price of queue-wait latency.
-    policy:
-        :class:`~repro.serve.policy.BatchingPolicy` consulted per dispatch.
+        Micro-batching window: a worker waits at most this long for a
+        tenant's queue to fill to the session's ``max_block``.  The
+        latency/throughput dial: larger windows coalesce sparser traffic
+        into wider (cheaper per RHS) blocks at the price of queue-wait
+        latency.
     telemetry:
-        Optional shared :class:`ServeTelemetry` (a fresh one by default).
+        Where the engine's events are recorded (a fresh
+        :class:`ServeTelemetry` by default).
+    workers / name / obs:
+        Pool size, thread and error-message name, and observability
+        wiring; a session front takes the name and ``obs`` of its session.
     """
 
     def __init__(
         self,
-        session: "OperatorSession",
+        session: Optional["OperatorSession"] = None,
         *,
-        max_block: int,
         max_wait_ms: float,
-        policy,
-        telemetry: Optional[ServeTelemetry] = None,
+        telemetry=None,
+        workers: int = 1,
+        name: Optional[str] = None,
+        obs=None,
     ) -> None:
-        if max_block < 1:
-            raise ValueError("max_block must be at least 1")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be non-negative")
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        if session is not None:
+            name, obs = session.name, session.obs
         self._session = session
-        self.max_block = int(max_block)
+        self.name = name
+        self.obs = resolve_observability(obs)
+        #: request traces come from here (None = tracing off)
+        self.tracer = self.obs.tracer
+        #: optional HealthMonitor fed by every dispatch
+        self.health = self.obs.health
         self.max_wait_seconds = float(max_wait_ms) / 1e3
-        self.policy = policy
+        self.workers = int(workers)
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
-        self._queue: Deque[PendingRequest] = deque()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
-        # The dispatcher thread starts lazily on the first submit():  a
-        # registry-cached warm session that is only ever driven through the
-        # farm's shared worker pool (or through direct solve()/solve_many()
-        # calls) never pins a thread of its own.
-        self._dispatcher: Optional[threading.Thread] = None
+        self._threads: List[threading.Thread] = []
+        self._tenants: Dict[str, Tenant] = {}
+        if session is not None:
+            self._tenants[self.name] = Tenant(
+                self.name, session.n_rows, self.telemetry, {"session": self.name}
+            )
 
     # ------------------------------------------------------------------ #
     # client side                                                        #
@@ -319,7 +420,7 @@ class SolveScheduler:
     def submit(
         self, b: np.ndarray, *, deadline_ms: Optional[float] = None
     ) -> "Future[ServeResult]":
-        """Enqueue one right-hand side; returns a future of its result.
+        """Enqueue one right-hand side for the session; returns a future.
 
         Validation happens here, synchronously, so a malformed request is
         rejected *before* it can share a Krylov basis with anyone else:
@@ -335,72 +436,97 @@ class SolveScheduler:
         solve cooperatively within one restart cycle (status
         ``CANCELLED``).
         """
-        tracer = getattr(self._session, "tracer", None)
+        return self._submit(self._tenants[self.name], b, deadline_ms)
+
+    async def asubmit(self, *args, deadline_ms: Optional[float] = None) -> ServeResult:
+        """Awaitable :meth:`submit` (same positional arguments).
+
+        The request rides the same queues and workers; only the waiting
+        is non-blocking.  Synchronous rejections raise before any
+        awaiting; validation errors surface as ``ValueError`` and
+        queue-expired deadlines as
+        :class:`~repro.serve.errors.DeadlineExceededError` when awaited.
+        """
+        import asyncio
+
+        return await asyncio.wrap_future(self.submit(*args, deadline_ms=deadline_ms))
+
+    def _submit(
+        self, tenant: Tenant, b: np.ndarray, deadline_ms: Optional[float]
+    ) -> "Future[ServeResult]":
+        sink = tenant.sink
         try:
-            column = self._validated_column(b)
+            column = validate_rhs(b, tenant.n_rows)
         except ValueError as exc:
             failed: Future = Future()
             failed.set_exception(exc)
-            self.telemetry.record_rejected()
-            if tracer is not None:
+            sink.record_rejected()
+            if self.tracer is not None:
                 # Telemetry counts sync rejections as submitted+failed;
                 # mirror that with an immediately-closed span tree so the
                 # trace ledger reconciles against the counters.
                 RequestTrace.rejected(
-                    tracer, "rejected", session=self._session.name, error=repr(exc)
+                    self.tracer, "rejected", error=repr(exc), **tenant.labels
                 )
             return failed
         request = PendingRequest(column, deadline_ms=deadline_ms)
-        if tracer is not None:
+        if self.tracer is not None:
             request.trace = RequestTrace(
-                tracer, session=self._session.name, deadline_ms=deadline_ms
+                self.tracer, deadline_ms=deadline_ms, **tenant.labels
             )
         if request.expired:
             # Dead on arrival (non-positive budget): fail fast without
             # ever touching the queue — still through the future, so the
             # caller sees a single error surface.
-            self.telemetry.record_submitted()
-            expire_requests([request], self.telemetry)
+            sink.record_submitted()
+            _expire([request], sink)
             return request.future
         if request.trace is not None:
-            # Admission decided before the queue append: once appended the
-            # dispatcher may advance the trace concurrently.
+            # Admission decided before the queue append: once appended a
+            # worker may advance the trace concurrently.  A rejection
+            # below finishes the already-advanced trace, which is still a
+            # single complete tree.
             request.trace.submitted()
         with self._wakeup:
-            if self._closed:
-                if request.trace is not None:
-                    # Not counted by telemetry (the submit raises instead
-                    # of failing a future), so the outcome is distinct
-                    # from the counted rejections.
-                    request.trace.finish("closed")
-                raise RuntimeError("scheduler is closed; no new requests accepted")
-            self._queue.append(request)
-            if self._dispatcher is None:
-                self._dispatcher = threading.Thread(
-                    target=self._run,
-                    name=f"repro-serve-dispatcher-{self._session.name}",
-                    daemon=True,
-                )
-                self._dispatcher.start()
-            self._wakeup.notify_all()
-        self.telemetry.record_submitted()
+            closed = self._closed
+            rejection = None if closed else self._admit_locked(tenant)
+            if not closed and rejection is None:
+                tenant.queue.append(request)
+                self._ensure_workers_locked()
+                self._wakeup.notify_all()
+        if closed:
+            if request.trace is not None:
+                # Not counted by telemetry (the submit raises instead of
+                # failing a future), so the outcome is distinct from the
+                # counted admission rejections.
+                request.trace.finish("closed")
+            raise RuntimeError(
+                f"{type(self).__name__} {self.name!r} is closed; "
+                "no new requests accepted"
+            )
+        if rejection is not None:
+            if request.trace is not None:
+                request.trace.finish("rejected", reason=rejection.reason)
+            raise rejection
+        sink.record_submitted()
         return request.future
 
-    def _validated_column(self, b: np.ndarray) -> np.ndarray:
-        # One validation path for both entry points (see
-        # OperatorSession.validate_rhs): shape normalization, the
-        # non-finite rejection, and the defensive copy.
-        return self._session.validate_rhs(b)
+    def _admit_locked(self, tenant: Tenant) -> Optional[ReproServeError]:
+        """Admission control, under the lock: ``None`` admits the request;
+        an error rejects it (raised to the submitting client)."""
+        return None
 
     def stats(self) -> ServeStats:
         """Current :class:`ServeStats` snapshot."""
         return self.telemetry.snapshot()
 
-    @property
-    def pending(self) -> int:
-        """Requests currently waiting in the queue."""
+    def pending(self, key: Optional[str] = None) -> int:
+        """Queued requests — one tenant's, or all of them."""
         with self._lock:
-            return len(self._queue)
+            if key is not None:
+                tenant = self._tenants.get(key)
+                return len(tenant.queue) if tenant is not None else 0
+            return sum(len(t.queue) for t in self._tenants.values())
 
     @property
     def closed(self) -> bool:
@@ -410,122 +536,153 @@ class SolveScheduler:
     # shutdown                                                           #
     # ------------------------------------------------------------------ #
     def close(self, *, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting requests and shut the dispatcher down.
+        """Stop accepting requests and shut the workers down.
 
         ``drain=True`` (default) lets already-queued requests complete;
-        ``drain=False`` fails them with :class:`RuntimeError`.
+        ``drain=False`` fails them with :class:`RuntimeError`.  Once every
+        worker has exited the engine drops its session reference, so a
+        released session is freed as soon as its last user lets go.
         """
         with self._wakeup:
-            dispatcher = self._dispatcher
-            if self._closed and (dispatcher is None or not dispatcher.is_alive()):
+            if self._closed and not any(t.is_alive() for t in self._threads):
                 return
             self._closed = True
+            abandoned = []
             if not drain:
-                abandoned = list(self._queue)
-                self._queue.clear()
-            else:
-                abandoned = []
+                for tenant in self._tenants.values():
+                    abandoned.extend((tenant, r) for r in tenant.queue)
+                    tenant.queue.clear()
+            threads = list(self._threads)
             self._wakeup.notify_all()
-        for request in abandoned:
-            if request.future.set_running_or_notify_cancel():
-                if fail_future(
-                    request.future,
-                    RuntimeError("scheduler closed before the request was served"),
-                ):
-                    self.telemetry.record_abandoned()
-                if request.trace is not None:
-                    request.trace.finish("abandoned")
-            else:
-                self.telemetry.record_cancelled()
-                if request.trace is not None:
-                    request.trace.finish("cancelled")
-        if dispatcher is not None and threading.current_thread() is not dispatcher:
-            dispatcher.join(timeout=timeout)
+        for tenant, request in abandoned:
+            request.drop(
+                tenant.sink,
+                RuntimeError(
+                    f"{type(self).__name__} {self.name!r} closed before "
+                    "the request was served"
+                ),
+                "abandoned",
+            )
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(timeout=timeout)
+        if not any(t.is_alive() for t in threads):
+            self._session = None
+
+    def __enter__(self) -> "SolveScheduler":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
-    # dispatcher                                                         #
+    # workers                                                            #
     # ------------------------------------------------------------------ #
-    def _run(self) -> None:
+    def _ensure_workers_locked(self) -> None:
+        # Lazy: an idle engine pins no threads until its first request.
+        if self._threads:
+            return
+        for i in range(self.workers):
+            thread = threading.Thread(
+                target=self._worker, name=f"repro-serve-{self.name}-{i}", daemon=True
+            )
+            self._threads.append(thread)
+            thread.start()
+
+    def _priority(self, tenant: Tenant):
+        """Sort key of a ready tenant; the smallest is served next
+        (default: the oldest head request)."""
+        return tenant.queue[0].enqueued_at
+
+    def _worker(self) -> None:
+        # Purely event-driven: workers sleep on the condition until a
+        # submit, a batch completion or close() notifies them — no idle
+        # polling tick.  Liveness: a ready tenant (non-empty queue, not
+        # busy) is picked without waiting, so queued deadlines are always
+        # in the hands of some worker's batch assembler, which bounds its
+        # own waits by the tightest deadline.
         while True:
-            batch = self._collect_batch()
-            if batch is None:
-                return
-            if batch:
-                self._dispatch(batch)
+            with self._wakeup:
+                while True:
+                    ready = [t for t in self._tenants.values() if t.queue and not t.busy]
+                    if ready:
+                        break
+                    if self._closed and not any(t.queue for t in self._tenants.values()):
+                        return
+                    self._wakeup.wait()
+                tenant = min(ready, key=self._priority)
+                tenant.busy = True
+            try:
+                self._serve_one(tenant)
+            finally:
+                with self._wakeup:
+                    tenant.busy = False
+                    self._wakeup.notify_all()
 
-    def _collect_batch(self) -> Optional[List[PendingRequest]]:
-        """Block until a batch is due; pop and return it (None = shut down)."""
+    def _serve_one(self, tenant: Tenant) -> None:
+        """Batch and dispatch one round of ``tenant``'s queue (it is busy)."""
+        session = self._session
+        batch = self._collect_batch(tenant, session)
+        if batch:
+            run_batch(
+                session,
+                batch,
+                tenant.sink,
+                tracer=self.tracer,
+                health=self.health,
+                component=session.name,
+            )
+
+    def _collect_batch(
+        self, tenant: Tenant, session: "OperatorSession"
+    ) -> List[PendingRequest]:
+        """Pop one dispatch's worth of ``tenant``'s queue.
+
+        Waits up to the micro-batching window for the queue to fill to
+        ``session.max_block``, then lets the session's policy choose the
+        width.  The window is measured from when assembly starts (it may
+        already hold requests that queued up during the previous solve):
+        a fresh window per batch lets in-flight clients' follow-up
+        requests coalesce with the ones that waited, instead of locking
+        the traffic into two alternating half-width cohorts.  It is
+        skipped when more arrivals cannot change the dispatch (width-1
+        session, sequential policy) or the engine is draining, and capped
+        by the tightest queued deadline, so a near-deadline request is
+        never held for the full window.  Requests whose deadline already
+        lapsed are failed fast here, never dispatched; requests cancelled
+        while queued are dropped.
+        """
         expired: List[PendingRequest] = []
         with self._wakeup:
-            while True:
-                expired.extend(sweep_expired(self._queue))
-                # Break on swept-out expirations too: their futures must
-                # be resolved now, not after the next submit wakes us.
-                if self._queue or self._closed or expired:
-                    break
-                self._wakeup.wait()
-            # Micro-batching window: measured from when the dispatcher
-            # starts assembling this batch (it may already hold requests
-            # that queued up during the previous solve).  A fresh window
-            # per batch lets the in-flight clients' follow-up requests
-            # coalesce with the ones that waited, instead of locking the
-            # traffic into two alternating half-width cohorts; each batch
-            # adds at most one max_wait_ms window on top of the in-flight
-            # solve to any request's wait.  When more arrivals cannot
-            # change the dispatch (width-1 scheduler, sequential policy)
-            # the window is pure latency, so it is skipped.  The window is
-            # additionally capped by the tightest queued deadline: a
-            # near-deadline request is never held for the full window.
-            can_batch = self.max_block > 1 and getattr(
-                self.policy, "mode", "auto"
-            ) != "sequential"
-            if self._queue and can_batch:
+            expired.extend(_sweep_expired(tenant.queue))
+            can_batch = (
+                session.max_block > 1
+                and getattr(session.policy, "mode", "auto") != "sequential"
+            )
+            if can_batch:
                 window_ends = time.perf_counter() + self.max_wait_seconds
-                while len(self._queue) < self.max_block and not self._closed:
+                # An empty queue (everything expired, was cancelled, or
+                # close(drain=False) took it) ends the window early.
+                while (
+                    tenant.queue
+                    and len(tenant.queue) < session.max_block
+                    and not self._closed
+                ):
                     remaining = window_ends - time.perf_counter()
-                    slack = deadline_slack_seconds(self._queue)
+                    slack = _deadline_slack_seconds(tenant.queue)
                     if slack is not None:
                         remaining = min(remaining, slack)
                     if remaining <= 0:
                         break
                     self._wakeup.wait(timeout=remaining)
-                    expired.extend(sweep_expired(self._queue))
-                    if not self._queue:
-                        break
-            expired.extend(sweep_expired(self._queue))
-            if not self._queue:
-                popped: List[PendingRequest] = []
-            else:
-                width = self.policy.block_width(len(self._queue))
-                popped = [self._queue.popleft() for _ in range(width)]
-            closed = self._closed
-        expire_requests(expired, self.telemetry)
-        if not popped:
-            # close(drain=False) emptied the queue mid-window (or every
-            # queued request expired); hand control back to the outer
-            # loop, which exits once closed.
-            return None if closed else []
-        batch = []
-        for request in popped:
-            # Transition the future to RUNNING; a client that cancelled
-            # while queued is dropped here and never enters the block.
-            if request.future.set_running_or_notify_cancel():
-                batch.append(request)
-            else:
-                self.telemetry.record_cancelled()
-                if request.trace is not None:
-                    request.trace.finish("cancelled")
-        return batch
-
-    def _dispatch(self, batch: List[PendingRequest]) -> None:
-        run_batch(
-            self._session,
-            batch,
-            self.telemetry,
-            tracer=getattr(self._session, "tracer", None),
-            health=getattr(self._session, "health", None),
-            component=self._session.name,
-        )
+                    expired.extend(_sweep_expired(tenant.queue))
+            expired.extend(_sweep_expired(tenant.queue))
+            popped: List[PendingRequest] = []
+            if tenant.queue:
+                width = session.policy.block_width(len(tenant.queue))
+                popped = [tenant.queue.popleft() for _ in range(width)]
+        _expire(expired, tenant.sink)
+        return [request for request in popped if request.start(tenant.sink)]
 
 
 @dataclass
@@ -596,16 +753,17 @@ def run_batch(
 ) -> BatchReport:
     """Run one assembled batch and resolve its futures (the dispatch core).
 
-    Shared by the per-session :class:`SolveScheduler` dispatcher and the
-    farm's worker pool (:mod:`repro.serve.farm`): assemble the column
-    block, run the batched solve through ``session._solve_block`` (pinned
-    context, pooled workspaces, one per-request control token per
-    column), apply the width-1 retry containment to non-converged
-    columns, demultiplex per-column :class:`ServeResult` objects into the
-    request futures, and account the batch in ``telemetry``.  Solver
-    exceptions are forwarded to every future of the batch; this function
-    itself never raises.  Returns a :class:`BatchReport` the farm feeds
-    into the tenant's circuit breaker.
+    Called by every :class:`SolveScheduler` worker (through this module's
+    name for a session, through :mod:`repro.serve.farm`'s for a farm):
+    assemble the column block, run the batched solve through
+    ``session._solve_block`` (pinned context, pooled workspaces, one
+    per-request control token per column), apply the width-1 retry
+    containment to non-converged columns, demultiplex per-column
+    :class:`ServeResult` objects into the request futures, and account
+    the batch in ``telemetry``.  Any exception from assembly or the solve
+    is forwarded to every future of the batch; this function itself never
+    raises.  Returns a :class:`BatchReport` the farm feeds into the
+    tenant's circuit breaker.
 
     When ``tracer`` (a :class:`repro.obs.Tracer`) is given, the dispatch
     is traced: one ``batch`` span with ``batch_assembly`` / ``solve`` /
@@ -647,22 +805,21 @@ def run_batch(
                 width=width,
             )
 
-    assembly_span = (
-        None if batch_span is None
-        else tracer.start_span("batch_assembly", parent=batch_span)
-    )
-    B = np.empty((session.n_rows, width), dtype=np.float64, order="F")
-    for c, request in enumerate(batch):
-        B[:, c] = request.b
-    controls = [request.control for request in batch]
-    if assembly_span is not None:
-        assembly_span.finish()
-
     failed = 0
     retried = 0
     report = BatchReport(width=width)
     solve_span = None
+    assembly_span = (
+        None if batch_span is None
+        else tracer.start_span("batch_assembly", parent=batch_span)
+    )
     try:
+        B = np.empty((session.n_rows, width), dtype=np.float64, order="F")
+        for c, request in enumerate(batch):
+            B[:, c] = request.b
+        controls = [request.control for request in batch]
+        if assembly_span is not None:
+            assembly_span.finish()
         if batch_span is not None:
             solve_span = tracer.start_span("solve", parent=batch_span)
             probe = _chain_probes(watch, span_probe(solve_span))
@@ -733,8 +890,11 @@ def run_batch(
         solve_times = [solve_seconds] * width
         failed = width
         report.exception = exc
-        if solve_span is not None:
-            solve_span.finish(error=repr(exc))
+        # The span that was open when the exception hit: the solve's, or
+        # the assembly's when the block could not be built.
+        failed_span = solve_span if solve_span is not None else assembly_span
+        if failed_span is not None:
+            failed_span.finish(error=repr(exc))
         alerts = 0 if watch is None else watch.alerts
         if health is not None:
             alerts += health.observe_batch(component, report, solve_seconds)

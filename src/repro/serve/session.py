@@ -7,8 +7,8 @@ cost is just the solve itself:
 * the **pinned execution context** — backend handle, device cost model and
   metering flag are captured at construction, so the session keeps serving
   with the same backend even if another thread later flips the global
-  context (the dispatcher installs the pinned context thread-locally per
-  dispatch, see :func:`repro.linalg.context.use_context`);
+  context (each dispatch installs the pinned context thread-locally,
+  see :func:`repro.linalg.context.use_context`);
 * the **working-precision matrix copies** and the backend's cached
   per-matrix plans (SciPy handles, DIA/SpMM plans, row geometry), built
   eagerly by a warm-up pass instead of lazily on the first paying request;
@@ -20,8 +20,11 @@ cost is just the solve itself:
   — so dispatches reuse pooled Krylov storage, extending the PR-2
   allocation-free contract across whole solves (a steady-state dispatch
   allocates no basis memory);
-* the **micro-batching scheduler** (:class:`~repro.serve.scheduler.SolveScheduler`)
-  and its telemetry.
+* its **micro-batching front**: a
+  :class:`~repro.serve.scheduler.SolveScheduler` with one tenant queue
+  and one lazily started worker, plus its telemetry.  A session warmed
+  by a :class:`~repro.serve.farm.SolverFarm` is driven by the farm's
+  workers instead and never starts its own.
 
 Solves are serialized on a session-level lock — the modelled device is one
 GPU, and the pooled workspaces are shared mutable state — so concurrent
@@ -48,37 +51,10 @@ from ..solvers.gmres_ir import gmres_ir
 from ..solvers.result import MultiSolveResult, SolveResult
 from ..sparse.csr import CsrMatrix
 from .policy import BatchingPolicy
-from .scheduler import SolveScheduler
+from .scheduler import SolveScheduler, validate_rhs
 from .telemetry import ServeStats, ServeTelemetry, TelemetryFanout
 
 __all__ = ["OperatorSession", "validate_rhs"]
-
-
-def validate_rhs(b: np.ndarray, n_rows: int) -> np.ndarray:
-    """Normalize one right-hand side to an owned length-``n_rows`` column.
-
-    The single validation path of the serve layer: shape-checks, rejects
-    non-finite entries (they would poison a shared Krylov basis — and a
-    direct NaN solve is equally meaningless), and copies so a caller
-    mutating its array afterwards cannot corrupt a queued batch.  Raises
-    :class:`ValueError` on invalid input.  Module-level so the farm can
-    validate against a registered operator's dimensions without forcing
-    its (possibly evicted) session to be rebuilt first.
-    """
-    column = np.asarray(b, dtype=np.float64)
-    if column.ndim == 2 and column.shape[1] == 1:
-        column = column[:, 0]
-    if column.ndim != 1 or column.shape[0] != n_rows:
-        raise ValueError(
-            f"right-hand side must be a length-{n_rows} vector, "
-            f"got shape {np.asarray(b).shape}"
-        )
-    if not np.all(np.isfinite(column)):
-        raise ValueError(
-            "right-hand side contains non-finite entries; rejecting it "
-            "before it can poison a shared Krylov basis"
-        )
-    return np.array(column, copy=True)
 
 
 def _nbytes_of(obj: object, depth: int = 2) -> int:
@@ -199,8 +175,8 @@ class OperatorSession:
         self.retry_failed = bool(retry_failed)
         self.name = name or f"serve-{matrix.name or 'operator'}"
         self.obs = resolve_observability(obs)
-        #: The session's tracer (None = tracing off; the scheduler and
-        #: the shared dispatch core read this on every hot-path decision).
+        #: The session's tracer (None = tracing off; its scheduler traces
+        #: every submitted request and dispatch with it).
         self.tracer = self.obs.tracer
         #: Optional HealthMonitor (explicit via obs=): the dispatch core
         #: runs its detectors and the telemetry feeds its SLO tracker.
@@ -292,13 +268,7 @@ class OperatorSession:
         self._closed = False
         if warmup:
             self._warmup()
-        self.scheduler = SolveScheduler(
-            self,
-            max_block=self.max_block,
-            max_wait_ms=wait,
-            policy=self.policy,
-            telemetry=telemetry,
-        )
+        self.scheduler = SolveScheduler(self, max_wait_ms=wait, telemetry=telemetry)
         if self.obs.registry is not None:
             watch_session(self, registry=self.obs.registry)
 
@@ -318,15 +288,9 @@ class OperatorSession:
         return self.scheduler.stats()
 
     def validate_rhs(self, b: np.ndarray) -> np.ndarray:
-        """Normalize one right-hand side to an owned length-``n`` column.
-
-        The single validation path shared by :meth:`submit` (via the
-        scheduler) and :meth:`solve`: shape-checks, rejects non-finite
-        entries (they would poison a shared Krylov basis — and a direct
-        NaN solve is equally meaningless), and copies so a caller mutating
-        its array afterwards cannot corrupt a queued batch.  Raises
-        :class:`ValueError` on invalid input.
-        """
+        """Normalize one right-hand side to an owned length-``n`` column
+        (:func:`~repro.serve.scheduler.validate_rhs` against this
+        operator: the check :meth:`submit` and :meth:`solve` both apply)."""
         return validate_rhs(b, self.n_rows)
 
     def estimated_bytes(self) -> int:
@@ -360,7 +324,7 @@ class OperatorSession:
         with bit-identical numerics (every cycle buffer is sliced to the
         active width), so the pool stays small — typically one block entry
         at ``max_block``.  Callers must hold the session solve lock (the
-        dispatcher and :meth:`solve` do).
+        dispatch path and :meth:`solve` do).
         """
         if width < 1:
             raise ValueError("width must be at least 1")
@@ -521,11 +485,7 @@ class OperatorSession:
         awaited; a queue-expired ``deadline_ms`` as
         :class:`~repro.serve.errors.DeadlineExceededError`.
         """
-        import asyncio
-
-        return await asyncio.wrap_future(
-            self.scheduler.submit(b, deadline_ms=deadline_ms)
-        )
+        return await self.scheduler.asubmit(b, deadline_ms=deadline_ms)
 
     def solve(self, b: np.ndarray) -> SolveResult:
         """Synchronous direct solve of one right-hand side (no batching).
@@ -595,8 +555,10 @@ class OperatorSession:
         ``submit()`` is accepted — but unlike :meth:`close` the session is
         **not** marked closed, so a farm worker holding a reference across
         the eviction can still finish its current dispatch through
-        ``_solve_block``.  The warmed plans and workspaces are freed when
-        the last reference is dropped.
+        ``_solve_block``.  Closing the scheduler breaks its reference
+        back to the session, so the warmed plans and workspaces are freed
+        as soon as the last outside reference is dropped, without waiting
+        for the cyclic garbage collector.
         """
         self.scheduler.close(drain=True, timeout=timeout)
 

@@ -1,15 +1,17 @@
 """Service telemetry: per-request latency, batch occupancy, throughput.
 
-The serve layer's observable surface.  A :class:`ServeTelemetry` instance
-is owned by one :class:`~repro.serve.scheduler.SolveScheduler` and updated
-from two threads (client submits, dispatcher completions) under its own
-lock; :meth:`ServeTelemetry.snapshot` freezes everything into an immutable
-:class:`ServeStats` dataclass, which is what ``benchmarks/_harness.py
---serve`` dumps into ``BENCH_serve.json``.
+The serve layer's observable surface.  A :class:`ServeTelemetry` records
+one stream of request events — a session's, or one farm tenant's, or a
+farm's whole fleet (:class:`FarmTelemetry` holds one per tenant plus the
+fleet's and fans each event out to both).  It is updated from client
+threads (submits, rejections) and worker threads (dispatches, drops)
+under its own lock; :meth:`ServeTelemetry.snapshot` freezes everything
+into an immutable :class:`ServeStats` dataclass, which is what
+``benchmarks/_harness.py --serve`` dumps into ``BENCH_serve.json``.
 
 Latency accounting per request:
 
-* **queue wait** — from ``submit()`` to the dispatcher popping the request
+* **queue wait** — from ``submit()`` to a worker popping the request
   into a batch (the price of micro-batching; bounded by ``max_wait_ms``
   when traffic is sparse);
 * **solve** — wall time of the batched solve the request rode in (shared

@@ -10,9 +10,8 @@ status, iteration/restart counts, the per-kernel :class:`KernelTimer`
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, runtime_checkable
+from typing import Dict, List, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -299,18 +298,6 @@ class MultiSolveResult:
     def residual_history(self) -> List[ConvergenceHistory]:
         """Per-column histories (:class:`ResultLike` name for ``histories``)."""
         return self.histories
-
-    @property
-    def all_converged(self) -> bool:
-        """Deprecated alias of :attr:`converged` (the divergent name from
-        before the unified result protocol)."""
-        warnings.warn(
-            "MultiSolveResult.all_converged is deprecated; use the "
-            "ResultLike-uniform MultiSolveResult.converged instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.converged
 
     @property
     def model_seconds(self) -> float:

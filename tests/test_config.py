@@ -101,32 +101,7 @@ class TestServeConfig:
 
 
 class TestDeprecatedFlatServeFields:
-    """The pre-ServeConfig flat spellings still work but warn (pinned)."""
-
-    def test_constructor_keyword_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="serve_max_block"):
-            cfg = ReproConfig(serve_max_block=3)
-        assert cfg.serve.max_block == 3
-
-    def test_read_property_warns(self):
-        cfg = ReproConfig()
-        with pytest.warns(DeprecationWarning, match="serve_policy"):
-            assert cfg.serve_policy == cfg.serve.policy
-        with pytest.warns(DeprecationWarning, match="serve_max_wait_ms"):
-            assert cfg.serve_max_wait_ms == cfg.serve.max_wait_ms
-        with pytest.warns(DeprecationWarning, match="serve_max_block"):
-            assert cfg.serve_max_block == cfg.serve.max_block
-
-    def test_set_config_override_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="serve_max_wait_ms"):
-            set_config(serve_max_wait_ms=7.5)
-        assert get_config().serve.max_wait_ms == 7.5
-
-    def test_flat_override_composes_with_explicit_bundle(self):
-        with pytest.warns(DeprecationWarning, match="serve_policy"):
-            set_config(serve=ServeConfig(max_block=4), serve_policy="block")
-        assert get_config().serve.max_block == 4
-        assert get_config().serve.policy == "block"
+    """The pre-ServeConfig flat spellings are gone; the canonical ones stay quiet."""
 
     def test_unknown_keyword_still_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):

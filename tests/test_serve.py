@@ -108,15 +108,6 @@ class TestOperatorSession:
             assert session.max_block == 3
             assert session.policy.mode == "sequential"
 
-    def test_deprecated_flat_serve_overrides_still_work(self, matrix):
-        with pytest.warns(DeprecationWarning) as caught:
-            set_config(serve_max_block=3, serve_policy="sequential")
-        messages = " ".join(str(w.message) for w in caught)
-        assert "serve_max_block" in messages and "serve_policy" in messages
-        with make_session(matrix) as session:
-            assert session.max_block == 3
-            assert session.policy.mode == "sequential"
-
     def test_rejects_unknown_method(self, matrix):
         with pytest.raises(ValueError, match="method"):
             OperatorSession(matrix, method="cg")
@@ -245,7 +236,8 @@ class TestSchedulerCoalescing:
         fut = session.submit(np.ones(matrix.n_rows))
         time.sleep(0.05)  # let the dispatcher enter the batching window
         session.close(drain=False, timeout=10)
-        assert not session.scheduler._dispatcher.is_alive()
+        [worker] = session.scheduler._threads
+        assert not worker.is_alive()
         assert not crashes
         with pytest.raises(RuntimeError, match="closed"):
             fut.result(timeout=5)

@@ -30,6 +30,7 @@ import pytest
 
 from repro.backends import get_backend
 from repro.matrices import laplace2d
+from repro.obs import RequestTrace, Tracer
 from repro.preconditioners.base import Preconditioner
 from repro.serve import (
     CircuitBreaker,
@@ -39,7 +40,13 @@ from repro.serve import (
     ReproServeError,
     SolverFarm,
 )
-from repro.serve.scheduler import PendingRequest, complete_future, fail_future
+from repro.serve.scheduler import (
+    PendingRequest,
+    complete_future,
+    fail_future,
+    run_batch,
+)
+from repro.serve.telemetry import ServeTelemetry
 from repro.solvers import SolverStatus
 from repro.testing import (
     FaultInjectedError,
@@ -95,8 +102,8 @@ def make_session(matrix, **kwargs):
     return OperatorSession(matrix, **defaults)
 
 
-def slow_session(matrix, sleep_seconds=0.005, **kwargs):
-    """A session whose solves reliably take >= ~100 ms wall-clock."""
+def slow_kwargs(sleep_seconds=0.005, **kwargs):
+    """Front settings whose solves reliably take >= ~100 ms wall-clock."""
     defaults = dict(
         restart=15,
         tol=1e-12,
@@ -106,7 +113,37 @@ def slow_session(matrix, sleep_seconds=0.005, **kwargs):
         max_wait_ms=1.0,
     )
     defaults.update(kwargs)
-    return OperatorSession(matrix, **defaults)
+    return defaults
+
+
+class OneTenantFarm:
+    """A farm with one operator behind the session's submit/stats/close
+    surface, so one lifecycle suite runs against both fronts."""
+
+    def __init__(self, matrix, *, max_wait_ms=2.0, **session_kwargs):
+        self.farm = SolverFarm(workers=1, max_wait_ms=max_wait_ms)
+        self.farm.register("op", matrix, **{**SESSION_KWARGS, **session_kwargs})
+
+    def submit(self, b, *, deadline_ms=None):
+        return self.farm.submit("op", b, deadline_ms=deadline_ms)
+
+    def stats(self):
+        return self.farm.stats().tenants["op"].serve
+
+    def close(self, **kwargs):
+        self.farm.close(**kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.fixture
+def front():
+    """Opens the front under test; the farm variants override this."""
+    return make_session
 
 
 def wait_until(predicate, timeout=10.0, interval=0.002):
@@ -240,8 +277,8 @@ class TestFutureResolutionRace:
 # session deadlines                                                     #
 # --------------------------------------------------------------------- #
 class TestSessionDeadlines:
-    def test_dead_on_arrival_deadline_fails_fast(self, matrix, rhs):
-        with make_session(matrix) as session:
+    def test_dead_on_arrival_deadline_fails_fast(self, front, matrix, rhs):
+        with front(matrix) as session:
             future = session.submit(rhs, deadline_ms=0.0)
             with pytest.raises(DeadlineExceededError) as excinfo:
                 future.result(timeout=5)
@@ -254,11 +291,11 @@ class TestSessionDeadlines:
             assert stats.requests_failed == 1
             assert_accounted(stats)
 
-    def test_queue_expiry_is_never_dispatched(self, matrix, rhs):
+    def test_queue_expiry_is_never_dispatched(self, front, matrix, rhs):
         # Occupy the (width-1) dispatcher with a slow solve; a request
         # whose deadline lapses while it waits behind it must fail with
         # DeadlineExceededError without ever reaching the solver.
-        with slow_session(matrix) as session:
+        with front(matrix, **slow_kwargs()) as session:
             blocker = session.submit(rhs)
             doomed = session.submit(rhs, deadline_ms=20.0)
             assert blocker.result(timeout=30).status is not None
@@ -271,13 +308,11 @@ class TestSessionDeadlines:
             assert stats.batches_dispatched == 1  # only the blocker
             assert_accounted(stats)
 
-    def test_near_deadline_request_not_held_for_window(self, matrix, rhs):
+    def test_near_deadline_request_not_held_for_window(self, front, matrix, rhs):
         # Micro-batching window of 5 s, lone request with a 40 ms
         # deadline: the deadline-aware assembler must dispatch (or
         # expire) it in tens of milliseconds, not seconds.
-        with make_session(
-            matrix, max_block=4, max_wait_ms=5000.0
-        ) as session:
+        with front(matrix, max_block=4, max_wait_ms=5000.0) as session:
             start = time.perf_counter()
             future = session.submit(rhs, deadline_ms=40.0)
             try:
@@ -298,8 +333,8 @@ class TestSessionDeadlines:
 # session cancellation                                                  #
 # --------------------------------------------------------------------- #
 class TestSessionCancellation:
-    def test_cancel_queued_request_is_dropped(self, matrix, rhs):
-        with slow_session(matrix) as session:
+    def test_cancel_queued_request_is_dropped(self, front, matrix, rhs):
+        with front(matrix, **slow_kwargs()) as session:
             blocker = session.submit(rhs)
             queued = session.submit(rhs)
             assert queued.cancel() is True  # still queued: cancels cleanly
@@ -315,12 +350,13 @@ class TestSessionCancellation:
             assert stats.batches_dispatched == 1
             assert_accounted(stats)
 
-    def test_cancel_in_flight_resolves_cancelled(self, matrix, rhs):
+    def test_cancel_in_flight_resolves_cancelled(self, front, matrix, rhs):
         # tol is unreachable, so the solve runs until the token stops it:
         # cancel() returns False (the future is RUNNING) but the solve
         # resolves with status CANCELLED within one restart cycle.
-        with slow_session(
-            matrix, sleep_seconds=0.002, tol=1e-30, max_restarts=1_000_000
+        with front(
+            matrix,
+            **slow_kwargs(sleep_seconds=0.002, tol=1e-30, max_restarts=1_000_000),
         ) as session:
             future = session.submit(rhs)
             assert wait_until(future.running, timeout=10.0)
@@ -335,8 +371,8 @@ class TestSessionCancellation:
             assert stats.requests_cancelled == 1
             assert_accounted(stats)
 
-    def test_cancel_after_completion_is_noop(self, matrix, rhs):
-        with make_session(matrix) as session:
+    def test_cancel_after_completion_is_noop(self, front, matrix, rhs):
+        with front(matrix) as session:
             future = session.submit(rhs)
             result = future.result(timeout=30)
             assert result.converged
@@ -348,8 +384,8 @@ class TestSessionCancellation:
 # shutdown races (satellite 4)                                          #
 # --------------------------------------------------------------------- #
 class TestCloseRaces:
-    def test_close_no_drain_fails_queued_resolves_inflight(self, matrix, rhs):
-        session = slow_session(matrix)
+    def test_close_no_drain_fails_queued_resolves_inflight(self, front, matrix, rhs):
+        session = front(matrix, **slow_kwargs())
         inflight = session.submit(rhs)
         assert wait_until(inflight.running, timeout=10.0)
         queued = [session.submit(rhs) for _ in range(2)]
@@ -366,8 +402,8 @@ class TestCloseRaces:
         assert stats.requests_failed == 2
         assert_accounted(stats)
 
-    def test_close_no_drain_with_cancelled_queued(self, matrix, rhs):
-        session = slow_session(matrix)
+    def test_close_no_drain_with_cancelled_queued(self, front, matrix, rhs):
+        session = front(matrix, **slow_kwargs())
         inflight = session.submit(rhs)
         assert wait_until(inflight.running, timeout=10.0)
         cancelled = session.submit(rhs)
@@ -383,13 +419,37 @@ class TestCloseRaces:
         assert stats.requests_cancelled == 1
         assert_accounted(stats)
 
-    def test_close_is_idempotent(self, matrix, rhs):
-        session = make_session(matrix)
+    def test_close_is_idempotent(self, front, matrix, rhs):
+        session = front(matrix)
         session.submit(rhs).result(timeout=30)
         session.close()
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.submit(rhs)
+
+
+class TestFarmDeadlines(TestSessionDeadlines):
+    """The deadline suite against a one-tenant farm."""
+
+    @pytest.fixture
+    def front(self):
+        return OneTenantFarm
+
+
+class TestFarmCancellation(TestSessionCancellation):
+    """The cancellation suite against a one-tenant farm."""
+
+    @pytest.fixture
+    def front(self):
+        return OneTenantFarm
+
+
+class TestFarmCloseRaces(TestCloseRaces):
+    """The shutdown suite against a one-tenant farm."""
+
+    @pytest.fixture
+    def front(self):
+        return OneTenantFarm
 
 
 # --------------------------------------------------------------------- #
@@ -461,6 +521,48 @@ class TestBatchExceptionContainment:
             assert fleet.requests_failed == 2
             assert fleet.requests_completed == 2
             assert_accounted(fleet)
+
+
+    def test_mismatched_factory_fails_its_futures_not_the_worker(self, matrix, rhs):
+        # Registered one row longer than the session its factory builds:
+        # the length-(n+1) request passes validation but cannot ride the
+        # session's block.  Its future fails, the breaker is fed, and the
+        # only worker lives on to serve a healthy tenant.
+        n = matrix.n_rows
+        farm = SolverFarm(workers=1, max_wait_ms=2.0, breaker_threshold=1)
+        farm.register("skewed", factory=lambda: make_session(matrix), n_rows=n + 1)
+        farm.register("healthy", matrix, **SESSION_KWARGS)
+        with farm:
+            doomed = farm.submit("skewed", np.ones(n + 1))
+            with pytest.raises(ValueError, match="n_rows"):
+                doomed.result(timeout=10)
+            assert farm.submit("healthy", rhs).result(timeout=30).converged
+            stats = farm.stats()
+        assert stats.tenants["skewed"].breaker_trips == 1
+        fleet = stats.fleet
+        assert fleet.requests_submitted == 2
+        assert fleet.requests_completed == 1
+        assert fleet.requests_failed == 1
+
+    def test_run_batch_forwards_assembly_errors(self, matrix):
+        # "Never raises" covers assembling the block, not just the solve,
+        # and the failed batch leaves no span open.
+        telemetry = ServeTelemetry()
+        tracer = Tracer()
+        request = PendingRequest(np.ones(matrix.n_rows + 1))
+        request.trace = RequestTrace(tracer, session="s")
+        request.trace.submitted()
+        assert request.future.set_running_or_notify_cancel()
+        with make_session(matrix) as session:
+            report = run_batch(session, [request], telemetry, tracer=tracer)
+        assert isinstance(report.exception, ValueError)
+        assert report.hard_failure
+        with pytest.raises(ValueError):
+            request.future.result(timeout=1)
+        assert telemetry.snapshot().requests_failed == 1
+        assert tracer.open_spans == 0
+        [assembly] = [s for s in tracer.finished_spans() if s.name == "batch_assembly"]
+        assert "ValueError" in assembly.attrs["error"]
 
 
 # --------------------------------------------------------------------- #
