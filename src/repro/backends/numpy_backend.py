@@ -2,8 +2,7 @@
 
 The module-level CSR kernels here (:func:`spmv`, :func:`spmv_transpose`,
 :func:`spmm`) are the library's numerical ground truth (moved from
-:mod:`repro.sparse.ops`, which keeps only deprecation shims that route
-through the active backend): vectorised NumPy with no per-row Python
+:mod:`repro.sparse.ops`): vectorised NumPy with no per-row Python
 loops, following the HPC-Python guidance — ``np.add.reduceat`` for the
 row sums of the SpMV/SpMM and ``np.bincount``/fancy indexing for scatter
 operations.  They carry no per-matrix state, and tests and benchmarks

@@ -895,25 +895,39 @@ def run_batch(
         failed_span = solve_span if solve_span is not None else assembly_span
         if failed_span is not None:
             failed_span.finish(error=repr(exc))
-        alerts = 0 if watch is None else watch.alerts
-        if health is not None:
-            alerts += health.observe_batch(component, report, solve_seconds)
-        for request in batch:
-            fail_future(request.future, exc)
-            if request.trace is not None:
-                if alerts:
-                    request.trace.mark_keep()
-                request.trace.finish("error", error=repr(exc))
     else:
         report.statuses = [column.status for column in columns]
         report.nonfinite = any(
             not np.isfinite(column.relative_residual) for column in columns
         )
-        # Detector verdicts must land before the per-request finishes so a
-        # flagged batch's deferred traces are retained by the tail rules.
-        alerts = 0 if watch is None else watch.alerts
-        if health is not None:
-            alerts += health.observe_batch(component, report, solve_seconds)
+    # Detector verdicts must land before the per-request finishes so a
+    # flagged batch's deferred traces are retained by the tail rules, and
+    # the batch is booked before any future resolves, so a client holding
+    # its result also sees it counted.
+    alerts = 0 if watch is None else watch.alerts
+    if health is not None:
+        alerts += health.observe_batch(component, report, solve_seconds)
+    telemetry.record_batch(
+        queue_waits,
+        solve_times,
+        block_iterations=0 if failed else multi.block_iterations,
+        failed=failed,
+        retried=retried,
+        timed_out=sum(
+            1 for s in report.statuses if s == SolverStatus.TIMED_OUT
+        ),
+        cancelled=sum(
+            1 for s in report.statuses if s == SolverStatus.CANCELLED
+        ),
+    )
+    if failed:
+        for request in batch:
+            fail_future(request.future, report.exception)
+            if request.trace is not None:
+                if alerts:
+                    request.trace.mark_keep()
+                request.trace.finish("error", error=repr(report.exception))
+    else:
         if alerts:
             for request in batch:
                 if request.trace is not None:
@@ -960,17 +974,4 @@ def run_batch(
             retried=retried,
             statuses=[s.name for s in report.statuses],
         )
-    telemetry.record_batch(
-        queue_waits,
-        solve_times,
-        block_iterations=0 if failed else multi.block_iterations,
-        failed=failed,
-        retried=retried,
-        timed_out=sum(
-            1 for s in report.statuses if s == SolverStatus.TIMED_OUT
-        ),
-        cancelled=sum(
-            1 for s in report.statuses if s == SolverStatus.CANCELLED
-        ),
-    )
     return report

@@ -6,10 +6,24 @@
   refinement (Algorithm 2): fp32 inner cycles, fp64 refinement.
 * :func:`~repro.solvers.gmres_fd.gmres_fd` — the Float→Double switching
   solver the paper compares against (Section III-C).
-* :func:`~repro.solvers.cg.cg` — preconditioned conjugate gradients for the
-  SPD problems.
 * :func:`~repro.solvers.ir_three_precision.gmres_ir_three_precision` —
   half/single/double refinement, the paper's future-work extension.
+* :func:`~repro.solvers.cg.cg` — preconditioned conjugate gradients for the
+  SPD problems.
+* :func:`~repro.solvers.block_gmres.block_gmres`,
+  :func:`~repro.solvers.block_gmres.block_gmres_ir` and
+  :func:`~repro.solvers.block_gmres.solve_many` — the batched
+  multi-right-hand-side path.
+
+Every entry point follows one contract, written once in
+:mod:`repro.solvers.driver` (and its block twin in
+:mod:`repro.solvers.block_gmres`): ``control=`` bounds the solve by
+deadline, cancellation or iteration budget; a non-finite residual ends it
+with ``BREAKDOWN``; a zero right-hand side returns zero; ``probe=`` sees
+one event per restart or refinement boundary and exactly one terminal
+event, last.  GMRES, GMRES-IR and three-precision IR are the same restart
+loop with different steps; GMRES-FD chains two GMRES runs and reports
+them as one solve.
 """
 
 from .result import (
@@ -21,8 +35,6 @@ from .result import (
 )
 from .status import (
     LossOfAccuracyTest,
-    MaxIterationsTest,
-    ResidualTest,
     SolveControl,
     StagnationTest,
 )
@@ -46,8 +58,6 @@ __all__ = [
     "SolveResult",
     "MultiSolveResult",
     "SolverStatus",
-    "ResidualTest",
-    "MaxIterationsTest",
     "LossOfAccuracyTest",
     "StagnationTest",
     "SolveControl",

@@ -31,12 +31,12 @@ contract, so a block iteration allocates nothing once the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config import get_config
 from ..linalg import kernels
 from ..linalg.dense import BlockGivensWorkspace
 from ..linalg.multivector import MultiVector
@@ -44,10 +44,15 @@ from ..obs.probe import ProbeEvent
 from ..ortho import BlockOrthogonalizationManager, make_block_ortho_manager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
-from ..preconditioners.base import IdentityPreconditioner, Preconditioner
-from ..preconditioners.mixed import wrap_for_precision
+from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
-from .gmres import _fp64_relative_residual
+from .driver import (
+    as_preconditioner,
+    fp64_relative_residual,
+    resolve_budget,
+    resolve_workspace,
+    shifted_probe,
+)
 from .result import ConvergenceHistory, MultiSolveResult, SolverStatus
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
@@ -135,34 +140,6 @@ class BlockGmresWorkspace:
             and self.block_size >= block_size
             and self.precision.dtype == as_precision(precision).dtype
         )
-
-
-def _resolve_workspace(
-    workspace: Optional[BlockGmresWorkspace],
-    n: int,
-    restart: int,
-    block_size: int,
-    precision,
-) -> BlockGmresWorkspace:
-    """Validate a caller-provided workspace or allocate a fresh one.
-
-    The batch-entry hook of the serve layer: an
-    :class:`~repro.serve.OperatorSession` owns a pool of pre-allocated
-    workspaces and passes one in per dispatch, so steady-state serving
-    allocates no Krylov storage (the PR-2 allocation-free contract extended
-    across whole solves).
-    """
-    if workspace is None:
-        return BlockGmresWorkspace(n, restart, block_size, precision)
-    if not workspace.accommodates(n, restart, block_size, precision):
-        raise ValueError(
-            f"provided workspace (n={workspace.basis.length}, "
-            f"restart={workspace.restart}, block_size={workspace.block_size}, "
-            f"precision={workspace.precision.name}) cannot accommodate a "
-            f"solve with n={n}, restart={restart}, block_size={block_size}, "
-            f"precision={as_precision(precision).name}"
-        )
-    return workspace
 
 
 @dataclass
@@ -307,15 +284,21 @@ def run_block_gmres_cycle(
 class _ColumnTracker:
     """Per-right-hand-side bookkeeping shared by the block drivers.
 
-    Maintains the compacted *active* buffers (deflation removes converged
+    Maintains the compacted *active* buffers (deflation removes finalized
     columns by shifting the survivors left, so the kernels always see
     contiguous leading columns) and the per-original-column statuses,
-    iteration counts and histories.
+    iteration counts, histories and controls.
     """
 
-    def __init__(self, B: np.ndarray, X0: Optional[np.ndarray], dtype) -> None:
+    def __init__(
+        self,
+        B: np.ndarray,
+        X0: Optional[np.ndarray],
+        dtype,
+        controls: Optional[Sequence[Optional[SolveControl]]] = None,
+    ) -> None:
         n, p = B.shape
-        self.n, self.p = n, p
+        self.p = p
         # Always a fresh copy: compact() shifts columns in place, and
         # np.asfortranarray would alias a caller block that is already
         # Fortran-ordered in the working dtype.
@@ -330,8 +313,10 @@ class _ColumnTracker:
         self.iterations = np.zeros(p, dtype=np.int64)
         self.steps_alive = np.zeros(p, dtype=np.int64)
         self.hit_at = np.full(p, -1, dtype=np.int64)
+        self.last_implicit = np.full(p, np.nan)
         self.histories = [ConvergenceHistory() for _ in range(p)]
         self.rel = np.full(p, np.inf)
+        self.controls = _resolve_controls(controls, p)
 
     @property
     def k(self) -> int:
@@ -369,13 +354,35 @@ class _ColumnTracker:
             extra[:, : len(keep)] = extra[:, keep]
         self.active = [self.active[i] for i in keep]
 
+    def record_cycle(
+        self, outcome: BlockCycleOutcome, targets: Optional[np.ndarray] = None
+    ) -> None:
+        """Book one cycle's implicit residuals and steps on every active column.
 
-def _status_counts(statuses: Sequence[SolverStatus]) -> dict:
-    """Per-status column counts for block terminal probe events."""
-    counts: dict = {}
-    for status in statuses:
-        counts[status.name] = counts.get(status.name, 0) + 1
-    return counts
+        With per-column ``targets`` a column also remembers the first step
+        whose estimate met its target — trusted only if the estimate stayed
+        below it through the end of the cycle (the explicit residual at the
+        next restart confirms it).
+        """
+        steps = outcome.iterations
+        for i, col in enumerate(self.active):
+            if self.controls is not None and self.controls[col] is not None:
+                self.controls[col].charge(steps)
+            base = int(self.steps_alive[col])
+            hit = -1
+            for step in range(steps):
+                implicit_abs = float(outcome.implicit[step, i])
+                self.histories[col].record_implicit(
+                    base + step + 1, implicit_abs / self.bnorms[i]
+                )
+                if targets is not None and hit < 0 and implicit_abs <= targets[i]:
+                    hit = base + step + 1
+            if steps > 0:
+                self.last_implicit[col] = float(outcome.implicit[steps - 1, i])
+            if targets is not None:
+                trusted = hit >= 0 and self.last_implicit[col] <= targets[i]
+                self.hit_at[col] = hit if trusted else -1
+            self.steps_alive[col] += steps
 
 
 def _resolve_controls(
@@ -391,6 +398,182 @@ def _resolve_controls(
             f"({len(controls)} given for {p} columns)"
         )
     return controls
+
+
+def _as_block(B: np.ndarray, n: int) -> np.ndarray:
+    """Validate a right-hand-side block (a 1-D vector is one column)."""
+    B = np.asarray(B)
+    if B.ndim == 1:
+        B = B.reshape(-1, 1)
+    if B.shape[0] != n:
+        raise ValueError(f"right-hand-side block must have {n} rows")
+    if B.shape[1] == 0:
+        raise ValueError("right-hand-side block has no columns")
+    return B
+
+
+def _block_loop(
+    A: CsrMatrix,
+    tracker: _ColumnTracker,
+    step: Callable[[np.ndarray, int], Tuple[int, bool]],
+    *,
+    tol: float,
+    max_iterations: int,
+    max_restarts: int,
+    scratch: Tuple[np.ndarray, np.ndarray],
+    solver: str,
+    kind: str,
+    label: Optional[str] = None,
+    control: Optional[SolveControl] = None,
+    probe=None,
+    column_check: Optional[Callable[[int, int, float], Optional[SolverStatus]]] = None,
+) -> Tuple[int, int]:
+    """The restart loop of the block drivers; returns (block steps, restarts).
+
+    The block twin of :func:`~repro.solvers.driver.restart_loop`.  Each
+    pass recomputes the true residual of every active column into
+    ``scratch`` (booked under ``label`` when given) and classifies each
+    column — converged, non-finite → ``BREAKDOWN``, its own control's
+    demand, then the driver's ``column_check`` — deflating the columns
+    that end.  One ``kind`` probe event reports the boundary; then the
+    whole-solve control and the budget may end every remaining column.
+    Otherwise ``step(R, remaining)`` advances the active block from its
+    residual block ``R`` and returns ``(block steps, final)``; a final
+    step is verified once with the true residual of each column.
+    """
+    W, R = scratch
+    labelled = {} if label is None else {"label": label}
+
+    def measure() -> None:
+        k = tracker.k
+        w_block = kernels.spmm(A, tracker.X[:, :k], out=W[:, :k], **labelled)
+        for i, col in enumerate(tracker.active):
+            r = kernels.copy(tracker.B[:, i], out=R[:, i], **labelled)
+            kernels.axpy(-1.0, w_block[:, i], r, **labelled)
+            tracker.rel[col] = kernels.norm2(r, **labelled) / tracker.bnorms[i]
+            tracker.histories[col].record_explicit(
+                int(tracker.steps_alive[col]), tracker.rel[col]
+            )
+
+    for c in range(tracker.p):
+        tracker.bnorms[c] = kernels.norm2(tracker.B[:, c])
+        if tracker.bnorms[c] == 0.0:
+            # Zero right-hand side: the zero vector is the solution, and
+            # the column is deflated before the first cycle.
+            tracker.X[:, c] = 0
+            tracker.rel[c] = 0.0
+            tracker.finalize(c, SolverStatus.CONVERGED)
+    tracker.compact()
+
+    block_iterations = 0
+    restarts = 0
+    while tracker.active:
+        measure()
+        for i, col in enumerate(tracker.active):
+            rel = tracker.rel[col]
+            own = tracker.controls[col] if tracker.controls is not None else None
+            if rel <= tol:
+                status = SolverStatus.CONVERGED
+            elif not np.isfinite(rel):
+                # A NaN/Inf column cannot recover (and would poison the
+                # shared basis): classify it and deflate.
+                status = SolverStatus.BREAKDOWN
+            elif own is not None and (demanded := own.poll()) is not None:
+                status = demanded
+            elif column_check is not None:
+                status = column_check(i, col, rel)
+            else:
+                status = None
+            if status is not None:
+                tracker.finalize(i, status)
+        entering = [tracker.rel[col] for col in tracker.active]
+        tracker.compact(extras=(R,))
+        if probe is not None:
+            probe(ProbeEvent(
+                solver, kind, block_iterations, restarts, float(max(entering)),
+                active=tracker.k, deflated=len(entering) - tracker.k,
+            ))
+        if not tracker.active:
+            break
+        if control is not None and (demanded := control.poll()) is not None:
+            tracker.finalize_all(demanded)
+            break
+        if block_iterations >= max_iterations or restarts >= max_restarts:
+            tracker.finalize_all(SolverStatus.MAX_ITERATIONS)
+            break
+
+        steps, final = step(R[:, : tracker.k], max_iterations - block_iterations)
+        block_iterations += steps
+        restarts += 1
+        if final:
+            # Nothing more the step can do: each true residual decides.
+            measure()
+            for i, col in enumerate(tracker.active):
+                tracker.finalize(
+                    i,
+                    SolverStatus.CONVERGED
+                    if tracker.rel[col] <= tol
+                    else SolverStatus.BREAKDOWN,
+                )
+            tracker.active = []
+    return block_iterations, restarts
+
+
+def _announce(result: MultiSolveResult, probe) -> MultiSolveResult:
+    """Emit the one terminal probe event of a batched solve."""
+    if probe is not None:
+        probe(ProbeEvent(
+            solver=result.solver,
+            kind="terminal",
+            iteration=result.block_iterations,
+            restarts=result.restarts,
+            residual=float(np.max(result.relative_residuals)),
+            active=0,
+            deflated=0,
+            extra={"statuses": dict(Counter(s.name for s in result.statuses))},
+        ))
+    return result
+
+
+def _block_result(
+    matrix: CsrMatrix,
+    B: np.ndarray,
+    tracker: _ColumnTracker,
+    block_iterations: int,
+    restarts: int,
+    *,
+    timer: KernelTimer,
+    solver: str,
+    precision: str,
+    details: dict,
+    fp64_check: bool,
+    probe,
+) -> MultiSolveResult:
+    """Build (and announce) the result of a block driver."""
+    rel_fp64 = tracker.rel.copy()
+    if fp64_check:
+        for col in range(tracker.p):
+            rel_fp64[col] = fp64_relative_residual(
+                matrix, B[:, col], tracker.final_X[:, col]
+            )
+    return _announce(
+        MultiSolveResult(
+            X=tracker.final_X,
+            statuses=list(tracker.statuses),
+            iterations=tracker.iterations.copy(),
+            block_iterations=block_iterations,
+            restarts=restarts,
+            relative_residuals=tracker.rel.copy(),
+            relative_residuals_fp64=rel_fp64,
+            histories=tracker.histories,
+            timer=timer,
+            solver=solver,
+            precision=precision,
+            block_size=tracker.p,
+            details=details,
+        ),
+        probe,
+    )
 
 
 def block_gmres(
@@ -475,212 +658,62 @@ def block_gmres(
         Per-column statuses, iteration counts and histories; the kernel
         timer is shared by the whole block.
     """
-    cfg = get_config()
-    restart = cfg.restart if restart is None else int(restart)
-    tol = cfg.rtol if tol is None else float(tol)
-    max_restarts = cfg.max_restarts if max_restarts is None else int(max_restarts)
-    if max_iterations is None:
-        max_iterations = restart * max_restarts
+    restart, tol, max_iterations, max_restarts = resolve_budget(
+        restart, tol, max_iterations, max_restarts
+    )
     prec = as_precision(precision if precision is not None else matrix.dtype)
     ortho_mgr = make_block_ortho_manager(ortho) if isinstance(ortho, str) else ortho
-
-    B = np.asarray(B)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
     n = matrix.n_rows
-    if B.shape[0] != n:
-        raise ValueError(f"right-hand-side block must have {n} rows")
+    B = _as_block(B, n)
     p = B.shape[1]
-    if p == 0:
-        raise ValueError("right-hand-side block has no columns")
-    solver_name = name or f"block-gmres({restart}x{p})-{prec.name}"
 
     A = matrix.astype(prec)
-    if preconditioner is None:
-        precond: Preconditioner = IdentityPreconditioner(precision=prec)
-    else:
-        precond = wrap_for_precision(preconditioner, prec)
-
-    workspace = _resolve_workspace(workspace, n, restart, p, prec)
-    timer = timer or KernelTimer(solver_name)
+    precond = as_preconditioner(preconditioner, prec)
+    workspace = resolve_workspace(workspace, BlockGmresWorkspace, n, restart, p, prec)
+    timer = timer or KernelTimer(name or f"block-gmres({restart}x{p})-{prec.name}")
+    tracker = _ColumnTracker(B, X0, prec.dtype, controls)
     loa = LossOfAccuracyTest(tolerance=tol) if loss_of_accuracy_check else None
-    stagnation_tests = (
-        [
-            StagnationTest(
-                patience=stagnation.patience, min_reduction=stagnation.min_reduction
-            )
-            for _ in range(p)
-        ]
-        if stagnation is not None
-        else None
-    )
+    stagnation_tests = None if stagnation is None else [
+        StagnationTest(patience=stagnation.patience, min_reduction=stagnation.min_reduction)
+        for _ in range(p)
+    ]
 
-    controls = _resolve_controls(controls, p)
-    tracker = _ColumnTracker(B, X0, prec.dtype)
-    pending_implicit = np.full(p, np.nan)
-    total_block_iterations = 0
-    restarts = 0
-    rnorm = np.zeros(p)
+    def column_check(i: int, col: int, rel: float) -> Optional[SolverStatus]:
+        pending = tracker.last_implicit[col]
+        if (
+            loa is not None
+            and np.isfinite(pending)
+            and loa.triggered(pending / tracker.bnorms[i], rel)
+        ):
+            return SolverStatus.LOSS_OF_ACCURACY
+        if stagnation_tests is not None and stagnation_tests[col].update(rel):
+            return SolverStatus.STAGNATION
+        return None
+
+    def cycle(R: np.ndarray, remaining: int) -> Tuple[int, bool]:
+        k = tracker.k
+        targets = tol * tracker.bnorms[:k]
+        outcome = run_block_gmres_cycle(
+            A, R, workspace, ortho=ortho_mgr, preconditioner=precond,
+            absolute_targets=targets, max_steps=min(restart, remaining), control=control,
+        )
+        tracker.record_cycle(outcome, targets)
+        for i in range(k):
+            kernels.axpy(1.0, outcome.update[:, i], tracker.X[:, i])
+        return outcome.iterations, outcome.iterations == 0
 
     with use_timer(timer):
-        for c in range(p):
-            tracker.bnorms[c] = kernels.norm2(tracker.B[:, c])
-            if tracker.bnorms[c] == 0.0:
-                # Zero right-hand side: the zero vector is the solution.
-                tracker.X[:, c] = 0
-                tracker.rel[c] = 0.0
-        # Deflate zero columns before the first cycle.
-        for i in range(p - 1, -1, -1):
-            if tracker.bnorms[i] == 0.0:
-                tracker.finalize(i, SolverStatus.CONVERGED)
-        tracker.compact()
-
-        while tracker.active:
-            k = tracker.k
-            # True residual block R = B - A X for the active columns.
-            w_block = kernels.spmm(A, tracker.X[:, :k], out=workspace.W[:, :k])
-            for i in range(k):
-                r = kernels.copy(tracker.B[:, i], out=workspace.R[:, i])
-                kernels.axpy(-1.0, w_block[:, i], r)
-                rnorm[i] = kernels.norm2(r)
-
-            for i, col in enumerate(tracker.active):
-                rel = rnorm[i] / tracker.bnorms[i]
-                tracker.rel[col] = rel
-                tracker.histories[col].record_explicit(
-                    int(tracker.steps_alive[col]), rel
-                )
-                demanded = (
-                    controls[col].poll()
-                    if controls is not None and controls[col] is not None
-                    else None
-                )
-                if rel <= tol:
-                    tracker.finalize(i, SolverStatus.CONVERGED)
-                elif not np.isfinite(rel):
-                    # A NaN/Inf column cannot recover (and would poison the
-                    # shared basis): classify it and deflate.
-                    tracker.finalize(i, SolverStatus.BREAKDOWN)
-                elif demanded is not None:
-                    tracker.finalize(i, demanded)
-                elif (
-                    loa is not None
-                    and np.isfinite(pending_implicit[col])
-                    and loa.triggered(
-                        pending_implicit[col] / tracker.bnorms[i], rel
-                    )
-                ):
-                    tracker.finalize(i, SolverStatus.LOSS_OF_ACCURACY)
-                elif stagnation_tests is not None and stagnation_tests[col].update(rel):
-                    tracker.finalize(i, SolverStatus.STAGNATION)
-            if probe is not None:
-                entering = [tracker.rel[col] for col in tracker.active]
-            tracker.compact(extras=(workspace.R,))
-            if probe is not None:
-                probe(ProbeEvent(
-                    solver="block-gmres",
-                    kind="restart",
-                    iteration=total_block_iterations,
-                    restarts=restarts,
-                    residual=float(max(entering)),
-                    active=tracker.k,
-                    deflated=len(entering) - tracker.k,
-                ))
-            if not tracker.active:
-                break
-            if control is not None:
-                demanded = control.poll()
-                if demanded is not None:
-                    tracker.finalize_all(demanded)
-                    break
-            if total_block_iterations >= max_iterations or restarts >= max_restarts:
-                tracker.finalize_all(SolverStatus.MAX_ITERATIONS)
-                break
-
-            k = tracker.k
-            targets = tol * tracker.bnorms[:k]
-            remaining = max_iterations - total_block_iterations
-            outcome = run_block_gmres_cycle(
-                A,
-                workspace.R[:, :k],
-                workspace,
-                ortho=ortho_mgr,
-                preconditioner=precond,
-                absolute_targets=targets,
-                max_steps=min(restart, remaining),
-                control=control,
-            )
-            for i, col in enumerate(tracker.active):
-                if controls is not None and controls[col] is not None:
-                    controls[col].charge(outcome.iterations)
-                base = int(tracker.steps_alive[col])
-                hit = -1
-                for step in range(outcome.iterations):
-                    implicit_abs = float(outcome.implicit[step, i])
-                    tracker.histories[col].record_implicit(
-                        base + step + 1, implicit_abs / tracker.bnorms[i]
-                    )
-                    if hit < 0 and implicit_abs <= targets[i]:
-                        hit = base + step + 1
-                # Only trust the first hit if the estimate stayed below the
-                # target through the end of the cycle (it is confirmed by
-                # the explicit residual at the next restart).
-                if (
-                    hit >= 0
-                    and outcome.iterations > 0
-                    and float(outcome.implicit[outcome.iterations - 1, i])
-                    <= targets[i]
-                ):
-                    tracker.hit_at[col] = hit
-                else:
-                    tracker.hit_at[col] = -1
-                if outcome.iterations > 0:
-                    pending_implicit[col] = float(
-                        outcome.implicit[outcome.iterations - 1, i]
-                    )
-                tracker.steps_alive[col] += outcome.iterations
-            for i in range(k):
-                kernels.axpy(1.0, outcome.update[:, i], tracker.X[:, i])
-            total_block_iterations += outcome.iterations
-            restarts += 1
-            if outcome.iterations == 0:
-                # Defensive: no progress possible (e.g. zero residual cycle).
-                tracker.finalize_all(SolverStatus.BREAKDOWN)
-                break
-
-    rel_fp64 = np.empty(p)
-    for col in range(p):
-        rel_fp64[col] = (
-            _fp64_relative_residual(matrix, B[:, col], tracker.final_X[:, col])
-            if fp64_check
-            else tracker.rel[col]
+        block_iterations, restarts = _block_loop(
+            A, tracker, cycle,
+            tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
+            scratch=(workspace.W, workspace.R), solver="block-gmres", kind="restart",
+            control=control, probe=probe, column_check=column_check,
         )
-    statuses = [s if s is not None else SolverStatus.MAX_ITERATIONS
-                for s in tracker.statuses]
-    if probe is not None:
-        probe(ProbeEvent(
-            solver="block-gmres",
-            kind="terminal",
-            iteration=total_block_iterations,
-            restarts=restarts,
-            residual=float(np.max(tracker.rel)),
-            active=0,
-            deflated=0,
-            extra={"statuses": _status_counts(statuses)},
-        ))
-    return MultiSolveResult(
-        X=tracker.final_X,
-        statuses=statuses,
-        iterations=tracker.iterations.copy(),
-        block_iterations=total_block_iterations,
-        restarts=restarts,
-        relative_residuals=tracker.rel.copy(),
-        relative_residuals_fp64=rel_fp64,
-        histories=tracker.histories,
-        timer=timer,
-        solver="block-gmres",
-        precision=prec.name,
-        block_size=p,
+
+    return _block_result(
+        matrix, B, tracker, block_iterations, restarts,
+        timer=timer, solver="block-gmres", precision=prec.name,
+        fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,
             "tolerance": tol,
@@ -729,12 +762,9 @@ def block_gmres_ir(
     boundary.  ``probe`` behaves as in :func:`block_gmres` with
     ``kind="refinement"`` events at the outer refinement boundaries.
     """
-    cfg = get_config()
-    restart = cfg.restart if restart is None else int(restart)
-    tol = cfg.rtol if tol is None else float(tol)
-    max_restarts = cfg.max_restarts if max_restarts is None else int(max_restarts)
-    if max_iterations is None:
-        max_iterations = restart * max_restarts
+    restart, tol, max_iterations, max_restarts = resolve_budget(
+        restart, tol, max_iterations, max_restarts
+    )
     if refine_every < 1:
         raise ValueError("refine_every must be at least 1")
     inner = as_precision(inner_precision)
@@ -742,223 +772,83 @@ def block_gmres_ir(
     if inner.bytes > outer.bytes:
         raise ValueError("inner precision must not be wider than the outer precision")
     ortho_mgr = make_block_ortho_manager(ortho) if isinstance(ortho, str) else ortho
-
-    B = np.asarray(B)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
     n = matrix.n_rows
-    if B.shape[0] != n:
-        raise ValueError(f"right-hand-side block must have {n} rows")
+    B = _as_block(B, n)
     p = B.shape[1]
-    if p == 0:
-        raise ValueError("right-hand-side block has no columns")
-    solver_name = name or f"block-gmres({restart}x{p})-ir-{inner.name}/{outer.name}"
 
     A_outer = matrix.astype(outer)
     A_inner = matrix.astype(inner)
-    if preconditioner is None:
-        precond: Preconditioner = IdentityPreconditioner(precision=inner)
-    else:
-        precond = wrap_for_precision(preconditioner, inner)
-
-    workspace = _resolve_workspace(workspace, n, restart, p, inner)
-    timer = timer or KernelTimer(solver_name)
-
-    controls = _resolve_controls(controls, p)
-    tracker = _ColumnTracker(B, X0, outer.dtype)
-    # Refinement-block scratch, reused across all refinement steps.
-    w_outer = np.empty((n, p), dtype=outer.dtype, order="F")
-    r_outer = np.empty((n, p), dtype=outer.dtype, order="F")
-    correction = np.empty((n, p), dtype=inner.dtype, order="F")
-    mixed = inner.dtype != outer.dtype
-    r_inner_buf = np.empty((n, p), dtype=inner.dtype, order="F") if mixed else None
-    u_buf = np.empty((n, p), dtype=outer.dtype, order="F") if mixed else None
-    rhs_buf = (
-        np.empty((n, p), dtype=inner.dtype, order="F") if refine_every > 1 else None
+    precond = as_preconditioner(preconditioner, inner)
+    workspace = resolve_workspace(workspace, BlockGmresWorkspace, n, restart, p, inner)
+    timer = timer or KernelTimer(
+        name or f"block-gmres({restart}x{p})-ir-{inner.name}/{outer.name}"
     )
-    rnorm = np.zeros(p)
-    total_block_iterations = 0
-    refinements = 0
+    tracker = _ColumnTracker(B, X0, outer.dtype, controls)
+
+    # Refinement-block scratch, reused across all refinement steps.
+    def block(dtype) -> np.ndarray:
+        return np.empty((n, p), dtype=dtype, order="F")
+
+    correction = block(inner.dtype)
+    mixed = inner.dtype != outer.dtype
+    r_inner_buf = block(inner.dtype) if mixed else None
+    u_buf = block(outer.dtype) if mixed else None
+    rhs_buf = block(inner.dtype) if refine_every > 1 else None
+
+    def refine(R: np.ndarray, remaining: int) -> Tuple[int, bool]:
+        k = tracker.k
+        # Hand the residual block to the low-precision solver.
+        if mixed:
+            for i in range(k):
+                kernels.cast(R[:, i], inner, out=r_inner_buf[:, i])
+            r_inner = r_inner_buf[:, :k]
+        else:
+            r_inner = R
+        correction[:, :k] = 0
+        cycle_rhs = r_inner
+        done = 0
+        breakdown = False
+        for _ in range(refine_every):
+            if remaining - done <= 0:
+                break
+            outcome = run_block_gmres_cycle(
+                A_inner, cycle_rhs, workspace, ortho=ortho_mgr, preconditioner=precond,
+                absolute_targets=None,  # inner residuals are not trusted
+                max_steps=min(restart, remaining - done), control=control,
+            )
+            tracker.record_cycle(outcome)
+            for i in range(k):
+                kernels.axpy(1.0, outcome.update[:, i], correction[:, i])
+            done += outcome.iterations
+            if outcome.breakdown or outcome.iterations == 0:
+                breakdown = True
+                break
+            if refine_every > 1:
+                w_in = kernels.spmm(A_inner, correction[:, :k], out=workspace.W[:, :k])
+                for i in range(k):
+                    kernels.copy(r_inner[:, i], out=rhs_buf[:, i])
+                    kernels.axpy(-1.0, w_in[:, i], rhs_buf[:, i])
+                cycle_rhs = rhs_buf[:, :k]
+        # Promote the correction and update the solution block.
+        for i in range(k):
+            u = kernels.cast(correction[:, i], outer, out=u_buf[:, i] if mixed else None)
+            kernels.axpy(1.0, u, tracker.X[:, i], label="Residual")
+        return done, breakdown
 
     with use_timer(timer):
-        for c in range(p):
-            tracker.bnorms[c] = kernels.norm2(tracker.B[:, c])
-            if tracker.bnorms[c] == 0.0:
-                tracker.X[:, c] = 0
-                tracker.rel[c] = 0.0
-        for i in range(p - 1, -1, -1):
-            if tracker.bnorms[i] == 0.0:
-                tracker.finalize(i, SolverStatus.CONVERGED)
-        tracker.compact()
-
-        while tracker.active:
-            k = tracker.k
-            # Outer (true) residual block in the high precision; booked
-            # under "Residual" like the single-vector GMRES-IR.
-            w_block = kernels.spmm(
-                A_outer, tracker.X[:, :k], out=w_outer[:, :k], label="Residual"
-            )
-            for i in range(k):
-                r = kernels.copy(tracker.B[:, i], out=r_outer[:, i], label="Residual")
-                kernels.axpy(-1.0, w_block[:, i], r, label="Residual")
-                rnorm[i] = kernels.norm2(r, label="Residual")
-
-            for i, col in enumerate(tracker.active):
-                rel = rnorm[i] / tracker.bnorms[i]
-                tracker.rel[col] = rel
-                tracker.histories[col].record_explicit(
-                    int(tracker.steps_alive[col]), rel
-                )
-                demanded = (
-                    controls[col].poll()
-                    if controls is not None and controls[col] is not None
-                    else None
-                )
-                if rel <= tol:
-                    tracker.finalize(i, SolverStatus.CONVERGED)
-                elif not np.isfinite(rel):
-                    tracker.finalize(i, SolverStatus.BREAKDOWN)
-                elif demanded is not None:
-                    tracker.finalize(i, demanded)
-            if probe is not None:
-                entering = [tracker.rel[col] for col in tracker.active]
-            tracker.compact(extras=(r_outer,))
-            if probe is not None:
-                probe(ProbeEvent(
-                    solver="block-gmres-ir",
-                    kind="refinement",
-                    iteration=total_block_iterations,
-                    restarts=refinements,
-                    residual=float(max(entering)),
-                    active=tracker.k,
-                    deflated=len(entering) - tracker.k,
-                ))
-            if not tracker.active:
-                break
-            if control is not None:
-                demanded = control.poll()
-                if demanded is not None:
-                    tracker.finalize_all(demanded)
-                    break
-            if total_block_iterations >= max_iterations or refinements >= max_restarts:
-                tracker.finalize_all(SolverStatus.MAX_ITERATIONS)
-                break
-
-            k = tracker.k
-            # Hand the residual block to the low-precision solver.
-            if mixed:
-                for i in range(k):
-                    kernels.cast(r_outer[:, i], inner, out=r_inner_buf[:, i])
-                r_inner = r_inner_buf[:, :k]
-            else:
-                r_inner = r_outer[:, :k]
-
-            correction[:, :k] = 0
-            cycle_rhs = r_inner
-            inner_breakdown = False
-            for _ in range(refine_every):
-                remaining = max_iterations - total_block_iterations
-                if remaining <= 0:
-                    break
-                outcome = run_block_gmres_cycle(
-                    A_inner,
-                    cycle_rhs,
-                    workspace,
-                    ortho=ortho_mgr,
-                    preconditioner=precond,
-                    absolute_targets=None,  # inner residuals are not trusted
-                    max_steps=min(restart, remaining),
-                    control=control,
-                )
-                for i, col in enumerate(tracker.active):
-                    if controls is not None and controls[col] is not None:
-                        controls[col].charge(outcome.iterations)
-                    base = int(tracker.steps_alive[col])
-                    for step in range(outcome.iterations):
-                        tracker.histories[col].record_implicit(
-                            base + step + 1,
-                            float(outcome.implicit[step, i]) / tracker.bnorms[i],
-                        )
-                    tracker.steps_alive[col] += outcome.iterations
-                for i in range(k):
-                    kernels.axpy(1.0, outcome.update[:, i], correction[:, i])
-                total_block_iterations += outcome.iterations
-                if outcome.breakdown or outcome.iterations == 0:
-                    inner_breakdown = True
-                    break
-                if refine_every > 1:
-                    w_in = kernels.spmm(
-                        A_inner, correction[:, :k], out=workspace.W[:, :k]
-                    )
-                    for i in range(k):
-                        kernels.copy(r_inner[:, i], out=rhs_buf[:, i])
-                        kernels.axpy(-1.0, w_in[:, i], rhs_buf[:, i])
-                    cycle_rhs = rhs_buf[:, :k]
-
-            # Promote the correction and update the solution block.
-            for i in range(k):
-                u = kernels.cast(
-                    correction[:, i], outer, out=None if not mixed else u_buf[:, i]
-                )
-                kernels.axpy(1.0, u, tracker.X[:, i], label="Residual")
-            refinements += 1
-            if inner_breakdown:
-                w_block = kernels.spmm(
-                    A_outer, tracker.X[:, :k], out=w_outer[:, :k], label="Residual"
-                )
-                for i in range(tracker.k - 1, -1, -1):
-                    r = kernels.copy(
-                        tracker.B[:, i], out=r_outer[:, i], label="Residual"
-                    )
-                    kernels.axpy(-1.0, w_block[:, i], r, label="Residual")
-                    rel = kernels.norm2(r, label="Residual") / tracker.bnorms[i]
-                    col = tracker.active[i]
-                    tracker.rel[col] = rel
-                    tracker.histories[col].record_explicit(
-                        int(tracker.steps_alive[col]), rel
-                    )
-                    tracker.finalize(
-                        i,
-                        SolverStatus.CONVERGED
-                        if rel <= tol
-                        else SolverStatus.BREAKDOWN,
-                    )
-                tracker.active = []
-                break
-
-    rel_fp64 = np.empty(p)
-    for col in range(p):
-        rel_fp64[col] = (
-            _fp64_relative_residual(matrix, B[:, col], tracker.final_X[:, col])
-            if fp64_check
-            else tracker.rel[col]
+        # The outer (true) residual block is booked under "Residual", like
+        # the single-vector GMRES-IR.
+        block_iterations, refinements = _block_loop(
+            A_outer, tracker, refine,
+            tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
+            scratch=(block(outer.dtype), block(outer.dtype)), solver="block-gmres-ir",
+            kind="refinement", label="Residual", control=control, probe=probe,
         )
-    statuses = [s if s is not None else SolverStatus.MAX_ITERATIONS
-                for s in tracker.statuses]
-    if probe is not None:
-        probe(ProbeEvent(
-            solver="block-gmres-ir",
-            kind="terminal",
-            iteration=total_block_iterations,
-            restarts=refinements,
-            residual=float(np.max(tracker.rel)),
-            active=0,
-            deflated=0,
-            extra={"statuses": _status_counts(statuses)},
-        ))
-    return MultiSolveResult(
-        X=tracker.final_X,
-        statuses=statuses,
-        iterations=tracker.iterations.copy(),
-        block_iterations=total_block_iterations,
-        restarts=refinements,
-        relative_residuals=tracker.rel.copy(),
-        relative_residuals_fp64=rel_fp64,
-        histories=tracker.histories,
-        timer=timer,
-        solver="block-gmres-ir",
-        precision=f"{inner.name}/{outer.name}",
-        block_size=p,
+
+    return _block_result(
+        matrix, B, tracker, block_iterations, refinements,
+        timer=timer, solver="block-gmres-ir", precision=f"{inner.name}/{outer.name}",
+        fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,
             "tolerance": tol,
@@ -1011,7 +901,10 @@ def solve_many(
         its columns.
     kwargs:
         Forwarded to the block driver (restart, tol, preconditioner,
-        ``control`` for a whole-batch token, ...).
+        ``control`` for a whole-batch token, ...).  A ``probe`` sees the
+        batch as one solve: each chunk's events continue the iteration
+        and restart counts of the chunks before it, and one terminal
+        event carries the per-status counts of every column.
     """
     drivers = {
         "gmres": ("block-gmres", block_gmres),
@@ -1024,13 +917,10 @@ def solve_many(
             f"unknown method {method!r}; choose from {sorted(drivers)}"
         )
     solver_label, driver = drivers[method]
+    probe = kwargs.pop("probe", None)
 
-    B = np.asarray(B)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
+    B = _as_block(B, matrix.n_rows)
     n, p = B.shape
-    if p == 0:
-        raise ValueError("right-hand-side block has no columns")
     if X0 is not None:
         X0 = np.asarray(X0)
         if X0.ndim == 1:
@@ -1041,49 +931,49 @@ def solve_many(
     timer = timer or KernelTimer(f"solve-many-{solver_label}")
     controls = _resolve_controls(controls, p)
 
-    results = []
+    results: List[MultiSolveResult] = []
     for start in range(0, p, width):
         stop = min(start + width, p)
-        results.append(
-            driver(
-                matrix,
-                B[:, start:stop],
-                X0[:, start:stop] if X0 is not None else None,
-                timer=timer,
-                workspace=workspace,
-                controls=controls[start:stop] if controls is not None else None,
-                **kwargs,
-            )
+        # Each chunk's probe events continue the chunks before it.
+        chunk_probe = shifted_probe(
+            probe,
+            sum(r.block_iterations for r in results),
+            sum(r.restarts for r in results),
         )
+        results.append(driver(
+            matrix,
+            B[:, start:stop],
+            X0[:, start:stop] if X0 is not None else None,
+            timer=timer,
+            workspace=workspace,
+            controls=controls[start:stop] if controls is not None else None,
+            probe=chunk_probe,
+            **kwargs,
+        ))
     if len(results) == 1:
-        merged = results[0]
-        merged.details["block_size"] = width
-        return merged
+        results[0].details["block_size"] = width
+        return _announce(results[0], probe)
 
-    X = np.concatenate([r.X for r in results], axis=1)
-    rel = np.concatenate([r.relative_residuals for r in results])
-    rel64 = np.concatenate([r.relative_residuals_fp64 for r in results])
-    iterations = np.concatenate([r.iterations for r in results])
-    statuses: List[SolverStatus] = []
-    histories: List[ConvergenceHistory] = []
-    for r in results:
-        statuses.extend(r.statuses)
-        histories.extend(r.histories)
     details = dict(results[0].details)
     details["block_size"] = width
     details["n_blocks"] = len(results)
-    return MultiSolveResult(
-        X=X,
-        statuses=statuses,
-        iterations=iterations,
-        block_iterations=sum(r.block_iterations for r in results),
-        restarts=sum(r.restarts for r in results),
-        relative_residuals=rel,
-        relative_residuals_fp64=rel64,
-        histories=histories,
-        timer=timer,
-        solver=solver_label,
-        precision=results[0].precision,
-        block_size=width,
-        details=details,
+    return _announce(
+        MultiSolveResult(
+            X=np.concatenate([r.X for r in results], axis=1),
+            statuses=[s for r in results for s in r.statuses],
+            iterations=np.concatenate([r.iterations for r in results]),
+            block_iterations=sum(r.block_iterations for r in results),
+            restarts=sum(r.restarts for r in results),
+            relative_residuals=np.concatenate([r.relative_residuals for r in results]),
+            relative_residuals_fp64=np.concatenate(
+                [r.relative_residuals_fp64 for r in results]
+            ),
+            histories=[h for r in results for h in r.histories],
+            timer=timer,
+            solver=solver_label,
+            precision=results[0].precision,
+            block_size=width,
+            details=details,
+        ),
+        probe,
     )

@@ -18,15 +18,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..config import get_config
 from ..linalg import kernels
 from ..obs.probe import ProbeEvent
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
-from ..preconditioners.base import IdentityPreconditioner, Preconditioner
-from ..preconditioners.mixed import wrap_for_precision
+from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
-from .gmres import _fp64_relative_residual
+from .driver import Ending, as_preconditioner, finish, prepare_vector, resolve_budget
 from .result import ConvergenceHistory, SolveResult, SolverStatus
 from .status import SolveControl
 
@@ -69,175 +67,139 @@ def cg(
         to guard against drift of the recursive residual; mirrors the
         restart-time residual recomputation of GMRES.
     control:
-        Optional :class:`~repro.solvers.SolveControl` polled every
-        ``control.check_interval`` iterations; a triggered control stops
-        the solve with ``TIMED_OUT`` / ``CANCELLED`` / ``MAX_ITERATIONS``
-        and returns the current iterate.
+        Optional :class:`~repro.solvers.SolveControl` polled before the
+        first iteration and every ``control.check_interval`` iterations; a
+        triggered control stops the solve with ``TIMED_OUT`` /
+        ``CANCELLED`` / ``MAX_ITERATIONS`` and returns the current iterate.
     probe:
         Optional convergence probe fed one
         :class:`~repro.obs.ProbeEvent` per explicit-residual recompute
         (every ``explicit_residual_every`` iterations) plus a terminal
         event (see :mod:`repro.obs.probe`).
     """
-    cfg = get_config()
-    tol = cfg.rtol if tol is None else float(tol)
-    if max_iterations is None:
-        max_iterations = cfg.restart * cfg.max_restarts
+    _, tol, max_iterations, _ = resolve_budget(None, tol, max_iterations, None)
     prec = as_precision(precision if precision is not None else matrix.dtype)
-    solver_name = name or f"cg-{prec.name}"
 
     A = matrix.astype(prec)
-    n = A.n_rows
-    b_work = np.asarray(b, dtype=prec.dtype)
-    if b_work.shape != (n,):
-        raise ValueError(f"right-hand side must have length {n}")
-    x = (
-        np.zeros(n, dtype=prec.dtype)
-        if x0 is None
-        else np.asarray(x0, dtype=prec.dtype).copy()
-    )
-    if preconditioner is None:
-        precond: Preconditioner = IdentityPreconditioner(precision=prec)
-    else:
-        precond = wrap_for_precision(preconditioner, prec)
-
+    b_work, x = prepare_vector(b, x0, A.n_rows, prec)
+    precond = as_preconditioner(preconditioner, prec)
     history = ConvergenceHistory()
-    timer = timer or KernelTimer(solver_name)
-    status = SolverStatus.MAX_ITERATIONS
-    iterations = 0
-    relative_residual = float("inf")
+    timer = timer or KernelTimer(name or f"cg-{prec.name}")
 
     with use_timer(timer):
         bnorm = kernels.norm2(b_work)
         if bnorm == 0.0:
-            if probe is not None:
-                probe(ProbeEvent(
-                    solver="cg",
-                    kind="terminal",
-                    iteration=0,
-                    restarts=0,
-                    residual=0.0,
-                    status=SolverStatus.CONVERGED,
-                ))
-            return SolveResult(
-                x=np.zeros(n, dtype=prec.dtype),
-                status=SolverStatus.CONVERGED,
-                iterations=0,
-                restarts=0,
-                relative_residual=0.0,
-                relative_residual_fp64=0.0,
-                history=history,
-                timer=timer,
-                solver="cg",
-                precision=prec.name,
-                details={},
+            # Zero right-hand side: the solution is zero.
+            x[:] = 0
+            ending = Ending(SolverStatus.CONVERGED, 0, 0, 0.0)
+        else:
+            ending = _pcg(
+                A, b_work, x, bnorm, precond,
+                tol=tol, max_iterations=max_iterations, history=history,
+                explicit_residual_every=explicit_residual_every,
+                control=control, probe=probe,
             )
 
-        # Pre-allocated iteration vectors, reused for the whole solve (the
-        # short recurrence touches the same six length-n buffers every step).
-        w = np.empty_like(x)
-        r = np.empty_like(x)
-        p = np.empty_like(x)
-        Ap = np.empty_like(x)
-        r_true = np.empty_like(x)
-        z_buf = None if precond.is_identity else np.empty_like(x)
-
-        kernels.spmv(A, x, out=w)
-        kernels.copy(b_work, out=r)
-        kernels.axpy(-1.0, w, r)
-        z = r if precond.is_identity else precond.apply(r, out=z_buf)
-        kernels.copy(z, out=p)
-        rz = kernels.dot(r, z)
-        rnorm = kernels.norm2(r)
-        relative_residual = rnorm / bnorm
-        history.record_explicit(0, relative_residual)
-
-        while iterations < max_iterations:
-            if relative_residual <= tol:
-                # Verify with the true residual before declaring convergence:
-                # the recursive residual of low-precision CG can drift far
-                # below what the iterate actually achieves.
-                kernels.spmv(A, x, out=w)
-                kernels.copy(b_work, out=r_true)
-                kernels.axpy(-1.0, w, r_true)
-                true_rel = kernels.norm2(r_true) / bnorm
-                history.record_explicit(iterations, true_rel)
-                if true_rel <= tol:
-                    relative_residual = true_rel
-                    status = SolverStatus.CONVERGED
-                    break
-                relative_residual = true_rel
-            kernels.spmv(A, p, out=Ap)
-            pAp = kernels.dot(p, Ap)
-            if pAp <= 0.0:
-                # Not SPD (or breakdown in low precision).
-                status = SolverStatus.BREAKDOWN
-                break
-            alpha = rz / pAp
-            kernels.axpy(alpha, p, x)
-            kernels.axpy(-alpha, Ap, r)
-            iterations += 1
-            if control is not None:
-                control.charge(1)
-
-            if explicit_residual_every and iterations % explicit_residual_every == 0:
-                kernels.spmv(A, x, out=w)
-                kernels.copy(b_work, out=r_true)
-                kernels.axpy(-1.0, w, r_true)
-                rnorm = kernels.norm2(r_true)
-                relative_residual = rnorm / bnorm
-                history.record_explicit(iterations, relative_residual)
-                if probe is not None:
-                    probe(ProbeEvent(
-                        solver="cg",
-                        kind="residual",
-                        iteration=iterations,
-                        restarts=0,
-                        residual=relative_residual,
-                    ))
-            else:
-                rnorm = kernels.norm2(r)
-                relative_residual = rnorm / bnorm
-            history.record_implicit(iterations, relative_residual)
-
-            if not np.isfinite(relative_residual):
-                status = SolverStatus.BREAKDOWN
-                break
-            if control is not None and iterations % control.check_interval == 0:
-                demanded = control.poll()
-                if demanded is not None:
-                    status = demanded
-                    break
-
-            z = r if precond.is_identity else precond.apply(r, out=z_buf)
-            rz_new = kernels.dot(r, z)
-            beta = rz_new / rz if rz != 0.0 else 0.0
-            rz = rz_new
-            kernels.scal(beta, p)
-            kernels.axpy(1.0, z, p)
-        else:
-            status = SolverStatus.MAX_ITERATIONS
-
-    if probe is not None:
-        probe(ProbeEvent(
-            solver="cg",
-            kind="terminal",
-            iteration=iterations,
-            restarts=0,
-            residual=relative_residual,
-            status=status,
-        ))
-    rel64 = _fp64_relative_residual(matrix, b, x) if fp64_check else relative_residual
-    return SolveResult(
-        x=x,
-        status=status,
-        iterations=iterations,
-        restarts=0,
-        relative_residual=relative_residual,
-        relative_residual_fp64=rel64,
-        history=history,
-        timer=timer,
-        solver="cg",
-        precision=prec.name,
+    return finish(
+        matrix, b, x, ending,
+        history=history, timer=timer, solver="cg", precision=prec.name,
+        fp64_check=fp64_check, probe=probe,
         details={"tolerance": tol, "preconditioner": precond.name},
     )
+
+
+def _pcg(
+    A: CsrMatrix,
+    b: np.ndarray,
+    x: np.ndarray,
+    bnorm: float,
+    precond: Preconditioner,
+    *,
+    tol: float,
+    max_iterations: int,
+    history: ConvergenceHistory,
+    explicit_residual_every: int,
+    control: Optional[SolveControl],
+    probe,
+) -> Ending:
+    """The PCG recurrence on a nonzero right-hand side; ``x`` is updated in place."""
+    # Pre-allocated iteration vectors, reused for the whole solve (the
+    # short recurrence touches the same six length-n buffers every step).
+    w = np.empty_like(x)
+    r = np.empty_like(x)
+    p = np.empty_like(x)
+    Ap = np.empty_like(x)
+    r_true = np.empty_like(x)
+    z_buf = None if precond.is_identity else np.empty_like(x)
+
+    kernels.spmv(A, x, out=w)
+    kernels.copy(b, out=r)
+    kernels.axpy(-1.0, w, r)
+    z = r if precond.is_identity else precond.apply(r, out=z_buf)
+    kernels.copy(z, out=p)
+    rz = kernels.dot(r, z)
+    rnorm = kernels.norm2(r)
+    relative_residual = rnorm / bnorm
+    history.record_explicit(0, relative_residual)
+    # The first boundary, as in the GMRES drivers: a non-finite residual or
+    # a control that already demands a stop ends the solve before a step.
+    if not np.isfinite(relative_residual):
+        return Ending(SolverStatus.BREAKDOWN, 0, 0, relative_residual)
+    if control is not None and (demanded := control.poll()) is not None:
+        return Ending(demanded, 0, 0, relative_residual)
+
+    iterations = 0
+    while iterations < max_iterations:
+        if relative_residual <= tol:
+            # Verify with the true residual before declaring convergence:
+            # the recursive residual of low-precision CG can drift far
+            # below what the iterate actually achieves.
+            kernels.spmv(A, x, out=w)
+            kernels.copy(b, out=r_true)
+            kernels.axpy(-1.0, w, r_true)
+            relative_residual = kernels.norm2(r_true) / bnorm
+            history.record_explicit(iterations, relative_residual)
+            if relative_residual <= tol:
+                return Ending(SolverStatus.CONVERGED, iterations, 0, relative_residual)
+        kernels.spmv(A, p, out=Ap)
+        pAp = kernels.dot(p, Ap)
+        if pAp <= 0.0:
+            # Not SPD (or breakdown in low precision).
+            return Ending(SolverStatus.BREAKDOWN, iterations, 0, relative_residual)
+        alpha = rz / pAp
+        kernels.axpy(alpha, p, x)
+        kernels.axpy(-alpha, Ap, r)
+        iterations += 1
+        if control is not None:
+            control.charge(1)
+
+        if explicit_residual_every and iterations % explicit_residual_every == 0:
+            kernels.spmv(A, x, out=w)
+            kernels.copy(b, out=r_true)
+            kernels.axpy(-1.0, w, r_true)
+            rnorm = kernels.norm2(r_true)
+            relative_residual = rnorm / bnorm
+            history.record_explicit(iterations, relative_residual)
+            if probe is not None:
+                probe(ProbeEvent("cg", "residual", iterations, 0, relative_residual))
+        else:
+            rnorm = kernels.norm2(r)
+            relative_residual = rnorm / bnorm
+        history.record_implicit(iterations, relative_residual)
+
+        if not np.isfinite(relative_residual):
+            return Ending(SolverStatus.BREAKDOWN, iterations, 0, relative_residual)
+        if (
+            control is not None
+            and iterations % control.check_interval == 0
+            and (demanded := control.poll()) is not None
+        ):
+            return Ending(demanded, iterations, 0, relative_residual)
+
+        z = r if precond.is_identity else precond.apply(r, out=z_buf)
+        rz_new = kernels.dot(r, z)
+        beta = rz_new / rz if rz != 0.0 else 0.0
+        rz = rz_new
+        kernels.scal(beta, p)
+        kernels.axpy(1.0, z, p)
+    return Ending(SolverStatus.MAX_ITERATIONS, iterations, 0, relative_residual)

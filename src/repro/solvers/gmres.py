@@ -27,18 +27,24 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..config import get_config
 from ..linalg import kernels
 from ..linalg.dense import GivensWorkspace
 from ..linalg.multivector import MultiVector
-from ..obs.probe import ProbeEvent
 from ..ortho import OrthogonalizationManager, make_ortho_manager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
-from ..preconditioners.base import IdentityPreconditioner, Preconditioner
-from ..preconditioners.mixed import wrap_for_precision
+from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
-from .result import ConvergenceHistory, SolveResult, SolverStatus
+from .driver import (
+    Step,
+    as_preconditioner,
+    finish,
+    prepare_vector,
+    resolve_budget,
+    resolve_workspace,
+    restart_loop,
+)
+from .result import ConvergenceHistory, SolveResult
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
 __all__ = ["gmres", "run_gmres_cycle", "CycleOutcome", "GmresWorkspace"]
@@ -117,28 +123,6 @@ class GmresWorkspace:
             and self.restart >= restart
             and self.precision.dtype == as_precision(precision).dtype
         )
-
-
-def _resolve_gmres_workspace(
-    workspace: "GmresWorkspace | None", n: int, restart: int, precision
-) -> GmresWorkspace:
-    """Validate a caller-provided workspace or allocate a fresh one.
-
-    The single-vector twin of the Block-GMRES batch-entry hook: the serve
-    layer's :class:`~repro.serve.OperatorSession` pools one workspace for
-    its width-1 dispatches so steady-state serving allocates no Krylov
-    storage.
-    """
-    if workspace is None:
-        return GmresWorkspace(n, restart, precision)
-    if not workspace.accommodates(n, restart, precision):
-        raise ValueError(
-            f"provided workspace (n={workspace.basis.length}, "
-            f"restart={workspace.restart}, precision={workspace.precision.name}) "
-            f"cannot accommodate a solve with n={n}, restart={restart}, "
-            f"precision={as_precision(precision).name}"
-        )
-    return workspace
 
 
 def run_gmres_cycle(
@@ -346,161 +330,44 @@ def gmres(
     -------
     SolveResult
     """
-    cfg = get_config()
-    restart = cfg.restart if restart is None else int(restart)
-    tol = cfg.rtol if tol is None else float(tol)
-    max_restarts = cfg.max_restarts if max_restarts is None else int(max_restarts)
-    if max_iterations is None:
-        max_iterations = restart * max_restarts
+    restart, tol, max_iterations, max_restarts = resolve_budget(
+        restart, tol, max_iterations, max_restarts
+    )
     prec = as_precision(precision if precision is not None else matrix.dtype)
     ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
-    solver_name = name or f"gmres({restart})-{prec.name}"
 
     A = matrix.astype(prec)
-    b_work = np.asarray(b, dtype=prec.dtype)
     n = A.n_rows
-    if b_work.shape != (n,):
-        raise ValueError(f"right-hand side must have length {n}")
-    x = (
-        np.zeros(n, dtype=prec.dtype)
-        if x0 is None
-        else np.asarray(x0, dtype=prec.dtype).copy()
-    )
-
-    if preconditioner is None:
-        precond: Preconditioner = IdentityPreconditioner(precision=prec)
-    else:
-        precond = wrap_for_precision(preconditioner, prec)
-
-    workspace = _resolve_gmres_workspace(workspace, n, restart, prec)
+    b_work, x = prepare_vector(b, x0, n, prec)
+    precond = as_preconditioner(preconditioner, prec)
+    workspace = resolve_workspace(workspace, GmresWorkspace, n, restart, prec)
     history = ConvergenceHistory()
-    timer = timer or KernelTimer(solver_name)
-    loa = LossOfAccuracyTest(tolerance=tol) if loss_of_accuracy_check else None
-
-    status = SolverStatus.MAX_ITERATIONS
-    total_iterations = 0
-    restarts = 0
-    relative_residual = float("inf")
-    pending_implicit: Optional[float] = None
+    timer = timer or KernelTimer(name or f"gmres({restart})-{prec.name}")
 
     with use_timer(timer):
         bnorm = kernels.norm2(b_work)
-        if bnorm == 0.0:
-            # Zero right-hand side: the solution is zero.
-            if probe is not None:
-                probe(ProbeEvent(
-                    solver="gmres",
-                    kind="terminal",
-                    iteration=0,
-                    restarts=0,
-                    residual=0.0,
-                    status=SolverStatus.CONVERGED,
-                ))
-            result_x = np.zeros(n, dtype=prec.dtype)
-            return SolveResult(
-                x=result_x,
-                status=SolverStatus.CONVERGED,
-                iterations=0,
-                restarts=0,
-                relative_residual=0.0,
-                relative_residual_fp64=0.0,
-                history=history,
-                timer=timer,
-                solver="gmres",
-                precision=prec.name,
-                details={"restart": restart},
-            )
 
-        while True:
-            # True residual r = b - A x (recomputed at every restart, into
-            # the workspace's scratch vectors — no per-restart allocation).
-            w = kernels.spmv(A, x, out=workspace.w)
-            r = kernels.copy(b_work, out=workspace.r)
-            kernels.axpy(-1.0, w, r)
-            rnorm = kernels.norm2(r)
-            relative_residual = rnorm / bnorm
-            history.record_explicit(total_iterations, relative_residual)
-            if probe is not None:
-                probe(ProbeEvent(
-                    solver="gmres",
-                    kind="restart",
-                    iteration=total_iterations,
-                    restarts=restarts,
-                    residual=relative_residual,
-                ))
-
-            if relative_residual <= tol:
-                status = SolverStatus.CONVERGED
-                break
-            if not np.isfinite(relative_residual):
-                # A NaN/Inf residual means the working precision broke down
-                # (overflow, or an injected fault); no amount of further
-                # iteration recovers, so classify instead of looping.
-                status = SolverStatus.BREAKDOWN
-                break
-            if control is not None:
-                demanded = control.poll()
-                if demanded is not None:
-                    status = demanded
-                    break
-            if (
-                loa is not None
-                and pending_implicit is not None
-                and loa.triggered(pending_implicit / bnorm, relative_residual)
-            ):
-                status = SolverStatus.LOSS_OF_ACCURACY
-                break
-            if stagnation is not None and stagnation.update(relative_residual):
-                status = SolverStatus.STAGNATION
-                break
-            if total_iterations >= max_iterations or restarts >= max_restarts:
-                status = SolverStatus.MAX_ITERATIONS
-                break
-
-            remaining = max_iterations - total_iterations
+        def cycle(r: np.ndarray, rnorm: float, remaining: int) -> Step:
             outcome = run_gmres_cycle(
-                A,
-                r,
-                rnorm,
-                workspace,
-                ortho=ortho_mgr,
-                preconditioner=precond,
-                absolute_target=tol * bnorm,
-                max_steps=min(restart, remaining),
+                A, r, rnorm, workspace, ortho=ortho_mgr, preconditioner=precond,
+                absolute_target=tol * bnorm, max_steps=min(restart, remaining),
                 control=control,
             )
-            for k, implicit_abs in enumerate(outcome.implicit_norms, start=1):
-                history.record_implicit(total_iterations + k, implicit_abs / bnorm)
             kernels.axpy(1.0, outcome.update, x)
-            total_iterations += outcome.iterations
-            restarts += 1
-            pending_implicit = outcome.final_implicit_norm
-            if outcome.iterations == 0:
-                # Defensive: no progress possible (e.g. zero residual cycle).
-                status = SolverStatus.BREAKDOWN
-                break
+            return Step(outcome.iterations, outcome.implicit_norms, outcome.iterations == 0)
 
-    if probe is not None:
-        probe(ProbeEvent(
-            solver="gmres",
-            kind="terminal",
-            iteration=total_iterations,
-            restarts=restarts,
-            residual=relative_residual,
-            status=status,
-        ))
-    rel64 = _fp64_relative_residual(matrix, b, x) if fp64_check else relative_residual
-    return SolveResult(
-        x=x,
-        status=status,
-        iterations=total_iterations,
-        restarts=restarts,
-        relative_residual=relative_residual,
-        relative_residual_fp64=rel64,
-        history=history,
-        timer=timer,
-        solver="gmres",
-        precision=prec.name,
+        ending = restart_loop(
+            A, b_work, x, bnorm, cycle,
+            tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
+            history=history, scratch=(workspace.w, workspace.r), solver="gmres",
+            control=control, probe=probe, stagnation=stagnation,
+            loss_of_accuracy=LossOfAccuracyTest(tolerance=tol) if loss_of_accuracy_check else None,
+        )
+
+    return finish(
+        matrix, b, x, ending,
+        history=history, timer=timer, solver="gmres", precision=prec.name,
+        fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,
             "tolerance": tol,
@@ -509,14 +376,3 @@ def gmres(
             "basis_bytes": workspace.storage_bytes(),
         },
     )
-
-
-def _fp64_relative_residual(matrix: CsrMatrix, b: np.ndarray, x: np.ndarray) -> float:
-    """Unmetered fp64 check of ``||b - A x|| / ||b||`` (accuracy verification)."""
-    A64 = matrix.astype("double")
-    b64 = np.asarray(b, dtype=np.float64)
-    x64 = np.asarray(x, dtype=np.float64)
-    bnorm = float(np.linalg.norm(b64))
-    if bnorm == 0.0:
-        return float(np.linalg.norm(A64.matvec(x64)))
-    return float(np.linalg.norm(b64 - A64.matvec(x64)) / bnorm)

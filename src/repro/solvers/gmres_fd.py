@@ -22,15 +22,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..config import get_config
 from ..linalg import kernels
 from ..ortho import OrthogonalizationManager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
-from .gmres import gmres, _fp64_relative_residual
-from .result import SolveResult, SolverStatus
+from .driver import Ending, finish, resolve_budget, shifted_probe
+from .gmres import gmres
+from .result import ConvergenceHistory, SolveResult
+from .status import SolveControl
 
 __all__ = ["gmres_fd"]
 
@@ -52,6 +53,8 @@ def gmres_fd(
     timer: Optional[KernelTimer] = None,
     name: Optional[str] = None,
     fp64_check: bool = True,
+    control: Optional[SolveControl] = None,
+    probe=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with fp32 GMRES(m) switching to fp64 GMRES(m).
 
@@ -63,101 +66,75 @@ def gmres_fd(
         Zero means a pure high-precision solve.
     low_precision / high_precision:
         Precisions before and after the switch (single / double in the paper).
+    max_iterations / max_restarts:
+        One budget for the whole solve: the high-precision phase gets what
+        the low-precision phase left over.
+    control / probe:
+        Forwarded to both phases.  The probe sees one solve: the
+        high-precision phase's events continue the low-precision phase's
+        iteration and restart counts, and one terminal event ends it.
     Everything else:
         As in :func:`repro.solvers.gmres.gmres`.  The same preconditioner
         object is used in both phases; it is wrapped to each phase's working
         precision automatically.
     """
-    cfg = get_config()
-    restart = cfg.restart if restart is None else int(restart)
-    tol = cfg.rtol if tol is None else float(tol)
-    max_restarts = cfg.max_restarts if max_restarts is None else int(max_restarts)
-    if max_iterations is None:
-        max_iterations = restart * max_restarts
+    restart, tol, max_iterations, max_restarts = resolve_budget(
+        restart, tol, max_iterations, max_restarts
+    )
     if switch_iteration < 0:
         raise ValueError("switch_iteration must be non-negative")
     low = as_precision(low_precision)
     high = as_precision(high_precision)
     solver_name = name or f"gmres({restart})-fd@{switch_iteration}"
     timer = timer or KernelTimer(solver_name)
-
-    details: dict = {
-        "switch_iteration": switch_iteration,
-        "restart": restart,
-        "tolerance": tol,
-    }
+    phase = dict(
+        restart=restart, tol=tol, preconditioner=preconditioner, ortho=ortho,
+        fp64_check=False, control=control,
+    )
 
     with use_timer(timer):
         # Phase 1: low precision, capped at the switch point.
         if switch_iteration > 0:
-            low_result = gmres(
-                matrix,
-                b,
-                x0,
-                precision=low,
-                restart=restart,
-                tol=tol,
-                max_iterations=switch_iteration,
-                max_restarts=max_restarts,
-                preconditioner=preconditioner,
-                ortho=ortho,
-                name=f"{solver_name}-low",
-                fp64_check=False,
+            first = gmres(
+                matrix, b, x0, precision=low, name=f"{solver_name}-low",
+                max_iterations=min(switch_iteration, max_iterations),
+                max_restarts=max_restarts, probe=shifted_probe(probe), **phase,
             )
-            low_iterations = low_result.iterations
-            x_switch = kernels.cast(low_result.x, high)
-            history = low_result.history
-            details["low_iterations"] = low_iterations
-            details["low_final_relative_residual"] = low_result.relative_residual
-            if low_result.converged:
-                # Converged (to the fp32-measurable level) before the switch;
-                # the fp64 phase still verifies and, if needed, polishes.
-                pass
+            x_switch = kernels.cast(first.x, high)
+            history = first.history
+            low_iterations, low_restarts = first.iterations, first.restarts
         else:
-            low_iterations = 0
             x_switch = np.asarray(
                 x0 if x0 is not None else np.zeros(matrix.n_rows), dtype=high.dtype
             )
-            from .result import ConvergenceHistory
-
             history = ConvergenceHistory()
+            low_iterations = low_restarts = 0
 
-        # Phase 2: high precision from the switched initial guess.
-        remaining = max(0, max_iterations - low_iterations)
-        high_result = gmres(
-            matrix,
-            b,
-            x_switch,
-            precision=high,
-            restart=restart,
-            tol=tol,
-            max_iterations=remaining,
-            max_restarts=max_restarts,
-            preconditioner=preconditioner,
-            ortho=ortho,
-            name=f"{solver_name}-high",
-            fp64_check=False,
+        # Phase 2: high precision from the switched initial guess, on what
+        # is left of the budget.
+        second = gmres(
+            matrix, b, x_switch, precision=high, name=f"{solver_name}-high",
+            max_iterations=max(0, max_iterations - low_iterations),
+            max_restarts=max(0, max_restarts - low_restarts),
+            probe=shifted_probe(probe, low_iterations, low_restarts), **phase,
         )
-        details["high_iterations"] = high_result.iterations
 
-    merged_history = history.merged_with(high_result.history, iteration_offset=low_iterations)
-    total_iterations = low_iterations + high_result.iterations
-    status = high_result.status
-    if status == SolverStatus.MAX_ITERATIONS and total_iterations >= max_iterations:
-        status = SolverStatus.MAX_ITERATIONS
-
-    x = high_result.x
-    rel64 = _fp64_relative_residual(matrix, b, x) if fp64_check else high_result.relative_residual
-    return SolveResult(
-        x=x,
-        status=status,
-        iterations=total_iterations,
-        restarts=high_result.restarts + (low_result.restarts if switch_iteration > 0 else 0),
-        relative_residual=high_result.relative_residual,
-        relative_residual_fp64=rel64,
-        history=merged_history,
-        timer=timer,
-        solver="gmres-fd",
-        precision=f"{low.name}->{high.name}",
-        details=details,
+    ending = Ending(
+        second.status,
+        low_iterations + second.iterations,
+        low_restarts + second.restarts,
+        second.relative_residual,
+    )
+    return finish(
+        matrix, b, second.x, ending,
+        history=history.merged_with(second.history, iteration_offset=low_iterations),
+        timer=timer, solver="gmres-fd", precision=f"{low.name}->{high.name}",
+        fp64_check=fp64_check, probe=probe,
+        details={
+            "switch_iteration": switch_iteration,
+            "restart": restart,
+            "tolerance": tol,
+            "low_iterations": low_iterations,
+            "high_iterations": second.iterations,
+        },
     )

@@ -22,26 +22,27 @@ evaluates:
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from ..config import get_config
 from ..linalg import kernels
-from ..obs.probe import ProbeEvent
 from ..ortho import OrthogonalizationManager, make_ortho_manager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
-from ..preconditioners.base import IdentityPreconditioner, Preconditioner
-from ..preconditioners.mixed import wrap_for_precision
+from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
-from .gmres import (
-    GmresWorkspace,
-    run_gmres_cycle,
-    _fp64_relative_residual,
-    _resolve_gmres_workspace,
+from .driver import (
+    Step,
+    as_preconditioner,
+    finish,
+    prepare_vector,
+    resolve_budget,
+    resolve_workspace,
+    restart_loop,
 )
-from .result import ConvergenceHistory, SolveResult, SolverStatus
+from .gmres import GmresWorkspace, run_gmres_cycle
+from .result import ConvergenceHistory, SolveResult
 from .status import SolveControl
 
 __all__ = ["gmres_ir"]
@@ -106,12 +107,9 @@ def gmres_ir(
         :class:`~repro.obs.ProbeEvent` per refinement boundary (the outer
         fp64 residual) plus a terminal event (see :mod:`repro.obs.probe`).
     """
-    cfg = get_config()
-    restart = cfg.restart if restart is None else int(restart)
-    tol = cfg.rtol if tol is None else float(tol)
-    max_restarts = cfg.max_restarts if max_restarts is None else int(max_restarts)
-    if max_iterations is None:
-        max_iterations = restart * max_restarts
+    restart, tol, max_iterations, max_restarts = resolve_budget(
+        restart, tol, max_iterations, max_restarts
+    )
     if refine_every < 1:
         raise ValueError("refine_every must be at least 1")
     inner = as_precision(inner_precision)
@@ -119,194 +117,85 @@ def gmres_ir(
     if inner.bytes > outer.bytes:
         raise ValueError("inner precision must not be wider than the outer precision")
     ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
-    solver_name = name or f"gmres({restart})-ir-{inner.name}/{outer.name}"
 
     # Matrix copies in both precisions (the fp32 copy is not metered).
     A_outer = matrix.astype(outer)
     A_inner = matrix.astype(inner)
     n = A_outer.n_rows
-    b_outer = np.asarray(b, dtype=outer.dtype)
-    if b_outer.shape != (n,):
-        raise ValueError(f"right-hand side must have length {n}")
-    x = (
-        np.zeros(n, dtype=outer.dtype)
-        if x0 is None
-        else np.asarray(x0, dtype=outer.dtype).copy()
-    )
-
-    if preconditioner is None:
-        precond: Preconditioner = IdentityPreconditioner(precision=inner)
-    else:
-        precond = wrap_for_precision(preconditioner, inner)
-
-    workspace = _resolve_gmres_workspace(workspace, n, restart, inner)
+    b_outer, x = prepare_vector(b, x0, n, outer)
+    precond = as_preconditioner(preconditioner, inner)
+    workspace = resolve_workspace(workspace, GmresWorkspace, n, restart, inner)
     history = ConvergenceHistory()
-    timer = timer or KernelTimer(solver_name)
+    timer = timer or KernelTimer(
+        name or f"gmres({restart})-ir-{inner.name}/{outer.name}"
+    )
 
     # Pre-allocated refinement vectors, reused across all refinement steps.
     # The cross-precision buffers only exist when the precisions differ
     # (kernels.cast is a no-op returning its input at equal precision).
-    w_outer = np.empty(n, dtype=outer.dtype)
-    r_outer = np.empty(n, dtype=outer.dtype)
     correction = np.empty(n, dtype=inner.dtype)
     mixed = inner.dtype != outer.dtype
     r_inner_buf = np.empty(n, dtype=inner.dtype) if mixed else None
     u_buf = np.empty(n, dtype=outer.dtype) if mixed else None
     rhs_buf = np.empty(n, dtype=inner.dtype) if refine_every > 1 else None
 
-    status = SolverStatus.MAX_ITERATIONS
-    total_iterations = 0
-    refinements = 0
-    relative_residual = float("inf")
+    def refine(r: np.ndarray, rnorm: float, remaining: int) -> Step:
+        # Hand the residual to the low-precision solver (metered cast).
+        r_inner = kernels.cast(r, inner, out=r_inner_buf)
+        cycle_rhs = r_inner
+        cycle_rnorm = kernels.norm2(r_inner)
+        # Run `refine_every` inner cycles before the next refinement; the
+        # standard algorithm refines after every cycle.
+        correction[:] = 0
+        implicit: List[float] = []
+        done = 0
+        breakdown = False
+        for _ in range(refine_every):
+            if remaining - done <= 0:
+                break
+            outcome = run_gmres_cycle(
+                A_inner, cycle_rhs, cycle_rnorm, workspace, ortho=ortho_mgr,
+                preconditioner=precond, max_steps=min(restart, remaining - done),
+                absolute_target=None,  # inner residuals are not trusted
+                control=control,
+            )
+            implicit.extend(outcome.implicit_norms)
+            done += outcome.iterations
+            kernels.axpy(1.0, outcome.update, correction)
+            if outcome.breakdown or outcome.iterations == 0:
+                # A lucky breakdown in the inner solver: there is nothing
+                # more it can do, so the next outer residual decides.
+                breakdown = True
+                break
+            if refine_every > 1:
+                # Between refinements the inner solver restarts from its
+                # own low-precision residual (workspace.w is free between
+                # cycles, so the extra SpMV lands there).
+                w_in = kernels.spmv(A_inner, correction, out=workspace.w)
+                cycle_rhs = kernels.copy(r_inner, out=rhs_buf)
+                kernels.axpy(-1.0, w_in, cycle_rhs)
+                cycle_rnorm = kernels.norm2(cycle_rhs)
+        # Promote the correction and update the solution in fp64.
+        u = kernels.cast(correction, outer, out=u_buf)
+        kernels.axpy(1.0, u, x, label="Residual")
+        return Step(done, implicit, breakdown)
 
     with use_timer(timer):
         bnorm = kernels.norm2(b_outer)
-        if bnorm == 0.0:
-            if probe is not None:
-                probe(ProbeEvent(
-                    solver="gmres-ir",
-                    kind="terminal",
-                    iteration=0,
-                    restarts=0,
-                    residual=0.0,
-                    status=SolverStatus.CONVERGED,
-                ))
-            return SolveResult(
-                x=np.zeros(n, dtype=outer.dtype),
-                status=SolverStatus.CONVERGED,
-                iterations=0,
-                restarts=0,
-                relative_residual=0.0,
-                relative_residual_fp64=0.0,
-                history=history,
-                timer=timer,
-                solver="gmres-ir",
-                precision=f"{inner.name}/{outer.name}",
-                details={"restart": restart},
-            )
+        # The outer (true) residual is booked under "Other" in the paper
+        # (it is part of the refinement overhead), hence label="Residual".
+        ending = restart_loop(
+            A_outer, b_outer, x, bnorm, refine,
+            tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
+            history=history, solver="gmres-ir", kind="refinement", label="Residual",
+            scratch=(np.empty(n, dtype=outer.dtype), np.empty(n, dtype=outer.dtype)),
+            control=control, probe=probe,
+        )
 
-        while True:
-            # Outer (true) residual in the high precision.  The paper books
-            # this under "Other" (it is part of the refinement overhead), so
-            # the kernels are labelled "Residual".
-            w = kernels.spmv(A_outer, x, out=w_outer, label="Residual")
-            r = kernels.copy(b_outer, out=r_outer, label="Residual")
-            kernels.axpy(-1.0, w, r, label="Residual")
-            rnorm = kernels.norm2(r, label="Residual")
-            relative_residual = rnorm / bnorm
-            history.record_explicit(total_iterations, relative_residual)
-            if probe is not None:
-                probe(ProbeEvent(
-                    solver="gmres-ir",
-                    kind="refinement",
-                    iteration=total_iterations,
-                    restarts=refinements,
-                    residual=relative_residual,
-                ))
-
-            if relative_residual <= tol:
-                status = SolverStatus.CONVERGED
-                break
-            if not np.isfinite(relative_residual):
-                # Non-finite outer residual: the iterate has been destroyed
-                # (inner-precision overflow or an injected fault) — classify
-                # as breakdown instead of refining NaNs forever.
-                status = SolverStatus.BREAKDOWN
-                break
-            if control is not None:
-                demanded = control.poll()
-                if demanded is not None:
-                    status = demanded
-                    break
-            if total_iterations >= max_iterations or refinements >= max_restarts:
-                status = SolverStatus.MAX_ITERATIONS
-                break
-
-            # Hand the residual to the low-precision solver (metered cast).
-            r_inner = kernels.cast(r, inner, out=r_inner_buf)
-            rnorm_inner = kernels.norm2(r_inner)
-
-            # Run `refine_every` inner cycles before the next refinement; the
-            # standard algorithm refines after every cycle.
-            correction[:] = 0
-            cycle_rhs = r_inner
-            cycle_rnorm = rnorm_inner
-            inner_breakdown = False
-            for _ in range(refine_every):
-                remaining = max_iterations - total_iterations
-                if remaining <= 0:
-                    break
-                outcome = run_gmres_cycle(
-                    A_inner,
-                    cycle_rhs,
-                    cycle_rnorm,
-                    workspace,
-                    ortho=ortho_mgr,
-                    preconditioner=precond,
-                    absolute_target=None,  # inner residuals are not trusted
-                    max_steps=min(restart, remaining),
-                    control=control,
-                )
-                for k, implicit_abs in enumerate(outcome.implicit_norms, start=1):
-                    history.record_implicit(
-                        total_iterations + k, implicit_abs / bnorm
-                    )
-                kernels.axpy(1.0, outcome.update, correction)
-                total_iterations += outcome.iterations
-                if outcome.breakdown or outcome.iterations == 0:
-                    inner_breakdown = True
-                    break
-                if refine_every > 1:
-                    # Between refinements the inner solver restarts from its
-                    # own low-precision residual (workspace.w is free between
-                    # cycles, so the extra SpMV lands there).
-                    w_in = kernels.spmv(A_inner, correction, out=workspace.w)
-                    cycle_rhs = kernels.copy(r_inner, out=rhs_buf)
-                    kernels.axpy(-1.0, w_in, cycle_rhs)
-                    cycle_rnorm = kernels.norm2(cycle_rhs)
-
-            # Promote the correction and update the solution in fp64.
-            u = kernels.cast(correction, outer, out=u_buf)
-            kernels.axpy(1.0, u, x, label="Residual")
-            refinements += 1
-            if inner_breakdown:
-                # A lucky breakdown in the inner solver: verify on the next
-                # outer residual; if it does not meet the tolerance there is
-                # nothing more the inner solver can do.
-                w = kernels.spmv(A_outer, x, out=w_outer, label="Residual")
-                r = kernels.copy(b_outer, out=r_outer, label="Residual")
-                kernels.axpy(-1.0, w, r, label="Residual")
-                rnorm = kernels.norm2(r, label="Residual")
-                relative_residual = rnorm / bnorm
-                history.record_explicit(total_iterations, relative_residual)
-                status = (
-                    SolverStatus.CONVERGED
-                    if relative_residual <= tol
-                    else SolverStatus.BREAKDOWN
-                )
-                break
-
-    if probe is not None:
-        probe(ProbeEvent(
-            solver="gmres-ir",
-            kind="terminal",
-            iteration=total_iterations,
-            restarts=refinements,
-            residual=relative_residual,
-            status=status,
-        ))
-    rel64 = _fp64_relative_residual(matrix, b, x) if fp64_check else relative_residual
-    return SolveResult(
-        x=x,
-        status=status,
-        iterations=total_iterations,
-        restarts=refinements,
-        relative_residual=relative_residual,
-        relative_residual_fp64=rel64,
-        history=history,
-        timer=timer,
-        solver="gmres-ir",
-        precision=f"{inner.name}/{outer.name}",
+    return finish(
+        matrix, b, x, ending,
+        history=history, timer=timer, solver="gmres-ir",
+        precision=f"{inner.name}/{outer.name}", fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,
             "tolerance": tol,

@@ -26,16 +26,23 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..config import get_config
 from ..linalg import kernels
 from ..ortho import OrthogonalizationManager, make_ortho_manager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
-from ..preconditioners.base import IdentityPreconditioner, Preconditioner
-from ..preconditioners.mixed import wrap_for_precision
+from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
-from .gmres import GmresWorkspace, run_gmres_cycle, _fp64_relative_residual
-from .result import ConvergenceHistory, SolveResult, SolverStatus
+from .driver import (
+    Step,
+    as_preconditioner,
+    finish,
+    prepare_vector,
+    resolve_budget,
+    restart_loop,
+)
+from .gmres import GmresWorkspace, run_gmres_cycle
+from .result import ConvergenceHistory, SolveResult
+from .status import SolveControl
 
 __all__ = ["gmres_ir_three_precision"]
 
@@ -58,6 +65,8 @@ def gmres_ir_three_precision(
     name: Optional[str] = None,
     fp64_check: bool = True,
     improvement_threshold: float = 0.9,
+    control: Optional[SolveControl] = None,
+    probe=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with half/single/double GMRES-IR.
 
@@ -69,179 +78,114 @@ def gmres_ir_three_precision(
         starting norm; otherwise the cycle is redone in fp32 and counted as
         a fallback.
     Other parameters:
-        As in :func:`repro.solvers.gmres_ir.gmres_ir`.
+        As in :func:`repro.solvers.gmres_ir.gmres_ir`, including
+        ``control`` and ``probe`` (``kind="refinement"`` events at the
+        outer refinement boundaries).
     """
-    cfg = get_config()
-    restart = cfg.restart if restart is None else int(restart)
-    tol = cfg.rtol if tol is None else float(tol)
-    max_restarts = cfg.max_restarts if max_restarts is None else int(max_restarts)
-    if max_iterations is None:
-        max_iterations = restart * max_restarts
+    restart, tol, max_iterations, max_restarts = resolve_budget(
+        restart, tol, max_iterations, max_restarts
+    )
     inner = as_precision(inner_precision)
     middle = as_precision(middle_precision)
     outer = as_precision(outer_precision)
     if not (inner.bytes <= middle.bytes <= outer.bytes):
         raise ValueError("precisions must be ordered inner <= middle <= outer")
     ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
-    solver_name = name or f"gmres({restart})-ir3-{inner.name}/{middle.name}/{outer.name}"
 
     A_outer = matrix.astype(outer)
     A_middle = matrix.astype(middle)
     A_inner = matrix.astype(inner)
     n = A_outer.n_rows
-    b_outer = np.asarray(b, dtype=outer.dtype)
-    x = (
-        np.zeros(n, dtype=outer.dtype)
-        if x0 is None
-        else np.asarray(x0, dtype=outer.dtype).copy()
-    )
-
-    if preconditioner is None:
-        precond_mid: Preconditioner = IdentityPreconditioner(precision=middle)
-        precond_in: Preconditioner = IdentityPreconditioner(precision=inner)
-    else:
-        precond_mid = wrap_for_precision(preconditioner, middle)
-        precond_in = wrap_for_precision(preconditioner, inner)
-
+    b_outer, x = prepare_vector(b, x0, n, outer)
+    precond_mid = as_preconditioner(preconditioner, middle)
+    precond_in = as_preconditioner(preconditioner, inner)
     ws_middle = GmresWorkspace(n, restart, middle)
     ws_inner = GmresWorkspace(n, restart, inner)
     history = ConvergenceHistory()
-    timer = timer or KernelTimer(solver_name)
+    timer = timer or KernelTimer(
+        name or f"gmres({restart})-ir3-{inner.name}/{middle.name}/{outer.name}"
+    )
 
     # Pre-allocated refinement vectors, reused across all refinement steps.
     # Cross-precision buffers only exist when the adjacent precisions differ
     # (kernels.cast returns its input unchanged at equal precision); the
     # scaled residual and the fp32 residual check borrow the middle
     # workspace's driver scratch, which is free between cycles.
-    w_outer = np.empty(n, dtype=outer.dtype)
-    r_outer = np.empty(n, dtype=outer.dtype)
     r_mid_buf = np.empty(n, dtype=middle.dtype) if middle.dtype != outer.dtype else None
     r_half_buf = np.empty(n, dtype=inner.dtype) if inner.dtype != middle.dtype else None
     u_mid_buf = np.empty(n, dtype=middle.dtype) if middle.dtype != inner.dtype else None
     u_outer_buf = np.empty(n, dtype=outer.dtype) if middle.dtype != outer.dtype else None
     check_buf = np.empty(n, dtype=middle.dtype)
+    cycles = {"half": 0, "fallback": 0}
 
-    status = SolverStatus.MAX_ITERATIONS
-    total_iterations = 0
-    refinements = 0
-    half_cycles = 0
-    fallback_cycles = 0
-    relative_residual = float("inf")
+    def refine(r: np.ndarray, rnorm: float, remaining: int) -> Step:
+        # Middle level: one correction in fp32, itself computed either by
+        # an fp16 cycle (scaled to unit norm) or by an fp32 fallback.
+        r_mid = kernels.cast(r, middle, out=r_mid_buf)
+        rnorm_mid = kernels.norm2(r_mid)
+        cycle = dict(
+            ortho=ortho_mgr, absolute_target=None, max_steps=min(restart, remaining),
+            control=control,
+        )
+
+        # --- try the half-precision inner cycle --------------------------- #
+        scale = rnorm_mid if rnorm_mid > 0 else 1.0
+        r_scaled = kernels.copy(r_mid, out=ws_middle.r)
+        kernels.scal(1.0 / scale, r_scaled)
+        r_half = kernels.cast(r_scaled, inner, out=r_half_buf)
+        rnorm_half = kernels.norm2(r_half)
+        taken = None
+        if np.isfinite(rnorm_half) and rnorm_half > 0:
+            outcome = run_gmres_cycle(
+                A_inner, r_half, rnorm_half, ws_inner, preconditioner=precond_in, **cycle
+            )
+            if np.all(np.isfinite(outcome.update)):
+                u_mid = kernels.cast(outcome.update, middle, out=u_mid_buf)
+                kernels.scal(scale, u_mid)
+                # Evaluate the achieved reduction in fp32.
+                w_mid = kernels.spmv(A_middle, u_mid, out=ws_middle.w)
+                check = kernels.copy(r_mid, out=check_buf)
+                kernels.axpy(-1.0, w_mid, check)
+                if kernels.norm2(check) <= improvement_threshold * rnorm_mid:
+                    cycles["half"] += 1
+                    correction_mid = u_mid
+                    taken = Step(
+                        outcome.iterations,
+                        [implicit_abs * scale for implicit_abs in outcome.implicit_norms],
+                    )
+
+        if taken is None:
+            # --- fp32 fallback cycle -------------------------------------- #
+            cycles["fallback"] += 1
+            outcome = run_gmres_cycle(
+                A_middle, r_mid, rnorm_mid, ws_middle, preconditioner=precond_mid, **cycle
+            )
+            correction_mid = outcome.update
+            taken = Step(outcome.iterations, outcome.implicit_norms)
+
+        u = kernels.cast(correction_mid, outer, out=u_outer_buf)
+        kernels.axpy(1.0, u, x, label="Residual")
+        return taken
 
     with use_timer(timer):
         bnorm = kernels.norm2(b_outer)
-        if bnorm == 0.0:
-            return SolveResult(
-                x=np.zeros(n, dtype=outer.dtype),
-                status=SolverStatus.CONVERGED,
-                iterations=0,
-                restarts=0,
-                relative_residual=0.0,
-                relative_residual_fp64=0.0,
-                history=history,
-                timer=timer,
-                solver="gmres-ir3",
-                precision=f"{inner.name}/{middle.name}/{outer.name}",
-                details={},
-            )
+        ending = restart_loop(
+            A_outer, b_outer, x, bnorm, refine,
+            tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
+            history=history, solver="gmres-ir3", kind="refinement", label="Residual",
+            scratch=(np.empty(n, dtype=outer.dtype), np.empty(n, dtype=outer.dtype)),
+            control=control, probe=probe,
+        )
 
-        while True:
-            w = kernels.spmv(A_outer, x, out=w_outer, label="Residual")
-            r = kernels.copy(b_outer, out=r_outer, label="Residual")
-            kernels.axpy(-1.0, w, r, label="Residual")
-            rnorm = kernels.norm2(r, label="Residual")
-            relative_residual = rnorm / bnorm
-            history.record_explicit(total_iterations, relative_residual)
-            if relative_residual <= tol:
-                status = SolverStatus.CONVERGED
-                break
-            if total_iterations >= max_iterations or refinements >= max_restarts:
-                status = SolverStatus.MAX_ITERATIONS
-                break
-
-            # Middle level: one correction in fp32, itself computed either by
-            # an fp16 cycle (scaled to unit norm) or by an fp32 fallback.
-            r_mid = kernels.cast(r, middle, out=r_mid_buf)
-            rnorm_mid = kernels.norm2(r_mid)
-
-            # --- try the half-precision inner cycle ----------------------- #
-            scale = rnorm_mid if rnorm_mid > 0 else 1.0
-            r_scaled = kernels.copy(r_mid, out=ws_middle.r)
-            kernels.scal(1.0 / scale, r_scaled)
-            r_half = kernels.cast(r_scaled, inner, out=r_half_buf)
-            rnorm_half = kernels.norm2(r_half)
-            accepted = False
-            if np.isfinite(rnorm_half) and rnorm_half > 0:
-                outcome = run_gmres_cycle(
-                    A_inner,
-                    r_half,
-                    rnorm_half,
-                    ws_inner,
-                    ortho=ortho_mgr,
-                    preconditioner=precond_in,
-                    absolute_target=None,
-                    max_steps=min(restart, max_iterations - total_iterations),
-                )
-                update_half = outcome.update
-                if np.all(np.isfinite(update_half)):
-                    u_mid = kernels.cast(update_half, middle, out=u_mid_buf)
-                    kernels.scal(scale, u_mid)
-                    # Evaluate the achieved reduction in fp32.
-                    w_mid = kernels.spmv(A_middle, u_mid, out=ws_middle.w)
-                    check = kernels.copy(r_mid, out=check_buf)
-                    kernels.axpy(-1.0, w_mid, check)
-                    achieved = kernels.norm2(check)
-                    if achieved <= improvement_threshold * rnorm_mid:
-                        accepted = True
-                        half_cycles += 1
-                        total_iterations += outcome.iterations
-                        for k, implicit_abs in enumerate(outcome.implicit_norms, start=1):
-                            history.record_implicit(
-                                total_iterations - outcome.iterations + k,
-                                implicit_abs * scale / bnorm,
-                            )
-                        correction_mid = u_mid
-
-            if not accepted:
-                # --- fp32 fallback cycle ---------------------------------- #
-                fallback_cycles += 1
-                outcome = run_gmres_cycle(
-                    A_middle,
-                    r_mid,
-                    rnorm_mid,
-                    ws_middle,
-                    ortho=ortho_mgr,
-                    preconditioner=precond_mid,
-                    absolute_target=None,
-                    max_steps=min(restart, max_iterations - total_iterations),
-                )
-                total_iterations += outcome.iterations
-                for k, implicit_abs in enumerate(outcome.implicit_norms, start=1):
-                    history.record_implicit(
-                        total_iterations - outcome.iterations + k, implicit_abs / bnorm
-                    )
-                correction_mid = outcome.update
-
-            u = kernels.cast(correction_mid, outer, out=u_outer_buf)
-            kernels.axpy(1.0, u, x, label="Residual")
-            refinements += 1
-
-    rel64 = _fp64_relative_residual(matrix, b, x) if fp64_check else relative_residual
-    return SolveResult(
-        x=x,
-        status=status,
-        iterations=total_iterations,
-        restarts=refinements,
-        relative_residual=relative_residual,
-        relative_residual_fp64=rel64,
-        history=history,
-        timer=timer,
-        solver="gmres-ir3",
+    return finish(
+        matrix, b, x, ending,
+        history=history, timer=timer, solver="gmres-ir3",
         precision=f"{inner.name}/{middle.name}/{outer.name}",
+        fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,
-            "half_precision_cycles": half_cycles,
-            "fp32_fallback_cycles": fallback_cycles,
+            "half_precision_cycles": cycles["half"],
+            "fp32_fallback_cycles": cycles["fallback"],
             "preconditioner": precond_mid.name,
         },
     )

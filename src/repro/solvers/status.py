@@ -1,13 +1,12 @@
-"""Status tests — the convergence / termination logic of the solvers.
+"""Status tests — the stateful termination checks of the solvers.
 
-Modelled on Belos' status-test classes: the solver consults a small set of
-composable tests after every iteration (implicit residual) and after every
-restart (explicit residual).  The split between implicit and explicit
-residual tests is what makes the Section V-F "loss of accuracy" phenomenon
-observable: a solver whose implicit residual says "converged" while the
-recomputed true residual disagrees by a large factor has been misled by
-rounding error (in the paper: by an aggressive fp32 polynomial
-preconditioner).
+Modelled on Belos' status-test classes; the plain tolerance and budget
+checks live in the restart loops (:mod:`repro.solvers.driver`).  The split
+between implicit and explicit residuals is what makes the Section V-F
+"loss of accuracy" phenomenon observable: a solver whose implicit residual
+says "converged" while the recomputed true residual disagrees by a large
+factor has been misled by rounding error (in the paper: by an aggressive
+fp32 polynomial preconditioner).
 
 :class:`SolveControl` is the externally-driven member of the family: a
 cooperative deadline / cancellation / iteration-budget token the serve
@@ -27,8 +26,6 @@ from typing import Optional
 from .result import SolverStatus
 
 __all__ = [
-    "ResidualTest",
-    "MaxIterationsTest",
     "LossOfAccuracyTest",
     "StagnationTest",
     "SolveControl",
@@ -147,31 +144,6 @@ class SolveControl:
             f"remaining={'inf' if remaining is None else f'{remaining:.3f}s'} "
             f"charged={self._charged}/{self.max_iterations or 'inf'}>"
         )
-
-
-@dataclass
-class ResidualTest:
-    """Relative residual convergence test.
-
-    ``tolerance`` is relative to the right-hand-side norm (the paper's
-    convergence criterion ``||b - A x|| / ||b|| <= rTol`` with
-    ``rTol = 1e-10``).
-    """
-
-    tolerance: float
-
-    def passes(self, relative_norm: float) -> bool:
-        return relative_norm <= self.tolerance
-
-
-@dataclass
-class MaxIterationsTest:
-    """Caps the total number of inner iterations."""
-
-    max_iterations: int
-
-    def exceeded(self, iterations: int) -> bool:
-        return iterations >= self.max_iterations
 
 
 @dataclass

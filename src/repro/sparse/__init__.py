@@ -2,7 +2,7 @@
 
 The paper's solvers run on CSR matrices through Kokkos Kernels; here the
 same role is played by :class:`~repro.sparse.csr.CsrMatrix` plus the
-vectorised NumPy kernels in :mod:`repro.sparse.ops`.  The module also
+kernel backends of :mod:`repro.backends`.  The module also
 provides the reverse Cuthill–McKee reordering used before block-Jacobi
 preconditioning in Table III, and structural property queries (bandwidth,
 nonzeros per row, symmetry) that both the performance model and the
@@ -10,7 +10,7 @@ experiment harness rely on.
 """
 
 from .csr import CsrMatrix
-from .ops import spmv, spmv_transpose, spmm, coo_to_csr, extract_block_diagonal
+from .ops import coo_to_csr, extract_block_diagonal
 from .ordering import reverse_cuthill_mckee, pseudo_peripheral_node, permute_symmetric
 from .properties import (
     bandwidth,
@@ -24,9 +24,6 @@ from .convert import from_scipy, to_scipy, to_precision
 
 __all__ = [
     "CsrMatrix",
-    "spmv",
-    "spmv_transpose",
-    "spmm",
     "coo_to_csr",
     "extract_block_diagonal",
     "reverse_cuthill_mckee",

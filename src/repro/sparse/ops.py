@@ -1,113 +1,24 @@
-"""Structural CSR utilities (and deprecated raw-kernel shims).
+"""Structural CSR utilities.
 
-This module keeps the structural (non-kernel) CSR utilities: the COO→CSR
-conversion (``np.lexsort`` + segmented sums) and block-diagonal extraction
-used by the block-Jacobi preconditioner.
-
-The computational kernels that used to live here (``spmv``,
-``spmv_transpose``, the batched multi-RHS ``spmm``) belong to the
-pluggable kernel-backend protocol since PR 1: the reference
-implementations are in :mod:`repro.backends.numpy_backend`, the
-instrumented wrappers in :mod:`repro.linalg.kernels`, and both dispatch
-through the *active* backend.  The raw-array entry points below are kept
-only as **deprecation shims** for old callers: they wrap the raw arrays
-in a lightweight CSR view and route through the active backend (so an
-old caller transparently gets the SciPy fast path when it is selected),
-emitting a :class:`DeprecationWarning`.  New code should use
-:class:`~repro.sparse.csr.CsrMatrix` with :mod:`repro.linalg.kernels`,
-or a backend from :mod:`repro.backends` directly.
+The COO→CSR conversion (``np.lexsort`` + segmented sums) and the
+block-diagonal extraction used by the block-Jacobi preconditioner.  The
+computational kernels (``spmv``, ``spmv_transpose``, the batched
+multi-RHS ``spmm``) belong to the pluggable kernel-backend protocol: the
+reference implementations are in :mod:`repro.backends.numpy_backend`, the
+metered wrappers in :mod:`repro.linalg.kernels`, and both dispatch
+through the *active* backend on a :class:`~repro.sparse.csr.CsrMatrix`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
-    "spmv",
-    "spmv_transpose",
-    "spmm",
     "coo_to_csr",
     "extract_block_diagonal",
 ]
-
-
-class _RawCsrView:
-    """Duck-typed CSR adapter: exactly what a ``KernelBackend`` needs."""
-
-    __slots__ = ("data", "indices", "indptr", "shape", "backend_cache")
-
-    def __init__(self, data, indices, indptr, shape) -> None:
-        self.data = np.asarray(data)
-        self.indices = np.asarray(indices)
-        self.indptr = np.asarray(indptr)
-        self.shape = (int(shape[0]), int(shape[1]))
-        # The view dies with the call, so there is no identity to cache
-        # against; a ``None`` cache tells the backends to skip building
-        # per-matrix plans (row geometry, DIA diagonals, SciPy handles)
-        # that would otherwise be reconstructed on every shim call.
-        self.backend_cache = None
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.sparse.ops.{name} is deprecated; use CsrMatrix with "
-        "repro.linalg.kernels (or a repro.backends backend) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def spmv(
-    data: np.ndarray,
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    x: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Deprecated raw-array SpMV ``y = A x`` (routes via the active backend)."""
-    _deprecated("spmv")
-    from ..backends import active_backend
-
-    x = np.asarray(x)
-    view = _RawCsrView(data, indices, indptr, (indptr.size - 1, x.shape[0]))
-    return active_backend().spmv(view, x, out=out)
-
-
-def spmv_transpose(
-    data: np.ndarray,
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    x: np.ndarray,
-    n_cols: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Deprecated raw-array ``y = A.T x`` (routes via the active backend)."""
-    _deprecated("spmv_transpose")
-    from ..backends import active_backend
-
-    view = _RawCsrView(data, indices, indptr, (indptr.size - 1, int(n_cols)))
-    return active_backend().spmv_transpose(view, np.asarray(x), out=out)
-
-
-def spmm(
-    data: np.ndarray,
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    X: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Deprecated raw-array batched ``Y = A X`` (routes via the active backend)."""
-    _deprecated("spmm")
-    from ..backends import active_backend
-
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ValueError("spmm expects a 2-D block of column vectors")
-    view = _RawCsrView(data, indices, indptr, (indptr.size - 1, X.shape[0]))
-    return active_backend().spmm(view, X, out=out)
 
 
 def coo_to_csr(

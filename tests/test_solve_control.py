@@ -6,9 +6,10 @@ The fault-tolerance contract at the solver layer: a control token can stop
 any solve cooperatively — deadline → ``TIMED_OUT``, cancellation →
 ``CANCELLED``, iteration budget → ``MAX_ITERATIONS`` — always resolving
 with the best iterate reached, within one restart cycle (plus at most
-``check_interval`` inner iterations) of the token firing.  Non-finite
-residuals classify as ``BREAKDOWN`` instead of looping to the iteration
-cap.
+``check_interval`` inner iterations) of the token firing.  The parts of
+the contract every driver shares (pre-cancelled control, non-finite
+right-hand side, zero right-hand side, probe events) are checked across
+all drivers in ``test_solver_contract.py``.
 """
 
 from __future__ import annotations
@@ -121,13 +122,6 @@ class TestSolveControlUnit:
 
 
 class TestSingleVectorDrivers:
-    def test_gmres_precancelled_stops_immediately(self, matrix, rhs):
-        control = SolveControl()
-        control.cancel()
-        result = gmres(matrix, rhs, tol=1e-10, control=control)
-        assert result.status == SolverStatus.CANCELLED
-        assert result.iterations == 0
-
     def test_gmres_zero_deadline_times_out(self, matrix, rhs):
         result = gmres(
             matrix, rhs, tol=1e-10, control=SolveControl.with_timeout(0.0)
@@ -170,13 +164,6 @@ class TestSingleVectorDrivers:
         assert 0.0 < result.relative_residual < 1.0
         assert np.all(np.isfinite(result.x))
 
-    def test_gmres_nan_rhs_is_breakdown(self, matrix, rhs):
-        poisoned = rhs.copy()
-        poisoned[0] = np.nan
-        result = gmres(matrix, poisoned, tol=1e-10, max_restarts=10)
-        assert result.status == SolverStatus.BREAKDOWN
-        assert result.iterations == 0
-
     def test_cg_cancel_and_timeout(self, matrix, rhs):
         control = SolveControl(check_interval=1)
         control.cancel()
@@ -191,12 +178,6 @@ class TestSingleVectorDrivers:
             control=SolveControl.with_timeout(0.0, check_interval=1),
         )
         assert timed.status == SolverStatus.TIMED_OUT
-
-    def test_cg_nan_rhs_is_breakdown(self, matrix, rhs):
-        poisoned = rhs.copy()
-        poisoned[0] = np.nan
-        result = cg(matrix, poisoned, tol=1e-12, max_iterations=50)
-        assert result.status == SolverStatus.BREAKDOWN
 
     def test_gmres_ir_timeout_and_cancel(self, matrix, rhs):
         timed = gmres_ir(

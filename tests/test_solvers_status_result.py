@@ -7,8 +7,6 @@ from repro.perfmodel.timer import KernelTimer
 from repro.solvers import (
     ConvergenceHistory,
     LossOfAccuracyTest,
-    MaxIterationsTest,
-    ResidualTest,
     SolveResult,
     SolverStatus,
     StagnationTest,
@@ -16,18 +14,6 @@ from repro.solvers import (
 
 
 class TestStatusTests:
-    def test_residual_test(self):
-        t = ResidualTest(tolerance=1e-8)
-        assert t.passes(1e-9)
-        assert t.passes(1e-8)
-        assert not t.passes(1e-7)
-
-    def test_max_iterations_test(self):
-        t = MaxIterationsTest(max_iterations=100)
-        assert not t.exceeded(99)
-        assert t.exceeded(100)
-        assert t.exceeded(101)
-
     def test_loss_of_accuracy_triggers_on_divergence(self):
         t = LossOfAccuracyTest(tolerance=1e-10, divergence_factor=10)
         assert t.triggered(implicit_norm=1e-11, explicit_norm=1e-4)

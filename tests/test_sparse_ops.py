@@ -2,11 +2,8 @@
 
 The raw-array kernels under test are the *reference implementations* in
 :mod:`repro.backends.numpy_backend`; :mod:`repro.sparse.ops` keeps only
-deprecation shims that route through the active backend, pinned at the
-bottom of this file.
+the structural utilities.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.backends.numpy_backend import spmm, spmv, spmv_transpose
 from repro.config import rng
-from repro.sparse import ops
 from repro.sparse.ops import coo_to_csr, extract_block_diagonal
 
 
@@ -133,63 +129,6 @@ class TestSpmvTranspose:
         A = random_scipy(10, 10, 0.2, 4)
         with pytest.raises(ValueError):
             spmv_transpose(A.data, A.indices, A.indptr, np.ones(11), 10)
-
-
-class TestDeprecatedOpsShims:
-    """repro.sparse.ops kernel names warn and route through the backend."""
-
-    def test_shims_warn(self):
-        A = random_scipy(12, 12, 0.3, 0)
-        x = np.ones(12)
-        X = np.ones((12, 2))
-        with pytest.warns(DeprecationWarning):
-            ops.spmv(A.data, A.indices, A.indptr, x)
-        with pytest.warns(DeprecationWarning):
-            ops.spmm(A.data, A.indices, A.indptr, X)
-        with pytest.warns(DeprecationWarning):
-            ops.spmv_transpose(A.data, A.indices, A.indptr, x, 12)
-
-    def test_shims_match_reference(self):
-        A = random_scipy(30, 20, 0.2, 3)
-        x = rng(3).standard_normal(20)
-        X = rng(4).standard_normal((20, 3))
-        xt = rng(5).standard_normal(30)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            np.testing.assert_allclose(
-                ops.spmv(A.data, A.indices, A.indptr, x), A @ x, rtol=1e-12
-            )
-            np.testing.assert_allclose(
-                ops.spmm(A.data, A.indices, A.indptr, X), A @ X, rtol=1e-12
-            )
-            np.testing.assert_allclose(
-                ops.spmv_transpose(A.data, A.indices, A.indptr, xt, 20),
-                A.T @ xt,
-                rtol=1e-12,
-            )
-
-    def test_shims_route_through_active_backend(self):
-        from repro.linalg.context import use_backend
-
-        A = random_scipy(25, 25, 0.2, 7)
-        x = rng(7).standard_normal(25)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with use_backend("scipy"):
-                y = ops.spmv(A.data, A.indices, A.indptr, x)
-        np.testing.assert_allclose(y, A @ x, rtol=1e-12)
-
-    def test_shim_out_and_validation(self):
-        A = random_scipy(20, 20, 0.3, 2)
-        out = np.empty(20)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            y = ops.spmv(A.data, A.indices, A.indptr, np.ones(20), out=out)
-            assert y is out
-            with pytest.raises(ValueError):
-                ops.spmv(A.data, A.indices, A.indptr, np.ones(20), out=np.empty(5))
-            with pytest.raises(ValueError):
-                ops.spmm(A.data, A.indices, A.indptr, np.ones(20))
 
 
 class TestCooToCsr:
