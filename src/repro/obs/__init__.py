@@ -174,8 +174,8 @@ class Observability:
     benchmark uses as its baseline.
 
     ``health`` is explicit-only (default ``None``): pass a
-    :class:`HealthMonitor` to feed its SLO trackers from the serve
-    telemetry, run its anomaly detectors in the dispatch loop, and have
+    :class:`HealthMonitor` to book every served request's outcome in its
+    SLO trackers, run its anomaly detectors in the dispatch loop, and have
     farms register themselves for breaker/queue health.
     """
 

@@ -2,13 +2,13 @@
 
 A :class:`SloPolicy` declares the objectives — availability over the
 served/failed ledger, optional latency quantile bounds — and the two
-evaluation windows.  A :class:`SloTracker` is a telemetry *sink*: it
-implements the recording half of
-:class:`repro.serve.telemetry.ServeTelemetry`, so the serve layer feeds
-it through the existing :class:`~repro.serve.telemetry.TelemetryFanout`
-plumbing with zero new hook points.  The :class:`SloEngine` owns one
-tracker per scope (``"farm"``, ``"farm/tenant"``, a session name, …) and
-evaluates the policy over both windows on demand.
+evaluation windows.  A :class:`SloTracker` is an outcome *sink*, listed
+among a served request's sinks next to its telemetry:
+:meth:`repro.serve.scheduler.PendingRequest.resolve` books the request's
+:class:`~repro.serve.telemetry.Outcome` in it, one ledger entry per
+request.  The :class:`SloEngine` owns one tracker per scope (``"farm"``,
+``"farm/tenant"``, a session name, …) and evaluates the policy over both
+windows on demand.
 
 Multi-window burn-rate alerting follows the SRE-workbook shape: the
 *fast* window (default 5 min) catches sharp regressions quickly, the
@@ -28,11 +28,14 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
 
 from ..config import get_config
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from ..serve.telemetry import Outcome
 
 __all__ = [
     "SloPolicy",
@@ -166,12 +169,12 @@ class SloStatus:
 class SloTracker:
     """Per-scope sliding ledger of (timestamp, latency, goodness) events.
 
-    Duck-types the recording half of
-    :class:`repro.serve.telemetry.ServeTelemetry`, so a
-    :class:`~repro.serve.telemetry.TelemetryFanout` can feed it alongside
-    the real counters.  Client cancellations are recorded as *neutral*
-    (latency kept for the quantiles, excluded from availability): the
-    client changed its mind, the service did nothing wrong.
+    An outcome sink of the serve layer: :meth:`record` ledgers one
+    request's :class:`~repro.serve.telemetry.Outcome`.  Timeouts (queued
+    or mid-solve) and failures are bad, other solved requests good.
+    Client cancellations are *neutral* (latency kept for the quantiles,
+    excluded from availability): the client changed its mind, the
+    service did nothing wrong.
     """
 
     __slots__ = ("_lock", "_clock", "_events")
@@ -189,52 +192,22 @@ class SloTracker:
             maxlen=max(64, int(capacity))
         )
 
-    # -- recording interface (ServeTelemetry duck type) ----------------- #
+    # -- the outcome-sink protocol --------------------------------------- #
     def record_submitted(self) -> None:
-        """Admission is not an outcome; nothing to ledger yet."""
+        """No-op: admission is not an outcome."""
 
-    def record_rejected(self) -> None:
-        self._record(None, good=False)
+    def record_dispatch(self, width: int, block_iterations: int) -> None:
+        """No-op: the dispatch shape is throughput detail, not an SLO input."""
 
-    def record_timeout(self) -> None:
-        self._record(None, good=False)
-
-    def record_cancelled(self) -> None:
-        self._record(None, good=None)
-
-    def record_abandoned(self) -> None:
-        self._record(None, good=False)
-
-    def record_batch(
-        self,
-        queue_waits: List[float],
-        solve_seconds: "float | List[float]",
-        *,
-        block_iterations: int = 0,
-        failed: int = 0,
-        retried: int = 0,
-        timed_out: int = 0,
-        cancelled: int = 0,
-    ) -> None:
-        del block_iterations, retried  # throughput detail, not an SLO input
-        occupancy = len(queue_waits)
-        if isinstance(solve_seconds, (int, float)):
-            solve_seconds = [float(solve_seconds)] * occupancy
-        bad = failed + timed_out
-        now = self._clock()
+    def record(self, outcome: "Outcome") -> None:
+        """Ledger one request's terminal outcome."""
+        if outcome.name == "cancelled":
+            good: Optional[bool] = None
+        else:
+            good = not (outcome.failed or outcome.timed_out)
+        event = (self._clock(), outcome.latency_s, good)
         with self._lock:
-            for i, (wait, solve) in enumerate(zip(queue_waits, solve_seconds)):
-                if i < bad:
-                    good: Optional[bool] = False
-                elif i >= occupancy - cancelled:
-                    good = None
-                else:
-                    good = True
-                self._events.append((now, wait + solve, good))
-
-    def _record(self, latency_s: Optional[float], *, good: Optional[bool]) -> None:
-        with self._lock:
-            self._events.append((self._clock(), latency_s, good))
+            self._events.append(event)
 
     # -- evaluation ------------------------------------------------------ #
     def events_since(

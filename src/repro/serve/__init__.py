@@ -27,10 +27,15 @@ Pieces
     Decides sequential-vs-block and the dispatch width per operator from
     the analytic kernel cost model (SpMM vs ``k`` SpMVs, GEMM vs ``k``
     GEMVs); overridable via ``ReproConfig.serve.policy``.
-:class:`ServeTelemetry` / :class:`ServeStats`
-    Per-request queue-wait/solve latency, batch-occupancy histogram and
-    throughput counters, snapshotted as an immutable dataclass (dumped by
-    ``benchmarks/_harness.py --serve`` into ``BENCH_serve.json``).
+:class:`Outcome` / :class:`ServeTelemetry` / :class:`ServeStats`
+    Every request ends in one :class:`Outcome`, booked by
+    :meth:`PendingRequest.resolve` in each of the request's sinks
+    (telemetry and, with a health monitor, SLO trackers) before its future
+    resolves.  :class:`ServeTelemetry` derives per-request
+    queue-wait/solve latency, the batch-occupancy histogram and the
+    throughput counters from those events, snapshotted as an immutable
+    dataclass (dumped by ``benchmarks/_harness.py --serve`` into
+    ``BENCH_serve.json``).
 
 :class:`SolverFarm` / :class:`SessionRegistry`
     The multi-tenant form, a :class:`SolveScheduler` subclass: many
@@ -38,7 +43,8 @@ Pieces
     session-count/byte budget, bounded per-tenant queues with
     :class:`RejectedError` backpressure, and a shared worker pool with
     weighted-fair dispatch.  Fleet and per-tenant
-    accounting via :class:`FarmTelemetry` / :class:`FarmStats`
+    accounting via :class:`FarmTelemetry` / :class:`FarmStats`: each
+    request books into its tenant's telemetry and the fleet's
     (``benchmarks/_harness.py --farm`` → ``BENCH_farm.json``).
 
 Fault tolerance (see the README's "Failure semantics" section)
@@ -89,6 +95,7 @@ from .telemetry import (
     FarmStats,
     FarmTelemetry,
     LatencySummary,
+    Outcome,
     ServeStats,
     ServeTelemetry,
     TenantStats,
@@ -96,9 +103,8 @@ from .telemetry import (
 
 #: The curated public surface of the serve layer: the two service fronts
 #: (session and farm), their building blocks, and the telemetry types a
-#: client reads.  Internal plumbing (TelemetryFanout, run_batch, the
-#: worker machinery) is importable from the submodules but not part of
-#: the supported API.
+#: client reads.  Internal plumbing (run_batch, the worker machinery) is
+#: importable from the submodules but not part of the supported API.
 __all__ = [
     # single-operator service
     "OperatorSession",
@@ -121,6 +127,7 @@ __all__ = [
     "BatchingPolicy",
     "POLICY_MODES",
     # telemetry
+    "Outcome",
     "ServeTelemetry",
     "ServeStats",
     "FarmTelemetry",

@@ -28,11 +28,11 @@ adds:
   ready tenant with the smallest served-work/weight ratio (deficit-style
   weighted round-robin, so a hot tenant cannot starve the others beyond
   its weight); under ``"fifo"`` the tenant holding the oldest request;
-* **two-level telemetry** — every event is recorded in the tenant's own
-  :class:`~repro.serve.telemetry.ServeTelemetry` *and* the fleet-wide one
-  via a :class:`~repro.serve.telemetry.TelemetryFanout`;
+* **two-level telemetry** — every request books its outcome in the
+  tenant's own :class:`~repro.serve.telemetry.ServeTelemetry` *and* the
+  fleet-wide one (plus both levels' SLO trackers under a health monitor);
   :meth:`SolverFarm.stats` snapshots the whole farm (per-tenant RHS/s,
-  queue depths, fairness shares, evictions) as a
+  queue depths, fairness shares, evictions, breaker trips) as a
   :class:`~repro.serve.telemetry.FarmStats`.
 
 Every knob defaults from ``ReproConfig.serve``
@@ -58,7 +58,6 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..config import get_config
-from ..obs import resolve_observability
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import watch_farm
 from ..sparse.csr import CsrMatrix
@@ -142,13 +141,9 @@ class SolverFarm(SolveScheduler):
             if breaker_cooldown_ms is None
             else float(breaker_cooldown_ms)
         )
-        obs = resolve_observability(obs)
-        # A HealthMonitor's SLO trackers ride the telemetry fanout.
         super().__init__(
             max_wait_ms=cfg.max_wait_ms if max_wait_ms is None else float(max_wait_ms),
-            telemetry=FarmTelemetry(
-                slo=None if obs.health is None else obs.health.slo, scope=name
-            ),
+            telemetry=FarmTelemetry(),
             workers=cfg.workers if workers is None else int(workers),
             name=name,
             obs=obs,
@@ -167,7 +162,6 @@ class SolverFarm(SolveScheduler):
                 if max_session_bytes is None
                 else max_session_bytes
             ),
-            on_create=self.telemetry.record_creation,
             on_evict=_on_evict,
         )
         if self.obs.registry is not None:
@@ -231,10 +225,14 @@ class SolverFarm(SolveScheduler):
                 raise RuntimeError("farm is closed")
             tenant = self._tenants.get(key)
             if tenant is None:
+                sinks = (self.telemetry.tenant(key), self.telemetry.fleet)
+                if self.health is not None:
+                    slo = self.health.slo
+                    sinks += (slo.tracker(f"{self.name}/{key}"), slo.tracker(self.name))
                 self._tenants[key] = Tenant(
                     key,
                     rows,
-                    self.telemetry.sink(key),
+                    sinks,
                     {"farm": self.name, "tenant": key},
                     weight=float(weight),
                     breaker=CircuitBreaker(
@@ -321,12 +319,14 @@ class SolverFarm(SolveScheduler):
     def stats(self) -> FarmStats:
         """Snapshot the whole farm: fleet + per-tenant + registry state."""
         with self._lock:
-            weights = {k: t.weight for k, t in self._tenants.items()}
-            depths = {k: len(t.queue) for k, t in self._tenants.items()}
+            tenants = dict(self._tenants)
+            depths = {k: len(t.queue) for k, t in tenants.items()}
         return self.telemetry.snapshot(
-            weights=weights,
+            weights={k: t.weight for k, t in tenants.items()},
             queue_depths=depths,
+            breaker_trips={k: t.breaker.trips for k, t in tenants.items()},
             sessions_live=self.registry.live_count,
+            sessions_created=self.registry.creations,
             estimated_session_bytes=self.registry.estimated_bytes(),
         )
 
@@ -375,7 +375,7 @@ class SolverFarm(SolveScheduler):
                 error=repr(exc),
             )
             for request in doomed:
-                request.drop(tenant.sink, exc, "error")
+                request.drop(exc, "error")
             self._feed_breaker(tenant, BatchReport(width=len(doomed), exception=exc))
             return
         batch = self._collect_batch(tenant, session)
@@ -384,7 +384,6 @@ class SolverFarm(SolveScheduler):
         report = run_batch(
             session,
             batch,
-            tenant.sink,
             tracer=self.tracer,
             tenant=tenant.key,
             health=self.health,
@@ -407,7 +406,6 @@ class SolverFarm(SolveScheduler):
         if report.hard_failure:
             if tenant.breaker.record_failure():
                 self.registry.evict(tenant.key)
-                self.telemetry.record_breaker_trip(tenant.key)
                 log_event(
                     _LOGGER,
                     "breaker_open",

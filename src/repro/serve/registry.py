@@ -8,7 +8,8 @@ The :class:`SessionRegistry` is the piece that makes "many operators" and
 (cheap, unbounded), while warmed *sessions* are built on first use, kept
 hot in an LRU cache, and evicted when the configured session-count or byte
 budget is exceeded.  A re-request of an evicted operator transparently
-re-warms it through its stored factory.
+re-warms it through its stored factory; :attr:`SessionRegistry.creations`
+counts every warm-up and is what the farm reports as sessions created.
 
 Eviction uses :meth:`OperatorSession.release` rather than ``close``: the
 evicted session stops accepting new work, but a farm worker holding a
@@ -44,9 +45,9 @@ class SessionRegistry:
         state (:meth:`OperatorSession.estimated_bytes`).  Evicts LRU-first
         until under budget, but never the most recent session — one
         oversized operator is served, not wedged.
-    on_create / on_evict:
-        Optional ``callable(key)`` lifecycle hooks (the farm wires these
-        to :class:`~repro.serve.telemetry.FarmTelemetry`).
+    on_evict:
+        Optional ``callable(key)`` run after each eviction (the farm
+        counts and logs it per tenant).
 
     Sessions are built *under the registry lock*: concurrent requests for
     the same cold key warm it exactly once, at the price of serializing
@@ -59,7 +60,6 @@ class SessionRegistry:
         *,
         max_sessions: int = 8,
         max_bytes: Optional[int] = None,
-        on_create: Optional[Callable[[str], None]] = None,
         on_evict: Optional[Callable[[str], None]] = None,
     ) -> None:
         if max_sessions < 1:
@@ -68,7 +68,6 @@ class SessionRegistry:
             raise ValueError("max_bytes must be positive (or None for unlimited)")
         self.max_sessions = int(max_sessions)
         self.max_bytes = max_bytes
-        self._on_create = on_create
         self._on_evict = on_evict
         self._lock = threading.RLock()
         self._factories: Dict[str, Callable[[], "OperatorSession"]] = {}
@@ -122,8 +121,6 @@ class SessionRegistry:
                 session = self._factories[key]()
                 self._sessions[key] = session
                 self._creations += 1
-                if self._on_create is not None:
-                    self._on_create(key)
             self._sessions.move_to_end(key)
             self._enforce_bytes_locked()
             return session

@@ -22,10 +22,11 @@ An :class:`~repro.serve.session.OperatorSession`'s scheduler is this
 engine with one tenant and one worker;
 :class:`~repro.serve.farm.SolverFarm` is a subclass with one tenant per
 registered operator, ``workers`` workers, admission control and weighted
-priority.  Every outcome that is not a solve — a cancel while queued
-(:meth:`PendingRequest.start`), queue expiry, ``close(drain=False)``, a
-failed warm-up (:meth:`PendingRequest.drop`) — sets the future, records
-the counter and finishes the trace in one place.
+priority.  Every request — solved, failed, expired, cancelled,
+abandoned or rejected at ``submit()`` — ends in
+:meth:`PendingRequest.resolve`, which books one
+:class:`~repro.serve.telemetry.Outcome` in the request's sinks before it
+sets the future and finishes the trace.
 
 Failure isolation: a request that fails *validation* (wrong shape,
 non-finite entries — which would poison the shared Krylov basis of every
@@ -61,7 +62,7 @@ from ..obs.trace import RequestTrace
 from ..solvers.result import ConvergenceHistory, SolveResult, SolverStatus
 from ..solvers.status import SolveControl
 from .errors import DeadlineExceededError, ReproServeError
-from .telemetry import ServeStats, ServeTelemetry
+from .telemetry import Outcome, ServeStats, ServeTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .session import OperatorSession
@@ -212,18 +213,18 @@ def validate_rhs(b: np.ndarray, n_rows: int) -> np.ndarray:
 class PendingRequest:
     """One queued right-hand side: the validated column, its future, its
     cooperative control token (deadline + cancellation), the enqueue
-    timestamp, and — when tracing is on — the request's span state
-    machine.
+    timestamp, the ``sinks`` its outcome is booked in, and — when tracing
+    is on — the request's span state machine.
 
-    A request leaves the queue through exactly one of :meth:`start` (it
-    rides a batch; :func:`run_batch` resolves it) or :meth:`drop` (it
-    never reaches a solver).
+    Every request ends in exactly one :meth:`resolve`; a queued one gets
+    there through :meth:`start` (it rides a batch; :func:`run_batch`
+    resolves it) or :meth:`drop` (it never reaches a solver).
     """
 
-    __slots__ = ("b", "future", "control", "deadline_ms", "enqueued_at", "trace")
+    __slots__ = ("b", "future", "control", "deadline_ms", "enqueued_at", "sinks", "trace")
 
     def __init__(
-        self, b: np.ndarray, *, deadline_ms: Optional[float] = None
+        self, b: Optional[np.ndarray], *, deadline_ms: Optional[float] = None, sinks=()
     ) -> None:
         self.b = b
         self.deadline_ms = None if deadline_ms is None else float(deadline_ms)
@@ -233,6 +234,8 @@ class PendingRequest:
             self.control = SolveControl.with_timeout(self.deadline_ms)
         self.future: ServeFuture = ServeFuture(self.control)
         self.enqueued_at = time.perf_counter()
+        #: where the outcome is booked: telemetry and SLO trackers
+        self.sinks = sinks
         #: :class:`repro.obs.RequestTrace` when the owner traces, else None.
         self.trace = None
 
@@ -241,37 +244,56 @@ class PendingRequest:
         """True when the request's deadline already lapsed."""
         return self.control.expired()
 
-    def start(self, sink) -> bool:
-        """Move the future to RUNNING; ``False`` when the client cancelled.
+    def resolve(
+        self,
+        outcome: Outcome,
+        *,
+        result: Optional["ServeResult"] = None,
+        error: Optional[BaseException] = None,
+        **trace_attrs: object,
+    ) -> None:
+        """The request's terminal transition, in this order: book
+        ``outcome`` in every sink, set the future (``error`` fails it,
+        ``result`` completes it, neither leaves a cancelled one alone),
+        finish the trace with ``outcome.name`` and ``trace_attrs``."""
+        for sink in self.sinks:
+            sink.record(outcome)
+        if error is not None:
+            fail_future(self.future, error)
+        elif result is not None:
+            complete_future(self.future, result)
+        if self.trace is not None:
+            if error is not None:
+                trace_attrs["error"] = repr(error)
+            self.trace.finish(outcome.name, **trace_attrs)
 
-        A request cancelled while queued is dropped here: counted as
-        cancelled in ``sink`` and its trace finished.
-        """
+    def start(self) -> bool:
+        """Move the future to RUNNING; a request the client cancelled while
+        queued is resolved as ``cancelled`` instead (returns ``False``)."""
         if self.future.set_running_or_notify_cancel():
             return True
-        sink.record_cancelled()
-        if self.trace is not None:
-            self.trace.finish("cancelled")
+        waited = time.perf_counter() - self.enqueued_at
+        self.resolve(Outcome("cancelled", failed=True, queue_wait_s=waited))
         return False
 
-    def drop(self, sink, exc: BaseException, outcome: str) -> None:
-        """Resolve a request that will never be solved.
+    def drop(self, exc: BaseException, outcome: str) -> None:
+        """Fail a request that will never be solved with ``exc``, as
+        ``outcome`` (e.g. ``"deadline_exceeded"``, ``"abandoned"``)."""
+        if self.start():
+            waited = time.perf_counter() - self.enqueued_at
+            self.resolve(Outcome(outcome, failed=True, queue_wait_s=waited), error=exc)
 
-        Fails the future with ``exc``, records the counter in ``sink``
-        (a timeout for ``outcome="deadline_exceeded"``, otherwise an
-        abandoned request) and finishes the trace with ``outcome``.  A
-        request the client already cancelled is accounted as cancelled
-        instead.
-        """
-        if not self.start(sink):
-            return
-        fail_future(self.future, exc)
-        if outcome == "deadline_exceeded":
-            sink.record_timeout()
-        else:
-            sink.record_abandoned()
-        if self.trace is not None:
-            self.trace.finish(outcome, error=repr(exc))
+    def expire(self) -> None:
+        """Fail a request whose deadline lapsed before dispatch."""
+        shown = "?" if self.deadline_ms is None else format(self.deadline_ms, ".0f")
+        self.drop(
+            DeadlineExceededError(
+                f"request deadline of {shown} ms lapsed in the queue; "
+                "the request was never dispatched",
+                deadline_ms=self.deadline_ms,
+            ),
+            "deadline_exceeded",
+        )
 
 
 def _sweep_expired(queue: Deque[PendingRequest]) -> List[PendingRequest]:
@@ -285,22 +307,6 @@ def _sweep_expired(queue: Deque[PendingRequest]) -> List[PendingRequest]:
         queue.clear()
         queue.extend(keep)
     return expired
-
-
-def _expire(requests: List[PendingRequest], sink) -> None:
-    """Fail requests whose deadline lapsed before dispatch."""
-    for request in requests:
-        budget = request.deadline_ms
-        shown = "?" if budget is None else format(budget, ".0f")
-        request.drop(
-            sink,
-            DeadlineExceededError(
-                f"request deadline of {shown} ms lapsed in the queue; "
-                "the request was never dispatched",
-                deadline_ms=budget,
-            ),
-            "deadline_exceeded",
-        )
 
 
 def _deadline_slack_seconds(queue: Deque[PendingRequest]) -> Optional[float]:
@@ -319,14 +325,14 @@ class Tenant:
     ``breaker``)."""
 
     __slots__ = (
-        "key", "n_rows", "sink", "labels", "weight", "breaker", "queue", "busy", "served"
+        "key", "n_rows", "sinks", "labels", "weight", "breaker", "queue", "busy", "served"
     )
 
     def __init__(
         self,
         key: str,
         n_rows: int,
-        sink,
+        sinks: tuple,
         labels: Dict[str, str],
         *,
         weight: float = 1.0,
@@ -334,8 +340,8 @@ class Tenant:
     ) -> None:
         self.key = key
         self.n_rows = n_rows
-        #: telemetry the tenant's events are recorded in
-        self.sink = sink
+        #: outcome sinks of the tenant's requests (telemetry, SLO trackers)
+        self.sinks = sinks
         #: attributes stamped on the tenant's request traces
         self.labels = labels
         self.weight = weight
@@ -371,8 +377,8 @@ class SolveScheduler:
         into wider (cheaper per RHS) blocks at the price of queue-wait
         latency.
     telemetry:
-        Where the engine's events are recorded (a fresh
-        :class:`ServeTelemetry` by default).
+        The session tenant's :class:`ServeTelemetry` (a fresh one by
+        default); with a health monitor, its SLO tracker is a sink too.
     workers / name / obs:
         Pool size, thread and error-message name, and observability
         wiring; a session front takes the name and ``obs`` of its session.
@@ -410,8 +416,11 @@ class SolveScheduler:
         self._threads: List[threading.Thread] = []
         self._tenants: Dict[str, Tenant] = {}
         if session is not None:
+            sinks = (self.telemetry,)
+            if self.health is not None:
+                sinks += (self.health.tracker(self.name),)
             self._tenants[self.name] = Tenant(
-                self.name, session.n_rows, self.telemetry, {"session": self.name}
+                self.name, session.n_rows, sinks, {"session": self.name}
             )
 
     # ------------------------------------------------------------------ #
@@ -454,32 +463,25 @@ class SolveScheduler:
     def _submit(
         self, tenant: Tenant, b: np.ndarray, deadline_ms: Optional[float]
     ) -> "Future[ServeResult]":
-        sink = tenant.sink
-        try:
-            column = validate_rhs(b, tenant.n_rows)
-        except ValueError as exc:
-            failed: Future = Future()
-            failed.set_exception(exc)
-            sink.record_rejected()
-            if self.tracer is not None:
-                # Telemetry counts sync rejections as submitted+failed;
-                # mirror that with an immediately-closed span tree so the
-                # trace ledger reconciles against the counters.
-                RequestTrace.rejected(
-                    self.tracer, "rejected", error=repr(exc), **tenant.labels
-                )
-            return failed
-        request = PendingRequest(column, deadline_ms=deadline_ms)
+        # Every submit is counted before anything can resolve it, so the
+        # ledger never shows more outcomes than submits.
+        for sink in tenant.sinks:
+            sink.record_submitted()
+        request = PendingRequest(None, deadline_ms=deadline_ms, sinks=tenant.sinks)
         if self.tracer is not None:
             request.trace = RequestTrace(
                 self.tracer, deadline_ms=deadline_ms, **tenant.labels
             )
+        try:
+            request.b = validate_rhs(b, tenant.n_rows)
+        except ValueError as exc:
+            request.resolve(Outcome("rejected", failed=True), error=exc)
+            return request.future
         if request.expired:
             # Dead on arrival (non-positive budget): fail fast without
             # ever touching the queue — still through the future, so the
             # caller sees a single error surface.
-            sink.record_submitted()
-            _expire([request], sink)
+            request.expire()
             return request.future
         if request.trace is not None:
             # Admission decided before the queue append: once appended a
@@ -495,20 +497,17 @@ class SolveScheduler:
                 self._ensure_workers_locked()
                 self._wakeup.notify_all()
         if closed:
-            if request.trace is not None:
-                # Not counted by telemetry (the submit raises instead of
-                # failing a future), so the outcome is distinct from the
-                # counted admission rejections.
-                request.trace.finish("closed")
-            raise RuntimeError(
+            error = RuntimeError(
                 f"{type(self).__name__} {self.name!r} is closed; "
                 "no new requests accepted"
             )
+            request.resolve(Outcome("closed", failed=True), error=error)
+            raise error
         if rejection is not None:
-            if request.trace is not None:
-                request.trace.finish("rejected", reason=rejection.reason)
+            request.resolve(
+                Outcome("rejected", failed=True), error=rejection, reason=rejection.reason
+            )
             raise rejection
-        sink.record_submitted()
         return request.future
 
     def _admit_locked(self, tenant: Tenant) -> Optional[ReproServeError]:
@@ -547,16 +546,15 @@ class SolveScheduler:
             if self._closed and not any(t.is_alive() for t in self._threads):
                 return
             self._closed = True
-            abandoned = []
+            abandoned: List[PendingRequest] = []
             if not drain:
                 for tenant in self._tenants.values():
-                    abandoned.extend((tenant, r) for r in tenant.queue)
+                    abandoned.extend(tenant.queue)
                     tenant.queue.clear()
             threads = list(self._threads)
             self._wakeup.notify_all()
-        for tenant, request in abandoned:
+        for request in abandoned:
             request.drop(
-                tenant.sink,
                 RuntimeError(
                     f"{type(self).__name__} {self.name!r} closed before "
                     "the request was served"
@@ -627,7 +625,6 @@ class SolveScheduler:
             run_batch(
                 session,
                 batch,
-                tenant.sink,
                 tracer=self.tracer,
                 health=self.health,
                 component=session.name,
@@ -681,8 +678,9 @@ class SolveScheduler:
             if tenant.queue:
                 width = session.policy.block_width(len(tenant.queue))
                 popped = [tenant.queue.popleft() for _ in range(width)]
-        _expire(expired, tenant.sink)
-        return [request for request in popped if request.start(tenant.sink)]
+        for request in expired:
+            request.expire()
+        return [request for request in popped if request.start()]
 
 
 @dataclass
@@ -744,7 +742,6 @@ def _chain_probes(*probes):
 def run_batch(
     session: "OperatorSession",
     batch: List[PendingRequest],
-    telemetry: ServeTelemetry,
     *,
     tracer=None,
     tenant: Optional[str] = None,
@@ -758,12 +755,13 @@ def run_batch(
     assemble the column block, run the batched solve through
     ``session._solve_block`` (pinned context, pooled workspaces, one
     per-request control token per column), apply the width-1 retry
-    containment to non-converged columns, demultiplex per-column
-    :class:`ServeResult` objects into the request futures, and account
-    the batch in ``telemetry``.  Any exception from assembly or the solve
-    is forwarded to every future of the batch; this function itself never
-    raises.  Returns a :class:`BatchReport` the farm feeds into the
-    tenant's circuit breaker.
+    containment to non-converged columns, book the dispatch in the
+    batch's sinks (every request of a batch shares its tenant's), and
+    resolve each request with its :class:`ServeResult` column.  Any
+    exception from assembly or the solve is forwarded to every future of
+    the batch; this function itself never raises.  Returns a
+    :class:`BatchReport` the farm feeds into the tenant's circuit
+    breaker.
 
     When ``tracer`` (a :class:`repro.obs.Tracer`) is given, the dispatch
     is traced: one ``batch`` span with ``batch_assembly`` / ``solve`` /
@@ -805,8 +803,7 @@ def run_batch(
                 width=width,
             )
 
-    failed = 0
-    retried = 0
+    retried = set()
     report = BatchReport(width=width)
     solve_span = None
     assembly_span = (
@@ -882,13 +879,12 @@ def run_batch(
                     if retry_span is not None:
                         retry_span.finish(status=retry.status.name)
                 solve_times[c] += time.perf_counter() - start
-                retried += 1
+                retried.add(c)
         if solve_span is not None:
             solve_span.finish(block_iterations=multi.block_iterations)
     except Exception as exc:  # noqa: BLE001 - forwarded to the futures
         solve_seconds = time.perf_counter() - dispatched_at
         solve_times = [solve_seconds] * width
-        failed = width
         report.exception = exc
         # The span that was open when the exception hit: the solve's, or
         # the assembly's when the block could not be built.
@@ -902,36 +898,25 @@ def run_batch(
         )
     # Detector verdicts must land before the per-request finishes so a
     # flagged batch's deferred traces are retained by the tail rules, and
-    # the batch is booked before any future resolves, so a client holding
-    # its result also sees it counted.
+    # the dispatch is booked before any future resolves, so a client
+    # holding its result also sees the batch counted.
     alerts = 0 if watch is None else watch.alerts
     if health is not None:
         alerts += health.observe_batch(component, report, solve_seconds)
-    telemetry.record_batch(
-        queue_waits,
-        solve_times,
-        block_iterations=0 if failed else multi.block_iterations,
-        failed=failed,
-        retried=retried,
-        timed_out=sum(
-            1 for s in report.statuses if s == SolverStatus.TIMED_OUT
-        ),
-        cancelled=sum(
-            1 for s in report.statuses if s == SolverStatus.CANCELLED
-        ),
-    )
-    if failed:
+    failed = report.exception is not None
+    for sink in batch[0].sinks:
+        sink.record_dispatch(width, 0 if failed else multi.block_iterations)
+    if alerts:
         for request in batch:
-            fail_future(request.future, report.exception)
             if request.trace is not None:
-                if alerts:
-                    request.trace.mark_keep()
-                request.trace.finish("error", error=repr(report.exception))
+                request.trace.mark_keep()
+    if failed:
+        for c, request in enumerate(batch):
+            request.resolve(
+                Outcome("error", failed=True, queue_wait_s=queue_waits[c], solve_s=solve_times[c]),
+                error=report.exception,
+            )
     else:
-        if alerts:
-            for request in batch:
-                if request.trace is not None:
-                    request.trace.mark_keep()
         demux_span = (
             None if batch_span is None
             else tracer.start_span("demux", parent=batch_span)
@@ -946,9 +931,15 @@ def run_batch(
                 # with its (non-converged) batch result; only the
                 # retry error is recorded for this one column.
                 details["retry_error"] = repr(retry_errors[c])
-            complete_future(
-                request.future,
-                ServeResult(
+            request.resolve(
+                Outcome(
+                    column.status.name.lower(),
+                    failed=False,
+                    queue_wait_s=queue_waits[c],
+                    solve_s=solve_times[c],
+                    retried=c in retried,
+                ),
+                result=ServeResult(
                     x=column.x,
                     status=column.status,
                     iterations=column.iterations,
@@ -961,17 +952,14 @@ def run_batch(
                     batch_size=width,
                     details=details,
                 ),
+                iterations=column.iterations,
             )
-            if request.trace is not None:
-                request.trace.finish(
-                    column.status.name.lower(), iterations=column.iterations
-                )
         if demux_span is not None:
             demux_span.finish()
     if batch_span is not None:
         batch_span.finish(
-            failed=failed,
-            retried=retried,
+            failed=width if failed else 0,
+            retried=len(retried),
             statuses=[s.name for s in report.statuses],
         )
     return report

@@ -52,7 +52,7 @@ from ..solvers.result import MultiSolveResult, SolveResult
 from ..sparse.csr import CsrMatrix
 from .policy import BatchingPolicy
 from .scheduler import SolveScheduler, validate_rhs
-from .telemetry import ServeStats, ServeTelemetry, TelemetryFanout
+from .telemetry import ServeStats, ServeTelemetry
 
 __all__ = ["OperatorSession", "validate_rhs"]
 
@@ -179,13 +179,9 @@ class OperatorSession:
         #: every submitted request and dispatch with it).
         self.tracer = self.obs.tracer
         #: Optional HealthMonitor (explicit via obs=): the dispatch core
-        #: runs its detectors and the telemetry feeds its SLO tracker.
+        #: runs its detectors and every request also books its outcome in
+        #: the monitor's SLO tracker for this session.
         self.health = self.obs.health
-        if self.health is not None:
-            telemetry = TelemetryFanout(
-                telemetry if telemetry is not None else ServeTelemetry(),
-                self.health.tracker(self.name),
-            )
 
         # Pin the execution context: resolve the (possibly config-lazy)
         # backend of the *current* context into an explicit instance, so

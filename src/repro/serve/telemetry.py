@@ -1,12 +1,13 @@
 """Service telemetry: per-request latency, batch occupancy, throughput.
 
-The serve layer's observable surface.  A :class:`ServeTelemetry` records
-one stream of request events — a session's, or one farm tenant's, or a
+The serve layer's observable surface.  A request's *sinks* see
+``record_submitted()``, ``record_dispatch(width, block_iterations)`` and
+one terminal :class:`Outcome` via ``record(outcome)``; a
+:class:`ServeTelemetry` derives every :class:`ServeStats` counter from
+them for one stream of requests — a session's, one farm tenant's, or a
 farm's whole fleet (:class:`FarmTelemetry` holds one per tenant plus the
-fleet's and fans each event out to both).  It is updated from client
-threads (submits, rejections) and worker threads (dispatches, drops)
-under its own lock; :meth:`ServeTelemetry.snapshot` freezes everything
-into an immutable :class:`ServeStats` dataclass, which is what
+fleet's; a farm request books into both).  :meth:`ServeTelemetry.snapshot`
+freezes it into the immutable :class:`ServeStats` that
 ``benchmarks/_harness.py --serve`` dumps into ``BENCH_serve.json``.
 
 Latency accounting per request:
@@ -26,15 +27,15 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, Optional
 
 import numpy as np
 
 __all__ = [
     "LatencySummary",
+    "Outcome",
     "ServeStats",
     "ServeTelemetry",
-    "TelemetryFanout",
     "TenantStats",
     "FarmStats",
     "FarmTelemetry",
@@ -81,6 +82,35 @@ class LatencySummary:
             "p95_ms": self.p95_ms,
             "max_ms": self.max_ms,
         }
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """How one request ended — the single event every sink books.
+
+    ``name`` is the trace outcome: the lower-cased
+    :class:`~repro.solvers.result.SolverStatus` of a solved request,
+    otherwise ``deadline_exceeded``, ``cancelled``, ``abandoned``,
+    ``error``, ``rejected`` or ``closed``.  ``failed`` says the future
+    carries an exception, or that the client cancelled it while queued.
+    ``solve_s`` is ``None`` when the request never reached a solver.
+    """
+
+    name: str
+    failed: bool
+    queue_wait_s: float = 0.0
+    solve_s: Optional[float] = None
+    retried: bool = False
+
+    @property
+    def timed_out(self) -> bool:
+        """The request's deadline lapsed, in the queue or mid-solve."""
+        return self.name in ("deadline_exceeded", "timed_out")
+
+    @property
+    def latency_s(self) -> Optional[float]:
+        """Submit-to-resolution seconds of a solved request, else ``None``."""
+        return None if self.solve_s is None else self.queue_wait_s + self.solve_s
 
 
 @dataclass(frozen=True)
@@ -193,7 +223,7 @@ class ServeTelemetry:
         self._last_completion: Optional[float] = None
 
     # ------------------------------------------------------------------ #
-    # recording (called by the scheduler)                                #
+    # recording (the sink protocol)                                      #
     # ------------------------------------------------------------------ #
     def record_submitted(self) -> None:
         now = time.perf_counter()
@@ -202,81 +232,30 @@ class ServeTelemetry:
             if self._first_submit is None:
                 self._first_submit = now
 
-    def record_rejected(self) -> None:
-        """A request failed validation before ever entering the queue."""
-        with self._lock:
-            self._submitted += 1
-            self._failed += 1
-
-    def record_timeout(self) -> None:
-        """An already-submitted request expired in the queue.
-
-        The batch assembler found its deadline lapsed and failed it fast
-        with ``DeadlineExceededError`` — it was never dispatched.
-        """
-        with self._lock:
-            self._failed += 1
-            self._timed_out += 1
-
-    def record_cancelled(self) -> None:
-        """An already-submitted request was cancelled while queued.
-
-        Its future resolved as cancelled; the request was dropped before
-        dispatch and no solver work was spent on it.
-        """
-        with self._lock:
-            self._failed += 1
-            self._cancelled += 1
-
-    def record_abandoned(self) -> None:
-        """An already-submitted request was failed by a non-drain close."""
-        with self._lock:
-            self._failed += 1
-
-    def record_batch(
-        self,
-        queue_waits: List[float],
-        solve_seconds: "float | List[float]",
-        *,
-        block_iterations: int = 0,
-        failed: int = 0,
-        retried: int = 0,
-        timed_out: int = 0,
-        cancelled: int = 0,
-    ) -> None:
-        """Account one dispatched batch.
-
-        ``queue_waits`` has one entry per request in the batch;
-        ``solve_seconds`` is the batch solve wall time (a scalar shared by
-        every request, or one entry per request when sequential retries
-        gave some of them extra solve time); ``failed`` counts requests
-        whose future was resolved with an exception (the rest completed)
-        and ``retried`` those that went through the width-1 retry.
-        ``timed_out`` / ``cancelled`` count requests of this batch that
-        resolved with status ``TIMED_OUT`` / ``CANCELLED`` mid-solve —
-        they still count as completed (their future carries a result).
-        """
-        now = time.perf_counter()
-        occupancy = len(queue_waits)
-        if isinstance(solve_seconds, (int, float)):
-            solve_seconds = [float(solve_seconds)] * occupancy
-        if len(solve_seconds) != occupancy:
-            raise ValueError("solve_seconds must match the batch occupancy")
+    def record_dispatch(self, width: int, block_iterations: int) -> None:
+        """Account one batched solve of ``width`` requests."""
         with self._lock:
             self._batches += 1
-            self._occupancy[occupancy] = self._occupancy.get(occupancy, 0) + 1
-            self._completed += occupancy - failed
-            self._failed += failed
-            self._retried += retried
-            self._timed_out += timed_out
-            self._cancelled += cancelled
+            self._occupancy[width] = self._occupancy.get(width, 0) + 1
             self._block_iterations += block_iterations
-            self._queue_waits.extend(queue_waits)
-            self._solves.extend(solve_seconds)
-            self._latencies.extend(
-                w + s for w, s in zip(queue_waits, solve_seconds)
-            )
-            self._last_completion = now
+
+    def record(self, outcome: Outcome) -> None:
+        """Account one request's terminal :class:`Outcome`; a solved one
+        (``solve_s`` set) also adds its latency samples."""
+        now = time.perf_counter()
+        with self._lock:
+            if outcome.failed:
+                self._failed += 1
+            else:
+                self._completed += 1
+            self._retried += outcome.retried
+            self._timed_out += outcome.timed_out
+            self._cancelled += outcome.name == "cancelled"
+            if outcome.solve_s is not None:
+                self._queue_waits.append(outcome.queue_wait_s)
+                self._solves.append(outcome.solve_s)
+                self._latencies.append(outcome.latency_s)
+                self._last_completion = now
 
     # ------------------------------------------------------------------ #
     # reading                                                            #
@@ -305,50 +284,6 @@ class ServeTelemetry:
                 elapsed_seconds=elapsed,
                 block_iterations=self._block_iterations,
             )
-
-
-class TelemetryFanout:
-    """Forward the recording half of :class:`ServeTelemetry` to many sinks.
-
-    The farm accounts every event twice — once in the tenant's own
-    telemetry, once in the fleet-wide aggregate — so both levels report
-    exact counters and true (not re-derived) latency percentiles.  A
-    fanout bundles the two sinks behind the single-telemetry interface
-    :func:`~repro.serve.scheduler.run_batch` expects; ``snapshot()``
-    reads the *first* sink (the tenant).
-    """
-
-    def __init__(self, *sinks: ServeTelemetry) -> None:
-        if not sinks:
-            raise ValueError("TelemetryFanout needs at least one sink")
-        self._sinks = sinks
-
-    def record_submitted(self) -> None:
-        for sink in self._sinks:
-            sink.record_submitted()
-
-    def record_rejected(self) -> None:
-        for sink in self._sinks:
-            sink.record_rejected()
-
-    def record_timeout(self) -> None:
-        for sink in self._sinks:
-            sink.record_timeout()
-
-    def record_cancelled(self) -> None:
-        for sink in self._sinks:
-            sink.record_cancelled()
-
-    def record_abandoned(self) -> None:
-        for sink in self._sinks:
-            sink.record_abandoned()
-
-    def record_batch(self, queue_waits, solve_seconds, **kwargs) -> None:
-        for sink in self._sinks:
-            sink.record_batch(queue_waits, solve_seconds, **kwargs)
-
-    def snapshot(self) -> ServeStats:
-        return self._sinks[0].snapshot()
 
 
 @dataclass(frozen=True)
@@ -422,30 +357,21 @@ class FarmStats:
 class FarmTelemetry:
     """Thread-safe fleet-and-tenant accumulator of a solver farm.
 
-    Owns one :class:`ServeTelemetry` per tenant plus a fleet-wide one;
-    :meth:`sink` hands the farm a :class:`TelemetryFanout` recording into
-    both.  Registry lifecycle events (session creations, LRU evictions)
-    and admission rejections are counted here as well, so one
-    :meth:`snapshot` call captures the whole observable state of the
-    farm.
-
-    With an :class:`~repro.obs.slo.SloEngine` attached (``slo=``), every
-    sink additionally fans out into the engine's per-tenant
-    (``"<scope>/<key>"``) and fleet (``"<scope>"``) trackers — the SLO
-    ledger rides the existing fanout, no extra hook points in the farm.
+    Owns one :class:`ServeTelemetry` per tenant plus the fleet-wide
+    :attr:`fleet`; both are sinks of every farm request, so both levels
+    report exact counters and true (not re-derived) latency percentiles.
+    Admission rejections and LRU evictions are counted here per tenant;
+    :meth:`snapshot` combines everything with the farm's own state
+    (weights, queues, breakers, registry) into one :class:`FarmStats`.
     """
 
-    def __init__(self, *, slo=None, scope: str = "farm") -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._fleet = ServeTelemetry()
+        #: the fleet-wide sink every tenant's requests also book into
+        self.fleet = ServeTelemetry()
         self._tenants: Dict[str, ServeTelemetry] = {}
-        self._sinks: Dict[str, TelemetryFanout] = {}
         self._rejected: Dict[str, int] = {}
         self._evictions: Dict[str, int] = {}
-        self._breaker_trips: Dict[str, int] = {}
-        self._creations = 0
-        self._slo = slo
-        self._scope = scope
 
     # ------------------------------------------------------------------ #
     # recording                                                          #
@@ -458,74 +384,46 @@ class FarmTelemetry:
                 telemetry = self._tenants[key] = ServeTelemetry()
             return telemetry
 
-    def sink(self, key: str) -> TelemetryFanout:
-        """A recording sink feeding both ``key``'s telemetry and the fleet's."""
-        with self._lock:
-            fanout = self._sinks.get(key)
-            if fanout is None:
-                tenant = self._tenants.get(key)
-                if tenant is None:
-                    tenant = self._tenants[key] = ServeTelemetry()
-                sinks = [tenant, self._fleet]
-                if self._slo is not None:
-                    sinks.append(self._slo.tracker(f"{self._scope}/{key}"))
-                    sinks.append(self._slo.tracker(self._scope))
-                fanout = self._sinks[key] = TelemetryFanout(*sinks)
-            return fanout
-
     def record_rejected(self, key: str) -> None:
-        """One admission rejection (backpressure) for tenant ``key``."""
+        """One admission rejection (backpressure or open breaker) for
+        tenant ``key``; the request's outcome is booked by its sinks."""
         with self._lock:
             self._rejected[key] = self._rejected.get(key, 0) + 1
-        self.sink(key).record_rejected()
 
     def record_eviction(self, key: str) -> None:
         """The registry evicted ``key``'s warmed session."""
         with self._lock:
             self._evictions[key] = self._evictions.get(key, 0) + 1
 
-    def record_breaker_trip(self, key: str) -> None:
-        """``key``'s circuit breaker tripped (its session is quarantined)."""
-        with self._lock:
-            self._breaker_trips[key] = self._breaker_trips.get(key, 0) + 1
-
-    def record_creation(self, key: str) -> None:
-        """The registry built (or rebuilt after eviction) ``key``'s session."""
-        with self._lock:
-            self._creations += 1
-
     # ------------------------------------------------------------------ #
     # reading                                                            #
     # ------------------------------------------------------------------ #
-    @property
-    def evictions(self) -> int:
-        with self._lock:
-            return sum(self._evictions.values())
-
     def snapshot(
         self,
         *,
         weights: Optional[Dict[str, float]] = None,
         queue_depths: Optional[Dict[str, int]] = None,
+        breaker_trips: Optional[Dict[str, int]] = None,
         sessions_live: int = 0,
+        sessions_created: int = 0,
         estimated_session_bytes: int = 0,
     ) -> FarmStats:
         """Freeze everything into a :class:`FarmStats`.
 
-        ``weights`` / ``queue_depths`` carry the farm's current per-tenant
-        scheduling state (registered weight, queued requests), which lives
-        in the farm, not here; tenants missing from the maps default to
-        weight 1 and an empty queue.
+        ``weights`` / ``queue_depths`` / ``breaker_trips`` carry the
+        farm's current per-tenant state (registered weight, queued
+        requests, circuit-breaker trips), which lives in the farm, not
+        here; tenants missing from the maps default to weight 1, an empty
+        queue and no trips.
         """
         weights = weights or {}
         queue_depths = queue_depths or {}
+        breaker_trips = breaker_trips or {}
         with self._lock:
             tenant_telemetry = dict(self._tenants)
             rejected = dict(self._rejected)
             evictions = dict(self._evictions)
-            breaker_trips = dict(self._breaker_trips)
-            creations = self._creations
-        fleet = self._fleet.snapshot()
+        fleet = self.fleet.snapshot()
         total_weight = sum(weights.get(key, 1.0) for key in tenant_telemetry) or 1.0
         completed = fleet.requests_completed
         tenants: Dict[str, TenantStats] = {}
@@ -548,7 +446,7 @@ class FarmTelemetry:
             fleet=fleet,
             tenants=tenants,
             sessions_live=sessions_live,
-            sessions_created=creations,
+            sessions_created=sessions_created,
             evictions=sum(evictions.values()),
             rejections=sum(rejected.values()),
             breaker_trips=sum(breaker_trips.values()),

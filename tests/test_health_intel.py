@@ -52,7 +52,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.perfmodel.timer import KernelRecord
-from repro.serve import DeadlineExceededError, RejectedError
+from repro.serve import DeadlineExceededError, Outcome, RejectedError
 from repro.solvers import SolverStatus
 from repro.testing import FaultInjectingBackend, fault_injecting_session_factory
 from repro.backends import get_backend
@@ -61,6 +61,19 @@ from repro.backends import get_backend
 @pytest.fixture(scope="module")
 def matrix():
     return laplace2d(8)  # n = 64
+
+
+def book_batch(sink, width, wait_s, solve_s, *, failed=0, cancelled=0):
+    """Book one batch's outcomes in ``sink``: the first ``failed``
+    requests errored, the last ``cancelled`` were cancelled mid-solve,
+    the rest converged."""
+    names = (
+        ["error"] * failed
+        + ["converged"] * (width - failed - cancelled)
+        + ["cancelled"] * cancelled
+    )
+    for name in names:
+        sink.record(Outcome(name, name == "error", wait_s, solve_s))
 
 
 class FakeClock:
@@ -236,7 +249,7 @@ class TestSloEngine:
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
         # 10 requests, 1 failed: error rate 0.1 against a 0.01 budget.
-        tracker.record_batch([0.001] * 10, 0.002, failed=1)
+        book_batch(tracker, 10, 0.001, 0.002, failed=1)
         status = engine.status("svc")
         assert status.fast.total == 10
         assert status.fast.bad == 1
@@ -252,7 +265,7 @@ class TestSloEngine:
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
         # Hard outage: 20/20 failed -> burn 100x in both windows.
-        tracker.record_batch([0.001] * 20, 0.001, failed=20)
+        book_batch(tracker, 20, 0.001, 0.001, failed=20)
         status = engine.status("svc")
         assert status.burn_alert and status.breached
         assert status.error_budget_remaining == 0.0
@@ -268,7 +281,7 @@ class TestSloEngine:
         clock = FakeClock()
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
-        tracker.record_batch([0.001] * 5, 0.001, failed=5)
+        book_batch(tracker, 5, 0.001, 0.001, failed=5)
         clock.advance(101.0)
         status = engine.status("svc")
         assert status.slow.total == 0
@@ -278,8 +291,8 @@ class TestSloEngine:
         clock = FakeClock()
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
-        tracker.record_batch([0.001] * 4, 0.001, cancelled=2)
-        tracker.record_cancelled()
+        book_batch(tracker, 4, 0.001, 0.001, cancelled=2)
+        tracker.record(Outcome("cancelled", True))  # dropped while queued
         status = engine.status("svc")
         assert status.fast.total == 2  # only the two good completions count
         assert status.fast.availability == 1.0
@@ -294,7 +307,7 @@ class TestSloEngine:
         )
         engine = SloEngine(policy, clock=clock)
         tracker = engine.tracker("svc")
-        tracker.record_batch([0.005] * 20, 0.005)  # 10 ms >> 1 ms bound
+        book_batch(tracker, 20, 0.005, 0.005)  # 10 ms >> 1 ms bound
         status = engine.status("svc")
         assert status.fast.latency_p95_ms == pytest.approx(10.0)
         assert status.fast.latency_breached
@@ -304,10 +317,10 @@ class TestSloEngine:
         clock = FakeClock()
         engine = SloEngine(self.POLICY, clock=clock)
         tracker = engine.tracker("svc")
-        tracker.record_rejected()
-        tracker.record_timeout()
-        tracker.record_abandoned()
-        tracker.record_batch([0.001], 0.001)
+        tracker.record(Outcome("rejected", True))
+        tracker.record(Outcome("deadline_exceeded", True))
+        tracker.record(Outcome("abandoned", True))
+        book_batch(tracker, 1, 0.001, 0.001)
         status = engine.status("svc")
         assert status.fast.total == 4
         assert status.fast.bad == 3
@@ -481,7 +494,7 @@ class TestHealthMonitor:
             availability_target=0.99, fast_window_s=10.0, slow_window_s=100.0
         )
         monitor = HealthMonitor(policy, clock=clock)
-        monitor.tracker("svc").record_batch([0.001] * 20, 0.001, failed=20)
+        book_batch(monitor.tracker("svc"), 20, 0.001, 0.001, failed=20)
         report = monitor.health()
         assert report.state == "unhealthy"
         assert report.slo["svc"].breached
@@ -519,7 +532,7 @@ class TestHealthEndpoints:
     def test_healthz_and_slo_endpoints(self):
         reg = MetricsRegistry()
         monitor = HealthMonitor()
-        monitor.tracker("svc").record_batch([0.001], 0.002)
+        book_batch(monitor.tracker("svc"), 1, 0.001, 0.002)
         with start_metrics_server(port=0, registry=reg, health=monitor) as server:
             base = server.url.rsplit("/", 1)[0]
             with urllib.request.urlopen(base + "/healthz", timeout=10) as response:
@@ -551,7 +564,7 @@ class TestHealthEndpoints:
     def test_watch_health_publishes_slo_metrics(self):
         reg = MetricsRegistry()
         monitor = HealthMonitor()
-        monitor.tracker("svc").record_batch([0.001] * 4, 0.002, failed=1)
+        book_batch(monitor.tracker("svc"), 4, 0.001, 0.002, failed=1)
         monitor.ledger.emit("residual_spike", "warning", "svc", "spike")
         watch_health(monitor, registry=reg)
         text = prometheus_text(reg)

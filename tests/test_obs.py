@@ -44,6 +44,7 @@ from repro.obs import (
 from repro.obs.trace import _reset_default_tracer, default_tracer
 from repro.perfmodel.costs import CostEstimate
 from repro.perfmodel.timer import KernelTimer
+from repro.serve import RejectedError, SolverFarm
 from repro.serve.telemetry import LatencySummary
 from repro.solvers import SolverStatus, block_gmres, cg, gmres
 
@@ -221,14 +222,30 @@ class TestRequestTrace:
         names = {s.name for s in tracer.finished_spans()}
         assert names == {"request", "submit", "queued"}
 
-    def test_rejected_is_an_immediately_closed_tree(self):
+    def test_rejected_is_an_immediately_closed_tree(self, matrix):
+        # A queue_depth=1 farm whose worker holds the one queued request
+        # for a long batching window: the next submit is refused.
         tracer = Tracer()
-        RequestTrace.rejected(tracer, "rejected", reason="queue_full")
+        farm = SolverFarm(
+            workers=1,
+            queue_depth=1,
+            max_wait_ms=5000.0,
+            obs=Observability(tracer=tracer, registry=None),
+        )
+        farm.register("op", matrix, max_block=4, restart=8, tol=1e-8)
+        b = np.ones(matrix.n_rows)
+        with farm:
+            queued = farm.submit("op", b)
+            with pytest.raises(RejectedError):
+                farm.submit("op", b)
+            roots = [s for s in tracer.finished_spans() if s.name == "request"]
+            assert len(roots) == 1
+            assert roots[0].attrs["outcome"] == "rejected"
+            assert roots[0].attrs["reason"] == "queue_full"
+            farm.close(drain=False)
+        with pytest.raises(RuntimeError, match="closed"):
+            queued.result(timeout=10)
         assert tracer.open_spans == 0
-        roots = [s for s in tracer.finished_spans() if s.name == "request"]
-        assert len(roots) == 1
-        assert roots[0].attrs["outcome"] == "rejected"
-        assert roots[0].attrs["reason"] == "queue_full"
 
 
 # ---------------------------------------------------------------------- #

@@ -17,11 +17,13 @@ The contract under test (see the README's "Failure semantics" section):
 * an operator with consecutive hard failures is quarantined by its
   circuit breaker and readmitted through a half-open probe;
 * at quiescence every telemetry sink satisfies
-  ``submitted == completed + failed``.
+  ``submitted == completed + failed``, and a request's outcome is
+  booked before its future resolves (a done-callback already sees it).
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import CancelledError, Future, InvalidStateError
 
@@ -30,7 +32,7 @@ import pytest
 
 from repro.backends import get_backend
 from repro.matrices import laplace2d
-from repro.obs import RequestTrace, Tracer
+from repro.obs import Observability, RequestTrace, Tracer
 from repro.preconditioners.base import Preconditioner
 from repro.serve import (
     CircuitBreaker,
@@ -308,6 +310,23 @@ class TestSessionDeadlines:
             assert stats.batches_dispatched == 1  # only the blocker
             assert_accounted(stats)
 
+    def test_queue_expiry_is_booked_before_the_future_resolves(
+        self, front, matrix, rhs
+    ):
+        # Done-callbacks run inside set_exception, so what one reads from
+        # stats() is exactly what was booked before the future resolved.
+        seen = []
+        with front(matrix, **slow_kwargs()) as session:
+            blocker = session.submit(rhs)
+            doomed = session.submit(rhs, deadline_ms=20.0)
+            doomed.add_done_callback(
+                lambda _: seen.append(session.stats().requests_timed_out)
+            )
+            with pytest.raises(DeadlineExceededError):
+                doomed.result(timeout=30)
+            blocker.result(timeout=30)
+        assert seen == [1]
+
     def test_near_deadline_request_not_held_for_window(self, front, matrix, rhs):
         # Micro-batching window of 5 s, lone request with a 40 ms
         # deadline: the deadline-aware assembler must dispatch (or
@@ -419,6 +438,21 @@ class TestCloseRaces:
         assert stats.requests_cancelled == 1
         assert_accounted(stats)
 
+    def test_abandoned_request_is_booked_before_the_future_resolves(
+        self, front, matrix, rhs
+    ):
+        session = front(matrix, **slow_kwargs())
+        inflight = session.submit(rhs)
+        assert wait_until(inflight.running, timeout=10.0)
+        queued = session.submit(rhs)
+        seen = []
+        queued.add_done_callback(
+            lambda _: seen.append(session.stats().requests_failed)
+        )
+        session.close(drain=False, timeout=30)
+        assert seen == [1]
+        inflight.result(timeout=30)
+
     def test_close_is_idempotent(self, front, matrix, rhs):
         session = front(matrix)
         session.submit(rhs).result(timeout=30)
@@ -426,6 +460,22 @@ class TestCloseRaces:
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.submit(rhs)
+
+
+def test_closed_submit_is_counted_and_traced(matrix, rhs):
+    # A submit refused because the engine is closed is one counted,
+    # failed request with one finished span tree, like every other
+    # synchronous rejection.
+    tracer = Tracer()
+    session = make_session(matrix, obs=Observability(tracer=tracer, registry=None))
+    session.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        session.submit(rhs)
+    stats = session.stats()
+    roots = [s for s in tracer.finished_spans() if s.name == "request"]
+    assert len(roots) == stats.requests_submitted == stats.requests_failed == 1
+    assert roots[0].attrs["outcome"] == "closed"
+    assert tracer.open_spans == 0
 
 
 class TestFarmDeadlines(TestSessionDeadlines):
@@ -549,12 +599,12 @@ class TestBatchExceptionContainment:
         # and the failed batch leaves no span open.
         telemetry = ServeTelemetry()
         tracer = Tracer()
-        request = PendingRequest(np.ones(matrix.n_rows + 1))
+        request = PendingRequest(np.ones(matrix.n_rows + 1), sinks=(telemetry,))
         request.trace = RequestTrace(tracer, session="s")
         request.trace.submitted()
         assert request.future.set_running_or_notify_cancel()
         with make_session(matrix) as session:
-            report = run_batch(session, [request], telemetry, tracer=tracer)
+            report = run_batch(session, [request], tracer=tracer)
         assert isinstance(report.exception, ValueError)
         assert report.hard_failure
         with pytest.raises(ValueError):
@@ -614,6 +664,30 @@ class TestFarmResilience:
                 )
             )
         assert_accounted(farm.stats().fleet)
+
+    def test_failed_warmup_is_booked_before_the_future_resolves(self, matrix, rhs):
+        # The factory blocks until the callback is registered, so the
+        # callback runs inside the worker's drop, not after it.
+        release = threading.Event()
+
+        def broken_factory():
+            release.wait(timeout=10)
+            raise RuntimeError("warm-up failed")
+
+        farm = SolverFarm(workers=1, max_wait_ms=2.0)
+        farm.register("broken", factory=broken_factory, n_rows=matrix.n_rows)
+        seen = []
+        with farm:
+            future = farm.submit("broken", rhs)
+            future.add_done_callback(
+                lambda _: seen.append(
+                    farm.stats().tenants["broken"].serve.requests_failed
+                )
+            )
+            release.set()
+            with pytest.raises(RuntimeError, match="warm-up failed"):
+                future.result(timeout=10)
+        assert seen == [1]
 
     def test_breaker_quarantines_and_probe_readmits(self, matrix, rhs):
         faulty = FaultInjectingBackend(
