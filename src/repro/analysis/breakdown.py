@@ -40,6 +40,14 @@ class KernelBreakdown:
     def seconds(self, label: str) -> float:
         return self.seconds_by_label.get(label, 0.0)
 
+    def row_seconds(self, label: str) -> float:
+        """Seconds of one Table I row, the two derived totals included."""
+        if label == "Total Orthogonalization":
+            return self.orthogonalization_seconds
+        if label == "Total Time":
+            return self.total_seconds
+        return self.seconds(label)
+
     def fraction(self, label: str) -> float:
         """Share of the total time spent in one kernel bucket."""
         total = self.total_seconds

@@ -98,13 +98,8 @@ def speedup_table(
         comparison_name=comparison_name or comp.name,
     )
     for label in TABLE_I_ROWS:
-        if label == "Total Orthogonalization":
-            b, c = base.orthogonalization_seconds, comp.orthogonalization_seconds
-        elif label == "Total Time":
-            b, c = base.total_seconds, comp.total_seconds
-        else:
-            b, c = base.seconds(label), comp.seconds(label)
-            if b == 0.0 and c == 0.0:
-                continue
+        b, c = base.row_seconds(label), comp.row_seconds(label)
+        if b == 0.0 and c == 0.0 and not label.startswith("Total"):
+            continue
         table.rows.append(SpeedupRow(label=label, baseline_seconds=b, comparison_seconds=c))
     return table

@@ -48,6 +48,9 @@ __all__ = [
 
 _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {}
 _INSTANCES: Dict[str, KernelBackend] = {}
+#: Bumped by every :func:`register_backend`, so a resolution cached by an
+#: execution context can tell that a name may now map to another backend.
+_generation = 0
 
 
 def register_backend(
@@ -58,11 +61,13 @@ def register_backend(
     The factory is called lazily, once, on first :func:`get_backend` lookup.
     Registering an already-known name raises unless ``replace=True``.
     """
+    global _generation
     key = name.lower()
     if key in _FACTORIES and not replace:
         raise ValueError(f"backend {name!r} is already registered")
     _FACTORIES[key] = factory
     _INSTANCES.pop(key, None)
+    _generation += 1
 
 
 def available_backends() -> List[str]:

@@ -25,6 +25,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional, Union
 
+from .. import backends as _registry
 from ..backends import KernelBackend, get_backend
 from ..config import get_config
 from ..perfmodel.cache import CacheConfig
@@ -56,11 +57,12 @@ class ExecutionContext:
     backend:
         :class:`~repro.backends.KernelBackend` instance or registered name.
         When omitted, the backend is resolved *lazily* from the library
-        config on every access (``ReproConfig.backend``, seeded from the
-        ``REPRO_BACKEND`` environment variable), so a later
-        ``set_config(backend=...)`` takes effect without rebuilding the
-        context.  Passing an explicit backend pins it for this context's
-        lifetime (this is what :func:`use_backend` does).
+        config (``ReproConfig.backend``, seeded from the ``REPRO_BACKEND``
+        environment variable), so a later ``set_config(backend=...)`` or
+        ``register_backend(..., replace=True)`` takes effect on the next
+        kernel call without rebuilding the context.  Passing an explicit
+        backend pins it for this context's lifetime (this is what
+        :func:`use_backend` does).
     """
 
     def __init__(
@@ -85,17 +87,28 @@ class ExecutionContext:
             else KernelCostModel(device, cache_config=cache_config)
         )
         self._backend = None if backend is None else get_backend(backend)
+        # (config, registry generation, backend) of the last lazy lookup,
+        # replaced as one tuple so concurrent readers never see a mix.
+        self._resolved: tuple = (None, -1, None)
 
     @property
     def backend(self) -> KernelBackend:
         """The kernel backend this context dispatches to.
 
         Pinned if one was passed to the constructor, otherwise looked up
-        from the active library config on each access.
+        from the active library config, again only when the config object
+        (immutable, so replaced by every ``set_config``) or the backend
+        registry has changed since the last lookup.
         """
         if self._backend is not None:
             return self._backend
-        return get_backend(None)
+        cfg = get_config()
+        config, generation, backend = self._resolved
+        if config is not cfg or generation != _registry._generation:
+            generation = _registry._generation
+            backend = get_backend(cfg.backend)
+            self._resolved = (cfg, generation, backend)
+        return backend
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -107,12 +120,14 @@ class ExecutionContext:
 #: Process-global default context, shared by every thread without an override.
 _GLOBAL_CONTEXT: Optional[ExecutionContext] = None
 
-#: Per-thread override slot installed by the scoped context managers.
-_TLS = threading.local()
+
+class _Override(threading.local):
+    #: Per-thread override slot; the class default spares every lookup on
+    #: a thread without an override the cost of a failed attribute probe.
+    context: Optional[ExecutionContext] = None
 
 
-def _thread_override() -> Optional[ExecutionContext]:
-    return getattr(_TLS, "context", None)
+_TLS = _Override()
 
 
 def get_context() -> ExecutionContext:
@@ -122,7 +137,7 @@ def get_context() -> ExecutionContext:
     :func:`use_device` or :func:`use_backend`) wins; otherwise the
     process-global context is returned, created lazily from the config.
     """
-    override = _thread_override()
+    override = _TLS.context
     if override is not None:
         return override
     global _GLOBAL_CONTEXT
@@ -152,7 +167,7 @@ def use_context(context: ExecutionContext) -> Iterator[ExecutionContext]:
     session's context for the duration of each batch without touching what
     other threads see).  Nests; restores the previous override on exit.
     """
-    previous = _thread_override()
+    previous = _TLS.context
     _TLS.context = context
     try:
         yield context
@@ -172,7 +187,7 @@ def use_device(
     The kernel backend of the enclosing context is preserved, including
     its pinned-vs-config-lazy state.
     """
-    enclosing = _thread_override() or _GLOBAL_CONTEXT
+    enclosing = _TLS.context or _GLOBAL_CONTEXT
     context = ExecutionContext(
         device,
         meter=meter,

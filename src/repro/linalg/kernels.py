@@ -41,6 +41,15 @@ cost model entirely and run the raw backend call — an unmetered solve pays
 only for arithmetic.  Observable behaviour is unchanged (nothing would
 have been recorded anyway); only the bookkeeping overhead disappears.
 
+Metered path (``meter_kernels`` is on by default): two ``perf_counter``
+reads and a few dict lookups.  The precision name comes from a dict keyed
+by ``np.dtype`` (other dtypes fall back to
+:func:`~repro.precision.as_precision`, which raises for unsupported ones);
+the memoized cost model returns the estimate of the same kernel and sizes,
+equal to a fresh one and added in the same order, so modelled seconds are
+bit-for-bit those of an unmemoized run; each timer caches its bucket per
+raw label.
+
 Buffer-ownership rules (the ``out=`` contract):
 
 ==========================  ===========================================
@@ -69,8 +78,8 @@ from typing import Optional
 import numpy as np
 
 from ..perfmodel.costs import CostEstimate
-from ..perfmodel.timer import active_timers, timers_active
-from ..precision import as_precision
+from ..perfmodel.timer import _TLS as _TIMER_TLS
+from ..precision import DOUBLE, HALF, SINGLE, as_precision
 from ..sparse.csr import CsrMatrix
 from .context import get_context
 
@@ -100,16 +109,16 @@ class PrecisionMismatchError(TypeError):
     """Raised when a kernel receives operands of different precisions."""
 
 
-def _precision_name(dtype: np.dtype) -> str:
-    return as_precision(dtype).name
+#: Precision name of each kernel dtype: numpy's ``dtype.name`` costs
+#: microseconds, a dict lookup tens of nanoseconds.
+_PRECISION_NAMES = {p.dtype: p.name for p in (HALF, SINGLE, DOUBLE)}
 
 
 def _record(label: str, dtype: np.dtype, cost: CostEstimate, wall: float) -> None:
-    timers = active_timers()
-    if not timers:
-        return
-    prec = _precision_name(dtype)
-    for timer in timers:
+    prec = _PRECISION_NAMES.get(dtype)
+    if prec is None:
+        prec = as_precision(dtype).name
+    for timer in _TIMER_TLS.stack:
         timer.record(label, prec, cost, wall)
 
 
@@ -137,18 +146,13 @@ def spmv(
     x = np.asarray(x)
     _check_same_dtype(matrix.data, x)
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.spmv(matrix, x, out=out)
     start = time.perf_counter()
     y = ctx.backend.spmv(matrix, x, out=out)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.spmv(
-        matrix.n_rows,
-        matrix.n_cols,
-        matrix.nnz,
-        matrix.dtype.itemsize,
-        matrix.bandwidth(),
-    )
+    sizes = (matrix.n_rows, matrix.n_cols, matrix.nnz, matrix.dtype.itemsize, matrix.bandwidth())
+    cost = ctx.cost_model.estimate(("spmv", *sizes))
     _record(label, matrix.dtype, cost, wall)
     return y
 
@@ -171,19 +175,13 @@ def spmm(
     X = np.asarray(X)
     _check_same_dtype(matrix.data, X)
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.spmm(matrix, X, out=out)
     start = time.perf_counter()
     Y = ctx.backend.spmm(matrix, X, out=out)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.spmm(
-        matrix.n_rows,
-        matrix.n_cols,
-        matrix.nnz,
-        X.shape[1],
-        matrix.dtype.itemsize,
-        matrix.bandwidth(),
-    )
+    sizes = (matrix.n_rows, matrix.n_cols, matrix.nnz, X.shape[1], matrix.dtype.itemsize)
+    cost = ctx.cost_model.estimate(("spmm", *sizes, matrix.bandwidth()))
     _record(label, matrix.dtype, cost, wall)
     return Y
 
@@ -206,12 +204,12 @@ def gemv_transpose(
     w = np.asarray(w)
     dtype = _check_same_dtype(V, w)
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.gemv_transpose(V, w, out=out)
     start = time.perf_counter()
     h = ctx.backend.gemv_transpose(V, w, out=out)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.gemv(V.shape[0], V.shape[1], dtype.itemsize, trans=True)
+    cost = ctx.cost_model.estimate(("gemv", *V.shape, dtype.itemsize, True))
     _record(label, dtype, cost, wall)
     return h
 
@@ -237,12 +235,12 @@ def gemv_notrans(
     h = np.asarray(h)
     dtype = _check_same_dtype(V, h, np.asarray(w))
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.gemv_notrans(V, h, w, alpha=alpha, work=work)
     start = time.perf_counter()
     w = ctx.backend.gemv_notrans(V, h, w, alpha=alpha, work=work)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.gemv(V.shape[0], V.shape[1], dtype.itemsize, trans=False)
+    cost = ctx.cost_model.estimate(("gemv", *V.shape, dtype.itemsize, False))
     _record(label, dtype, cost, wall)
     return w
 
@@ -264,14 +262,12 @@ def gemm_transpose(
     W = np.asarray(W)
     dtype = _check_same_dtype(V, W)
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.gemm_transpose(V, W, out=out)
     start = time.perf_counter()
     H = ctx.backend.gemm_transpose(V, W, out=out)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.gemm(
-        V.shape[0], V.shape[1], W.shape[1], dtype.itemsize, trans=True
-    )
+    cost = ctx.cost_model.estimate(("gemm", *V.shape, W.shape[1], dtype.itemsize, True))
     _record(label, dtype, cost, wall)
     return H
 
@@ -297,14 +293,12 @@ def gemm_notrans(
     H = np.asarray(H)
     dtype = _check_same_dtype(V, H, np.asarray(W))
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.gemm_notrans(V, H, W, alpha=alpha, work=work)
     start = time.perf_counter()
     W = ctx.backend.gemm_notrans(V, H, W, alpha=alpha, work=work)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.gemm(
-        V.shape[0], V.shape[1], H.shape[1], dtype.itemsize, trans=False
-    )
+    cost = ctx.cost_model.estimate(("gemm", *V.shape, H.shape[1], dtype.itemsize, False))
     _record(label, dtype, cost, wall)
     return W
 
@@ -318,12 +312,12 @@ def dot(x: np.ndarray, y: np.ndarray, *, label: str = "Norm") -> float:
     y = np.asarray(y)
     dtype = _check_same_dtype(x, y)
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.dot(x, y)
     start = time.perf_counter()
     value = ctx.backend.dot(x, y)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.dot(x.size, dtype.itemsize)
+    cost = ctx.cost_model.estimate(("dot", x.size, dtype.itemsize))
     _record(label, dtype, cost, wall)
     return value
 
@@ -338,13 +332,13 @@ def norm2(x: np.ndarray, *, label: str = "Norm") -> float:
     x = np.asarray(x)
     dtype = x.dtype
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.norm2(x)
     start = time.perf_counter()
     # Accumulation happens in the working dtype (backend contract).
     value = ctx.backend.norm2(x)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.norm2(x.size, dtype.itemsize)
+    cost = ctx.cost_model.estimate(("norm2", x.size, dtype.itemsize))
     _record(label, dtype, cost, wall)
     return value
 
@@ -366,12 +360,12 @@ def axpy(
     x = np.asarray(x)
     dtype = _check_same_dtype(x, np.asarray(y))
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.axpy(alpha, x, y, work=work)
     start = time.perf_counter()
     y = ctx.backend.axpy(alpha, x, y, work=work)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.axpy(x.size, dtype.itemsize)
+    cost = ctx.cost_model.estimate(("axpy", x.size, dtype.itemsize))
     _record(label, dtype, cost, wall)
     return y
 
@@ -380,12 +374,12 @@ def scal(alpha: float, x: np.ndarray, *, label: str = "scal") -> np.ndarray:
     """``x *= alpha`` in place (metered under "Other")."""
     x = np.asarray(x)
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.scal(alpha, x)
     start = time.perf_counter()
     x = ctx.backend.scal(alpha, x)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.scal(x.size, x.dtype.itemsize)
+    cost = ctx.cost_model.estimate(("scal", x.size, x.dtype.itemsize))
     _record(label, x.dtype, cost, wall)
     return x
 
@@ -396,12 +390,12 @@ def copy(x: np.ndarray, out: Optional[np.ndarray] = None, *, label: str = "copy"
     if out is not None:
         _check_same_dtype(x, np.asarray(out))
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.copy(x, out=out)
     start = time.perf_counter()
     result = ctx.backend.copy(x, out=out)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.copy(x.size, x.dtype.itemsize)
+    cost = ctx.cost_model.estimate(("copy", x.size, x.dtype.itemsize))
     _record(label, x.dtype, cost, wall)
     return result
 
@@ -435,7 +429,7 @@ def cast(
             f"cast output buffer has dtype {out.dtype.name}, expected {prec.dtype.name}"
         )
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         if out is None:
             return x.astype(prec.dtype)
         np.copyto(out, x, casting="unsafe")
@@ -447,7 +441,7 @@ def cast(
         np.copyto(out, x, casting="unsafe")
         result = out
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.cast(x.size, x.dtype.itemsize, prec.bytes)
+    cost = ctx.cost_model.estimate(("cast", x.size, x.dtype.itemsize, prec.bytes))
     # Record under the *wider* precision so mixed casts are attributed
     # consistently; they all land in the "Other" bucket anyway.
     wide = x.dtype if x.dtype.itemsize >= prec.bytes else prec.dtype
@@ -473,12 +467,12 @@ def diag_scale(
     x = np.asarray(x)
     dtype = _check_same_dtype(scale, x)
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.diag_scale(scale, x, out=out)
     start = time.perf_counter()
     result = ctx.backend.diag_scale(scale, x, out=out)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.axpy(x.size, dtype.itemsize)
+    cost = ctx.cost_model.estimate(("axpy", x.size, dtype.itemsize))
     _record(label, dtype, cost, wall)
     return result
 
@@ -505,18 +499,13 @@ def block_diag_solve(
     if k != k2 or x.size != n_blocks * k:
         raise ValueError("block_diag_solve: inconsistent block/vector shapes")
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return ctx.backend.block_diag_solve(inv_blocks, x, out=out)
     start = time.perf_counter()
     result = ctx.backend.block_diag_solve(inv_blocks, x, out=out)
     wall = time.perf_counter() - start
-    cost = ctx.cost_model.spmv(
-        n_rows=x.size,
-        n_cols=x.size,
-        nnz=n_blocks * k * k,
-        value_bytes=dtype.itemsize,
-        matrix_bandwidth=k,
-    )
+    # A blocked SpMV with n_blocks * k * k nonzeros and bandwidth k.
+    cost = ctx.cost_model.estimate(("spmv", x.size, x.size, n_blocks * k * k, dtype.itemsize, k))
     _record(label, dtype, cost, wall)
     return result
 
@@ -527,26 +516,26 @@ def block_diag_solve(
 def meter_cast(n: int, from_bytes: int, to_bytes: int, *, label: str = "cast") -> None:
     """Charge the cost of converting ``n`` values without doing it here."""
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return
-    cost = ctx.cost_model.cast(n, from_bytes, to_bytes)
-    dtype = np.dtype(np.float64 if max(from_bytes, to_bytes) >= 8 else np.float32)
+    cost = ctx.cost_model.estimate(("cast", n, from_bytes, to_bytes))
+    dtype = DOUBLE.dtype if max(from_bytes, to_bytes) >= 8 else SINGLE.dtype
     _record(label, dtype, cost, 0.0)
 
 
 def meter_host_dense(work_elements: int, *, label: str = "host", wall: float = 0.0) -> None:
     """Charge a small host-side dense operation (Givens sweep etc.)."""
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return
-    cost = ctx.cost_model.host_dense_op(work_elements)
-    _record(label, np.dtype(np.float64), cost, wall)
+    cost = ctx.cost_model.estimate(("host_dense_op", work_elements))
+    _record(label, DOUBLE.dtype, cost, wall)
 
 
 def meter_host_transfer(nbytes: float, *, label: str = "host") -> None:
     """Charge a host↔device transfer of ``nbytes`` bytes."""
     ctx = get_context()
-    if not (ctx.meter and timers_active()):
+    if not (ctx.meter and _TIMER_TLS.stack):
         return
-    cost = ctx.cost_model.host_transfer(nbytes)
-    _record(label, np.dtype(np.float64), cost, 0.0)
+    cost = ctx.cost_model.estimate(("host_transfer", nbytes))
+    _record(label, DOUBLE.dtype, cost, 0.0)

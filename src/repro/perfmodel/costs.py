@@ -23,12 +23,21 @@ refinements are layered on top:
   efficiency table is calibrated against the per-kernel speedups the paper
   reports in Table I (GEMV-T 1.28×, norm 1.15×, GEMV-N 1.57×), and is a
   documented, overridable parameter of the model.
+
+Memoization: :meth:`KernelCostModel.estimate` prices a distinct ``(kernel,
+size-args)`` once and returns the same :class:`CostEstimate` afterwards.
+The memo is per model instance (models with different devices or
+efficiencies never share entries; treat a model's parameters as fixed once
+it has priced a call), is cleared past :data:`MEMO_LIMIT` entries so a
+long-lived context serving many shapes stays bounded, and needs no lock:
+dict reads and writes are atomic under the GIL, and a lost insert only
+recomputes an identical value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
 from .cache import CacheConfig, estimate_x_reuse
 from .device import DeviceSpec, get_device
@@ -37,7 +46,7 @@ from .spmv_model import INDEX_BYTES, spmv_traffic
 __all__ = ["CostEstimate", "KernelCostModel", "DEFAULT_EFFICIENCY"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostEstimate:
     """Outcome of one kernel-cost evaluation."""
 
@@ -91,6 +100,11 @@ DEFAULT_EFFICIENCY: Dict[str, Dict[int, float]] = {
 }
 
 
+#: Distinct ``(kernel, size-args)`` estimates one model keeps; past this
+#: the memo is cleared and refills with the shapes still in use.
+MEMO_LIMIT = 4096
+
+
 class KernelCostModel:
     """Analytic kernel timing for a modelled device.
 
@@ -122,6 +136,21 @@ class KernelCostModel:
             for kernel, table in efficiency.items():
                 eff.setdefault(kernel, {}).update(table)
         self.efficiency = eff
+        self._memo: Dict[tuple, CostEstimate] = {}
+
+    def estimate(self, key: tuple) -> CostEstimate:
+        """Memoized ``getattr(self, key[0])(*key[1:])``, the metered kernels' entry.
+
+        ``key`` is a cost method's name followed by its positional
+        arguments, e.g. ``("gemv", n_rows, n_cols, value_bytes, trans)``.
+        """
+        memo = self._memo
+        estimate = memo.get(key)
+        if estimate is None:
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            estimate = memo[key] = getattr(self, key[0])(*key[1:])
+        return estimate
 
     # ------------------------------------------------------------------ #
     # helpers                                                            #
@@ -203,7 +232,7 @@ class KernelCostModel:
         )
 
     def gemv(
-        self, n_rows: int, n_cols: int, value_bytes: int, *, trans: bool
+        self, n_rows: int, n_cols: int, value_bytes: int, trans: bool
     ) -> CostEstimate:
         """Tall-skinny dense GEMV.
 
@@ -237,7 +266,7 @@ class KernelCostModel:
         )
 
     def gemm(
-        self, n_rows: int, n_cols: int, k: int, value_bytes: int, *, trans: bool
+        self, n_rows: int, n_cols: int, k: int, value_bytes: int, trans: bool
     ) -> CostEstimate:
         """Tall-skinny dense GEMM against a ``k``-column block of vectors.
 

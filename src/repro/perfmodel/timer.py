@@ -32,7 +32,6 @@ __all__ = [
     "KernelRecord",
     "KernelTimer",
     "active_timer",
-    "timers_active",
     "push_timer",
     "pop_timer",
     "use_timer",
@@ -68,7 +67,7 @@ def canonical_label(label: str) -> str:
     return _CANONICAL.get(label.lower(), label)
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelRecord:
     """Accumulated statistics for one (label, precision) bucket."""
 
@@ -113,6 +112,9 @@ class KernelTimer:
     def __init__(self, name: str = "timer") -> None:
         self.name = name
         self._records: Dict[Tuple[str, str], KernelRecord] = {}
+        # (raw label, precision) -> its canonical-label bucket, so the
+        # label is canonicalized once per raw spelling, not once per call.
+        self._buckets: Dict[Tuple[str, str], KernelRecord] = {}
 
     # ------------------------------------------------------------------ #
     # recording                                                          #
@@ -125,12 +127,10 @@ class KernelTimer:
         wall_seconds: float = 0.0,
     ) -> None:
         """Add one kernel call to the (label, precision) bucket."""
-        label = canonical_label(label)
-        key = (label, precision)
-        rec = self._records.get(key)
+        rec = self._buckets.get((label, precision))
         if rec is None:
-            rec = KernelRecord(label=label, precision=precision)
-            self._records[key] = rec
+            rec = self._bucket(canonical_label(label), precision)
+            self._buckets[(label, precision)] = rec
         rec.calls += 1
         rec.model_seconds += cost.seconds
         rec.wall_seconds += wall_seconds
@@ -203,39 +203,40 @@ class KernelTimer:
     def merge_from(self, other: "KernelTimer") -> None:
         """Fold another timer's records into this one."""
         for (label, prec), rec in other._records.items():
-            key = (label, prec)
-            mine = self._records.get(key)
-            if mine is None:
-                self._records[key] = KernelRecord(
-                    label=label,
-                    precision=prec,
-                    calls=rec.calls,
-                    model_seconds=rec.model_seconds,
-                    wall_seconds=rec.wall_seconds,
-                    bytes=rec.bytes,
-                    flops=rec.flops,
-                )
-            else:
-                mine.calls += rec.calls
-                mine.model_seconds += rec.model_seconds
-                mine.wall_seconds += rec.wall_seconds
-                mine.bytes += rec.bytes
-                mine.flops += rec.flops
+            mine = self._bucket(label, prec)
+            mine.calls += rec.calls
+            mine.model_seconds += rec.model_seconds
+            mine.wall_seconds += rec.wall_seconds
+            mine.bytes += rec.bytes
+            mine.flops += rec.flops
+
+    def _bucket(self, label: str, precision: str) -> KernelRecord:
+        """The record of a canonical ``(label, precision)``, created empty."""
+        rec = self._records.get((label, precision))
+        if rec is None:
+            rec = self._records[(label, precision)] = KernelRecord(label, precision)
+        return rec
 
     def reset(self) -> None:
         self._records.clear()
+        self._buckets.clear()
 
     def summary(self) -> str:
-        """Human-readable per-label summary (modelled seconds)."""
-        lines = [f"KernelTimer({self.name!r}): total {self.total_model_seconds():.6f} modelled s"]
+        """Human-readable per-label summary: modelled and host wall seconds."""
+        lines = [
+            f"KernelTimer({self.name!r}): total {self.total_model_seconds():.6f} "
+            f"modelled s, {self.total_wall_seconds():.6f} host s"
+        ]
         by_label = self.model_seconds_by_label()
+        wall = self.wall_seconds_by_label()
         calls = self.calls_by_label()
         # Stable order: descending modelled time, label name breaking ties
         # (equal-cost labels otherwise land in dict-insertion order, which
         # varies with the kernel call sequence).
         for label in sorted(by_label, key=lambda lab: (-by_label[lab], lab)):
             lines.append(
-                f"  {label:<18s} {by_label[label]:12.6f} s  ({calls[label]} calls)"
+                f"  {label:<18s} {by_label[label]:12.6f} model s "
+                f"{wall[label]:12.6f} host s  ({calls[label]} calls)"
             )
         return "\n".join(lines)
 
@@ -252,48 +253,35 @@ class KernelTimer:
 # that thread's kernel calls.  This lets the serve-layer dispatcher meter #
 # its batched solves without leaking records into experiment timers       #
 # running concurrently on client threads (and vice versa).                #
-# Single-threaded behaviour is unchanged.                                 #
+# Single-threaded behaviour is unchanged.  The kernels read `_TLS.stack`  #
+# directly: an empty stack sends them down the unmetered fast path.       #
 # ---------------------------------------------------------------------- #
-_TLS = threading.local()
+class _Stack(threading.local):
+    def __init__(self) -> None:  # runs once per thread, on first access
+        self.stack: List[KernelTimer] = []
 
 
-def _stack() -> List[KernelTimer]:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = _TLS.stack = []
-    return stack
+_TLS = _Stack()
 
 
 def active_timer() -> Optional[KernelTimer]:
     """The innermost active timer of this thread, or ``None``."""
-    stack = _stack()
+    stack = _TLS.stack
     return stack[-1] if stack else None
 
 
 def active_timers() -> List[KernelTimer]:
     """All timers currently on this thread's stack (outermost first)."""
-    return list(_stack())
-
-
-def timers_active() -> bool:
-    """True when at least one timer is on the calling thread's stack.
-
-    The instrumented kernels probe this before touching ``perf_counter`` or
-    the cost model: a solve with no observer (and metering disabled) runs
-    the raw backend call and nothing else — the "metering fast path".
-    Unlike :func:`active_timers` this allocates no list, so it is safe to
-    call once per kernel invocation.
-    """
-    return bool(getattr(_TLS, "stack", None))
+    return list(_TLS.stack)
 
 
 def push_timer(timer: KernelTimer) -> KernelTimer:
-    _stack().append(timer)
+    _TLS.stack.append(timer)
     return timer
 
 
 def pop_timer() -> KernelTimer:
-    stack = _stack()
+    stack = _TLS.stack
     if not stack:
         raise RuntimeError("timer stack is empty")
     return stack.pop()

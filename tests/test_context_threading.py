@@ -11,17 +11,21 @@ Two satellite guarantees pinned explicitly:
   (frozen) snapshot, never a half-updated config.
 
 Plus the same thread-locality for the kernel-timer stack (a timer pushed
-on one thread must not observe another thread's kernel calls).
+on one thread must not observe another thread's kernel calls), and the
+caches behind the metered kernel path: a config-lazy context's backend
+resolution, the cost model's per-instance memo and the dtype-keyed
+precision lookup.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from repro.backends import ScipyBackend, get_backend, register_backend
 from repro.config import ReproConfig, get_config, rng, set_config
 from repro.linalg import kernels
 from repro.linalg.context import (
@@ -33,7 +37,9 @@ from repro.linalg.context import (
     use_device,
 )
 from repro.matrices import laplace2d
+from repro.perfmodel.costs import MEMO_LIMIT, KernelCostModel
 from repro.perfmodel.timer import KernelTimer, use_timer
+from repro.solvers import gmres_ir
 
 
 class TestUseBackendNesting:
@@ -229,3 +235,110 @@ class TestTimerThreadLocality:
         for t in threads:
             t.join(timeout=10)
         assert counts == {0: 1, 1: 2, 2: 3, 3: 4}
+
+
+class _CountingScipy(ScipyBackend):
+    def __init__(self) -> None:
+        super().__init__()
+        self.spmv_calls = 0
+
+    def spmv(self, matrix, x, out=None):
+        self.spmv_calls += 1
+        return super().spmv(matrix, x, out=out)
+
+
+def _ledger(timer):
+    return {
+        (r.label, r.precision): (r.calls, r.model_seconds.hex(), r.bytes, r.flops)
+        for r in timer.records
+    }
+
+
+class TestMeteringCaches:
+    def test_lazy_context_follows_config_and_registry_changes(self):
+        matrix = laplace2d(6)
+        x = np.ones(matrix.n_rows)
+        set_config(backend="numpy")
+        ctx = get_context()
+        kernels.spmv(matrix, x)  # resolves, and caches, the numpy backend
+        assert ctx.backend.name == "numpy"
+
+        set_config(backend="scipy")
+        kernels.spmv(matrix, x)
+        assert get_context() is ctx and ctx.backend.name == "scipy"
+
+        counting = _CountingScipy()
+        register_backend("scipy", lambda: counting, replace=True)
+        try:
+            kernels.spmv(matrix, x)
+            assert counting.spmv_calls == 1
+            assert ctx.backend is counting
+        finally:
+            register_backend("scipy", ScipyBackend, replace=True)
+        kernels.spmv(matrix, x)
+        assert counting.spmv_calls == 1
+        assert isinstance(ctx.backend, ScipyBackend) and ctx.backend is not counting
+
+    def test_cost_models_never_share_memo_entries(self):
+        base = KernelCostModel("v100")
+        slow_gemv = KernelCostModel("v100", efficiency={"gemv_t": {8: 0.5}})
+        other_device = KernelCostModel("a100")
+        key = ("gemv", 4096, 20, 8, True)
+        first = base.estimate(key)
+        assert base.estimate(key) is first  # memoized within one model
+        assert first == base.gemv(4096, 20, 8, trans=True)
+        for model in (slow_gemv, other_device):
+            estimate = model.estimate(key)
+            assert estimate == model.gemv(4096, 20, 8, trans=True)
+            assert estimate.seconds != first.seconds
+        assert base.estimate(key) is first
+
+    def test_memo_is_bounded(self):
+        model = KernelCostModel("v100")
+        for n in range(MEMO_LIMIT + 10):
+            model.estimate(("axpy", n + 1, 8))
+        assert 0 < len(model._memo) <= MEMO_LIMIT
+        assert model.estimate(("axpy", 7, 8)) == model.axpy(7, 8)
+
+    def test_concurrent_metering_matches_serial_run(self):
+        matrix = laplace2d(12)
+        b = np.ones(matrix.n_rows)
+        serial = _ledger(gmres_ir(matrix, b, restart=10, tol=1e-10).timer)
+        get_context().cost_model._memo.clear()  # the threads race to refill it
+        n_threads = 4
+        start = threading.Barrier(n_threads)
+        ledgers = {}
+
+        def worker(i):
+            # Own matrix per thread: the backend's cached SpMV scratch is
+            # per matrix and not shared-safe; the context and its cost
+            # model, the state under test, are shared.
+            own = laplace2d(12)
+            start.wait(timeout=10)
+            ledgers[i] = [
+                _ledger(gmres_ir(own, b, restart=10, tol=1e-10).timer) for _ in range(3)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-way through lookups
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert ledgers == {i: [serial] * 3 for i in range(n_threads)}
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_unusual_dtype_raises_through_the_fallback(self, dtype):
+        with use_timer(KernelTimer("t")):
+            with pytest.raises(ValueError, match="unsupported dtype"):
+                kernels.norm2(np.ones(4, dtype=dtype))
+
+    def test_non_native_byte_order_still_named_by_precision(self):
+        with use_timer(KernelTimer("t")) as timer:
+            kernels.norm2(np.ones(4, dtype=">f8"))
+        assert [(r.label, r.precision) for r in timer.records] == [("Norm", "double")]

@@ -88,6 +88,12 @@ class TestFigure4TableI:
         assert speedups["SpMV"] > 1.8
         assert speedups["Total Time"] > 1.0
         assert 1.0 < speedups["Total Orthogonalization"] < 2.0
+        # Host wall seconds of the metered kernels ride next to the model.
+        rows = {row["kernel"]: row for row in report.rows}
+        for side in ("double", "IR"):
+            host = {label: row[f"{side} [host s]"] for label, row in rows.items()}
+            assert all(seconds > 0.0 for seconds in host.values())
+            assert host["Total Time"] >= host["Total Orthogonalization"] + host["SpMV"]
 
 
 class TestFigures6and7:

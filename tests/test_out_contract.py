@@ -31,6 +31,7 @@ from repro.linalg import kernels
 from repro.linalg.context import set_context
 from repro.linalg.multivector import MultiVector
 from repro.matrices import laplace3d
+from repro.perfmodel.timer import KernelTimer, use_timer
 from repro.ortho import make_ortho_manager
 from repro.preconditioners.base import IdentityPreconditioner
 from repro.preconditioners.block_jacobi import BlockJacobiPreconditioner
@@ -331,8 +332,22 @@ def test_steady_state_gmres_cycle_is_allocation_free(backend):
     scalars (norm results, Givens rotations) are allowed; they are orders of
     magnitude smaller than a vector.
     """
+    _assert_gmres_cycle_allocation_free(backend, meter=False)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_metered_steady_state_gmres_cycle_is_allocation_free(backend):
+    """The same proof with metering on and a timer observing every kernel:
+    once the warmup has filled the cost-model memo and the timer's label
+    buckets, recording a call allocates nothing that outlives it."""
+    with use_timer(KernelTimer("metered cycle")) as timer:
+        _assert_gmres_cycle_allocation_free(backend, meter=True)
+    assert timer.calls_by_label()["SpMV"] == 7 * 30
+
+
+def _assert_gmres_cycle_allocation_free(backend, *, meter):
     set_config(backend=backend)
-    set_context(meter=False)
+    set_context(meter=meter)
     matrix = laplace3d(20)  # n = 8000: one fp64 vector is 64 KB
     n = matrix.n_rows
     restart = 30

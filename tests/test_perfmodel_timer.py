@@ -119,9 +119,11 @@ class TestKernelTimer:
 
     def test_summary_contains_labels(self):
         t = KernelTimer("solver")
-        t.record("spmv", "double", cost(1.0))
+        t.record("spmv", "double", cost(1.0), wall_seconds=0.25)
         text = t.summary()
         assert "solver" in text and "SpMV" in text
+        # Modelled and host wall seconds side by side (Table I, Aim 1).
+        assert text.splitlines()[1].split()[:5] == ["SpMV", "1.000000", "model", "s", "0.250000"]
 
     def test_wall_clock_context(self):
         t = KernelTimer("t")
