@@ -22,8 +22,9 @@ Three cooperating pieces, all off the hot path by default:
 On top of the raw streams sits the health intelligence layer:
 
 * **SLO engine** (:mod:`repro.obs.slo`): declarative availability +
-  latency objectives evaluated per tenant and fleet-wide over sliding
-  windows with multi-window burn-rate alerting.
+  latency objectives evaluated per session, tenant and fleet over
+  sliding windows of the serve layer's outcome ledgers, with
+  multi-window burn-rate alerting.
 * **Anomaly detectors** (:mod:`repro.obs.anomaly`): convergence
   stagnation / residual spikes from the probe stream, latency spikes,
   breaker flapping, queue saturation and cost-model drift — all feeding
@@ -72,7 +73,7 @@ from .health import (
     watch_health,
 )
 from .log import LOGGER_NAME, get_logger, log_event
-from .slo import SloEngine, SloPolicy, SloStatus, SloTracker, WindowReport
+from .slo import SloEngine, SloPolicy, SloStatus, WindowReport
 from .metrics import (
     METRIC_NAME_RE,
     METRIC_NAMES,
@@ -117,7 +118,6 @@ __all__ = [
     # SLOs
     "SloPolicy",
     "SloEngine",
-    "SloTracker",
     "SloStatus",
     "WindowReport",
     # anomaly detection
@@ -174,8 +174,9 @@ class Observability:
     benchmark uses as its baseline.
 
     ``health`` is explicit-only (default ``None``): pass a
-    :class:`HealthMonitor` to book every served request's outcome in its
-    SLO trackers, run its anomaly detectors in the dispatch loop, and have
+    :class:`HealthMonitor` to have served requests book their outcomes in
+    its per-scope ledgers (which ``stats()`` then also reads), run its
+    anomaly detectors in the dispatch loop, and have
     farms register themselves for breaker/queue health.
     """
 

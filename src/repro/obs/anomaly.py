@@ -1,4 +1,4 @@
-"""Anomaly detectors over the PR-9 telemetry streams.
+"""Anomaly detectors over the serve and solver telemetry streams.
 
 Each detector watches one raw stream the stack already produces and
 turns pathological patterns into typed :class:`Alert` records:
@@ -338,7 +338,7 @@ class BreakerFlapDetector:
     """Circuit-breaker trip pattern detector.
 
     Fed with cumulative per-operator trip counts (from
-    ``FarmTelemetry``/``FarmStats``), it alerts on every *new* trip
+    :class:`~repro.serve.telemetry.FarmStats`), it alerts on every *new* trip
     (warning) and escalates to ``breaker_flapping`` (critical) when an
     operator trips ``flap_threshold`` times within ``flap_window_s`` —
     the open → half-open probe → open again loop that means the operator

@@ -32,7 +32,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .anomaly import (
     AlertLedger,
@@ -41,7 +41,10 @@ from .anomaly import (
     LatencySpikeDetector,
     cost_model_drift,
 )
-from .slo import SloEngine, SloPolicy, SloStatus, SloTracker
+from .slo import SloEngine, SloPolicy, SloStatus
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from ..serve.telemetry import ServeTelemetry
 
 __all__ = [
     "HEALTH_STATES",
@@ -149,8 +152,9 @@ class HealthMonitor:
         with self._lock:
             self._timers.append((weakref.ref(timer), -float("inf")))
 
-    def tracker(self, scope: str) -> SloTracker:
-        """The scope's SLO tracker (registers the scope as a component)."""
+    def tracker(self, scope: str) -> "ServeTelemetry":
+        """The scope's outcome ledger (registers the scope as a component);
+        a scheduler wired to this monitor books into and reads from it."""
         self.register_component(scope)
         return self.slo.tracker(scope)
 

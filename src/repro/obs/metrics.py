@@ -2,12 +2,13 @@
 
 Counters, gauges and histograms behind a :class:`MetricsRegistry`, plus
 *collectors* — callbacks run at scrape time that mirror the stack's
-existing snapshot state (:class:`~repro.serve.telemetry.ServeTelemetry`,
-:class:`~repro.serve.telemetry.FarmTelemetry`, circuit-breaker states,
-registry occupancy, :class:`~repro.perfmodel.timer.KernelTimer` records)
-into instruments.  The pull model keeps the serve hot paths untouched:
-nothing is published per request; ``prometheus_text()`` samples whatever
-the telemetry already maintains.
+existing snapshot state (session and farm ``stats()``, read from the
+:class:`~repro.serve.telemetry.ServeTelemetry` outcome ledgers,
+circuit-breaker states, registry occupancy,
+:class:`~repro.perfmodel.timer.KernelTimer` records) into instruments.
+The pull model keeps the serve hot paths untouched: nothing is published
+per request; ``prometheus_text()`` samples whatever the ledgers already
+maintain.
 
 Metric names are validated at creation against the project convention —
 snake_case with a ``repro_`` prefix (:data:`METRIC_NAME_RE`) — and the

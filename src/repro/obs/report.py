@@ -34,6 +34,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .slo import nearest_rank
+
 __all__ = ["load_trace", "check_trace", "render_report", "main"]
 
 #: Nesting slack in microseconds: exported timestamps are rounded to
@@ -163,14 +165,6 @@ def check_trace(spans: List[TraceSpan], instants: List[dict]) -> List[str]:
     return problems
 
 
-def _percentile(values: List[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-    return ordered[index]
-
-
 def _ms(us: float) -> str:
     return f"{us / 1e3:.3f} ms"
 
@@ -185,7 +179,7 @@ def _stage_table(rows: List[Tuple[str, List[float]]]) -> List[str]:
         lines.append(
             f"  {stage:<16} {len(durations):>6} "
             f"{_ms(sum(durations) / len(durations)):>12} "
-            f"{_ms(_percentile(durations, 0.95)):>12} "
+            f"{_ms(nearest_rank(sorted(durations), 0.95)):>12} "
             f"{_ms(max(durations)):>12}"
         )
     return lines
@@ -298,8 +292,8 @@ def render_report(
         for tenant, durations in sorted(by_tenant.items()):
             lines.append(
                 f"  {tenant:<24} {len(durations):>6} "
-                f"{_ms(_percentile(durations, 0.50)):>12} "
-                f"{_ms(_percentile(durations, 0.95)):>12} "
+                f"{_ms(nearest_rank(sorted(durations), 0.50)):>12} "
+                f"{_ms(nearest_rank(sorted(durations), 0.95)):>12} "
                 f"{_ms(max(durations)):>12}"
             )
 

@@ -1,14 +1,11 @@
 """Sliding-window SLO evaluation with multi-window burn-rate alerting.
 
 A :class:`SloPolicy` declares the objectives — availability over the
-served/failed ledger, optional latency quantile bounds — and the two
-evaluation windows.  A :class:`SloTracker` is an outcome *sink*, listed
-among a served request's sinks next to its telemetry:
-:meth:`repro.serve.scheduler.PendingRequest.resolve` books the request's
-:class:`~repro.serve.telemetry.Outcome` in it, one ledger entry per
-request.  The :class:`SloEngine` owns one tracker per scope (``"farm"``,
-``"farm/tenant"``, a session name, …) and evaluates the policy over both
-windows on demand.
+served/failed outcomes, optional latency quantile bounds — and the two
+evaluation windows.  The outcomes live in each scope's
+:class:`~repro.serve.telemetry.ServeTelemetry` ledger, the object its
+``stats()`` read too: :meth:`SloEngine.tracker` gets or creates it, and
+:func:`window_report` evaluates one window of its entries.
 
 Multi-window burn-rate alerting follows the SRE-workbook shape: the
 *fast* window (default 5 min) catches sharp regressions quickly, the
@@ -19,42 +16,44 @@ the scope is consuming budget exactly as fast as the policy allows,
 ``14.4`` (the default fast threshold) means a 30-day budget would be
 gone in ~2 days.
 
+A window sees only the outcomes its ledger retains
+(:data:`~repro.serve.telemetry.LEDGER_CAPACITY`, 16384): above ~4.5
+requests/s the default 1 h slow window is bounded by count, not time.
+
 All timestamps are monotonic (``time.monotonic``), never wall-clock, so
 windows are immune to clock steps; tests inject a fake clock.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
-
-from collections import deque
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import get_config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..serve.telemetry import Outcome
+    from ..serve.telemetry import Outcome, ServeTelemetry
 
 __all__ = [
     "SloPolicy",
-    "SloTracker",
     "SloEngine",
     "WindowReport",
     "SloStatus",
+    "nearest_rank",
+    "window_report",
 ]
 
-#: Bound on per-tracker event retention (oldest events fall off first;
-#: the slow window is also pruned by time, this is the memory backstop).
-DEFAULT_EVENT_CAPACITY = 16384
 
-
-def _quantile(ordered: List[float], q: float) -> float:
-    """Nearest-rank quantile of an already-sorted list (0.0 for empty)."""
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of an already-sorted sequence: the
+    smallest value with at least ``q`` of the samples at or below it
+    (0.0 for empty)."""
     if not ordered:
         return 0.0
-    index = min(len(ordered) - 1, max(0, int(q * len(ordered))))
+    index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
     return ordered[index]
 
 
@@ -166,101 +165,57 @@ class SloStatus:
         }
 
 
-class SloTracker:
-    """Per-scope sliding ledger of (timestamp, latency, goodness) events.
+def window_report(
+    entries: Sequence[Tuple[float, "Outcome"]], policy: SloPolicy, window_s: float
+) -> WindowReport:
+    """Evaluate ``policy`` over one window's ledger ``entries``.
 
-    An outcome sink of the serve layer: :meth:`record` ledgers one
-    request's :class:`~repro.serve.telemetry.Outcome`.  Timeouts (queued
-    or mid-solve) and failures are bad, other solved requests good.
-    Client cancellations are *neutral* (latency kept for the quantiles,
-    excluded from availability): the client changed its mind, the
-    service did nothing wrong.
+    Timeouts (queued or mid-solve) and failures are bad, other outcomes
+    good.  Client cancellations are *neutral* (latency kept for the
+    quantiles, excluded from availability): the client changed its mind,
+    the service did nothing wrong.
     """
-
-    __slots__ = ("_lock", "_clock", "_events")
-
-    def __init__(
-        self,
-        *,
-        capacity: int = DEFAULT_EVENT_CAPACITY,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._lock = threading.Lock()
-        self._clock = clock
-        #: (t_monotonic, latency_s or None, good: Optional[bool])
-        self._events: Deque[Tuple[float, Optional[float], Optional[bool]]] = deque(
-            maxlen=max(64, int(capacity))
-        )
-
-    # -- the outcome-sink protocol --------------------------------------- #
-    def record_submitted(self) -> None:
-        """No-op: admission is not an outcome."""
-
-    def record_dispatch(self, width: int, block_iterations: int) -> None:
-        """No-op: the dispatch shape is throughput detail, not an SLO input."""
-
-    def record(self, outcome: "Outcome") -> None:
-        """Ledger one request's terminal outcome."""
+    total = bad = 0
+    latencies: List[float] = []
+    for _, outcome in entries:
+        latency = outcome.latency_s
+        if latency is not None:
+            latencies.append(latency * 1e3)
         if outcome.name == "cancelled":
-            good: Optional[bool] = None
-        else:
-            good = not (outcome.failed or outcome.timed_out)
-        event = (self._clock(), outcome.latency_s, good)
-        with self._lock:
-            self._events.append(event)
-
-    # -- evaluation ------------------------------------------------------ #
-    def events_since(
-        self, cutoff: float
-    ) -> List[Tuple[float, Optional[float], Optional[bool]]]:
-        with self._lock:
-            return [event for event in self._events if event[0] >= cutoff]
-
-    def window(self, policy: SloPolicy, window_s: float, now: float) -> WindowReport:
-        """Evaluate ``policy`` over the trailing ``window_s`` seconds."""
-        events = self.events_since(now - window_s)
-        total = bad = 0
-        latencies: List[float] = []
-        for _, latency, good in events:
-            if latency is not None:
-                latencies.append(latency * 1e3)
-            if good is None:
-                continue
-            total += 1
-            if not good:
-                bad += 1
-        availability = 1.0 if total == 0 else (total - bad) / total
-        error_rate = 0.0 if total == 0 else bad / total
-        burn_rate = error_rate / policy.error_budget
-        latencies.sort()
-        p50 = _quantile(latencies, 0.50)
-        p95 = _quantile(latencies, 0.95)
-        p99 = _quantile(latencies, 0.99)
-        latency_breached = bool(
+            continue
+        total += 1
+        if outcome.failed or outcome.timed_out:
+            bad += 1
+    availability = 1.0 if total == 0 else (total - bad) / total
+    error_rate = 0.0 if total == 0 else bad / total
+    latencies.sort()
+    p95 = nearest_rank(latencies, 0.95)
+    p99 = nearest_rank(latencies, 0.99)
+    return WindowReport(
+        window_s=window_s,
+        total=total,
+        bad=bad,
+        availability=availability,
+        error_rate=error_rate,
+        burn_rate=error_rate / policy.error_budget,
+        latency_p50_ms=nearest_rank(latencies, 0.50),
+        latency_p95_ms=p95,
+        latency_p99_ms=p99,
+        latency_breached=bool(
             (policy.latency_p95_ms > 0 and p95 > policy.latency_p95_ms)
             or (policy.latency_p99_ms > 0 and p99 > policy.latency_p99_ms)
-        )
-        return WindowReport(
-            window_s=window_s,
-            total=total,
-            bad=bad,
-            availability=availability,
-            error_rate=error_rate,
-            burn_rate=burn_rate,
-            latency_p50_ms=p50,
-            latency_p95_ms=p95,
-            latency_p99_ms=p99,
-            latency_breached=latency_breached,
-        )
+        ),
+    )
 
 
 class SloEngine:
-    """Per-scope :class:`SloTracker` registry + policy evaluation.
+    """Per-scope outcome ledgers + policy evaluation.
 
     Scopes are free-form strings; the serve wiring uses the farm name for
     the fleet, ``"<farm>/<tenant>"`` per tenant, and the session name for
-    a standalone session.  ``tracker(scope)`` is get-or-create so sinks
-    can be built before any traffic exists.
+    a standalone session, so two live sessions with the same name share
+    one ledger.  ``tracker(scope)`` is get-or-create so a scheduler can
+    take its ledger before any traffic exists.
     """
 
     def __init__(
@@ -272,27 +227,31 @@ class SloEngine:
         self.policy = policy if policy is not None else SloPolicy.from_config()
         self._clock = clock
         self._lock = threading.Lock()
-        self._trackers: Dict[str, SloTracker] = {}
+        self._ledgers: Dict[str, "ServeTelemetry"] = {}
 
-    def tracker(self, scope: str) -> SloTracker:
+    def tracker(self, scope: str) -> "ServeTelemetry":
+        """The scope's outcome ledger, stamped with the engine's clock."""
+        from ..serve.telemetry import ServeTelemetry  # serve imports obs
+
         with self._lock:
-            tracker = self._trackers.get(scope)
-            if tracker is None:
-                tracker = SloTracker(clock=self._clock)
-                self._trackers[scope] = tracker
-            return tracker
+            ledger = self._ledgers.get(scope)
+            if ledger is None:
+                ledger = self._ledgers[scope] = ServeTelemetry(clock=self._clock)
+            return ledger
 
     def scopes(self) -> List[str]:
         with self._lock:
-            return sorted(self._trackers)
+            return sorted(self._ledgers)
 
     def status(self, scope: str, *, now: Optional[float] = None) -> SloStatus:
         """Evaluate one scope against the policy (both windows)."""
         now = self._clock() if now is None else now
         policy = self.policy
-        tracker = self.tracker(scope)
-        fast = tracker.window(policy, policy.fast_window_s, now)
-        slow = tracker.window(policy, policy.slow_window_s, now)
+        ledger = self.tracker(scope)
+        fast, slow = (
+            window_report(ledger.outcomes_since(now - window_s), policy, window_s)
+            for window_s in (policy.fast_window_s, policy.slow_window_s)
+        )
         burn_alert = (
             fast.burn_rate >= policy.fast_burn_threshold
             and slow.burn_rate >= policy.slow_burn_threshold

@@ -29,22 +29,22 @@ Pieces
     GEMVs); overridable via ``ReproConfig.serve.policy``.
 :class:`Outcome` / :class:`ServeTelemetry` / :class:`ServeStats`
     Every request ends in one :class:`Outcome`, booked by
-    :meth:`PendingRequest.resolve` in each of the request's sinks
-    (telemetry and, with a health monitor, SLO trackers) before its future
-    resolves.  :class:`ServeTelemetry` derives per-request
-    queue-wait/solve latency, the batch-occupancy histogram and the
-    throughput counters from those events, snapshotted as an immutable
-    dataclass (dumped by ``benchmarks/_harness.py --serve`` into
-    ``BENCH_serve.json``).
+    :meth:`PendingRequest.resolve` in the :class:`ServeTelemetry` ledger
+    of each of its scopes before its future resolves.  A ledger keeps
+    lifetime counters plus a time-stamped ring of outcomes; its snapshot
+    (per-request queue-wait/solve latency, the batch-occupancy histogram,
+    throughput) is the immutable :class:`ServeStats` dumped by
+    ``benchmarks/_harness.py --serve`` into ``BENCH_serve.json``, and
+    with a health monitor the same ledger feeds the SLO windows.
 
 :class:`SolverFarm` / :class:`SessionRegistry`
     The multi-tenant form, a :class:`SolveScheduler` subclass: many
     operators registered by key, warmed sessions LRU-cached under a
     session-count/byte budget, bounded per-tenant queues with
     :class:`RejectedError` backpressure, and a shared worker pool with
-    weighted-fair dispatch.  Fleet and per-tenant
-    accounting via :class:`FarmTelemetry` / :class:`FarmStats`: each
-    request books into its tenant's telemetry and the fleet's
+    weighted-fair dispatch.  Each farm request books into its tenant's
+    ledger and the fleet's; :class:`FarmStats` / :class:`TenantStats`
+    snapshot both levels plus the farm's own state
     (``benchmarks/_harness.py --farm`` → ``BENCH_farm.json``).
 
 Fault tolerance (see the README's "Failure semantics" section)
@@ -93,7 +93,6 @@ from .scheduler import PendingRequest, ServeFuture, ServeResult, SolveScheduler
 from .session import OperatorSession
 from .telemetry import (
     FarmStats,
-    FarmTelemetry,
     LatencySummary,
     Outcome,
     ServeStats,
@@ -130,7 +129,6 @@ __all__ = [
     "Outcome",
     "ServeTelemetry",
     "ServeStats",
-    "FarmTelemetry",
     "FarmStats",
     "TenantStats",
     "LatencySummary",

@@ -29,8 +29,10 @@ adds:
   weighted round-robin, so a hot tenant cannot starve the others beyond
   its weight); under ``"fifo"`` the tenant holding the oldest request;
 * **two-level telemetry** — every request books its outcome in the
-  tenant's own :class:`~repro.serve.telemetry.ServeTelemetry` *and* the
-  fleet-wide one (plus both levels' SLO trackers under a health monitor);
+  tenant's own :class:`~repro.serve.telemetry.ServeTelemetry` ledger
+  (scope ``"<farm>/<tenant>"``) *and* the fleet-wide one (scope
+  ``"<farm>"``); under a health monitor those are the monitor's ledgers
+  for the two scopes, so SLOs and stats read the same objects.
   :meth:`SolverFarm.stats` snapshots the whole farm (per-tenant RHS/s,
   queue depths, fairness shares, evictions, breaker trips) as a
   :class:`~repro.serve.telemetry.FarmStats`.
@@ -66,7 +68,7 @@ from .errors import CircuitOpenError, RejectedError, ReproServeError
 from .registry import SessionRegistry
 from .scheduler import BatchReport, ServeResult, SolveScheduler, Tenant, run_batch
 from .session import OperatorSession
-from .telemetry import FarmStats, FarmTelemetry
+from .telemetry import FarmStats, TenantStats
 
 __all__ = ["RejectedError", "CircuitOpenError", "SolverFarm", "FAIRNESS_MODES"]
 
@@ -143,7 +145,6 @@ class SolverFarm(SolveScheduler):
         )
         super().__init__(
             max_wait_ms=cfg.max_wait_ms if max_wait_ms is None else float(max_wait_ms),
-            telemetry=FarmTelemetry(),
             workers=cfg.workers if workers is None else int(workers),
             name=name,
             obs=obs,
@@ -152,7 +153,6 @@ class SolverFarm(SolveScheduler):
             self.health.watch_farm(self)
 
         def _on_evict(key: str) -> None:
-            self.telemetry.record_eviction(key)
             log_event(_LOGGER, "session_evicted", farm=self.name, tenant=key)
 
         self.registry = SessionRegistry(
@@ -225,14 +225,10 @@ class SolverFarm(SolveScheduler):
                 raise RuntimeError("farm is closed")
             tenant = self._tenants.get(key)
             if tenant is None:
-                sinks = (self.telemetry.tenant(key), self.telemetry.fleet)
-                if self.health is not None:
-                    slo = self.health.slo
-                    sinks += (slo.tracker(f"{self.name}/{key}"), slo.tracker(self.name))
                 self._tenants[key] = Tenant(
                     key,
                     rows,
-                    sinks,
+                    (self._ledger(f"{self.name}/{key}"), self.telemetry),
                     {"farm": self.name, "tenant": key},
                     weight=float(weight),
                     breaker=CircuitBreaker(
@@ -290,13 +286,12 @@ class SolverFarm(SolveScheduler):
                 key=tenant.key,
                 retry_after_ms=hint,
             )
-        self.telemetry.record_rejected(tenant.key)
+        tenant.rejected += 1
         return rejection
 
     def _retry_after_ms_locked(self, tenant: Tenant) -> float:
         """Drain-time estimate for one queue-depth of backlog (a hint)."""
-        stats = self.telemetry.tenant(tenant.key).snapshot()
-        per_batch_ms = stats.solve.mean_ms
+        per_batch_ms = tenant.sinks[0].snapshot().solve.mean_ms
         if per_batch_ms <= 0.0:
             per_batch_ms = max(self.max_wait_seconds * 1e3, 1.0)
         session = self.registry.peek(tenant.key)
@@ -317,16 +312,38 @@ class SolverFarm(SolveScheduler):
     # introspection                                                      #
     # ------------------------------------------------------------------ #
     def stats(self) -> FarmStats:
-        """Snapshot the whole farm: fleet + per-tenant + registry state."""
+        """Snapshot the whole farm: fleet + per-tenant + registry state.
+
+        Fleet and tenants each read their own ledger; evictions per
+        tenant come from the registry."""
         with self._lock:
-            tenants = dict(self._tenants)
-            depths = {k: len(t.queue) for k, t in tenants.items()}
-        return self.telemetry.snapshot(
-            weights={k: t.weight for k, t in tenants.items()},
-            queue_depths=depths,
-            breaker_trips={k: t.breaker.trips for k, t in tenants.items()},
+            tenants = [(t, len(t.queue), t.rejected) for t in self._tenants.values()]
+        fleet = self.telemetry.snapshot()
+        evictions = self.registry.evictions_by_key()
+        total_weight = sum(t.weight for t, _, _ in tenants) or 1.0
+        completed = fleet.requests_completed
+        per_tenant: Dict[str, TenantStats] = {}
+        for tenant, depth, rejected in tenants:
+            serve = tenant.sinks[0].snapshot()
+            per_tenant[tenant.key] = TenantStats(
+                key=tenant.key,
+                weight=tenant.weight,
+                queue_depth=depth,
+                rejected=rejected,
+                evictions=evictions.get(tenant.key, 0),
+                breaker_trips=tenant.breaker.trips,
+                fairness_share=serve.requests_completed / completed if completed else 0.0,
+                expected_share=tenant.weight / total_weight,
+                serve=serve,
+            )
+        return FarmStats(
+            fleet=fleet,
+            tenants=per_tenant,
             sessions_live=self.registry.live_count,
             sessions_created=self.registry.creations,
+            evictions=sum(evictions.values()),
+            rejections=sum(t.rejected for t in per_tenant.values()),
+            breaker_trips=sum(t.breaker_trips for t in per_tenant.values()),
             estimated_session_bytes=self.registry.estimated_bytes(),
         )
 

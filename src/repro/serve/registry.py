@@ -47,7 +47,7 @@ class SessionRegistry:
         oversized operator is served, not wedged.
     on_evict:
         Optional ``callable(key)`` run after each eviction (the farm
-        counts and logs it per tenant).
+        logs it).
 
     Sessions are built *under the registry lock*: concurrent requests for
     the same cold key warm it exactly once, at the price of serializing
@@ -73,7 +73,7 @@ class SessionRegistry:
         self._factories: Dict[str, Callable[[], "OperatorSession"]] = {}
         # Insertion order = recency order: oldest (LRU) first.
         self._sessions: "OrderedDict[str, OperatorSession]" = OrderedDict()
-        self._evictions = 0
+        self._evictions: Dict[str, int] = {}
         self._creations = 0
 
     # ------------------------------------------------------------------ #
@@ -144,7 +144,12 @@ class SessionRegistry:
     def evictions(self) -> int:
         """Lifetime count of sessions evicted (budget or explicit)."""
         with self._lock:
-            return self._evictions
+            return sum(self._evictions.values())
+
+    def evictions_by_key(self) -> Dict[str, int]:
+        """Lifetime evictions per operator key (keys never evicted absent)."""
+        with self._lock:
+            return dict(self._evictions)
 
     @property
     def creations(self) -> int:
@@ -174,7 +179,7 @@ class SessionRegistry:
 
     def _evict_locked(self, key: str) -> None:
         session = self._sessions.pop(key)
-        self._evictions += 1
+        self._evictions[key] = self._evictions.get(key, 0) + 1
         # release(), not close(): a farm worker mid-dispatch on this
         # session finishes its batch; the warmed state is freed when the
         # last reference drops (see module docstring).
@@ -207,5 +212,5 @@ class SessionRegistry:
         with self._lock:
             return (
                 f"<SessionRegistry live={len(self._sessions)}/{self.max_sessions} "
-                f"registered={len(self._factories)} evictions={self._evictions}>"
+                f"registered={len(self._factories)} evictions={self.evictions}>"
             )

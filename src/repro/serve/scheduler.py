@@ -25,8 +25,9 @@ registered operator, ``workers`` workers, admission control and weighted
 priority.  Every request — solved, failed, expired, cancelled,
 abandoned or rejected at ``submit()`` — ends in
 :meth:`PendingRequest.resolve`, which books one
-:class:`~repro.serve.telemetry.Outcome` in the request's sinks before it
-sets the future and finishes the trace.
+:class:`~repro.serve.telemetry.Outcome` in the request's sinks — the
+:class:`~repro.serve.telemetry.ServeTelemetry` ledgers of its scopes —
+before it sets the future and finishes the trace.
 
 Failure isolation: a request that fails *validation* (wrong shape,
 non-finite entries — which would poison the shared Krylov basis of every
@@ -234,7 +235,7 @@ class PendingRequest:
             self.control = SolveControl.with_timeout(self.deadline_ms)
         self.future: ServeFuture = ServeFuture(self.control)
         self.enqueued_at = time.perf_counter()
-        #: where the outcome is booked: telemetry and SLO trackers
+        #: where the outcome is booked: the ledgers of the request's scopes
         self.sinks = sinks
         #: :class:`repro.obs.RequestTrace` when the owner traces, else None.
         self.trace = None
@@ -321,11 +322,12 @@ def _deadline_slack_seconds(queue: Deque[PendingRequest]) -> Optional[float]:
 
 class Tenant:
     """Engine-side state of one tenant queue: a session's only one, or one
-    farm operator's (the farm also uses ``weight``, ``served`` and
-    ``breaker``)."""
+    farm operator's (the farm also uses ``weight``, ``served``,
+    ``rejected`` and ``breaker``)."""
 
     __slots__ = (
-        "key", "n_rows", "sinks", "labels", "weight", "breaker", "queue", "busy", "served"
+        "key", "n_rows", "sinks", "labels", "weight", "breaker", "queue", "busy",
+        "served", "rejected",
     )
 
     def __init__(
@@ -340,7 +342,8 @@ class Tenant:
     ) -> None:
         self.key = key
         self.n_rows = n_rows
-        #: outcome sinks of the tenant's requests (telemetry, SLO trackers)
+        #: outcome ledgers of the tenant's requests: ``(session,)`` for a
+        #: session, ``(tenant, fleet)`` for a farm operator
         self.sinks = sinks
         #: attributes stamped on the tenant's request traces
         self.labels = labels
@@ -352,6 +355,8 @@ class Tenant:
         self.busy = False
         #: requests dispatched, the numerator of the farm's deficit ratio
         self.served = 0
+        #: submits refused by admission control (full queue, open breaker)
+        self.rejected = 0
 
 
 class SolveScheduler:
@@ -376,9 +381,6 @@ class SolveScheduler:
         latency/throughput dial: larger windows coalesce sparser traffic
         into wider (cheaper per RHS) blocks at the price of queue-wait
         latency.
-    telemetry:
-        The session tenant's :class:`ServeTelemetry` (a fresh one by
-        default); with a health monitor, its SLO tracker is a sink too.
     workers / name / obs:
         Pool size, thread and error-message name, and observability
         wiring; a session front takes the name and ``obs`` of its session.
@@ -389,7 +391,6 @@ class SolveScheduler:
         session: Optional["OperatorSession"] = None,
         *,
         max_wait_ms: float,
-        telemetry=None,
         workers: int = 1,
         name: Optional[str] = None,
         obs=None,
@@ -409,19 +410,24 @@ class SolveScheduler:
         self.health = self.obs.health
         self.max_wait_seconds = float(max_wait_ms) / 1e3
         self.workers = int(workers)
-        self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
+        #: the outcome ledger ``stats()`` reads: the session's, or a farm's
+        #: fleet-wide one
+        self.telemetry = self._ledger(self.name)
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
         self._threads: List[threading.Thread] = []
         self._tenants: Dict[str, Tenant] = {}
         if session is not None:
-            sinks = (self.telemetry,)
-            if self.health is not None:
-                sinks += (self.health.tracker(self.name),)
             self._tenants[self.name] = Tenant(
-                self.name, session.n_rows, sinks, {"session": self.name}
+                self.name, session.n_rows, (self.telemetry,), {"session": self.name}
             )
+
+    def _ledger(self, scope: str) -> ServeTelemetry:
+        """The outcome ledger of ``scope``: the health monitor's (so
+        ``stats()``, ``/slo``, ``/healthz`` and ``/metrics`` read one
+        object), or a private one when no monitor is wired."""
+        return self.health.tracker(scope) if self.health is not None else ServeTelemetry()
 
     # ------------------------------------------------------------------ #
     # client side                                                        #

@@ -52,7 +52,7 @@ from ..solvers.result import MultiSolveResult, SolveResult
 from ..sparse.csr import CsrMatrix
 from .policy import BatchingPolicy
 from .scheduler import SolveScheduler, validate_rhs
-from .telemetry import ServeStats, ServeTelemetry
+from .telemetry import ServeStats
 
 __all__ = ["OperatorSession", "validate_rhs"]
 
@@ -153,7 +153,6 @@ class OperatorSession:
         max_block: Optional[int] = None,
         max_wait_ms: Optional[float] = None,
         policy: Union[str, BatchingPolicy, None] = None,
-        telemetry: Optional[ServeTelemetry] = None,
         name: Optional[str] = None,
         warmup: bool = True,
         obs=None,
@@ -179,8 +178,8 @@ class OperatorSession:
         #: every submitted request and dispatch with it).
         self.tracer = self.obs.tracer
         #: Optional HealthMonitor (explicit via obs=): the dispatch core
-        #: runs its detectors and every request also books its outcome in
-        #: the monitor's SLO tracker for this session.
+        #: runs its detectors, and the monitor's ledger for this session's
+        #: name is the scheduler's telemetry (stats and SLOs read one object).
         self.health = self.obs.health
 
         # Pin the execution context: resolve the (possibly config-lazy)
@@ -264,7 +263,7 @@ class OperatorSession:
         self._closed = False
         if warmup:
             self._warmup()
-        self.scheduler = SolveScheduler(self, max_wait_ms=wait, telemetry=telemetry)
+        self.scheduler = SolveScheduler(self, max_wait_ms=wait)
         if self.obs.registry is not None:
             watch_session(self, registry=self.obs.registry)
 

@@ -1,14 +1,13 @@
-"""Service telemetry: per-request latency, batch occupancy, throughput.
+"""Service telemetry: the per-scope outcome ledger behind stats and SLOs.
 
-The serve layer's observable surface.  A request's *sinks* see
+A request's *sinks* are the :class:`ServeTelemetry` ledgers of its
+scopes — a session's, or a farm tenant's plus the fleet's.  Each sees
 ``record_submitted()``, ``record_dispatch(width, block_iterations)`` and
-one terminal :class:`Outcome` via ``record(outcome)``; a
-:class:`ServeTelemetry` derives every :class:`ServeStats` counter from
-them for one stream of requests — a session's, one farm tenant's, or a
-farm's whole fleet (:class:`FarmTelemetry` holds one per tenant plus the
-fleet's; a farm request books into both).  :meth:`ServeTelemetry.snapshot`
-freezes it into the immutable :class:`ServeStats` that
-``benchmarks/_harness.py --serve`` dumps into ``BENCH_serve.json``.
+one terminal :class:`Outcome` via ``record(outcome)``.  One ledger
+answers both :meth:`ServeTelemetry.snapshot` (the :class:`ServeStats`
+that ``stats()``, ``/metrics`` and ``benchmarks/_harness.py --serve``
+read) and :meth:`ServeTelemetry.outcomes_since` (the SLO windows of
+:mod:`repro.obs.slo` behind ``/slo`` and ``/healthz``).
 
 Latency accounting per request:
 
@@ -26,8 +25,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional
+from dataclasses import asdict, dataclass
+from itertools import islice, takewhile
+from operator import attrgetter
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,16 +39,22 @@ __all__ = [
     "ServeTelemetry",
     "TenantStats",
     "FarmStats",
-    "FarmTelemetry",
     "LATENCY_WINDOW",
+    "LEDGER_CAPACITY",
 ]
 
-#: Samples kept per latency series for the percentile summaries.  A
+#: Solved outcomes the latency summaries of a snapshot cover.  A
 #: long-lived session serves an unbounded number of requests; the lifetime
 #: counters stay exact while the latency distributions cover the most
 #: recent window (4096 requests is plenty for stable p50/p95 and keeps
-#: both memory and snapshot cost bounded).
+#: snapshot cost bounded).
 LATENCY_WINDOW = 4096
+
+#: Outcomes one ledger's ring retains (oldest fall off first).  The SLO
+#: windows read the same ring, so a window only sees retained outcomes:
+#: above ~4.5 requests/s a 1 h slow window is bounded by this count, not
+#: by its length.
+LEDGER_CAPACITY = 16384
 
 
 @dataclass(frozen=True)
@@ -62,26 +69,22 @@ class LatencySummary:
 
     @classmethod
     def from_seconds(cls, samples: Iterable[float]) -> "LatencySummary":
-        samples = list(samples)
-        if not samples:
+        if not isinstance(samples, np.ndarray):
+            samples = np.fromiter(samples, dtype=np.float64)
+        if samples.size == 0:
             return cls(count=0, mean_ms=0.0, p50_ms=0.0, p95_ms=0.0, max_ms=0.0)
-        ms = np.asarray(samples, dtype=np.float64) * 1e3
+        ms = samples * 1e3
+        p50, p95 = np.percentile(ms, (50, 95))
         return cls(
             count=int(ms.size),
             mean_ms=float(ms.mean()),
-            p50_ms=float(np.percentile(ms, 50)),
-            p95_ms=float(np.percentile(ms, 95)),
+            p50_ms=float(p50),
+            p95_ms=float(p95),
             max_ms=float(ms.max()),
         )
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "max_ms": self.max_ms,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -181,30 +184,28 @@ class ServeStats:
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready representation (used by ``BENCH_serve.json``)."""
-        return {
-            "requests_submitted": self.requests_submitted,
-            "requests_completed": self.requests_completed,
-            "requests_failed": self.requests_failed,
-            "requests_retried": self.requests_retried,
-            "requests_timed_out": self.requests_timed_out,
-            "requests_cancelled": self.requests_cancelled,
-            "batches_dispatched": self.batches_dispatched,
-            "batch_occupancy": {str(k): v for k, v in sorted(self.batch_occupancy.items())},
-            "mean_batch_occupancy": self.mean_batch_occupancy,
-            "queue_wait": self.queue_wait.as_dict(),
-            "solve": self.solve.as_dict(),
-            "latency": self.latency.as_dict(),
-            "rhs_per_second": self.rhs_per_second,
-            "elapsed_seconds": self.elapsed_seconds,
-            "block_iterations": self.block_iterations,
+        payload = asdict(self)
+        payload["batch_occupancy"] = {
+            str(k): v for k, v in sorted(self.batch_occupancy.items())
         }
+        payload["mean_batch_occupancy"] = self.mean_batch_occupancy
+        return payload
 
 
 class ServeTelemetry:
-    """Thread-safe accumulator behind :class:`ServeStats` snapshots."""
+    """Thread-safe outcome ledger of one scope, behind :class:`ServeStats`.
 
-    def __init__(self) -> None:
+    Lifetime counters plus one ring of ``(t, Outcome)`` entries holding
+    the newest :data:`LEDGER_CAPACITY` outcomes, stamped with ``clock``
+    (monotonic; tests inject a fake one).  :meth:`snapshot` reads the
+    counters and the ring's newest :data:`LATENCY_WINDOW` solved outcomes;
+    :meth:`outcomes_since` hands the ring to the SLO windows
+    (:func:`repro.obs.slo.window_report`).
+    """
+
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
         self._lock = threading.Lock()
+        self._clock = clock
         self._submitted = 0
         self._completed = 0
         self._failed = 0
@@ -213,11 +214,7 @@ class ServeTelemetry:
         self._cancelled = 0
         self._batches = 0
         self._occupancy: Dict[int, int] = {}
-        # Bounded windows: lifetime counters stay exact, the latency
-        # distributions cover the most recent LATENCY_WINDOW requests.
-        self._queue_waits: Deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._solves: Deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._ring: Deque[Tuple[float, Outcome]] = deque(maxlen=LEDGER_CAPACITY)
         self._block_iterations = 0
         self._first_submit: Optional[float] = None
         self._last_completion: Optional[float] = None
@@ -240,10 +237,11 @@ class ServeTelemetry:
             self._block_iterations += block_iterations
 
     def record(self, outcome: Outcome) -> None:
-        """Account one request's terminal :class:`Outcome`; a solved one
-        (``solve_s`` set) also adds its latency samples."""
+        """Count one request's terminal :class:`Outcome` and append it to
+        the ring (stamped under the lock, so the ring stays time-ordered)."""
         now = time.perf_counter()
         with self._lock:
+            self._ring.append((self._clock(), outcome))
             if outcome.failed:
                 self._failed += 1
             else:
@@ -252,22 +250,36 @@ class ServeTelemetry:
             self._timed_out += outcome.timed_out
             self._cancelled += outcome.name == "cancelled"
             if outcome.solve_s is not None:
-                self._queue_waits.append(outcome.queue_wait_s)
-                self._solves.append(outcome.solve_s)
-                self._latencies.append(outcome.latency_s)
                 self._last_completion = now
 
     # ------------------------------------------------------------------ #
     # reading                                                            #
     # ------------------------------------------------------------------ #
+    def outcomes_since(self, cutoff: float) -> List[Tuple[float, Outcome]]:
+        """Ring entries stamped at or after ``cutoff``, oldest first."""
+        with self._lock:
+            recent = list(takewhile(lambda entry: entry[0] >= cutoff, reversed(self._ring)))
+        recent.reverse()
+        return recent
+
     def snapshot(self) -> ServeStats:
         """Freeze the counters into an immutable :class:`ServeStats`."""
         with self._lock:
+            solved = list(
+                islice(
+                    (o for _, o in reversed(self._ring) if o.solve_s is not None),
+                    LATENCY_WINDOW,
+                )
+            )
             if self._first_submit is not None and self._last_completion is not None:
                 elapsed = max(self._last_completion - self._first_submit, 0.0)
             else:
                 elapsed = 0.0
             throughput = self._completed / elapsed if elapsed > 0 else 0.0
+            solved.reverse()  # oldest first, as booked
+            n = len(solved)
+            waits = np.fromiter(map(attrgetter("queue_wait_s"), solved), np.float64, n)
+            solves = np.fromiter(map(attrgetter("solve_s"), solved), np.float64, n)
             return ServeStats(
                 requests_submitted=self._submitted,
                 requests_completed=self._completed,
@@ -277,9 +289,9 @@ class ServeTelemetry:
                 requests_cancelled=self._cancelled,
                 batches_dispatched=self._batches,
                 batch_occupancy=dict(self._occupancy),
-                queue_wait=LatencySummary.from_seconds(self._queue_waits),
-                solve=LatencySummary.from_seconds(self._solves),
-                latency=LatencySummary.from_seconds(self._latencies),
+                queue_wait=LatencySummary.from_seconds(waits),
+                solve=LatencySummary.from_seconds(solves),
+                latency=LatencySummary.from_seconds(waits + solves),
                 rhs_per_second=throughput,
                 elapsed_seconds=elapsed,
                 block_iterations=self._block_iterations,
@@ -308,17 +320,7 @@ class TenantStats:
     serve: ServeStats
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "weight": self.weight,
-            "queue_depth": self.queue_depth,
-            "rejected": self.rejected,
-            "evictions": self.evictions,
-            "breaker_trips": self.breaker_trips,
-            "fairness_share": self.fairness_share,
-            "expected_share": self.expected_share,
-            "serve": self.serve.as_dict(),
-        }
+        return {**asdict(self), "serve": self.serve.as_dict()}
 
 
 @dataclass(frozen=True)
@@ -343,112 +345,7 @@ class FarmStats:
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready representation (used by ``BENCH_farm.json``)."""
         return {
+            **asdict(self),
             "fleet": self.fleet.as_dict(),
             "tenants": {k: t.as_dict() for k, t in sorted(self.tenants.items())},
-            "sessions_live": self.sessions_live,
-            "sessions_created": self.sessions_created,
-            "evictions": self.evictions,
-            "rejections": self.rejections,
-            "breaker_trips": self.breaker_trips,
-            "estimated_session_bytes": self.estimated_session_bytes,
         }
-
-
-class FarmTelemetry:
-    """Thread-safe fleet-and-tenant accumulator of a solver farm.
-
-    Owns one :class:`ServeTelemetry` per tenant plus the fleet-wide
-    :attr:`fleet`; both are sinks of every farm request, so both levels
-    report exact counters and true (not re-derived) latency percentiles.
-    Admission rejections and LRU evictions are counted here per tenant;
-    :meth:`snapshot` combines everything with the farm's own state
-    (weights, queues, breakers, registry) into one :class:`FarmStats`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: the fleet-wide sink every tenant's requests also book into
-        self.fleet = ServeTelemetry()
-        self._tenants: Dict[str, ServeTelemetry] = {}
-        self._rejected: Dict[str, int] = {}
-        self._evictions: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------ #
-    # recording                                                          #
-    # ------------------------------------------------------------------ #
-    def tenant(self, key: str) -> ServeTelemetry:
-        """The per-tenant telemetry for ``key`` (created on first use)."""
-        with self._lock:
-            telemetry = self._tenants.get(key)
-            if telemetry is None:
-                telemetry = self._tenants[key] = ServeTelemetry()
-            return telemetry
-
-    def record_rejected(self, key: str) -> None:
-        """One admission rejection (backpressure or open breaker) for
-        tenant ``key``; the request's outcome is booked by its sinks."""
-        with self._lock:
-            self._rejected[key] = self._rejected.get(key, 0) + 1
-
-    def record_eviction(self, key: str) -> None:
-        """The registry evicted ``key``'s warmed session."""
-        with self._lock:
-            self._evictions[key] = self._evictions.get(key, 0) + 1
-
-    # ------------------------------------------------------------------ #
-    # reading                                                            #
-    # ------------------------------------------------------------------ #
-    def snapshot(
-        self,
-        *,
-        weights: Optional[Dict[str, float]] = None,
-        queue_depths: Optional[Dict[str, int]] = None,
-        breaker_trips: Optional[Dict[str, int]] = None,
-        sessions_live: int = 0,
-        sessions_created: int = 0,
-        estimated_session_bytes: int = 0,
-    ) -> FarmStats:
-        """Freeze everything into a :class:`FarmStats`.
-
-        ``weights`` / ``queue_depths`` / ``breaker_trips`` carry the
-        farm's current per-tenant state (registered weight, queued
-        requests, circuit-breaker trips), which lives in the farm, not
-        here; tenants missing from the maps default to weight 1, an empty
-        queue and no trips.
-        """
-        weights = weights or {}
-        queue_depths = queue_depths or {}
-        breaker_trips = breaker_trips or {}
-        with self._lock:
-            tenant_telemetry = dict(self._tenants)
-            rejected = dict(self._rejected)
-            evictions = dict(self._evictions)
-        fleet = self.fleet.snapshot()
-        total_weight = sum(weights.get(key, 1.0) for key in tenant_telemetry) or 1.0
-        completed = fleet.requests_completed
-        tenants: Dict[str, TenantStats] = {}
-        for key, telemetry in tenant_telemetry.items():
-            stats = telemetry.snapshot()
-            tenants[key] = TenantStats(
-                key=key,
-                weight=weights.get(key, 1.0),
-                queue_depth=queue_depths.get(key, 0),
-                rejected=rejected.get(key, 0),
-                evictions=evictions.get(key, 0),
-                breaker_trips=breaker_trips.get(key, 0),
-                fairness_share=(
-                    stats.requests_completed / completed if completed else 0.0
-                ),
-                expected_share=weights.get(key, 1.0) / total_weight,
-                serve=stats,
-            )
-        return FarmStats(
-            fleet=fleet,
-            tenants=tenants,
-            sessions_live=sessions_live,
-            sessions_created=sessions_created,
-            evictions=sum(evictions.values()),
-            rejections=sum(rejected.values()),
-            breaker_trips=sum(breaker_trips.values()),
-            estimated_session_bytes=estimated_session_bytes,
-        )

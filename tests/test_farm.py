@@ -313,6 +313,23 @@ class TestFarmEvictionUnderLoad:
         assert stats.sessions_created > len(keys) - 2
         assert stats.sessions_live <= 2
 
+    def test_evictions_are_counted_per_tenant(self, matrix):
+        """Two tenants alternating through one warm slot: every switch
+        evicts the other tenant, and the per-tenant counts add up to the
+        farm's and the registry's totals."""
+        with make_farm(workers=1, max_sessions=1) as farm:
+            farm.register("a", matrix, **SESSION_KWARGS)
+            farm.register("b", matrix, **SESSION_KWARGS)
+            for key in ("a", "b", "a", "b"):
+                farm.submit(key, np.ones(matrix.n_rows)).result(timeout=30)
+            stats = farm.stats()
+            registry_evictions = farm.registry.evictions
+        # a warms; b evicts a; a evicts b; b evicts a.
+        assert stats.tenants["a"].evictions == 2
+        assert stats.tenants["b"].evictions == 1
+        per_tenant = sum(t.evictions for t in stats.tenants.values())
+        assert per_tenant == stats.evictions == registry_evictions == 3
+
     def test_fairness_under_skewed_mix(self, matrix):
         """A hot tenant floods the farm; equal-weight cold tenants still
         get served close to their share while they have work queued."""

@@ -51,8 +51,10 @@ from repro.obs import (
     watch_health,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.slo import nearest_rank
 from repro.perfmodel.timer import KernelRecord
 from repro.serve import DeadlineExceededError, Outcome, RejectedError
+from repro.serve.telemetry import LEDGER_CAPACITY
 from repro.solvers import SolverStatus
 from repro.testing import FaultInjectingBackend, fault_injecting_session_factory
 from repro.backends import get_backend
@@ -325,6 +327,25 @@ class TestSloEngine:
         assert status.fast.total == 4
         assert status.fast.bad == 3
 
+    def test_nearest_rank_quantiles(self):
+        ordered = [float(v) for v in range(1, 21)]
+        assert nearest_rank(ordered, 0.50) == 10.0
+        assert nearest_rank(ordered, 0.95) == 19.0
+        assert nearest_rank(ordered, 0.99) == 20.0
+        assert nearest_rank([], 0.95) == 0.0
+
+    def test_window_reports_only_retained_outcomes(self):
+        # More outcomes than the ring holds inside one window: the window
+        # is count-bound, not time-bound.
+        clock = FakeClock()
+        engine = SloEngine(self.POLICY, clock=clock)
+        ledger = engine.tracker("svc")
+        book_batch(ledger, LEDGER_CAPACITY + 10, 0.001, 0.001, failed=10)
+        status = engine.status("svc")
+        assert status.slow.total == LEDGER_CAPACITY
+        assert status.slow.bad == 0  # the failures fell off the ring
+        assert ledger.snapshot().requests_failed == 10  # counters are lifetime
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             SloPolicy(availability_target=1.5)
@@ -577,6 +598,53 @@ class TestHealthEndpoints:
         # 1 failure in 4 against a 99.9% target breaches both windows.
         assert 'repro_slo_breached{scope="svc"} 1' in text
         assert 'repro_health_state{component="svc"} 2' in text  # unhealthy
+
+
+class TestOneOutcomeLedger:
+    """Under a health monitor, ``stats()``, ``/slo`` and ``/healthz`` read
+    one ledger per scope."""
+
+    def test_session_stats_and_slo_share_the_ledger(self, matrix):
+        monitor = HealthMonitor()
+        obs = Observability(tracer=None, registry=None, health=monitor)
+        with repro.session(
+            matrix, restart=10, tol=1e-8, name="ledgersvc", obs=obs
+        ) as session:
+            assert monitor.tracker(session.name) is session.scheduler.telemetry
+            assert session.submit(np.ones(matrix.n_rows)).result(timeout=30).converged
+            with pytest.raises(ValueError):
+                session.submit(np.ones(matrix.n_rows + 1)).result(timeout=30)
+            stats = session.stats()
+        status = monitor.slo.status(session.name)
+        assert stats.requests_failed == status.fast.bad == 1
+        assert stats.requests_completed + stats.requests_failed == status.fast.total
+
+    def test_farm_scopes_match_their_stats(self, matrix):
+        monitor = HealthMonitor()
+        obs = Observability(tracer=None, registry=None, health=monitor)
+        farm = repro.farm(workers=2, name="ledgerfarm", obs=obs)
+        farm.register("a", matrix, restart=10, tol=1e-8)
+        farm.register("b", matrix, restart=10, tol=1e-8)
+        with farm:
+            futures = [farm.submit(k, np.ones(matrix.n_rows)) for k in "aabbb"]
+            futures.append(farm.submit("a", np.ones(matrix.n_rows + 1)))
+            futures.append(farm.submit("b", np.ones(matrix.n_rows), deadline_ms=0.0))
+            concurrent.futures.wait(futures, timeout=60)
+            stats = farm.stats()
+        scopes = {
+            "ledgerfarm": stats.fleet,
+            "ledgerfarm/a": stats.tenants["a"].serve,
+            "ledgerfarm/b": stats.tenants["b"].serve,
+        }
+        assert stats.fleet.requests_failed == 2
+        for scope, serve in scopes.items():
+            window = monitor.slo.status(scope).fast
+            assert window.total == (
+                serve.requests_completed
+                + serve.requests_failed
+                - serve.requests_cancelled
+            ), scope
+            assert window.bad == serve.requests_failed, scope
 
 
 # ---------------------------------------------------------------------- #
