@@ -1231,12 +1231,8 @@ def run_farm(
     hot = keys[0]
     counts = {k: (hot_requests if k == hot else cold_requests) for k in keys}
     total = sum(counts.values())
-    # One matrix and one preconditioner instance *per operator*: tenants
-    # are served concurrently, and both the matrix (backend plans cache
-    # kernel scratch on it) and the polynomial preconditioner (recurrence
-    # scratch) are mutable solver state that must not be shared across
-    # concurrently-dispatched operators (see SolverFarm.register).  Real
-    # deployments register distinct operators anyway; the identical
+    # One matrix and one preconditioner instance *per operator*, as a
+    # deployment of distinct operators would register them; the identical
     # spectra here just keep the per-request work uniform across tenants.
     # Setup cost is paid outside any timed window, as a deployment pays
     # it at registration time.

@@ -26,7 +26,9 @@ never a freshly allocated array.  ``out`` must not alias any input unless a
 kernel's docstring explicitly allows it.  This is what lets the solvers run
 their steady-state iteration allocation-free, and it is the contract a
 future accelerator backend needs anyway (there, a fresh allocation is a
-device malloc on the critical path).
+device malloc on the critical path).  A backend may cache read-only plans
+in ``backend_cache``; its temporaries come from :func:`repro.scratch.scratch`,
+so threads can share one matrix.
 
 Future accelerator backends (Numba, CuPy, ...) plug in by subclassing
 :class:`KernelBackend` and registering a factory with

@@ -37,11 +37,11 @@ Allocation discipline: when a caller supplies ``out=``, the class methods
 run allocation-free.  Per-matrix plans live in the matrix's
 ``backend_cache`` (keyed on the ``indptr`` identity, so a structurally
 different matrix gets a fresh plan) and are built lazily — the DIA view
-or the gather geometry, whichever the matrix uses.  Only ``out=`` calls,
-whose caller owns the workspace, reuse the plan's per-dtype scratch;
-allocating calls use call-local temporaries, so they may run concurrently
-on a shared matrix.  The dense GEMV kernels write through ``np.dot(...,
-out=...)`` / caller-provided ``work`` buffers.
+or the gather geometry, whichever the matrix uses.  Plans are read-only;
+the temporaries of a product come from the calling thread's
+:func:`repro.scratch.scratch` pool, so any number of threads may run
+products on one shared matrix.  The dense GEMV kernels write through
+``np.dot(..., out=...)`` / caller-provided ``work`` buffers.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ..scratch import scratch
 from .base import KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -203,7 +204,7 @@ def _spmv_plan(matrix: "CsrMatrix") -> Optional[dict]:
         return None
     plan = cache.get(_SPMV_PLAN_KEY)
     if plan is None or plan["indptr"] is not matrix.indptr:
-        plan = {"indptr": matrix.indptr, "scratch": {}}
+        plan = {"indptr": matrix.indptr}
         cache[_SPMV_PLAN_KEY] = plan
     return plan
 
@@ -267,18 +268,9 @@ def _dia_plan(matrix: "CsrMatrix", plan: dict) -> Optional[dict]:
     for di, d in enumerate(offsets):
         on_diag = offs == d
         values[di, rows[on_diag]] = matrix.data[on_diag]
-    dia = {"offsets": [int(d) for d in offsets], "values": values, "scratch": {}}
+    dia = {"offsets": [int(d) for d in offsets], "values": values}
     plan["dia"] = dia
     return dia
-
-
-def _scratch_buffer(scratch: dict, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """Buffer ``name`` of ``shape``/``dtype`` from ``scratch``, made on first use."""
-    key = (name, dtype.str, shape)
-    buf = scratch.get(key)
-    if buf is None:
-        buf = scratch[key] = np.empty(shape, dtype=dtype)
-    return buf
 
 
 def _dia_spmm(
@@ -293,33 +285,26 @@ def _dia_spmm(
     transposed ``(k, n)`` orientation so that the Fortran-ordered blocks
     the solvers pass (Krylov basis panels) and contiguous vectors are
     C-contiguous views and every slice update runs buffer-free; operands
-    in other layouts are staged through scratch column by column.
-
-    Only callers that pass ``out=`` own their workspace, so only they
-    reuse the matrix's cached scratch (allocation-free).  With
-    ``out=None`` the result and every temporary are call-local, so
-    concurrent allocating products on a shared matrix cannot race.
+    in other layouts are staged through per-thread scratch column by
+    column.
     """
     n_rows, n_cols = matrix.shape
     k = X.shape[1]
     dtype = X.dtype
     if out is None:
         out = np.empty((n_rows, k), dtype=dtype)
-        scratch: dict = {}
     elif out.shape != (n_rows, k):
         raise ValueError("output block has wrong shape")
-    else:
-        scratch = dia["scratch"]
     if k == 0:
         return out
     if X.flags.f_contiguous:
         x_t = X.T
     else:
-        x_t = _scratch_buffer(scratch, "x", dtype, (k, n_cols))
+        x_t = scratch("numpy.dia.x", dtype, (k, n_cols))
         for c in range(k):
             x_t[c] = X[:, c]
     out_is_f = out.flags.f_contiguous
-    y_t = out.T if out_is_f else _scratch_buffer(scratch, "y", dtype, (k, n_rows))
+    y_t = out.T if out_is_f else scratch("numpy.dia.y", dtype, (k, n_rows))
     values = dia["values"]
     offsets = dia["offsets"]
     # Process row ranges small enough that the x panel, the product scratch
@@ -329,7 +314,7 @@ def _dia_spmm(
     # diagonal touching a chunk writes its product straight into y (only
     # the uncovered edges are zero-filled), saving a full zero+add pass.
     chunk = max(1024, (1 << 19) // (k * dtype.itemsize))
-    g_t = _scratch_buffer(scratch, "g", dtype, (k, min(chunk, n_rows)))
+    g_t = scratch("numpy.dia.g", dtype, (k, min(chunk, n_rows)))
     for c0 in range(0, n_rows, chunk):
         c1 = min(c0 + chunk, n_rows)
         filled = False
@@ -401,23 +386,11 @@ class NumpyBackend(KernelBackend):
         _gather_plan(matrix, plan)
         starts = plan["starts"]
         rows = plan["rows"]
-        scratch = plan["scratch"]
-        if rows is None:
-            # Every row non-empty: the segmented reduce maps 1:1 onto the
-            # output, so reduceat writes straight into `out` — no sums
-            # buffer, no copy.
-            prod = scratch.get(dtype.str)
-            if prod is None:
-                prod = scratch[dtype.str] = np.empty(nnz, dtype=dtype)
-            sums = out
-        else:
-            bufs = scratch.get(dtype.str)
-            if bufs is None:
-                bufs = scratch[dtype.str] = (
-                    np.empty(nnz, dtype=dtype),
-                    np.empty(starts.size, dtype=dtype),
-                )
-            prod, sums = bufs
+        prod = scratch("numpy.gather.prod", dtype, nnz)
+        # Every row non-empty: the segmented reduce maps 1:1 onto the
+        # output, so reduceat writes straight into `out` — no sums buffer,
+        # no copy.
+        sums = out if rows is None else scratch("numpy.gather.sums", dtype, starts.size)
         # Same gather → multiply → segmented-reduce sequence as the module
         # reference above, so the result is bit-identical; only the
         # temporaries are reused.
@@ -472,16 +445,8 @@ class NumpyBackend(KernelBackend):
         _gather_plan(matrix, plan)
         starts = plan["starts"]
         rows = plan["rows"]
-        scratch = plan["scratch"]
-        key = ("spmm", dtype.str, k)
-        bufs = scratch.get(key)
-        if bufs is None:
-            bufs = scratch[key] = (
-                np.empty((X.shape[0], k), dtype=dtype),  # C-contiguous gather source
-                np.empty((nnz, k), dtype=dtype),
-                np.empty((starts.size, k), dtype=dtype),
-            )
-        Xc, prod, sums = bufs
+        prod = scratch("numpy.gather.prod_block", dtype, (nnz, k))
+        sums = scratch("numpy.gather.sums_block", dtype, (starts.size, k))
         # Gathering rows of a C-contiguous block is cache-friendly; copying a
         # Fortran-ordered operand (the Krylov basis) once costs n*k, the
         # gather costs nnz*k, so the copy pays for itself.  Copies between
@@ -491,8 +456,8 @@ class NumpyBackend(KernelBackend):
         if X.flags.c_contiguous:
             source = X
         else:
-            _copy_block(Xc, X)
-            source = Xc
+            source = scratch("numpy.gather.x_block", dtype, X.shape)
+            _copy_block(source, X)
         # Same gather → multiply → segmented-reduce sequence as the module
         # reference above (elementwise product is commutative), so results
         # are bit-identical; only the temporaries are reused.

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ..scratch import scratch
 from .numpy_backend import NumpyBackend, _copy_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,8 +64,6 @@ try:  # private but long-stable compiled kernels with an output argument
 except Exception:  # pragma: no cover - exotic scipy builds
     _CSR_MATVEC = None
     _CSR_MATVECS = None
-
-_SPMM_SCRATCH_KEY = "scipy_spmm_scratch"
 
 
 class ScipyBackend(NumpyBackend):
@@ -200,19 +199,16 @@ class ScipyBackend(NumpyBackend):
             # csr_matvecs is the compiled kernel `handle @ X` itself calls
             # (scipy's _matmul_multivector), so the numerics are identical;
             # it wants row-major blocks, so non-C-contiguous operands go
-            # through cached per-(dtype, k) scratch and the hot path
-            # allocates nothing.
-            cache = getattr(matrix, "backend_cache", None)
-            scratch = None if cache is None else cache.setdefault(_SPMM_SCRATCH_KEY, {})
+            # through per-thread scratch and the hot path allocates nothing.
             if X.flags.c_contiguous:
                 source = X
             else:
-                source = self._spmm_buffer(scratch, ("x", X.dtype.str, k), X.shape)
+                source = scratch("scipy.spmm.x", X.dtype, X.shape)
                 _copy_block(source, X)
             if out.flags.c_contiguous:
                 target = out
             else:
-                target = self._spmm_buffer(scratch, ("y", out.dtype.str, k), out.shape)
+                target = scratch("scipy.spmm.y", out.dtype, out.shape)
             target[:] = 0  # csr_matvecs accumulates Y += A X
             _CSR_MATVECS(
                 handle.shape[0],
@@ -232,13 +228,3 @@ class ScipyBackend(NumpyBackend):
             return Y
         out[:] = Y
         return out
-
-    @staticmethod
-    def _spmm_buffer(scratch, key, shape):
-        """C-contiguous per-(dtype, k) staging block, cached on the matrix."""
-        if scratch is None:
-            return np.empty(shape, dtype=np.dtype(key[1]))
-        buf = scratch.get(key)
-        if buf is None or buf.shape != shape:
-            buf = scratch[key] = np.empty(shape, dtype=np.dtype(key[1]))
-        return buf

@@ -40,8 +40,10 @@ class Preconditioner(abc.ABC):
         ``out``, when given, is a caller-owned length-``n`` buffer in the
         preconditioner precision; the application is written into it and
         ``out`` is returned.  ``out`` must not alias ``vector``.
-        Implementations own whatever internal scratch their recurrences
-        need, so a steady-state ``apply(v, out=buf)`` allocates nothing.
+        ``apply`` leaves the preconditioner unchanged, so threads may
+        share one instance: recurrence temporaries come from the calling
+        thread's :func:`repro.scratch.scratch` pool, and a steady-state
+        ``apply(v, out=buf)`` allocates nothing.
         """
 
     def apply_block(

@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from ..linalg import kernels
+from ..scratch import scratch
 from ..sparse.csr import CsrMatrix
 from ..sparse.ops import extract_block_diagonal
 from .base import Preconditioner
@@ -86,13 +87,6 @@ class BlockJacobiPreconditioner(Preconditioner):
             ) from exc
         self._inv_blocks = inv.astype(self.precision.dtype)
         self._padded = self._inv_blocks.shape[0] * self.block_size
-        if self._padded != self.n:
-            # Owned zero-padded input/output scratch for the ragged trailing
-            # block, so apply() stays allocation-free.
-            self._pad_in = np.zeros(self._padded, dtype=self.precision.dtype)
-            self._pad_out = np.empty(self._padded, dtype=self.precision.dtype)
-        else:
-            self._pad_in = self._pad_out = None
         self._setup_seconds = time.perf_counter() - start
 
     def apply(self, vector: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
@@ -100,9 +94,14 @@ class BlockJacobiPreconditioner(Preconditioner):
         if vector.shape[0] != self.n:
             raise ValueError("vector length does not match the matrix dimension")
         if self._padded != self.n:
-            self._pad_in[: self.n] = vector
+            # The ragged trailing block runs on zero-padded scratch; another
+            # block-Jacobi on this thread may have left the tail dirty.
+            dtype = self.precision.dtype
+            pad_in = scratch("block_jacobi.in", dtype, self._padded)
+            pad_in[: self.n] = vector
+            pad_in[self.n :] = 0
             result = kernels.block_diag_solve(
-                self._inv_blocks, self._pad_in, out=self._pad_out
+                self._inv_blocks, pad_in, out=scratch("block_jacobi.out", dtype, self._padded)
             )
             if out is None:
                 return result[: self.n].copy()

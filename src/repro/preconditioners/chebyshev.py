@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..linalg import kernels
+from ..scratch import scratch
 from ..sparse.csr import CsrMatrix
 from .base import Preconditioner
 
@@ -98,13 +99,6 @@ class ChebyshevPreconditioner(Preconditioner):
         self.lmax = float(lmax)
         self._theta = (self.lmax + self.lmin) / 2.0
         self._delta = (self.lmax - self.lmin) / 2.0
-        # Owned scratch for the three-term recurrence (residual, search
-        # direction, SpMV output) so apply(v, out=buf) allocates nothing.
-        n = self._matrix.n_rows
-        dtype = self.precision.dtype
-        self._r = np.empty(n, dtype=dtype)
-        self._d = np.empty(n, dtype=dtype)
-        self._w = np.empty(n, dtype=dtype)
         self._setup_seconds = time.perf_counter() - start
 
     def spmvs_per_apply(self) -> int:
@@ -122,20 +116,23 @@ class ChebyshevPreconditioner(Preconditioner):
         """
         vector = self._check_precision(vector)
         A = self._matrix
-        dtype = vector.dtype
+        n, dtype = vector.shape[0], vector.dtype
         theta, delta = self._theta, self._delta
         if out is None:
             x = np.zeros_like(vector)
         else:
             out[:] = 0
             x = out
-        r = kernels.copy(vector, out=self._r)  # residual of the zero initial guess
+        # Residual of the zero initial guess, search direction, SpMV output.
+        r = kernels.copy(vector, out=scratch("chebyshev.r", dtype, n))
+        d = scratch("chebyshev.d", dtype, n)
+        w_buf = scratch("chebyshev.w", dtype, n)
         sigma1 = theta / delta
         rho = 1.0 / sigma1
-        d = np.multiply(r, dtype.type(1.0 / theta), out=self._d)
+        np.multiply(r, dtype.type(1.0 / theta), out=d)
         for _ in range(self.degree):
             kernels.axpy(1.0, d, x)
-            w = kernels.spmv(A, d, out=self._w)
+            w = kernels.spmv(A, d, out=w_buf)
             kernels.axpy(-1.0, w, r)
             rho_new = 1.0 / (2.0 * sigma1 - rho)
             kernels.scal(rho_new * rho, d)

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..linalg import kernels
 from ..precision import as_precision
+from ..scratch import scratch
 from .base import Preconditioner
 
 __all__ = ["PrecisionWrappedPreconditioner", "wrap_for_precision"]
@@ -36,17 +37,6 @@ class PrecisionWrappedPreconditioner(Preconditioner):
         outer = as_precision(outer_precision)
         super().__init__(precision=outer, name=f"{inner.name}@{outer.name}")
         self.inner = inner
-        self._inner_scratch = None  # lazily sized (down-cast input, inner output)
-
-    def _inner_buffers(self, n: int):
-        """Owned inner-precision buffers for the down-cast vector and the
-        inner application (allocated once per vector length)."""
-        bufs = self._inner_scratch
-        if bufs is None or bufs[0].shape[0] != n:
-            dtype = self.inner.precision.dtype
-            bufs = (np.empty(n, dtype=dtype), np.empty(n, dtype=dtype))
-            self._inner_scratch = bufs
-        return bufs
 
     @property
     def is_identity(self) -> bool:
@@ -62,9 +52,9 @@ class PrecisionWrappedPreconditioner(Preconditioner):
         vector = self._check_precision(vector)
         if self.inner.precision.dtype == self.precision.dtype:
             return self.inner.apply(vector, out=out)
-        down_buf, inner_buf = self._inner_buffers(vector.shape[0])
-        down = kernels.cast(vector, self.inner.precision, out=down_buf)
-        result = self.inner.apply(down, out=inner_buf)
+        n, dtype = vector.shape[0], self.inner.precision.dtype
+        down = kernels.cast(vector, self.inner.precision, out=scratch("mixed.down", dtype, n))
+        result = self.inner.apply(down, out=scratch("mixed.inner", dtype, n))
         return kernels.cast(result, self.precision, out=out)
 
     def apply_block(
@@ -83,7 +73,9 @@ class PrecisionWrappedPreconditioner(Preconditioner):
         if self.inner.precision.dtype == self.precision.dtype:
             return self.inner.apply_block(block, out=out)
         n, k = block.shape
-        down, applied = self._inner_block_buffers(n, k)
+        dtype = self.inner.precision.dtype
+        down = scratch("mixed.block.down", dtype, (n, k), order="F")
+        applied = scratch("mixed.block.inner", dtype, (n, k), order="F")
         for c in range(k):
             kernels.cast(block[:, c], self.inner.precision, out=down[:, c])
         self.inner.apply_block(down, out=applied)
@@ -92,20 +84,6 @@ class PrecisionWrappedPreconditioner(Preconditioner):
         for c in range(k):
             kernels.cast(applied[:, c], self.precision, out=out[:, c])
         return out
-
-    def _inner_block_buffers(self, n: int, k: int):
-        """Owned inner-precision blocks (per width, reallocated on deflation)."""
-        bufs = getattr(self, "_inner_block_scratch", None)
-        if bufs is None:
-            bufs = self._inner_block_scratch = {}
-        pair = bufs.get(k)
-        if pair is None or pair[0].shape[0] != n:
-            dtype = self.inner.precision.dtype
-            pair = bufs[k] = (
-                np.empty((n, k), dtype=dtype, order="F"),
-                np.empty((n, k), dtype=dtype, order="F"),
-            )
-        return pair
 
 
 def wrap_for_precision(preconditioner: Preconditioner, working_precision) -> Preconditioner:

@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from ..linalg import kernels
+from ..scratch import scratch
 from ..sparse.csr import CsrMatrix
 from .base import Preconditioner
 
@@ -47,11 +48,6 @@ class NeumannPreconditioner(Preconditioner):
         if np.any(diag == 0.0):
             raise ValueError("matrix has zero diagonal entries; Neumann/Jacobi is undefined")
         self._inv_diag = (1.0 / diag).astype(self.precision.dtype)
-        # Owned scratch (Jacobi-scaled right-hand side + SpMV output) so
-        # apply(v, out=buf) allocates nothing.
-        n = self._matrix.n_rows
-        self._g = np.empty(n, dtype=self.precision.dtype)
-        self._w = np.empty(n, dtype=self.precision.dtype)
         self._setup_seconds = time.perf_counter() - start
 
     def spmvs_per_apply(self) -> int:
@@ -63,12 +59,15 @@ class NeumannPreconditioner(Preconditioner):
         ``y_0 = D^{-1} v``;  ``y_{k+1} = D^{-1} v + (I - D^{-1} A) y_k``.
         """
         vector = self._check_precision(vector)
-        g = kernels.diag_scale(self._inv_diag, vector, out=self._g)
+        n, dtype = vector.shape[0], vector.dtype
+        # Jacobi-scaled right-hand side and SpMV output.
+        g = kernels.diag_scale(self._inv_diag, vector, out=scratch("neumann.g", dtype, n))
+        w_buf = scratch("neumann.w", dtype, n)
         y = kernels.copy(g, out=out)
         for _ in range(self.degree):
-            w = kernels.spmv(self._matrix, y, out=self._w)
+            w = kernels.spmv(self._matrix, y, out=w_buf)
             # diag_scale may alias in place (elementwise), saving a buffer.
-            correction = kernels.diag_scale(self._inv_diag, w, out=self._w)
+            correction = kernels.diag_scale(self._inv_diag, w, out=w_buf)
             # y <- g + y - D^{-1} A y
             kernels.axpy(-1.0, correction, y)
             kernels.axpy(1.0, g, y)

@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ..linalg import kernels
+from ..scratch import scratch
 from ..sparse.csr import CsrMatrix
 from .base import Preconditioner
 
@@ -198,17 +199,6 @@ class GmresPolynomialPreconditioner(Preconditioner):
         self.roots = leja_order(theta)
         if apply_method == "power":
             self._coefficients = self._power_coefficients(self.roots)
-        # Owned scratch for the product-form/Horner recurrences: the running
-        # product, one SpMV output and one second-order SpMV output, so a
-        # steady-state apply(v, out=buf) allocates nothing.
-        n = self._matrix.n_rows
-        dtype = self.precision.dtype
-        self._prod = np.empty(n, dtype=dtype)
-        self._w = np.empty(n, dtype=dtype)
-        self._t = np.empty(n, dtype=dtype)
-        # Per-block-width scratch of the batched application (allocated on
-        # first use per width, so block solvers stay allocation-free).
-        self._block_bufs: dict = {}
         self._setup_seconds = time.perf_counter() - start
 
     # ------------------------------------------------------------------ #
@@ -268,30 +258,27 @@ class GmresPolynomialPreconditioner(Preconditioner):
         block = self._check_precision(block)
         if block.ndim != 2:
             raise ValueError("apply_block expects a 2-D block of column vectors")
-        k = block.shape[1]
         if out is None:
             out = np.empty(block.shape, dtype=self.precision.dtype, order="F")
-        prod, w, t, work = self._block_scratch(k)
+        # The recurrence scratch: the running product, one SpMM output, one
+        # second-order SpMM output and the axpy work block.
+        prod, w, t, work = (
+            scratch(tag, block.dtype, block.shape, order="F")
+            for tag in ("poly.block.prod", "poly.block.w", "poly.block.t", "poly.block.work")
+        )
         if self.apply_method == "power":
             return self._apply_power_block(block, out, w, t, work)
         return self._apply_roots_block(block, out, prod, w, t, work)
-
-    def _block_scratch(self, k: int):
-        bufs = self._block_bufs.get(k)
-        if bufs is None:
-            n = self._matrix.n_rows
-            dtype = self.precision.dtype
-            bufs = self._block_bufs[k] = tuple(
-                np.empty((n, k), dtype=dtype, order="F") for _ in range(4)
-            )
-        return bufs
 
     # -- product form over Leja-ordered roots --------------------------- #
     def _apply_roots(
         self, vector: np.ndarray, out: "np.ndarray | None" = None
     ) -> np.ndarray:
         A = self._matrix
-        prod = kernels.copy(vector, out=self._prod)
+        n, dtype = vector.shape[0], vector.dtype
+        prod = kernels.copy(vector, out=scratch("poly.prod", dtype, n))
+        w_buf = scratch("poly.w", dtype, n)
+        t_buf = scratch("poly.t", dtype, n)
         if out is None:
             y = np.zeros_like(vector)
         else:
@@ -309,17 +296,17 @@ class GmresPolynomialPreconditioner(Preconditioner):
                 inv = 1.0 / theta.real
                 kernels.axpy(inv, prod, y)
                 if not last_real:
-                    w = kernels.spmv(A, prod, out=self._w)
+                    w = kernels.spmv(A, prod, out=w_buf)
                     kernels.axpy(-inv, w, prod)
                 i += 1
             else:
                 a = theta.real
                 m2 = theta.real * theta.real + theta.imag * theta.imag
-                w = kernels.spmv(A, prod, out=self._w)
+                w = kernels.spmv(A, prod, out=w_buf)
                 kernels.axpy(2.0 * a / m2, prod, y)
                 kernels.axpy(-1.0 / m2, w, y)
                 if not last_pair:
-                    t = kernels.spmv(A, w, out=self._t)
+                    t = kernels.spmv(A, w, out=t_buf)
                     kernels.axpy(-2.0 * a / m2, w, prod)
                     kernels.axpy(1.0 / m2, t, prod)
                 i += 2
@@ -394,12 +381,15 @@ class GmresPolynomialPreconditioner(Preconditioner):
         A = self._matrix
         coeffs = self._coefficients
         # Horner: p(A) v = c_0 v + A (c_1 v + A (c_2 v + ...)), ping-ponging
-        # between the two owned scratch vectors (spmv forbids out aliasing x).
-        y = self._w
+        # between two scratch vectors (spmv forbids out aliasing x).
+        n, dtype = vector.shape[0], vector.dtype
+        w_buf = scratch("poly.w", dtype, n)
+        t_buf = scratch("poly.t", dtype, n)
+        y = w_buf
         y[:] = 0
         kernels.axpy(float(coeffs[-1]), vector, y)
         for c in coeffs[-2::-1]:
-            y = kernels.spmv(A, y, out=self._t if y is self._w else self._w)
+            y = kernels.spmv(A, y, out=t_buf if y is w_buf else w_buf)
             kernels.axpy(float(c), vector, y)
         if out is None:
             return y.copy()

@@ -188,18 +188,6 @@ class SolverFarm(SolveScheduler):
         together with ``n_rows`` (needed to validate right-hand sides
         without forcing a cold session to warm).  ``weight`` is the
         tenant's fairness share under ``fairness="weighted"``.
-
-        Tenants are served *concurrently* by the worker pool, so state
-        shared between operators must be thread-safe.  In particular, do
-        not register the same mutable solver state under several keys:
-        neither one stateful preconditioner instance (e.g.
-        :class:`~repro.preconditioners.polynomial.GmresPolynomialPreconditioner`
-        owns recurrence scratch) nor one :class:`CsrMatrix` object (the
-        backends cache kernel plans *with scratch buffers* on the matrix,
-        see ``CsrMatrix.backend_cache``) — concurrent dispatches would
-        race on that scratch.  Within one operator the session solve lock
-        serializes everything, so this only matters across keys; distinct
-        operators naturally have distinct matrices.
         """
         if weight <= 0:
             raise ValueError("weight must be positive")

@@ -350,8 +350,11 @@ class OperatorSession:
 
         One raw SpMV and one width-``max_block`` SpMM per stored matrix
         (backend handles, DIA/SpMM plans, row geometry), one block
-        preconditioner application (recurrence scratch), and the
-        ``max_block``-wide Krylov workspace.
+        preconditioner application, and the ``max_block``-wide Krylov
+        workspace.  Only the plans carry over to the dispatching threads:
+        kernel and recurrence temporaries come from the per-thread
+        :func:`repro.scratch.scratch` pool, which each thread fills on its
+        first use.
         """
         with use_context(self.context):
             backend = self.context.backend

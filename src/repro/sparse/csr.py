@@ -75,8 +75,9 @@ class CsrMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self.name = name
         self._bandwidth: Optional[int] = None
-        # Per-matrix scratch for backend-specific views of the CSR arrays
-        # (e.g. the scipy.sparse handle); see repro.backends.
+        # Read-only backend plans built from the CSR arrays (e.g. the
+        # scipy.sparse handle, the NumPy DIA view); see repro.backends.
+        # Kernel temporaries live in the per-thread repro.scratch pool.
         self.backend_cache: dict = {}
         # Precision-cast copies, keyed by dtype; see astype().
         self._cast_cache: dict = {}

@@ -310,13 +310,11 @@ class TestMeteringCaches:
         ledgers = {}
 
         def worker(i):
-            # Own matrix per thread: the backend's cached SpMV scratch is
-            # per matrix and not shared-safe; the context and its cost
-            # model, the state under test, are shared.
-            own = laplace2d(12)
+            # Everything is shared: the matrix (with its cached plans and
+            # precision copies), the context and its cost model.
             start.wait(timeout=10)
             ledgers[i] = [
-                _ledger(gmres_ir(own, b, restart=10, tol=1e-10).timer) for _ in range(3)
+                _ledger(gmres_ir(matrix, b, restart=10, tol=1e-10).timer) for _ in range(3)
             ]
 
         interval = sys.getswitchinterval()

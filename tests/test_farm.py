@@ -24,6 +24,7 @@ import pytest
 import repro
 from repro.config import ServeConfig, rng, set_config
 from repro.matrices import laplace2d, laplace3d
+from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
 from repro.serve import (
     FarmStats,
     OperatorSession,
@@ -366,11 +367,15 @@ class TestWorkerPoolStress:
     def test_every_request_accounted_under_contention(self, matrix):
         """More workers than cores, several clients per tenant and a short
         switch interval: a lost update to a tenant's queue or busy flag
-        would hang a future or break the ledger.  Each key gets its own
-        matrix: tenants dispatch concurrently (see ``register``)."""
+        would hang a future or break the ledger.  All four keys share one
+        matrix and one polynomial preconditioner, so tenants dispatching
+        concurrently also apply the same operator at once: a kernel
+        temporary shared between threads would corrupt solves."""
         keys = ["t0", "t1", "t2", "t3"]
         per_client = 6
         futures = {key: [] for key in keys}
+        shared = laplace3d(6)
+        poly = GmresPolynomialPreconditioner(shared, degree=8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -378,7 +383,7 @@ class TestWorkerPoolStress:
                 workers=4, max_sessions=2, queue_depth=512, max_wait_ms=1.0
             ) as farm:
                 for key in keys:
-                    farm.register(key, laplace3d(6), **SESSION_KWARGS)
+                    farm.register(key, shared, preconditioner=poly, **SESSION_KWARGS)
 
                 def client(key, seed):
                     futures[key].append([
