@@ -9,12 +9,12 @@ Three cooperating pieces, all off the hot path by default:
   ``chrome://tracing`` / Perfetto.  Off by default; enable per session
   (``obs=``), process-wide (:func:`enable_tracing`) or via config
   (``ReproConfig(obs=ObsConfig(tracing=True))``).
-* **Metrics** (:mod:`repro.obs.metrics`): a counter/gauge/histogram
-  registry with Prometheus text exposition
-  (:func:`prometheus_text`) and an optional stdlib HTTP exporter
-  (:func:`start_metrics_server`).  Sessions, farms and kernel timers
-  publish through pull-based collectors sampled at scrape time — the
-  serve hot paths pay nothing.
+* **Metrics** (:mod:`repro.obs.metrics`): a registry of pull-based
+  collectors that build fresh counter and gauge families on every
+  scrape, with Prometheus text exposition (:func:`prometheus_text`) and
+  an optional stdlib HTTP exporter (:func:`start_metrics_server`).
+  Sessions, farms and kernel timers publish by being sampled at scrape
+  time — the serve hot paths pay nothing.
 * **Structured logging** (:mod:`repro.obs.log`): ``event key=value``
   records under the ``"repro"`` logger namespace for breaker trips,
   evictions and width-1 retries.
@@ -77,9 +77,6 @@ from .slo import SloEngine, SloPolicy, SloStatus, WindowReport
 from .metrics import (
     METRIC_NAME_RE,
     METRIC_NAMES,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsHTTPServer,
     MetricsRegistry,
     default_registry,
@@ -140,9 +137,6 @@ __all__ = [
     "span_probe",
     # metrics
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "default_registry",
     "prometheus_text",
     "start_metrics_server",

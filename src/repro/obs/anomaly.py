@@ -99,7 +99,6 @@ class AlertLedger:
         self._clock = clock
         self._alerts: Deque[Alert] = deque(maxlen=max(16, int(capacity)))
         self._by_detector: Dict[str, int] = {}
-        self._by_severity: Dict[str, int] = {}
         self._total = 0
 
     def emit(
@@ -123,7 +122,6 @@ class AlertLedger:
         with self._lock:
             self._alerts.append(alert)
             self._by_detector[detector] = self._by_detector.get(detector, 0) + 1
-            self._by_severity[severity] = self._by_severity.get(severity, 0) + 1
             self._total += 1
         log_event(
             _LOGGER,
@@ -146,10 +144,6 @@ class AlertLedger:
     def counts_by_detector(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._by_detector)
-
-    def counts_by_severity(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._by_severity)
 
     def alerts(self) -> List[Alert]:
         """Snapshot of the retained alerts (oldest first)."""
@@ -180,6 +174,8 @@ class ConvergenceWatch:
       consecutive boundaries improved the residual by less than
       ``stall_improvement`` relative — the solver is burning restarts
       without converging.
+    * ``solver_breakdown`` (critical) — the terminal status, or for a
+      block solve any column's, is ``BREAKDOWN``.
 
     Each kind fires at most once per watch (one alert per episode, not
     one per restart), so a 400-restart stagnating solve costs one alert.
@@ -229,8 +225,11 @@ class ConvergenceWatch:
     def __call__(self, event: ProbeEvent) -> None:
         residual = event.residual
         if event.kind == "terminal":
+            # A block solve has no single status: it counts its columns'
+            # terminal statuses in extra["statuses"].
             status = getattr(event.status, "name", None)
-            if status == "BREAKDOWN":
+            columns = event.extra.get("statuses", {})
+            if status == "BREAKDOWN" or columns.get("BREAKDOWN"):
                 self._fire(
                     "solver_breakdown",
                     "critical",

@@ -187,18 +187,6 @@ class HealthMonitor:
                 width=report.width,
             )
             fired += 1
-        if report.exception is None and any(
-            getattr(s, "name", "") == "BREAKDOWN" for s in report.statuses
-        ):
-            if self._should_fire("solver_breakdown", component):
-                self.ledger.emit(
-                    "solver_breakdown",
-                    "critical",
-                    component,
-                    "a column of the batched solve broke down",
-                    width=report.width,
-                )
-                fired += 1
         if self.latency.observe(component, solve_seconds) is not None:
             fired += 1
         return fired

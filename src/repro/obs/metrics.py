@@ -1,22 +1,24 @@
 """Metrics registry with Prometheus text exposition.
 
-Counters, gauges and histograms behind a :class:`MetricsRegistry`, plus
-*collectors* — callbacks run at scrape time that mirror the stack's
-existing snapshot state (session and farm ``stats()``, read from the
-:class:`~repro.serve.telemetry.ServeTelemetry` outcome ledgers,
-circuit-breaker states, registry occupancy,
-:class:`~repro.perfmodel.timer.KernelTimer` records) into instruments.
-The pull model keeps the serve hot paths untouched: nothing is published
-per request; ``prometheus_text()`` samples whatever the ledgers already
-maintain.
+A :class:`MetricsRegistry` is a list of *collectors*: callbacks that, on
+every scrape, read the stack's existing snapshot state (session and farm
+``stats()``, read from the :class:`~repro.serve.telemetry.ServeTelemetry`
+outcome ledgers, circuit-breaker states, registry occupancy,
+:class:`~repro.perfmodel.timer.KernelTimer` records) into a fresh
+:class:`Scrape` of counter and gauge families, which is rendered and
+dropped.  No sample outlives its scrape: the ledgers stay the only
+store, and a closed or collected source is absent from the next
+exposition because its collector has retired.  The pull model keeps the
+serve hot paths untouched: nothing is published per request;
+``prometheus_text()`` samples whatever the ledgers already maintain.
 
 Metric names are validated at creation against the project convention —
 snake_case with a ``repro_`` prefix (:data:`METRIC_NAME_RE`) — and the
 full catalog the built-in collectors emit is :data:`METRIC_NAMES`, which
 ``tools/check_metric_names.py`` lints in CI.
 
-Everything here is stdlib + the registry's own locking; the optional
-HTTP exporter (:func:`start_metrics_server`) uses ``http.server`` only.
+Everything here is stdlib; the optional HTTP exporter
+(:func:`start_metrics_server`) uses ``http.server`` only.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
+    "MetricFamily",
     "MetricsRegistry",
+    "Scrape",
     "default_registry",
     "prometheus_text",
     "start_metrics_server",
@@ -89,24 +90,6 @@ METRIC_NAMES = (
     "repro_health_state",
 )
 
-#: Default histogram buckets (seconds) — spans sub-millisecond kernels
-#: through multi-second batched solves.
-DEFAULT_BUCKETS = (
-    0.001,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-)
-
-
 def _validate_name(name: str) -> str:
     if not METRIC_NAME_RE.match(name):
         raise ValueError(
@@ -150,281 +133,130 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-class _Instrument:
-    """Shared machinery: labelled sample storage under a lock."""
+class MetricFamily:
+    """One metric of one scrape: labelled samples, the last write wins."""
 
-    kind = "untyped"
+    __slots__ = ("kind", "name", "help", "labelnames", "_samples")
 
-    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
+    def __init__(
+        self, kind: str, name: str, help: str, labelnames: Sequence[str] = ()
+    ) -> None:
+        self.kind = kind
         self.name = _validate_name(name)
         self.help = help
         self.labelnames = _validate_labelnames(labelnames)
-        self._lock = threading.Lock()
-        self._values: Dict[Tuple[str, ...], float] = {}
+        self._samples: Dict[Tuple[str, ...], float] = {}
 
-    def _key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
+    def set(self, value: float, **labels: object) -> None:
         if set(labels) != set(self.labelnames):
             raise ValueError(
                 f"{self.name}: expected labels {self.labelnames}, "
                 f"got {tuple(sorted(labels))}"
             )
-        return tuple(str(labels[label]) for label in self.labelnames)
-
-    def _render_labels(self, key: Tuple[str, ...], extra: str = "") -> str:
-        pairs = [
-            f'{label}="{_escape_label_value(value)}"'
-            for label, value in zip(self.labelnames, key)
-        ]
-        if extra:
-            pairs.append(extra)
-        return "{" + ",".join(pairs) + "}" if pairs else ""
-
-    def samples(self) -> List[str]:
-        with self._lock:
-            items = sorted(self._values.items())
-        return [
-            f"{self.name}{self._render_labels(key)} {_format_value(value)}"
-            for key, value in items
-        ]
-
-    def remove_matching(self, predicate: Callable[[Dict[str, str]], bool]) -> int:
-        """Drop every labelled series whose label dict satisfies ``predicate``.
-
-        This is how collectors retire a closed source's samples: setting a
-        gauge to zero would lie, leaving it frozen at the last value lies
-        harder.  Returns the number of series removed.
-        """
-        with self._lock:
-            stale = [
-                key
-                for key in self._values
-                if predicate(dict(zip(self.labelnames, key)))
-            ]
-            for key in stale:
-                del self._values[key]
-        return len(stale)
+        key = tuple(str(labels[label]) for label in self.labelnames)
+        self._samples[key] = float(value)
 
     def expose(self) -> List[str]:
         lines = [
             f"# HELP {self.name} {_escape_help(self.help)}",
             f"# TYPE {self.name} {self.kind}",
         ]
-        lines.extend(self.samples())
+        for key, value in sorted(self._samples.items()):
+            pairs = ",".join(
+                f'{label}="{_escape_label_value(v)}"'
+                for label, v in zip(self.labelnames, key)
+            )
+            labels = "{" + pairs + "}" if pairs else ""
+            lines.append(f"{self.name}{labels} {_format_value(value)}")
         return lines
 
 
-class Counter(_Instrument):
-    """Monotonic counter.
+class Scrape:
+    """The metric families of one :meth:`MetricsRegistry.collect` call.
 
-    ``inc`` is the live-instrumentation path; ``set`` exists for the
-    snapshot-mirroring collectors, which copy an already-monotonic
-    lifetime counter (e.g. ``requests_submitted``) at scrape time.
+    Collectors fill it through :meth:`counter` / :meth:`gauge`
+    (get-or-create by name); :meth:`expose` renders it.  A scrape is
+    owned by the one ``collect()`` that built it, so it takes no lock.
     """
 
-    kind = "counter"
+    def __init__(self) -> None:
+        self._families: Dict[str, MetricFamily] = {}
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError(f"{self.name}: counters cannot decrease")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def set(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
-    def value(self, **labels: object) -> float:
-        key = self._key(labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-
-class Gauge(_Instrument):
-    """Point-in-time value (queue depth, breaker state, ratios)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: object) -> float:
-        key = self._key(labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-
-class Histogram(_Instrument):
-    """Cumulative-bucket histogram (Prometheus semantics)."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: Sequence[str] = (),
-        *,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help, labelnames)
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError(f"{name}: histogram needs at least one bucket")
-        self.buckets = tuple(bounds)
-        self._counts: Dict[Tuple[str, ...], List[int]] = {}
-        self._sums: Dict[Tuple[str, ...], float] = {}
-        self._totals: Dict[Tuple[str, ...], int] = {}
-
-    def observe(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            counts = self._counts.get(key)
-            if counts is None:
-                counts = self._counts[key] = [0] * len(self.buckets)
-                self._sums[key] = 0.0
-                self._totals[key] = 0
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[i] += 1
-                    break
-            self._sums[key] += float(value)
-            self._totals[key] += 1
-
-    def samples(self) -> List[str]:
-        lines: List[str] = []
-        with self._lock:
-            items = sorted(self._counts.items())
-            sums = dict(self._sums)
-            totals = dict(self._totals)
-        for key, counts in items:
-            cumulative = 0
-            for bound, count in zip(self.buckets, counts):
-                cumulative += count
-                labels = self._render_labels(
-                    key, f'le="{_format_value(bound)}"'
-                )
-                lines.append(f"{self.name}_bucket{labels} {cumulative}")
-            labels = self._render_labels(key, 'le="+Inf"')
-            lines.append(f"{self.name}_bucket{labels} {totals[key]}")
-            lines.append(
-                f"{self.name}_sum{self._render_labels(key)} "
-                f"{_format_value(sums[key])}"
+    def _family(
+        self, kind: str, name: str, help: str, labelnames: Sequence[str]
+    ) -> MetricFamily:
+        family = self._families.get(name)
+        if family is None:
+            family = self._families[name] = MetricFamily(kind, name, help, labelnames)
+        elif family.kind != kind:
+            raise ValueError(
+                f"metric {name!r} already registered as {family.kind}, not {kind}"
             )
-            lines.append(f"{self.name}_count{self._render_labels(key)} {totals[key]}")
-        return lines
+        elif tuple(labelnames) != family.labelnames:
+            raise ValueError(
+                f"metric {name!r} already registered with labels "
+                f"{family.labelnames}, not {tuple(labelnames)}"
+            )
+        return family
 
-    def remove_matching(self, predicate: Callable[[Dict[str, str]], bool]) -> int:
-        with self._lock:
-            stale = [
-                key
-                for key in self._counts
-                if predicate(dict(zip(self.labelnames, key)))
-            ]
-            for key in stale:
-                del self._counts[key]
-                del self._sums[key]
-                del self._totals[key]
-        return len(stale)
+    def counter(
+        self, name: str, help: str, labelnames: Sequence[str] = ()
+    ) -> MetricFamily:
+        """A monotonic counter, copied from a lifetime ledger count."""
+        return self._family("counter", name, help, labelnames)
+
+    def gauge(
+        self, name: str, help: str, labelnames: Sequence[str] = ()
+    ) -> MetricFamily:
+        """A point-in-time value (queue depth, breaker state, ratios)."""
+        return self._family("gauge", name, help, labelnames)
+
+    def expose(self) -> str:
+        """Prometheus text exposition format 0.0.4, families by name."""
+        lines: List[str] = []
+        for _, family in sorted(self._families.items()):
+            lines.extend(family.expose())
+        return "\n".join(lines) + ("\n" if lines else "")
+
+
+Collector = Callable[[Scrape], Optional[bool]]
 
 
 class MetricsRegistry:
-    """Instrument namespace + scrape-time collector list."""
+    """The scrape-time collector list; it stores no sample values."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._instruments: Dict[str, _Instrument] = {}
-        self._collectors: List[Callable[["MetricsRegistry"], Optional[bool]]] = []
+        self._collectors: List[Collector] = []
 
-    # -- instrument factories (get-or-create) -------------------------- #
-    def _get_or_create(self, cls, name: str, help: str, labelnames, **kwargs):
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = cls(name, help, labelnames, **kwargs)
-                self._instruments[name] = instrument
-                return instrument
-        if not isinstance(instrument, cls):
-            raise ValueError(
-                f"metric {name!r} already registered as {instrument.kind}, "
-                f"not {cls.kind}"
-            )
-        if tuple(labelnames) != instrument.labelnames:
-            raise ValueError(
-                f"metric {name!r} already registered with labels "
-                f"{instrument.labelnames}, not {tuple(labelnames)}"
-            )
-        return instrument
-
-    def counter(self, name: str, help: str, labelnames: Sequence[str] = ()) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames)
-
-    def gauge(self, name: str, help: str, labelnames: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
-
-    def histogram(
-        self,
-        name: str,
-        help: str,
-        labelnames: Sequence[str] = (),
-        *,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, labelnames, buckets=buckets
-        )
-
-    # -- collectors ----------------------------------------------------- #
-    def register_collector(
-        self, collector: Callable[["MetricsRegistry"], Optional[bool]]
-    ) -> None:
+    def register_collector(self, collector: Collector) -> None:
         """Register a scrape-time callback.
 
-        The collector is called with this registry on every
+        The collector is called with a fresh :class:`Scrape` on every
         :meth:`collect`; returning ``False`` unregisters it (the built-in
-        watchers do this when their watched object has been collected).
+        watchers do this when their watched object has been closed or
+        collected).
         """
         with self._lock:
             self._collectors.append(collector)
 
-    def collect(self) -> None:
-        """Run all collectors, dropping the ones that signal retirement."""
+    def collect(self) -> Scrape:
+        """Run all collectors into a new :class:`Scrape`, dropping the
+        ones that signal retirement."""
         with self._lock:
             collectors = list(self._collectors)
-        dead = [c for c in collectors if c(self) is False]
+        scrape = Scrape()
+        dead = [c for c in collectors if c(scrape) is False]
         if dead:
             with self._lock:
                 for collector in dead:
                     if collector in self._collectors:
                         self._collectors.remove(collector)
+        return scrape
 
-    def remove_matching(self, predicate: Callable[[Dict[str, str]], bool]) -> int:
-        """Drop matching series from every instrument (see the instrument
-        method); used by the watchers to retire closed sources."""
-        with self._lock:
-            instruments = list(self._instruments.values())
-        return sum(
-            instrument.remove_matching(predicate) for instrument in instruments
-        )
-
-    # -- exposition ----------------------------------------------------- #
     def expose(self) -> str:
-        """Prometheus text exposition format 0.0.4 (runs collectors first)."""
-        self.collect()
-        with self._lock:
-            instruments = sorted(self._instruments.items())
-        lines: List[str] = []
-        for _, instrument in instruments:
-            lines.extend(instrument.expose())
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Prometheus text exposition format 0.0.4 of a fresh scrape."""
+        return self.collect().expose()
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()
@@ -443,10 +275,8 @@ def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
 # ---------------------------------------------------------------------- #
 # built-in collectors: mirror the stack's snapshots at scrape time       #
 # ---------------------------------------------------------------------- #
-def _publish_serve_stats(
-    registry: MetricsRegistry, stats, *, scope: str, name: str
-) -> None:
-    """Mirror one :class:`ServeStats` snapshot into the registry."""
+def _publish_serve_stats(reg: Scrape, stats, *, scope: str, name: str) -> None:
+    """Mirror one :class:`ServeStats` snapshot into the scrape."""
     labels = ("scope", "name")
     where = dict(scope=scope, name=name)
     counters = (
@@ -460,18 +290,18 @@ def _publish_serve_stats(
         ("repro_block_iterations_total", "Block-Arnoldi steps across all dispatches.", stats.block_iterations),
     )
     for metric, help, value in counters:
-        registry.counter(metric, help, labels).set(value, **where)
-    registry.gauge(
+        reg.counter(metric, help, labels).set(value, **where)
+    reg.gauge(
         "repro_batch_occupancy_mean",
         "Mean dispatched block width (micro-batching coalescing).",
         labels,
     ).set(stats.mean_batch_occupancy, **where)
-    registry.gauge(
+    reg.gauge(
         "repro_rhs_per_second",
         "Completed requests per second of service uptime.",
         labels,
     ).set(stats.rhs_per_second, **where)
-    latency = registry.gauge(
+    latency = reg.gauge(
         "repro_request_latency_ms",
         "Windowed latency summaries (stage = queue_wait|solve|total).",
         ("scope", "name", "stage", "quantile"),
@@ -493,22 +323,17 @@ def _publish_serve_stats(
 def watch_session(session, *, registry: Optional[MetricsRegistry] = None) -> None:
     """Publish an :class:`~repro.serve.session.OperatorSession`'s stats.
 
-    Holds only a weak reference.  The collector retires — and drops the
-    session's series from exposition, so a scrape never shows frozen
-    last-known values — once the session is garbage-collected, closed,
-    or released by the registry (its scheduler closed).
+    Holds only a weak reference.  The collector retires once the session
+    is garbage-collected, closed, or released by the registry (its
+    scheduler closed); from the next scrape on the session's series are
+    absent, never frozen at their last values.
     """
     registry = registry or _DEFAULT_REGISTRY
     ref = weakref.ref(session)
-    session_name = session.name
 
-    def stale(labels: Dict[str, str]) -> bool:
-        return labels.get("scope") == "session" and labels.get("name") == session_name
-
-    def collect(reg: MetricsRegistry):
+    def collect(reg: Scrape):
         live = ref()
         if live is None or live.closed or live.scheduler.closed:
-            reg.remove_matching(stale)
             return False
         _publish_serve_stats(reg, live.stats(), scope="session", name=live.name)
 
@@ -520,28 +345,15 @@ def watch_farm(farm, *, registry: Optional[MetricsRegistry] = None) -> None:
 
     Fleet-level serve stats, per-tenant queue depths and breaker states,
     and the registry lifecycle counters — all sampled at scrape time from
-    ``farm.stats()``.
+    ``farm.stats()``.  Like :func:`watch_session`, the collector retires
+    (and the farm's series vanish) once the farm is closed or collected.
     """
     registry = registry or _DEFAULT_REGISTRY
     ref = weakref.ref(farm)
-    watched_name = farm.name
 
-    def stale(labels: Dict[str, str]) -> bool:
-        # Fleet + tenant serve stats carry scope="farm"/"tenant"; the farm
-        # lifecycle gauges and per-tenant queue/breaker gauges carry no
-        # scope label.  A session that happens to share the farm's name
-        # keeps its scope="session" series.
-        name = labels.get("name")
-        if name is None or (
-            name != watched_name and not name.startswith(watched_name + "/")
-        ):
-            return False
-        return labels.get("scope", "farm") in ("farm", "tenant")
-
-    def collect(reg: MetricsRegistry):
+    def collect(reg: Scrape):
         live = ref()
         if live is None or live.closed:
-            reg.remove_matching(stale)
             return False
         stats = live.stats()
         farm_name = live.name
@@ -603,14 +415,10 @@ def watch_timer(
     """
     registry = registry or _DEFAULT_REGISTRY
     ref = weakref.ref(timer)
-    timer_name = timer.name
 
-    def collect(reg: MetricsRegistry):
+    def collect(reg: Scrape):
         live = ref()
         if live is None:
-            reg.remove_matching(
-                lambda series: series.get("timer") == timer_name
-            )
             return False
         labels = ("timer", "label", "precision", "backend")
         calls = reg.counter(

@@ -24,9 +24,14 @@ import pytest
 import repro
 from repro.config import ObsConfig, ReproConfig, get_config, set_config
 from repro.matrices import laplace2d
+from repro.backends import get_backend
+from repro.linalg.context import use_backend
 from repro.obs import (
     METRIC_NAME_RE,
     METRIC_NAMES,
+    AlertLedger,
+    ConvergenceWatch,
+    HealthMonitor,
     MetricsRegistry,
     Observability,
     ProbeEvent,
@@ -41,12 +46,14 @@ from repro.obs import (
     span_probe,
     start_metrics_server,
 )
+from repro.obs.metrics import Scrape
 from repro.obs.trace import _reset_default_tracer, default_tracer
 from repro.perfmodel.costs import CostEstimate
 from repro.perfmodel.timer import KernelTimer
 from repro.serve import RejectedError, SolverFarm
 from repro.serve.telemetry import LatencySummary
 from repro.solvers import SolverStatus, block_gmres, cg, gmres
+from repro.testing import FaultInjectingBackend
 
 
 @pytest.fixture(autouse=True)
@@ -396,6 +403,44 @@ class TestSolverProbes:
         assert attrs["residual"] == 1e-11
 
 
+class TestBreakdownAlert:
+    """A solver breakdown books exactly one ``solver_breakdown`` alert."""
+
+    def test_block_terminal_with_a_broken_down_column_fires(self):
+        ledger = AlertLedger()
+        watch = ConvergenceWatch(ledger, "svc")
+        watch(ProbeEvent(
+            solver="block-gmres", kind="terminal", iteration=4, restarts=1,
+            residual=1e-3, active=0,
+            extra={"statuses": {"CONVERGED": 2, "BREAKDOWN": 1}},
+        ))
+        (alert,) = ledger.alerts()
+        assert alert.detector == "solver_breakdown"
+        assert alert.severity == "critical"
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_one_breakdown_dispatch_books_one_alert(self, matrix, width):
+        faulty = FaultInjectingBackend(
+            get_backend("numpy"), nan_rate=1.0, kernels=("spmv",)
+        )
+        monitor = HealthMonitor()
+        with use_backend(faulty):
+            session = repro.session(
+                matrix, restart=10, tol=1e-8, max_block=width,
+                max_wait_ms=500.0, policy="block",
+                obs=Observability(tracer=None, registry=None, health=monitor),
+            )
+        with session:
+            futures = [
+                session.submit(np.full(matrix.n_rows, c + 1.0))
+                for c in range(width)
+            ]
+            statuses = [f.result(timeout=60).status for f in futures]
+        assert statuses == [SolverStatus.BREAKDOWN] * width
+        assert session.stats().batches_dispatched == 1
+        assert monitor.ledger.counts_by_detector()["solver_breakdown"] == 1
+
+
 # ---------------------------------------------------------------------- #
 # metrics                                                                #
 # ---------------------------------------------------------------------- #
@@ -439,60 +484,32 @@ def assert_valid_exposition(text: str):
 
 
 class TestMetrics:
-    def test_counter_inc_and_labels(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_widgets_total", "Widgets.", ("kind",))
-        c.inc(kind="a")
-        c.inc(2, kind="a")
-        c.inc(kind="b")
-        assert c.value(kind="a") == 3
-        assert c.value(kind="b") == 1
-        with pytest.raises(ValueError):
-            c.inc(-1, kind="a")
-
     def test_label_set_must_match_declaration(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_widgets_total", "Widgets.", ("kind",))
+        c = Scrape().counter("repro_widgets_total", "Widgets.", ("kind",))
         with pytest.raises(ValueError):
-            c.inc()  # missing label
+            c.set(1)  # missing label
         with pytest.raises(ValueError):
-            c.inc(kind="a", extra="b")
+            c.set(1, kind="a", extra="b")
 
     def test_name_convention_is_enforced(self):
-        reg = MetricsRegistry()
+        scrape = Scrape()
         for bad in ("widgets_total", "repro_CamelCase", "repro_", "repro_a-b"):
             with pytest.raises(ValueError):
-                reg.counter(bad, "nope")
+                scrape.counter(bad, "nope")
 
     def test_reregistration_conflicts_are_rejected(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_things_total", "Things.", ("kind",))
-        assert reg.counter("repro_things_total", "Things.", ("kind",)) is c
+        scrape = Scrape()
+        c = scrape.counter("repro_things_total", "Things.", ("kind",))
+        assert scrape.counter("repro_things_total", "Things.", ("kind",)) is c
         with pytest.raises(ValueError):
-            reg.gauge("repro_things_total", "Things.", ("kind",))
+            scrape.gauge("repro_things_total", "Things.", ("kind",))
         with pytest.raises(ValueError):
-            reg.counter("repro_things_total", "Things.", ("other",))
-
-    def test_histogram_buckets_are_cumulative(self):
-        reg = MetricsRegistry()
-        h = reg.histogram(
-            "repro_latency_seconds", "Latency.", buckets=(0.1, 1.0, 10.0)
-        )
-        for value in (0.05, 0.5, 0.5, 5.0, 50.0):
-            h.observe(value)
-        samples = dict(line.rsplit(" ", 1) for line in h.samples())
-        assert samples['repro_latency_seconds_bucket{le="0.1"}'] == "1"
-        assert samples['repro_latency_seconds_bucket{le="1"}'] == "3"
-        assert samples['repro_latency_seconds_bucket{le="10"}'] == "4"
-        assert samples['repro_latency_seconds_bucket{le="+Inf"}'] == "5"
-        assert samples["repro_latency_seconds_count"] == "5"
-        assert float(samples["repro_latency_seconds_sum"]) == pytest.approx(56.05)
+            scrape.counter("repro_things_total", "Things.", ("other",))
 
     def test_label_values_are_escaped(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("repro_escape_check", "Escaping.", ("name",))
+        g = Scrape().gauge("repro_escape_check", "Escaping.", ("name",))
         g.set(1, name='with "quotes"\nand\\slash')
-        (line,) = g.samples()
+        _help, _type, line = g.expose()
         assert '\\"quotes\\"' in line and "\\n" in line and "\\\\slash" in line
         assert "\n" not in line
 
@@ -501,9 +518,12 @@ class TestMetrics:
         commas and equals signs must round-trip through the exposition
         and still validate as a well-formed sample line."""
         reg = MetricsRegistry()
-        g = reg.gauge("repro_escape_pin", "Hostile labels.", ("name",))
         hostile = 'a\\b"c"\nd{e},f=g'
-        g.set(1, name=hostile)
+        reg.register_collector(
+            lambda scrape: scrape.gauge(
+                "repro_escape_pin", "Hostile labels.", ("name",)
+            ).set(1, name=hostile)
+        )
         text = prometheus_text(reg)
         names = assert_valid_exposition(text)
         assert "repro_escape_pin" in names
@@ -516,14 +536,34 @@ class TestMetrics:
 
     def test_exposition_format_is_valid(self):
         reg = MetricsRegistry()
-        reg.counter("repro_requests_total", "Reqs.", ("scope",)).inc(scope="x")
-        reg.gauge("repro_depth", "Depth.").set(3)
-        h = reg.histogram("repro_wait_seconds", "Waits.", ("scope",))
-        h.observe(0.2, scope="x")
+
+        def collect(scrape):
+            scrape.counter("repro_requests_total", "Reqs.", ("scope",)).set(
+                1, scope="x"
+            )
+            scrape.gauge("repro_depth", "Depth.").set(3)
+
+        reg.register_collector(collect)
         names = assert_valid_exposition(prometheus_text(reg))
         assert "repro_requests_total" in names
         assert "repro_depth" in names
-        assert "repro_wait_seconds_bucket" in names
+
+    def test_scrapes_share_no_samples(self):
+        """Each scrape builds its families afresh: a series a collector
+        stopped writing is gone, not frozen at its last value."""
+        reg = MetricsRegistry()
+        labels = iter([("a", "b"), ("b",)])
+
+        def collect(scrape):
+            depth = scrape.gauge("repro_depth", "Depth.", ("tenant",))
+            for tenant in next(labels):
+                depth.set(1, tenant=tenant)
+
+        reg.register_collector(collect)
+        assert 'repro_depth{tenant="a"} 1' in prometheus_text(reg)
+        text = prometheus_text(reg)
+        assert 'repro_depth{tenant="b"} 1' in text
+        assert 'tenant="a"' not in text
 
     def test_catalog_names_are_valid_and_unique(self):
         assert len(set(METRIC_NAMES)) == len(METRIC_NAMES)
@@ -592,11 +632,46 @@ class TestMetrics:
         assert_valid_exposition(text)
         assert "mfarm" not in text
 
+    def test_closing_a_same_named_session_keeps_the_live_ones_series(self, matrix):
+        reg = MetricsRegistry()
+        obs = Observability(tracer=None, registry=reg)
+        live = repro.session(matrix, restart=10, tol=1e-8, obs=obs)
+        closed = repro.session(matrix, restart=10, tol=1e-8, obs=obs)
+        assert live.name == closed.name  # both take the default name
+        with live:
+            live.submit(np.ones(matrix.n_rows)).result()
+            closed.close()
+            text = prometheus_text(reg)
+        assert_valid_exposition(text)
+        assert (
+            f'repro_requests_submitted_total{{scope="session",name="{live.name}"}} 1'
+            in text
+        )
+
+    def test_closing_a_same_named_farm_keeps_the_live_ones_series(self, matrix):
+        reg = MetricsRegistry()
+        obs = Observability(tracer=None, registry=reg)
+        live = repro.farm(workers=1, obs=obs)
+        closed = repro.farm(workers=1, obs=obs)
+        assert live.name == closed.name == "farm"
+        live.register("lap", matrix, restart=10, tol=1e-8)
+        with live:
+            live.submit("lap", np.ones(matrix.n_rows)).result()
+            closed.close()
+            text = prometheus_text(reg)
+        assert_valid_exposition(text)
+        assert 'repro_queue_depth{name="farm",tenant="lap"} 0' in text
+        assert re.search(
+            r'repro_requests_completed_total\{scope="farm",name="farm"\} 1', text
+        )
+
 
 class TestHTTPExporter:
     def test_serves_metrics_on_ephemeral_port(self):
         reg = MetricsRegistry()
-        reg.counter("repro_pings_total", "Pings.").inc()
+        reg.register_collector(
+            lambda scrape: scrape.counter("repro_pings_total", "Pings.").set(1)
+        )
         with start_metrics_server(port=0, registry=reg) as server:
             assert server.port != 0
             with urllib.request.urlopen(server.url, timeout=10) as response:

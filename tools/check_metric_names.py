@@ -28,10 +28,8 @@ METRICS_MODULE = SRC / "obs" / "metrics.py"
 #: Must match METRIC_NAME_RE in src/repro/obs/metrics.py.
 NAME_RE = re.compile(r"^repro_[a-z][a-z0-9_]*$")
 
-#: Any repro_-prefixed string literal is treated as a metric name.  The
-#: suffixes Prometheus appends to histogram series are not registrations.
+#: Any repro_-prefixed string literal is treated as a metric name.
 LITERAL_RE = re.compile(r"^repro_[a-z0-9_]+$")
-SERIES_SUFFIXES = ("_bucket", "_sum", "_count")
 
 
 def load_catalog() -> tuple:
@@ -72,17 +70,12 @@ def main() -> int:
 
     literals = source_literals()
     for name, locations in sorted(literals.items()):
-        base = name
-        for suffix in SERIES_SUFFIXES:
-            if base.endswith(suffix) and base[: -len(suffix)] in seen:
-                base = base[: -len(suffix)]
-                break
-        if base not in seen:
+        if name not in seen:
             errors.append(
                 f"metric {name!r} used at {locations[0]} but not declared "
                 "in METRIC_NAMES"
             )
-        if not NAME_RE.match(base):
+        if not NAME_RE.match(name):
             errors.append(
                 f"metric {name!r} at {locations[0]} violates the naming "
                 "convention (snake_case, repro_ prefix)"
