@@ -1,4 +1,4 @@
-"""Pure-NumPy reference backend.
+"""NumPy reference backend, with compiled kernels for stencil products and axpy.
 
 The module-level CSR kernels here (:func:`spmv`, :func:`spmv_transpose`,
 :func:`spmm`) are the library's numerical ground truth (moved from
@@ -13,25 +13,43 @@ operands, so an fp32 SpMV really is computed in fp32 — important, because
 the numerical behaviour of the fp32 inner solver (stagnation around
 1e-5…1e-6 relative residual) is part of what the paper studies.
 
-Which SpMV/SpMM path :class:`NumpyBackend` runs, per matrix:
+Which SpMV/SpMM path :class:`NumpyBackend` runs, per matrix and call:
 
 * **DIA** (diagonal format) when the matrix has at most
   ``_DIA_MAX_DIAGONALS`` distinct diagonals and padding them to full
   length costs at most ``_DIA_MAX_PAD_FACTOR`` times its nonzeros — the
   stencil matrices of the paper.  The diagonals are stored densely once
-  per matrix, and each product is a sweep of contiguous slice
-  multiply-adds, so fp32 moves half the bytes of fp64.  The SpMV is the
-  SpMM kernel on ``k = 1`` views.  DIA sums each row in diagonal order,
-  the reference in column order, so the two agree to rounding, not
-  bit for bit.  The padding zeros also multiply every ``x`` entry their
-  diagonal slides over, so an ``inf`` in ``x`` can turn into ``0·inf =
-  NaN`` in a row the reference leaves finite; the solvers treat any
-  non-finite value as ``BREAKDOWN`` either way.
+  per matrix, so fp32 moves half the bytes of fp64.  The SpMV is the
+  SpMM on ``k = 1`` views.  A DIA product runs one of two
+  implementations with the same summation order, so they give the same
+  bits:
+
+  - **compiled** (fp32 and fp64): one call of the C kernel in
+    ``native/dia.c``, built on first use with the system C compiler and
+    cached (see :mod:`repro.backends.native`).  ctypes releases the GIL
+    for the call, so threads sharing a process run products in parallel.
+  - **NumPy sweep** (:func:`_dia_sweep`, contiguous slice
+    multiply-adds): fp16, and every dtype when no compiler is available.
+    It is the executable specification the compiled kernel is tested
+    against.
+
+  DIA sums each row in diagonal order, the reference in column order,
+  so DIA and the reference agree to rounding, not bit for bit.  The
+  padding zeros also multiply every ``x`` entry their diagonal slides
+  over, so an ``inf`` in ``x`` can turn into ``0·inf = NaN`` in a row
+  the reference leaves finite; the solvers treat any non-finite value
+  as ``BREAKDOWN`` either way.
 * **Gather** (CSR gather + ``np.add.reduceat``) for every other matrix,
   e.g. the SuiteSparse proxies, with ``x`` of another dtype than the
   matrix, and for plan-free matrix views.  Without ``out=`` it is the
   reference function itself; with ``out=`` it is the same arithmetic on
   cached temporaries, so it is bit-identical to the reference.
+
+``NumpyBackend.axpy`` on fp32/fp64 operands of one shape and layout
+(both C- or both Fortran-contiguous, not overlapping) is one call of the
+compiled axpy in ``native/dense.c``, which rounds ``alpha * x`` and then
+the sum, as the NumPy multiply-then-add it replaces, so the bits are the
+same; other operands, fp16 and builds without a compiler keep NumPy.
 
 Allocation discipline: when a caller supplies ``out=``, the class methods
 run allocation-free.  Per-matrix plans live in the matrix's
@@ -46,11 +64,13 @@ products on one shared matrix.  The dense GEMV kernels write through
 
 from __future__ import annotations
 
+import ctypes
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..scratch import scratch
+from . import native
 from .base import KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -269,8 +289,31 @@ def _dia_plan(matrix: "CsrMatrix", plan: dict) -> Optional[dict]:
         on_diag = offs == d
         values[di, rows[on_diag]] = matrix.data[on_diag]
     dia = {"offsets": [int(d) for d in offsets], "values": values}
+    if values.dtype in native.KERNEL_DTYPES:
+        # The compiled kernel's read-only view: int64 offsets and a
+        # descriptor holding both arrays' pointers, so a call passes one
+        # address instead of converting five arguments.
+        offsets64 = offsets.astype(np.int64)
+        descriptor = native.DiaMatrix(
+            n_rows, n_cols, offsets.size, offsets64.ctypes.data, values.ctypes.data
+        )
+        dia["native_refs"] = (offsets64, descriptor)
+        dia["native"] = ctypes.addressof(descriptor)
     plan["dia"] = dia
     return dia
+
+
+def _dia_chunk(k: int, itemsize: int) -> int:
+    """Rows per chunk of the DIA product, shared by both implementations.
+
+    Small enough that the x panel, the product scratch and the y panel
+    of a chunk stay cache-resident across the diagonal sweep — the x
+    entries a row range touches are nearly the same for every diagonal,
+    so chunking turns k·n_diags streams into ~one.  The chunk also fixes
+    the summation order (see :func:`_dia_sweep`), which is why the
+    compiled kernel takes it as an argument.
+    """
+    return max(1024, (1 << 19) // (k * itemsize))
 
 
 def _dia_spmm(
@@ -281,12 +324,13 @@ def _dia_spmm(
 ) -> np.ndarray:
     """Diagonal-format batched product ``Y = A X`` (see :func:`_dia_plan`).
 
-    The one DIA kernel: the SpMV runs it on ``k = 1`` views.  Works in the
-    transposed ``(k, n)`` orientation so that the Fortran-ordered blocks
-    the solvers pass (Krylov basis panels) and contiguous vectors are
-    C-contiguous views and every slice update runs buffer-free; operands
-    in other layouts are staged through per-thread scratch column by
-    column.
+    The one DIA entry point: the SpMV runs it on ``k = 1`` views.  Works
+    in the transposed ``(k, n)`` orientation so that the Fortran-ordered
+    blocks the solvers pass (Krylov basis panels) and contiguous vectors
+    are C-contiguous views; operands in other layouts are staged through
+    per-thread scratch column by column.  The product itself is one call
+    of the compiled kernel for fp32/fp64 when it is available, else the
+    NumPy sweep; both give the same bits.
     """
     n_rows, n_cols = matrix.shape
     k = X.shape[1]
@@ -303,22 +347,38 @@ def _dia_spmm(
         x_t = scratch("numpy.dia.x", dtype, (k, n_cols))
         for c in range(k):
             x_t[c] = X[:, c]
-    out_is_f = out.flags.f_contiguous
+    out_is_f = out.flags.f_contiguous and out.flags.writeable and out.dtype == dtype
     y_t = out.T if out_is_f else scratch("numpy.dia.y", dtype, (k, n_rows))
+    chunk = _dia_chunk(k, dtype.itemsize)
+    kernel = native.kernel("dia_spmm", dtype) if "native" in dia else None
+    if kernel is None:
+        _dia_sweep(dia, x_t, y_t, chunk)
+    else:
+        kernel(dia["native"], k, native.address(x_t), native.address(y_t), chunk)
+    if not out_is_f:
+        for c in range(k):
+            out[:, c] = y_t[c]
+    return out
+
+
+def _dia_sweep(dia: dict, x_t: np.ndarray, y_t: np.ndarray, chunk: int) -> None:
+    """``y_t = x_t A^T`` by NumPy slice multiply-adds, ``chunk`` rows at a time.
+
+    The executable specification of ``native/dia.c`` and the path for
+    fp16 and for hosts without a C compiler.  Its summation order, which
+    the compiled kernel reproduces bit for bit: in each chunk the first
+    diagonal touching the chunk writes its product straight into y (only
+    the uncovered edges are zero-filled, saving a full zero+add pass),
+    and every later diagonal, in offset order, adds its product.
+    """
+    k, n_rows = y_t.shape
+    n_cols = x_t.shape[1]
     values = dia["values"]
-    offsets = dia["offsets"]
-    # Process row ranges small enough that the x panel, the product scratch
-    # and the y panel all stay cache-resident across the diagonal sweep —
-    # the x entries a row range touches are nearly the same for every
-    # diagonal, so chunking turns k·n_diags streams into ~one.  The first
-    # diagonal touching a chunk writes its product straight into y (only
-    # the uncovered edges are zero-filled), saving a full zero+add pass.
-    chunk = max(1024, (1 << 19) // (k * dtype.itemsize))
-    g_t = scratch("numpy.dia.g", dtype, (k, min(chunk, n_rows)))
+    g_t = scratch("numpy.dia.g", y_t.dtype, (k, min(chunk, n_rows)))
     for c0 in range(0, n_rows, chunk):
         c1 = min(c0 + chunk, n_rows)
         filled = False
-        for di, d in enumerate(offsets):
+        for di, d in enumerate(dia["offsets"]):
             lo = max(max(0, -d), c0)
             hi = min(min(n_rows, n_cols - d), c1)
             if hi <= lo:
@@ -337,14 +397,29 @@ def _dia_spmm(
                 np.add(y_t[:, lo:hi], g, out=y_t[:, lo:hi])
         if not filled:
             y_t[:, c0:c1] = 0
-    if not out_is_f:
-        for c in range(k):
-            out[:, c] = y_t[c]
-    return out
+
+
+def _one_pass_axpy(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the compiled axpy may run on ``x``/``y``: one dtype and
+    shape, both C- or both Fortran-contiguous (so their flat entries pair
+    up), ``y`` writable, and no overlap unless ``y`` is ``x``."""
+    return (
+        x.dtype == y.dtype
+        and x.shape == y.shape
+        and x.size > 0
+        and y.flags.writeable
+        and (
+            (x.flags.c_contiguous and y.flags.c_contiguous)
+            or (x.flags.f_contiguous and y.flags.f_contiguous)
+        )
+        and (x is y or not np.may_share_memory(x, y))
+    )
 
 
 class NumpyBackend(KernelBackend):
-    """Reference backend: every kernel is the vectorised NumPy ground truth."""
+    """Reference backend: vectorised NumPy kernels, plus the compiled DIA
+    product for stencil matrices and the compiled axpy (see the module
+    docstring)."""
 
     name = "numpy"
 
@@ -577,6 +652,12 @@ class NumpyBackend(KernelBackend):
         y: np.ndarray,
         work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
+        kernel = native.kernel("axpy", x.dtype) if _one_pass_axpy(x, y) else None
+        if kernel is not None:
+            # The multiply-then-add below in one pass, with the same bits.
+            xs, ys = (x, y) if x.flags.c_contiguous else (x.T, y.T)
+            kernel(x.size, float(alpha), native.address(xs), native.address(ys))
+            return y
         if (
             work is not None
             and work.shape == x.shape

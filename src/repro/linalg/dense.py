@@ -21,6 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..backends import native
 from .kernels import meter_host_dense
 
 __all__ = [
@@ -168,6 +169,12 @@ class BlockGivensWorkspace:
     event), so the per-iteration path allocates nothing — the block
     analogue of :class:`GivensWorkspace`, filed under the same host-side
     "Other" cost bucket.
+
+    The Givens sweep of a block step is ``k²`` rotations.  For fp32/fp64
+    it is one call of the compiled ``band_qr_step`` kernel
+    (:mod:`repro.backends.native`), which gives the bits of the Python
+    loop in :meth:`append_block`; the loop runs for other dtypes and
+    when no compiler is available.
     """
 
     def __init__(self, max_cols: int, band: int, dtype=np.float64) -> None:
@@ -256,6 +263,19 @@ class BlockGivensWorkspace:
             target[:] = rotated[: q + 2 * k]
         else:
             target[:] = panel
+        kernel = native.kernel("band_qr_step", self.dtype)
+        if kernel is not None:
+            kernel(q, k, *self._native_operands())
+        else:
+            self._band_qr_step(q, k)
+        self.size = q + k
+        meter_host_dense(q * q * k + 6 * k * k * (q + 2 * k))
+
+    def _band_qr_step(self, q: int, k: int) -> None:
+        """Annihilate the band below the diagonal of panel columns
+        ``q .. q + k - 1`` with Givens rotations, applying each one to the
+        panel columns to its right, ``G`` and ``Q^T`` (the specification
+        of the compiled ``band_qr_step``)."""
         width = q + 2 * k
         for i in range(k):
             col_index = q + i
@@ -278,8 +298,14 @@ class BlockGivensWorkspace:
                     other[r] = s * head_o + c * other[r]
                 self._rotate_rows(self.G, r, c, s, k)
                 self._rotate_rows(self.QT, r, c, s, width)
-        self.size = q + k
-        meter_host_dense(q * q * k + 6 * k * k * (q + 2 * k))
+
+    def _native_operands(self) -> tuple:
+        """``R``, ``G``, ``QT`` as the compiled kernel takes them: each a
+        pointer and a row stride in elements."""
+        operands = []
+        for M in (self.R, self.G, self.QT):
+            operands += [native.address(M), M.shape[1]]
+        return tuple(operands)
 
     def residual_norms(self, out: "np.ndarray | None" = None) -> np.ndarray:
         """Per-column implicit residual norms ``‖G[q:q+k, c]‖₂`` (length k)."""

@@ -48,7 +48,8 @@ by ``np.dtype`` (other dtypes fall back to
 the memoized cost model returns the estimate of the same kernel and sizes,
 equal to a fresh one and added in the same order, so modelled seconds are
 bit-for-bit those of an unmemoized run; each timer caches its bucket per
-raw label.
+raw label; the SpMV/SpMM cost-model key is built once per matrix and
+kernel width (``CsrMatrix.cost_keys``).
 
 Buffer-ownership rules (the ``out=`` contract):
 
@@ -135,6 +136,23 @@ def _check_same_dtype(*arrays: np.ndarray) -> np.dtype:
 # ---------------------------------------------------------------------- #
 # sparse                                                                 #
 # ---------------------------------------------------------------------- #
+def _sparse_cost_key(matrix: CsrMatrix, width) -> tuple:
+    """Cost-model key of the SpMV (``width="spmv"``) or a width-``k`` SpMM.
+
+    Cached in ``matrix.cost_keys``: reading the five sizes and the
+    bandwidth on every metered call cost about a microsecond, a cache
+    hit is one dict lookup.
+    """
+    sizes = (matrix.n_rows, matrix.n_cols, matrix.nnz)
+    itemsize = matrix.dtype.itemsize
+    if width == "spmv":
+        key = ("spmv", *sizes, itemsize, matrix.bandwidth())
+    else:
+        key = ("spmm", *sizes, width, itemsize, matrix.bandwidth())
+    matrix.cost_keys[width] = key
+    return key
+
+
 def spmv(
     matrix: CsrMatrix,
     x: np.ndarray,
@@ -151,9 +169,8 @@ def spmv(
     start = time.perf_counter()
     y = ctx.backend.spmv(matrix, x, out=out)
     wall = time.perf_counter() - start
-    sizes = (matrix.n_rows, matrix.n_cols, matrix.nnz, matrix.dtype.itemsize, matrix.bandwidth())
-    cost = ctx.cost_model.estimate(("spmv", *sizes))
-    _record(label, matrix.dtype, cost, wall)
+    key = matrix.cost_keys.get("spmv") or _sparse_cost_key(matrix, "spmv")
+    _record(label, matrix.data.dtype, ctx.cost_model.estimate(key), wall)
     return y
 
 
@@ -180,9 +197,9 @@ def spmm(
     start = time.perf_counter()
     Y = ctx.backend.spmm(matrix, X, out=out)
     wall = time.perf_counter() - start
-    sizes = (matrix.n_rows, matrix.n_cols, matrix.nnz, X.shape[1], matrix.dtype.itemsize)
-    cost = ctx.cost_model.estimate(("spmm", *sizes, matrix.bandwidth()))
-    _record(label, matrix.dtype, cost, wall)
+    k = X.shape[1]
+    key = matrix.cost_keys.get(k) or _sparse_cost_key(matrix, k)
+    _record(label, matrix.data.dtype, ctx.cost_model.estimate(key), wall)
     return Y
 
 

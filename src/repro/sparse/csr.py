@@ -54,6 +54,7 @@ class CsrMatrix:
         "name",
         "_bandwidth",
         "backend_cache",
+        "cost_keys",
         "_cast_cache",
     )
 
@@ -79,6 +80,9 @@ class CsrMatrix:
         # scipy.sparse handle, the NumPy DIA view); see repro.backends.
         # Kernel temporaries live in the per-thread repro.scratch pool.
         self.backend_cache: dict = {}
+        # Cost-model keys of the metered SpMV/SpMM, one per kernel width;
+        # see repro.linalg.kernels.
+        self.cost_keys: dict = {}
         # Precision-cast copies, keyed by dtype; see astype().
         self._cast_cache: dict = {}
         if check:

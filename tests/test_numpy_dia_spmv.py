@@ -11,7 +11,11 @@ gather/``np.add.reduceat`` path.  Pinned here:
 * ineligible matrices stay bit-identical to the reference;
 * a DIA matrix's plan never builds the gather path's index copy;
 * allocating and ``out=`` calls are safe to run concurrently on one
-  shared matrix.
+  shared matrix;
+* the compiled fp32/fp64 kernel (``backends/native/dia.c``) gives the
+  NumPy sweep's bits on every stencil, width, layout and shape tried,
+  and every test above passes on the sweep too (the ``...Sweep``
+  classes, which unload the compiled library).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.backends import native
 from repro.backends.numpy_backend import (
     _DIA_MAX_DIAGONALS,
     _SPMV_PLAN_KEY,
@@ -62,6 +67,19 @@ def assert_matches_to_rounding(y: np.ndarray, A: CsrMatrix, x: np.ndarray) -> No
 
 def dia_of(A: CsrMatrix):
     return A.backend_cache[_SPMV_PLAN_KEY]["dia"]
+
+
+@pytest.fixture
+def sweep_only(monkeypatch):
+    """Unload the compiled kernels: every DIA product runs the NumPy sweep."""
+    monkeypatch.setattr(native, "_kernels", {})
+
+
+@pytest.fixture
+def compiled():
+    """The compiled kernels, loaded (built on first use) for this test."""
+    if native.kernel("dia_spmm", np.dtype(np.float64)) is None:
+        pytest.skip("no C compiler: the compiled DIA kernel is unavailable")
 
 
 def banded(n_rows: int, n_cols: int, offsets, *, empty_rows=(), seed=0) -> CsrMatrix:
@@ -150,6 +168,118 @@ class TestDiaShapesAndLayouts:
             NUMPY.spmv(A, np.ones(A.n_cols), out=np.empty(A.n_rows - 1))
 
 
+@pytest.mark.usefixtures("sweep_only")
+class TestDiaParitySweep(TestDiaParity):
+    pass
+
+
+@pytest.mark.usefixtures("sweep_only")
+class TestDiaShapesAndLayoutsSweep(TestDiaShapesAndLayouts):
+    pass
+
+
+def bits(Y: np.ndarray) -> np.ndarray:
+    """The raw bits of ``Y``, so ``-0.0`` and NaN payloads compare too."""
+    Y = np.asarray(Y)
+    return np.ascontiguousarray(Y).view(np.dtype(f"u{Y.dtype.itemsize}"))
+
+
+def operand(n: int, k: int, layout: str, dtype, seed: int) -> np.ndarray:
+    """An ``(n, k)`` block in the given memory layout: Fortran, C, or
+    every other row of a wider Fortran block ("strided")."""
+    values = rng(seed).uniform(-1, 1, (n, k)).astype(dtype)
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "C":
+        return np.ascontiguousarray(values)
+    wide = np.asfortranarray(rng(seed).uniform(-1, 1, (2 * n, k)).astype(dtype))
+    wide[::2] = values
+    return wide[::2]
+
+
+def both_ways(monkeypatch, product):
+    """``product()`` on the compiled kernel, then on the NumPy sweep."""
+    fast = product()
+    with monkeypatch.context() as m:
+        m.setattr(native, "_kernels", {})
+        slow = product()
+    return fast, slow
+
+
+@pytest.mark.usefixtures("compiled")
+class TestCompiledMatchesSweep:
+    @pytest.mark.parametrize("layout", ["F", "C", "strided"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
+    @pytest.mark.parametrize("problem", sorted(STENCILS))
+    def test_spmm_bit_identical(self, monkeypatch, problem, dtype, k, layout):
+        A = STENCILS[problem]().astype(np.dtype(dtype).name)
+        X = operand(A.n_cols, k, layout, dtype, seed=20 + k)
+        out_f = np.empty((A.n_rows, k), dtype=dtype, order="F")
+        fast, slow = both_ways(monkeypatch, lambda: NUMPY.spmm(A, X).copy())
+        assert "native" in dia_of(A)
+        np.testing.assert_array_equal(bits(fast), bits(slow))
+        fast, slow = both_ways(monkeypatch, lambda: NUMPY.spmm(A, X, out=out_f).copy())
+        np.testing.assert_array_equal(bits(fast), bits(slow))
+        if k == 1:
+            x = X[:, 0]
+            fast, slow = both_ways(monkeypatch, lambda: NUMPY.spmv(A, x).copy())
+            np.testing.assert_array_equal(bits(fast), bits(slow))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40), (3000, 2100), (2100, 3000)])
+    def test_rectangular_and_empty_rows_bit_identical(self, monkeypatch, shape, dtype):
+        A = banded(*shape, offsets=(-900, -3, -1, 0, 2, 5, 700), empty_rows=(0, 7), seed=3)
+        A = A.astype(np.dtype(dtype).name)
+        for k in (1, 3):
+            X = operand(A.n_cols, k, "F", dtype, seed=k)
+            fast, slow = both_ways(monkeypatch, lambda: NUMPY.spmm(A, X).copy())
+            np.testing.assert_array_equal(bits(fast), bits(slow))
+            assert_matches_to_rounding(fast[:, 0], A, X[:, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
+    @pytest.mark.parametrize(
+        "offsets",
+        [(-9000, -1, 0, 1, 9000), tuple(range(-6, 6))],
+        ids=["far", "12-diagonals"],
+    )
+    @pytest.mark.parametrize("shape", [(20000, 20000), (20000, 17000), (17000, 20000)])
+    def test_multi_chunk_bit_identical(self, monkeypatch, shape, offsets, dtype):
+        """Several row chunks, each with its own first diagonal."""
+        values = rng(6).standard_normal((len(offsets), max(shape)))
+        A = CsrMatrix.from_scipy(
+            sp.diags(list(values), list(offsets), shape=shape, format="csr")
+        ).astype(np.dtype(dtype).name)
+        for k in (1, 8):
+            X = operand(A.n_cols, k, "F", dtype, seed=k)
+            fast, slow = both_ways(monkeypatch, lambda: NUMPY.spmm(A, X).copy())
+            assert "native" in dia_of(A)
+            np.testing.assert_array_equal(bits(fast), bits(slow))
+
+    def test_signed_zeros_and_non_finite_bit_identical(self, monkeypatch):
+        """Rows whose products are all ``-0.0``, and ``inf``/NaN operands:
+        the chunk-edge zero fill and ``0 * inf`` land on the same bits."""
+        A = banded(2500, 2500, offsets=(-1500, -1, 0, 1, 1200), seed=4)
+        x = -np.zeros(A.n_cols)
+        x[[5, 2000]] = np.inf
+        x[1700] = np.nan
+        fast, slow = both_ways(monkeypatch, lambda: NUMPY.spmv(A, x).copy())
+        np.testing.assert_array_equal(bits(fast), bits(slow))
+
+    def test_read_only_operand(self, monkeypatch):
+        A = uniflow2d(16)
+        X = operand(A.n_cols, 2, "F", np.float64, seed=5)
+        X.flags.writeable = False
+        fast, slow = both_ways(monkeypatch, lambda: NUMPY.spmm(A, X).copy())
+        np.testing.assert_array_equal(bits(fast), bits(slow))
+
+    def test_fp16_stays_on_the_sweep(self):
+        A = laplace3d(6).astype("half")
+        NUMPY.spmv(A, np.ones(A.n_cols, dtype=np.float16))
+        assert "native" not in dia_of(A)
+        assert native.kernel("dia_spmm", np.dtype(np.float16)) is None
+
+
 class TestGatherFallback:
     def test_too_many_diagonals_stays_bit_identical(self):
         offsets = tuple(range(-(_DIA_MAX_DIAGONALS // 2) - 1, _DIA_MAX_DIAGONALS // 2 + 1))
@@ -176,6 +306,11 @@ class TestGatherFallback:
         plan = A.backend_cache[_SPMV_PLAN_KEY]
         assert isinstance(plan["dia"], dict)
         assert "indices" not in plan
+
+
+@pytest.mark.parametrize("kernel", ["spmv", "spmm"])
+def test_concurrent_calls_on_shared_matrix_sweep(kernel, sweep_only):
+    test_concurrent_allocating_calls_on_shared_matrix(kernel)
 
 
 @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
