@@ -28,10 +28,12 @@ from repro.matrices import laplace2d, laplace3d
 from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
 from repro.solvers import (
     block_gmres,
+    block_gmres_ir,
     gmres,
     gmres_fd,
     gmres_ir,
     gmres_ir_three_precision,
+    solve_many,
 )
 
 
@@ -68,6 +70,20 @@ def _block_gmres():
     return block_gmres(A, B, restart=10, tol=1e-8)
 
 
+def _block_gmres_ir():
+    A = laplace3d(8)
+    B = rng(3).standard_normal((A.n_rows, 3))
+    return block_gmres_ir(A, B, restart=10, tol=1e-10)
+
+
+def _solve_many_one_column_tail():
+    # 3 right-hand sides in blocks of 2: the last chunk is one column wide
+    # and still takes the block path (SpMM residual, not SpMV).
+    A = laplace3d(8)
+    B = rng(5).standard_normal((A.n_rows, 3))
+    return solve_many(A, B, block_size=2, restart=10, tol=1e-8)
+
+
 def _poly_gmres():
     A = laplace3d(8)
     M = GmresPolynomialPreconditioner(A, degree=5, precision="double")
@@ -81,6 +97,8 @@ CASES = {
     "gmres-fd": _gmres_fd,
     "ir-three-precision": _ir_three_precision,
     "block-gmres": _block_gmres,
+    "block-gmres-ir": _block_gmres_ir,
+    "solve-many-one-column-tail": _solve_many_one_column_tail,
     "poly-gmres": _poly_gmres,
 }
 
@@ -120,6 +138,43 @@ GOLDEN: dict = {'block-gmres': ({'GEMM (No Trans)|double': (116,
                   'Norm': 193,
                   'Other': 286,
                   'SpMM': 62}),
+ 'block-gmres-ir': ({'GEMM (No Trans)|single': (147,
+                                                '0x1.5c15c5074fe16p-9',
+                                                6663360.0,
+                                                7127040.0),
+                     'GEMM (Trans)|single': (140,
+                                             '0x1.4bf0ef40eb021p-9',
+                                             5350320.0,
+                                             6533120.0),
+                     'GEMV (No Trans)|single': (286,
+                                                '0x1.519b7b97b5a78p-8',
+                                                2029192.0,
+                                                428032.0),
+                     'GEMV (Trans)|single': (286,
+                                             '0x1.5198752818224p-8',
+                                             1443464.0,
+                                             428032.0),
+                     'Norm|double': (3, '0x1.798edcf539967p-14', 12288.0, 3072.0),
+                     'Norm|single': (220, '0x1.b09a97e73ac4ap-8', 450560.0, 225280.0),
+                     'Other|double': (214,
+                                      '0x1.f6fcb1881c765p-10',
+                                      3676800.0,
+                                      346534.0),
+                     'Other|single': (240,
+                                      '0x1.f7bb1144be9e6p-10',
+                                      1024000.0,
+                                      133120.0),
+                     'SpMM|single': (70,
+                                     '0x1.2770866ab1a6cp-11',
+                                     2754840.0,
+                                     1280000.0)},
+                    {'GEMM (No Trans)': 147,
+                     'GEMM (Trans)': 140,
+                     'GEMV (No Trans)': 286,
+                     'GEMV (Trans)': 286,
+                     'Norm': 223,
+                     'Other': 454,
+                     'SpMM': 70}),
  'gmres-fd': ({'GEMV (No Trans)|double': (52,
                                           '0x1.ec679f7fb61b8p-11',
                                           2375384.0,
@@ -226,7 +281,42 @@ GOLDEN: dict = {'block-gmres': ({'GEMM (No Trans)|double': (116,
                  'GEMV (Trans)': 12,
                  'Norm': 9,
                  'Other': 89,
-                 'SpMV': 36})}
+                 'SpMV': 36}),
+ 'solve-many-one-column-tail': ({'GEMM (No Trans)|double': (222,
+                                                            '0x1.06bf7d137c66cp-8',
+                                                            10169976.0,
+                                                            3095552.0),
+                                 'GEMM (Trans)|double': (210,
+                                                         '0x1.f113ecaf15cc6p-9',
+                                                         8124032.0,
+                                                         2834432.0),
+                                 'GEMV (No Trans)|double': (110,
+                                                            '0x1.03c2ad7a1f386p-9',
+                                                            1352560.0,
+                                                            112640.0),
+                                 'GEMV (Trans)|double': (110,
+                                                         '0x1.03b0d9cab8517p-9',
+                                                         902000.0,
+                                                         112640.0),
+                                 'Norm|double': (195,
+                                                 '0x1.7f7518690e7e7p-8',
+                                                 798720.0,
+                                                 199680.0),
+                                 'Other|double': (346,
+                                                  '0x1.2e0d2bc28642bp-9',
+                                                  2587168.0,
+                                                  160930.0),
+                                 'SpMM|double': (119,
+                                                 '0x1.f7d2fed4dfa57p-11',
+                                                 6247388.0,
+                                                 1120000.0)},
+                                {'GEMM (No Trans)': 222,
+                                 'GEMM (Trans)': 210,
+                                 'GEMV (No Trans)': 110,
+                                 'GEMV (Trans)': 110,
+                                 'Norm': 195,
+                                 'Other': 346,
+                                 'SpMM': 119})}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
