@@ -33,10 +33,15 @@ class ProbeEvent:
     """One observation from inside a running solver.
 
     ``residual`` is the relative residual at the boundary (for block
-    solvers: the worst — maximum — relative residual over the columns
-    that were active entering the boundary).  ``active``/``deflated``
-    only carry information for block solvers: how many columns remain
-    active after the boundary and how many were deflated *at* it.
+    solvers: the worst — maximum, NaN if any is NaN — relative residual
+    over the columns that were active entering the boundary).
+    ``active``/``deflated`` count how many columns remain active after the
+    boundary and how many ended *at* it by their own outcome (converged,
+    breakdown, their own control, loss of accuracy, stagnation).  Columns
+    stopped by the whole-solve control or the budget count as active.  So
+    a single-vector GMRES-family solve reports ``active=1, deflated=0`` at
+    every boundary except the one where it converges or breaks down, which
+    reports ``active=0, deflated=1``.
     ``status`` is ``None`` except on ``terminal`` events, where it is the
     final :class:`~repro.solvers.status.SolverStatus` (for block solvers
     the terminal status arrives in ``extra["statuses"]`` per column

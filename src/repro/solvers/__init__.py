@@ -16,14 +16,14 @@
   multi-right-hand-side path.
 
 Every entry point follows one contract, written once in
-:mod:`repro.solvers.driver` (and its block twin in
-:mod:`repro.solvers.block_gmres`): ``control=`` bounds the solve by
-deadline, cancellation or iteration budget; a non-finite residual ends it
-with ``BREAKDOWN``; a zero right-hand side returns zero; ``probe=`` sees
-one event per restart or refinement boundary and exactly one terminal
-event, last.  GMRES, GMRES-IR and three-precision IR are the same restart
-loop with different steps; GMRES-FD chains two GMRES runs and reports
-them as one solve.
+:mod:`repro.solvers.driver`: ``control=`` bounds the solve by deadline,
+cancellation or iteration budget; a non-finite residual ends it with
+``BREAKDOWN``; a zero right-hand side returns zero; ``probe=`` sees one
+event per restart or refinement boundary and exactly one terminal event,
+last.  GMRES, GMRES-IR, three-precision IR and the two block drivers are
+one restart loop with different steps (the single-vector drivers are its
+one-column case); GMRES-FD chains two GMRES runs and reports them as one
+solve.
 """
 
 from .result import (

@@ -15,11 +15,12 @@ to advance a *block* of right-hand sides together:
   iterations than it would alone.
 
 The module provides the cycle routine (:func:`run_block_gmres_cycle`),
-the restarted driver with per-column convergence tracking and deflation
-of converged columns at restarts (:func:`block_gmres`), the blocked
-mixed-precision refinement wrapper (:func:`block_gmres_ir`), and the
-top-level :func:`solve_many` entry point that chunks an arbitrary number
-of right-hand sides into blocks.
+the restarted driver (:func:`block_gmres`), the blocked mixed-precision
+refinement wrapper (:func:`block_gmres_ir`), and the top-level
+:func:`solve_many` entry point that chunks an arbitrary number of
+right-hand sides into blocks.  Both drivers run the restart loop of
+:mod:`repro.solvers.driver`, which tracks convergence per column and
+deflates the columns that end at a restart.
 
 Least squares is handled by :class:`~repro.linalg.dense.BlockGivensWorkspace`,
 the band-Hessenberg generalization of the Givens machinery, which yields
@@ -31,29 +32,34 @@ contract, so a block iteration allocates nothing once the
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..linalg import kernels
 from ..linalg.dense import BlockGivensWorkspace
 from ..linalg.multivector import MultiVector
-from ..obs.probe import ProbeEvent
 from ..ortho import BlockOrthogonalizationManager, make_block_ortho_manager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
 from .driver import (
+    Columns,
+    Step,
+    announce,
+    as_block,
     as_preconditioner,
-    fp64_relative_residual,
+    finish_columns,
+    initial_block,
     resolve_budget,
+    resolve_controls,
     resolve_workspace,
+    restart_loop,
     shifted_probe,
 )
-from .result import ConvergenceHistory, MultiSolveResult, SolverStatus
+from .result import MultiSolveResult
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
 __all__ = [
@@ -154,7 +160,6 @@ class BlockCycleOutcome:
     iterations: int  # block steps performed
     implicit: np.ndarray = field(default=None)  # (iterations, k) absolute norms
     breakdown: bool = False
-    implicit_converged: bool = False
 
 
 def run_block_gmres_cycle(
@@ -235,7 +240,6 @@ def run_block_gmres_cycle(
 
     implicit = workspace.implicit
     iterations = 0
-    implicit_converged = False
 
     for j in range(steps):
         v_block = basis.column_block(j * k, k)
@@ -257,7 +261,6 @@ def run_block_gmres_cycle(
         if absolute_targets is not None and np.all(
             implicit[j, :k] <= absolute_targets
         ):
-            implicit_converged = True
             break
         if (
             control is not None
@@ -277,302 +280,6 @@ def run_block_gmres_cycle(
         iterations=iterations,
         implicit=implicit[:iterations, :k],
         breakdown=breakdown,
-        implicit_converged=implicit_converged,
-    )
-
-
-class _ColumnTracker:
-    """Per-right-hand-side bookkeeping shared by the block drivers.
-
-    Maintains the compacted *active* buffers (deflation removes finalized
-    columns by shifting the survivors left, so the kernels always see
-    contiguous leading columns) and the per-original-column statuses,
-    iteration counts, histories and controls.
-    """
-
-    def __init__(
-        self,
-        B: np.ndarray,
-        X0: Optional[np.ndarray],
-        dtype,
-        controls: Optional[Sequence[Optional[SolveControl]]] = None,
-    ) -> None:
-        n, p = B.shape
-        self.p = p
-        # Always a fresh copy: compact() shifts columns in place, and
-        # np.asfortranarray would alias a caller block that is already
-        # Fortran-ordered in the working dtype.
-        self.B = np.array(B, dtype=dtype, order="F", copy=True)
-        self.X = np.zeros((n, p), dtype=dtype, order="F")
-        if X0 is not None:
-            self.X[:] = np.asarray(X0, dtype=dtype).reshape(n, p)
-        self.final_X = np.zeros((n, p), dtype=dtype, order="F")
-        self.bnorms = np.zeros(p)
-        self.active = list(range(p))
-        self.statuses: List[Optional[SolverStatus]] = [None] * p
-        self.iterations = np.zeros(p, dtype=np.int64)
-        self.steps_alive = np.zeros(p, dtype=np.int64)
-        self.hit_at = np.full(p, -1, dtype=np.int64)
-        self.last_implicit = np.full(p, np.nan)
-        self.histories = [ConvergenceHistory() for _ in range(p)]
-        self.rel = np.full(p, np.inf)
-        self.controls = _resolve_controls(controls, p)
-
-    @property
-    def k(self) -> int:
-        return len(self.active)
-
-    def finalize(self, i: int, status: SolverStatus) -> None:
-        """Record the terminal status of active slot ``i`` (no compaction)."""
-        col = self.active[i]
-        self.statuses[col] = status
-        if status == SolverStatus.CONVERGED and self.hit_at[col] >= 0:
-            self.iterations[col] = self.hit_at[col]
-        else:
-            self.iterations[col] = self.steps_alive[col]
-        self.final_X[:, col] = self.X[:, i]
-
-    def finalize_all(self, status: SolverStatus) -> None:
-        for i in range(self.k - 1, -1, -1):
-            self.finalize(i, status)
-        self.active = []
-
-    def compact(self, extras=()) -> None:
-        """Drop finalized columns; shift survivors into the leading slots.
-
-        ``extras`` are companion ``(n, ≥k)`` blocks (e.g. the residual
-        block just computed) whose leading columns track the active set
-        and must be shifted identically.
-        """
-        keep = [i for i, col in enumerate(self.active) if self.statuses[col] is None]
-        if len(keep) == self.k:
-            return
-        self.X[:, : len(keep)] = self.X[:, keep]
-        self.B[:, : len(keep)] = self.B[:, keep]
-        self.bnorms[: len(keep)] = self.bnorms[keep]
-        for extra in extras:
-            extra[:, : len(keep)] = extra[:, keep]
-        self.active = [self.active[i] for i in keep]
-
-    def record_cycle(
-        self, outcome: BlockCycleOutcome, targets: Optional[np.ndarray] = None
-    ) -> None:
-        """Book one cycle's implicit residuals and steps on every active column.
-
-        With per-column ``targets`` a column also remembers the first step
-        whose estimate met its target — trusted only if the estimate stayed
-        below it through the end of the cycle (the explicit residual at the
-        next restart confirms it).
-        """
-        steps = outcome.iterations
-        for i, col in enumerate(self.active):
-            if self.controls is not None and self.controls[col] is not None:
-                self.controls[col].charge(steps)
-            base = int(self.steps_alive[col])
-            hit = -1
-            for step in range(steps):
-                implicit_abs = float(outcome.implicit[step, i])
-                self.histories[col].record_implicit(
-                    base + step + 1, implicit_abs / self.bnorms[i]
-                )
-                if targets is not None and hit < 0 and implicit_abs <= targets[i]:
-                    hit = base + step + 1
-            if steps > 0:
-                self.last_implicit[col] = float(outcome.implicit[steps - 1, i])
-            if targets is not None:
-                trusted = hit >= 0 and self.last_implicit[col] <= targets[i]
-                self.hit_at[col] = hit if trusted else -1
-            self.steps_alive[col] += steps
-
-
-def _resolve_controls(
-    controls: Optional[Sequence[Optional[SolveControl]]], p: int
-) -> Optional[List[Optional[SolveControl]]]:
-    """Validate the per-column control list of a batched solve."""
-    if controls is None:
-        return None
-    controls = list(controls)
-    if len(controls) != p:
-        raise ValueError(
-            f"controls must have one entry per right-hand side "
-            f"({len(controls)} given for {p} columns)"
-        )
-    return controls
-
-
-def _as_block(B: np.ndarray, n: int) -> np.ndarray:
-    """Validate a right-hand-side block (a 1-D vector is one column)."""
-    B = np.asarray(B)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    if B.shape[0] != n:
-        raise ValueError(f"right-hand-side block must have {n} rows")
-    if B.shape[1] == 0:
-        raise ValueError("right-hand-side block has no columns")
-    return B
-
-
-def _block_loop(
-    A: CsrMatrix,
-    tracker: _ColumnTracker,
-    step: Callable[[np.ndarray, int], Tuple[int, bool]],
-    *,
-    tol: float,
-    max_iterations: int,
-    max_restarts: int,
-    scratch: Tuple[np.ndarray, np.ndarray],
-    solver: str,
-    kind: str,
-    label: Optional[str] = None,
-    control: Optional[SolveControl] = None,
-    probe=None,
-    column_check: Optional[Callable[[int, int, float], Optional[SolverStatus]]] = None,
-) -> Tuple[int, int]:
-    """The restart loop of the block drivers; returns (block steps, restarts).
-
-    The block twin of :func:`~repro.solvers.driver.restart_loop`.  Each
-    pass recomputes the true residual of every active column into
-    ``scratch`` (booked under ``label`` when given) and classifies each
-    column — converged, non-finite → ``BREAKDOWN``, its own control's
-    demand, then the driver's ``column_check`` — deflating the columns
-    that end.  One ``kind`` probe event reports the boundary; then the
-    whole-solve control and the budget may end every remaining column.
-    Otherwise ``step(R, remaining)`` advances the active block from its
-    residual block ``R`` and returns ``(block steps, final)``; a final
-    step is verified once with the true residual of each column.
-    """
-    W, R = scratch
-    labelled = {} if label is None else {"label": label}
-
-    def measure() -> None:
-        k = tracker.k
-        w_block = kernels.spmm(A, tracker.X[:, :k], out=W[:, :k], **labelled)
-        for i, col in enumerate(tracker.active):
-            r = kernels.copy(tracker.B[:, i], out=R[:, i], **labelled)
-            kernels.axpy(-1.0, w_block[:, i], r, **labelled)
-            tracker.rel[col] = kernels.norm2(r, **labelled) / tracker.bnorms[i]
-            tracker.histories[col].record_explicit(
-                int(tracker.steps_alive[col]), tracker.rel[col]
-            )
-
-    for c in range(tracker.p):
-        tracker.bnorms[c] = kernels.norm2(tracker.B[:, c])
-        if tracker.bnorms[c] == 0.0:
-            # Zero right-hand side: the zero vector is the solution, and
-            # the column is deflated before the first cycle.
-            tracker.X[:, c] = 0
-            tracker.rel[c] = 0.0
-            tracker.finalize(c, SolverStatus.CONVERGED)
-    tracker.compact()
-
-    block_iterations = 0
-    restarts = 0
-    while tracker.active:
-        measure()
-        for i, col in enumerate(tracker.active):
-            rel = tracker.rel[col]
-            own = tracker.controls[col] if tracker.controls is not None else None
-            if rel <= tol:
-                status = SolverStatus.CONVERGED
-            elif not np.isfinite(rel):
-                # A NaN/Inf column cannot recover (and would poison the
-                # shared basis): classify it and deflate.
-                status = SolverStatus.BREAKDOWN
-            elif own is not None and (demanded := own.poll()) is not None:
-                status = demanded
-            elif column_check is not None:
-                status = column_check(i, col, rel)
-            else:
-                status = None
-            if status is not None:
-                tracker.finalize(i, status)
-        entering = [tracker.rel[col] for col in tracker.active]
-        tracker.compact(extras=(R,))
-        if probe is not None:
-            probe(ProbeEvent(
-                solver, kind, block_iterations, restarts, float(max(entering)),
-                active=tracker.k, deflated=len(entering) - tracker.k,
-            ))
-        if not tracker.active:
-            break
-        if control is not None and (demanded := control.poll()) is not None:
-            tracker.finalize_all(demanded)
-            break
-        if block_iterations >= max_iterations or restarts >= max_restarts:
-            tracker.finalize_all(SolverStatus.MAX_ITERATIONS)
-            break
-
-        steps, final = step(R[:, : tracker.k], max_iterations - block_iterations)
-        block_iterations += steps
-        restarts += 1
-        if final:
-            # Nothing more the step can do: each true residual decides.
-            measure()
-            for i, col in enumerate(tracker.active):
-                tracker.finalize(
-                    i,
-                    SolverStatus.CONVERGED
-                    if tracker.rel[col] <= tol
-                    else SolverStatus.BREAKDOWN,
-                )
-            tracker.active = []
-    return block_iterations, restarts
-
-
-def _announce(result: MultiSolveResult, probe) -> MultiSolveResult:
-    """Emit the one terminal probe event of a batched solve."""
-    if probe is not None:
-        probe(ProbeEvent(
-            solver=result.solver,
-            kind="terminal",
-            iteration=result.block_iterations,
-            restarts=result.restarts,
-            residual=float(np.max(result.relative_residuals)),
-            active=0,
-            deflated=0,
-            extra={"statuses": dict(Counter(s.name for s in result.statuses))},
-        ))
-    return result
-
-
-def _block_result(
-    matrix: CsrMatrix,
-    B: np.ndarray,
-    tracker: _ColumnTracker,
-    block_iterations: int,
-    restarts: int,
-    *,
-    timer: KernelTimer,
-    solver: str,
-    precision: str,
-    details: dict,
-    fp64_check: bool,
-    probe,
-) -> MultiSolveResult:
-    """Build (and announce) the result of a block driver."""
-    rel_fp64 = tracker.rel.copy()
-    if fp64_check:
-        for col in range(tracker.p):
-            rel_fp64[col] = fp64_relative_residual(
-                matrix, B[:, col], tracker.final_X[:, col]
-            )
-    return _announce(
-        MultiSolveResult(
-            X=tracker.final_X,
-            statuses=list(tracker.statuses),
-            iterations=tracker.iterations.copy(),
-            block_iterations=block_iterations,
-            restarts=restarts,
-            relative_residuals=tracker.rel.copy(),
-            relative_residuals_fp64=rel_fp64,
-            histories=tracker.histories,
-            timer=timer,
-            solver=solver,
-            precision=precision,
-            block_size=tracker.p,
-            details=details,
-        ),
-        probe,
     )
 
 
@@ -664,55 +371,35 @@ def block_gmres(
     prec = as_precision(precision if precision is not None else matrix.dtype)
     ortho_mgr = make_block_ortho_manager(ortho) if isinstance(ortho, str) else ortho
     n = matrix.n_rows
-    B = _as_block(B, n)
-    p = B.shape[1]
+    cols = Columns(B, X0, n, prec.dtype, controls=controls)
 
     A = matrix.astype(prec)
     precond = as_preconditioner(preconditioner, prec)
-    workspace = resolve_workspace(workspace, BlockGmresWorkspace, n, restart, p, prec)
-    timer = timer or KernelTimer(name or f"block-gmres({restart}x{p})-{prec.name}")
-    tracker = _ColumnTracker(B, X0, prec.dtype, controls)
-    loa = LossOfAccuracyTest(tolerance=tol) if loss_of_accuracy_check else None
-    stagnation_tests = None if stagnation is None else [
-        StagnationTest(patience=stagnation.patience, min_reduction=stagnation.min_reduction)
-        for _ in range(p)
-    ]
+    workspace = resolve_workspace(workspace, BlockGmresWorkspace, n, restart, cols.p, prec)
+    timer = timer or KernelTimer(name or f"block-gmres({restart}x{cols.p})-{prec.name}")
 
-    def column_check(i: int, col: int, rel: float) -> Optional[SolverStatus]:
-        pending = tracker.last_implicit[col]
-        if (
-            loa is not None
-            and np.isfinite(pending)
-            and loa.triggered(pending / tracker.bnorms[i], rel)
-        ):
-            return SolverStatus.LOSS_OF_ACCURACY
-        if stagnation_tests is not None and stagnation_tests[col].update(rel):
-            return SolverStatus.STAGNATION
-        return None
-
-    def cycle(R: np.ndarray, remaining: int) -> Tuple[int, bool]:
-        k = tracker.k
-        targets = tol * tracker.bnorms[:k]
+    def cycle(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
+        k = cols.k
+        targets = tol * cols.bnorms[:k]
         outcome = run_block_gmres_cycle(
             A, R, workspace, ortho=ortho_mgr, preconditioner=precond,
             absolute_targets=targets, max_steps=min(restart, remaining), control=control,
         )
-        tracker.record_cycle(outcome, targets)
         for i in range(k):
-            kernels.axpy(1.0, outcome.update[:, i], tracker.X[:, i])
-        return outcome.iterations, outcome.iterations == 0
+            kernels.axpy(1.0, outcome.update[:, i], cols.X[:, i])
+        return Step(outcome.iterations, outcome.implicit, outcome.iterations == 0, targets)
 
     with use_timer(timer):
-        block_iterations, restarts = _block_loop(
-            A, tracker, cycle,
+        restart_loop(
+            A, cols, cycle,
             tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
-            scratch=(workspace.W, workspace.R), solver="block-gmres", kind="restart",
-            control=control, probe=probe, column_check=column_check,
+            scratch=(workspace.W, workspace.R), solver="block-gmres",
+            control=control, probe=probe, stagnation=stagnation,
+            loss_of_accuracy=LossOfAccuracyTest(tolerance=tol) if loss_of_accuracy_check else None,
         )
 
-    return _block_result(
-        matrix, B, tracker, block_iterations, restarts,
-        timer=timer, solver="block-gmres", precision=prec.name,
+    return finish_columns(
+        matrix, cols, timer=timer, solver="block-gmres", precision=prec.name,
         fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,
@@ -773,8 +460,8 @@ def block_gmres_ir(
         raise ValueError("inner precision must not be wider than the outer precision")
     ortho_mgr = make_block_ortho_manager(ortho) if isinstance(ortho, str) else ortho
     n = matrix.n_rows
-    B = _as_block(B, n)
-    p = B.shape[1]
+    cols = Columns(B, X0, n, outer.dtype, controls=controls)
+    p = cols.p
 
     A_outer = matrix.astype(outer)
     A_inner = matrix.astype(inner)
@@ -783,7 +470,6 @@ def block_gmres_ir(
     timer = timer or KernelTimer(
         name or f"block-gmres({restart}x{p})-ir-{inner.name}/{outer.name}"
     )
-    tracker = _ColumnTracker(B, X0, outer.dtype, controls)
 
     # Refinement-block scratch, reused across all refinement steps.
     def block(dtype) -> np.ndarray:
@@ -795,8 +481,8 @@ def block_gmres_ir(
     u_buf = block(outer.dtype) if mixed else None
     rhs_buf = block(inner.dtype) if refine_every > 1 else None
 
-    def refine(R: np.ndarray, remaining: int) -> Tuple[int, bool]:
-        k = tracker.k
+    def refine(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
+        k = cols.k
         # Hand the residual block to the low-precision solver.
         if mixed:
             for i in range(k):
@@ -806,6 +492,7 @@ def block_gmres_ir(
             r_inner = R
         correction[:, :k] = 0
         cycle_rhs = r_inner
+        implicit = []
         done = 0
         breakdown = False
         for _ in range(refine_every):
@@ -816,7 +503,7 @@ def block_gmres_ir(
                 absolute_targets=None,  # inner residuals are not trusted
                 max_steps=min(restart, remaining - done), control=control,
             )
-            tracker.record_cycle(outcome)
+            implicit.extend(outcome.implicit.tolist())
             for i in range(k):
                 kernels.axpy(1.0, outcome.update[:, i], correction[:, i])
             done += outcome.iterations
@@ -832,23 +519,22 @@ def block_gmres_ir(
         # Promote the correction and update the solution block.
         for i in range(k):
             u = kernels.cast(correction[:, i], outer, out=u_buf[:, i] if mixed else None)
-            kernels.axpy(1.0, u, tracker.X[:, i], label="Residual")
-        return done, breakdown
+            kernels.axpy(1.0, u, cols.X[:, i], label="Residual")
+        return Step(done, implicit, breakdown)
 
     with use_timer(timer):
         # The outer (true) residual block is booked under "Residual", like
         # the single-vector GMRES-IR.
-        block_iterations, refinements = _block_loop(
-            A_outer, tracker, refine,
+        restart_loop(
+            A_outer, cols, refine,
             tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
             scratch=(block(outer.dtype), block(outer.dtype)), solver="block-gmres-ir",
             kind="refinement", label="Residual", control=control, probe=probe,
         )
 
-    return _block_result(
-        matrix, B, tracker, block_iterations, refinements,
-        timer=timer, solver="block-gmres-ir", precision=f"{inner.name}/{outer.name}",
-        fp64_check=fp64_check, probe=probe,
+    return finish_columns(
+        matrix, cols, timer=timer, solver="block-gmres-ir",
+        precision=f"{inner.name}/{outer.name}", fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,
             "tolerance": tol,
@@ -919,17 +605,13 @@ def solve_many(
     solver_label, driver = drivers[method]
     probe = kwargs.pop("probe", None)
 
-    B = _as_block(B, matrix.n_rows)
+    B = as_block(B, matrix.n_rows)
     n, p = B.shape
     if X0 is not None:
-        X0 = np.asarray(X0)
-        if X0.ndim == 1:
-            X0 = X0.reshape(-1, 1)
-        if X0.shape != (n, p):
-            raise ValueError("initial-guess block must match the right-hand sides")
+        X0 = initial_block(X0, n, p)
     width = p if block_size is None else max(1, min(int(block_size), p))
     timer = timer or KernelTimer(f"solve-many-{solver_label}")
-    controls = _resolve_controls(controls, p)
+    controls = resolve_controls(controls, p)
 
     results: List[MultiSolveResult] = []
     for start in range(0, p, width):
@@ -952,12 +634,12 @@ def solve_many(
         ))
     if len(results) == 1:
         results[0].details["block_size"] = width
-        return _announce(results[0], probe)
+        return announce(results[0], probe)
 
     details = dict(results[0].details)
     details["block_size"] = width
     details["n_blocks"] = len(results)
-    return _announce(
+    return announce(
         MultiSolveResult(
             X=np.concatenate([r.X for r in results], axis=1),
             statuses=[s for r in results for s in r.statuses],

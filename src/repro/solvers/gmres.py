@@ -36,15 +36,15 @@ from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
 from .driver import (
+    Columns,
     Step,
     as_preconditioner,
-    finish,
-    prepare_vector,
+    finish_columns,
     resolve_budget,
     resolve_workspace,
     restart_loop,
 )
-from .result import ConvergenceHistory, SolveResult
+from .result import SolveResult
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
 __all__ = ["gmres", "run_gmres_cycle", "CycleOutcome", "GmresWorkspace"]
@@ -61,7 +61,6 @@ class CycleOutcome:
     iterations: int
     implicit_norms: List[float] = field(default_factory=list)
     breakdown: bool = False
-    implicit_converged: bool = False
 
     @property
     def final_implicit_norm(self) -> float:
@@ -203,7 +202,6 @@ def run_gmres_cycle(
 
     implicit_norms: List[float] = []
     breakdown = False
-    implicit_converged = False
     iterations = 0
 
     for j in range(steps):
@@ -222,14 +220,12 @@ def run_gmres_cycle(
 
         if h_next <= BREAKDOWN_TOLERANCE:
             breakdown = True
-            implicit_converged = True
             break
         # The next basis vector is always formed (Belos does the same); it is
         # simply unused when the cycle ends at this iteration.
         kernels.scal(1.0 / h_next, w)
         basis.set_count(j + 2)  # column j+1 is already in place
         if absolute_target is not None and implicit <= absolute_target:
-            implicit_converged = True
             break
         if (
             control is not None
@@ -247,7 +243,6 @@ def run_gmres_cycle(
         iterations=iterations,
         implicit_norms=implicit_norms,
         breakdown=breakdown,
-        implicit_converged=implicit_converged,
     )
 
 
@@ -305,6 +300,8 @@ def gmres(
         ``SolverStatus.LOSS_OF_ACCURACY`` (Section V-F behaviour).
     stagnation:
         Optional :class:`StagnationTest` applied to the explicit residuals.
+        It is a template: the solve runs its own copy, so one test can be
+        passed to many solves.
     fp64_check:
         Also report the final residual recomputed in fp64 (unmetered).
     workspace:
@@ -338,35 +335,34 @@ def gmres(
 
     A = matrix.astype(prec)
     n = A.n_rows
-    b_work, x = prepare_vector(b, x0, n, prec)
+    cols = Columns(b, x0, n, prec.dtype, vector=True)
     precond = as_preconditioner(preconditioner, prec)
     workspace = resolve_workspace(workspace, GmresWorkspace, n, restart, prec)
-    history = ConvergenceHistory()
     timer = timer or KernelTimer(name or f"gmres({restart})-{prec.name}")
 
+    def cycle(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
+        targets = tol * cols.bnorms[:1]
+        outcome = run_gmres_cycle(
+            A, R[:, 0], rnorms[0], workspace, ortho=ortho_mgr, preconditioner=precond,
+            absolute_target=targets[0], max_steps=min(restart, remaining),
+            control=control,
+        )
+        kernels.axpy(1.0, outcome.update, cols.X[:, 0])
+        return Step(
+            outcome.iterations, outcome.implicit_norms, outcome.iterations == 0, targets
+        )
+
     with use_timer(timer):
-        bnorm = kernels.norm2(b_work)
-
-        def cycle(r: np.ndarray, rnorm: float, remaining: int) -> Step:
-            outcome = run_gmres_cycle(
-                A, r, rnorm, workspace, ortho=ortho_mgr, preconditioner=precond,
-                absolute_target=tol * bnorm, max_steps=min(restart, remaining),
-                control=control,
-            )
-            kernels.axpy(1.0, outcome.update, x)
-            return Step(outcome.iterations, outcome.implicit_norms, outcome.iterations == 0)
-
-        ending = restart_loop(
-            A, b_work, x, bnorm, cycle,
+        restart_loop(
+            A, cols, cycle,
             tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
-            history=history, scratch=(workspace.w, workspace.r), solver="gmres",
+            scratch=(workspace.w, workspace.r), solver="gmres",
             control=control, probe=probe, stagnation=stagnation,
             loss_of_accuracy=LossOfAccuracyTest(tolerance=tol) if loss_of_accuracy_check else None,
         )
 
-    return finish(
-        matrix, b, x, ending,
-        history=history, timer=timer, solver="gmres", precision=prec.name,
+    return finish_columns(
+        matrix, cols, timer=timer, solver="gmres", precision=prec.name,
         fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,

@@ -33,16 +33,16 @@ from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
 from .driver import (
+    Columns,
     Step,
     as_preconditioner,
-    finish,
-    prepare_vector,
+    finish_columns,
     resolve_budget,
     resolve_workspace,
     restart_loop,
 )
 from .gmres import GmresWorkspace, run_gmres_cycle
-from .result import ConvergenceHistory, SolveResult
+from .result import SolveResult
 from .status import SolveControl
 
 __all__ = ["gmres_ir"]
@@ -122,10 +122,9 @@ def gmres_ir(
     A_outer = matrix.astype(outer)
     A_inner = matrix.astype(inner)
     n = A_outer.n_rows
-    b_outer, x = prepare_vector(b, x0, n, outer)
+    cols = Columns(b, x0, n, outer.dtype, vector=True)
     precond = as_preconditioner(preconditioner, inner)
     workspace = resolve_workspace(workspace, GmresWorkspace, n, restart, inner)
-    history = ConvergenceHistory()
     timer = timer or KernelTimer(
         name or f"gmres({restart})-ir-{inner.name}/{outer.name}"
     )
@@ -139,9 +138,9 @@ def gmres_ir(
     u_buf = np.empty(n, dtype=outer.dtype) if mixed else None
     rhs_buf = np.empty(n, dtype=inner.dtype) if refine_every > 1 else None
 
-    def refine(r: np.ndarray, rnorm: float, remaining: int) -> Step:
+    def refine(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
         # Hand the residual to the low-precision solver (metered cast).
-        r_inner = kernels.cast(r, inner, out=r_inner_buf)
+        r_inner = kernels.cast(R[:, 0], inner, out=r_inner_buf)
         cycle_rhs = r_inner
         cycle_rnorm = kernels.norm2(r_inner)
         # Run `refine_every` inner cycles before the next refinement; the
@@ -177,24 +176,22 @@ def gmres_ir(
                 cycle_rnorm = kernels.norm2(cycle_rhs)
         # Promote the correction and update the solution in fp64.
         u = kernels.cast(correction, outer, out=u_buf)
-        kernels.axpy(1.0, u, x, label="Residual")
+        kernels.axpy(1.0, u, cols.X[:, 0], label="Residual")
         return Step(done, implicit, breakdown)
 
     with use_timer(timer):
-        bnorm = kernels.norm2(b_outer)
         # The outer (true) residual is booked under "Other" in the paper
         # (it is part of the refinement overhead), hence label="Residual".
-        ending = restart_loop(
-            A_outer, b_outer, x, bnorm, refine,
+        restart_loop(
+            A_outer, cols, refine,
             tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
-            history=history, solver="gmres-ir", kind="refinement", label="Residual",
+            solver="gmres-ir", kind="refinement", label="Residual",
             scratch=(np.empty(n, dtype=outer.dtype), np.empty(n, dtype=outer.dtype)),
             control=control, probe=probe,
         )
 
-    return finish(
-        matrix, b, x, ending,
-        history=history, timer=timer, solver="gmres-ir",
+    return finish_columns(
+        matrix, cols, timer=timer, solver="gmres-ir",
         precision=f"{inner.name}/{outer.name}", fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,

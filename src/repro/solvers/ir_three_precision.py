@@ -33,15 +33,15 @@ from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
 from .driver import (
+    Columns,
     Step,
     as_preconditioner,
-    finish,
-    prepare_vector,
+    finish_columns,
     resolve_budget,
     restart_loop,
 )
 from .gmres import GmresWorkspace, run_gmres_cycle
-from .result import ConvergenceHistory, SolveResult
+from .result import SolveResult
 from .status import SolveControl
 
 __all__ = ["gmres_ir_three_precision"]
@@ -96,12 +96,11 @@ def gmres_ir_three_precision(
     A_middle = matrix.astype(middle)
     A_inner = matrix.astype(inner)
     n = A_outer.n_rows
-    b_outer, x = prepare_vector(b, x0, n, outer)
+    cols = Columns(b, x0, n, outer.dtype, vector=True)
     precond_mid = as_preconditioner(preconditioner, middle)
     precond_in = as_preconditioner(preconditioner, inner)
     ws_middle = GmresWorkspace(n, restart, middle)
     ws_inner = GmresWorkspace(n, restart, inner)
-    history = ConvergenceHistory()
     timer = timer or KernelTimer(
         name or f"gmres({restart})-ir3-{inner.name}/{middle.name}/{outer.name}"
     )
@@ -118,10 +117,10 @@ def gmres_ir_three_precision(
     check_buf = np.empty(n, dtype=middle.dtype)
     cycles = {"half": 0, "fallback": 0}
 
-    def refine(r: np.ndarray, rnorm: float, remaining: int) -> Step:
+    def refine(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
         # Middle level: one correction in fp32, itself computed either by
         # an fp16 cycle (scaled to unit norm) or by an fp32 fallback.
-        r_mid = kernels.cast(r, middle, out=r_mid_buf)
+        r_mid = kernels.cast(R[:, 0], middle, out=r_mid_buf)
         rnorm_mid = kernels.norm2(r_mid)
         cycle = dict(
             ortho=ortho_mgr, absolute_target=None, max_steps=min(restart, remaining),
@@ -164,22 +163,20 @@ def gmres_ir_three_precision(
             taken = Step(outcome.iterations, outcome.implicit_norms)
 
         u = kernels.cast(correction_mid, outer, out=u_outer_buf)
-        kernels.axpy(1.0, u, x, label="Residual")
+        kernels.axpy(1.0, u, cols.X[:, 0], label="Residual")
         return taken
 
     with use_timer(timer):
-        bnorm = kernels.norm2(b_outer)
-        ending = restart_loop(
-            A_outer, b_outer, x, bnorm, refine,
+        restart_loop(
+            A_outer, cols, refine,
             tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
-            history=history, solver="gmres-ir3", kind="refinement", label="Residual",
+            solver="gmres-ir3", kind="refinement", label="Residual",
             scratch=(np.empty(n, dtype=outer.dtype), np.empty(n, dtype=outer.dtype)),
             control=control, probe=probe,
         )
 
-    return finish(
-        matrix, b, x, ending,
-        history=history, timer=timer, solver="gmres-ir3",
+    return finish_columns(
+        matrix, cols, timer=timer, solver="gmres-ir3",
         precision=f"{inner.name}/{middle.name}/{outer.name}",
         fp64_check=fp64_check, probe=probe,
         details={

@@ -1,7 +1,7 @@
 """Status tests — the stateful termination checks of the solvers.
 
 Modelled on Belos' status-test classes; the plain tolerance and budget
-checks live in the restart loops (:mod:`repro.solvers.driver`).  The split
+checks live in the restart loop (:mod:`repro.solvers.driver`).  The split
 between implicit and explicit residuals is what makes the Section V-F
 "loss of accuracy" phenomenon observable: a solver whose implicit residual
 says "converged" while the recomputed true residual disagrees by a large
@@ -176,7 +176,9 @@ class StagnationTest:
     ``min_reduction`` over ``patience`` consecutive restarts.  Disabled by
     default in the solvers (the paper lets stalled fp32 runs keep iterating
     and reports the floor they reach), but exposed for users who prefer an
-    early exit.
+    early exit.  The solvers treat a passed test as a template and run one
+    fresh copy per right-hand side, so its own state never carries over
+    from one solve to the next.
     """
 
     patience: int = 5

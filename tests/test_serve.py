@@ -19,7 +19,7 @@ import pytest
 
 from repro.config import ServeConfig, rng, set_config
 from repro.linalg.context import use_backend
-from repro.matrices import laplace3d
+from repro.matrices import laplace2d, laplace3d
 from repro.perfmodel import KernelCostModel
 from repro.preconditioners import GmresPolynomialPreconditioner
 from repro.serve import (
@@ -28,7 +28,7 @@ from repro.serve import (
     ServeResult,
     ServeTelemetry,
 )
-from repro.solvers import SolverStatus, gmres, solve_many
+from repro.solvers import SolverStatus, StagnationTest, gmres, solve_many
 from repro.sparse import CsrMatrix
 
 
@@ -160,6 +160,23 @@ class TestOperatorSession:
         for c in range(5):
             res = np.linalg.norm(B[:, c] - matrix @ result.X[:, c])
             assert res / np.linalg.norm(B[:, c]) <= 1.1e-8
+
+
+    def test_stagnation_template_is_not_consumed_across_solves(self):
+        # The session hands one StagnationTest to every dispatch; each
+        # solve must run its own copy, as a fresh template would.
+        A = laplace2d(32)
+        b = np.ones(A.n_rows)
+        with OperatorSession(
+            A, restart=5, policy="sequential", stagnation=StagnationTest(patience=2)
+        ) as session:
+            served = [session.solve(b) for _ in range(3)]
+        fresh = gmres(A, b, restart=5, stagnation=StagnationTest(patience=2))
+        for result in served:
+            assert (result.status, result.iterations) == (
+                fresh.status,
+                fresh.iterations,
+            )
 
 
 class TestSchedulerCoalescing:

@@ -9,7 +9,8 @@ IR, ``cg``, ``block_gmres``, ``block_gmres_ir`` and a chunked
 * a non-finite right-hand side ends with ``BREAKDOWN`` before any step;
 * a control cancelled before the solve ends it with ``CANCELLED`` and no
   iterations;
-* a right-hand side of the wrong length raises ``ValueError``;
+* a right-hand side of the wrong length raises ``ValueError``, and so does
+  a block driver's initial guess given transposed;
 * the probe sees exactly one terminal event, last, agreeing with the
   result, and probing does not change the solution;
 * the solution agrees with a dense ``np.linalg.solve`` oracle.
@@ -169,6 +170,17 @@ def test_wrong_length_rhs_raises(name):
     _, A, b = _dense_system(driver.spd)
     with pytest.raises(ValueError):
         driver.solve(A, np.append(b, 1.0))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, d in DRIVERS.items() if d.columns))
+def test_transposed_initial_guess_raises(name):
+    # A (k, n) initial guess holds as many entries as the (n, k) one it
+    # should be; it must be refused, not reshaped into a scrambled start.
+    driver = DRIVERS[name]
+    _, A, b = _dense_system(driver.spd)
+    B = driver.rhs(b)
+    with pytest.raises(ValueError):
+        driver.run(A, B, B.T.copy(), **driver.options)
 
 
 @driver_names
