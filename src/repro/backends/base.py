@@ -162,9 +162,14 @@ class KernelBackend(abc.ABC):
         The BLAS-3 analogue of :meth:`gemv_notrans`: ``alpha=-1`` is the
         block Gram-Schmidt subtraction ``W -= V H``; ``alpha=+1`` with a
         pre-zeroed ``W`` forms the block solution update ``V Y``.
-        ``work``, when given, is an ``(n, k)`` C-contiguous scratch block
-        for the intermediate product ``V H`` so the call allocates nothing;
-        it must not alias ``W``.
+        ``work``, when given, is an ``(n, k)`` scratch block in the same
+        layout as ``W`` (both C- or both Fortran-contiguous) for the
+        intermediate product ``V H``, so the call allocates nothing; it must
+        not alias ``W``.  A ``work`` in another layout is ignored and the
+        product allocated.  A Fortran-ordered pair is formed as
+        ``(H^T V^T)`` into ``work.T``: ``np.dot`` needs a C-contiguous
+        ``out``, and this is the tall-skinny orientation OpenBLAS runs
+        fastest.
         """
 
     # ------------------------------------------------------------------ #

@@ -609,32 +609,22 @@ class NumpyBackend(KernelBackend):
         alpha: float = -1.0,
         work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        if (
-            work is not None
-            and work.shape == W.shape
-            and work.dtype == W.dtype
-            and work.flags.c_contiguous
-        ):
+        fits = work is not None and work.shape == W.shape and work.dtype == W.dtype
+        if fits and work.flags.c_contiguous and W.flags.c_contiguous:
             np.dot(V, H, out=work)
-            if alpha not in (-1.0, 1.0):
-                np.multiply(work, W.dtype.type(alpha), out=work)
-            op = np.subtract if alpha == -1.0 else np.add
-            if W.flags.c_contiguous == work.flags.c_contiguous:
-                op(W, work, out=W)
-            else:
-                # Mixed C/F layouts make the 2-D ufunc fall back to its
-                # internal buffering (a transient allocation on the hot
-                # path); column-wise 1-D updates are buffer-free and
-                # elementwise-identical.
-                for c in range(W.shape[1]):
-                    op(W[:, c], work[:, c], out=W[:, c])
-            return W
-        if alpha == -1.0:
-            W -= V @ H
-        elif alpha == 1.0:
-            W += V @ H
+        elif fits and work.flags.f_contiguous and W.flags.f_contiguous:
+            # np.dot needs a C-contiguous out, so an F-ordered product is
+            # formed as (H^T V^T) into work.T: OpenBLAS then runs the
+            # tall-skinny GEMM (M = n) instead of the short-wide one
+            # (M = k), about twice as fast, with the same bits.
+            np.dot(H.T, V.T, out=work.T)
         else:
-            W += W.dtype.type(alpha) * (V @ H)
+            # No scratch in W's layout: the product is allocated.
+            work = V @ H
+        if alpha not in (-1.0, 1.0):
+            np.multiply(work, W.dtype.type(alpha), out=work)
+        op = np.subtract if alpha == -1.0 else np.add
+        op(W, work, out=W)
         return W
 
     # -------------------------------- vector -------------------------- #

@@ -302,9 +302,11 @@ def gemm_notrans(
 
     The BLAS-3 analogue of :func:`gemv_notrans`: ``alpha=-1`` is the block
     Gram-Schmidt subtraction, ``alpha=+1`` with a pre-zeroed ``W`` the
-    block solution update ``V Y``.  ``work`` is optional ``(n, k)``
-    C-contiguous scratch for the intermediate product (clobbered; must not
-    alias ``W``).
+    block solution update ``V Y``.  ``work`` is optional ``(n, k)`` scratch
+    for the intermediate product in the same layout as ``W`` (clobbered;
+    must not alias ``W``).  For Fortran-ordered blocks the product is
+    formed as ``(H^T V^T)`` into ``work.T``, the tall-skinny GEMM BLAS is
+    fast at, since ``np.dot`` writes only into a C-contiguous ``out``.
     """
     V = np.asarray(V)
     H = np.asarray(H)

@@ -204,9 +204,10 @@ class MultiVector:
     ) -> np.ndarray:
         """``W -= V_j H`` in place on the block ``W`` (metered).
 
-        ``work`` is caller-owned ``(n, k)`` C-contiguous scratch for the
-        intermediate product (the block analogue of the internal scratch
-        :meth:`subtract_projection` uses); without it the call allocates.
+        ``work`` is caller-owned ``(n, k)`` scratch in the same layout as
+        ``W`` for the intermediate product (the block analogue of the
+        internal scratch :meth:`subtract_projection` uses); without it, or
+        in another layout, the call allocates.
         """
         V = self.block(j)
         return kernels.gemm_notrans(V, H, W, work=work)

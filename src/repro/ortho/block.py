@@ -18,7 +18,9 @@ parts with very different shapes:
 
 Managers own their coefficient/work scratch (allocated once per distinct
 active block width, i.e. once per deflation event), so the steady-state
-block iteration allocates nothing.
+block iteration allocates nothing.  The ``work`` block of the
+``W -= V H`` update is Fortran-ordered like the basis columns it updates,
+so ``gemm_notrans`` runs the product in BLAS's tall-skinny orientation.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class BlockOrthogonalizationManager(abc.ABC):
             bufs = self._bufs[key] = {
                 "coeff": np.empty((basis.capacity, k), dtype=dtype),
                 "panel": np.empty((basis.capacity, k), dtype=dtype),
-                "work": np.empty((basis.length, k), dtype=dtype),
+                "work": np.empty((basis.length, k), dtype=dtype, order="F"),
                 "col": np.empty(basis.capacity, dtype=dtype),
                 "vec": np.empty(basis.length, dtype=dtype),
             }

@@ -84,8 +84,9 @@ class BlockGmresWorkspace:
     Deflation shrinks the *active* block width ``k`` below ``block_size``
     between cycles; all block buffers are sliced to the active width
     (leading columns of Fortran-ordered blocks stay contiguous), and the
-    few width-dependent C-contiguous scratch blocks are cached per ``k``
-    (reallocated once per deflation event, never per iteration).
+    two width-dependent scratch blocks (the Fortran-ordered GEMM work
+    block and the C-contiguous least-squares coefficients) are cached per
+    ``k`` (reallocated once per deflation event, never per iteration).
     """
 
     def __init__(self, n: int, restart: int, block_size: int, precision) -> None:
@@ -110,11 +111,15 @@ class BlockGmresWorkspace:
         self._ycoef: dict = {}
 
     def gemm_work(self, k: int) -> np.ndarray:
-        """C-contiguous ``(n, k)`` scratch for the BLAS-3 update kernels."""
+        """Fortran-ordered ``(n, k)`` scratch for the BLAS-3 update kernels.
+
+        It matches the layout of the Fortran blocks it updates, so
+        ``gemm_notrans`` forms ``V Y`` in BLAS's tall-skinny orientation.
+        """
         buf = self._gemm_work.get(k)
         if buf is None:
             buf = self._gemm_work[k] = np.empty(
-                (self.basis.length, k), dtype=self.precision.dtype
+                (self.basis.length, k), dtype=self.precision.dtype, order="F"
             )
         return buf
 

@@ -153,13 +153,17 @@ def resolve_workspace(workspace, make, *shape):
 def prepare_vector(
     b: np.ndarray, x0: Optional[np.ndarray], n: int, precision: Precision
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Validate ``b`` and return it with a private copy of ``x0`` (or zeros)."""
+    """Validate ``b`` and return it with a private copy of ``x0`` (or zeros).
+
+    ``x0`` is checked as :func:`initial_block` checks one column: a
+    length-``n`` vector or an ``(n, 1)`` block.
+    """
     b_work = np.asarray(b, dtype=precision.dtype)
     if b_work.shape != (n,):
         raise ValueError(f"right-hand side must have length {n}")
     if x0 is None:
         return b_work, np.zeros(n, dtype=precision.dtype)
-    return b_work, np.asarray(x0, dtype=precision.dtype).copy()
+    return b_work, np.array(initial_block(x0, n, 1)[:, 0], dtype=precision.dtype)
 
 
 def as_block(B: np.ndarray, n: int) -> np.ndarray:

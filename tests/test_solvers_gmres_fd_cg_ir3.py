@@ -131,6 +131,22 @@ class TestCG:
         with pytest.raises(ValueError):
             cg(laplace_small, np.ones(7))
 
+    def test_x0_column_block_matches_vector(self, laplace_small):
+        # An (n, 1) initial guess is one column, as in gmres.
+        n = laplace_small.n_rows
+        b = ones_rhs(laplace_small)
+        x0 = np.linspace(0.0, 1.0, n)
+        as_vector = cg(laplace_small, b, x0=x0, tol=1e-10)
+        as_column = cg(laplace_small, b, x0=x0.reshape(n, 1), tol=1e-10)
+        assert as_column.x.shape == (n,)
+        np.testing.assert_array_equal(as_column.x, as_vector.x)
+        assert as_column.iterations == as_vector.iterations
+
+    def test_wrong_x0_length(self, laplace_small):
+        n = laplace_small.n_rows
+        with pytest.raises(ValueError, match="initial guess has shape"):
+            cg(laplace_small, ones_rhs(laplace_small), x0=np.zeros(n + 1))
+
 
 class TestThreePrecisionIR:
     def test_converges_to_double_accuracy(self, laplace_small):
