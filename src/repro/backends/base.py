@@ -38,7 +38,7 @@ Future accelerator backends (Numba, CuPy, ...) plug in by subclassing
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -127,6 +127,31 @@ class KernelBackend(abc.ABC):
         backend may use for the intermediate product ``V h`` so the call
         allocates nothing; it must not alias ``w``.
         """
+
+    def cgs2_project(
+        self,
+        V: np.ndarray,
+        w: np.ndarray,
+        h1: Optional[np.ndarray] = None,
+        h2: Optional[np.ndarray] = None,
+        *,
+        work: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both projection passes of CGS2 on ``w``, in place; returns ``(h1, h2)``.
+
+        ``h1 = V^T w; w -= V h1; h2 = V^T w; w -= V h2``.  ``h1``/``h2``,
+        when given, are the length-``k`` coefficient buffers; ``work`` is
+        as in :meth:`gemv_notrans`.  This default runs exactly that
+        sequence of :meth:`gemv_transpose` and :meth:`gemv_notrans`
+        calls, so a backend that wraps those two (fault injection,
+        timing) sees every pass.  A backend may override it with a fused
+        kernel that agrees with the sequence to rounding.
+        """
+        h1 = self.gemv_transpose(V, w, out=h1)
+        self.gemv_notrans(V, h1, w, work=work)
+        h2 = self.gemv_transpose(V, w, out=h2)
+        self.gemv_notrans(V, h2, w, work=work)
+        return h1, h2
 
     # ------------------------------------------------------------------ #
     # dense block-of-vectors (BLAS-3 orthogonalization) kernels          #

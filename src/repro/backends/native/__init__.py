@@ -1,11 +1,19 @@
 """Compiled kernels (C through ctypes) for the NumPy backend and the block solvers.
 
 Two C files ship with the package: ``dia.c`` (the DIA SpMV/SpMM) and
-``dense.c`` (the backend's axpy and the Givens sweep of one block step
-of the band-Hessenberg QR).  Each kernel has a Python version that gives
-the same bits: the NumPy DIA sweep, the two-ufunc axpy and the Python
-loop of ``BlockGivensWorkspace.append_block``.  Those run when no kernel
-loaded, for fp16, and as the specification the tests compare against.
+``dense.c`` (the backend's axpy, the Givens sweep of one block step of
+the band-Hessenberg QR, and both projection passes of CGS2).  Each
+kernel but the last has a Python version that gives the same bits: the
+NumPy DIA sweep, the two-ufunc axpy and the Python loop of
+``BlockGivensWorkspace.append_block``.  Those run when no kernel loaded,
+for fp16, and as the specification the tests compare against.
+
+``cgs2_project`` is the exception.  Its Python version is the GEMV
+sequence of ``KernelBackend.cgs2_project``, whose sums BLAS orders as it
+likes; the kernel sums over fixed 64-byte lanes, so the two agree to
+rounding, not bit for bit.  The kernel is deterministic: the order of
+every sum depends only on the basis shape, so it gives the same bits on
+every call, at any address and in any thread.
 
 Both files are compiled on first use, into one library, with the
 system C compiler (``cc``, ``gcc`` or ``clang`` on ``PATH``) into
@@ -26,10 +34,11 @@ and the callers keep their Python versions; one
 ``native_kernels_unavailable`` event goes to the ``repro.backends.native``
 logger and nothing is printed.
 
-The DIA products are called through :class:`ctypes.CDLL`, which
-releases the GIL for the duration of the call, so threads run products
-in parallel.  axpy and the Givens step are called through
-:class:`ctypes.PyDLL` and keep the GIL (see ``_SIGNATURES``).
+The DIA products and the CGS2 projection are called through
+:class:`ctypes.CDLL`, which releases the GIL for the duration of the
+call, so threads run them in parallel.  axpy and the Givens step are
+called through :class:`ctypes.PyDLL` and keep the GIL (see
+``_SIGNATURES``).
 """
 
 from __future__ import annotations
@@ -65,8 +74,9 @@ KERNEL_DTYPES = frozenset(_SUFFIXES)
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 #: Kernel name -> (argument types, whether the call releases the GIL).
 #: Few arguments, because each one costs ctypes a conversion on every
-#: call.  The products release the GIL, so threads run them in parallel;
-#: axpy and the Givens step take microseconds and keep it, because with
+#: call.  The products and the CGS2 projection release the GIL, so
+#: threads run them in parallel; axpy and the Givens step take
+#: microseconds and keep it, because with
 #: threads waiting a release and re-acquire costs a thread switch, which
 #: is longer than the call.
 _SIGNATURES = {
@@ -76,6 +86,8 @@ _SIGNATURES = {
     "axpy": ([_i64, ctypes.c_double, _ptr, _ptr], False),
     # q, k, R, ldr, G, ldg, QT, ldq
     "band_qr_step": ([_i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _i64], False),
+    # n, j, V, w, h1, h2
+    "cgs2_project": ([_i64, _i64, _ptr, _ptr, _ptr, _ptr], True),
 }
 
 _LOGGER = get_logger("backends.native")
@@ -130,7 +142,11 @@ def kernel(name: str, dtype: np.dtype):
       contiguous entries;
     * ``"band_qr_step"`` — :meth:`BlockGivensWorkspace.append_block`'s
       rotations: ``(q, k, R, ldr, G, ldg, QT, ldq)``, C-ordered arrays
-      with their row strides in elements.
+      with their row strides in elements;
+    * ``"cgs2_project"`` — ``h1 = V^T w; w -= V h1; h2 = V^T w;
+      w -= V h2``: ``(n, j, V, w, h1, h2)``, ``V`` an ``(n, j)``
+      Fortran-ordered basis (``1 <= j``), ``w`` ``n`` contiguous entries,
+      ``h1``/``h2`` ``j`` each.
     """
     kernels = _kernels
     if kernels is None:

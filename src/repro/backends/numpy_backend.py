@@ -51,6 +51,16 @@ compiled axpy in ``native/dense.c``, which rounds ``alpha * x`` and then
 the sum, as the NumPy multiply-then-add it replaces, so the bits are the
 same; other operands, fp16 and builds without a compiler keep NumPy.
 
+``NumpyBackend.cgs2_project`` (both projection passes of CGS2) on
+fp32/fp64 operands (see :func:`_cgs2_addresses`) is one call of the compiled
+``cgs2_project`` in ``native/dense.c``: three sweeps over the basis
+instead of the four of the GEMV sequence, released from the GIL like the
+DIA product.  It is the one compiled kernel that does not reproduce its
+Python version bit for bit: its sums run over fixed 64-byte lanes, so it
+agrees with the GEMV sequence to rounding, and gives the same bits on
+every call, at any address, in any thread.  Other operands, fp16 and
+builds without a compiler run the GEMV sequence.
+
 Allocation discipline: when a caller supplies ``out=``, the class methods
 run allocation-free.  Per-matrix plans live in the matrix's
 ``backend_cache`` (keyed on the ``indptr`` identity, so a structurally
@@ -65,7 +75,7 @@ products on one shared matrix.  The dense GEMV kernels write through
 from __future__ import annotations
 
 import ctypes
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -416,10 +426,44 @@ def _one_pass_axpy(x: np.ndarray, y: np.ndarray) -> bool:
     )
 
 
+#: Widest basis the compiled CGS2 projection takes: it keeps 64 bytes of
+#: accumulators per basis column on the calling thread's stack.
+_CGS2_MAX_COLUMNS = 1024
+
+
+def _cgs2_addresses(V: np.ndarray, w: np.ndarray, h1: np.ndarray, h2: np.ndarray):
+    """The data addresses the compiled CGS2 projection takes, or ``None``
+    for operands it may not take: it needs one dtype, a non-empty
+    Fortran-contiguous ``(n, j)`` basis with ``j <= _CGS2_MAX_COLUMNS``,
+    ``w`` a contiguous length-``n`` vector outside the basis, contiguous
+    length-``j`` coefficient buffers, and every operand writable."""
+    n, j = V.shape
+    if not (
+        V.dtype == w.dtype == h1.dtype == h2.dtype
+        and j <= _CGS2_MAX_COLUMNS
+        and w.shape == (n,)
+        and h1.shape == h2.shape == (j,)
+    ):
+        return None
+    try:
+        # from_buffer takes only writable, C-contiguous, non-empty arrays
+        # (V.T is C-contiguous when V is Fortran-contiguous), and is the
+        # cheapest route to an address.
+        addresses = [
+            ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (V.T, w, h1, h2)
+        ]
+    except (TypeError, ValueError, BufferError):
+        return None
+    v, x = addresses[0], addresses[1]
+    if x < v + V.nbytes and v < x + w.nbytes:
+        return None  # w overlaps the basis
+    return addresses
+
+
 class NumpyBackend(KernelBackend):
     """Reference backend: vectorised NumPy kernels, plus the compiled DIA
-    product for stencil matrices and the compiled axpy (see the module
-    docstring)."""
+    product for stencil matrices, the compiled axpy and the compiled CGS2
+    projection (see the module docstring)."""
 
     name = "numpy"
 
@@ -588,6 +632,28 @@ class NumpyBackend(KernelBackend):
         else:
             w += w.dtype.type(alpha) * (V @ h)
         return w
+
+    def cgs2_project(
+        self,
+        V: np.ndarray,
+        w: np.ndarray,
+        h1: Optional[np.ndarray] = None,
+        h2: Optional[np.ndarray] = None,
+        *,
+        work: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        kernel = native.kernel("cgs2_project", w.dtype) if V.ndim == 2 else None
+        if kernel is not None:
+            n, j = V.shape
+            h1 = np.empty(j, dtype=w.dtype) if h1 is None else h1
+            h2 = np.empty(j, dtype=w.dtype) if h2 is None else h2
+            addresses = _cgs2_addresses(V, w, h1, h2)
+            if addresses is not None:
+                # Three sweeps over V instead of four; agrees with the
+                # GEMV sequence to rounding.
+                kernel(n, j, *addresses)
+                return h1, h2
+        return super().cgs2_project(V, w, h1, h2, work=work)
 
     def gemm_transpose(
         self,

@@ -74,7 +74,7 @@ omitted ``out``/``work``    the kernel allocates, exactly as before this
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +89,7 @@ __all__ = [
     "spmm",
     "gemv_transpose",
     "gemv_notrans",
+    "cgs2_project",
     "gemm_transpose",
     "gemm_notrans",
     "dot",
@@ -260,6 +261,48 @@ def gemv_notrans(
     cost = ctx.cost_model.estimate(("gemv", *V.shape, dtype.itemsize, False))
     _record(label, dtype, cost, wall)
     return w
+
+
+def cgs2_project(
+    V: np.ndarray,
+    w: np.ndarray,
+    h1: Optional[np.ndarray] = None,
+    h2: Optional[np.ndarray] = None,
+    *,
+    work: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both projection passes of CGS2 on ``w`` in place; returns ``(h1, h2)``.
+
+    ``h1 = V^T w; w -= V h1; h2 = V^T w; w -= V h2`` (see
+    :meth:`KernelBackend.cgs2_project`).  Metered as the four GEMVs it
+    stands for, in their order and with their cost keys — GEMV (Trans),
+    GEMV (No Trans), GEMV (Trans), GEMV (No Trans) — so call counts,
+    bytes, FLOPs and modelled seconds are those of the four separate
+    kernels.  The backend may run the passes as one call, so one wall
+    time is measured and split across the four records by their shares
+    of the modelled seconds: each transposed GEMV books
+    ``wall * t / (2 (t + n))`` and each update ``wall / 2`` minus that,
+    where ``t`` and ``n`` are the modelled seconds of one GEMV (Trans)
+    and one GEMV (No Trans) (half each when both are zero).
+    """
+    V = np.asarray(V)
+    w = np.asarray(w)
+    dtype = _check_same_dtype(V, w)
+    ctx = get_context()
+    if not (ctx.meter and _TIMER_TLS.stack):
+        return ctx.backend.cgs2_project(V, w, h1, h2, work=work)
+    start = time.perf_counter()
+    h = ctx.backend.cgs2_project(V, w, h1, h2, work=work)
+    wall = time.perf_counter() - start
+    cost_t = ctx.cost_model.estimate(("gemv", *V.shape, dtype.itemsize, True))
+    cost_n = ctx.cost_model.estimate(("gemv", *V.shape, dtype.itemsize, False))
+    modelled = cost_t.seconds + cost_n.seconds
+    wall_t = wall * cost_t.seconds / (2.0 * modelled) if modelled > 0 else wall / 4.0
+    wall_n = wall / 2.0 - wall_t
+    for _ in range(2):
+        _record("GEMV (Trans)", dtype, cost_t, wall_t)
+        _record("GEMV (No Trans)", dtype, cost_n, wall_n)
+    return h
 
 
 def gemm_transpose(

@@ -14,7 +14,7 @@ HPC-Python guidance on memory layout.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -151,6 +151,21 @@ class MultiVector:
         intermediate ``V_j h`` lands in this block's scratch vector)."""
         V = self.block(j)
         return kernels.gemv_notrans(V, h, w, work=self._work)
+
+    def cgs2_project(
+        self,
+        w: np.ndarray,
+        h1: Optional[np.ndarray] = None,
+        h2: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both CGS2 passes on ``w`` against the stored vectors ``V``:
+        ``h1 = V^T w; w -= V h1; h2 = V^T w; w -= V h2`` in place
+        (metered as those four GEMVs); returns ``(h1, h2)``.
+
+        ``h1``/``h2``, when given, are caller-owned coefficient buffers
+        of length :attr:`count`.
+        """
+        return kernels.cgs2_project(self.block(), w, h1, h2, work=self._work)
 
     def combine(
         self,

@@ -48,7 +48,7 @@ from ..preconditioners.mixed import wrap_for_precision
 from ..solvers.block_gmres import BlockGmresWorkspace, block_gmres, block_gmres_ir
 from ..solvers.gmres import GmresWorkspace, gmres
 from ..solvers.gmres_ir import gmres_ir
-from ..solvers.result import MultiSolveResult, SolveResult
+from ..solvers.result import MultiSolveResult, SolveResult, merge_chunks
 from ..sparse.csr import CsrMatrix
 from .policy import BatchingPolicy
 from .scheduler import SolveScheduler, validate_rhs
@@ -514,27 +514,11 @@ class OperatorSession:
         ]
         if len(results) == 1:
             return results[0]
-        merged = results[0]
+        timer = results[0].timer
         for extra in results[1:]:
-            merged.timer.merge_from(extra.timer)
-        return MultiSolveResult(
-            X=np.concatenate([r.X for r in results], axis=1),
-            statuses=[s for r in results for s in r.statuses],
-            iterations=np.concatenate([r.iterations for r in results]),
-            block_iterations=sum(r.block_iterations for r in results),
-            restarts=sum(r.restarts for r in results),
-            relative_residuals=np.concatenate(
-                [r.relative_residuals for r in results]
-            ),
-            relative_residuals_fp64=np.concatenate(
-                [r.relative_residuals_fp64 for r in results]
-            ),
-            histories=[h for r in results for h in r.histories],
-            timer=merged.timer,
-            solver=merged.solver,
-            precision=merged.precision,
-            block_size=self.max_block,
-            details=dict(merged.details, n_blocks=len(results)),
+            timer.merge_from(extra.timer)
+        return merge_chunks(
+            results, timer=timer, solver=results[0].solver, block_size=self.max_block
         )
 
     # ------------------------------------------------------------------ #

@@ -59,7 +59,7 @@ from .driver import (
     restart_loop,
     shifted_probe,
 )
-from .result import MultiSolveResult
+from .result import MultiSolveResult, merge_chunks
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
 __all__ = [
@@ -641,26 +641,6 @@ def solve_many(
         results[0].details["block_size"] = width
         return announce(results[0], probe)
 
-    details = dict(results[0].details)
-    details["block_size"] = width
-    details["n_blocks"] = len(results)
     return announce(
-        MultiSolveResult(
-            X=np.concatenate([r.X for r in results], axis=1),
-            statuses=[s for r in results for s in r.statuses],
-            iterations=np.concatenate([r.iterations for r in results]),
-            block_iterations=sum(r.block_iterations for r in results),
-            restarts=sum(r.restarts for r in results),
-            relative_residuals=np.concatenate([r.relative_residuals for r in results]),
-            relative_residuals_fp64=np.concatenate(
-                [r.relative_residuals_fp64 for r in results]
-            ),
-            histories=[h for r in results for h in r.histories],
-            timer=timer,
-            solver=solver_label,
-            precision=results[0].precision,
-            block_size=width,
-            details=details,
-        ),
-        probe,
+        merge_chunks(results, timer=timer, solver=solver_label, block_size=width), probe
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Protocol, runtime_checkable
+from typing import Dict, List, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "ResultLike",
     "SolveResult",
     "MultiSolveResult",
+    "merge_chunks",
 ]
 
 
@@ -355,3 +356,37 @@ class MultiSolveResult:
             f"kernel wall time: {self.wall_seconds:.4f} s",
         ]
         return "\n".join(lines)
+
+
+def merge_chunks(
+    results: Sequence[MultiSolveResult],
+    *,
+    timer: KernelTimer,
+    solver: str,
+    block_size: int,
+) -> MultiSolveResult:
+    """One result for a batch whose columns were solved chunk by chunk.
+
+    Per-column fields are concatenated in chunk order and the block
+    iteration and restart counts summed; ``details`` are the first
+    chunk's plus ``block_size`` and ``n_blocks``.  ``timer`` becomes the
+    result's timer as it is: a caller whose chunks booked into separate
+    timers merges them into it first.
+    """
+    return MultiSolveResult(
+        X=np.concatenate([r.X for r in results], axis=1),
+        statuses=[s for r in results for s in r.statuses],
+        iterations=np.concatenate([r.iterations for r in results]),
+        block_iterations=sum(r.block_iterations for r in results),
+        restarts=sum(r.restarts for r in results),
+        relative_residuals=np.concatenate([r.relative_residuals for r in results]),
+        relative_residuals_fp64=np.concatenate(
+            [r.relative_residuals_fp64 for r in results]
+        ),
+        histories=[h for r in results for h in r.histories],
+        timer=timer,
+        solver=solver,
+        precision=results[0].precision,
+        block_size=block_size,
+        details=dict(results[0].details, block_size=block_size, n_blocks=len(results)),
+    )

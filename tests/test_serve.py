@@ -161,6 +161,25 @@ class TestOperatorSession:
             res = np.linalg.norm(B[:, c] - matrix @ result.X[:, c])
             assert res / np.linalg.norm(B[:, c]) <= 1.1e-8
 
+    def test_solve_many_merges_chunks_like_the_library(self, matrix, precond):
+        B = rhs_block(matrix, 10, seed=12)  # chunks of 4, 4 and 2 columns
+        with make_session(matrix, precond, max_block=4, meter=True) as session:
+            served = session.solve_many(B)
+        direct = solve_many(
+            matrix, B, block_size=4, restart=8, tol=1e-8, max_restarts=60,
+            preconditioner=precond,
+        )
+        assert served.details["n_blocks"] == 3
+        assert np.array_equal(served.X, direct.X)
+        for field in ("iterations", "relative_residuals", "relative_residuals_fp64"):
+            np.testing.assert_array_equal(getattr(served, field), getattr(direct, field))
+        for field in (
+            "statuses", "histories", "block_iterations", "restarts", "solver",
+            "precision", "block_size", "details",
+        ):
+            assert getattr(served, field) == getattr(direct, field), field
+        assert served.timer.calls_by_label() == direct.timer.calls_by_label()
+
 
     def test_stagnation_template_is_not_consumed_across_solves(self):
         # The session hands one StagnationTest to every dispatch; each
