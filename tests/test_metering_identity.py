@@ -90,6 +90,30 @@ def _poly_gmres():
     return gmres(A, np.ones(A.n_rows), restart=20, tol=1e-8, preconditioner=M)
 
 
+def _poly_power_gmres():
+    A = laplace3d(8)
+    M = GmresPolynomialPreconditioner(
+        A, degree=5, precision="double", apply_method="power"
+    )
+    return gmres(A, np.ones(A.n_rows), restart=20, tol=1e-8, preconditioner=M)
+
+
+def _poly_block_gmres():
+    A = laplace3d(8)
+    M = GmresPolynomialPreconditioner(A, degree=5, precision="double")
+    B = rng(3).standard_normal((A.n_rows, 3))
+    return block_gmres(A, B, restart=10, tol=1e-8, preconditioner=M)
+
+
+def _poly_block_gmres_ir():
+    # An fp64 polynomial inside the fp32 inner solver: every batched apply
+    # goes through the precision wrapper's per-column casts.
+    A = laplace3d(8)
+    M = GmresPolynomialPreconditioner(A, degree=5, precision="double")
+    B = rng(3).standard_normal((A.n_rows, 3))
+    return block_gmres_ir(A, B, restart=10, tol=1e-10, preconditioner=M)
+
+
 CASES = {
     "gmres-fp64-cgs2": _gmres_fp64_cgs2,
     "gmres-fp32-mgs": _gmres_fp32_mgs,
@@ -100,6 +124,9 @@ CASES = {
     "block-gmres-ir": _block_gmres_ir,
     "solve-many-one-column-tail": _solve_many_one_column_tail,
     "poly-gmres": _poly_gmres,
+    "poly-power-gmres": _poly_power_gmres,
+    "poly-block-gmres": _poly_block_gmres,
+    "poly-block-gmres-ir": _poly_block_gmres_ir,
 }
 
 
@@ -266,6 +293,82 @@ GOLDEN: dict = {'block-gmres': ({'GEMM (No Trans)|double': (116,
                          'Norm': 66,
                          'Other': 184,
                          'SpMV': 55}),
+ 'poly-block-gmres': ({'GEMM (No Trans)|double': (19,
+                                                  '0x1.68eaad10774f3p-12',
+                                                  1690584.0,
+                                                  912384.0),
+                       'GEMM (Trans)|double': (18,
+                                               '0x1.561f41732c9cfp-12',
+                                               1333584.0,
+                                               829440.0),
+                       'GEMV (No Trans)|double': (40,
+                                                  '0x1.79e421f8d7a04p-11',
+                                                  573920.0,
+                                                  61440.0),
+                       'GEMV (Trans)|double': (40,
+                                               '0x1.79cbfe03ae01ep-11',
+                                               410080.0,
+                                               61440.0),
+                       'Norm|double': (39, '0x1.32c413873eca1p-10', 159744.0, 39936.0),
+                       'Other|double': (155,
+                                        '0x1.3c2f3d7b109c5p-10',
+                                        4232112.0,
+                                        317499.0),
+                       'SpMM|double': (51,
+                                       '0x1.b0cfa7975c484p-12',
+                                       3316428.0,
+                                       979200.0)},
+                      {'GEMM (No Trans)': 19,
+                       'GEMM (Trans)': 18,
+                       'GEMV (No Trans)': 40,
+                       'GEMV (Trans)': 40,
+                       'Norm': 39,
+                       'Other': 155,
+                       'SpMM': 51}),
+ 'poly-block-gmres-ir': ({'GEMM (No Trans)|single': (42,
+                                                     '0x1.8de2597f257d3p-11',
+                                                     1999296.0,
+                                                     2211840.0),
+                          'GEMM (Trans)|single': (40,
+                                                  '0x1.7b7a718cc9dd6p-11',
+                                                  1605360.0,
+                                                  2027520.0),
+                          'GEMV (No Trans)|single': (88,
+                                                     '0x1.9f8515efdac3ap-10',
+                                                     631312.0,
+                                                     135168.0),
+                          'GEMV (Trans)|single': (88,
+                                                  '0x1.9f81b0a12059bp-10',
+                                                  451088.0,
+                                                  135168.0),
+                          'Norm|double': (3, '0x1.798edcf539967p-14', 12288.0, 3072.0),
+                          'Norm|single': (66,
+                                          '0x1.038ff4bdf0110p-9',
+                                          135168.0,
+                                          67584.0),
+                          'Other|double': (422,
+                                           '0x1.cad084329f593p-9',
+                                           9884076.0,
+                                           732282.0),
+                          'Other|single': (72,
+                                           '0x1.2e3d0a5c72604p-11',
+                                           307200.0,
+                                           39936.0),
+                          'SpMM|double': (88,
+                                          '0x1.7567dbe1f543ap-11',
+                                          5722464.0,
+                                          1689600.0),
+                          'SpMM|single': (20,
+                                          '0x1.51ad2b0868760p-13',
+                                          798800.0,
+                                          384000.0)},
+                         {'GEMM (No Trans)': 42,
+                          'GEMM (Trans)': 40,
+                          'GEMV (No Trans)': 88,
+                          'GEMV (Trans)': 88,
+                          'Norm': 69,
+                          'Other': 494,
+                          'SpMM': 108}),
  'poly-gmres': ({'GEMV (No Trans)|double': (13,
                                             '0x1.eb96701a8ebffp-13',
                                             303488.0,
@@ -282,6 +385,25 @@ GOLDEN: dict = {'block-gmres': ({'GEMM (No Trans)|double': (116,
                  'Norm': 9,
                  'Other': 89,
                  'SpMV': 36}),
+ 'poly-power-gmres': ({'GEMV (No Trans)|double': (13,
+                                                  '0x1.eb96701a8ebffp-13',
+                                                  303488.0,
+                                                  49152.0),
+                       'GEMV (Trans)|double': (12,
+                                               '0x1.c5aabdaf4e587p-13',
+                                               221520.0,
+                                               43008.0),
+                       'Norm|double': (9, '0x1.1b2b25b7eb30dp-12', 36864.0, 9216.0),
+                       'Other|double': (54, '0x1.a864dbebae90ap-12', 543264.0, 42658.0),
+                       'SpMV|double': (36,
+                                       '0x1.30a03b511bfecp-12',
+                                       1751184.0,
+                                       230400.0)},
+                      {'GEMV (No Trans)': 13,
+                       'GEMV (Trans)': 12,
+                       'Norm': 9,
+                       'Other': 54,
+                       'SpMV': 36}),
  'solve-many-one-column-tail': ({'GEMM (No Trans)|double': (222,
                                                             '0x1.06bf7d137c66cp-8',
                                                             10169976.0,
