@@ -10,8 +10,8 @@ The package provides:
 
 * restarted GMRES(m) and its multiprecision variants GMRES-IR and GMRES-FD
   (plus CG and a half/single/double IR extension),
-* GPU-friendly preconditioners: GMRES-polynomial, block Jacobi, point
-  Jacobi (and Chebyshev / Neumann ablation alternatives),
+* GPU-friendly preconditioners: GMRES-polynomial, block Jacobi and point
+  Jacobi,
 * the finite-difference PDE problems and SuiteSparse-proxy matrices of the
   paper's evaluation,
 * an instrumented linear-algebra layer whose kernels are metered through an

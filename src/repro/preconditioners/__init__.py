@@ -14,17 +14,12 @@ applies the preconditioner entirely in fp32, while "fp32 preconditioning of
 fp64 GMRES" wraps it in :class:`PrecisionWrappedPreconditioner`, which casts
 the vector on every application (the cost the paper attributes to the
 "Other" bucket in Figure 7).
-
-Chebyshev and Neumann-series polynomial preconditioners are included as
-ablation alternatives to the GMRES polynomial.
 """
 
 from .base import Preconditioner, IdentityPreconditioner
 from .jacobi import JacobiPreconditioner
 from .block_jacobi import BlockJacobiPreconditioner
 from .polynomial import GmresPolynomialPreconditioner
-from .chebyshev import ChebyshevPreconditioner
-from .neumann import NeumannPreconditioner
 from .mixed import PrecisionWrappedPreconditioner, wrap_for_precision
 
 __all__ = [
@@ -33,8 +28,6 @@ __all__ = [
     "JacobiPreconditioner",
     "BlockJacobiPreconditioner",
     "GmresPolynomialPreconditioner",
-    "ChebyshevPreconditioner",
-    "NeumannPreconditioner",
     "PrecisionWrappedPreconditioner",
     "wrap_for_precision",
     "make_preconditioner",
@@ -47,8 +40,7 @@ def make_preconditioner(name, matrix, precision="double", **kwargs):
     Parameters
     ----------
     name:
-        ``None``/"identity", "jacobi", "block_jacobi", "poly"/"polynomial",
-        "chebyshev" or "neumann".
+        ``None``/"identity", "jacobi", "block_jacobi" or "poly"/"polynomial".
     matrix:
         The system matrix (in any precision; it is converted to the
         preconditioner's precision internally).
@@ -68,8 +60,4 @@ def make_preconditioner(name, matrix, precision="double", **kwargs):
         return BlockJacobiPreconditioner(matrix, precision=precision, **kwargs)
     if key in ("poly", "polynomial", "gmres_poly"):
         return GmresPolynomialPreconditioner(matrix, precision=precision, **kwargs)
-    if key in ("chebyshev", "cheby"):
-        return ChebyshevPreconditioner(matrix, precision=precision, **kwargs)
-    if key == "neumann":
-        return NeumannPreconditioner(matrix, precision=precision, **kwargs)
     raise ValueError(f"unknown preconditioner {name!r}")

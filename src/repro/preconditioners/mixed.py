@@ -49,13 +49,7 @@ class PrecisionWrappedPreconditioner(Preconditioner):
         return self.inner.setup_seconds()
 
     def apply(self, vector: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        vector = self._check_precision(vector)
-        if self.inner.precision.dtype == self.precision.dtype:
-            return self.inner.apply(vector, out=out)
-        n, dtype = vector.shape[0], self.inner.precision.dtype
-        down = kernels.cast(vector, self.inner.precision, out=scratch("mixed.down", dtype, n))
-        result = self.inner.apply(down, out=scratch("mixed.inner", dtype, n))
-        return kernels.cast(result, self.precision, out=out)
+        return self._cast_around(self.inner.apply, self._check_precision(vector), out)
 
     def apply_block(
         self, block: np.ndarray, out: "np.ndarray | None" = None
@@ -70,19 +64,30 @@ class PrecisionWrappedPreconditioner(Preconditioner):
         block = self._check_precision(np.asarray(block))
         if block.ndim != 2:
             raise ValueError("apply_block expects a 2-D block of column vectors")
+        return self._cast_around(self.inner.apply_block, block, out)
+
+    def _cast_around(self, inner_apply, x, out) -> np.ndarray:
+        """Cast ``x`` down, run ``inner_apply`` on it and cast the result up.
+
+        A vector is cast in one metered call each way, a block in one per
+        column.
+        """
         if self.inner.precision.dtype == self.precision.dtype:
-            return self.inner.apply_block(block, out=out)
-        n, k = block.shape
-        dtype = self.inner.precision.dtype
-        down = scratch("mixed.block.down", dtype, (n, k), order="F")
-        applied = scratch("mixed.block.inner", dtype, (n, k), order="F")
-        for c in range(k):
-            kernels.cast(block[:, c], self.inner.precision, out=down[:, c])
-        self.inner.apply_block(down, out=applied)
+            return inner_apply(x, out=out)
+        if x.ndim == 1:
+            columns = [Ellipsis]
+        else:
+            columns = [np.s_[:, c] for c in range(x.shape[1])]
+        inner = self.inner.precision
+        down = scratch("mixed.down", inner.dtype, x.shape, order="F")
+        applied = scratch("mixed.inner", inner.dtype, x.shape, order="F")
+        for c in columns:
+            kernels.cast(x[c], inner, out=down[c])
+        inner_apply(down, out=applied)
         if out is None:
-            out = np.empty((n, k), dtype=self.precision.dtype, order="F")
-        for c in range(k):
-            kernels.cast(applied[:, c], self.precision, out=out[:, c])
+            out = np.empty(x.shape, dtype=self.precision.dtype, order="F")
+        for c in columns:
+            kernels.cast(applied[c], self.precision, out=out[c])
         return out
 
 

@@ -13,6 +13,15 @@ using one SpMV per root (complex-conjugate root pairs are combined into a
 quadratic factor so the application stays in real arithmetic).  Roots are
 applied in modified-Leja order for numerical stability.
 
+The constructor turns the roots into a *factor plan*: one entry per real
+root or conjugate pair, holding the scalar coefficients of its axpys and
+the number of matrix products it runs (the last factor skips the products
+whose result is never read).  The ``"power"`` form's plan holds the Horner
+coefficients instead.  One recurrence per form walks the plan for an
+``(n,)`` vector with SpMVs and for an ``(n, k)`` block with SpMMs, so
+``apply(v)`` and column ``c`` of ``apply_block(V)`` agree bit for bit, and
+``spmvs_per_apply`` is the plan's product count.
+
 This is the preconditioner of Sections V-C and V-F of the paper: the SpMVs
 of the application dominate its cost (and land in the "SpMV" bucket of the
 timing figures), which is exactly why it pairs so well with the large fp32
@@ -28,7 +37,7 @@ performed with unmetered NumPy operations; it is reported separately via
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +47,13 @@ from ..sparse.csr import CsrMatrix
 from .base import Preconditioner
 
 __all__ = ["GmresPolynomialPreconditioner", "harmonic_ritz_values", "leja_order"]
+
+
+class _Factor(NamedTuple):
+    """One step of an application: its coefficients and how many products it runs."""
+
+    coeffs: Tuple[float, ...]
+    products: int
 
 
 def _arnoldi(matrix: CsrMatrix, seed: np.ndarray, degree: int):
@@ -198,50 +214,61 @@ class GmresPolynomialPreconditioner(Preconditioner):
         self.degree = theta.size
         self.roots = leja_order(theta)
         if apply_method == "power":
-            self._coefficients = self._power_coefficients(self.roots)
+            self._plan = self._horner_plan(self.roots)
+        else:
+            self._plan = self._product_plan(self.roots)
         self._setup_seconds = time.perf_counter() - start
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _power_coefficients(roots: np.ndarray) -> np.ndarray:
-        """Monomial coefficients ``c_k`` of ``p(z) = sum c_k z^k``.
+    def _product_plan(roots: np.ndarray) -> Tuple[_Factor, ...]:
+        """The factors of the product form, in Leja order.
+
+        A real root ``theta`` gives ``(1/theta, -1/theta)``; a conjugate
+        pair ``a ± ib`` gives ``(2a/m2, -1/m2, -2a/m2, 1/m2)`` with
+        ``m2 = |theta|^2``.  The last factor skips the products whose
+        result the application would never read.
+        """
+        plan = []
+        d = roots.size
+        i = 0
+        while i < d:
+            a, b = float(roots[i].real), float(roots[i].imag)
+            if abs(b) <= 1e-12 * max(1.0, abs(a)):
+                inv = 1.0 / a
+                plan.append(_Factor((inv, -inv), products=int(i < d - 1)))
+                i += 1
+            else:
+                m2 = a * a + b * b
+                coeffs = (2.0 * a / m2, -1.0 / m2, -2.0 * a / m2, 1.0 / m2)
+                plan.append(_Factor(coeffs, products=1 + int(i < d - 2)))
+                i += 2
+        return tuple(plan)
+
+    @staticmethod
+    def _horner_plan(roots: np.ndarray) -> Tuple[_Factor, ...]:
+        """Horner's rule on the monomial coefficients ``c_k`` of ``p(z) = sum c_k z^k``.
 
         Expand ``phi(z) = prod (1 - z/theta_i)`` and use
-        ``p(z) = (1 - phi(z)) / z``.
+        ``p(z) = (1 - phi(z)) / z``; the plan runs from ``c_{d-1}`` down to
+        ``c_0``, one product before every coefficient but the first.
         """
         phi = np.array([1.0 + 0.0j])
         for theta in roots:
             phi = np.convolve(phi, np.array([1.0, -1.0 / theta]))
         # phi[k] is the coefficient of z^k; p(z) = (1 - phi(z))/z.
-        p = -phi[1:]
-        return np.real(p)
+        coeffs = np.real(-phi[1:])
+        return tuple(
+            _Factor((float(c),), products=int(k > 0)) for k, c in enumerate(coeffs[::-1])
+        )
 
     # ------------------------------------------------------------------ #
     def spmvs_per_apply(self) -> int:
-        """Number of SpMVs one application performs (≈ the polynomial degree)."""
-        if self.apply_method == "power":
-            return int(self.degree)
-        count = 0
-        i = 0
-        roots = self.roots
-        d = roots.size
-        while i < d:
-            if abs(roots[i].imag) <= 1e-12 * max(1.0, abs(roots[i].real)):
-                if i < d - 1:
-                    count += 1
-                i += 1
-            else:
-                count += 1
-                if i < d - 2:
-                    count += 1
-                i += 2
-        return count
+        """Number of SpMVs one application performs (the plan's products)."""
+        return sum(factor.products for factor in self._plan)
 
     def apply(self, vector: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        vector = self._check_precision(vector)
-        if self.apply_method == "power":
-            return self._apply_power(vector, out=out)
-        return self._apply_roots(vector, out=out)
+        return self._apply(self._check_precision(vector), out)
 
     def apply_block(
         self, block: np.ndarray, out: "np.ndarray | None" = None
@@ -258,143 +285,59 @@ class GmresPolynomialPreconditioner(Preconditioner):
         block = self._check_precision(block)
         if block.ndim != 2:
             raise ValueError("apply_block expects a 2-D block of column vectors")
+        return self._apply(block, out)
+
+    def _apply(self, x: np.ndarray, out: "np.ndarray | None") -> np.ndarray:
+        """Run the plan on an ``(n,)`` vector with SpMVs or an ``(n, k)`` block with SpMMs."""
         if out is None:
-            out = np.empty(block.shape, dtype=self.precision.dtype, order="F")
-        # The recurrence scratch: the running product, one SpMM output, one
-        # second-order SpMM output and the axpy work block.
+            out = np.empty(x.shape, dtype=x.dtype, order="F")
+        product = kernels.spmv if x.ndim == 1 else kernels.spmm
+        # The recurrence scratch: the running product, one product output,
+        # one second-order product output and the axpy work buffer.
         prod, w, t, work = (
-            scratch(tag, block.dtype, block.shape, order="F")
-            for tag in ("poly.block.prod", "poly.block.w", "poly.block.t", "poly.block.work")
+            scratch(tag, x.dtype, x.shape, order="F")
+            for tag in ("poly.prod", "poly.w", "poly.t", "poly.work")
         )
         if self.apply_method == "power":
-            return self._apply_power_block(block, out, w, t, work)
-        return self._apply_roots_block(block, out, prod, w, t, work)
+            self._apply_power(product, x, out, w, t, work)
+        else:
+            self._apply_roots(product, x, out, prod, w, t, work)
+        return out
 
     # -- product form over Leja-ordered roots --------------------------- #
-    def _apply_roots(
-        self, vector: np.ndarray, out: "np.ndarray | None" = None
-    ) -> np.ndarray:
+    def _apply_roots(self, product, x, y, prod, w, t, work) -> None:
         A = self._matrix
-        n, dtype = vector.shape[0], vector.dtype
-        prod = kernels.copy(vector, out=scratch("poly.prod", dtype, n))
-        w_buf = scratch("poly.w", dtype, n)
-        t_buf = scratch("poly.t", dtype, n)
-        if out is None:
-            y = np.zeros_like(vector)
-        else:
-            out[:] = 0
-            y = out
-        roots = self.roots
-        d = roots.size
-        i = 0
-        while i < d:
-            theta = roots[i]
-            is_real = abs(theta.imag) <= 1e-12 * max(1.0, abs(theta.real))
-            last_real = is_real and i == d - 1
-            last_pair = (not is_real) and i >= d - 2
-            if is_real:
-                inv = 1.0 / theta.real
-                kernels.axpy(inv, prod, y)
-                if not last_real:
-                    w = kernels.spmv(A, prod, out=w_buf)
-                    kernels.axpy(-inv, w, prod)
-                i += 1
-            else:
-                a = theta.real
-                m2 = theta.real * theta.real + theta.imag * theta.imag
-                w = kernels.spmv(A, prod, out=w_buf)
-                kernels.axpy(2.0 * a / m2, prod, y)
-                kernels.axpy(-1.0 / m2, w, y)
-                if not last_pair:
-                    t = kernels.spmv(A, w, out=t_buf)
-                    kernels.axpy(-2.0 * a / m2, w, prod)
-                    kernels.axpy(1.0 / m2, t, prod)
-                i += 2
-        return y
-
-    def _apply_roots_block(
-        self,
-        block: np.ndarray,
-        out: np.ndarray,
-        prod: np.ndarray,
-        w_buf: np.ndarray,
-        t_buf: np.ndarray,
-        work: np.ndarray,
-    ) -> np.ndarray:
-        """Block product-form application (same recurrence as `_apply_roots`)."""
-        A = self._matrix
-        prod = kernels.copy(block, out=prod)
-        out[:] = 0
-        y = out
-        roots = self.roots
-        d = roots.size
-        i = 0
-        while i < d:
-            theta = roots[i]
-            is_real = abs(theta.imag) <= 1e-12 * max(1.0, abs(theta.real))
-            last_real = is_real and i == d - 1
-            last_pair = (not is_real) and i >= d - 2
-            if is_real:
-                inv = 1.0 / theta.real
-                kernels.axpy(inv, prod, y, work=work)
-                if not last_real:
-                    w = kernels.spmm(A, prod, out=w_buf)
-                    kernels.axpy(-inv, w, prod, work=work)
-                i += 1
-            else:
-                a = theta.real
-                m2 = theta.real * theta.real + theta.imag * theta.imag
-                w = kernels.spmm(A, prod, out=w_buf)
-                kernels.axpy(2.0 * a / m2, prod, y, work=work)
-                kernels.axpy(-1.0 / m2, w, y, work=work)
-                if not last_pair:
-                    t = kernels.spmm(A, w, out=t_buf)
-                    kernels.axpy(-2.0 * a / m2, w, prod, work=work)
-                    kernels.axpy(1.0 / m2, t, prod, work=work)
-                i += 2
-        return y
-
-    def _apply_power_block(
-        self,
-        block: np.ndarray,
-        out: np.ndarray,
-        w_buf: np.ndarray,
-        t_buf: np.ndarray,
-        work: np.ndarray,
-    ) -> np.ndarray:
-        """Block Horner application (same recurrence as `_apply_power`)."""
-        A = self._matrix
-        coeffs = self._coefficients
-        y = w_buf
+        kernels.copy(x, out=prod)
         y[:] = 0
-        kernels.axpy(float(coeffs[-1]), block, y, work=work)
-        for c in coeffs[-2::-1]:
-            y = kernels.spmm(A, y, out=t_buf if y is w_buf else w_buf)
-            kernels.axpy(float(c), block, y, work=work)
-        out[:] = y
-        return out
+        for factor in self._plan:
+            if len(factor.coeffs) == 2:  # a real root
+                inv, minus_inv = factor.coeffs
+                kernels.axpy(inv, prod, y, work=work)
+                if factor.products:
+                    product(A, prod, out=w)
+                    kernels.axpy(minus_inv, w, prod, work=work)
+            else:  # a conjugate pair
+                prod_to_y, w_to_y, w_to_prod, t_to_prod = factor.coeffs
+                product(A, prod, out=w)
+                kernels.axpy(prod_to_y, prod, y, work=work)
+                kernels.axpy(w_to_y, w, y, work=work)
+                if factor.products == 2:
+                    product(A, w, out=t)
+                    kernels.axpy(w_to_prod, w, prod, work=work)
+                    kernels.axpy(t_to_prod, t, prod, work=work)
 
     # -- naive Horner on monomial coefficients (ablation) ---------------- #
-    def _apply_power(
-        self, vector: np.ndarray, out: "np.ndarray | None" = None
-    ) -> np.ndarray:
+    def _apply_power(self, product, x, out, w, t, work) -> None:
+        # p(A) x = c_0 x + A (c_1 x + A (c_2 x + ...)), ping-ponging between
+        # two scratch buffers (a product's out must not alias its input).
         A = self._matrix
-        coeffs = self._coefficients
-        # Horner: p(A) v = c_0 v + A (c_1 v + A (c_2 v + ...)), ping-ponging
-        # between two scratch vectors (spmv forbids out aliasing x).
-        n, dtype = vector.shape[0], vector.dtype
-        w_buf = scratch("poly.w", dtype, n)
-        t_buf = scratch("poly.t", dtype, n)
-        y = w_buf
+        y = w
         y[:] = 0
-        kernels.axpy(float(coeffs[-1]), vector, y)
-        for c in coeffs[-2::-1]:
-            y = kernels.spmv(A, y, out=t_buf if y is w_buf else w_buf)
-            kernels.axpy(float(c), vector, y)
-        if out is None:
-            return y.copy()
+        for factor in self._plan:
+            if factor.products:
+                y = product(A, y, out=t if y is w else w)
+            kernels.axpy(factor.coeffs[0], x, y, work=work)
         out[:] = y
-        return out
 
     @property
     def matrix(self) -> CsrMatrix:

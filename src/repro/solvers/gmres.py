@@ -22,6 +22,7 @@ performance model meters:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -218,7 +219,7 @@ def run_gmres_cycle(
         if control is not None:
             control.charge(1)
 
-        if h_next <= BREAKDOWN_TOLERANCE:
+        if not BREAKDOWN_TOLERANCE < h_next < math.inf:
             breakdown = True
             break
         # The next basis vector is always formed (Belos does the same); it is
@@ -349,7 +350,8 @@ def gmres(
         )
         kernels.axpy(1.0, outcome.update, cols.X[:, 0])
         return Step(
-            outcome.iterations, outcome.implicit_norms, outcome.iterations == 0, targets
+            outcome.iterations, outcome.implicit_norms,
+            outcome.iterations == 0 or outcome.breakdown, targets,
         )
 
     with use_timer(timer):

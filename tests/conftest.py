@@ -83,3 +83,11 @@ def random_sparse(rng) -> CsrMatrix:
 def dense(matrix: CsrMatrix) -> np.ndarray:
     """Dense copy of a CsrMatrix (test helper)."""
     return matrix.to_scipy().toarray()
+
+
+def overflowing_laplace3d(big: float) -> CsrMatrix:
+    """Laplace3D 6³ with one huge but finite entry: the first Arnoldi norm
+    of an fp64 solve overflows to inf."""
+    A = laplace3d(6)
+    A.data[7] = big
+    return A

@@ -35,10 +35,8 @@ from repro.perfmodel.timer import KernelTimer, use_timer
 from repro.ortho import make_ortho_manager
 from repro.preconditioners.base import IdentityPreconditioner
 from repro.preconditioners.block_jacobi import BlockJacobiPreconditioner
-from repro.preconditioners.chebyshev import ChebyshevPreconditioner
 from repro.preconditioners.jacobi import JacobiPreconditioner
 from repro.preconditioners.mixed import PrecisionWrappedPreconditioner
-from repro.preconditioners.neumann import NeumannPreconditioner
 from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
 from repro.solvers.gmres import GmresWorkspace, gmres, run_gmres_cycle
 
@@ -275,8 +273,6 @@ def _preconditioners(matrix):
     yield BlockJacobiPreconditioner(spd, block_size=7)  # ragged trailing block
     yield GmresPolynomialPreconditioner(spd, degree=6)
     yield GmresPolynomialPreconditioner(spd, degree=4, apply_method="power")
-    yield ChebyshevPreconditioner(spd, degree=4)
-    yield NeumannPreconditioner(spd, degree=2)
     yield IdentityPreconditioner()
     yield PrecisionWrappedPreconditioner(
         JacobiPreconditioner(spd, precision="single"), outer_precision="double"

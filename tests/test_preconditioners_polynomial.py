@@ -1,14 +1,10 @@
-"""Tests for the GMRES-polynomial, Chebyshev and Neumann preconditioners."""
+"""Tests for the GMRES-polynomial preconditioner."""
 
 import numpy as np
 import pytest
 
 from repro.perfmodel.timer import use_timer
-from repro.preconditioners import (
-    ChebyshevPreconditioner,
-    GmresPolynomialPreconditioner,
-    NeumannPreconditioner,
-)
+from repro.preconditioners import GmresPolynomialPreconditioner
 from repro.preconditioners.polynomial import harmonic_ritz_values, leja_order
 from repro.solvers import gmres
 from repro import ones_rhs
@@ -109,12 +105,23 @@ class TestGmresPolynomial:
         assert precond.converged
         assert precond.iterations < plain.iterations / 2
 
-    def test_spmv_count_per_apply(self, laplace_small, rng):
-        M = GmresPolynomialPreconditioner(laplace_small, degree=7)
+    @pytest.mark.parametrize("method", ["roots", "power"])
+    @pytest.mark.parametrize("degree", [3, 5, 7, 8, 16])
+    def test_spmv_count_per_apply(self, laplace_small, rng, method, degree):
+        M = GmresPolynomialPreconditioner(laplace_small, degree=degree, apply_method=method)
         with use_timer(name="t") as timer:
             M.apply(rng.standard_normal(laplace_small.n_rows))
         assert timer.calls_by_label()["SpMV"] == M.spmvs_per_apply()
-        assert M.spmvs_per_apply() <= 7
+        assert M.spmvs_per_apply() <= degree
+
+    @pytest.mark.parametrize("method", ["roots", "power"])
+    @pytest.mark.parametrize("degree", [3, 5, 7, 8, 16])
+    def test_spmm_count_per_apply_block(self, laplace_small, rng, method, degree):
+        M = GmresPolynomialPreconditioner(laplace_small, degree=degree, apply_method=method)
+        with use_timer(name="t") as timer:
+            M.apply_block(rng.standard_normal((laplace_small.n_rows, 3)))
+        assert timer.calls_by_label()["SpMM"] == M.spmvs_per_apply()
+        assert "SpMV" not in timer.calls_by_label()
 
     def test_fp32_polynomial_storage_and_apply(self, laplace_small):
         M = GmresPolynomialPreconditioner(laplace_small, degree=5, precision="single")
@@ -150,81 +157,3 @@ class TestGmresPolynomial:
         with pytest.raises(ValueError):
             GmresPolynomialPreconditioner(laplace_small, degree=3, seed=np.zeros(laplace_small.n_rows))
 
-
-class TestChebyshev:
-    def test_improves_conditioning_of_spd_system(self, laplace_small, rng):
-        M = ChebyshevPreconditioner(laplace_small, degree=8)
-        A = dense(laplace_small)
-        P = apply_as_matrix(M, laplace_small.n_rows)
-        eig_before = np.linalg.eigvalsh(A)
-        eig_after = np.sort(np.real(np.linalg.eigvals(A @ P)))
-        cond_before = eig_before.max() / eig_before.min()
-        cond_after = eig_after.max() / eig_after.min()
-        assert cond_after < cond_before
-
-    def test_reduces_gmres_iterations(self, laplace_medium):
-        b = ones_rhs(laplace_medium)
-        plain = gmres(laplace_medium, b, restart=20, tol=1e-8, max_restarts=100)
-        M = ChebyshevPreconditioner(laplace_medium, degree=6)
-        precond = gmres(laplace_medium, b, restart=20, tol=1e-8, max_restarts=100, preconditioner=M)
-        assert precond.converged
-        assert precond.iterations < plain.iterations
-
-    def test_explicit_bounds(self, laplace_small):
-        M = ChebyshevPreconditioner(laplace_small, degree=4, bounds=(0.1, 8.0))
-        assert M.lmin == 0.1 and M.lmax == 8.0
-
-    def test_invalid_bounds_and_degree(self, laplace_small):
-        with pytest.raises(ValueError):
-            ChebyshevPreconditioner(laplace_small, degree=4, bounds=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            ChebyshevPreconditioner(laplace_small, degree=0)
-
-    def test_spmvs_per_apply(self, laplace_small, rng):
-        M = ChebyshevPreconditioner(laplace_small, degree=5)
-        with use_timer(name="t") as timer:
-            M.apply(rng.standard_normal(laplace_small.n_rows))
-        assert timer.calls_by_label()["SpMV"] == 5
-
-
-class TestNeumann:
-    def test_degree_zero_is_jacobi(self, laplace_small, rng):
-        M = NeumannPreconditioner(laplace_small, degree=0)
-        x = rng.standard_normal(laplace_small.n_rows)
-        np.testing.assert_allclose(M.apply(x), x / laplace_small.diagonal())
-
-    def test_matches_explicit_series(self, rng):
-        """Compare against the explicitly expanded truncated Neumann series on
-        a strongly diagonally dominant matrix."""
-        import scipy.sparse as sp
-
-        n = 40
-        T = np.diag(4.0 * np.ones(n)) + np.diag(-0.5 * np.ones(n - 1), 1) + np.diag(
-            -0.5 * np.ones(n - 1), -1
-        )
-        from repro.sparse import from_scipy
-
-        A = from_scipy(sp.csr_matrix(T))
-        M = NeumannPreconditioner(A, degree=3)
-        Dinv = np.diag(1.0 / np.diag(T))
-        G = np.eye(n) - Dinv @ T
-        expected = (np.eye(n) + G + G @ G + G @ G @ G) @ Dinv
-        P = apply_as_matrix(M, n)
-        np.testing.assert_allclose(P, expected, atol=1e-12)
-
-    def test_reduces_iterations_on_dominant_system(self, rng):
-        import scipy.sparse as sp
-        from repro.sparse import from_scipy
-
-        n = 100
-        T = np.diag(5.0 * np.ones(n)) + np.diag(-np.ones(n - 1), 1) + np.diag(-np.ones(n - 1), -1)
-        A = from_scipy(sp.csr_matrix(T))
-        b = np.ones(n)
-        plain = gmres(A, b, restart=20, tol=1e-10, max_restarts=50)
-        precond = gmres(A, b, restart=20, tol=1e-10, max_restarts=50,
-                        preconditioner=NeumannPreconditioner(A, degree=3))
-        assert precond.converged and precond.iterations < plain.iterations
-
-    def test_invalid_degree(self, laplace_small):
-        with pytest.raises(ValueError):
-            NeumannPreconditioner(laplace_small, degree=-1)

@@ -36,6 +36,7 @@ from repro.solvers import (
 )
 from repro.solvers.block_gmres import BlockGmresWorkspace, run_block_gmres_cycle
 from repro.sparse import CsrMatrix
+from repro.sparse.ordering import permute_symmetric
 
 
 @pytest.fixture
@@ -45,6 +46,14 @@ def matrix():
 
 def _rhs_block(matrix, k, seed=42):
     return rng(seed).standard_normal((matrix.n_rows, k))
+
+
+def _operator(matrix, layout):
+    """The fixture matrix (a stencil, DIA products) or a random symmetric
+    permutation of it (too many diagonals for DIA: gather products)."""
+    if layout == "stencil":
+        return matrix
+    return permute_symmetric(matrix, rng(4).permutation(matrix.n_rows))
 
 
 # ---------------------------------------------------------------------- #
@@ -118,22 +127,24 @@ class TestBlockGmresPreconditioned:
             diff = np.linalg.norm(res.X[:, c] - seq.x) / np.linalg.norm(seq.x)
             assert diff < 1e-6
 
-    def test_polynomial_apply_block_matches_columnwise(self, matrix):
+    @pytest.mark.parametrize("layout", ["stencil", "permuted"])
+    def test_polynomial_apply_block_matches_columnwise(self, matrix, layout):
+        matrix = _operator(matrix, layout)
         M = GmresPolynomialPreconditioner(matrix, degree=7)
         V = np.asfortranarray(_rhs_block(matrix, 5, seed=8))
         out = np.asfortranarray(np.empty_like(V))
         got = M.apply_block(V, out=out)
         assert got is out
         for c in range(5):
-            np.testing.assert_allclose(
-                got[:, c], M.apply(V[:, c].copy()), rtol=1e-10, atol=1e-12
-            )
+            np.testing.assert_array_equal(got[:, c], M.apply(V[:, c].copy()))
 
-    def test_precision_wrapped_apply_block_stays_batched(self, matrix):
+    @pytest.mark.parametrize("layout", ["stencil", "permuted"])
+    def test_precision_wrapped_apply_block_stays_batched(self, matrix, layout):
         """The mixed-precision wrapper delegates to the inner *batched*
         application (one spmm chain), matching its column-wise apply."""
         from repro.preconditioners.mixed import PrecisionWrappedPreconditioner
 
+        matrix = _operator(matrix, layout)
         inner = GmresPolynomialPreconditioner(matrix, degree=6, precision="single")
         wrapped = PrecisionWrappedPreconditioner(inner, outer_precision="double")
         V = np.asfortranarray(_rhs_block(matrix, 4, seed=12))
@@ -141,9 +152,7 @@ class TestBlockGmresPreconditioned:
         got = wrapped.apply_block(V, out=out)
         assert got is out
         for c in range(4):
-            np.testing.assert_allclose(
-                got[:, c], wrapped.apply(V[:, c].copy()), rtol=1e-5, atol=1e-6
-            )
+            np.testing.assert_array_equal(got[:, c], wrapped.apply(V[:, c].copy()))
 
     def test_mixed_precision_preconditioned_block_ir(self, matrix):
         """block_gmres_ir with an fp64 preconditioner (wrapped to fp32 inner)
@@ -154,14 +163,14 @@ class TestBlockGmresPreconditioned:
         assert res.converged
         assert res.relative_residuals_fp64.max() <= 1e-10
 
-    def test_power_form_apply_block(self, matrix):
+    @pytest.mark.parametrize("layout", ["stencil", "permuted"])
+    def test_power_form_apply_block(self, matrix, layout):
+        matrix = _operator(matrix, layout)
         M = GmresPolynomialPreconditioner(matrix, degree=5, apply_method="power")
         V = np.asfortranarray(_rhs_block(matrix, 3, seed=8))
         got = M.apply_block(V)
         for c in range(3):
-            np.testing.assert_allclose(
-                got[:, c], M.apply(V[:, c].copy()), rtol=1e-10, atol=1e-12
-            )
+            np.testing.assert_array_equal(got[:, c], M.apply(V[:, c].copy()))
 
 
 # ---------------------------------------------------------------------- #

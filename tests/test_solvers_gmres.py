@@ -11,6 +11,7 @@ from repro.solvers import SolverStatus, gmres
 from repro.solvers.gmres import GmresWorkspace, run_gmres_cycle
 from repro.ortho import make_ortho_manager
 from repro.preconditioners.base import IdentityPreconditioner
+from tests.conftest import overflowing_laplace3d
 
 
 def direct_solution(matrix, b):
@@ -233,6 +234,31 @@ class TestErrorsAndEdgeCases:
         result = gmres(laplace_small, ones_rhs(laplace_small))
         assert result.details["restart"] == 7
         assert result.details["tolerance"] == 1e-6
+
+
+class TestOverflowedArnoldiNorm:
+    @pytest.mark.parametrize("ortho", ["cgs", "cgs2", "mgs"])
+    @pytest.mark.parametrize("big", [1e200, 1e300, 1e308])
+    def test_gmres_ends_in_breakdown(self, ortho, big):
+        A = overflowing_laplace3d(big)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = gmres(A, np.ones(A.n_rows), restart=20, ortho=ortho)
+        assert result.status is SolverStatus.BREAKDOWN
+        assert np.all(np.isfinite(result.x))
+
+    def test_cycle_ends_at_the_overflowed_step(self):
+        A = overflowing_laplace3d(1e300)
+        ws = GmresWorkspace(A.n_rows, 20, "double")
+        r = np.ones(A.n_rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = run_gmres_cycle(
+                A, r, float(np.linalg.norm(r)), ws,
+                ortho=make_ortho_manager("cgs2"),
+                preconditioner=IdentityPreconditioner(),
+            )
+        assert outcome.breakdown
+        assert outcome.iterations == 1
+        assert np.all(np.isfinite(outcome.update))
 
 
 class TestRunGmresCycle:

@@ -14,6 +14,7 @@ from repro.solvers import (
     gmres_ir,
     gmres_ir_three_precision,
 )
+from tests.conftest import overflowing_laplace3d
 
 
 class TestGmresFD:
@@ -74,6 +75,15 @@ class TestGmresFD:
         result = gmres_fd(laplace_small, ones_rhs(laplace_small), switch_iteration=10,
                           restart=10, tol=1e-10, preconditioner=M)
         assert result.converged
+
+    @pytest.mark.parametrize("switch_iteration", [0, 10])
+    def test_overflowed_arnoldi_norm_ends_in_breakdown(self, switch_iteration):
+        A = overflowing_laplace3d(1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = gmres_fd(
+                A, np.ones(A.n_rows), switch_iteration=switch_iteration, restart=20
+            )
+        assert result.status is SolverStatus.BREAKDOWN
 
     def test_solver_label(self, laplace_small):
         result = gmres_fd(laplace_small, ones_rhs(laplace_small), switch_iteration=10,
