@@ -83,7 +83,7 @@ class PrecisionWrappedPreconditioner(Preconditioner):
         applied = scratch("mixed.inner", inner.dtype, x.shape, order="F")
         for c in columns:
             kernels.cast(x[c], inner, out=down[c])
-        inner_apply(down, out=applied)
+        applied = inner_apply(down, out=applied)
         if out is None:
             out = np.empty(x.shape, dtype=self.precision.dtype, order="F")
         for c in columns:

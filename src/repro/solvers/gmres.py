@@ -219,6 +219,9 @@ def run_gmres_cycle(
         if control is not None:
             control.charge(1)
 
+        # A vanishing subdiagonal is a lucky breakdown; an overflowed or NaN
+        # one leaves no usable next basis vector either (1/inf scales it to
+        # zero and R would get a zero diagonal), so both end the cycle.
         if not BREAKDOWN_TOLERANCE < h_next < math.inf:
             breakdown = True
             break
@@ -349,6 +352,7 @@ def gmres(
             control=control,
         )
         kernels.axpy(1.0, outcome.update, cols.X[:, 0])
+        # After a breakdown the true residual decides, as in GMRES-IR.
         return Step(
             outcome.iterations, outcome.implicit_norms,
             outcome.iterations == 0 or outcome.breakdown, targets,
