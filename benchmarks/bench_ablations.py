@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the library's own design choices.
 
 Not part of the paper's tables/figures; these quantify the library's own
 choices so downstream users can see what each one buys:

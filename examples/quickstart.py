@@ -26,7 +26,7 @@ def main(grid: int = 64) -> None:
     print(f"problem: {matrix.name}, n={matrix.n_rows}, nnz={matrix.nnz}")
 
     # 2. Model the paper's V100, dimensionally scaled to this problem size
-    #    (see DESIGN.md); all kernel calls are metered against it.
+    #    (see DeviceSpec.scaled); all kernel calls are metered against it.
     device = get_device("v100").scaled(matrix.n_rows / 1500**2)
 
     with use_device(device):

@@ -5,7 +5,7 @@ Two C files ship with the package: ``dia.c`` (the DIA SpMV/SpMM) and
 the band-Hessenberg QR, and both projection passes of CGS2).  Each
 kernel but the last has a Python version that gives the same bits: the
 NumPy DIA sweep, the two-ufunc axpy and the Python loop of
-``BlockGivensWorkspace.append_block``.  Those run when no kernel loaded,
+``GivensWorkspace._band_qr_step``.  Those run when no kernel loaded,
 for fp16, and as the specification the tests compare against.
 
 ``cgs2_project`` is the exception.  Its Python version is the GEMV
@@ -140,7 +140,7 @@ def kernel(name: str, dtype: np.dtype):
       ``(n_rows, k)`` blocks;
     * ``"axpy"`` — ``y += alpha * x``: ``(n, alpha, x, y)`` over ``n``
       contiguous entries;
-    * ``"band_qr_step"`` — :meth:`BlockGivensWorkspace.append_block`'s
+    * ``"band_qr_step"`` — :meth:`GivensWorkspace._band_qr_step`'s
       rotations: ``(q, k, R, ldr, G, ldg, QT, ldq)``, C-ordered arrays
       with their row strides in elements;
     * ``"cgs2_project"`` — ``h1 = V^T w; w -= V h1; h2 = V^T w;

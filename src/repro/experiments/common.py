@@ -7,8 +7,8 @@ mirror the paper's experimental setup scaled to pure-Python problem sizes:
 * right-hand side of all ones, zero initial guess, relative tolerance 1e-10;
 * restarted GMRES with CGS2 orthogonalization;
 * solve "times" are **modelled V100 seconds** accumulated by the kernel
-  performance model (see DESIGN.md for the substitution argument) — wall
-  clock is also recorded for the benchmark harness;
+  performance model (see :mod:`repro.perfmodel` for the substitution
+  argument) — wall clock is also recorded for the benchmark harness;
 * each problem runs on a **dimensionally scaled** V100
   (:meth:`~repro.perfmodel.device.DeviceSpec.scaled` with factor
   ``n_scaled / n_paper``) so that cache-reuse regimes and the ratio of fixed
@@ -58,8 +58,8 @@ class ExperimentConfig:
     """Knobs shared by all experiment drivers.
 
     ``quick`` selects smaller grids / fewer sweep points so the whole
-    benchmark suite stays inside a few minutes; the full setting matches the
-    defaults quoted in DESIGN.md's per-experiment index.
+    benchmark suite stays inside a few minutes; the full setting runs the
+    defaults each experiment module documents.
     """
 
     restart: int = DEFAULT_RESTART

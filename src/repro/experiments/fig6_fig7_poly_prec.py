@@ -17,7 +17,7 @@ preconditioning the SpMV — not orthogonalization — dominates the solve time
 
 Scaled setup: Stretched2D at a reduced grid with a reduced polynomial
 degree (the preconditioner strength has to match the scaled problem's
-difficulty so the solve still spans multiple restart cycles — see DESIGN.md).
+difficulty so the solve still spans multiple restart cycles).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Headline observations:
 
 This reproduction runs the same protocol on the structural proxies of
 :mod:`repro.matrices.suitesparse_proxies` (the collection itself is not
-downloadable here — see DESIGN.md) plus the scaled Galeri problems, and
+shipped with the package) plus the scaled Galeri problems, and
 reports measured vs paper values per row.
 """
 
@@ -186,7 +186,7 @@ def run(
         paper_reference=PAPER_REFERENCE,
         notes=[
             "SuiteSparse matrices are replaced by structural proxies (no collection access); "
-            "see repro.matrices.suitesparse_proxies and DESIGN.md for the per-matrix recipe",
+            "see repro.matrices.suitesparse_proxies for the per-matrix recipe",
             "parabolic_fem: the paper's 0.92x slowdown is a known mismatch at proxy scale "
             "(see the proxy's notes)",
         ],

@@ -26,11 +26,9 @@ from .kernels import meter_host_dense
 
 __all__ = [
     "givens_rotation",
-    "apply_givens_column",
     "back_substitute",
     "hessenberg_lstsq",
     "GivensWorkspace",
-    "BlockGivensWorkspace",
 ]
 
 
@@ -60,47 +58,106 @@ def givens_rotation(a: float, b: float, dtype=np.float64) -> Tuple[float, float]
 class GivensWorkspace:
     """Incremental QR of the GMRES Hessenberg matrix via Givens rotations.
 
-    Maintains, in the working dtype:
+    One workspace serves both widths of the Arnoldi cycle; :meth:`reset`
+    takes the width from its seed and :meth:`append` from its operand:
 
-    * ``R`` — the upper-triangular factor (capacity ``m × m``),
-    * ``g`` — the rotated right-hand side ``Q^T (beta e_1)``, whose trailing
-      entry's magnitude is the *implicit* residual norm, and
-    * the rotation cosines/sines applied so far.
+    * a scalar ``beta`` starts a single-vector cycle.  Each Hessenberg
+      column ``[h; h_next]`` is rotated by the previous rotations and one
+      new rotation annihilates ``h_next``; ``g = Q^T (beta e_1)`` is the
+      rotated right-hand side, whose trailing entry's magnitude is the
+      *implicit* residual norm;
+    * a ``k × k`` triangular ``S`` (the QR of the residual block) starts a
+      block cycle, whose Hessenberg matrix has a band of ``k``
+      subdiagonals.  ``G = Q^T (E₁ S)`` carries the per-column implicit
+      residual norms in its trailing ``k`` rows, and the accumulated
+      orthogonal factor ``QT`` is kept densely, so a new panel of ``k``
+      columns is rotated by all previous rotations with one small
+      host-side matmul instead of ``O(m·p·k)`` scalar rotations.
 
-    This is exactly the piece of GMRES the paper's "Other" bucket times on
-    the host.
+    ``max_cols`` bounds the Hessenberg columns of a cycle and ``band`` the
+    block width (``1`` for a single-vector solver).  All buffers are
+    allocated at construction (the block scratch once per distinct active
+    width, i.e. once per deflation event), so the per-iteration path
+    allocates nothing.  This is the piece of GMRES the paper's "Other"
+    bucket times on the host, in the working dtype.
+
+    The block Givens sweep is ``k²`` rotations.  For fp32/fp64 it is one
+    call of the compiled ``band_qr_step`` kernel
+    (:mod:`repro.backends.native`), which gives the bits of the Python
+    loop :meth:`_band_qr_step`; the loop runs for other dtypes and when no
+    compiler is available.
     """
 
-    def __init__(self, max_size: int, dtype=np.float64) -> None:
-        if max_size <= 0:
-            raise ValueError("max_size must be positive")
+    def __init__(self, max_cols: int, band: int = 1, dtype=np.float64) -> None:
+        if max_cols <= 0 or band <= 0:
+            raise ValueError("max_cols and band must be positive")
         self.dtype = np.dtype(dtype)
-        self.max_size = max_size
-        self.R = np.zeros((max_size + 1, max_size), dtype=self.dtype)
-        self.g = np.zeros(max_size + 1, dtype=self.dtype)
-        self.cosines = np.zeros(max_size, dtype=self.dtype)
-        self.sines = np.zeros(max_size, dtype=self.dtype)
+        self.max_cols = max_cols
+        self.band = band
+        rows = max_cols + band
+        self._max_rows = rows
+        self.R = np.zeros((rows, max_cols), dtype=self.dtype)
+        # Single-vector state: rotated right-hand side and rotations.
+        self.g = np.zeros(max_cols + 1, dtype=self.dtype)
+        self.cosines = np.zeros(max_cols, dtype=self.dtype)
+        self.sines = np.zeros(max_cols, dtype=self.dtype)
+        # Block state.
+        self.G = np.zeros((rows, band), dtype=self.dtype)
+        self.QT = np.zeros((rows, rows), dtype=self.dtype)
+        self._t0 = np.empty(rows, dtype=self.dtype)
+        self._t1 = np.empty(rows, dtype=self.dtype)
+        self._panel_scratch = {}  # active width k -> pair of (rows, k) C blocks
+        self._solve_scratch = np.empty(band, dtype=self.dtype)
         self.size = 0
+        self.active_band = band
+        self.vector = True
 
-    def reset(self, beta: float) -> None:
-        """Start a new cycle with initial residual norm ``beta``."""
+    def reset(self, seed) -> None:
+        """Start a cycle: ``seed`` is the initial residual norm ``beta`` of
+        a single-vector cycle, or the ``k × k`` factor ``S`` of a block
+        cycle's initial residual block."""
+        seed = np.asarray(seed)
+        self.size = 0
+        self.vector = seed.ndim == 0
+        if self.vector:
+            # Every entry of R the single-vector QR reads is written first.
+            self.active_band = 1
+            self.g[:] = 0
+            self.g[0] = self.dtype.type(seed)
+            return
+        k = seed.shape[0]
+        if seed.shape != (k, k) or k > self.band:
+            raise ValueError("initial coefficient block has wrong shape")
+        self.active_band = k
         self.R[:] = 0
-        self.g[:] = 0
-        self.g[0] = self.dtype.type(beta)
-        self.size = 0
+        self.G[:] = 0
+        self.G[:k, :k] = seed
+        self.QT[:] = 0
+        np.fill_diagonal(self.QT, self.dtype.type(1))
+        # The staging block must start zero below the written region (rows
+        # only ever extend downward within a cycle, so one zero-fill per
+        # reset keeps the full-height matmul exact).
+        stage, _rotated = self._panel_buffers(k)
+        stage[:] = 0
 
-    def append_column(self, h: np.ndarray, h_next: float) -> float:
-        """Add Hessenberg column ``[h; h_next]`` and return the implicit residual norm.
+    def append(self, H: np.ndarray, h_next: "float | None" = None) -> None:
+        """Add one Arnoldi step to the QR.
 
-        Parameters
-        ----------
-        h:
-            The first ``j+1`` entries of column ``j`` (``j = self.size``).
-        h_next:
-            The subdiagonal entry ``h_{j+1, j}``.
+        A vector ``H`` is the first ``j+1`` entries of Hessenberg column
+        ``j`` (``j = self.size``) of a single-vector cycle, with
+        ``h_next = h_{j+1, j}``.  A 2-D ``H`` is the panel of ``k`` columns
+        ``q .. q + k - 1`` (``q = self.size``) of a block step: rows
+        ``0 .. q + 2k - 1``, the block-projection coefficients on top and
+        the intra-block triangular factor below (``h_next`` is unused).
         """
+        if H.ndim == 1:
+            self._append_column(H, h_next)
+        else:
+            self._append_panel(H)
+
+    def _append_column(self, h: np.ndarray, h_next: float) -> None:
         j = self.size
-        if j >= self.max_size:
+        if j >= self.max_cols:
             raise RuntimeError("GivensWorkspace is full")
         col = self.R[:, j]
         col[: j + 1] = np.asarray(h, dtype=self.dtype)[: j + 1]
@@ -125,94 +182,7 @@ class GivensWorkspace:
         self.g[j] = c * g_j
         self.g[j + 1] = s * g_j
         self.size = j + 1
-
         meter_host_dense(6 * (j + 1))
-        return float(abs(self.g[j + 1]))
-
-    @property
-    def implicit_residual_norm(self) -> float:
-        """Magnitude of the trailing rotated right-hand-side entry."""
-        return float(abs(self.g[self.size]))
-
-    def solve(self, out: "np.ndarray | None" = None) -> np.ndarray:
-        """Solve the triangular system for the Krylov coefficients ``y``.
-
-        ``out``, when given, is a caller-owned length-``size`` buffer the
-        coefficients are written into (the solver passes its workspace's
-        Hessenberg-column buffer so restarts allocate nothing).
-        """
-        j = self.size
-        y = back_substitute(self.R[:j, :j], self.g[:j], out=out)
-        meter_host_dense(j * j)
-        return y
-
-
-class BlockGivensWorkspace:
-    """Incremental QR of the block-GMRES *band* Hessenberg matrix.
-
-    Block Arnoldi with block size ``k`` produces a Hessenberg matrix whose
-    column ``q`` has nonzeros down to row ``q + k`` (a band of ``k``
-    subdiagonals).  This workspace maintains, in the working dtype:
-
-    * ``R`` — the upper-triangular factor (capacity ``(m·p + p) × m·p``),
-    * ``G`` — the rotated block right-hand side ``Q^T (E₁ S)`` where ``S``
-      is the triangular factor of the initial residual block's QR; the
-      trailing ``k`` rows of its leading columns carry the per-column
-      *implicit* residual norms,
-    * ``QT`` — the accumulated orthogonal factor, kept densely so a new
-      panel of ``k`` Hessenberg columns is rotated by all previous
-      rotations with one small host-side matmul instead of replaying
-      ``O(m·p·k)`` scalar rotations per column.
-
-    All buffers are pre-allocated at construction (per-width scratch is
-    created once per distinct active block width, i.e. once per deflation
-    event), so the per-iteration path allocates nothing — the block
-    analogue of :class:`GivensWorkspace`, filed under the same host-side
-    "Other" cost bucket.
-
-    The Givens sweep of a block step is ``k²`` rotations.  For fp32/fp64
-    it is one call of the compiled ``band_qr_step`` kernel
-    (:mod:`repro.backends.native`), which gives the bits of the Python
-    loop in :meth:`append_block`; the loop runs for other dtypes and
-    when no compiler is available.
-    """
-
-    def __init__(self, max_cols: int, band: int, dtype=np.float64) -> None:
-        if max_cols <= 0 or band <= 0:
-            raise ValueError("max_cols and band must be positive")
-        self.dtype = np.dtype(dtype)
-        self.max_cols = max_cols
-        self.band = band
-        rows = max_cols + band
-        self._max_rows = rows
-        self.R = np.zeros((rows, max_cols), dtype=self.dtype)
-        self.G = np.zeros((rows, band), dtype=self.dtype)
-        self.QT = np.zeros((rows, rows), dtype=self.dtype)
-        self._t0 = np.empty(rows, dtype=self.dtype)
-        self._t1 = np.empty(rows, dtype=self.dtype)
-        self._panel_scratch = {}  # active width k -> pair of (rows, k) C blocks
-        self._solve_scratch = np.empty(band, dtype=self.dtype)
-        self.size = 0
-        self.active_band = band
-
-    def reset(self, S: np.ndarray) -> None:
-        """Start a cycle whose initial residual block QR'ed to ``S`` (k × k)."""
-        S = np.asarray(S)
-        k = S.shape[0]
-        if S.shape != (k, k) or k > self.band:
-            raise ValueError("initial coefficient block has wrong shape")
-        self.active_band = k
-        self.size = 0
-        self.R[:] = 0
-        self.G[:] = 0
-        self.G[:k, :k] = S
-        self.QT[:] = 0
-        np.fill_diagonal(self.QT, self.dtype.type(1))
-        # The staging block must start zero below the written region (rows
-        # only ever extend downward within a cycle, so one zero-fill per
-        # reset keeps the full-height matmul exact).
-        stage, _rotated = self._panel_buffers(k)
-        stage[:] = 0
 
     def _panel_buffers(self, k: int):
         bufs = self._panel_scratch.get(k)
@@ -237,19 +207,13 @@ class BlockGivensWorkspace:
         np.add(row1, t1, out=row1)  # new row1 = s·row0 + c·row1
         row0[:] = t0
 
-    def append_block(self, panel: np.ndarray) -> None:
-        """Add one block step's panel of ``k`` Hessenberg columns.
-
-        ``panel`` holds rows ``0 .. q + 2k - 1`` of Hessenberg columns
-        ``q .. q + k - 1`` (``q = self.size``): the block-projection
-        coefficients on top, the intra-block triangular factor below.
-        """
+    def _append_panel(self, panel: np.ndarray) -> None:
         q = self.size
         k = self.active_band
-        if panel.shape != (q + 2 * k, k):
+        if self.vector or panel.shape != (q + 2 * k, k):
             raise ValueError("Hessenberg panel has wrong shape")
         if q + k > self.max_cols:
-            raise RuntimeError("BlockGivensWorkspace is full")
+            raise RuntimeError("GivensWorkspace is full")
         target = self.R[: q + 2 * k, q : q + k]
         if q > 0:
             # Rotate the new panel by all previous rotations with one
@@ -308,12 +272,17 @@ class BlockGivensWorkspace:
         return tuple(operands)
 
     def residual_norms(self, out: "np.ndarray | None" = None) -> np.ndarray:
-        """Per-column implicit residual norms ``‖G[q:q+k, c]‖₂`` (length k)."""
+        """Implicit residual norms of the active columns (length ``k``):
+        ``|g[size]|`` for a single vector, ``‖G[q:q+k, c]‖₂`` per block
+        column."""
         q = self.size
         k = self.active_band
-        tail = self.G[q : q + k, :k]
         if out is None:
             out = np.empty(k, dtype=np.float64)
+        if self.vector:
+            out[0] = abs(self.g[q])
+            return out
+        tail = self.G[q : q + k, :k]
         sq = self._t0[:k]
         for c in range(k):
             col = tail[:, c]
@@ -321,15 +290,23 @@ class BlockGivensWorkspace:
             out[c] = float(np.sqrt(sq.sum(dtype=np.float64)))
         return out
 
-    def solve(self, out: np.ndarray) -> np.ndarray:
-        """Back-substitute ``R Y = G`` for the block coefficients ``Y``.
+    def solve(self, out: "np.ndarray | None" = None) -> np.ndarray:
+        """Solve the triangular system for the Krylov coefficients.
 
-        ``out`` is a caller-owned C-contiguous ``(size, k)`` buffer.  A
-        (near-)zero diagonal entry zeroes that coefficient row instead of
-        raising: it corresponds to a deflated/linearly-dependent Krylov
-        direction whose Hessenberg column is entirely zero, for which the
-        zero coefficient *is* the minimum-norm least-squares choice.
+        A single-vector cycle back-substitutes ``R y = g`` into ``out``
+        (length ``size``; allocated when not given).  A block cycle
+        back-substitutes ``R Y = G`` into the caller-owned C-contiguous
+        ``(size, k)`` buffer ``out``; there a (near-)zero diagonal entry
+        zeroes that coefficient row instead of raising: it corresponds to
+        a deflated/linearly-dependent Krylov direction whose Hessenberg
+        column is entirely zero, for which the zero coefficient *is* the
+        minimum-norm least-squares choice.
         """
+        if self.vector:
+            j = self.size
+            y = back_substitute(self.R[:j, :j], self.g[:j], out=out)
+            meter_host_dense(j * j)
+            return y
         q = self.size
         k = self.active_band
         if out.shape != (q, k):
@@ -357,13 +334,10 @@ def back_substitute(
     """Solve ``R y = b`` for upper-triangular ``R`` in the dtype of ``R``.
 
     ``out``, when given, receives the solution (length ``n``, dtype of
-    ``R``; must not alias ``b``).
-
-    Raises
-    ------
-    ZeroDivisionError
-        If a diagonal entry is exactly zero (happens only on lucky breakdown
-        with an exactly-consistent system; callers treat it separately).
+    ``R``; must not alias ``b``).  An exactly zero diagonal entry zeroes
+    its coefficient: in GMRES it is a Krylov direction the matrix maps to
+    zero (a lucky breakdown on ``A v = 0``), whose Hessenberg column is
+    entirely zero, and zero is the minimum-norm least-squares choice.
     """
     R = np.asarray(R)
     b = np.asarray(b, dtype=R.dtype)
@@ -378,9 +352,7 @@ def back_substitute(
         y = out
     for i in range(n - 1, -1, -1):
         diag = R[i, i]
-        if diag == 0:
-            raise ZeroDivisionError("singular triangular factor in GMRES projection")
-        y[i] = (b[i] - np.dot(R[i, i + 1 :], y[i + 1 :])) / diag
+        y[i] = 0 if diag == 0 else (b[i] - np.dot(R[i, i + 1 :], y[i + 1 :])) / diag
     return y
 
 

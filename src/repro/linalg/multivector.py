@@ -4,7 +4,8 @@ Plays the role of the Kokkos-backed Belos ``MultiVector`` adapter from
 Section IV of the paper: a pre-allocated ``n × (m+1)`` block holding the
 Krylov basis of a restarted GMRES cycle, with the two block operations that
 dominate orthogonalization cost (``V_j^T w`` and ``w -= V_j h``) routed
-through the metered kernels.
+through the metered kernels: GEMVs for one new vector, BLAS-3 GEMMs for a
+block of them.
 
 The storage is column-major (Fortran order) so that "the first ``j``
 columns" is a contiguous view — the same reason Kokkos uses LayoutLeft for
@@ -132,25 +133,41 @@ class MultiVector:
     # ------------------------------------------------------------------ #
     def project(
         self,
-        w: np.ndarray,
+        W: np.ndarray,
         j: Optional[int] = None,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``h = V_j^T w`` against the first ``j`` stored vectors (metered).
+        """``H = V_j^T W`` against the first ``j`` stored vectors (metered).
 
-        ``out``, when given, is the caller-owned length-``j`` coefficient
-        buffer the result is written into.
+        A vector ``w`` runs one GEMV; a block ``W`` (n × k) one BLAS-3
+        GEMM, which reads the basis once for all ``k`` columns.  ``out``,
+        when given, is the caller-owned length-``j`` (or C-contiguous
+        ``(j, k)``) coefficient buffer.
         """
         V = self.block(j)
-        return kernels.gemv_transpose(V, w, out=out)
+        if W.ndim == 1:
+            return kernels.gemv_transpose(V, W, out=out)
+        return kernels.gemm_transpose(V, W, out=out)
 
     def subtract_projection(
-        self, w: np.ndarray, h: np.ndarray, j: Optional[int] = None
+        self,
+        W: np.ndarray,
+        H: np.ndarray,
+        j: Optional[int] = None,
+        *,
+        work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``w -= V_j h`` in place (metered, allocation-free — the
-        intermediate ``V_j h`` lands in this block's scratch vector)."""
+        """``W -= V_j H`` in place (metered).
+
+        A vector's intermediate ``V_j h`` lands in this block's scratch
+        vector, so the call allocates nothing.  For a block, ``work`` is
+        caller-owned ``(n, k)`` scratch in the same layout as ``W``;
+        without it, or in another layout, the call allocates.
+        """
         V = self.block(j)
-        return kernels.gemv_notrans(V, h, w, work=self._work)
+        if W.ndim == 1:
+            return kernels.gemv_notrans(V, H, W, work=self._work)
+        return kernels.gemm_notrans(V, H, W, work=work)
 
     def cgs2_project(
         self,
@@ -172,87 +189,32 @@ class MultiVector:
         coefficients: np.ndarray,
         j: Optional[int] = None,
         out: Optional[np.ndarray] = None,
+        *,
+        work: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``x = V_j y`` — form the solution update from the Krylov basis (metered).
+        """``X = V_j Y`` — form the solution update(s) from the Krylov basis
+        (metered): one GEMV for a coefficient vector, one GEMM for a
+        ``(j, k)`` coefficient block.
 
-        Writes into ``out`` when given (caller-owned, length ``n``; it is
-        zeroed first and must not alias the scratch or the basis).  The
-        sign is folded into the update kernel (``alpha=+1``), so no negated
-        copy of the coefficients is made.
+        Writes into ``out`` when given (caller-owned, length ``n`` or
+        ``(n, k)``; it is zeroed first and must not alias the scratch or
+        the basis); ``work`` is a block's scratch, as in
+        :meth:`subtract_projection`.  The sign is folded into the update
+        kernel (``alpha=+1``), so no negated copy of the coefficients is
+        made.
         """
         V = self.block(j)
         coefficients = np.asarray(coefficients, dtype=self.dtype)
+        shape = (self.length,) + coefficients.shape[1:]
         if out is None:
-            out = np.zeros(self.length, dtype=self.dtype)
+            out = np.zeros(shape, dtype=self.dtype, order="F")
         else:
-            if out.shape != (self.length,):
-                raise ValueError("combine output buffer has wrong length")
+            if out.shape != shape:
+                raise ValueError("combine output buffer has wrong shape")
             out[:] = 0
         # out = 0 + V y via the metered update kernel keeps labels consistent.
-        return kernels.gemv_notrans(V, coefficients, out, alpha=1.0, work=self._work)
-
-    # ------------------------------------------------------------------ #
-    # metered block-of-vectors (BLAS-3) operations                       #
-    # ------------------------------------------------------------------ #
-    def project_block(
-        self,
-        W: np.ndarray,
-        j: Optional[int] = None,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``H = V_j^T W`` for a block of vectors ``W`` (n × k) (metered).
-
-        The BLAS-3 pass of block Gram-Schmidt: the basis is read once for
-        all ``k`` columns.  ``out``, when given, is the caller-owned
-        C-contiguous ``(j, k)`` coefficient block.
-        """
-        V = self.block(j)
-        return kernels.gemm_transpose(V, W, out=out)
-
-    def subtract_projection_block(
-        self,
-        W: np.ndarray,
-        H: np.ndarray,
-        j: Optional[int] = None,
-        *,
-        work: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``W -= V_j H`` in place on the block ``W`` (metered).
-
-        ``work`` is caller-owned ``(n, k)`` scratch in the same layout as
-        ``W`` for the intermediate product (the block analogue of the
-        internal scratch :meth:`subtract_projection` uses); without it, or
-        in another layout, the call allocates.
-        """
-        V = self.block(j)
-        return kernels.gemm_notrans(V, H, W, work=work)
-
-    def combine_block(
-        self,
-        coefficients: np.ndarray,
-        j: Optional[int] = None,
-        out: Optional[np.ndarray] = None,
-        *,
-        work: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``X = V_j Y`` — form a block of solution updates (metered).
-
-        ``out``, when given, is a caller-owned ``(n, k)`` block (it is
-        zeroed first; must not alias the basis); ``work`` as in
-        :meth:`subtract_projection_block`.  The sign is folded into the
-        update kernel (``alpha=+1``), matching :meth:`combine`.
-        """
-        V = self.block(j)
-        coefficients = np.asarray(coefficients, dtype=self.dtype)
-        if coefficients.ndim != 2:
-            raise ValueError("combine_block expects a 2-D coefficient block")
-        k = coefficients.shape[1]
-        if out is None:
-            out = np.zeros((self.length, k), dtype=self.dtype, order="F")
-        else:
-            if out.shape != (self.length, k):
-                raise ValueError("combine_block output buffer has wrong shape")
-            out[:] = 0
+        if coefficients.ndim == 1:
+            return kernels.gemv_notrans(V, coefficients, out, alpha=1.0, work=self._work)
         return kernels.gemm_notrans(V, coefficients, out, alpha=1.0, work=work)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

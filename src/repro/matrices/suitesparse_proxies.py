@@ -20,10 +20,9 @@ thousands of rows); the ``dim`` argument of :func:`build_proxy` controls
 the scaling.
 
 The proxies are *not* numerically equal to the originals and absolute
-iteration counts will differ; DESIGN.md discusses why the Table III
-conclusion (GMRES-IR pays off when the double-precision solver needs many
-iterations, and not when it converges in a handful) survives this
-substitution.
+iteration counts will differ; what the reproduction compares is the
+Table III conclusion (GMRES-IR pays off when the double-precision solver
+needs many iterations, and not when it converges in a handful).
 """
 
 from __future__ import annotations

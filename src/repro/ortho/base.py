@@ -3,33 +3,48 @@
 from __future__ import annotations
 
 import abc
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
 from ..linalg.multivector import MultiVector
 
-__all__ = ["OrthogonalizationManager"]
+__all__ = ["OrthogonalizationManager", "BREAKDOWN_TOLERANCE"]
+
+#: Arnoldi norms (the Hessenberg subdiagonal) at or below this absolute
+#: value are treated as exact linear dependence: a lucky breakdown of a
+#: single-vector step, a collapsed column of a block step.
+BREAKDOWN_TOLERANCE = 1e-30
 
 
 class OrthogonalizationManager(abc.ABC):
-    """Orthogonalizes a new Arnoldi vector against the current basis.
+    """Orthogonalizes the new Arnoldi vector(s) of a step against the basis.
 
-    Implementations orthogonalize ``w`` *in place* against the ``j`` vectors
-    stored in ``basis`` and return the projection coefficients plus the norm
-    of the remainder — i.e. Hessenberg column entries ``h_{1..j, j}`` and
-    the subdiagonal ``h_{j+1, j}``.  They do **not** normalize ``w``; the
-    solver does that so the scaling shows up under its own kernel label.
+    :meth:`orthogonalize` takes its path from the operand's ``ndim``:
 
-    Managers own a small set of Hessenberg-column scratch buffers (length =
-    basis capacity) so the steady-state iteration allocates nothing; the
-    returned coefficient vector ``h`` is a view into that scratch and is
-    only valid until the next :meth:`orthogonalize` call — callers (the
-    Givens workspace) copy it immediately.
+    * a vector ``w`` (the managers ``cgs``, ``cgs2`` and ``mgs``) is
+      orthogonalized *in place* against the ``j`` vectors stored in
+      ``basis``; the call returns the projection coefficients plus the
+      norm of the remainder — Hessenberg column entries ``h_{1..j, j}``
+      and the subdiagonal ``h_{j+1, j}``.  ``w`` is not normalized; the
+      solver does that so the scaling shows up under its own kernel label;
+    * a block ``W`` (``bcgs``, ``bcgs2``) must be the ``k`` columns
+      following the ones stored in ``basis``; they are orthonormalized in
+      place and the call returns the Hessenberg panel plus its
+      subdiagonal, the column norms (see
+      :class:`~repro.ortho.block.BlockOrthogonalizationManager`).
+
+    Managers own their Hessenberg-column scratch, so the steady-state
+    iteration allocates nothing; the returned coefficients are a view into
+    that scratch and are only valid until the next call — callers (the
+    Givens workspace) copy them immediately.
     """
 
     #: short name used in reports and the ablation benchmark
     name: str = "ortho"
+
+    #: ``ndim`` of the operands :meth:`orthogonalize` takes
+    ndim: int = 1
 
     #: number of capacity-length scratch columns the manager needs
     _n_scratch_columns: int = 1
@@ -57,7 +72,7 @@ class OrthogonalizationManager(abc.ABC):
     @abc.abstractmethod
     def orthogonalize(
         self, basis: MultiVector, w: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
+    ) -> Tuple[np.ndarray, Union[float, np.ndarray]]:
         """Orthogonalize ``w`` against ``basis`` in place.
 
         Returns
@@ -65,10 +80,6 @@ class OrthogonalizationManager(abc.ABC):
         (h, h_next):
             ``h`` — projection coefficients of length ``basis.count`` (the
             new Hessenberg column), ``h_next`` — 2-norm of the orthogonalized
-            remainder (the subdiagonal entry).
+            remainder (the subdiagonal entry).  A block manager returns its
+            panel and the panel's subdiagonal instead.
         """
-
-    def kernel_calls_per_vector(self, j: int) -> int:
-        """Approximate number of device kernel launches to orthogonalize
-        against ``j`` vectors (used by the ablation analysis)."""
-        raise NotImplementedError

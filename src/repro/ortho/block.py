@@ -25,33 +25,28 @@ so ``gemm_notrans`` runs the product in BLAS's tall-skinny orientation.
 
 from __future__ import annotations
 
-import abc
 from typing import Dict, Tuple
 
 import numpy as np
 
 from ..linalg import kernels
 from ..linalg.multivector import MultiVector
+from .base import BREAKDOWN_TOLERANCE, OrthogonalizationManager
 
 __all__ = [
     "BlockOrthogonalizationManager",
     "BlockClassicalGramSchmidt2",
     "BlockClassicalGramSchmidt",
-    "make_block_ortho_manager",
 ]
 
-#: Intra-block column norms at or below this are treated as exact linear
-#: dependence (e.g. a zero residual column): the column is zeroed rather
-#: than normalized, mirroring the lucky-breakdown handling of the
-#: single-vector solver.
-BLOCK_BREAKDOWN_TOLERANCE = 1e-30
 
-
-class BlockOrthogonalizationManager(abc.ABC):
-    """Orthogonalizes a block of new Arnoldi vectors against the basis."""
+class BlockOrthogonalizationManager(OrthogonalizationManager):
+    """Block classical Gram-Schmidt: orthogonalizes a block of new Arnoldi
+    vectors against the basis in ``_n_block_passes`` passes."""
 
     #: short name used in reports and benchmarks
     name: str = "block-ortho"
+    ndim = 2
 
     #: inter-block projection passes (1 = BCGS, 2 = BCGS2)
     _n_block_passes: int = 2
@@ -74,10 +69,16 @@ class BlockOrthogonalizationManager(abc.ABC):
             }
         return bufs
 
-    @abc.abstractmethod
+    def orthogonalize(
+        self, basis: MultiVector, W: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Orthonormalize the block ``W``: the ``k`` basis columns after
+        the stored ones (see :meth:`orthogonalize_block`)."""
+        return self.orthogonalize_block(basis, basis.count, W.shape[1])
+
     def orthogonalize_block(
         self, basis: MultiVector, start: int, k: int
-    ) -> Tuple[np.ndarray, bool]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Orthogonalize basis columns ``[start, start + k)`` in place.
 
         The columns are orthogonalized against columns ``[0, start)`` and
@@ -85,23 +86,17 @@ class BlockOrthogonalizationManager(abc.ABC):
 
         Returns
         -------
-        (panel, breakdown):
+        (panel, subdiagonal):
             ``panel`` — a ``(start + k, k)`` view of internal scratch:
             rows ``0 .. start-1`` hold the inter-block projection
             coefficients, rows ``start .. start+k-1`` the intra-block
-            upper-triangular factor (diagonal = column norms).  Valid only
-            until the next call.  ``breakdown`` — True when an intra-block
-            column collapsed to (numerically exact) zero; the column is
-            zeroed and its diagonal entry set to 0.
+            upper-triangular factor.  ``subdiagonal`` — a view of that
+            factor's diagonal, the column norms.  A column whose norm is
+            at or below :data:`~repro.ortho.base.BREAKDOWN_TOLERANCE`
+            collapsed to (numerically exact) zero: it is zeroed and its
+            diagonal entry set to 0.  Both are valid only until the next
+            call.
         """
-
-
-class _GramSchmidtBlockBase(BlockOrthogonalizationManager):
-    """Shared machinery of the one- and two-pass block CGS variants."""
-
-    def orthogonalize_block(
-        self, basis: MultiVector, start: int, k: int
-    ) -> Tuple[np.ndarray, bool]:
         if k <= 0:
             raise ValueError("block width must be positive")
         if start + k > basis.capacity:
@@ -114,12 +109,11 @@ class _GramSchmidtBlockBase(BlockOrthogonalizationManager):
         # Inter-block passes: BLAS-3 projection against the orthonormal part.
         if start > 0:
             for _ in range(self._n_block_passes):
-                h = basis.project_block(W, j=start, out=bufs["coeff"][:start])
-                basis.subtract_projection_block(W, h, j=start, work=bufs["work"])
+                h = basis.project(W, j=start, out=bufs["coeff"][:start])
+                basis.subtract_projection(W, h, j=start, work=bufs["work"])
                 np.add(panel[:start], h, out=panel[:start])
 
         # Intra-block: CGS2 column sweep producing the triangular factor.
-        breakdown = False
         col_scratch = bufs["col"]
         vec_work = bufs["vec"]
         for i in range(k):
@@ -132,41 +126,25 @@ class _GramSchmidtBlockBase(BlockOrthogonalizationManager):
                     target = panel[start : start + i, i]
                     np.add(target, h, out=target)
             norm = kernels.norm2(w)
-            if norm <= BLOCK_BREAKDOWN_TOLERANCE:
-                breakdown = True
+            if norm <= BREAKDOWN_TOLERANCE:
                 w[:] = 0
                 panel[start + i, i] = 0
             else:
                 panel[start + i, i] = norm
                 kernels.scal(1.0 / norm, w)
-        return panel, breakdown
+        return panel, np.diagonal(panel[start:])
 
 
-class BlockClassicalGramSchmidt2(_GramSchmidtBlockBase):
+class BlockClassicalGramSchmidt2(BlockOrthogonalizationManager):
     """Two-pass block classical Gram-Schmidt (the paper's CGS2, blocked)."""
 
     name = "bcgs2"
     _n_block_passes = 2
 
 
-class BlockClassicalGramSchmidt(_GramSchmidtBlockBase):
+class BlockClassicalGramSchmidt(BlockOrthogonalizationManager):
     """Single-pass block classical Gram-Schmidt (ablation variant)."""
 
     name = "bcgs"
     _n_block_passes = 1
 
-
-_REGISTRY = {
-    "bcgs": BlockClassicalGramSchmidt,
-    "bcgs2": BlockClassicalGramSchmidt2,
-}
-
-
-def make_block_ortho_manager(name: str) -> BlockOrthogonalizationManager:
-    """Build a block orthogonalization manager by name (``"bcgs2"``, ``"bcgs"``)."""
-    key = name.lower()
-    if key not in _REGISTRY:
-        raise ValueError(
-            f"unknown block orthogonalization {name!r}; choose from {sorted(_REGISTRY)}"
-        )
-    return _REGISTRY[key]()

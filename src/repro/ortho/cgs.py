@@ -35,6 +35,3 @@ class ClassicalGramSchmidt(OrthogonalizationManager):
         basis.subtract_projection(w, h)
         h_next = kernels.norm2(w)
         return h, h_next
-
-    def kernel_calls_per_vector(self, j: int) -> int:
-        return 3 if j else 1  # GEMV_T + GEMV_N + norm

@@ -43,6 +43,3 @@ class ClassicalGramSchmidt2(OrthogonalizationManager):
         h = np.add(h1, h2, out=bh[:j])
         h_next = kernels.norm2(w)
         return h, h_next
-
-    def kernel_calls_per_vector(self, j: int) -> int:
-        return 5 if j else 1  # 2 × (GEMV_T + GEMV_N) + norm

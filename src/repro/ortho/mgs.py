@@ -40,6 +40,3 @@ class ModifiedGramSchmidt(OrthogonalizationManager):
             kernels.axpy(-h_i, v_i, w)
         h_next = kernels.norm2(w)
         return h, h_next
-
-    def kernel_calls_per_vector(self, j: int) -> int:
-        return 2 * j + 1

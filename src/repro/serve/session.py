@@ -14,12 +14,11 @@ cost is just the solve itself:
   eagerly by a warm-up pass instead of lazily on the first paying request;
 * the **preconditioner**, set up once and pre-wrapped for the working
   precision;
-* a **per-width pool of Krylov workspaces** — a
-  :class:`~repro.solvers.gmres.GmresWorkspace` for the width-1 path and
-  :class:`~repro.solvers.block_gmres.BlockGmresWorkspace` per block width
-  — so dispatches reuse pooled Krylov storage, extending the PR-2
-  allocation-free contract across whole solves (a steady-state dispatch
-  allocates no basis memory);
+* a **pool of Krylov workspaces** — one
+  :class:`~repro.solvers.gmres.GmresWorkspace` type serves the width-1
+  path and every block width, so dispatches reuse pooled Krylov storage
+  (a steady-state dispatch allocates no basis memory); after the warm-up
+  the pool typically holds one workspace, ``max_block`` wide;
 * its **micro-batching front**: a
   :class:`~repro.serve.scheduler.SolveScheduler` with one tenant queue
   and one lazily started worker, plus its telemetry.  A session warmed
@@ -45,7 +44,7 @@ from ..obs.metrics import watch_session
 from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
 from ..preconditioners.mixed import wrap_for_precision
-from ..solvers.block_gmres import BlockGmresWorkspace, block_gmres, block_gmres_ir
+from ..solvers.block_gmres import block_gmres, block_gmres_ir
 from ..solvers.gmres import GmresWorkspace, gmres
 from ..solvers.gmres_ir import gmres_ir
 from ..solvers.result import MultiSolveResult, SolveResult, merge_chunks
@@ -257,8 +256,7 @@ class OperatorSession:
                 spmvs_per_iteration=spmvs_per_iteration,
             )
 
-        self._workspaces: Dict[int, BlockGmresWorkspace] = {}
-        self._single_workspace: Optional[GmresWorkspace] = None
+        self._workspaces: Dict[int, GmresWorkspace] = {}
         self._solve_lock = threading.Lock()
         self._closed = False
         if warmup:
@@ -305,39 +303,30 @@ class OperatorSession:
             )
         for ws in self._workspaces.values():
             total += _nbytes_of(ws)
-        if self._single_workspace is not None:
-            total += _nbytes_of(self._single_workspace)
         return total
 
-    def workspace_for(self, width: int) -> "BlockGmresWorkspace | GmresWorkspace":
+    def workspace_for(self, width: int) -> GmresWorkspace:
         """The pooled Krylov workspace for a dispatch of ``width`` columns.
 
-        Width 1 pools one :class:`GmresWorkspace` (the single-vector
-        path); wider dispatches get the narrowest pooled
-        :class:`BlockGmresWorkspace` that fits, creating one per new
-        width.  A wider pooled block workspace serves narrower dispatches
-        with bit-identical numerics (every cycle buffer is sliced to the
-        active width), so the pool stays small — typically one block entry
-        at ``max_block``.  Callers must hold the session solve lock (the
+        The narrowest pooled workspace that fits, creating one per new
+        width.  A wider workspace serves narrower dispatches — a width-1
+        dispatch's single-vector cycles included — with bit-identical
+        numerics (every cycle buffer is sliced to the active width), so
+        the pool stays small: after the warm-up, one entry at
+        ``max_block``.  Callers must hold the session solve lock (the
         dispatch path and :meth:`solve` do).
         """
         if width < 1:
             raise ValueError("width must be at least 1")
-        if width == 1:
-            if self._single_workspace is None:
-                self._single_workspace = GmresWorkspace(
-                    self.n_rows, self.restart, self._work_precision
-                )
-            return self._single_workspace
-        best: Optional[BlockGmresWorkspace] = None
+        best: Optional[GmresWorkspace] = None
         for ws in self._workspaces.values():
             if ws.block_size >= width and (
                 best is None or ws.block_size < best.block_size
             ):
                 best = ws
         if best is None:
-            best = BlockGmresWorkspace(
-                self.n_rows, self.restart, width, self._work_precision
+            best = GmresWorkspace(
+                self.n_rows, self.restart, self._work_precision, width
             )
             self._workspaces[width] = best
         return best
@@ -370,7 +359,6 @@ class OperatorSession:
                 block = np.zeros((self.n_rows, self.max_block), dtype=dtype, order="F")
                 out = np.empty_like(block)
                 self.preconditioner.apply_block(block, out=out)
-            self.workspace_for(1)
             self.workspace_for(self.max_block)
 
     @staticmethod

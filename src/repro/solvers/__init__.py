@@ -23,7 +23,10 @@ event per restart or refinement boundary and exactly one terminal event,
 last.  GMRES, GMRES-IR, three-precision IR and the two block drivers are
 one restart loop with different steps (the single-vector drivers are its
 one-column case); GMRES-FD chains two GMRES runs and reports them as one
-solve.
+solve.  Every GMRES step runs one Arnoldi cycle,
+:func:`~repro.solvers.gmres.run_cycle`, on one workspace type and with
+one stop rule for vectors and blocks alike: a non-finite Arnoldi norm, or
+the collapse of every new basis vector, ends the cycle.
 """
 
 from .result import (
@@ -38,19 +41,12 @@ from .status import (
     SolveControl,
     StagnationTest,
 )
-from .gmres import gmres, run_gmres_cycle, GmresWorkspace, CycleOutcome
+from .gmres import gmres, run_cycle, GmresWorkspace, CycleOutcome
 from .gmres_ir import gmres_ir
 from .gmres_fd import gmres_fd
 from .cg import cg
 from .ir_three_precision import gmres_ir_three_precision
-from .block_gmres import (
-    BlockCycleOutcome,
-    BlockGmresWorkspace,
-    block_gmres,
-    block_gmres_ir,
-    run_block_gmres_cycle,
-    solve_many,
-)
+from .block_gmres import block_gmres, block_gmres_ir, solve_many
 
 __all__ = [
     "ConvergenceHistory",
@@ -62,7 +58,7 @@ __all__ = [
     "StagnationTest",
     "SolveControl",
     "gmres",
-    "run_gmres_cycle",
+    "run_cycle",
     "GmresWorkspace",
     "CycleOutcome",
     "gmres_ir",
@@ -72,7 +68,4 @@ __all__ = [
     "block_gmres",
     "block_gmres_ir",
     "solve_many",
-    "run_block_gmres_cycle",
-    "BlockGmresWorkspace",
-    "BlockCycleOutcome",
 ]

@@ -14,33 +14,31 @@ to advance a *block* of right-hand sides together:
   ``k × steps``, so each column typically converges in far fewer (block)
   iterations than it would alone.
 
-The module provides the cycle routine (:func:`run_block_gmres_cycle`),
-the restarted driver (:func:`block_gmres`), the blocked mixed-precision
-refinement wrapper (:func:`block_gmres_ir`), and the top-level
-:func:`solve_many` entry point that chunks an arbitrary number of
-right-hand sides into blocks.  Both drivers run the restart loop of
-:mod:`repro.solvers.driver`, which tracks convergence per column and
-deflates the columns that end at a restart.
+The module provides the restarted driver (:func:`block_gmres`), the
+blocked mixed-precision refinement wrapper (:func:`block_gmres_ir`), and
+the top-level :func:`solve_many` entry point that chunks an arbitrary
+number of right-hand sides into blocks.  Both drivers run the restart
+loop of :mod:`repro.solvers.driver`, which tracks convergence per column
+and deflates the columns that end at a restart, around the one Arnoldi
+cycle of :mod:`repro.solvers.gmres` (:func:`~repro.solvers.gmres.run_cycle`)
+fed with ``(n, k)`` residual blocks.
 
-Least squares is handled by :class:`~repro.linalg.dense.BlockGivensWorkspace`,
-the band-Hessenberg generalization of the Givens machinery, which yields
-the per-column *implicit* residual norms GMRES monitors every iteration.
-All cycle-steady-state kernels follow the PR-2 ``out=``/``work=`` buffer
+Least squares is handled by the band-Hessenberg path of
+:class:`~repro.linalg.dense.GivensWorkspace`, which yields the per-column
+*implicit* residual norms GMRES monitors every iteration.  All
+cycle-steady-state kernels follow the PR-2 ``out=``/``work=`` buffer
 contract, so a block iteration allocates nothing once the
-:class:`BlockGmresWorkspace` exists.
+:class:`~repro.solvers.gmres.GmresWorkspace` exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..linalg import kernels
-from ..linalg.dense import BlockGivensWorkspace
-from ..linalg.multivector import MultiVector
-from ..ortho import BlockOrthogonalizationManager, make_block_ortho_manager
+from ..ortho import OrthogonalizationManager, make_ortho_manager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
@@ -55,237 +53,14 @@ from .driver import (
     initial_block,
     resolve_budget,
     resolve_controls,
-    resolve_workspace,
     restart_loop,
     shifted_probe,
 )
+from .gmres import GmresWorkspace, resolve_workspace, run_cycle
 from .result import MultiSolveResult, merge_chunks
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
-__all__ = [
-    "BlockGmresWorkspace",
-    "BlockCycleOutcome",
-    "run_block_gmres_cycle",
-    "block_gmres",
-    "block_gmres_ir",
-    "solve_many",
-]
-
-
-class BlockGmresWorkspace:
-    """Pre-allocated storage for restarted Block-GMRES cycles.
-
-    Holds the shared Krylov basis (``n × (restart+1)·p`` MultiVector), the
-    band-Hessenberg QR workspace, and the block scratch of the
-    steady-state iteration (residual / preconditioner / update blocks and
-    the per-step implicit-norm table), all in the working precision — the
-    block analogue of :class:`~repro.solvers.gmres.GmresWorkspace`.
-
-    Deflation shrinks the *active* block width ``k`` below ``block_size``
-    between cycles; all block buffers are sliced to the active width
-    (leading columns of Fortran-ordered blocks stay contiguous), and the
-    two width-dependent scratch blocks (the Fortran-ordered GEMM work
-    block and the C-contiguous least-squares coefficients) are cached per
-    ``k`` (reallocated once per deflation event, never per iteration).
-    """
-
-    def __init__(self, n: int, restart: int, block_size: int, precision) -> None:
-        if restart <= 0 or block_size <= 0:
-            raise ValueError("restart and block_size must be positive")
-        self.precision = as_precision(precision)
-        self.restart = int(restart)
-        self.block_size = int(block_size)
-        dtype = self.precision.dtype
-        capacity = (self.restart + 1) * self.block_size
-        self.basis = MultiVector(n, capacity, self.precision)
-        self.givens = BlockGivensWorkspace(
-            self.restart * self.block_size, self.block_size, dtype=dtype
-        )
-        self.W = np.empty((n, self.block_size), dtype=dtype, order="F")
-        self.R = np.empty((n, self.block_size), dtype=dtype, order="F")
-        self.Z = np.empty((n, self.block_size), dtype=dtype, order="F")
-        self.update = np.empty((n, self.block_size), dtype=dtype, order="F")
-        #: per-(block step, column) implicit residual norms of the cycle
-        self.implicit = np.empty((self.restart, self.block_size), dtype=np.float64)
-        self._gemm_work: dict = {}
-        self._ycoef: dict = {}
-
-    def gemm_work(self, k: int) -> np.ndarray:
-        """Fortran-ordered ``(n, k)`` scratch for the BLAS-3 update kernels.
-
-        It matches the layout of the Fortran blocks it updates, so
-        ``gemm_notrans`` forms ``V Y`` in BLAS's tall-skinny orientation.
-        """
-        buf = self._gemm_work.get(k)
-        if buf is None:
-            buf = self._gemm_work[k] = np.empty(
-                (self.basis.length, k), dtype=self.precision.dtype, order="F"
-            )
-        return buf
-
-    def ycoef(self, k: int) -> np.ndarray:
-        """C-contiguous ``(restart·k, k)`` coefficient buffer for the LS solve."""
-        buf = self._ycoef.get(k)
-        if buf is None:
-            buf = self._ycoef[k] = np.empty(
-                (self.restart * k, k), dtype=self.precision.dtype
-            )
-        return buf
-
-    def storage_bytes(self) -> int:
-        """Device memory held by the Krylov basis (for OOM checks)."""
-        return self.basis.storage_bytes()
-
-    def accommodates(self, n: int, restart: int, block_size: int, precision) -> bool:
-        """True if this workspace can run a solve of the given shape.
-
-        A workspace is reusable for any solve on the same vector length
-        and precision whose restart and block width do not exceed the
-        capacities it was built with — every cycle buffer is sliced to the
-        active width, so a wider pooled workspace yields bit-identical
-        numerics to a fresh exact-size one.
-        """
-        return (
-            self.basis.length == n
-            and self.restart >= restart
-            and self.block_size >= block_size
-            and self.precision.dtype == as_precision(precision).dtype
-        )
-
-
-@dataclass
-class BlockCycleOutcome:
-    """Result of one Block-GMRES restart cycle.
-
-    ``update`` and ``implicit`` are views into workspace scratch, valid
-    only until the next cycle runs on the same workspace.
-    """
-
-    update: np.ndarray  # (n, k) solution-update block
-    iterations: int  # block steps performed
-    implicit: np.ndarray = field(default=None)  # (iterations, k) absolute norms
-    breakdown: bool = False
-
-
-def run_block_gmres_cycle(
-    matrix: CsrMatrix,
-    R: np.ndarray,
-    workspace: BlockGmresWorkspace,
-    *,
-    ortho: BlockOrthogonalizationManager,
-    preconditioner: Preconditioner,
-    absolute_targets: Optional[np.ndarray] = None,
-    max_steps: Optional[int] = None,
-    control: Optional[SolveControl] = None,
-) -> BlockCycleOutcome:
-    """Run one restart cycle of Block-GMRES and return the update block.
-
-    Parameters
-    ----------
-    matrix:
-        System matrix in the working precision.
-    R:
-        Current residual block ``B - A X`` (n × k), already in the working
-        precision.  Not modified.
-    workspace:
-        Pre-allocated basis, band-Givens and block scratch; ``k`` may be
-        anything up to ``workspace.block_size`` (deflation shrinks it).
-    ortho:
-        Block orthogonalization manager (block CGS2 by default).
-    preconditioner:
-        Right preconditioner in the working precision, applied column by
-        column (preconditioners are vector operators; the matrix product
-        they feed is still batched).
-    absolute_targets:
-        Per-column absolute implicit-residual targets; the cycle stops
-        early once *every* column's estimate is below its target (columns
-        share the basis, so none can leave mid-cycle).  ``None`` runs all
-        steps (the GMRES-IR inner-cycle convention).
-    max_steps:
-        Optional cap below the restart length.
-    control:
-        Optional whole-block :class:`~repro.solvers.SolveControl` polled
-        every ``control.check_interval`` block steps; when triggered the
-        cycle ends early and still returns the partial update.
-    """
-    dtype = workspace.precision.dtype
-    if matrix.dtype != dtype:
-        raise TypeError(
-            f"matrix precision {matrix.dtype.name} does not match the "
-            f"workspace precision {dtype.name}"
-        )
-    if R.ndim != 2 or R.shape[0] != matrix.n_rows:
-        raise ValueError("residual block has wrong shape")
-    if R.dtype != dtype:
-        raise TypeError("residual precision does not match the workspace precision")
-    k = R.shape[1]
-    if k <= 0 or k > workspace.block_size:
-        raise ValueError(
-            f"block width {k} out of range (workspace block size "
-            f"{workspace.block_size})"
-        )
-
-    basis = workspace.basis
-    givens = workspace.givens
-    basis.reset()
-    steps = workspace.restart if max_steps is None else min(max_steps, workspace.restart)
-    if steps <= 0:
-        workspace.update[:, :k] = 0
-        return BlockCycleOutcome(
-            update=workspace.update[:, :k],
-            iterations=0,
-            implicit=workspace.implicit[:0, :k],
-        )
-
-    # Seed the basis with the QR of the residual block: V₀ S = R.
-    basis.column_block(0, k)[:] = R
-    s_panel, breakdown = ortho.orthogonalize_block(basis, 0, k)
-    basis.set_count(k)
-    givens.reset(s_panel[:k, :k])
-
-    implicit = workspace.implicit
-    iterations = 0
-
-    for j in range(steps):
-        v_block = basis.column_block(j * k, k)
-        if preconditioner.is_identity:
-            z_block = v_block
-        else:
-            z_block = preconditioner.apply_block(v_block, out=workspace.Z[:, :k])
-        # One SpMM advances every column; it writes straight into the next
-        # basis block (a contiguous view of the Fortran-ordered storage).
-        kernels.spmm(matrix, z_block, out=basis.column_block((j + 1) * k, k))
-        panel, step_breakdown = ortho.orthogonalize_block(basis, (j + 1) * k, k)
-        breakdown = breakdown or step_breakdown
-        givens.append_block(panel)
-        basis.set_count((j + 2) * k)
-        givens.residual_norms(out=implicit[j, :k])
-        iterations += 1
-        if control is not None:
-            control.charge(1)
-        if absolute_targets is not None and np.all(
-            implicit[j, :k] <= absolute_targets
-        ):
-            break
-        if (
-            control is not None
-            and iterations % control.check_interval == 0
-            and control.poll() is not None
-        ):
-            break
-
-    y = givens.solve(out=workspace.ycoef(k)[: iterations * k])
-    update = basis.combine_block(
-        y, j=iterations * k, out=workspace.update[:, :k], work=workspace.gemm_work(k)
-    )
-    if not preconditioner.is_identity:
-        update = preconditioner.apply_block(update, out=workspace.Z[:, :k])
-    return BlockCycleOutcome(
-        update=update,
-        iterations=iterations,
-        implicit=implicit[:iterations, :k],
-        breakdown=breakdown,
-    )
+__all__ = ["block_gmres", "block_gmres_ir", "solve_many"]
 
 
 def block_gmres(
@@ -299,13 +74,13 @@ def block_gmres(
     max_iterations: Optional[int] = None,
     max_restarts: Optional[int] = None,
     preconditioner: Optional[Preconditioner] = None,
-    ortho: Union[str, BlockOrthogonalizationManager] = "bcgs2",
+    ortho: Union[str, OrthogonalizationManager] = "bcgs2",
     timer: Optional[KernelTimer] = None,
     name: Optional[str] = None,
     loss_of_accuracy_check: bool = True,
     stagnation: Optional[StagnationTest] = None,
     fp64_check: bool = True,
-    workspace: Optional[BlockGmresWorkspace] = None,
+    workspace: Optional[GmresWorkspace] = None,
     control: Optional[SolveControl] = None,
     controls: Optional[Sequence[Optional[SolveControl]]] = None,
     probe=None,
@@ -337,12 +112,12 @@ def block_gmres(
         column that stagnates is deflated with
         ``SolverStatus.STAGNATION`` while the others continue.
     workspace:
-        Optional pre-allocated :class:`BlockGmresWorkspace` to reuse (it
-        must accommodate this solve's shape — see
-        :meth:`BlockGmresWorkspace.accommodates`).  The serve layer pools
-        workspaces per block width so repeated dispatches on one operator
-        allocate no Krylov storage; numerics are bit-identical to a fresh
-        workspace.
+        Optional pre-allocated :class:`~repro.solvers.gmres.GmresWorkspace`
+        to reuse (it must accommodate this solve's shape — see
+        :meth:`~repro.solvers.gmres.GmresWorkspace.accommodates`).  The
+        serve layer pools workspaces so repeated dispatches on one
+        operator allocate no Krylov storage; numerics are bit-identical
+        to a fresh workspace.
     control:
         Optional whole-solve :class:`~repro.solvers.SolveControl` — polled
         at every restart boundary (and every ``check_interval`` block
@@ -374,25 +149,29 @@ def block_gmres(
         restart, tol, max_iterations, max_restarts
     )
     prec = as_precision(precision if precision is not None else matrix.dtype)
-    ortho_mgr = make_block_ortho_manager(ortho) if isinstance(ortho, str) else ortho
+    ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
     n = matrix.n_rows
     cols = Columns(B, X0, n, prec.dtype, controls=controls)
 
     A = matrix.astype(prec)
     precond = as_preconditioner(preconditioner, prec)
-    workspace = resolve_workspace(workspace, BlockGmresWorkspace, n, restart, cols.p, prec)
+    workspace = resolve_workspace(workspace, n, restart, prec, cols.p)
     timer = timer or KernelTimer(name or f"block-gmres({restart}x{cols.p})-{prec.name}")
 
     def cycle(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
         k = cols.k
         targets = tol * cols.bnorms[:k]
-        outcome = run_block_gmres_cycle(
+        outcome = run_cycle(
             A, R, workspace, ortho=ortho_mgr, preconditioner=precond,
             absolute_targets=targets, max_steps=min(restart, remaining), control=control,
         )
         for i in range(k):
             kernels.axpy(1.0, outcome.update[:, i], cols.X[:, i])
-        return Step(outcome.iterations, outcome.implicit, outcome.iterations == 0, targets)
+        # After a breakdown the true residual decides, as in GMRES.
+        return Step(
+            outcome.iterations, outcome.implicit,
+            outcome.iterations == 0 or outcome.breakdown, targets,
+        )
 
     with use_timer(timer):
         restart_loop(
@@ -428,12 +207,12 @@ def block_gmres_ir(
     max_iterations: Optional[int] = None,
     max_restarts: Optional[int] = None,
     preconditioner: Optional[Preconditioner] = None,
-    ortho: Union[str, BlockOrthogonalizationManager] = "bcgs2",
+    ortho: Union[str, OrthogonalizationManager] = "bcgs2",
     refine_every: int = 1,
     timer: Optional[KernelTimer] = None,
     name: Optional[str] = None,
     fp64_check: bool = True,
-    workspace: Optional[BlockGmresWorkspace] = None,
+    workspace: Optional[GmresWorkspace] = None,
     control: Optional[SolveControl] = None,
     controls: Optional[Sequence[Optional[SolveControl]]] = None,
     probe=None,
@@ -463,7 +242,7 @@ def block_gmres_ir(
     outer = as_precision(outer_precision)
     if inner.bytes > outer.bytes:
         raise ValueError("inner precision must not be wider than the outer precision")
-    ortho_mgr = make_block_ortho_manager(ortho) if isinstance(ortho, str) else ortho
+    ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
     n = matrix.n_rows
     cols = Columns(B, X0, n, outer.dtype, controls=controls)
     p = cols.p
@@ -471,7 +250,7 @@ def block_gmres_ir(
     A_outer = matrix.astype(outer)
     A_inner = matrix.astype(inner)
     precond = as_preconditioner(preconditioner, inner)
-    workspace = resolve_workspace(workspace, BlockGmresWorkspace, n, restart, p, inner)
+    workspace = resolve_workspace(workspace, n, restart, inner, p)
     timer = timer or KernelTimer(
         name or f"block-gmres({restart}x{p})-ir-{inner.name}/{outer.name}"
     )
@@ -503,7 +282,7 @@ def block_gmres_ir(
         for _ in range(refine_every):
             if remaining - done <= 0:
                 break
-            outcome = run_block_gmres_cycle(
+            outcome = run_cycle(
                 A_inner, cycle_rhs, workspace, ortho=ortho_mgr, preconditioner=precond,
                 absolute_targets=None,  # inner residuals are not trusted
                 max_steps=min(restart, remaining - done), control=control,
@@ -561,7 +340,7 @@ def solve_many(
     method: str = "gmres",
     block_size: Optional[int] = None,
     timer: Optional[KernelTimer] = None,
-    workspace: Optional[BlockGmresWorkspace] = None,
+    workspace: Optional[GmresWorkspace] = None,
     controls: Optional[Sequence[Optional[SolveControl]]] = None,
     **kwargs,
 ) -> MultiSolveResult:
@@ -583,7 +362,7 @@ def solve_many(
     method:
         ``"gmres"`` or ``"gmres-ir"``.
     workspace:
-        Optional pre-allocated :class:`BlockGmresWorkspace` shared by all
+        Optional pre-allocated :class:`~repro.solvers.gmres.GmresWorkspace` shared by all
         chunks (each chunk is at most ``block_size`` columns wide, so one
         workspace of that width serves the whole batch).
     controls:

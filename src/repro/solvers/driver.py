@@ -50,7 +50,7 @@ import numpy as np
 from ..config import get_config
 from ..linalg import kernels
 from ..obs.probe import ProbeEvent
-from ..precision import Precision, as_precision
+from ..precision import Precision
 from ..preconditioners.base import IdentityPreconditioner, Preconditioner
 from ..preconditioners.mixed import wrap_for_precision
 from ..sparse.csr import CsrMatrix
@@ -63,7 +63,6 @@ __all__ = [
     "Columns",
     "resolve_budget",
     "as_preconditioner",
-    "resolve_workspace",
     "prepare_vector",
     "as_block",
     "initial_block",
@@ -128,26 +127,6 @@ def as_preconditioner(
     if preconditioner is None:
         return IdentityPreconditioner(precision=precision)
     return wrap_for_precision(preconditioner, precision)
-
-
-def resolve_workspace(workspace, make, *shape):
-    """A caller's pooled workspace checked against this solve, or a fresh one.
-
-    ``shape`` is what both ``make`` and the workspace's ``accommodates``
-    take: ``(n, restart[, block_size], precision)``.  The serve layer pools
-    workspaces so steady-state serving allocates no Krylov storage.
-    """
-    if workspace is None:
-        return make(*shape)
-    if not workspace.accommodates(*shape):
-        *dims, precision = shape
-        raise ValueError(
-            f"provided {type(workspace).__name__} (n={workspace.basis.length}, "
-            f"restart={workspace.restart}, {workspace.precision.name}) cannot "
-            f"accommodate a solve of shape {tuple(dims)} in "
-            f"{as_precision(precision).name}"
-        )
-    return workspace
 
 
 def prepare_vector(

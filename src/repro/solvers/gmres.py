@@ -4,9 +4,16 @@ Right-preconditioned GMRES with two-pass classical Gram-Schmidt
 orthogonalization (CGS2), Givens-rotation least squares, an implicit
 residual estimate monitored every iteration, and the true residual
 recomputed at every restart.  Everything runs in a single *working
-precision* (the Belos solvers are templated on one scalar type); the
-multiprecision variants (GMRES-IR, GMRES-FD) are built on top of the cycle
-routine exported here.
+precision* (the Belos solvers are templated on one scalar type).
+
+The module also holds the one restarted Arnoldi cycle every GMRES solver
+runs, :func:`run_cycle`, with its one workspace type
+(:class:`GmresWorkspace`), outcome type (:class:`CycleOutcome`) and stop
+rule.  A vector residual runs the single-vector cycle below; an
+``(n, k)`` residual block runs the same cycle with SpMM and BLAS-3 block
+kernels (the Block-GMRES of :mod:`repro.solvers.block_gmres`), even at
+``k = 1``.  The multiprecision variants (GMRES-IR, GMRES-FD, the
+three-precision IR) are built on top of it.
 
 The solver is deliberately faithful to the kernel sequence of the Belos
 implementation the paper measures, because those kernel calls are what the
@@ -23,15 +30,15 @@ performance model meters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
 from ..linalg import kernels
 from ..linalg.dense import GivensWorkspace
 from ..linalg.multivector import MultiVector
-from ..ortho import OrthogonalizationManager, make_ortho_manager
+from ..ortho import BREAKDOWN_TOLERANCE, OrthogonalizationManager, make_ortho_manager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
@@ -42,142 +49,213 @@ from .driver import (
     as_preconditioner,
     finish_columns,
     resolve_budget,
-    resolve_workspace,
     restart_loop,
 )
 from .result import SolveResult
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
-__all__ = ["gmres", "run_gmres_cycle", "CycleOutcome", "GmresWorkspace"]
-
-#: Subdiagonal entries below this absolute value are treated as a lucky breakdown.
-BREAKDOWN_TOLERANCE = 1e-30
-
-
-@dataclass
-class CycleOutcome:
-    """Result of one GMRES(m) restart cycle."""
-
-    update: np.ndarray
-    iterations: int
-    implicit_norms: List[float] = field(default_factory=list)
-    breakdown: bool = False
-
-    @property
-    def final_implicit_norm(self) -> float:
-        return self.implicit_norms[-1] if self.implicit_norms else float("inf")
+__all__ = ["gmres", "run_cycle", "CycleOutcome", "GmresWorkspace"]
 
 
 class GmresWorkspace:
-    """Pre-allocated storage reused across restart cycles.
+    """Pre-allocated storage reused across restart cycles of any width.
 
-    Holds the Krylov basis :class:`MultiVector` (``n × (m+1)``) and the
-    Givens workspace for the Hessenberg least-squares problem, both in the
-    working precision.  GMRES-IR keeps one of these for its inner fp32
-    solver and reuses it across refinement steps — just like the Belos
-    solver object the paper's implementation re-feeds with new right-hand
-    sides.
+    Holds the Krylov basis :class:`MultiVector` (``n × (restart+1)·p``)
+    and the :class:`~repro.linalg.dense.GivensWorkspace` of the Hessenberg
+    least-squares problem, both in the working precision, plus the block
+    scratch of the steady-state iteration, so a solve allocates nothing
+    once the workspace exists.  ``block_size`` (``p``) is the widest cycle
+    it serves; every buffer is an ``(n, p)`` block sliced to the active
+    width — its first column for a single-vector cycle, its leading ``k``
+    columns for a block (deflation shrinks ``k`` between cycles, and
+    leading columns of Fortran-ordered blocks stay contiguous):
 
-    It also owns the scratch vectors of the steady-state iteration, so a
-    solve allocates nothing once the workspace exists:
+    * ``W`` / ``R`` — driver scratch for the restart-time true residual
+      (``W = A X``, ``R = B - W``);
+    * ``Z`` — preconditioner output inside the cycle (also reused for the
+      cycle-final right-preconditioner application);
+    * ``update`` — the solution update ``V Y`` of a cycle;
+    * ``implicit`` — the per-(step, column) implicit residual norms.
 
-    * ``w`` / ``r`` — driver scratch for the restart-time true residual
-      (``w = A x``, ``r = b - w``);
-    * ``z`` — preconditioned-vector buffer inside the cycle (also reused
-      for the cycle-final right-preconditioner application);
-    * ``update`` — the solution update ``V y`` of a cycle;
-    * ``hcol`` — Hessenberg-column-length buffer for the triangular-solve
-      coefficients ``y`` at the end of a cycle.
-
-    ``update``/``z`` are handed out through :class:`CycleOutcome`, so the
-    outcome of a cycle is only valid until the next cycle runs on the same
-    workspace — every solver consumes it immediately.
+    GMRES-IR keeps one of these for its inner fp32 solver and reuses it
+    across refinement steps — just like the Belos solver object the
+    paper's implementation re-feeds with new right-hand sides.  The
+    outcome of a cycle holds views of this scratch, so it is only valid
+    until the next cycle runs on the same workspace — every solver
+    consumes it immediately.
     """
 
-    def __init__(self, n: int, restart: int, precision) -> None:
+    def __init__(self, n: int, restart: int, precision, block_size: int = 1) -> None:
+        if restart <= 0 or block_size <= 0:
+            raise ValueError("restart and block_size must be positive")
         self.precision = as_precision(precision)
         self.restart = int(restart)
-        self.basis = MultiVector(n, self.restart + 1, self.precision)
-        self.givens = GivensWorkspace(self.restart, dtype=self.precision.dtype)
+        self.block_size = int(block_size)
         dtype = self.precision.dtype
-        self.w = np.empty(n, dtype=dtype)
-        self.r = np.empty(n, dtype=dtype)
-        self.z = np.empty(n, dtype=dtype)
-        self.update = np.empty(n, dtype=dtype)
-        self.hcol = np.empty(self.restart + 1, dtype=dtype)
+        self.basis = MultiVector(n, (self.restart + 1) * self.block_size, self.precision)
+        self.givens = GivensWorkspace(
+            self.restart * self.block_size, self.block_size, dtype=dtype
+        )
+
+        def block() -> np.ndarray:
+            return np.empty((n, self.block_size), dtype=dtype, order="F")
+
+        self.W, self.R, self.Z, self.update = block(), block(), block(), block()
+        self.implicit = np.empty((self.restart, self.block_size), dtype=np.float64)
+        self._gemm_work: dict = {}
+        self._coefficients: dict = {}
+
+    def gemm_work(self, k: int) -> np.ndarray:
+        """Fortran-ordered ``(n, k)`` scratch for the BLAS-3 update kernels.
+
+        It matches the layout of the Fortran blocks it updates, so
+        ``gemm_notrans`` forms ``V Y`` in BLAS's tall-skinny orientation.
+        """
+        buf = self._gemm_work.get(k)
+        if buf is None:
+            buf = self._gemm_work[k] = np.empty(
+                (self.basis.length, k), dtype=self.precision.dtype, order="F"
+            )
+        return buf
+
+    def coefficients(self, k: int) -> np.ndarray:
+        """C-contiguous ``(restart·k, k)`` buffer for the least-squares
+        coefficients of a width-``k`` cycle."""
+        buf = self._coefficients.get(k)
+        if buf is None:
+            buf = self._coefficients[k] = np.empty(
+                (self.restart * k, k), dtype=self.precision.dtype
+            )
+        return buf
 
     def storage_bytes(self) -> int:
         """Device memory held by the Krylov basis (for OOM checks)."""
         return self.basis.storage_bytes()
 
-    def accommodates(self, n: int, restart: int, precision) -> bool:
+    def accommodates(self, n: int, restart: int, precision, block_size: int = 1) -> bool:
         """True if this workspace can run a solve of the given shape.
 
         Reusable for any solve on the same vector length and precision
-        whose restart does not exceed the capacity it was built with
-        (cycles are capped by ``max_steps``, so a longer-restart workspace
-        yields bit-identical numerics to a fresh exact-size one).
+        whose restart and width do not exceed the capacities it was built
+        with: cycles are capped by ``max_steps`` and every buffer is sliced
+        to the active width, so a larger workspace yields bit-identical
+        numerics to a fresh exact-size one.
         """
         return (
             self.basis.length == n
             and self.restart >= restart
+            and self.block_size >= block_size
             and self.precision.dtype == as_precision(precision).dtype
         )
 
 
-def run_gmres_cycle(
+def resolve_workspace(
+    workspace: Optional[GmresWorkspace], n: int, restart: int, precision, block_size: int = 1
+) -> GmresWorkspace:
+    """A caller's pooled workspace checked against this solve, or a fresh one.
+
+    The serve layer pools workspaces so steady-state serving allocates no
+    Krylov storage.
+    """
+    if workspace is None:
+        return GmresWorkspace(n, restart, precision, block_size)
+    if not workspace.accommodates(n, restart, precision, block_size):
+        raise ValueError(
+            f"provided GmresWorkspace (n={workspace.basis.length}, "
+            f"restart={workspace.restart}, block_size={workspace.block_size}, "
+            f"{workspace.precision.name}) cannot accommodate a solve of shape "
+            f"{(n, restart, block_size)} in {as_precision(precision).name}"
+        )
+    return workspace
+
+
+@dataclass
+class CycleOutcome:
+    """Result of one restart cycle.
+
+    ``update`` is the ``(n,)`` or ``(n, k)`` right-preconditioned solution
+    update ``M V Y``; ``implicit`` holds the absolute implicit residual
+    norms, one row per Arnoldi step folded into the update and one column
+    per right-hand side.  Both are views of workspace scratch.
+    ``breakdown`` marks a cycle ended by the stop rule of
+    :func:`run_cycle`.
+    """
+
+    update: np.ndarray
+    iterations: int
+    implicit: np.ndarray
+    breakdown: bool = False
+
+
+def run_cycle(
     matrix: CsrMatrix,
-    residual: np.ndarray,
-    residual_norm: float,
+    R: np.ndarray,
     workspace: GmresWorkspace,
     *,
     ortho: OrthogonalizationManager,
     preconditioner: Preconditioner,
-    absolute_target: Optional[float] = None,
+    residual_norm: Optional[float] = None,
+    absolute_targets: Optional[np.ndarray] = None,
     max_steps: Optional[int] = None,
     control: Optional[SolveControl] = None,
 ) -> CycleOutcome:
     """Run one restart cycle of GMRES(m) and return the solution update.
 
+    The width is the residual's: a vector ``R`` runs a single-vector
+    cycle (SpMV, GEMV-based orthogonalization, one Givens rotation per
+    step), an ``(n, k)`` block ``R`` a Block-GMRES cycle whose ``k``
+    columns share one Krylov basis (one SpMM, BLAS-3 block
+    orthogonalization and a band-Hessenberg QR per step) — even at
+    ``k = 1``.  Each step is one preconditioner apply, one matrix
+    product, one :meth:`~repro.ortho.OrthogonalizationManager.orthogonalize`
+    and one :meth:`~repro.linalg.dense.GivensWorkspace.append`.
+
+    One stop rule ends a cycle early, for every width, with
+    ``breakdown=True``: a step whose subdiagonal (the norm of a new basis
+    vector) is non-finite — its values never reach the update — or whose
+    every new column collapsed to at most
+    :data:`~repro.ortho.BREAKDOWN_TOLERANCE` (a lucky breakdown; the step
+    is kept).  A single collapsed column of a wider block is zeroed by the
+    orthogonalization and the cycle continues for the others.
+
     Parameters
     ----------
     matrix:
         System matrix in the working precision.
-    residual:
-        Current residual ``b - A x`` (the cycle's right-hand side), already
-        in the working precision.  Not modified.
-    residual_norm:
-        Its 2-norm (computed by the caller, who usually needs it anyway).
+    R:
+        Current residual ``b - A x`` (the cycle's right-hand side): a
+        vector, or an ``(n, k)`` block with ``k`` up to
+        ``workspace.block_size``; already in the working precision.  Not
+        modified.
     workspace:
-        Pre-allocated basis and Givens storage (defines the restart length).
+        Pre-allocated basis, Givens and block scratch (defines the
+        restart length).
     ortho:
-        Orthogonalization manager (CGS2 in the paper).
+        Orthogonalization manager taking operands of ``R``'s ``ndim``
+        (CGS2 / block CGS2 in the paper).
     preconditioner:
         Right preconditioner in the working precision
         (:class:`IdentityPreconditioner` when unpreconditioned).
-    absolute_target:
-        If given, the cycle stops early once the implicit residual estimate
-        drops below this absolute value (standard GMRES monitors its
-        implicit residual).  GMRES-IR passes ``None``: its inner fp32
-        residuals "give little information about the convergence of the
-        overall problem", so inner cycles always run the full ``m`` steps.
+    residual_norm:
+        ``R``'s 2-norm, required for a vector (computed by the caller, who
+        usually needs it anyway); a block takes its norms from the QR of
+        ``R`` that seeds the basis.
+    absolute_targets:
+        If given, the cycle stops early once every column's implicit
+        residual estimate is at or below its absolute target (columns
+        share the basis, so none can leave mid-cycle).  GMRES-IR passes
+        ``None``: its inner fp32 residuals "give little information about
+        the convergence of the overall problem", so inner cycles always
+        run the full ``m`` steps.
     max_steps:
         Optional cap below the restart length (used by GMRES-FD to stop at
         the precision-switch iteration).
     control:
-        Optional :class:`~repro.solvers.SolveControl` polled every
-        ``control.check_interval`` Arnoldi steps; when it demands a stop
-        the cycle ends early and still returns the partial update (the
-        driver classifies the terminal status at the restart boundary).
-
-    Returns
-    -------
-    CycleOutcome
-        The (right-preconditioned) solution update ``M V y`` and the
-        per-iteration implicit residual norms (absolute).  The update
-        vector is a view into the workspace's scratch and is only valid
-        until the next cycle runs on the same workspace; callers fold it
-        into their solution immediately.
+        Optional whole-solve :class:`~repro.solvers.SolveControl`, charged
+        one iteration per step and polled every ``control.check_interval``
+        steps; when it demands a stop the cycle ends early and still
+        returns the partial update (the driver classifies the terminal
+        status at the restart boundary).
     """
     dtype = workspace.precision.dtype
     if matrix.dtype != dtype:
@@ -185,51 +263,81 @@ def run_gmres_cycle(
             f"matrix precision {matrix.dtype.name} does not match the "
             f"workspace precision {dtype.name}"
         )
-    if residual.dtype != dtype:
+    if R.dtype != dtype:
         raise TypeError("residual precision does not match the workspace precision")
+    if R.shape[0] != matrix.n_rows or ortho.ndim != R.ndim:
+        raise ValueError(
+            f"a residual of shape {R.shape} does not fit this matrix and "
+            f"{ortho.name} orthogonalization"
+        )
+    vector = R.ndim == 1
+    k = 1 if vector else R.shape[1]
+    if not 0 < k <= workspace.block_size:
+        raise ValueError(
+            f"block width {k} out of range (workspace block size "
+            f"{workspace.block_size})"
+        )
+
+    def active(block: np.ndarray) -> np.ndarray:
+        """The cycle's view of an ``(n, ≥k)`` block: a vector or ``k`` columns."""
+        return block[:, 0] if vector else block[:, :k]
 
     basis = workspace.basis
     givens = workspace.givens
+    implicit = workspace.implicit
+    update = active(workspace.update)
     basis.reset()
-    givens.reset(residual_norm)
-
     steps = workspace.restart if max_steps is None else min(max_steps, workspace.restart)
-    if residual_norm <= 0.0 or steps == 0:
-        workspace.update[:] = 0
-        return CycleOutcome(update=workspace.update, iterations=0)
+    if steps <= 0 or (vector and residual_norm <= 0.0):
+        update[...] = 0
+        return CycleOutcome(update, 0, implicit[:0, :k])
 
-    basis.append(residual)
-    kernels.scal(1.0 / residual_norm, basis.column(0))
+    # Seed the basis: v₀ = r / ‖r‖, or the QR V₀ S = R of a block.
+    seed = active(basis.column_block(0, k))
+    seed[...] = R
+    if vector:
+        kernels.scal(1.0 / residual_norm, seed)
+        givens.reset(residual_norm)
+    else:
+        S, _ = ortho.orthogonalize(basis, seed)
+        givens.reset(S)
+    basis.set_count(k)
 
-    implicit_norms: List[float] = []
-    breakdown = False
+    apply = preconditioner.apply if vector else preconditioner.apply_block
+    product = kernels.spmv if vector else kernels.spmm
+    Z_out = active(workspace.Z)
+    V = seed
     iterations = 0
-
+    breakdown = False
     for j in range(steps):
-        v_j = basis.column(j)
-        z = v_j if preconditioner.is_identity else preconditioner.apply(v_j, out=workspace.z)
-        # The SpMV writes straight into the next basis column (a contiguous
-        # view of the Fortran-ordered block), so forming the new Arnoldi
-        # vector neither allocates nor copies.
-        w = kernels.spmv(matrix, z, out=basis.column(j + 1))
-        h, h_next = ortho.orthogonalize(basis, w)
-        implicit = givens.append_column(h, h_next)
-        implicit_norms.append(implicit)
+        Z = V if preconditioner.is_identity else apply(V, out=Z_out)
+        # The product writes straight into the next basis column(s) (a
+        # contiguous view of the Fortran-ordered storage), so forming the
+        # new Arnoldi vectors neither allocates nor copies.
+        V = product(matrix, Z, out=active(basis.column_block((j + 1) * k, k)))
+        H, subdiagonal = ortho.orthogonalize(basis, V)
         iterations += 1
         if control is not None:
             control.charge(1)
-
-        # A vanishing subdiagonal is a lucky breakdown; an overflowed or NaN
-        # one leaves no usable next basis vector either (1/inf scales it to
-        # zero and R would get a zero diagonal), so both end the cycle.
-        if not BREAKDOWN_TOLERANCE < h_next < math.inf:
+        # The largest new norm decides both ends of the stop rule (a NaN
+        # propagates through the maximum).
+        largest = subdiagonal if vector else float(subdiagonal.max())
+        # An overflowed or NaN norm leaves no usable basis vector (1/inf
+        # scales it to zero and R would get a zero diagonal): the step
+        # stays out of the least-squares problem and ends the cycle.
+        if not largest < math.inf:
             breakdown = True
             break
-        # The next basis vector is always formed (Belos does the same); it is
-        # simply unused when the cycle ends at this iteration.
-        kernels.scal(1.0 / h_next, w)
-        basis.set_count(j + 2)  # column j+1 is already in place
-        if absolute_target is not None and implicit <= absolute_target:
+        givens.append(H, subdiagonal)
+        givens.residual_norms(out=implicit[j, :k])
+        # A vanishing norm of every new column is a lucky breakdown.
+        if largest <= BREAKDOWN_TOLERANCE:
+            breakdown = True
+            break
+        if vector:
+            kernels.scal(1.0 / subdiagonal, V)
+        basis.set_count((j + 2) * k)  # the new column(s) are already in place
+        if absolute_targets is not None and (implicit[j, :k] <= absolute_targets).all():
             break
         if (
             control is not None
@@ -238,16 +346,14 @@ def run_gmres_cycle(
         ):
             break
 
-    y = givens.solve(out=workspace.hcol[:iterations])
-    update = basis.combine(y, j=iterations, out=workspace.update)
+    solved = givens.size
+    Y = active(workspace.coefficients(k)[:solved])
+    Y = givens.solve(out=Y)
+    work = None if vector else workspace.gemm_work(k)
+    update = basis.combine(Y, j=solved, out=update, work=work)
     if not preconditioner.is_identity:
-        update = preconditioner.apply(update, out=workspace.z)
-    return CycleOutcome(
-        update=update,
-        iterations=iterations,
-        implicit_norms=implicit_norms,
-        breakdown=breakdown,
-    )
+        update = apply(update, out=Z_out)
+    return CycleOutcome(update, iterations, implicit[: solved // k, :k], breakdown)
 
 
 def gmres(
@@ -341,20 +447,20 @@ def gmres(
     n = A.n_rows
     cols = Columns(b, x0, n, prec.dtype, vector=True)
     precond = as_preconditioner(preconditioner, prec)
-    workspace = resolve_workspace(workspace, GmresWorkspace, n, restart, prec)
+    workspace = resolve_workspace(workspace, n, restart, prec)
     timer = timer or KernelTimer(name or f"gmres({restart})-{prec.name}")
 
     def cycle(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
         targets = tol * cols.bnorms[:1]
-        outcome = run_gmres_cycle(
-            A, R[:, 0], rnorms[0], workspace, ortho=ortho_mgr, preconditioner=precond,
-            absolute_target=targets[0], max_steps=min(restart, remaining),
-            control=control,
+        outcome = run_cycle(
+            A, R[:, 0], workspace, ortho=ortho_mgr, preconditioner=precond,
+            residual_norm=rnorms[0], absolute_targets=targets,
+            max_steps=min(restart, remaining), control=control,
         )
         kernels.axpy(1.0, outcome.update, cols.X[:, 0])
         # After a breakdown the true residual decides, as in GMRES-IR.
         return Step(
-            outcome.iterations, outcome.implicit_norms,
+            outcome.iterations, outcome.implicit,
             outcome.iterations == 0 or outcome.breakdown, targets,
         )
 
@@ -362,7 +468,7 @@ def gmres(
         restart_loop(
             A, cols, cycle,
             tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
-            scratch=(workspace.w, workspace.r), solver="gmres",
+            scratch=(workspace.W, workspace.R), solver="gmres",
             control=control, probe=probe, stagnation=stagnation,
             loss_of_accuracy=LossOfAccuracyTest(tolerance=tol) if loss_of_accuracy_check else None,
         )

@@ -10,10 +10,11 @@ eigenvector information the fp32 phase built, so it almost starts over.
 
 The implementation simply composes two :func:`repro.solvers.gmres.gmres`
 runs and merges their histories and timers; the solution cast at the switch
-is metered.  Each phase reuses its residual/update vectors internally via
-its own :class:`~repro.solvers.gmres.GmresWorkspace` (one per precision —
-the fp32 and fp64 phases cannot share buffers), so the only per-switch
-allocations are the two phase workspaces and the one metered cast.
+is metered.  Each phase runs its cycles on its own
+:class:`~repro.solvers.gmres.GmresWorkspace`, the one workspace type of
+every GMRES cycle, in its own precision (the fp32 and fp64 phases cannot
+share buffers), so the only per-switch allocations are the two phase
+workspaces and the one metered cast.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ evaluates:
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,10 +38,9 @@ from .driver import (
     as_preconditioner,
     finish_columns,
     resolve_budget,
-    resolve_workspace,
     restart_loop,
 )
-from .gmres import GmresWorkspace, run_gmres_cycle
+from .gmres import GmresWorkspace, resolve_workspace, run_cycle
 from .result import SolveResult
 from .status import SolveControl
 
@@ -124,7 +123,7 @@ def gmres_ir(
     n = A_outer.n_rows
     cols = Columns(b, x0, n, outer.dtype, vector=True)
     precond = as_preconditioner(preconditioner, inner)
-    workspace = resolve_workspace(workspace, GmresWorkspace, n, restart, inner)
+    workspace = resolve_workspace(workspace, n, restart, inner)
     timer = timer or KernelTimer(
         name or f"gmres({restart})-ir-{inner.name}/{outer.name}"
     )
@@ -146,19 +145,19 @@ def gmres_ir(
         # Run `refine_every` inner cycles before the next refinement; the
         # standard algorithm refines after every cycle.
         correction[:] = 0
-        implicit: List[float] = []
+        implicit = []
         done = 0
         breakdown = False
         for _ in range(refine_every):
             if remaining - done <= 0:
                 break
-            outcome = run_gmres_cycle(
-                A_inner, cycle_rhs, cycle_rnorm, workspace, ortho=ortho_mgr,
-                preconditioner=precond, max_steps=min(restart, remaining - done),
-                absolute_target=None,  # inner residuals are not trusted
+            outcome = run_cycle(
+                A_inner, cycle_rhs, workspace, ortho=ortho_mgr, preconditioner=precond,
+                residual_norm=cycle_rnorm, max_steps=min(restart, remaining - done),
+                absolute_targets=None,  # inner residuals are not trusted
                 control=control,
             )
-            implicit.extend(outcome.implicit_norms)
+            implicit.extend(outcome.implicit.tolist())
             done += outcome.iterations
             kernels.axpy(1.0, outcome.update, correction)
             if outcome.breakdown or outcome.iterations == 0:
@@ -168,9 +167,9 @@ def gmres_ir(
                 break
             if refine_every > 1:
                 # Between refinements the inner solver restarts from its
-                # own low-precision residual (workspace.w is free between
+                # own low-precision residual (workspace.W is free between
                 # cycles, so the extra SpMV lands there).
-                w_in = kernels.spmv(A_inner, correction, out=workspace.w)
+                w_in = kernels.spmv(A_inner, correction, out=workspace.W[:, 0])
                 cycle_rhs = kernels.copy(r_inner, out=rhs_buf)
                 kernels.axpy(-1.0, w_in, cycle_rhs)
                 cycle_rnorm = kernels.norm2(cycle_rhs)

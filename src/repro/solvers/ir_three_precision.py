@@ -40,7 +40,7 @@ from .driver import (
     resolve_budget,
     restart_loop,
 )
-from .gmres import GmresWorkspace, run_gmres_cycle
+from .gmres import GmresWorkspace, run_cycle
 from .result import SolveResult
 from .status import SolveControl
 
@@ -122,45 +122,43 @@ def gmres_ir_three_precision(
         # an fp16 cycle (scaled to unit norm) or by an fp32 fallback.
         r_mid = kernels.cast(R[:, 0], middle, out=r_mid_buf)
         rnorm_mid = kernels.norm2(r_mid)
-        cycle = dict(
-            ortho=ortho_mgr, absolute_target=None, max_steps=min(restart, remaining),
-            control=control,
-        )
+        cycle = dict(ortho=ortho_mgr, max_steps=min(restart, remaining), control=control)
 
         # --- try the half-precision inner cycle --------------------------- #
         scale = rnorm_mid if rnorm_mid > 0 else 1.0
-        r_scaled = kernels.copy(r_mid, out=ws_middle.r)
+        r_scaled = kernels.copy(r_mid, out=ws_middle.R[:, 0])
         kernels.scal(1.0 / scale, r_scaled)
         r_half = kernels.cast(r_scaled, inner, out=r_half_buf)
         rnorm_half = kernels.norm2(r_half)
         taken = None
         if np.isfinite(rnorm_half) and rnorm_half > 0:
-            outcome = run_gmres_cycle(
-                A_inner, r_half, rnorm_half, ws_inner, preconditioner=precond_in, **cycle
+            outcome = run_cycle(
+                A_inner, r_half, ws_inner, preconditioner=precond_in,
+                residual_norm=rnorm_half, **cycle,
             )
             if np.all(np.isfinite(outcome.update)):
                 u_mid = kernels.cast(outcome.update, middle, out=u_mid_buf)
                 kernels.scal(scale, u_mid)
                 # Evaluate the achieved reduction in fp32.
-                w_mid = kernels.spmv(A_middle, u_mid, out=ws_middle.w)
+                w_mid = kernels.spmv(A_middle, u_mid, out=ws_middle.W[:, 0])
                 check = kernels.copy(r_mid, out=check_buf)
                 kernels.axpy(-1.0, w_mid, check)
                 if kernels.norm2(check) <= improvement_threshold * rnorm_mid:
                     cycles["half"] += 1
                     correction_mid = u_mid
                     taken = Step(
-                        outcome.iterations,
-                        [implicit_abs * scale for implicit_abs in outcome.implicit_norms],
+                        outcome.iterations, outcome.implicit * scale, outcome.breakdown
                     )
 
         if taken is None:
             # --- fp32 fallback cycle -------------------------------------- #
             cycles["fallback"] += 1
-            outcome = run_gmres_cycle(
-                A_middle, r_mid, rnorm_mid, ws_middle, preconditioner=precond_mid, **cycle
+            outcome = run_cycle(
+                A_middle, r_mid, ws_middle, preconditioner=precond_mid,
+                residual_norm=rnorm_mid, **cycle,
             )
             correction_mid = outcome.update
-            taken = Step(outcome.iterations, outcome.implicit_norms)
+            taken = Step(outcome.iterations, outcome.implicit, outcome.breakdown)
 
         u = kernels.cast(correction_mid, outer, out=u_outer_buf)
         kernels.axpy(1.0, u, cols.X[:, 0], label="Residual")

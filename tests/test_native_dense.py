@@ -9,7 +9,7 @@ same with or without a C compiler.  Pinned here:
   and without ``work=``, for ``x is y``, and with signed zeros and
   inf/NaN; strided, mixed-layout and overlapping operands and fp16 keep
   the NumPy path;
-* ``band_qr_step``: ``BlockGivensWorkspace`` states (``R``, ``G``,
+* ``band_qr_step``: block-cycle ``GivensWorkspace`` states (``R``, ``G``,
   ``Q^T``, residual norms, the solved coefficients) equal those of the
   Python rotation loop over several block steps, block widths 1–8 and a
   deflated band, in fp32 and fp64;
@@ -25,7 +25,7 @@ import pytest
 from repro.backends import native
 from repro.backends.numpy_backend import NumpyBackend
 from repro.config import rng
-from repro.linalg.dense import BlockGivensWorkspace
+from repro.linalg.dense import GivensWorkspace
 from repro.matrices import laplace3d, uniflow2d
 from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
 from repro.solvers.block_gmres import block_gmres, block_gmres_ir
@@ -158,11 +158,11 @@ class TestBandQrStep:
         S = (np.triu(rng(k).standard_normal((k, k))) + 2 * np.eye(k)).astype(dtype)
 
         def run():
-            ws = BlockGivensWorkspace(max_cols=steps * k, band=k, dtype=dtype)
+            ws = GivensWorkspace(max_cols=steps * k, band=k, dtype=dtype)
             ws.reset(S)
             norms = []
             for panel in panels:
-                ws.append_block(panel)
+                ws.append(panel)
                 norms.append(ws.residual_norms())
             Y = ws.solve(out=np.empty((steps * k, k), dtype=dtype))
             return (ws.R, ws.G, ws.QT, np.array(norms), Y)
@@ -177,12 +177,12 @@ class TestBandQrStep:
         S = (np.triu(rng(9).standard_normal((k, k))) + 2 * np.eye(k)).astype(dtype)
 
         def run():
-            ws = BlockGivensWorkspace(max_cols=12, band=4, dtype=dtype)
+            ws = GivensWorkspace(max_cols=12, band=4, dtype=dtype)
             ws.reset(np.eye(4, dtype=dtype))
-            ws.append_block(random_panels(1, 4, dtype, seed=4)[0])
+            ws.append(random_panels(1, 4, dtype, seed=4)[0])
             ws.reset(S)
             for panel in panels:
-                ws.append_block(panel)
+                ws.append(panel)
             Y = ws.solve(out=np.empty((steps * k, k), dtype=dtype))
             return (ws.R, ws.G, ws.QT, Y)
 

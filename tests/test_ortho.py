@@ -73,9 +73,6 @@ class TestOrthogonalization:
         assert h_next < 1e-10
         np.testing.assert_allclose(h, [1.0, -2.0, 0.5], atol=1e-10)
 
-    def test_kernel_calls_positive(self, manager):
-        assert manager.kernel_calls_per_vector(5) >= 1
-
     def test_fp32_orthogonalization(self, manager, rng):
         V, Q = build_basis(rng, 50, 4, dtype=np.float32)
         w = rng.standard_normal(50).astype(np.float32)
@@ -178,21 +175,18 @@ class TestBlockOrthogonalization:
 
     @pytest.mark.parametrize("name", ["bcgs", "bcgs2"])
     def test_factory(self, name):
-        from repro.ortho import make_block_ortho_manager
-
-        mgr = make_block_ortho_manager(name)
+        mgr = make_ortho_manager(name)
         assert mgr.name == name
+        assert mgr.ndim == 2
         with pytest.raises(ValueError):
-            make_block_ortho_manager("nope")
+            make_ortho_manager("nope")
 
     def test_block_is_orthonormalized(self, rng):
-        from repro.ortho import make_block_ortho_manager
-
         n, start, k = 300, 12, 4
         V, _ = self._basis_with_block(rng, n, start, k)
-        mgr = make_block_ortho_manager("bcgs2")
-        panel, breakdown = mgr.orthogonalize_block(V, start, k)
-        assert not breakdown
+        mgr = make_ortho_manager("bcgs2")
+        panel, subdiagonal = mgr.orthogonalize_block(V, start, k)
+        assert np.all(subdiagonal > 0)
         assert panel.shape == (start + k, k)
         full = V._block[:, : start + k]
         gram = full.T @ full
@@ -200,40 +194,34 @@ class TestBlockOrthogonalization:
 
     def test_panel_reconstructs_original_block(self, rng):
         """[V_old  V_new] @ panel must reproduce the pre-ortho block."""
-        from repro.ortho import make_block_ortho_manager
-
         n, start, k = 200, 8, 3
         V, W_orig = self._basis_with_block(rng, n, start, k)
-        mgr = make_block_ortho_manager("bcgs2")
+        mgr = make_ortho_manager("bcgs2")
         panel, _ = mgr.orthogonalize_block(V, start, k)
         reconstructed = V._block[:, : start + k] @ panel
         np.testing.assert_allclose(reconstructed, W_orig, rtol=1e-9, atol=1e-10)
 
     def test_initial_block_qr(self, rng):
         """start=0 performs the QR of the residual block: V0 S = R."""
-        from repro.ortho import make_block_ortho_manager
-
         n, k = 150, 4
         V = MultiVector(n, 2 * k, "double")
         R = rng.standard_normal((n, k))
         V.column_block(0, k)[:] = R
-        mgr = make_block_ortho_manager("bcgs2")
-        panel, breakdown = mgr.orthogonalize_block(V, 0, k)
-        assert not breakdown
+        mgr = make_ortho_manager("bcgs2")
+        panel, subdiagonal = mgr.orthogonalize_block(V, 0, k)
+        assert np.all(subdiagonal > 0)
         S = panel[:k, :k]
         assert np.allclose(S, np.triu(S))  # upper triangular
         np.testing.assert_allclose(V._block[:, :k] @ S, R, rtol=1e-10, atol=1e-10)
 
     def test_exact_zero_column_flags_breakdown(self, rng):
-        from repro.ortho import make_block_ortho_manager
-
         n, k = 100, 3
         V = MultiVector(n, k, "double")
         R = rng.standard_normal((n, k))
         R[:, 1] = 0.0
         V.column_block(0, k)[:] = R
-        mgr = make_block_ortho_manager("bcgs2")
-        panel, breakdown = mgr.orthogonalize_block(V, 0, k)
-        assert breakdown
+        mgr = make_ortho_manager("bcgs2")
+        panel, subdiagonal = mgr.orthogonalize_block(V, 0, k)
+        assert subdiagonal[1] == 0.0
         assert panel[1, 1] == 0.0
         np.testing.assert_array_equal(V.column(1), 0)

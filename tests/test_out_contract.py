@@ -38,7 +38,7 @@ from repro.preconditioners.block_jacobi import BlockJacobiPreconditioner
 from repro.preconditioners.jacobi import JacobiPreconditioner
 from repro.preconditioners.mixed import PrecisionWrappedPreconditioner
 from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
-from repro.solvers.gmres import GmresWorkspace, gmres, run_gmres_cycle
+from repro.solvers.gmres import GmresWorkspace, gmres, run_cycle
 
 BACKENDS = ["numpy", "scipy"]
 DTYPES = [np.float16, np.float32, np.float64]
@@ -354,8 +354,8 @@ def _assert_gmres_cycle_allocation_free(backend, *, meter):
     rnorm = float(np.linalg.norm(r))
 
     def cycle():
-        outcome = run_gmres_cycle(
-            matrix, r, rnorm, workspace, ortho=ortho, preconditioner=precond
+        outcome = run_cycle(
+            matrix, r, workspace, ortho=ortho, preconditioner=precond, residual_norm=rnorm
         )
         assert outcome.iterations == restart
         return outcome
@@ -389,24 +389,19 @@ def test_steady_state_block_gmres_cycle_is_allocation_free(backend):
     block combine) must not allocate per-iteration arrays once the
     workspace exists, on either backend — same proof as the single-vector
     cycle, with the threshold scaled to half an (n, k) block."""
-    from repro.ortho import make_block_ortho_manager
-    from repro.solvers.block_gmres import BlockGmresWorkspace, run_block_gmres_cycle
-
     set_config(backend=backend)
     set_context(meter=False)
     matrix = laplace3d(20)  # n = 8000
     n = matrix.n_rows
     k = 8
     restart = 20
-    workspace = BlockGmresWorkspace(n, restart, k, "double")
-    ortho = make_block_ortho_manager("bcgs2")
+    workspace = GmresWorkspace(n, restart, "double", k)
+    ortho = make_ortho_manager("bcgs2")
     precond = IdentityPreconditioner(precision="double")
     R = np.asfortranarray(rng(1).standard_normal((n, k)))
 
     def cycle():
-        outcome = run_block_gmres_cycle(
-            matrix, R, workspace, ortho=ortho, preconditioner=precond
-        )
+        outcome = run_cycle(matrix, R, workspace, ortho=ortho, preconditioner=precond)
         assert outcome.iterations == restart
         return outcome
 
@@ -494,13 +489,10 @@ def test_block_gemm_notrans_work_is_fortran_ordered(k):
     """The block solver's GEMM-N scratch is Fortran-ordered like the blocks
     it updates, which selects the tall-skinny orientation above (a timing
     regression is invisible to the bit checks, so the layout is pinned)."""
-    from repro.ortho import make_block_ortho_manager
-    from repro.solvers.block_gmres import BlockGmresWorkspace
-
-    workspace = BlockGmresWorkspace(64, 4, 8, "double")
+    workspace = GmresWorkspace(64, 4, "double", 8)
     gemm_work = workspace.gemm_work(k)
     assert gemm_work.shape == (64, k)
     assert gemm_work.flags.f_contiguous and not gemm_work.flags.c_contiguous
-    ortho_work = make_block_ortho_manager("bcgs2")._buffers(workspace.basis, k)["work"]
+    ortho_work = make_ortho_manager("bcgs2")._buffers(workspace.basis, k)["work"]
     assert ortho_work.shape == (64, k)
     assert ortho_work.flags.f_contiguous and not ortho_work.flags.c_contiguous

@@ -76,11 +76,10 @@ class TestOperatorSession:
             with session._solve_lock:
                 ws_full = session.workspace_for(4)
                 assert session.workspace_for(2) is ws_full
-                assert ws_full.accommodates(matrix.n_rows, 8, 3, "double")
-                # Width 1 pools the single-vector workspace instead.
-                ws_single = session.workspace_for(1)
-                assert ws_single is session.workspace_for(1)
-                assert ws_single.accommodates(matrix.n_rows, 8, "double")
+                assert ws_full.accommodates(matrix.n_rows, 8, "double", 3)
+                # Width 1 (the single-vector driver) is served from it too.
+                assert session.workspace_for(1) is ws_full
+                assert len(session._workspaces) == 1
 
     def test_steady_state_dispatches_reuse_one_workspace(self, matrix, precond):
         b = rhs_block(matrix, 1)[:, 0]

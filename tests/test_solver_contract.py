@@ -13,7 +13,9 @@ IR, ``cg``, ``block_gmres``, ``block_gmres_ir`` and a chunked
   a block driver's initial guess given transposed;
 * the probe sees exactly one terminal event, last, agreeing with the
   result, and probing does not change the solution;
-* the solution agrees with a dense ``np.linalg.solve`` oracle.
+* the solution agrees with a dense ``np.linalg.solve`` oracle;
+* an Arnoldi norm that overflows ends every column in ``BREAKDOWN`` with
+  a finite solution: the overflowed step never reaches the update.
 
 The non-finite and pre-cancelled checks run on two systems: a small dense
 random nonsymmetric one (SPD for CG) and the 2D Laplacian the single-driver
@@ -30,6 +32,7 @@ import pytest
 
 from repro.matrices import laplace2d
 from repro.sparse import CsrMatrix
+from tests.conftest import overflowing_laplace3d
 from repro.solvers import (
     MultiSolveResult,
     SolveControl,
@@ -228,6 +231,25 @@ def test_agrees_with_dense_oracle(name):
         true = np.linalg.solve(dense, B[:, c])
         x = np.asarray(x, dtype=np.float64)
         assert np.linalg.norm(true - x) / np.linalg.norm(x) < driver.oracle_tol
+
+
+@pytest.mark.parametrize("big", [1e200, 1e300, 1e308])
+@pytest.mark.parametrize("name", sorted(n for n, d in DRIVERS.items() if not d.spd))
+def test_overflowed_arnoldi_norm_is_breakdown_with_finite_solution(name, big):
+    # The fp64 Arnoldi norm overflows; the fp32/fp16 matrix copies of the
+    # mixed-precision drivers hold inf outright.
+    driver = DRIVERS[name]
+    A = overflowing_laplace3d(big)
+    b = np.random.default_rng(5).standard_normal(A.n_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = driver.solve(A, b)
+    for x, status, iterations in _columns(result):
+        assert status == SolverStatus.BREAKDOWN
+        assert np.all(np.isfinite(x))
+        if name == "block_gmres_ir":
+            # The inner cycle stops at the overflowed step instead of
+            # running all ``restart`` steps of a poisoned cycle.
+            assert iterations < driver.options["restart"]
 
 
 class TestComposedSolves:

@@ -19,9 +19,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.config import rng
-from repro.linalg.dense import BlockGivensWorkspace
+from repro.linalg.dense import GivensWorkspace
 from repro.matrices import bentpipe2d, laplace3d
-from repro.ortho import make_block_ortho_manager
+from repro.ortho import make_ortho_manager
 from repro.preconditioners.base import IdentityPreconditioner
 from repro.preconditioners.jacobi import JacobiPreconditioner
 from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
@@ -34,7 +34,7 @@ from repro.solvers import (
     gmres_ir,
     solve_many,
 )
-from repro.solvers.block_gmres import BlockGmresWorkspace, run_block_gmres_cycle
+from repro.solvers.gmres import GmresWorkspace, run_cycle
 from repro.sparse import CsrMatrix
 from repro.sparse.ordering import permute_symmetric
 
@@ -76,12 +76,26 @@ class TestBlockGmresParity:
             assert diff < 1e-6
 
     def test_single_column_block_matches_gmres(self, matrix):
+        """One column through the block cycle (SpMM, BCGS2, band QR) takes
+        the steps, and ends in the status, of the single-vector cycle.
+
+        On ``2·I`` the first Arnoldi step is a lucky breakdown, which ends
+        the cycle of both widths.
+        """
         b = _rhs_block(matrix, 1)
-        res = block_gmres(matrix, b, restart=25, tol=1e-8)
-        seq = gmres(matrix, b[:, 0], restart=25, tol=1e-8)
-        assert res.statuses[0] == SolverStatus.CONVERGED
-        assert res.relative_residuals_fp64[0] <= 1e-8
-        assert np.linalg.norm(res.X[:, 0] - seq.x) / np.linalg.norm(seq.x) < 1e-6
+        doubled = CsrMatrix.from_scipy(sp.identity(64, format="csr") * 2.0)
+        pairs = [
+            (block_gmres(matrix, b, restart=25, tol=1e-8),
+             gmres(matrix, b[:, 0], restart=25, tol=1e-8)),
+            (block_gmres_ir(doubled, np.ones((64, 1)), restart=10, tol=1e-8),
+             gmres_ir(doubled, np.ones(64), restart=10, tol=1e-8)),
+        ]
+        for res, seq in pairs:
+            assert res.statuses[0] == seq.status == SolverStatus.CONVERGED
+            assert res.iterations[0] == seq.iterations
+            assert res.relative_residuals_fp64[0] <= 1e-8
+            assert np.linalg.norm(res.X[:, 0] - seq.x) / np.linalg.norm(seq.x) <= 1e-12
+        assert seq.iterations == 1
 
     def test_nonsymmetric_problem(self):
         matrix = bentpipe2d(16)  # n = 256, convection dominated
@@ -198,15 +212,16 @@ class TestPerColumnBookkeeping:
 
     def test_stagnating_column_is_deflated_with_status(self):
         """A column of a singular system stagnates and is deflated with
-        STAGNATION while the solvable columns converge with correct counts."""
+        STAGNATION while the solvable columns converge."""
         n = 24
-        diag = np.ones(n)
+        diag = np.linspace(1.0, 4.0, n)
         diag[0] = 0.0  # singular direction
         A = CsrMatrix.from_scipy(sp.diags(diag).tocsr())
         B = np.zeros((n, 3))
+        B[:, 0] = rng(3).standard_normal(n)
         B[0, 0] = 1.0  # unsolvable: e_0 is outside the range of A
         B[:, 1] = rng(1).standard_normal(n)
-        B[0, 1] = 0.0  # solvable exactly
+        B[0, 1] = 0.0  # solvable
         B[:, 2] = rng(2).standard_normal(n)
         B[0, 2] = 0.0
         res = block_gmres(
@@ -226,7 +241,33 @@ class TestPerColumnBookkeeping:
         assert res.statuses[2] == SolverStatus.CONVERGED
         assert res.relative_residuals_fp64[1] <= 1e-10
         assert res.relative_residuals_fp64[2] <= 1e-10
-        # identity-on-subspace system: solvable columns finish in one step
+        # The floor is the e_0 share of the column.
+        assert res.relative_residuals_fp64[0] == pytest.approx(
+            1.0 / np.linalg.norm(B[:, 0]), rel=1e-6
+        )
+
+    def test_exhausted_column_ends_like_gmres(self):
+        """On ``diag(0, 1, …, 1)`` the unsolvable column's residual becomes
+        ``e_0``, whose Krylov space ``A e_0 = 0`` is exhausted: its width-1
+        cycle stops at that lucky breakdown and, above tolerance, the
+        column ends in BREAKDOWN — as ``gmres`` on the same vector does —
+        while the solvable columns converge in one step."""
+        n = 24
+        diag = np.ones(n)
+        diag[0] = 0.0
+        A = CsrMatrix.from_scipy(sp.diags(diag).tocsr())
+        B = np.zeros((n, 3))
+        B[0, 0] = 1.0
+        B[:, 1] = rng(1).standard_normal(n)
+        B[0, 1] = 0.0
+        B[:, 2] = rng(2).standard_normal(n)
+        B[0, 2] = 0.0
+        res = block_gmres(
+            A, B, restart=6, tol=1e-10, max_restarts=40, loss_of_accuracy_check=False
+        )
+        assert res.statuses[0] == gmres(A, B[:, 0], restart=6).status
+        assert res.statuses[0] == SolverStatus.BREAKDOWN
+        assert res.statuses[1:] == [SolverStatus.CONVERGED] * 2
         assert res.iterations[1] <= 2
         assert res.iterations[2] <= 2
 
@@ -374,7 +415,7 @@ class TestBlockGmresIr:
 # ---------------------------------------------------------------------- #
 # band-Hessenberg Givens workspace                                       #
 # ---------------------------------------------------------------------- #
-class TestBlockGivensWorkspace:
+class TestBandGivensWorkspace:
     def _random_band_hessenberg(self, steps, k, seed=0):
         """Random band Hessenberg (column q has entries to row q + k)."""
         gen = rng(seed)
@@ -388,13 +429,13 @@ class TestBlockGivensWorkspace:
         steps, k = 4, 3
         H = self._random_band_hessenberg(steps, k, seed=2)
         S = np.triu(rng(3).standard_normal((k, k))) + 3 * np.eye(k)
-        ws = BlockGivensWorkspace(max_cols=steps * k, band=k)
+        ws = GivensWorkspace(max_cols=steps * k, band=k)
         ws.reset(S)
         rhs = np.zeros((steps * k + k, k))
         rhs[:k, :k] = S
         for j in range(steps):
             q = j * k
-            ws.append_block(H[: q + 2 * k, q : q + k])
+            ws.append(H[: q + 2 * k, q : q + k])
             norms = ws.residual_norms()
             for c in range(k):
                 y_ref, *_ = np.linalg.lstsq(
@@ -411,14 +452,14 @@ class TestBlockGivensWorkspace:
 
     def test_narrower_active_band_after_deflation(self):
         k, steps = 2, 3
-        ws = BlockGivensWorkspace(max_cols=12, band=4)  # built for block size 4
+        ws = GivensWorkspace(max_cols=12, band=4)  # built for block size 4
         S = np.triu(rng(5).standard_normal((k, k))) + 2 * np.eye(k)
         ws.reset(S)  # deflated to width 2
         assert ws.active_band == k
         H = self._random_band_hessenberg(steps, k, seed=7)
         for j in range(steps):
             q = j * k
-            ws.append_block(H[: q + 2 * k, q : q + k])
+            ws.append(H[: q + 2 * k, q : q + k])
         Y = ws.solve(out=np.empty((steps * k, k)))
         rhs = np.zeros((steps * k + k, k))
         rhs[:k, :k] = S
@@ -430,25 +471,25 @@ class TestBlockGivensWorkspace:
         """A fully zero Hessenberg column (deflated direction) yields a zero
         coefficient row instead of a division blow-up."""
         k = 2
-        ws = BlockGivensWorkspace(max_cols=4, band=k)
+        ws = GivensWorkspace(max_cols=4, band=k)
         S = np.eye(k)
         ws.reset(S)
         panel = np.zeros((2 * k, k))
         panel[:, 1] = rng(8).standard_normal(2 * k)
         panel[0, 0] = 0.0  # column 0 entirely zero
-        ws.append_block(panel)
+        ws.append(panel)
         Y = ws.solve(out=np.empty((k, k)))
         np.testing.assert_array_equal(Y[0], 0)
 
     def test_validation(self):
-        ws = BlockGivensWorkspace(max_cols=6, band=2)
+        ws = GivensWorkspace(max_cols=6, band=2)
         with pytest.raises(ValueError):
             ws.reset(np.ones((3, 3)))  # wider than the band
         ws.reset(np.eye(2))
         with pytest.raises(ValueError):
-            ws.append_block(np.ones((3, 2)))  # wrong panel shape
+            ws.append(np.ones((3, 2)))  # wrong panel shape
         with pytest.raises(ValueError):
-            BlockGivensWorkspace(max_cols=0, band=2)
+            GivensWorkspace(max_cols=0, band=2)
 
 
 # ---------------------------------------------------------------------- #
@@ -457,27 +498,27 @@ class TestBlockGivensWorkspace:
 class TestBlockCycle:
     def test_workspace_reuse_is_deterministic(self, matrix):
         k = 4
-        ws = BlockGmresWorkspace(matrix.n_rows, 10, k, "double")
-        ortho = make_block_ortho_manager("bcgs2")
+        ws = GmresWorkspace(matrix.n_rows, 10, "double", k)
+        ortho = make_ortho_manager("bcgs2")
         precond = IdentityPreconditioner(precision="double")
         R = np.asfortranarray(_rhs_block(matrix, k, seed=6))
-        out1 = run_block_gmres_cycle(
+        out1 = run_cycle(
             matrix, R, ws, ortho=ortho, preconditioner=precond
         )
         first = out1.update.copy()
-        out2 = run_block_gmres_cycle(
+        out2 = run_cycle(
             matrix, R, ws, ortho=ortho, preconditioner=precond
         )
         np.testing.assert_array_equal(first, out2.update)
 
     def test_deflated_width_cycles_on_same_workspace(self, matrix):
         """One workspace serves cycles of shrinking width (deflation)."""
-        ws = BlockGmresWorkspace(matrix.n_rows, 8, 4, "double")
-        ortho = make_block_ortho_manager("bcgs2")
+        ws = GmresWorkspace(matrix.n_rows, 8, "double", 4)
+        ortho = make_ortho_manager("bcgs2")
         precond = IdentityPreconditioner(precision="double")
         for k in (4, 2, 1):
             R = np.asfortranarray(_rhs_block(matrix, k, seed=k))
-            out = run_block_gmres_cycle(
+            out = run_cycle(
                 matrix, R, ws, ortho=ortho, preconditioner=precond
             )
             assert out.iterations == 8
@@ -485,22 +526,22 @@ class TestBlockCycle:
             assert out.implicit.shape == (8, k)
 
     def test_precision_mismatch_raises(self, matrix):
-        ws = BlockGmresWorkspace(matrix.n_rows, 5, 2, "single")
-        ortho = make_block_ortho_manager("bcgs2")
+        ws = GmresWorkspace(matrix.n_rows, 5, "single", 2)
+        ortho = make_ortho_manager("bcgs2")
         precond = IdentityPreconditioner(precision="single")
         R = np.asfortranarray(_rhs_block(matrix, 2))
         with pytest.raises(TypeError):
-            run_block_gmres_cycle(matrix, R, ws, ortho=ortho, preconditioner=precond)
+            run_cycle(matrix, R, ws, ortho=ortho, preconditioner=precond)
 
     def test_implicit_estimates_track_true_residuals(self, matrix):
         """The per-column implicit estimates agree with explicitly computed
         residuals of the reconstructed iterates at the end of a cycle."""
         k = 3
-        ws = BlockGmresWorkspace(matrix.n_rows, 12, k, "double")
-        ortho = make_block_ortho_manager("bcgs2")
+        ws = GmresWorkspace(matrix.n_rows, 12, "double", k)
+        ortho = make_ortho_manager("bcgs2")
         precond = IdentityPreconditioner(precision="double")
         R = np.asfortranarray(_rhs_block(matrix, k, seed=11))
-        out = run_block_gmres_cycle(matrix, R, ws, ortho=ortho, preconditioner=precond)
+        out = run_cycle(matrix, R, ws, ortho=ortho, preconditioner=precond)
         dense_A = matrix.to_scipy().toarray()
         for c in range(k):
             true_res = np.linalg.norm(R[:, c] - dense_A @ out.update[:, c])

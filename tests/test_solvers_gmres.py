@@ -8,7 +8,7 @@ from repro import ones_rhs
 from repro.perfmodel.timer import KernelTimer, use_timer
 from repro.preconditioners import GmresPolynomialPreconditioner, JacobiPreconditioner
 from repro.solvers import SolverStatus, gmres
-from repro.solvers.gmres import GmresWorkspace, run_gmres_cycle
+from repro.solvers.gmres import GmresWorkspace, run_cycle
 from repro.ortho import make_ortho_manager
 from repro.preconditioners.base import IdentityPreconditioner
 from tests.conftest import overflowing_laplace3d
@@ -251,8 +251,8 @@ class TestOverflowedArnoldiNorm:
         ws = GmresWorkspace(A.n_rows, 20, "double")
         r = np.ones(A.n_rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            outcome = run_gmres_cycle(
-                A, r, float(np.linalg.norm(r)), ws,
+            outcome = run_cycle(
+                A, r, ws, residual_norm=float(np.linalg.norm(r)),
                 ortho=make_ortho_manager("cgs2"),
                 preconditioner=IdentityPreconditioner(),
             )
@@ -265,29 +265,29 @@ class TestRunGmresCycle:
     def test_cycle_respects_max_steps(self, laplace_small):
         ws = GmresWorkspace(laplace_small.n_rows, 20, "double")
         r = ones_rhs(laplace_small)
-        outcome = run_gmres_cycle(
-            laplace_small, r, float(np.linalg.norm(r)), ws,
+        outcome = run_cycle(
+            laplace_small, r, ws, residual_norm=float(np.linalg.norm(r)),
             ortho=make_ortho_manager("cgs2"),
             preconditioner=IdentityPreconditioner(),
             max_steps=4,
         )
         assert outcome.iterations == 4
-        assert len(outcome.implicit_norms) == 4
+        assert outcome.implicit.shape == (4, 1)
 
     def test_cycle_precision_mismatch_raises(self, laplace_small):
         ws = GmresWorkspace(laplace_small.n_rows, 5, "single")
         r = ones_rhs(laplace_small)
         with pytest.raises(TypeError):
-            run_gmres_cycle(
-                laplace_small, r, 1.0, ws,
+            run_cycle(
+                laplace_small, r, ws, residual_norm=1.0,
                 ortho=make_ortho_manager("cgs2"),
                 preconditioner=IdentityPreconditioner(precision="single"),
             )
 
     def test_zero_residual_cycle(self, laplace_small):
         ws = GmresWorkspace(laplace_small.n_rows, 5, "double")
-        outcome = run_gmres_cycle(
-            laplace_small, np.zeros(laplace_small.n_rows), 0.0, ws,
+        outcome = run_cycle(
+            laplace_small, np.zeros(laplace_small.n_rows), ws, residual_norm=0.0,
             ortho=make_ortho_manager("cgs2"),
             preconditioner=IdentityPreconditioner(),
         )
@@ -297,11 +297,11 @@ class TestRunGmresCycle:
     def test_cycle_update_reduces_residual(self, laplace_small):
         ws = GmresWorkspace(laplace_small.n_rows, 15, "double")
         b = ones_rhs(laplace_small)
-        outcome = run_gmres_cycle(
-            laplace_small, b, float(np.linalg.norm(b)), ws,
+        outcome = run_cycle(
+            laplace_small, b, ws, residual_norm=float(np.linalg.norm(b)),
             ortho=make_ortho_manager("cgs2"),
             preconditioner=IdentityPreconditioner(),
         )
         new_residual = np.linalg.norm(b - laplace_small.matvec(outcome.update))
         assert new_residual < 0.5 * np.linalg.norm(b)
-        assert new_residual == pytest.approx(outcome.final_implicit_norm, rel=1e-6)
+        assert new_residual == pytest.approx(outcome.implicit[-1, 0], rel=1e-6)
