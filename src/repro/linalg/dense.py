@@ -75,10 +75,11 @@ class GivensWorkspace:
       host-side matmul instead of ``O(m·p·k)`` scalar rotations.
 
     ``max_cols`` bounds the Hessenberg columns of a cycle and ``band`` the
-    block width (``1`` for a single-vector solver).  All buffers are
-    allocated at construction (the block scratch once per distinct active
-    width, i.e. once per deflation event), so the per-iteration path
-    allocates nothing.  This is the piece of GMRES the paper's "Other"
+    block width (``1`` for a single-vector solver).  The single-vector
+    buffers are allocated at construction and the block state by the
+    first block reset (its panel scratch once per distinct active width,
+    i.e. once per deflation event), so the per-iteration path allocates
+    nothing.  This is the piece of GMRES the paper's "Other"
     bucket times on the host, in the working dtype.
 
     The block Givens sweep is ``k²`` rotations.  For fp32/fp64 it is one
@@ -94,23 +95,27 @@ class GivensWorkspace:
         self.dtype = np.dtype(dtype)
         self.max_cols = max_cols
         self.band = band
-        rows = max_cols + band
-        self._max_rows = rows
-        self.R = np.zeros((rows, max_cols), dtype=self.dtype)
+        self._max_rows = max_cols + band
+        self.R = np.zeros((self._max_rows, max_cols), dtype=self.dtype)
         # Single-vector state: rotated right-hand side and rotations.
         self.g = np.zeros(max_cols + 1, dtype=self.dtype)
         self.cosines = np.zeros(max_cols, dtype=self.dtype)
         self.sines = np.zeros(max_cols, dtype=self.dtype)
-        # Block state.
-        self.G = np.zeros((rows, band), dtype=self.dtype)
+        # Block state, built by the first block reset.
+        self.G = None
+        self.size = 0
+        self.active_band = band
+        self.vector = True
+
+    def _allocate_block_state(self) -> None:
+        rows = self._max_rows
+        self.G = np.zeros((rows, self.band), dtype=self.dtype)
         self.QT = np.zeros((rows, rows), dtype=self.dtype)
         self._t0 = np.empty(rows, dtype=self.dtype)
         self._t1 = np.empty(rows, dtype=self.dtype)
         self._panel_scratch = {}  # active width k -> pair of (rows, k) C blocks
-        self._solve_scratch = np.empty(band, dtype=self.dtype)
-        self.size = 0
-        self.active_band = band
-        self.vector = True
+        self._solve_scratch = np.empty(self.band, dtype=self.dtype)
+        self._open = []  # rows whose column claimed no diagonal
 
     def reset(self, seed) -> None:
         """Start a cycle: ``seed`` is the initial residual norm ``beta`` of
@@ -128,12 +133,15 @@ class GivensWorkspace:
         k = seed.shape[0]
         if seed.shape != (k, k) or k > self.band:
             raise ValueError("initial coefficient block has wrong shape")
+        if self.G is None:
+            self._allocate_block_state()
         self.active_band = k
         self.R[:] = 0
         self.G[:] = 0
         self.G[:k, :k] = seed
         self.QT[:] = 0
         np.fill_diagonal(self.QT, self.dtype.type(1))
+        self._open.clear()
         # The staging block must start zero below the written region (rows
         # only ever extend downward within a cycle, so one zero-fill per
         # reset keeps the full-height matmul exact).
@@ -157,6 +165,8 @@ class GivensWorkspace:
 
     def _append_column(self, h: np.ndarray, h_next: float) -> None:
         j = self.size
+        if not self.vector:
+            raise ValueError("a Hessenberg column needs a single-vector cycle")
         if j >= self.max_cols:
             raise RuntimeError("GivensWorkspace is full")
         col = self.R[:, j]
@@ -170,10 +180,17 @@ class GivensWorkspace:
             col[i + 1] = s * col[i] + c * col[i + 1]
             col[i] = temp
 
-        # Compute and apply the new rotation annihilating col[j+1].
-        c, s = givens_rotation(float(col[j]), float(col[j + 1]), dtype=self.dtype)
-        c = self.dtype.type(c)
-        s = self.dtype.type(s)
+        # Compute and apply the new rotation annihilating col[j+1].  A
+        # column that is zero from the diagonal down (a lucky breakdown on
+        # a direction the matrix maps to zero) gets a swap instead: its
+        # coefficient is zeroed, and g[j] moves down to stay in the
+        # implicit residual, which no step has reduced.
+        if col[j] == 0 and col[j + 1] == 0:
+            c, s = self.dtype.type(0), self.dtype.type(1)
+        else:
+            c, s = givens_rotation(float(col[j]), float(col[j + 1]), dtype=self.dtype)
+            c = self.dtype.type(c)
+            s = self.dtype.type(s)
         self.cosines[j], self.sines[j] = c, s
         col[j] = c * col[j] - s * col[j + 1]
         col[j + 1] = 0
@@ -193,10 +210,10 @@ class GivensWorkspace:
             )
         return bufs
 
-    def _rotate_rows(self, M: np.ndarray, r: int, c, s, width: int) -> None:
-        """Apply ``[c -s; s c]``-style rotation to rows ``r-1``/``r`` of ``M``."""
-        row0 = M[r - 1, :width]
-        row1 = M[r, :width]
+    def _rotate_rows(self, M: np.ndarray, head: int, other: int, c, s, width: int) -> None:
+        """Apply ``[c -s; s c]``-style rotation to rows ``head``/``other`` of ``M``."""
+        row0 = M[head, :width]
+        row1 = M[other, :width]
         t0 = self._t0[:width]
         t1 = self._t1[:width]
         np.multiply(row0, c, out=t0)
@@ -232,8 +249,35 @@ class GivensWorkspace:
             kernel(q, k, *self._native_operands())
         else:
             self._band_qr_step(q, k)
+        if self._open or not target[q:].diagonal().all():
+            self._reduce_open_rows(q, k)
         self.size = q + k
         meter_host_dense(q * q * k + 6 * k * k * (q + 2 * k))
+
+    def _reduce_open_rows(self, q: int, k: int) -> None:
+        """Keep the QR exact when a column is zero from its diagonal down.
+
+        Such a column (a direction the matrix maps to zero, or a collapsed
+        basis vector the orthogonalization zeroed) depends on the columns
+        before it and claims no row: its diagonal row stays *open*, each
+        later column rotates its entry in every open row into its own
+        diagonal, and the open rows' share of ``G`` stays in the implicit
+        residual norms.  :meth:`solve` gives the column a zero coefficient.
+        """
+        width = q + 2 * k
+        for col in range(q, q + k):
+            R = self.R[:, col : q + k]
+            for row in self._open:
+                if R[row, 0] != 0:
+                    c, s = givens_rotation(float(R[col, 0]), float(R[row, 0]), dtype=self.dtype)
+                    c = self.dtype.type(c)
+                    s = self.dtype.type(s)
+                    self._rotate_rows(R, col, row, c, s, q + k - col)
+                    R[row, 0] = 0
+                    self._rotate_rows(self.G, col, row, c, s, k)
+                    self._rotate_rows(self.QT, col, row, c, s, width)
+            if R[col, 0] == 0:
+                self._open.append(col)
 
     def _band_qr_step(self, q: int, k: int) -> None:
         """Annihilate the band below the diagonal of panel columns
@@ -260,8 +304,8 @@ class GivensWorkspace:
                     head_o = other[r - 1]
                     other[r - 1] = c * head_o - s * other[r]
                     other[r] = s * head_o + c * other[r]
-                self._rotate_rows(self.G, r, c, s, k)
-                self._rotate_rows(self.QT, r, c, s, width)
+                self._rotate_rows(self.G, r - 1, r, c, s, k)
+                self._rotate_rows(self.QT, r - 1, r, c, s, width)
 
     def _native_operands(self) -> tuple:
         """``R``, ``G``, ``QT`` as the compiled kernel takes them: each a
@@ -274,7 +318,7 @@ class GivensWorkspace:
     def residual_norms(self, out: "np.ndarray | None" = None) -> np.ndarray:
         """Implicit residual norms of the active columns (length ``k``):
         ``|g[size]|`` for a single vector, ``‖G[q:q+k, c]‖₂`` per block
-        column."""
+        column (plus the open rows of columns that claimed no diagonal)."""
         q = self.size
         k = self.active_band
         if out is None:
@@ -287,7 +331,10 @@ class GivensWorkspace:
         for c in range(k):
             col = tail[:, c]
             np.multiply(col, col, out=sq)
-            out[c] = float(np.sqrt(sq.sum(dtype=np.float64)))
+            square = sq.sum(dtype=np.float64)
+            for row in self._open:
+                square += np.float64(self.G[row, c]) ** 2
+            out[c] = float(np.sqrt(square))
         return out
 
     def solve(self, out: "np.ndarray | None" = None) -> np.ndarray:

@@ -37,12 +37,10 @@ non-``CONVERGED`` status while its batchmates complete normally (the block
 solver tracks per-column statuses and deflates converged columns).  On
 top of that, a column that did not converge *inside a batch* is retried
 once through the width-1 canonical path before its future resolves
-(unless the session disables ``retry_failed``): a batch of linearly
-dependent right-hand sides — e.g. several clients submitting the same
-vector — is rank-deficient as a block and can defeat the shared-basis
-solver even though every column alone is easy, so the sequential retry
-turns a batching artefact into at most one extra solve.  Only an
-unexpected solver exception fails the batch it was part of.
+(unless the session disables ``retry_failed``): a batch can fail where
+each column alone succeeds — a fault in the batched SpMM, say — so the
+sequential retry turns a batching failure into at most one extra solve.
+Only an unexpected solver exception fails the batch it was part of.
 """
 
 from __future__ import annotations

@@ -106,12 +106,10 @@ class OperatorSession:
         request; on by default because served results advertise it).
     retry_failed:
         Re-solve a column that did not converge inside a batch through the
-        width-1 path before resolving its future (default on).  A batch of
-        linearly dependent right-hand sides is rank-deficient as a block
-        and can defeat the shared-basis solver even though each column
-        alone is easy; the retry contains that batching artefact at the
-        cost of one extra sequential solve.  Disable to surface raw batch
-        statuses.
+        width-1 path before resolving its future (default on).  A batch
+        can fail where each column alone succeeds (a fault in the batched
+        SpMM, say); the retry contains that at the cost of one extra
+        sequential solve.  Disable to surface raw batch statuses.
     max_block / max_wait_ms / policy:
         Micro-batching knobs, defaulting from ``ReproConfig.serve``
         (:class:`~repro.config.ServeConfig`).  ``policy`` accepts a

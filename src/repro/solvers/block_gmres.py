@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..linalg import kernels
-from ..ortho import OrthogonalizationManager, make_ortho_manager
+from ..ortho import OrthogonalizationManager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
@@ -56,7 +56,7 @@ from .driver import (
     restart_loop,
     shifted_probe,
 )
-from .gmres import GmresWorkspace, resolve_workspace, run_cycle
+from .gmres import GmresWorkspace, resolve_ortho, resolve_workspace, run_cycle
 from .result import MultiSolveResult, merge_chunks
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
@@ -149,7 +149,7 @@ def block_gmres(
         restart, tol, max_iterations, max_restarts
     )
     prec = as_precision(precision if precision is not None else matrix.dtype)
-    ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
+    ortho_mgr = resolve_ortho(ortho, 2)
     n = matrix.n_rows
     cols = Columns(B, X0, n, prec.dtype, controls=controls)
 
@@ -168,10 +168,7 @@ def block_gmres(
         for i in range(k):
             kernels.axpy(1.0, outcome.update[:, i], cols.X[:, i])
         # After a breakdown the true residual decides, as in GMRES.
-        return Step(
-            outcome.iterations, outcome.implicit,
-            outcome.iterations == 0 or outcome.breakdown, targets,
-        )
+        return Step(outcome.iterations, outcome.implicit, outcome.exhausted, targets)
 
     with use_timer(timer):
         restart_loop(
@@ -242,7 +239,7 @@ def block_gmres_ir(
     outer = as_precision(outer_precision)
     if inner.bytes > outer.bytes:
         raise ValueError("inner precision must not be wider than the outer precision")
-    ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
+    ortho_mgr = resolve_ortho(ortho, 2)
     n = matrix.n_rows
     cols = Columns(B, X0, n, outer.dtype, controls=controls)
     p = cols.p
@@ -278,7 +275,7 @@ def block_gmres_ir(
         cycle_rhs = r_inner
         implicit = []
         done = 0
-        breakdown = False
+        final = False
         for _ in range(refine_every):
             if remaining - done <= 0:
                 break
@@ -291,8 +288,10 @@ def block_gmres_ir(
             for i in range(k):
                 kernels.axpy(1.0, outcome.update[:, i], correction[:, i])
             done += outcome.iterations
-            if outcome.breakdown or outcome.iterations == 0:
-                breakdown = True
+            if outcome.exhausted:
+                # As in GMRES-IR: refine again unless the norm was
+                # non-finite or the refinement changed nothing.
+                final = outcome.nonfinite or not correction[:, :k].any()
                 break
             if refine_every > 1:
                 w_in = kernels.spmm(A_inner, correction[:, :k], out=workspace.W[:, :k])
@@ -304,7 +303,7 @@ def block_gmres_ir(
         for i in range(k):
             u = kernels.cast(correction[:, i], outer, out=u_buf[:, i] if mixed else None)
             kernels.axpy(1.0, u, cols.X[:, i], label="Residual")
-        return Step(done, implicit, breakdown)
+        return Step(done, implicit, final)
 
     with use_timer(timer):
         # The outer (true) residual block is booked under "Residual", like

@@ -54,7 +54,7 @@ from .driver import (
 from .result import SolveResult
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
-__all__ = ["gmres", "run_cycle", "CycleOutcome", "GmresWorkspace"]
+__all__ = ["gmres", "run_cycle", "CycleOutcome", "GmresWorkspace", "resolve_ortho"]
 
 
 class GmresWorkspace:
@@ -177,14 +177,34 @@ class CycleOutcome:
     update ``M V Y``; ``implicit`` holds the absolute implicit residual
     norms, one row per Arnoldi step folded into the update and one column
     per right-hand side.  Both are views of workspace scratch.
-    ``breakdown`` marks a cycle ended by the stop rule of
-    :func:`run_cycle`.
+    ``breakdown`` and ``nonfinite`` tell apart the two ends of the stop
+    rule of :func:`run_cycle`: a lucky breakdown (every new column
+    collapsed) and a non-finite norm.
     """
 
     update: np.ndarray
     iterations: int
     implicit: np.ndarray
     breakdown: bool = False
+    nonfinite: bool = False
+
+    @property
+    def exhausted(self) -> bool:
+        """True if the cycle ran no step or ended on the stop rule: its
+        Krylov space holds nothing more for this residual."""
+        return self.breakdown or self.nonfinite or self.iterations == 0
+
+
+def resolve_ortho(
+    ortho: Union[str, OrthogonalizationManager], ndim: int
+) -> OrthogonalizationManager:
+    """The orthogonalization manager a driver of operand ``ndim`` runs:
+    ``1`` for the single-vector drivers, ``2`` for the block drivers."""
+    manager = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
+    if manager.ndim != ndim:
+        kind = "single-vector" if ndim == 1 else "block"
+        raise ValueError(f"{manager.name} orthogonalization does not serve a {kind} solver")
+    return manager
 
 
 def run_cycle(
@@ -210,13 +230,14 @@ def run_cycle(
     product, one :meth:`~repro.ortho.OrthogonalizationManager.orthogonalize`
     and one :meth:`~repro.linalg.dense.GivensWorkspace.append`.
 
-    One stop rule ends a cycle early, for every width, with
-    ``breakdown=True``: a step whose subdiagonal (the norm of a new basis
-    vector) is non-finite — its values never reach the update — or whose
+    One stop rule ends a cycle early, for every width: a step whose
+    subdiagonal (the norm of a new basis vector) is non-finite
+    (``nonfinite=True``; its values never reach the update), or whose
     every new column collapsed to at most
-    :data:`~repro.ortho.BREAKDOWN_TOLERANCE` (a lucky breakdown; the step
-    is kept).  A single collapsed column of a wider block is zeroed by the
-    orthogonalization and the cycle continues for the others.
+    :data:`~repro.ortho.BREAKDOWN_TOLERANCE` (``breakdown=True``, a lucky
+    breakdown; the step is kept).  A single collapsed column of a wider
+    block is zeroed by the orthogonalization and the cycle continues for
+    the others.
 
     Parameters
     ----------
@@ -278,14 +299,20 @@ def run_cycle(
             f"{workspace.block_size})"
         )
 
-    def active(block: np.ndarray) -> np.ndarray:
-        """The cycle's view of an ``(n, ≥k)`` block: a vector or ``k`` columns."""
-        return block[:, 0] if vector else block[:, :k]
-
     basis = workspace.basis
     givens = workspace.givens
     implicit = workspace.implicit
-    update = active(workspace.update)
+    if vector:
+        # A vector runs on the first column of every buffer.
+        column = basis.column
+        update, Z_out = workspace.update[:, 0], workspace.Z[:, 0]
+        apply, product = preconditioner.apply, kernels.spmv
+    else:
+        def column(start: int) -> np.ndarray:
+            return basis.column_block(start, k)
+
+        update, Z_out = workspace.update[:, :k], workspace.Z[:, :k]
+        apply, product = preconditioner.apply_block, kernels.spmm
     basis.reset()
     steps = workspace.restart if max_steps is None else min(max_steps, workspace.restart)
     if steps <= 0 or (vector and residual_norm <= 0.0):
@@ -293,28 +320,24 @@ def run_cycle(
         return CycleOutcome(update, 0, implicit[:0, :k])
 
     # Seed the basis: v₀ = r / ‖r‖, or the QR V₀ S = R of a block.
-    seed = active(basis.column_block(0, k))
-    seed[...] = R
+    V = column(0)
+    V[...] = R
     if vector:
-        kernels.scal(1.0 / residual_norm, seed)
+        kernels.scal(1.0 / residual_norm, V)
         givens.reset(residual_norm)
     else:
-        S, _ = ortho.orthogonalize(basis, seed)
+        S, _ = ortho.orthogonalize(basis, V)
         givens.reset(S)
     basis.set_count(k)
 
-    apply = preconditioner.apply if vector else preconditioner.apply_block
-    product = kernels.spmv if vector else kernels.spmm
-    Z_out = active(workspace.Z)
-    V = seed
     iterations = 0
-    breakdown = False
+    breakdown = nonfinite = False
     for j in range(steps):
         Z = V if preconditioner.is_identity else apply(V, out=Z_out)
         # The product writes straight into the next basis column(s) (a
         # contiguous view of the Fortran-ordered storage), so forming the
         # new Arnoldi vectors neither allocates nor copies.
-        V = product(matrix, Z, out=active(basis.column_block((j + 1) * k, k)))
+        V = product(matrix, Z, out=column((j + 1) * k))
         H, subdiagonal = ortho.orthogonalize(basis, V)
         iterations += 1
         if control is not None:
@@ -326,10 +349,10 @@ def run_cycle(
         # scales it to zero and R would get a zero diagonal): the step
         # stays out of the least-squares problem and ends the cycle.
         if not largest < math.inf:
-            breakdown = True
+            nonfinite = True
             break
         givens.append(H, subdiagonal)
-        givens.residual_norms(out=implicit[j, :k])
+        norms = givens.residual_norms(out=implicit[j, :k])
         # A vanishing norm of every new column is a lucky breakdown.
         if largest <= BREAKDOWN_TOLERANCE:
             breakdown = True
@@ -337,7 +360,7 @@ def run_cycle(
         if vector:
             kernels.scal(1.0 / subdiagonal, V)
         basis.set_count((j + 2) * k)  # the new column(s) are already in place
-        if absolute_targets is not None and (implicit[j, :k] <= absolute_targets).all():
+        if absolute_targets is not None and (norms <= absolute_targets).all():
             break
         if (
             control is not None
@@ -347,13 +370,13 @@ def run_cycle(
             break
 
     solved = givens.size
-    Y = active(workspace.coefficients(k)[:solved])
-    Y = givens.solve(out=Y)
+    Y = workspace.coefficients(k)[:solved]
+    Y = givens.solve(out=Y[:, 0] if vector else Y)
     work = None if vector else workspace.gemm_work(k)
     update = basis.combine(Y, j=solved, out=update, work=work)
     if not preconditioner.is_identity:
         update = apply(update, out=Z_out)
-    return CycleOutcome(update, iterations, implicit[: solved // k, :k], breakdown)
+    return CycleOutcome(update, iterations, implicit[: solved // k, :k], breakdown, nonfinite)
 
 
 def gmres(
@@ -441,7 +464,7 @@ def gmres(
         restart, tol, max_iterations, max_restarts
     )
     prec = as_precision(precision if precision is not None else matrix.dtype)
-    ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
+    ortho_mgr = resolve_ortho(ortho, 1)
 
     A = matrix.astype(prec)
     n = A.n_rows
@@ -458,11 +481,8 @@ def gmres(
             max_steps=min(restart, remaining), control=control,
         )
         kernels.axpy(1.0, outcome.update, cols.X[:, 0])
-        # After a breakdown the true residual decides, as in GMRES-IR.
-        return Step(
-            outcome.iterations, outcome.implicit,
-            outcome.iterations == 0 or outcome.breakdown, targets,
-        )
+        # After a breakdown the true residual decides.
+        return Step(outcome.iterations, outcome.implicit, outcome.exhausted, targets)
 
     with use_timer(timer):
         restart_loop(

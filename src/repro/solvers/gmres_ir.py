@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..linalg import kernels
-from ..ortho import OrthogonalizationManager, make_ortho_manager
+from ..ortho import OrthogonalizationManager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
@@ -40,7 +40,7 @@ from .driver import (
     resolve_budget,
     restart_loop,
 )
-from .gmres import GmresWorkspace, resolve_workspace, run_cycle
+from .gmres import GmresWorkspace, resolve_ortho, resolve_workspace, run_cycle
 from .result import SolveResult
 from .status import SolveControl
 
@@ -115,7 +115,7 @@ def gmres_ir(
     outer = as_precision(outer_precision)
     if inner.bytes > outer.bytes:
         raise ValueError("inner precision must not be wider than the outer precision")
-    ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
+    ortho_mgr = resolve_ortho(ortho, 1)
 
     # Matrix copies in both precisions (the fp32 copy is not metered).
     A_outer = matrix.astype(outer)
@@ -147,7 +147,7 @@ def gmres_ir(
         correction[:] = 0
         implicit = []
         done = 0
-        breakdown = False
+        final = False
         for _ in range(refine_every):
             if remaining - done <= 0:
                 break
@@ -160,10 +160,13 @@ def gmres_ir(
             implicit.extend(outcome.implicit.tolist())
             done += outcome.iterations
             kernels.axpy(1.0, outcome.update, correction)
-            if outcome.breakdown or outcome.iterations == 0:
-                # A lucky breakdown in the inner solver: there is nothing
-                # more it can do, so the next outer residual decides.
-                breakdown = True
+            if outcome.exhausted:
+                # Nothing more the inner solver can do from its residual.
+                # After a lucky breakdown the correction is only as
+                # accurate as the inner precision, so the solve refines
+                # again; a non-finite norm, or a refinement that changed
+                # nothing, ends it and the next outer residual decides.
+                final = outcome.nonfinite or not correction.any()
                 break
             if refine_every > 1:
                 # Between refinements the inner solver restarts from its
@@ -176,7 +179,7 @@ def gmres_ir(
         # Promote the correction and update the solution in fp64.
         u = kernels.cast(correction, outer, out=u_buf)
         kernels.axpy(1.0, u, cols.X[:, 0], label="Residual")
-        return Step(done, implicit, breakdown)
+        return Step(done, implicit, final)
 
     with use_timer(timer):
         # The outer (true) residual is booked under "Other" in the paper

@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..linalg import kernels
-from ..ortho import OrthogonalizationManager, make_ortho_manager
+from ..ortho import OrthogonalizationManager
 from ..perfmodel.timer import KernelTimer, use_timer
 from ..precision import Precision, as_precision
 from ..preconditioners.base import Preconditioner
@@ -40,7 +40,7 @@ from .driver import (
     resolve_budget,
     restart_loop,
 )
-from .gmres import GmresWorkspace, run_cycle
+from .gmres import GmresWorkspace, resolve_ortho, run_cycle
 from .result import SolveResult
 from .status import SolveControl
 
@@ -90,7 +90,7 @@ def gmres_ir_three_precision(
     outer = as_precision(outer_precision)
     if not (inner.bytes <= middle.bytes <= outer.bytes):
         raise ValueError("precisions must be ordered inner <= middle <= outer")
-    ortho_mgr = make_ortho_manager(ortho) if isinstance(ortho, str) else ortho
+    ortho_mgr = resolve_ortho(ortho, 1)
 
     A_outer = matrix.astype(outer)
     A_middle = matrix.astype(middle)
@@ -146,9 +146,9 @@ def gmres_ir_three_precision(
                 if kernels.norm2(check) <= improvement_threshold * rnorm_mid:
                     cycles["half"] += 1
                     correction_mid = u_mid
-                    taken = Step(
-                        outcome.iterations, outcome.implicit * scale, outcome.breakdown
-                    )
+                    # Never the last refinement: the fp32 cycle decides
+                    # when nothing more can be done.
+                    taken = Step(outcome.iterations, outcome.implicit * scale)
 
         if taken is None:
             # --- fp32 fallback cycle -------------------------------------- #
@@ -158,7 +158,10 @@ def gmres_ir_three_precision(
                 residual_norm=rnorm_mid, **cycle,
             )
             correction_mid = outcome.update
-            taken = Step(outcome.iterations, outcome.implicit, outcome.breakdown)
+            # As in GMRES-IR: refine again after a lucky breakdown unless
+            # the norm was non-finite or the correction is zero.
+            final = outcome.exhausted and (outcome.nonfinite or not correction_mid.any())
+            taken = Step(outcome.iterations, outcome.implicit, final)
 
         u = kernels.cast(correction_mid, outer, out=u_outer_buf)
         kernels.axpy(1.0, u, cols.X[:, 0], label="Residual")

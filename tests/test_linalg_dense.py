@@ -131,6 +131,17 @@ class TestGivensWorkspace:
         assert ws.size == 0
         assert ws.residual_norms()[0] == pytest.approx(1.0)
 
+    def test_zero_column_keeps_the_residual(self, rng):
+        """A lucky breakdown on a direction the matrix maps to zero reduces
+        nothing: the implicit norm stays at its value before the step, the
+        least-squares residual, and the coefficient is zero."""
+        ws = GivensWorkspace(4)
+        ws.reset(2.0)
+        ws.append(np.array([0.0]), 0.0)
+        assert ws.residual_norms()[0] == 2.0
+        np.testing.assert_array_equal(ws.solve(), [0.0])
+        assert ws.G is None  # no block state for a single-vector cycle
+
     def test_overflow_raises(self):
         ws = GivensWorkspace(1)
         ws.reset(1.0)

@@ -420,8 +420,9 @@ class TestBreakdownAlert:
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_one_breakdown_dispatch_books_one_alert(self, matrix, width):
+        # A batch runs SpMM and its width-1 retries SpMV: poison both.
         faulty = FaultInjectingBackend(
-            get_backend("numpy"), nan_rate=1.0, kernels=("spmv",)
+            get_backend("numpy"), nan_rate=1.0, kernels=("spmv", "spmm")
         )
         monitor = HealthMonitor()
         with use_backend(faulty):

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.config import ServeConfig, rng, set_config
 from repro.linalg.context import use_backend
 from repro.matrices import laplace2d, laplace3d
@@ -30,6 +31,7 @@ from repro.serve import (
 )
 from repro.solvers import SolverStatus, StagnationTest, gmres, solve_many
 from repro.sparse import CsrMatrix
+from repro.testing import FaultInjectingBackend
 
 
 @pytest.fixture(scope="module")
@@ -432,24 +434,20 @@ class TestFailureIsolation:
 
 class TestDependentRhsBatch:
     """Parallel right-hand sides in one batch (clients submitting the same
-    vector) make the block rank-deficient, which can defeat the
-    shared-basis solver — the scheduler's sequential retry contains it.
+    vector) make the block rank-deficient.  The collapsed basis columns
+    claim no row of the band QR, so the batch solves them itself.
 
     The nonsymmetric bentpipe problem with a polynomial preconditioner is
-    a configuration where the artefact actually bites (the whole parallel
-    batch ends ``LOSS_OF_ACCURACY`` without the retry).
+    a configuration where a band QR that gave each collapsed column a
+    diagonal row reported an implicit residual of 0 and the whole parallel
+    batch ended ``LOSS_OF_ACCURACY``.
     """
 
-    @pytest.fixture()
-    def hard_config(self):
+    def test_dependent_rhs_converge_inside_the_batch(self):
         from repro.matrices import bentpipe2d
 
         matrix = bentpipe2d(32)
         precond = GmresPolynomialPreconditioner(matrix, degree=8)
-        return matrix, precond
-
-    def test_dependent_rhs_all_converge_via_retry(self, hard_config):
-        matrix, precond = hard_config
         b = np.ones(matrix.n_rows)
         with make_session(
             matrix, precond, restart=15, max_block=4, max_wait_ms=300.0,
@@ -464,25 +462,40 @@ class TestDependentRhsBatch:
         stats = session.stats()
         assert stats.requests_completed == 4
         assert stats.requests_failed == 0
-        # At least one column needed the width-1 containment path.
+        assert max(stats.batch_occupancy) > 1
+        assert stats.requests_retried == 0
+
+
+class TestBatchRetry:
+    """A column that did not converge inside a batch is retried through the
+    width-1 path.  A backend whose SpMM returns NaN breaks every batch
+    down, while the width-1 path (SpMV) stays sound."""
+
+    @staticmethod
+    def _session(matrix, **kwargs):
+        faulty = FaultInjectingBackend(get_backend("numpy"), nan_rate=1.0, kernels=("spmm",))
+        with use_backend(faulty):
+            return make_session(
+                matrix, max_block=4, max_wait_ms=300.0, policy="block", **kwargs
+            )
+
+    def _submit_batch(self, session, matrix):
+        B = rhs_block(matrix, 4)
+        futures = [session.submit(B[:, c]) for c in range(4)]
+        return [f.result(timeout=60) for f in futures]
+
+    def test_failed_columns_converge_via_retry(self, matrix):
+        with self._session(matrix) as session:
+            results = self._submit_batch(session, matrix)
+        assert all(r.converged for r in results)
+        stats = session.stats()
+        assert stats.requests_failed == 0
         assert stats.requests_retried >= 1
 
-    def test_retry_can_be_disabled(self, hard_config):
-        matrix, precond = hard_config
-        b = np.ones(matrix.n_rows)
-        with make_session(
-            matrix,
-            precond,
-            restart=15,
-            max_block=4,
-            max_wait_ms=300.0,
-            policy="block",
-            retry_failed=False,
-        ) as session:
-            futures = [session.submit(b * (c + 1)) for c in range(4)]
-            results = [f.result(timeout=60) for f in futures]
-        # The raw batch statuses surface (and no future errors): this pins
-        # the rank-deficiency artefact the retry exists to contain.
+    def test_retry_can_be_disabled(self, matrix):
+        with self._session(matrix, retry_failed=False) as session:
+            results = self._submit_batch(session, matrix)
+        # The raw batch statuses surface (and no future errors).
         assert session.stats().requests_retried == 0
         assert all(isinstance(r, ServeResult) for r in results)
         assert not all(r.converged for r in results)

@@ -252,6 +252,16 @@ def test_overflowed_arnoldi_norm_is_breakdown_with_finite_solution(name, big):
             assert iterations < driver.options["restart"]
 
 
+@pytest.mark.parametrize("name", sorted(n for n, d in DRIVERS.items() if not d.spd))
+def test_orthogonalization_of_the_other_width_is_refused(name):
+    # A zero right-hand side never reaches a cycle, so only a check made
+    # before the solve refuses it.
+    driver = DRIVERS[name]
+    other = "cgs2" if driver.columns else "bcgs2"
+    with pytest.raises(ValueError, match="orthogonalization does not serve"):
+        driver.solve(laplace2d(12), np.zeros(144), ortho=other)
+
+
 class TestComposedSolves:
     """GMRES-FD, three-precision IR and ``solve_many`` report as one solve."""
 

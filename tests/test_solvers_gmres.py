@@ -256,7 +256,7 @@ class TestOverflowedArnoldiNorm:
                 ortho=make_ortho_manager("cgs2"),
                 preconditioner=IdentityPreconditioner(),
             )
-        assert outcome.breakdown
+        assert outcome.nonfinite and not outcome.breakdown
         assert outcome.iterations == 1
         assert np.all(np.isfinite(outcome.update))
 
