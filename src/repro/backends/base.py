@@ -38,14 +38,68 @@ Future accelerator backends (Numba, CuPy, ...) plug in by subclassing
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..scratch import scratch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..sparse.csr import CsrMatrix
 
-__all__ = ["KernelBackend"]
+__all__ = ["FactorPlan", "KernelBackend", "PolyFactor"]
+
+#: Scratch tags of the polynomial recurrence: the running product, one
+#: product output, one second-order product output and the axpy work buffer.
+POLY_TAGS = ("poly.prod", "poly.w", "poly.t", "poly.work")
+
+
+class PolyFactor(NamedTuple):
+    """One step of a polynomial apply: its coefficients and how many products it runs."""
+
+    coeffs: Tuple[float, ...]
+    products: int
+
+
+class FactorPlan:
+    """The factor chain :meth:`KernelBackend.poly_chain` walks.
+
+    ``factors`` are the steps in order.  With ``power`` they are Horner
+    steps (one coefficient, at most one product); otherwise the factors
+    of the product form: two coefficients for a real root, four for a
+    conjugate pair.  Built once per preconditioner:
+
+    * ``calls`` — the recurrence's kernel calls in order (``"copy"``,
+      ``"product"``, ``"axpy"``), which the metering books;
+    * ``steps`` / ``coeffs`` — the plan packed for compiled kernels: an
+      int64 ``(n, 2)`` array of each factor's coefficient count and
+      products, and a float64 ``(n, 4)`` array of its zero-padded
+      coefficients;
+    * ``cache`` — state derived from the plan once and kept with it (a
+      backend's descriptor, the metering's record list per width).
+    """
+
+    __slots__ = ("factors", "power", "calls", "steps", "coeffs", "cache")
+
+    def __init__(self, factors: Sequence[PolyFactor], power: bool) -> None:
+        self.factors = tuple(factors)
+        self.power = bool(power)
+        calls = [] if self.power else ["copy"]
+        for factor in self.factors:
+            if self.power:
+                calls += ["product"] * factor.products + ["axpy"]
+            elif len(factor.coeffs) == 2:  # a real root
+                calls += ["axpy"] + ["product", "axpy"] * factor.products
+            else:  # a conjugate pair
+                calls += ["product", "axpy", "axpy"] * factor.products
+        self.calls = tuple(calls)
+        self.steps = np.array(
+            [(len(f.coeffs), f.products) for f in self.factors], dtype=np.int64
+        ).reshape(-1, 2)
+        self.coeffs = np.zeros((len(self.factors), 4))
+        for row, factor in zip(self.coeffs, self.factors):
+            row[: len(factor.coeffs)] = factor.coeffs
+        self.cache: dict = {}
 
 
 class KernelBackend(abc.ABC):
@@ -152,6 +206,71 @@ class KernelBackend(abc.ABC):
         h2 = self.gemv_transpose(V, w, out=h2)
         self.gemv_notrans(V, h2, w, work=work)
         return h1, h2
+
+    # ------------------------------------------------------------------ #
+    # polynomial preconditioner                                          #
+    # ------------------------------------------------------------------ #
+    def poly_chain(
+        self,
+        matrix: "CsrMatrix",
+        plan: FactorPlan,
+        x: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``out = p(A) x`` for the polynomial whose factor chain is ``plan``.
+
+        ``x`` is an ``(n,)`` vector, whose products are SpMVs, or an
+        ``(n, k)`` block, whose products are SpMMs; ``out`` may be ``x``.
+        The recurrence's temporaries come from the calling thread's
+        :func:`~repro.scratch.scratch` (:data:`POLY_TAGS`).  This default
+        runs the recurrence on :meth:`spmv`/:meth:`spmm`, :meth:`axpy`
+        and :meth:`copy`, in the order of ``plan.calls``, so a backend
+        that wraps those (fault injection, timing) sees every call.  A
+        backend may override it with a fused kernel that gives the same
+        bits.
+        """
+        if out is None:
+            out = np.empty(x.shape, dtype=x.dtype, order="F")
+        product = self.spmv if x.ndim == 1 else self.spmm
+        prod, w, t, work = (scratch(tag, x.dtype, x.shape, order="F") for tag in POLY_TAGS)
+        if plan.power:
+            self._poly_power(matrix, plan, product, x, out, w, t, work)
+        else:
+            self._poly_roots(matrix, plan, product, x, out, prod, w, t, work)
+        return out
+
+    def _poly_roots(self, A, plan, product, x, y, prod, w, t, work) -> None:
+        """The product form over Leja-ordered roots."""
+        self.copy(x, out=prod)
+        y[:] = 0
+        for factor in plan.factors:
+            if len(factor.coeffs) == 2:  # a real root
+                inv, minus_inv = factor.coeffs
+                self.axpy(inv, prod, y, work=work)
+                if factor.products:
+                    product(A, prod, out=w)
+                    self.axpy(minus_inv, w, prod, work=work)
+            else:  # a conjugate pair
+                prod_to_y, w_to_y, w_to_prod, t_to_prod = factor.coeffs
+                product(A, prod, out=w)
+                self.axpy(prod_to_y, prod, y, work=work)
+                self.axpy(w_to_y, w, y, work=work)
+                if factor.products == 2:
+                    product(A, w, out=t)
+                    self.axpy(w_to_prod, w, prod, work=work)
+                    self.axpy(t_to_prod, t, prod, work=work)
+
+    def _poly_power(self, A, plan, product, x, out, w, t, work) -> None:
+        """Horner on the monomial coefficients: ``p(A) x = c_0 x + A (c_1 x
+        + A (c_2 x + ...))``, ping-ponging between two scratch buffers (a
+        product's out must not alias its input)."""
+        y = w
+        y[:] = 0
+        for factor in plan.factors:
+            if factor.products:
+                y = product(A, y, out=t if y is w else w)
+            self.axpy(factor.coeffs[0], x, y, work=work)
+        out[:] = y
 
     # ------------------------------------------------------------------ #
     # dense block-of-vectors (BLAS-3 orthogonalization) kernels          #

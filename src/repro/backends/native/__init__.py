@@ -1,11 +1,13 @@
 """Compiled kernels (C through ctypes) for the NumPy backend and the block solvers.
 
-Two C files ship with the package: ``dia.c`` (the DIA SpMV/SpMM) and
-``dense.c`` (the backend's axpy, the Givens sweep of one block step of
-the band-Hessenberg QR, and both projection passes of CGS2).  Each
-kernel but the last has a Python version that gives the same bits: the
-NumPy DIA sweep, the two-ufunc axpy and the Python loop of
-``GivensWorkspace._band_qr_step``.  Those run when no kernel loaded,
+Two C files ship with the package: ``dia.c`` (the DIA SpMV/SpMM and
+``poly_chain``, a GMRES-polynomial preconditioner's whole factor chain
+of DIA products and axpys) and ``dense.c`` (the backend's axpy, the
+Givens sweep of one block step of the band-Hessenberg QR, and both
+projection passes of CGS2).  Each kernel but the last has a Python
+version that gives the same bits: the NumPy DIA sweep, the recurrence
+of ``KernelBackend.poly_chain``, the two-ufunc axpy and the Python loop
+of ``GivensWorkspace._band_qr_step``.  Those run when no kernel loaded,
 for fp16, and as the specification the tests compare against.
 
 ``cgs2_project`` is the exception.  Its Python version is the GEMV
@@ -34,9 +36,9 @@ and the callers keep their Python versions; one
 ``native_kernels_unavailable`` event goes to the ``repro.backends.native``
 logger and nothing is printed.
 
-The DIA products and the CGS2 projection are called through
-:class:`ctypes.CDLL`, which releases the GIL for the duration of the
-call, so threads run them in parallel.  axpy and the Givens step are
+The DIA products, the polynomial chain and the CGS2 projection are
+called through :class:`ctypes.CDLL`, which releases the GIL for the
+duration of the call, so threads run them in parallel.  axpy and the Givens step are
 called through :class:`ctypes.PyDLL` and keep the GIL (see
 ``_SIGNATURES``).
 """
@@ -61,7 +63,7 @@ import numpy as np
 
 from ...obs.log import get_logger, log_event
 
-__all__ = ["KERNEL_DTYPES", "DiaMatrix", "address", "cache_dir", "kernel"]
+__all__ = ["KERNEL_DTYPES", "DiaMatrix", "PolyPlan", "address", "cache_dir", "kernel"]
 
 #: ``-ffp-contract=off`` keeps each product rounded before its sum (no
 #: FMA contraction), which the bit-identity with the Python versions needs.
@@ -74,14 +76,16 @@ KERNEL_DTYPES = frozenset(_SUFFIXES)
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 #: Kernel name -> (argument types, whether the call releases the GIL).
 #: Few arguments, because each one costs ctypes a conversion on every
-#: call.  The products and the CGS2 projection release the GIL, so
-#: threads run them in parallel; axpy and the Givens step take
-#: microseconds and keep it, because with
-#: threads waiting a release and re-acquire costs a thread switch, which
-#: is longer than the call.
+#: call.  The products, the polynomial chain and the CGS2 projection
+#: release the GIL, so threads run them in parallel; axpy and the Givens
+#: step take microseconds and keep it, because with threads waiting a
+#: release and re-acquire costs a thread switch, which is longer than the
+#: call.
 _SIGNATURES = {
     # &DiaMatrix, k, x, y, chunk
     "dia_spmm": ([_ptr, _i64, _ptr, _ptr, _i64], True),
+    # &DiaMatrix, &PolyPlan, k, x, y, prod, w, t, chunk
+    "poly_chain": ([_ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _i64], True),
     # n, alpha, x, y
     "axpy": ([_i64, ctypes.c_double, _ptr, _ptr], False),
     # q, k, R, ldr, G, ldg, QT, ldq
@@ -113,6 +117,24 @@ class DiaMatrix(ctypes.Structure):
     ]
 
 
+class PolyPlan(ctypes.Structure):
+    """A polynomial's factor plan as ``poly_chain`` reads it (``struct
+    poly_plan`` in dia.c).
+
+    ``steps`` points at an int64 ``(n_factors, 2)`` array (each factor's
+    coefficient count and products), ``coeffs`` at a float64
+    ``(n_factors, 4)`` array (its coefficients, zero-padded); whoever
+    keeps the descriptor keeps both alive with it.
+    """
+
+    _fields_ = [
+        ("n_factors", ctypes.c_int64),
+        ("power", ctypes.c_int64),
+        ("steps", ctypes.c_void_p),
+        ("coeffs", ctypes.c_void_p),
+    ]
+
+
 def address(array: np.ndarray) -> int:
     """Data pointer of a non-empty C-contiguous array.
 
@@ -138,6 +160,11 @@ def kernel(name: str, dtype: np.dtype):
     * ``"dia_spmm"`` — ``Y = A X``: ``(addressof(DiaMatrix), k, x, y,
       chunk)``, ``x``/``y`` Fortran-ordered ``(n_cols, k)`` and
       ``(n_rows, k)`` blocks;
+    * ``"poly_chain"`` — ``Y = p(A) X``: ``(addressof(DiaMatrix),
+      addressof(PolyPlan), k, x, y, prod, w, t, chunk)``, a square ``A``,
+      ``x``/``y`` Fortran-ordered ``(n, k)`` blocks (``y`` may be ``x``)
+      and ``prod``/``w``/``t`` scratch blocks of that shape, ``chunk`` the
+      DIA product's;
     * ``"axpy"`` — ``y += alpha * x``: ``(n, alpha, x, y)`` over ``n``
       contiguous entries;
     * ``"band_qr_step"`` — :meth:`GivensWorkspace._band_qr_step`'s

@@ -1,4 +1,5 @@
-"""NumPy reference backend, with compiled kernels for stencil products and axpy.
+"""NumPy reference backend, with compiled kernels for stencil products, polynomial
+chains, axpy and CGS2.
 
 The module-level CSR kernels here (:func:`spmv`, :func:`spmv_transpose`,
 :func:`spmm`) are the library's numerical ground truth (moved from
@@ -61,6 +62,17 @@ agrees with the GEMV sequence to rounding, and gives the same bits on
 every call, at any address, in any thread.  Other operands, fp16 and
 builds without a compiler run the GEMV sequence.
 
+``NumpyBackend.poly_chain`` (one apply of a GMRES-polynomial
+preconditioner) on a square fp32/fp64 DIA matrix, with a contiguous
+vector or Fortran-ordered block and ``out`` (see :func:`_poly_chain_dia`),
+is one call of the compiled ``poly_chain`` in ``native/dia.c``, released
+from the GIL: one sweep over the rows per factor, which runs the factor's
+DIA product and axpys on each row block while it is in cache.  Each
+product row sums as the DIA product does and each axpy rounds as the
+compiled axpy does, so the bits are those of the SpMV/SpMM + axpy
+recurrence it replaces (:meth:`KernelBackend.poly_chain`), which the
+gather path, fp16, C-ordered blocks and builds without a compiler run.
+
 Allocation discipline: when a caller supplies ``out=``, the class methods
 run allocation-free.  Per-matrix plans live in the matrix's
 ``backend_cache`` (keyed on the ``indptr`` identity, so a structurally
@@ -81,7 +93,7 @@ import numpy as np
 
 from ..scratch import scratch
 from . import native
-from .base import KernelBackend
+from .base import POLY_TAGS, FactorPlan, KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sparse.csr import CsrMatrix
@@ -426,6 +438,45 @@ def _one_pass_axpy(x: np.ndarray, y: np.ndarray) -> bool:
     )
 
 
+def _poly_chain_dia(matrix: "CsrMatrix", x: np.ndarray, out: Optional[np.ndarray]):
+    """The DIA plan the compiled polynomial chain runs on, or ``None`` for
+    operands it may not take: it needs a square DIA matrix of ``x``'s
+    dtype (fp32/fp64), a non-empty contiguous vector or Fortran-ordered
+    block ``x``, and an ``out`` (when given) of ``x``'s shape and dtype,
+    Fortran-contiguous and writable."""
+    n_rows, n_cols = matrix.shape
+    if not (
+        matrix.data.dtype == x.dtype
+        and n_rows == n_cols == x.shape[0]
+        and x.ndim in (1, 2)
+        and x.size > 0
+        and x.flags.f_contiguous
+    ):
+        return None
+    if out is not None and not (
+        out.shape == x.shape
+        and out.dtype == x.dtype
+        and out.flags.f_contiguous
+        and out.flags.writeable
+    ):
+        return None
+    plan = _spmv_plan(matrix)
+    dia = None if plan is None else _dia_plan(matrix, plan)
+    return dia if dia is not None and "native" in dia else None
+
+
+def _poly_plan_address(plan: FactorPlan) -> int:
+    """Address of the compiled kernel's view of ``plan``, built once and
+    kept in ``plan.cache`` with the arrays it points at."""
+    entry = plan.cache.get("numpy.native")
+    if entry is None:
+        descriptor = native.PolyPlan(
+            len(plan.factors), int(plan.power), plan.steps.ctypes.data, plan.coeffs.ctypes.data
+        )
+        entry = plan.cache["numpy.native"] = (ctypes.addressof(descriptor), descriptor)
+    return entry[0]
+
+
 #: Widest basis the compiled CGS2 projection takes: it keeps 64 bytes of
 #: accumulators per basis column on the calling thread's stack.
 _CGS2_MAX_COLUMNS = 1024
@@ -462,8 +513,8 @@ def _cgs2_addresses(V: np.ndarray, w: np.ndarray, h1: np.ndarray, h2: np.ndarray
 
 class NumpyBackend(KernelBackend):
     """Reference backend: vectorised NumPy kernels, plus the compiled DIA
-    product for stencil matrices, the compiled axpy and the compiled CGS2
-    projection (see the module docstring)."""
+    product and polynomial chain for stencil matrices, the compiled axpy
+    and the compiled CGS2 projection (see the module docstring)."""
 
     name = "numpy"
 
@@ -654,6 +705,31 @@ class NumpyBackend(KernelBackend):
                 kernel(n, j, *addresses)
                 return h1, h2
         return super().cgs2_project(V, w, h1, h2, work=work)
+
+    def poly_chain(
+        self,
+        matrix: "CsrMatrix",
+        plan: FactorPlan,
+        x: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        kernel = native.kernel("poly_chain", x.dtype)
+        dia = None if kernel is None else _poly_chain_dia(matrix, x, out)
+        if dia is None:
+            return super().poly_chain(matrix, plan, x, out)
+        if out is None:
+            out = np.empty(x.shape, dtype=x.dtype, order="F")
+        k = 1 if x.ndim == 1 else x.shape[1]
+        buffers = [scratch(tag, x.dtype, x.shape, order="F") for tag in POLY_TAGS[:3]]
+        # The recurrence of the default, one sweep per factor, with its bits.
+        kernel(
+            dia["native"],
+            _poly_plan_address(plan),
+            k,
+            *(native.address(a.T) for a in (x, out, *buffers)),
+            _dia_chunk(k, x.dtype.itemsize),
+        )
+        return out
 
     def gemm_transpose(
         self,

@@ -6,7 +6,9 @@ routines in :mod:`scipy.sparse`, which are several times faster than the
 backend-comparison benchmark records the measured ratio in
 ``BENCH_backends.json``).  Dense and vector kernels are inherited from the
 NumPy reference — for tall-skinny GEMV, dot and axpy, NumPy already calls
-the same BLAS SciPy would.
+the same BLAS SciPy would.  The polynomial preconditioner's factor chain
+runs the recurrence of :meth:`KernelBackend.poly_chain` on these
+products, not the NumPy backend's compiled DIA chain.
 
 Two semantic guard rails keep the numerics interchangeable with the
 reference backend:
@@ -47,6 +49,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..scratch import scratch
+from .base import KernelBackend
 from .numpy_backend import NumpyBackend, _copy_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,6 +73,10 @@ class ScipyBackend(NumpyBackend):
     """SciPy-accelerated sparse kernels over the NumPy reference backend."""
 
     name = "scipy"
+
+    #: The recurrence on this backend's own products, not the NumPy
+    #: backend's compiled DIA chain.
+    poly_chain = KernelBackend.poly_chain
 
     @staticmethod
     def _handle(matrix: "CsrMatrix"):

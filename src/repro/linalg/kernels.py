@@ -11,8 +11,11 @@ label               operation
 ``Norm``            2-norms and single dot products
 ``Other``           axpy/scal/copy/cast, host-side dense work, fp64
                     residual computation in GMRES-IR
-``Precond``         preconditioner applications (polynomial / block Jacobi)
+``Precond``         preconditioner applications (point / block Jacobi)
 ==================  =====================================================
+
+A polynomial preconditioner's apply (:func:`poly_chain`) books the SpMVs
+or SpMMs, axpys and copy of its recurrence under their own labels.
 
 Each function executes the actual NumPy computation in the precision of its
 operands (the numerics are real), measures wall time, asks the active
@@ -78,6 +81,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..backends.base import FactorPlan
 from ..perfmodel.costs import CostEstimate
 from ..perfmodel.timer import _TLS as _TIMER_TLS
 from ..precision import DOUBLE, HALF, SINGLE, as_precision
@@ -90,6 +94,7 @@ __all__ = [
     "gemv_transpose",
     "gemv_notrans",
     "cgs2_project",
+    "poly_chain",
     "gemm_transpose",
     "gemm_notrans",
     "dot",
@@ -202,6 +207,69 @@ def spmm(
     key = matrix.cost_keys.get(k) or _sparse_cost_key(matrix, k)
     _record(label, matrix.data.dtype, ctx.cost_model.estimate(key), wall)
     return Y
+
+
+def poly_chain(
+    matrix: CsrMatrix,
+    plan: FactorPlan,
+    x: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``out = p(A) x``: one apply of the polynomial whose factor chain is
+    ``plan`` to an ``(n,)`` vector or an ``(n, k)`` block (see
+    :meth:`KernelBackend.poly_chain`; ``out`` may be ``x``).
+
+    Metered as the calls of the recurrence it stands for, in their order
+    and with their cost keys (``plan.calls``: the copy, the SpMVs or
+    SpMMs and the axpys), so call counts, bytes, FLOPs and modelled
+    seconds are those of the separate kernels.  The backend may run the
+    chain as one call, so one wall time is measured and split across the
+    records by their shares of the modelled seconds (evenly when those
+    are all zero).  The record list is built once per matrix, width and
+    cost model and kept in ``plan.cache``.
+    """
+    x = np.asarray(x)
+    dtype = _check_same_dtype(matrix.data, x)
+    if out is not None:
+        _check_same_dtype(x, out)
+    ctx = get_context()
+    if not (ctx.meter and _TIMER_TLS.stack):
+        return ctx.backend.poly_chain(matrix, plan, x, out)
+    start = time.perf_counter()
+    y = ctx.backend.poly_chain(matrix, plan, x, out)
+    wall = time.perf_counter() - start
+    width = "spmv" if x.ndim == 1 else x.shape[1]
+    entry = plan.cache.get(("meter", width))
+    if entry is None or entry[0] is not matrix or entry[1] is not ctx.cost_model:
+        entry = plan.cache["meter", width] = (
+            matrix, ctx.cost_model, _poly_chain_records(matrix, plan, width, x.size, ctx.cost_model)
+        )
+    prec = _PRECISION_NAMES.get(dtype)
+    if prec is None:
+        prec = as_precision(dtype).name
+    records = entry[2]
+    for timer in _TIMER_TLS.stack:
+        for label, cost, share in records:
+            timer.record(label, prec, cost, wall * share)
+    return y
+
+
+def _poly_chain_records(matrix: CsrMatrix, plan: FactorPlan, width, size: int, cost_model):
+    """``(label, cost, share of the wall)`` of each call in ``plan.calls``."""
+    itemsize = matrix.dtype.itemsize
+    product_key = matrix.cost_keys.get(width) or _sparse_cost_key(matrix, width)
+    labelled = {
+        "product": ("SpMV" if width == "spmv" else "SpMM", product_key),
+        "axpy": ("axpy", ("axpy", size, itemsize)),
+        "copy": ("copy", ("copy", size, itemsize)),
+    }
+    calls = [labelled[call] for call in plan.calls]
+    costs = [cost_model.estimate(key) for _label, key in calls]
+    modelled = sum(cost.seconds for cost in costs)
+    return tuple(
+        (label, cost, cost.seconds / modelled if modelled > 0 else 1.0 / len(costs))
+        for (label, _key), cost in zip(calls, costs)
+    )
 
 
 # ---------------------------------------------------------------------- #

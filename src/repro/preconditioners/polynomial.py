@@ -13,14 +13,20 @@ using one SpMV per root (complex-conjugate root pairs are combined into a
 quadratic factor so the application stays in real arithmetic).  Roots are
 applied in modified-Leja order for numerical stability.
 
-The constructor turns the roots into a *factor plan*: one entry per real
-root or conjugate pair, holding the scalar coefficients of its axpys and
-the number of matrix products it runs (the last factor skips the products
+The constructor turns the roots into a *factor plan*
+(:class:`~repro.backends.base.FactorPlan`): one entry per real root or
+conjugate pair, holding the scalar coefficients of its axpys and the
+number of matrix products it runs (the last factor skips the products
 whose result is never read).  The ``"power"`` form's plan holds the Horner
-coefficients instead.  One recurrence per form walks the plan for an
-``(n,)`` vector with SpMVs and for an ``(n, k)`` block with SpMMs, so
-``apply(v)`` and column ``c`` of ``apply_block(V)`` agree bit for bit, and
-``spmvs_per_apply`` is the plan's product count.
+coefficients instead.  An apply is one :func:`repro.linalg.kernels.poly_chain`
+call, which walks the plan for an ``(n,)`` vector with SpMVs and for an
+``(n, k)`` block with SpMMs, so ``apply(v)`` and column ``c`` of
+``apply_block(V)`` agree bit for bit, and ``spmvs_per_apply`` is the plan's
+product count.  The backend runs the chain: its default is the SpMV/SpMM +
+axpy recurrence of :meth:`KernelBackend.poly_chain`; on a stencil (DIA)
+matrix the NumPy backend runs the whole chain in one compiled call
+(``poly_chain`` in ``backends/native/dia.c``), one sweep over the rows per
+factor, with the same bits.
 
 This is the preconditioner of Sections V-C and V-F of the paper: the SpMVs
 of the application dominate its cost (and land in the "SpMV" bucket of the
@@ -37,23 +43,16 @@ performed with unmetered NumPy operations; it is reported separately via
 from __future__ import annotations
 
 import time
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ..backends.base import FactorPlan, PolyFactor
 from ..linalg import kernels
-from ..scratch import scratch
 from ..sparse.csr import CsrMatrix
 from .base import Preconditioner
 
 __all__ = ["GmresPolynomialPreconditioner", "harmonic_ritz_values", "leja_order"]
-
-
-class _Factor(NamedTuple):
-    """One step of an application: its coefficients and how many products it runs."""
-
-    coeffs: Tuple[float, ...]
-    products: int
 
 
 def _arnoldi(matrix: CsrMatrix, seed: np.ndarray, degree: int):
@@ -214,14 +213,14 @@ class GmresPolynomialPreconditioner(Preconditioner):
         self.degree = theta.size
         self.roots = leja_order(theta)
         if apply_method == "power":
-            self._plan = self._horner_plan(self.roots)
+            self._plan = FactorPlan(self._horner_plan(self.roots), power=True)
         else:
-            self._plan = self._product_plan(self.roots)
+            self._plan = FactorPlan(self._product_plan(self.roots), power=False)
         self._setup_seconds = time.perf_counter() - start
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _product_plan(roots: np.ndarray) -> Tuple[_Factor, ...]:
+    def _product_plan(roots: np.ndarray) -> Tuple[PolyFactor, ...]:
         """The factors of the product form, in Leja order.
 
         A real root ``theta`` gives ``(1/theta, -1/theta)``; a conjugate
@@ -236,17 +235,17 @@ class GmresPolynomialPreconditioner(Preconditioner):
             a, b = float(roots[i].real), float(roots[i].imag)
             if abs(b) <= 1e-12 * max(1.0, abs(a)):
                 inv = 1.0 / a
-                plan.append(_Factor((inv, -inv), products=int(i < d - 1)))
+                plan.append(PolyFactor((inv, -inv), products=int(i < d - 1)))
                 i += 1
             else:
                 m2 = a * a + b * b
                 coeffs = (2.0 * a / m2, -1.0 / m2, -2.0 * a / m2, 1.0 / m2)
-                plan.append(_Factor(coeffs, products=1 + int(i < d - 2)))
+                plan.append(PolyFactor(coeffs, products=1 + int(i < d - 2)))
                 i += 2
         return tuple(plan)
 
     @staticmethod
-    def _horner_plan(roots: np.ndarray) -> Tuple[_Factor, ...]:
+    def _horner_plan(roots: np.ndarray) -> Tuple[PolyFactor, ...]:
         """Horner's rule on the monomial coefficients ``c_k`` of ``p(z) = sum c_k z^k``.
 
         Expand ``phi(z) = prod (1 - z/theta_i)`` and use
@@ -259,16 +258,16 @@ class GmresPolynomialPreconditioner(Preconditioner):
         # phi[k] is the coefficient of z^k; p(z) = (1 - phi(z))/z.
         coeffs = np.real(-phi[1:])
         return tuple(
-            _Factor((float(c),), products=int(k > 0)) for k, c in enumerate(coeffs[::-1])
+            PolyFactor((float(c),), products=int(k > 0)) for k, c in enumerate(coeffs[::-1])
         )
 
     # ------------------------------------------------------------------ #
     def spmvs_per_apply(self) -> int:
         """Number of SpMVs one application performs (the plan's products)."""
-        return sum(factor.products for factor in self._plan)
+        return sum(factor.products for factor in self._plan.factors)
 
     def apply(self, vector: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
-        return self._apply(self._check_precision(vector), out)
+        return kernels.poly_chain(self._matrix, self._plan, self._check_precision(vector), out)
 
     def apply_block(
         self, block: np.ndarray, out: "np.ndarray | None" = None
@@ -277,67 +276,16 @@ class GmresPolynomialPreconditioner(Preconditioner):
 
         The recurrences of the product-form/Horner application are plain
         SpMV + axpy sequences, so the block version simply runs them on
-        ``(n, k)`` blocks with the batched ``spmm`` kernel — the matrix is
-        read once per factor for all ``k`` columns, which is exactly the
+        ``(n, k)`` blocks with the batched ``spmm`` kernel (or the compiled
+        chain, which sweeps all ``k`` columns per row block) — the matrix
+        is read once per factor for all ``k`` columns, which is exactly the
         amortization the paper's bandwidth argument predicts for the
         SpMV-dominated polynomial preconditioner.
         """
         block = self._check_precision(block)
         if block.ndim != 2:
             raise ValueError("apply_block expects a 2-D block of column vectors")
-        return self._apply(block, out)
-
-    def _apply(self, x: np.ndarray, out: "np.ndarray | None") -> np.ndarray:
-        """Run the plan on an ``(n,)`` vector with SpMVs or an ``(n, k)`` block with SpMMs."""
-        if out is None:
-            out = np.empty(x.shape, dtype=x.dtype, order="F")
-        product = kernels.spmv if x.ndim == 1 else kernels.spmm
-        # The recurrence scratch: the running product, one product output,
-        # one second-order product output and the axpy work buffer.
-        prod, w, t, work = (
-            scratch(tag, x.dtype, x.shape, order="F")
-            for tag in ("poly.prod", "poly.w", "poly.t", "poly.work")
-        )
-        if self.apply_method == "power":
-            self._apply_power(product, x, out, w, t, work)
-        else:
-            self._apply_roots(product, x, out, prod, w, t, work)
-        return out
-
-    # -- product form over Leja-ordered roots --------------------------- #
-    def _apply_roots(self, product, x, y, prod, w, t, work) -> None:
-        A = self._matrix
-        kernels.copy(x, out=prod)
-        y[:] = 0
-        for factor in self._plan:
-            if len(factor.coeffs) == 2:  # a real root
-                inv, minus_inv = factor.coeffs
-                kernels.axpy(inv, prod, y, work=work)
-                if factor.products:
-                    product(A, prod, out=w)
-                    kernels.axpy(minus_inv, w, prod, work=work)
-            else:  # a conjugate pair
-                prod_to_y, w_to_y, w_to_prod, t_to_prod = factor.coeffs
-                product(A, prod, out=w)
-                kernels.axpy(prod_to_y, prod, y, work=work)
-                kernels.axpy(w_to_y, w, y, work=work)
-                if factor.products == 2:
-                    product(A, w, out=t)
-                    kernels.axpy(w_to_prod, w, prod, work=work)
-                    kernels.axpy(t_to_prod, t, prod, work=work)
-
-    # -- naive Horner on monomial coefficients (ablation) ---------------- #
-    def _apply_power(self, product, x, out, w, t, work) -> None:
-        # p(A) x = c_0 x + A (c_1 x + A (c_2 x + ...)), ping-ponging between
-        # two scratch buffers (a product's out must not alias its input).
-        A = self._matrix
-        y = w
-        y[:] = 0
-        for factor in self._plan:
-            if factor.products:
-                y = product(A, y, out=t if y is w else w)
-            kernels.axpy(factor.coeffs[0], x, y, work=work)
-        out[:] = y
+        return kernels.poly_chain(self._matrix, self._plan, block, out)
 
     @property
     def matrix(self) -> CsrMatrix:

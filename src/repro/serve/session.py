@@ -39,6 +39,7 @@ import numpy as np
 
 from ..config import get_config
 from ..linalg.context import ExecutionContext, get_context, use_context
+from ..linalg.multivector import MultiVector
 from ..obs import resolve_observability
 from ..obs.metrics import watch_session
 from ..precision import Precision, as_precision
@@ -58,9 +59,12 @@ __all__ = ["OperatorSession", "validate_rhs"]
 
 def _nbytes_of(obj: object, depth: int = 2) -> int:
     """Estimated array bytes held by ``obj`` (recursing into attributes,
-    dict values and the basis :class:`MultiVector` of a workspace)."""
+    dict values and the basis :class:`MultiVector` of a workspace, which
+    has no ``__dict__`` and reports its block through ``storage_bytes``)."""
     if isinstance(obj, np.ndarray):
         return obj.nbytes
+    if isinstance(obj, MultiVector):
+        return obj.storage_bytes()
     if depth <= 0:
         return 0
     if isinstance(obj, dict):

@@ -256,6 +256,21 @@ class TestCompiledMatchesSweep:
             assert "native" in dia_of(A)
             np.testing.assert_array_equal(bits(fast), bits(slow))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
+    @pytest.mark.parametrize("n_diags", range(1, 12))
+    def test_every_diagonal_count_bit_identical(self, monkeypatch, n_diags, dtype):
+        """Up to nine diagonals the kernel sums the rows every diagonal
+        covers in registers; the sweep adds one diagonal at a time."""
+        gen = rng(n_diags)
+        offsets = sorted(gen.choice(np.arange(-700, 700), size=n_diags, replace=False))
+        A = banded(3000, 3000, offsets=offsets, seed=n_diags).astype(np.dtype(dtype).name)
+        for k in (1, 3):
+            X = operand(A.n_cols, k, "F", dtype, seed=k)
+            X[[0, 1500, 2999], 0] = [-0.0, np.inf, np.nan]
+            fast, slow = both_ways(monkeypatch, lambda: NUMPY.spmm(A, X).copy())
+            assert "native" in dia_of(A)
+            np.testing.assert_array_equal(bits(fast), bits(slow))
+
     def test_signed_zeros_and_non_finite_bit_identical(self, monkeypatch):
         """Rows whose products are all ``-0.0``, and ``inf``/NaN operands:
         the chunk-edge zero fill and ``0 * inf`` land on the same bits."""

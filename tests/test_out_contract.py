@@ -25,7 +25,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from repro.backends import get_backend, native
 from repro.config import rng, set_config
 from repro.linalg import kernels
 from repro.linalg.context import set_context
@@ -174,6 +174,27 @@ class TestBackendOutContract:
         assert scaled is out
         np.testing.assert_array_equal(out, (x * dtype(0.5)).astype(dtype))
 
+    @pytest.mark.parametrize("method", ["roots", "power"])
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_poly_chain_out_and_aliasing(self, name, dtype, matrix, width, method):
+        """The polynomial chain (the compiled kernel on the NumPy backend's
+        fp32/fp64 stencil, the recurrence elsewhere) writes into ``out``,
+        which may be the input."""
+        backend = get_backend(name)
+        precision = {np.float16: "half", np.float32: "single", np.float64: "double"}[dtype]
+        poly = GmresPolynomialPreconditioner(
+            matrix, degree=5, precision=precision, apply_method=method
+        )
+        shape = (matrix.n_rows,) if width is None else (matrix.n_rows, width)
+        x = np.asfortranarray(rng(6).standard_normal(shape).astype(dtype))
+        expected = backend.poly_chain(poly.matrix, poly._plan, x)
+        out = np.empty_like(x, order="F")
+        assert backend.poly_chain(poly.matrix, poly._plan, x, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        inplace = x.copy(order="F")
+        assert backend.poly_chain(poly.matrix, poly._plan, inplace, out=inplace) is inplace
+        np.testing.assert_array_equal(inplace, expected)
+
     def test_diag_scale_out_and_aliasing(self, name, dtype):
         backend = get_backend(name)
         d = _vec(50, dtype, seed=1)
@@ -280,6 +301,16 @@ def _preconditioners(matrix):
 
 
 def test_preconditioner_apply_out_parity(matrix):
+    _assert_apply_out_parity(matrix)
+
+
+def test_preconditioner_apply_out_parity_without_compiled_kernels(matrix, monkeypatch):
+    """The same on the Python versions (the polynomial's recurrence)."""
+    monkeypatch.setattr(native, "_kernels", {})
+    _assert_apply_out_parity(matrix)
+
+
+def _assert_apply_out_parity(matrix):
     v = _vec(matrix.n_rows, np.float64, seed=21)
     for precond in _preconditioners(matrix):
         expected = precond.apply(v.copy())

@@ -83,6 +83,16 @@ class TestOperatorSession:
                 assert session.workspace_for(1) is ws_full
                 assert len(session._workspaces) == 1
 
+    def test_estimated_bytes_count_the_krylov_basis(self, matrix):
+        """The pooled workspace's basis (a ``MultiVector``, which has no
+        ``__dict__``) is part of the estimate."""
+        with make_session(matrix, max_block=8) as session:
+            with session._solve_lock:
+                ws = session.workspace_for(8)
+            basis_bytes = ws.basis.storage_bytes()
+            assert basis_bytes == matrix.n_rows * (8 + 1) * 8 * 8
+            assert session.estimated_bytes() >= basis_bytes + matrix.data.nbytes
+
     def test_steady_state_dispatches_reuse_one_workspace(self, matrix, precond):
         b = rhs_block(matrix, 1)[:, 0]
         with make_session(matrix, precond, max_block=2) as session:
