@@ -9,6 +9,8 @@ axpy, so a solve is the same with or without a C compiler.  Pinned here:
   for fp32, fp64 and fp32-in-fp64 (wrapped) × roots/power × degree 5/12,
   on a stencil (DIA) matrix, a random permutation of it (gather) and all
   ten SuiteSparse proxies, on the NumPy and SciPy backends;
+* random plans (every kind of factor, both forms) on banded matrices of
+  every band shape, from 5 to 20000 rows, give the default's bits;
 * the stencil matrix's applies on the NumPy backend run the kernel (no
   backend product or axpy), C-ordered blocks, fp16 and gather matrices
   the recurrence;
@@ -22,14 +24,17 @@ axpy, so a solve is the same with or without a C compiler.  Pinned here:
 
 from __future__ import annotations
 
+import itertools
 import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.backends import get_backend, native
-from repro.backends.numpy_backend import NumpyBackend
+from repro.backends.base import FactorPlan, KernelBackend, PolyFactor
+from repro.backends.numpy_backend import _SPMV_PLAN_KEY, NumpyBackend
 from repro.config import rng
 from repro.linalg import kernels
 from repro.linalg.context import use_backend
@@ -40,9 +45,11 @@ from repro.preconditioners.mixed import PrecisionWrappedPreconditioner
 from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
 from repro.solvers import block_gmres
 from repro.solvers.status import SolverStatus
+from repro.sparse import CsrMatrix
 from repro.sparse.ordering import permute_symmetric
 from repro.testing.faults import FaultInjectingBackend
 
+NUMPY = NumpyBackend()
 BACKENDS = ["numpy", "scipy"]
 OPERATORS = ["stencil", "permuted", *list_proxies()]
 FLOATS = [np.float32, np.float64]
@@ -137,6 +144,60 @@ def test_applies_match_the_recurrence(monkeypatch, backend, name):
             block = np.frombuffer(fast[0], dtype=dtype).reshape(V.shape, order="F")
             for c in range(4):
                 assert np.ascontiguousarray(block[:, c]).tobytes() == fast[2 + 2 * c], label
+
+
+def random_plan(gen, power: bool, n_factors: int) -> FactorPlan:
+    """A plan of random coefficients: Horner steps, or real-root and
+    conjugate-pair factors in random order with the last one's products
+    dropped as the preconditioner does."""
+    if power:
+        return FactorPlan(
+            [PolyFactor((float(gen.standard_normal()),), int(i > 0)) for i in range(n_factors)],
+            power=True,
+        )
+    factors = []
+    for i in range(n_factors):
+        last = i == n_factors - 1
+        if gen.random() < 0.5:
+            factors.append(PolyFactor(tuple(0.3 * gen.standard_normal(2)), int(not last)))
+        else:
+            factors.append(PolyFactor(tuple(0.3 * gen.standard_normal(4)), 1 + int(not last)))
+    return FactorPlan(factors, power=False)
+
+
+@pytest.mark.parametrize(
+    "n,offsets",
+    [
+        (5, (-2, 0, 1)),  # a band wider than the matrix's row blocks
+        (63, (-7, 0, 3)),
+        (700, (0,)),
+        (700, (3, 9)),  # no lag: nothing below the diagonal
+        (700, (-5, -2)),  # no lead: nothing above it
+        (1000, (-300, -1, 0, 1, 5)),
+        (3000, tuple(range(-6, 6))),  # too many diagonals for the register sums
+        (9000, (-8200, -3, 0, 2, 8190)),
+        (20000, (-9000, -1, 0, 1, 9000)),  # several chunks, each its own first diagonal
+        (20000, (-130, -1, 0, 1, 130)),
+    ],
+)
+def test_random_plans_on_banded_matrices_match_the_recurrence(monkeypatch, n, offsets):
+    """The kernel against the backend default on DIA matrices of every band
+    shape: row blocks that straddle chunks, products that trail by more
+    rows than the matrix has, and plans mixing every kind of factor."""
+    gen = rng(n + len(offsets))
+    values = gen.standard_normal((len(offsets), n))
+    base = CsrMatrix.from_scipy(sp.diags(list(values), list(offsets), shape=(n, n), format="csr"))
+    for dtype in FLOATS:
+        A = base.astype(PRECISIONS[dtype])
+        for k, power, n_factors in itertools.product((1, 3, 8), (False, True), (1, 2, 5)):
+            plan = random_plan(gen, power, n_factors)
+            X = np.asfortranarray(gen.standard_normal((n, k)).astype(dtype))
+            for x in (X, X[:, 0]) if k == 1 else (X,):
+                fast, slow = both_ways(monkeypatch, lambda: NUMPY.poly_chain(A, plan, x))
+                assert "native" in A.backend_cache[_SPMV_PLAN_KEY]["dia"]
+                assert fast.tobytes() == slow.tobytes(), (k, power, n_factors)
+                default = KernelBackend.poly_chain(NUMPY, A, plan, x)
+                assert fast.tobytes() == default.tobytes(), (k, power, n_factors)
 
 
 class TestDispatch:
