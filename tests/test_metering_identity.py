@@ -54,6 +54,22 @@ def _gmres_ir():
     return gmres_ir(A, np.ones(A.n_rows), restart=10, tol=1e-10)
 
 
+def _gmres_ir_refine_every_2():
+    # Two inner cycles per refinement: the inner solver restarts once from
+    # its own fp32 residual (SpMV, copy, axpy, norm) in between.
+    A = laplace3d(8)
+    return gmres_ir(A, np.ones(A.n_rows), restart=10, tol=1e-10, refine_every=2)
+
+
+def _gmres_ir_same_precision():
+    # Inner and outer precision equal: every cast is a no-op and books
+    # nothing.
+    A = laplace3d(8)
+    return gmres_ir(
+        A, np.ones(A.n_rows), inner_precision="double", restart=10, tol=1e-10
+    )
+
+
 def _gmres_fd():
     A = laplace3d(8)
     return gmres_fd(A, np.ones(A.n_rows), switch_iteration=10, restart=20, tol=1e-10)
@@ -74,6 +90,12 @@ def _block_gmres_ir():
     A = laplace3d(8)
     B = rng(3).standard_normal((A.n_rows, 3))
     return block_gmres_ir(A, B, restart=10, tol=1e-10)
+
+
+def _block_gmres_ir_refine_every_2():
+    A = laplace3d(8)
+    B = rng(3).standard_normal((A.n_rows, 3))
+    return block_gmres_ir(A, B, restart=10, tol=1e-10, refine_every=2)
 
 
 def _solve_many_one_column_tail():
@@ -118,10 +140,13 @@ CASES = {
     "gmres-fp64-cgs2": _gmres_fp64_cgs2,
     "gmres-fp32-mgs": _gmres_fp32_mgs,
     "gmres-ir": _gmres_ir,
+    "gmres-ir-refine-every-2": _gmres_ir_refine_every_2,
+    "gmres-ir-same-precision": _gmres_ir_same_precision,
     "gmres-fd": _gmres_fd,
     "ir-three-precision": _ir_three_precision,
     "block-gmres": _block_gmres,
     "block-gmres-ir": _block_gmres_ir,
+    "block-gmres-ir-refine-every-2": _block_gmres_ir_refine_every_2,
     "solve-many-one-column-tail": _solve_many_one_column_tail,
     "poly-gmres": _poly_gmres,
     "poly-power-gmres": _poly_power_gmres,
@@ -202,6 +227,49 @@ GOLDEN: dict = {'block-gmres': ({'GEMM (No Trans)|double': (116,
                      'Norm': 223,
                      'Other': 454,
                      'SpMM': 70}),
+ 'block-gmres-ir-refine-every-2': ({'GEMM (No Trans)|single': (168,
+                                                               '0x1.8dc1c6ef43a50p-9',
+                                                               7328832.0,
+                                                               7618560.0),
+                                    'GEMM (Trans)|single': (160,
+                                                            '0x1.7b4609583e9dbp-9',
+                                                            5884560.0,
+                                                            6983680.0),
+                                    'GEMV (No Trans)|single': (308,
+                                                               '0x1.6b9326bb873b2p-8',
+                                                               2164448.0,
+                                                               450560.0),
+                                    'GEMV (Trans)|single': (308,
+                                                            '0x1.6b8fa5d75800cp-8',
+                                                            1533664.0,
+                                                            450560.0),
+                                    'Norm|double': (3,
+                                                    '0x1.798edcf539967p-14',
+                                                    12288.0,
+                                                    3072.0),
+                                    'Norm|single': (242,
+                                                    '0x1.dbdd40b18d718p-8',
+                                                    495616.0,
+                                                    247808.0),
+                                    'Other|double': (168,
+                                                     '0x1.56ee629544db3p-10',
+                                                     3138548.0,
+                                                     267486.0),
+                                    'Other|single': (308,
+                                                     '0x1.433bd6891119ap-9',
+                                                     1351680.0,
+                                                     168960.0),
+                                    'SpMM|single': (88,
+                                                    '0x1.73624a9d63dacp-11',
+                                                    3424608.0,
+                                                    1548800.0)},
+                                   {'GEMM (No Trans)': 168,
+                                    'GEMM (Trans)': 160,
+                                    'GEMV (No Trans)': 308,
+                                    'GEMV (Trans)': 308,
+                                    'Norm': 245,
+                                    'Other': 476,
+                                    'SpMM': 88}),
  'gmres-fd': ({'GEMV (No Trans)|double': (52,
                                           '0x1.ec679f7fb61b8p-11',
                                           2375384.0,
@@ -269,6 +337,64 @@ GOLDEN: dict = {'block-gmres': ({'GEMM (No Trans)|double': (116,
                'Norm': 45,
                'Other': 124,
                'SpMV': 40}),
+ 'gmres-ir-refine-every-2': ({'GEMV (No Trans)|single': (126,
+                                                         '0x1.29b8266258513p-9',
+                                                         1993536.0,
+                                                         737280.0),
+                              'GEMV (Trans)|single': (120,
+                                                      '0x1.1b9caea9dd963p-9',
+                                                      1600080.0,
+                                                      675840.0),
+                              'Norm|double': (1,
+                                              '0x1.f769269c4cc89p-16',
+                                              4096.0,
+                                              1024.0),
+                              'Norm|single': (69,
+                                              '0x1.0f5c515235291p-9',
+                                              141312.0,
+                                              70656.0),
+                              'Other|double': (91,
+                                               '0x1.21be0a48635d9p-11',
+                                               407888.0,
+                                               39444.0),
+                              'Other|single': (84,
+                                               '0x1.609e5e66fb613p-11',
+                                               368640.0,
+                                               46080.0),
+                              'SpMV|single': (66,
+                                              '0x1.1638e72c9577dp-11',
+                                              2095368.0,
+                                              422400.0)},
+                             {'GEMV (No Trans)': 126,
+                              'GEMV (Trans)': 120,
+                              'Norm': 70,
+                              'Other': 175,
+                              'SpMV': 66}),
+ 'gmres-ir-same-precision': ({'GEMV (No Trans)|double': (84,
+                                                         '0x1.8d4bf8f22fd9ap-10',
+                                                         2658048.0,
+                                                         491520.0),
+                              'GEMV (Trans)|double': (80,
+                                                      '0x1.7a509375d491cp-10',
+                                                      2133440.0,
+                                                      450560.0),
+                              'Norm|double': (45,
+                                              '0x1.61f5ef25e5fcdp-10',
+                                              184320.0,
+                                              46080.0),
+                              'Other|double': (116,
+                                               '0x1.c492ed2261bd5p-11',
+                                               852372.0,
+                                               74680.0),
+                              'SpMV|double': (40,
+                                              '0x1.5279257690e24p-12',
+                                              1945760.0,
+                                              256000.0)},
+                             {'GEMV (No Trans)': 84,
+                              'GEMV (Trans)': 80,
+                              'Norm': 45,
+                              'Other': 116,
+                              'SpMV': 40}),
  'ir-three-precision': ({'GEMV (No Trans)|half': (105,
                                                   '0x1.ef8a49ccdd46dp-10',
                                                   163200.0,
