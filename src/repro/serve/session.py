@@ -228,18 +228,9 @@ class OperatorSession:
             self._block_driver = block_gmres_ir
             precision_kwargs = dict(inner_precision=inner, outer_precision=outer)
         self.preconditioner = wrapped
-        self._single_kwargs = dict(
-            shared_kwargs,
-            preconditioner=wrapped,
-            ortho=ortho,
-            **precision_kwargs,
-        )
-        self._block_kwargs = dict(
-            shared_kwargs,
-            preconditioner=wrapped,
-            ortho=block_ortho,
-            **precision_kwargs,
-        )
+        # One set of driver options; the dispatch picks the ortho by width.
+        self._ortho, self._block_ortho = ortho, block_ortho
+        self._kwargs = dict(shared_kwargs, preconditioner=wrapped, **precision_kwargs)
 
         spmvs_per_iteration = 1 + (
             wrapped.spmvs_per_apply() if wrapped is not None else 0
@@ -418,28 +409,25 @@ class OperatorSession:
             )
         with self._solve_lock:
             workspace = self.workspace_for(width)
+            kwargs = self._kwargs if probe is None else dict(self._kwargs, probe=probe)
             with use_context(self.context):
                 if width == 1:
-                    single_kwargs = self._single_kwargs
-                    if probe is not None:
-                        single_kwargs = dict(single_kwargs, probe=probe)
                     result = self._single_driver(
                         self._matrix,
                         B[:, 0],
                         workspace=workspace,
                         control=controls[0] if controls is not None else None,
-                        **single_kwargs,
+                        ortho=self._ortho,
+                        **kwargs,
                     )
                     return self._as_multi(result)
-                block_kwargs = self._block_kwargs
-                if probe is not None:
-                    block_kwargs = dict(block_kwargs, probe=probe)
                 return self._block_driver(
                     self._matrix,
                     B,
                     workspace=workspace,
                     controls=controls,
-                    **block_kwargs,
+                    ortho=self._block_ortho,
+                    **kwargs,
                 )
 
     def submit(

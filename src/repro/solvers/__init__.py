@@ -20,13 +20,15 @@ Every entry point follows one contract, written once in
 cancellation or iteration budget; a non-finite residual ends it with
 ``BREAKDOWN``; a zero right-hand side returns zero; ``probe=`` sees one
 event per restart or refinement boundary and exactly one terminal event,
-last.  GMRES, GMRES-IR, three-precision IR and the two block drivers are
-one restart loop with different steps (the single-vector drivers are its
-one-column case); GMRES-FD chains two GMRES runs and reports them as one
-solve.  Every GMRES step runs one Arnoldi cycle,
-:func:`~repro.solvers.gmres.run_cycle`, on one workspace type and with
-one stop rule for vectors and blocks alike: a non-finite Arnoldi norm, or
-the collapse of every new basis vector, ends the cycle.
+last.  GMRES and GMRES-IR each have one driver body for every width
+(``gmres``/``gmres_ir`` call it with a vector, ``block_gmres``/
+``block_gmres_ir`` with an ``(n, k)`` block); both bodies and the
+three-precision IR are one restart loop with different steps.  GMRES-FD
+chains two GMRES runs and reports them as one solve.  Every GMRES step
+runs one Arnoldi cycle, :func:`~repro.solvers.gmres.run_cycle`, on one
+workspace type and with one stop rule for vectors and blocks alike: a
+non-finite Arnoldi norm, or the collapse of every new basis vector, ends
+the cycle.
 """
 
 from .result import (

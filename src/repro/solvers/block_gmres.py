@@ -14,14 +14,14 @@ to advance a *block* of right-hand sides together:
   ``k × steps``, so each column typically converges in far fewer (block)
   iterations than it would alone.
 
-The module provides the restarted driver (:func:`block_gmres`), the
-blocked mixed-precision refinement wrapper (:func:`block_gmres_ir`), and
-the top-level :func:`solve_many` entry point that chunks an arbitrary
-number of right-hand sides into blocks.  Both drivers run the restart
-loop of :mod:`repro.solvers.driver`, which tracks convergence per column
-and deflates the columns that end at a restart, around the one Arnoldi
-cycle of :mod:`repro.solvers.gmres` (:func:`~repro.solvers.gmres.run_cycle`)
-fed with ``(n, k)`` residual blocks.
+The module provides :func:`block_gmres` and :func:`block_gmres_ir`, thin
+block entry points into the one driver body of GMRES
+(:mod:`repro.solvers.gmres`) and of GMRES-IR (:mod:`repro.solvers.gmres_ir`),
+and :func:`solve_many`, which chunks any number of right-hand sides into
+blocks.  The body runs the restart loop of :mod:`repro.solvers.driver`,
+which tracks convergence per column and deflates the columns that end at
+a restart, around the one Arnoldi cycle
+:func:`~repro.solvers.gmres.run_cycle`.
 
 Least squares is handled by the band-Hessenberg path of
 :class:`~repro.linalg.dense.GivensWorkspace`, which yields the per-column
@@ -37,28 +37,16 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..linalg import kernels
 from ..ortho import OrthogonalizationManager
-from ..perfmodel.timer import KernelTimer, use_timer
-from ..precision import Precision, as_precision
+from ..perfmodel.timer import KernelTimer
+from ..precision import Precision
 from ..preconditioners.base import Preconditioner
 from ..sparse.csr import CsrMatrix
-from .driver import (
-    Columns,
-    Step,
-    announce,
-    as_block,
-    as_preconditioner,
-    finish_columns,
-    initial_block,
-    resolve_budget,
-    resolve_controls,
-    restart_loop,
-    shifted_probe,
-)
-from .gmres import GmresWorkspace, resolve_ortho, resolve_workspace, run_cycle
+from .driver import announce, as_block, initial_block, resolve_controls, shifted_probe
+from .gmres import GmresWorkspace, _gmres
+from .gmres_ir import _gmres_ir
 from .result import MultiSolveResult, merge_chunks
-from .status import LossOfAccuracyTest, SolveControl, StagnationTest
+from .status import SolveControl, StagnationTest
 
 __all__ = ["block_gmres", "block_gmres_ir", "solve_many"]
 
@@ -145,50 +133,13 @@ def block_gmres(
         Per-column statuses, iteration counts and histories; the kernel
         timer is shared by the whole block.
     """
-    restart, tol, max_iterations, max_restarts = resolve_budget(
-        restart, tol, max_iterations, max_restarts
-    )
-    prec = as_precision(precision if precision is not None else matrix.dtype)
-    ortho_mgr = resolve_ortho(ortho, 2)
-    n = matrix.n_rows
-    cols = Columns(B, X0, n, prec.dtype, controls=controls)
-
-    A = matrix.astype(prec)
-    precond = as_preconditioner(preconditioner, prec)
-    workspace = resolve_workspace(workspace, n, restart, prec, cols.p)
-    timer = timer or KernelTimer(name or f"block-gmres({restart}x{cols.p})-{prec.name}")
-
-    def cycle(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
-        k = cols.k
-        targets = tol * cols.bnorms[:k]
-        outcome = run_cycle(
-            A, R, workspace, ortho=ortho_mgr, preconditioner=precond,
-            absolute_targets=targets, max_steps=min(restart, remaining), control=control,
-        )
-        for i in range(k):
-            kernels.axpy(1.0, outcome.update[:, i], cols.X[:, i])
-        # After a breakdown the true residual decides, as in GMRES.
-        return Step(outcome.iterations, outcome.implicit, outcome.exhausted, targets)
-
-    with use_timer(timer):
-        restart_loop(
-            A, cols, cycle,
-            tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
-            scratch=(workspace.W, workspace.R), solver="block-gmres",
-            control=control, probe=probe, stagnation=stagnation,
-            loss_of_accuracy=LossOfAccuracyTest(tolerance=tol) if loss_of_accuracy_check else None,
-        )
-
-    return finish_columns(
-        matrix, cols, timer=timer, solver="block-gmres", precision=prec.name,
-        fp64_check=fp64_check, probe=probe,
-        details={
-            "restart": restart,
-            "tolerance": tol,
-            "orthogonalization": ortho_mgr.name,
-            "preconditioner": precond.name,
-            "basis_bytes": workspace.storage_bytes(),
-        },
+    return _gmres(
+        matrix, B, X0, vector=False, precision=precision, restart=restart, tol=tol,
+        max_iterations=max_iterations, max_restarts=max_restarts,
+        preconditioner=preconditioner, ortho=ortho, timer=timer, name=name,
+        loss_of_accuracy_check=loss_of_accuracy_check, stagnation=stagnation,
+        fp64_check=fp64_check, workspace=workspace, control=control,
+        controls=controls, probe=probe,
     )
 
 
@@ -230,104 +181,13 @@ def block_gmres_ir(
     boundary.  ``probe`` behaves as in :func:`block_gmres` with
     ``kind="refinement"`` events at the outer refinement boundaries.
     """
-    restart, tol, max_iterations, max_restarts = resolve_budget(
-        restart, tol, max_iterations, max_restarts
-    )
-    if refine_every < 1:
-        raise ValueError("refine_every must be at least 1")
-    inner = as_precision(inner_precision)
-    outer = as_precision(outer_precision)
-    if inner.bytes > outer.bytes:
-        raise ValueError("inner precision must not be wider than the outer precision")
-    ortho_mgr = resolve_ortho(ortho, 2)
-    n = matrix.n_rows
-    cols = Columns(B, X0, n, outer.dtype, controls=controls)
-    p = cols.p
-
-    A_outer = matrix.astype(outer)
-    A_inner = matrix.astype(inner)
-    precond = as_preconditioner(preconditioner, inner)
-    workspace = resolve_workspace(workspace, n, restart, inner, p)
-    timer = timer or KernelTimer(
-        name or f"block-gmres({restart}x{p})-ir-{inner.name}/{outer.name}"
-    )
-
-    # Refinement-block scratch, reused across all refinement steps.
-    def block(dtype) -> np.ndarray:
-        return np.empty((n, p), dtype=dtype, order="F")
-
-    correction = block(inner.dtype)
-    mixed = inner.dtype != outer.dtype
-    r_inner_buf = block(inner.dtype) if mixed else None
-    u_buf = block(outer.dtype) if mixed else None
-    rhs_buf = block(inner.dtype) if refine_every > 1 else None
-
-    def refine(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
-        k = cols.k
-        # Hand the residual block to the low-precision solver.
-        if mixed:
-            for i in range(k):
-                kernels.cast(R[:, i], inner, out=r_inner_buf[:, i])
-            r_inner = r_inner_buf[:, :k]
-        else:
-            r_inner = R
-        correction[:, :k] = 0
-        cycle_rhs = r_inner
-        implicit = []
-        done = 0
-        final = False
-        for _ in range(refine_every):
-            if remaining - done <= 0:
-                break
-            outcome = run_cycle(
-                A_inner, cycle_rhs, workspace, ortho=ortho_mgr, preconditioner=precond,
-                absolute_targets=None,  # inner residuals are not trusted
-                max_steps=min(restart, remaining - done), control=control,
-            )
-            implicit.extend(outcome.implicit.tolist())
-            for i in range(k):
-                kernels.axpy(1.0, outcome.update[:, i], correction[:, i])
-            done += outcome.iterations
-            if outcome.exhausted:
-                # As in GMRES-IR: refine again unless the norm was
-                # non-finite or the refinement changed nothing.
-                final = outcome.nonfinite or not correction[:, :k].any()
-                break
-            if refine_every > 1:
-                w_in = kernels.spmm(A_inner, correction[:, :k], out=workspace.W[:, :k])
-                for i in range(k):
-                    kernels.copy(r_inner[:, i], out=rhs_buf[:, i])
-                    kernels.axpy(-1.0, w_in[:, i], rhs_buf[:, i])
-                cycle_rhs = rhs_buf[:, :k]
-        # Promote the correction and update the solution block.
-        for i in range(k):
-            u = kernels.cast(correction[:, i], outer, out=u_buf[:, i] if mixed else None)
-            kernels.axpy(1.0, u, cols.X[:, i], label="Residual")
-        return Step(done, implicit, final)
-
-    with use_timer(timer):
-        # The outer (true) residual block is booked under "Residual", like
-        # the single-vector GMRES-IR.
-        restart_loop(
-            A_outer, cols, refine,
-            tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
-            scratch=(block(outer.dtype), block(outer.dtype)), solver="block-gmres-ir",
-            kind="refinement", label="Residual", control=control, probe=probe,
-        )
-
-    return finish_columns(
-        matrix, cols, timer=timer, solver="block-gmres-ir",
-        precision=f"{inner.name}/{outer.name}", fp64_check=fp64_check, probe=probe,
-        details={
-            "restart": restart,
-            "tolerance": tol,
-            "refine_every": refine_every,
-            "orthogonalization": ortho_mgr.name,
-            "preconditioner": precond.name,
-            "inner_matrix_bytes": A_inner.storage_bytes(),
-            "outer_matrix_bytes": A_outer.storage_bytes(),
-            "basis_bytes": workspace.storage_bytes(),
-        },
+    return _gmres_ir(
+        matrix, B, X0, vector=False, inner_precision=inner_precision,
+        outer_precision=outer_precision, restart=restart, tol=tol,
+        max_iterations=max_iterations, max_restarts=max_restarts,
+        preconditioner=preconditioner, ortho=ortho, refine_every=refine_every,
+        timer=timer, name=name, fp64_check=fp64_check, workspace=workspace,
+        control=control, controls=controls, probe=probe,
     )
 
 
@@ -356,8 +216,9 @@ def solve_many(
     B:
         Right-hand sides, shape ``(n, n_rhs)`` (a 1-D vector is one RHS).
     block_size:
-        Maximum columns per block (default: all of them — one block).
-        Memory per block is ``(restart + 1) · block_size`` basis vectors.
+        Maximum columns per block, at least 1 (default: all of them — one
+        block).  Memory per block is ``(restart + 1) · block_size`` basis
+        vectors.
     method:
         ``"gmres"`` or ``"gmres-ir"``.
     workspace:
@@ -392,7 +253,9 @@ def solve_many(
     n, p = B.shape
     if X0 is not None:
         X0 = initial_block(X0, n, p)
-    width = p if block_size is None else max(1, min(int(block_size), p))
+    if block_size is not None and int(block_size) < 1:
+        raise ValueError("block_size must be at least 1")
+    width = p if block_size is None else min(int(block_size), p)
     timer = timer or KernelTimer(f"solve-many-{solver_label}")
     controls = resolve_controls(controls, p)
 

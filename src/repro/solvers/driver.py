@@ -29,7 +29,7 @@ control as the whole-solve control only.
 
 Which product computes the explicit residual depends on the driver, not on
 the active width: a single-vector solve uses one SpMV, a block solve one
-SpMM, even when deflation leaves it a single column.
+SpMM, even when deflation leaves it a single column (:func:`multiply`).
 
 :func:`finish_columns` builds the result of a loop-driven solve;
 :func:`finish` emits the one terminal probe event of a single-vector solve,
@@ -67,6 +67,7 @@ __all__ = [
     "as_block",
     "initial_block",
     "resolve_controls",
+    "multiply",
     "restart_loop",
     "finish",
     "finish_columns",
@@ -297,6 +298,16 @@ class Columns:
             self.steps_alive[col] += steps
 
 
+def multiply(
+    A: CsrMatrix, X: np.ndarray, out: np.ndarray, *, vector: bool, **labelled
+) -> np.ndarray:
+    """``A X`` of an ``(n, k)`` block into ``out``: one SpMV for a
+    single-vector solve (``k = 1``), one SpMM for a block solve."""
+    if vector:
+        return kernels.spmv(A, X[:, 0], out=out[:, 0], **labelled)[:, None]
+    return kernels.spmm(A, X, out=out, **labelled)
+
+
 def restart_loop(
     A: CsrMatrix,
     cols: Columns,
@@ -338,10 +349,8 @@ def restart_loop(
     )
 
     def measure() -> None:
-        if cols.vector:
-            products = kernels.spmv(A, cols.X[:, 0], out=W[:, 0], **labelled)[:, None]
-        else:
-            products = kernels.spmm(A, cols.X[:, : cols.k], out=W[:, : cols.k], **labelled)
+        k = cols.k
+        products = multiply(A, cols.X[:, :k], W[:, :k], vector=cols.vector, **labelled)
         for i, col in enumerate(cols.active):
             r = kernels.copy(cols.B[:, i], out=R[:, i], **labelled)
             kernels.axpy(-1.0, products[:, i], r, **labelled)

@@ -6,12 +6,14 @@ residual estimate monitored every iteration, and the true residual
 recomputed at every restart.  Everything runs in a single *working
 precision* (the Belos solvers are templated on one scalar type).
 
-The module also holds the one restarted Arnoldi cycle every GMRES solver
-runs, :func:`run_cycle`, with its one workspace type
-(:class:`GmresWorkspace`), outcome type (:class:`CycleOutcome`) and stop
-rule.  A vector residual runs the single-vector cycle below; an
-``(n, k)`` residual block runs the same cycle with SpMM and BLAS-3 block
-kernels (the Block-GMRES of :mod:`repro.solvers.block_gmres`), even at
+The module holds the one GMRES driver body, for every width: :func:`gmres`
+runs it on a vector, :func:`~repro.solvers.block_gmres.block_gmres` on an
+``(n, k)`` block of right-hand sides.  It also holds the one restarted
+Arnoldi cycle every GMRES solver runs, :func:`run_cycle`, with its one
+workspace type (:class:`GmresWorkspace`), outcome type
+(:class:`CycleOutcome`) and stop rule.  A vector residual runs the
+single-vector cycle below; an ``(n, k)`` residual block runs the same
+cycle with SpMM and BLAS-3 block kernels (Block-GMRES), even at
 ``k = 1``.  The multiprecision variants (GMRES-IR, GMRES-FD, the
 three-precision IR) are built on top of it.
 
@@ -51,7 +53,7 @@ from .driver import (
     resolve_budget,
     restart_loop,
 )
-from .result import SolveResult
+from .result import MultiSolveResult, SolveResult
 from .status import LossOfAccuracyTest, SolveControl, StagnationTest
 
 __all__ = ["gmres", "run_cycle", "CycleOutcome", "GmresWorkspace", "resolve_ortho"]
@@ -460,27 +462,48 @@ def gmres(
     -------
     SolveResult
     """
+    return _gmres(
+        matrix, b, x0, vector=True, precision=precision, restart=restart, tol=tol,
+        max_iterations=max_iterations, max_restarts=max_restarts,
+        preconditioner=preconditioner, ortho=ortho, timer=timer, name=name,
+        loss_of_accuracy_check=loss_of_accuracy_check, stagnation=stagnation,
+        fp64_check=fp64_check, workspace=workspace, control=control, probe=probe,
+    )
+
+
+def _gmres(
+    matrix, B, X0, *, vector, precision, restart, tol, max_iterations, max_restarts,
+    preconditioner, ortho, timer, name, loss_of_accuracy_check, stagnation, fp64_check,
+    workspace, control, controls=None, probe=None,
+) -> Union[SolveResult, MultiSolveResult]:
+    """The GMRES(m) body of every width: ``vector=True`` for :func:`gmres`,
+    an ``(n, k)`` block for ``block_gmres``."""
     restart, tol, max_iterations, max_restarts = resolve_budget(
         restart, tol, max_iterations, max_restarts
     )
     prec = as_precision(precision if precision is not None else matrix.dtype)
-    ortho_mgr = resolve_ortho(ortho, 1)
+    ortho_mgr = resolve_ortho(ortho, 1 if vector else 2)
+    n = matrix.n_rows
+    cols = Columns(B, X0, n, prec.dtype, vector=vector, controls=controls)
 
     A = matrix.astype(prec)
-    n = A.n_rows
-    cols = Columns(b, x0, n, prec.dtype, vector=True)
     precond = as_preconditioner(preconditioner, prec)
-    workspace = resolve_workspace(workspace, n, restart, prec)
-    timer = timer or KernelTimer(name or f"gmres({restart})-{prec.name}")
+    workspace = resolve_workspace(workspace, n, restart, prec, cols.p)
+    solver = "gmres" if vector else "block-gmres"
+    shape = restart if vector else f"{restart}x{cols.p}"
+    timer = timer or KernelTimer(name or f"{solver}({shape})-{prec.name}")
 
     def cycle(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
-        targets = tol * cols.bnorms[:1]
+        k = cols.k
+        targets = tol * cols.bnorms[:k]
         outcome = run_cycle(
-            A, R[:, 0], workspace, ortho=ortho_mgr, preconditioner=precond,
-            residual_norm=rnorms[0], absolute_targets=targets,
+            A, R[:, 0] if vector else R, workspace, ortho=ortho_mgr,
+            preconditioner=precond, residual_norm=rnorms[0], absolute_targets=targets,
             max_steps=min(restart, remaining), control=control,
         )
-        kernels.axpy(1.0, outcome.update, cols.X[:, 0])
+        update = outcome.update.reshape(n, k)
+        for i in range(k):
+            kernels.axpy(1.0, update[:, i], cols.X[:, i])
         # After a breakdown the true residual decides.
         return Step(outcome.iterations, outcome.implicit, outcome.exhausted, targets)
 
@@ -488,13 +511,13 @@ def gmres(
         restart_loop(
             A, cols, cycle,
             tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
-            scratch=(workspace.W, workspace.R), solver="gmres",
+            scratch=(workspace.W, workspace.R), solver=solver,
             control=control, probe=probe, stagnation=stagnation,
             loss_of_accuracy=LossOfAccuracyTest(tolerance=tol) if loss_of_accuracy_check else None,
         )
 
     return finish_columns(
-        matrix, cols, timer=timer, solver="gmres", precision=prec.name,
+        matrix, cols, timer=timer, solver=solver, precision=prec.name,
         fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,

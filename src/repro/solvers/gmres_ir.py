@@ -18,6 +18,9 @@ evaluates:
   ``m - 1`` extra iterations compared to plain GMRES;
 * preconditioning, when used, is computed and applied entirely in the inner
   precision (the configuration the paper pairs with GMRES-IR).
+
+One driver body serves every width: :func:`gmres_ir` runs it on a vector,
+:func:`~repro.solvers.block_gmres.block_gmres_ir` on an ``(n, k)`` block.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ from .driver import (
     Step,
     as_preconditioner,
     finish_columns,
+    multiply,
     resolve_budget,
     restart_loop,
 )
 from .gmres import GmresWorkspace, resolve_ortho, resolve_workspace, run_cycle
-from .result import SolveResult
+from .result import MultiSolveResult, SolveResult
 from .status import SolveControl
 
 __all__ = ["gmres_ir"]
@@ -106,6 +110,23 @@ def gmres_ir(
         :class:`~repro.obs.ProbeEvent` per refinement boundary (the outer
         fp64 residual) plus a terminal event (see :mod:`repro.obs.probe`).
     """
+    return _gmres_ir(
+        matrix, b, x0, vector=True, inner_precision=inner_precision,
+        outer_precision=outer_precision, restart=restart, tol=tol,
+        max_iterations=max_iterations, max_restarts=max_restarts,
+        preconditioner=preconditioner, ortho=ortho, refine_every=refine_every,
+        timer=timer, name=name, fp64_check=fp64_check, workspace=workspace,
+        control=control, probe=probe,
+    )
+
+
+def _gmres_ir(
+    matrix, B, X0, *, vector, inner_precision, outer_precision, restart, tol,
+    max_iterations, max_restarts, preconditioner, ortho, refine_every, timer, name,
+    fp64_check, workspace, control, controls=None, probe=None,
+) -> Union[SolveResult, MultiSolveResult]:
+    """The GMRES-IR body of every width: ``vector=True`` for
+    :func:`gmres_ir`, an ``(n, k)`` block for ``block_gmres_ir``."""
     restart, tol, max_iterations, max_restarts = resolve_budget(
         restart, tol, max_iterations, max_restarts
     )
@@ -115,36 +136,48 @@ def gmres_ir(
     outer = as_precision(outer_precision)
     if inner.bytes > outer.bytes:
         raise ValueError("inner precision must not be wider than the outer precision")
-    ortho_mgr = resolve_ortho(ortho, 1)
+    ortho_mgr = resolve_ortho(ortho, 1 if vector else 2)
+    n = matrix.n_rows
+    cols = Columns(B, X0, n, outer.dtype, vector=vector, controls=controls)
+    p = cols.p
 
     # Matrix copies in both precisions (the fp32 copy is not metered).
     A_outer = matrix.astype(outer)
     A_inner = matrix.astype(inner)
-    n = A_outer.n_rows
-    cols = Columns(b, x0, n, outer.dtype, vector=True)
     precond = as_preconditioner(preconditioner, inner)
-    workspace = resolve_workspace(workspace, n, restart, inner)
-    timer = timer or KernelTimer(
-        name or f"gmres({restart})-ir-{inner.name}/{outer.name}"
-    )
+    workspace = resolve_workspace(workspace, n, restart, inner, p)
+    family = "gmres" if vector else "block-gmres"
+    solver = f"{family}-ir"
+    shape = restart if vector else f"{restart}x{p}"
+    timer = timer or KernelTimer(name or f"{family}({shape})-ir-{inner.name}/{outer.name}")
 
-    # Pre-allocated refinement vectors, reused across all refinement steps.
-    # The cross-precision buffers only exist when the precisions differ
-    # (kernels.cast is a no-op returning its input at equal precision).
-    correction = np.empty(n, dtype=inner.dtype)
+    # Refinement blocks, reused across all refinement steps; a vector solve
+    # uses their first column.  The cross-precision buffers only exist when
+    # the precisions differ (kernels.cast is a no-op returning its input at
+    # equal precision).
+    def block(dtype) -> np.ndarray:
+        return np.empty((n, p), dtype=dtype, order="F")
+
+    correction = block(inner.dtype)
     mixed = inner.dtype != outer.dtype
-    r_inner_buf = np.empty(n, dtype=inner.dtype) if mixed else None
-    u_buf = np.empty(n, dtype=outer.dtype) if mixed else None
-    rhs_buf = np.empty(n, dtype=inner.dtype) if refine_every > 1 else None
+    r_inner_buf = block(inner.dtype) if mixed else None
+    u_buf = block(outer.dtype) if mixed else None
+    rhs_buf = block(inner.dtype) if refine_every > 1 else None
 
     def refine(R: np.ndarray, rnorms: np.ndarray, remaining: int) -> Step:
-        # Hand the residual to the low-precision solver (metered cast).
-        r_inner = kernels.cast(R[:, 0], inner, out=r_inner_buf)
+        k = cols.k
+        # Hand the residual to the low-precision solver (metered casts).
+        r_inner = R
+        if mixed:
+            for i in range(k):
+                kernels.cast(R[:, i], inner, out=r_inner_buf[:, i])
+            r_inner = r_inner_buf[:, :k]
+        # A vector cycle takes its residual's norm from the caller.
         cycle_rhs = r_inner
-        cycle_rnorm = kernels.norm2(r_inner)
+        cycle_rnorm = kernels.norm2(r_inner[:, 0]) if vector else None
         # Run `refine_every` inner cycles before the next refinement; the
         # standard algorithm refines after every cycle.
-        correction[:] = 0
+        correction[:, :k] = 0
         implicit = []
         done = 0
         final = False
@@ -152,33 +185,39 @@ def gmres_ir(
             if remaining - done <= 0:
                 break
             outcome = run_cycle(
-                A_inner, cycle_rhs, workspace, ortho=ortho_mgr, preconditioner=precond,
-                residual_norm=cycle_rnorm, max_steps=min(restart, remaining - done),
+                A_inner, cycle_rhs[:, 0] if vector else cycle_rhs, workspace,
+                ortho=ortho_mgr, preconditioner=precond, residual_norm=cycle_rnorm,
+                max_steps=min(restart, remaining - done),
                 absolute_targets=None,  # inner residuals are not trusted
                 control=control,
             )
             implicit.extend(outcome.implicit.tolist())
             done += outcome.iterations
-            kernels.axpy(1.0, outcome.update, correction)
+            update = outcome.update.reshape(n, k)
+            for i in range(k):
+                kernels.axpy(1.0, update[:, i], correction[:, i])
             if outcome.exhausted:
                 # Nothing more the inner solver can do from its residual.
                 # After a lucky breakdown the correction is only as
                 # accurate as the inner precision, so the solve refines
                 # again; a non-finite norm, or a refinement that changed
                 # nothing, ends it and the next outer residual decides.
-                final = outcome.nonfinite or not correction.any()
+                final = outcome.nonfinite or not correction[:, :k].any()
                 break
             if refine_every > 1:
                 # Between refinements the inner solver restarts from its
                 # own low-precision residual (workspace.W is free between
-                # cycles, so the extra SpMV lands there).
-                w_in = kernels.spmv(A_inner, correction, out=workspace.W[:, 0])
-                cycle_rhs = kernels.copy(r_inner, out=rhs_buf)
-                kernels.axpy(-1.0, w_in, cycle_rhs)
-                cycle_rnorm = kernels.norm2(cycle_rhs)
+                # cycles, so the extra product lands there).
+                w_in = multiply(A_inner, correction[:, :k], workspace.W[:, :k], vector=vector)
+                for i in range(k):
+                    kernels.copy(r_inner[:, i], out=rhs_buf[:, i])
+                    kernels.axpy(-1.0, w_in[:, i], rhs_buf[:, i])
+                cycle_rhs = rhs_buf[:, :k]
+                cycle_rnorm = kernels.norm2(cycle_rhs[:, 0]) if vector else None
         # Promote the correction and update the solution in fp64.
-        u = kernels.cast(correction, outer, out=u_buf)
-        kernels.axpy(1.0, u, cols.X[:, 0], label="Residual")
+        for i in range(k):
+            u = kernels.cast(correction[:, i], outer, out=u_buf[:, i] if mixed else None)
+            kernels.axpy(1.0, u, cols.X[:, i], label="Residual")
         return Step(done, implicit, final)
 
     with use_timer(timer):
@@ -187,13 +226,13 @@ def gmres_ir(
         restart_loop(
             A_outer, cols, refine,
             tol=tol, max_iterations=max_iterations, max_restarts=max_restarts,
-            solver="gmres-ir", kind="refinement", label="Residual",
-            scratch=(np.empty(n, dtype=outer.dtype), np.empty(n, dtype=outer.dtype)),
+            solver=solver, kind="refinement", label="Residual",
+            scratch=(block(outer.dtype), block(outer.dtype)),
             control=control, probe=probe,
         )
 
     return finish_columns(
-        matrix, cols, timer=timer, solver="gmres-ir",
+        matrix, cols, timer=timer, solver=solver,
         precision=f"{inner.name}/{outer.name}", fp64_check=fp64_check, probe=probe,
         details={
             "restart": restart,

@@ -23,6 +23,7 @@ from repro.linalg.context import use_backend
 from repro.matrices import laplace2d, laplace3d
 from repro.perfmodel import KernelCostModel
 from repro.preconditioners import GmresPolynomialPreconditioner
+import repro.serve.session as session_module
 from repro.serve import (
     BatchingPolicy,
     OperatorSession,
@@ -139,6 +140,31 @@ class TestOperatorSession:
         session.close()
         with pytest.raises(RuntimeError, match="closed"):
             session.submit(np.ones(matrix.n_rows))
+
+    @pytest.mark.parametrize(
+        "method, single, block",
+        [("gmres", "gmres", "block_gmres"), ("gmres-ir", "gmres_ir", "block_gmres_ir")],
+    )
+    def test_dispatches_call_the_module_level_drivers(
+        self, matrix, monkeypatch, method, single, block
+    ):
+        """Width-1 and width-k dispatches go through the driver names of
+        :mod:`repro.serve.session`, so wrapping those names (as perfbench's
+        traced window does) before the session is built sees every solve."""
+        calls = []
+        for name in (single, block):
+            original = getattr(session_module, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(session_module, name, wrapper)
+        B = rhs_block(matrix, 3)
+        with make_session(matrix, method=method, max_block=4) as session:
+            assert session.solve(B[:, 0]).converged
+            assert session.solve_many(B).converged
+        assert calls == [single, block]
 
     def test_gmres_ir_session(self, matrix):
         b = rhs_block(matrix, 1)[:, 0]

@@ -385,6 +385,12 @@ class TestSolveMany:
         with pytest.raises(ValueError):
             solve_many(matrix, np.empty((matrix.n_rows, 0)))
 
+    @pytest.mark.parametrize("block_size", [0, -1, -5])
+    def test_rejects_non_positive_block_size(self, matrix, block_size):
+        # Not clamped to width 1: as OperatorSession(max_block=0) does.
+        with pytest.raises(ValueError, match="block_size"):
+            solve_many(matrix, _rhs_block(matrix, 3), block_size=block_size)
+
 
 # ---------------------------------------------------------------------- #
 # blocked GMRES-IR                                                       #
