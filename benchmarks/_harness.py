@@ -1,67 +1,74 @@
 """Helpers shared by the benchmark modules (kept out of conftest so the
-benchmark files can import them explicitly).
+benchmark files can import them explicitly), and the benchmark CLI.
 
-Besides the pytest-benchmark glue (:func:`run_once`) this module provides
-the machine-readable benchmark output used by CI:
+Besides the pytest-benchmark glue (:func:`run_once`) and the pinned
+execution contexts every solver-level measurement runs in
+(:func:`backend_context` / :func:`each_backend`), this module writes the
+machine-readable records CI reads: :func:`write_bench_json` writes a
+``BENCH_<name>.json`` file (schema tag, environment stamps, an optional
+summary block and one entry per measured configuration, tagged with
+backend, matrix and dtype so perf trajectories can be diffed across
+commits); :func:`timer_entries` flattens a kernel timer into entries.
 
-* :func:`write_bench_json` writes a ``BENCH_<name>.json`` file with one
-  entry per (kernel, precision) bucket — wall seconds, modelled seconds,
-  call counts — tagged with backend, matrix and dtype, so perf trajectories
-  can be diffed across commits;
-* ``python benchmarks/_harness.py --smoke`` runs scaled-down Figure 1 and
-  Figure 5 configurations (< 2 minutes) and emits ``BENCH_smoke.json``
-  (the CI smoke-benchmark job uploads it as an artifact);
-* ``python benchmarks/_harness.py --backends`` times the registered kernel
-  backends against each other and against the plan-free reference SpMV on
-  the 64³ Laplace3D SpMV/SpMM and emits ``BENCH_backends.json`` including
+Every timed mode measures through one core:
+
+* **interleaved repeats** — :func:`interleave` runs the legs of a
+  comparison in the same order on every repeat, so machine drift cancels
+  out of their ratios; a leg returns ``(wall, result)``, timed over its
+  whole call by :func:`timed` unless it times its own window.  Every
+  mode's statistic is the best wall of its repeats (:func:`best`;
+  :func:`best_of` for a single leg);
+* **client fleet** — :func:`drive_clients` runs one thread per client,
+  named ``client-<i>`` or ``tenant-<key>`` (the names show up in
+  ``TRACE_obs.json``), returns the fleet's wall seconds and raises
+  ``SystemExit`` with the first client errors;
+* **gate report** — a gated mode writes its JSON first, then
+  :func:`report_gate` prints one ``FAIL gate`` line per violated bound
+  to stderr and exits 1, or prints the ``gate holds`` line.  Every gate
+  is checked on the reference (``numpy``) backend.
+
+The modes, ``python benchmarks/_harness.py --<mode>`` (``--out PATH``
+overrides the output file when exactly one mode runs):
+
+* ``--smoke`` runs scaled-down Figure 1 and Figure 5 configurations
+  (< 2 minutes) → ``BENCH_smoke.json``, per-kernel wall and modelled
+  seconds (the CI smoke-benchmark job uploads it as an artifact);
+* ``--backends`` times every registered kernel backend, and the plan-free
+  reference SpMV, on the ``--grid`` Laplace3D SpMV/SpMM (64³ is the
+  acceptance configuration), best of 7 → ``BENCH_backends.json`` with
   the measured speedups;
-* ``python benchmarks/_harness.py --solve`` times the *end-to-end* metered
-  and unmetered GMRES(50) fp64 solve on the smoke matrices for every
-  registered backend and emits ``BENCH_solve.json`` — the solver-level perf
-  trajectory.  The summary block records the pre-PR per-iteration baseline
-  (measured before the allocation-free hot path landed) and the speedup
-  against it; ``benchmarks/check_solve_regression.py`` diffs a fresh run
-  against the committed file in CI;
-* ``python benchmarks/_harness.py --solve-block`` times Block-GMRES at
-  block size 8 against 8 sequential GMRES solves (both backends, plain and
-  polynomial-preconditioned) and emits ``BENCH_block.json`` with every
-  interleaved run; it *enforces* the batched-solve gate (``BLOCK_GATE``:
-  block per-RHS speedup ≥0.9× over sequential on the default backend in
-  the preconditioned configuration) and fails the run when the gate or the
-  sequential-parity check is violated;
-* ``python benchmarks/_harness.py --serve`` drives N concurrent client
-  threads against a :class:`repro.serve.OperatorSession` (batched
-  micro-batching scheduler vs the unbatched width-1 scheduler, both
-  backends) and emits ``BENCH_serve.json`` with RHS/s and p50/p95
-  queue-wait/solve/total latency and every interleaved run; it *enforces*
-  the serving gate (``SERVE_GATE``: batched RHS/s ≥0.7× unbatched on the
-  default backend) plus the bit-parity (served == direct solve) and
-  divergence-isolation checks.
-* ``python benchmarks/_harness.py --farm`` replays a skewed 8-operator
-  traffic mix (one hot tenant, seven cold ones) against a
-  :class:`repro.serve.SolverFarm` whose session budget is smaller than the
-  operator count — so LRU eviction and re-warm churn are part of the
-  measured workload — and against the naive no-farm alternative (one warm
-  session at a time, rebuilt on every operator switch, requests solved
-  sequentially).  Emits ``BENCH_farm.json`` with fleet RHS/s, per-tenant
-  p50/p95 latency and fairness shares, and eviction counts; *enforces*
-  the farm acceptance gate (``FARM_GATE``: ≥1.5× fleet RHS/s over the
-  naive baseline on the reference backend, no cold tenant's p95 latency
-  degraded more than 3× by the hot neighbour, evictions observed).
-* ``python benchmarks/_harness.py --obs`` measures the observability
-  layer's serving cost: the ``--serve`` batched client mix is replayed
-  with obs fully off (baseline), metrics-only (the default), adaptive
-  sampling (10% head + tail keep) and with full request tracing +
-  solver probes on, interleaved so drift cancels.
-  Emits ``BENCH_obs.json`` with the measured throughput cost of each
-  state plus the traced run's Chrome trace-event artifact
-  (``TRACE_obs.json``, opens in chrome://tracing / Perfetto); *enforces*
-  the overhead gate (``OBS_GATE``: tracing off costs <2% RHS/s, sampled
-  tracing <2%, full tracing <10%, on the reference backend) and checks
-  that the span ledger reconciles with the service telemetry.
-
-The backend-selection/setup boilerplate those modes share lives in
-:func:`backend_context` / :func:`each_backend`.
+* ``--solve`` times the end-to-end unmetered and metered fp64 GMRES(50)
+  solve on the smoke matrices for every backend, best of 3 after a
+  warm-up → ``BENCH_solve.json``.  The summary records the pre-PR
+  per-iteration baseline and the speedup against it;
+  ``benchmarks/check_solve_regression.py`` diffs a fresh run against the
+  committed file in CI (:data:`SOLVE_GATE`);
+* ``--solve-block`` interleaves 8 sequential GMRES solves with one
+  Block-GMRES solve of the same right-hand sides (both backends, plain
+  and polynomial-preconditioned; only the gate configuration earns the 5
+  repeats) → ``BENCH_block.json`` with every run.  Gate
+  :data:`BLOCK_GATE`, plus the block-vs-sequential parity check;
+* ``--serve`` drives 8 clients (``--clients``) against one
+  :class:`repro.serve.OperatorSession`, the unbatched width-1 scheduler
+  interleaved with the micro-batching one, best of 5 →
+  ``BENCH_serve.json`` with RHS/s and p50/p95 queue-wait/solve/total
+  latency.  Gate :data:`SERVE_GATE`, plus bit-parity (served == direct
+  solve) and divergence isolation;
+* ``--obs`` replays the ``--serve`` batched workload with obs off
+  (baseline), metrics only (the default), adaptive sampling (10% head +
+  tail keep) and full tracing + solver probes, best of 6 →
+  ``BENCH_obs.json`` and the traced run's Chrome trace ``TRACE_obs.json``
+  (chrome://tracing / Perfetto).  Gate :data:`OBS_GATE`, plus span
+  ledgers that reconcile with the service telemetry;
+* ``--farm`` replays a skewed 8-operator mix (one hot tenant, seven cold
+  ones) through a :class:`repro.serve.SolverFarm` with fewer session
+  slots than operators, so LRU eviction and re-warm are measured,
+  interleaved with the naive baseline (one warm session at a time,
+  rebuilt on every operator switch, requests solved sequentially), best
+  of 3, after a hot-free run of the cold tenants alone →
+  ``BENCH_farm.json`` with fleet RHS/s, per-tenant p50/p95 latency,
+  fairness shares and evictions.  Gate :data:`FARM_GATE`, plus a
+  reconciling, failure-free fleet ledger.
 """
 
 from __future__ import annotations
@@ -71,11 +78,15 @@ import json
 import pathlib
 import platform
 import sys
+import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: One timed run of a leg: (wall seconds, what the leg returned).
+Run = Tuple[float, object]
 
 
 # ---------------------------------------------------------------------- #
@@ -124,6 +135,85 @@ def run_once(benchmark, func):
     experiment reports, the wall time is just bookkeeping.
     """
     return benchmark.pedantic(func, rounds=1, iterations=1)
+
+
+# ---------------------------------------------------------------------- #
+# measurement core (shared by every timed mode)                          #
+# ---------------------------------------------------------------------- #
+def timed(func: Callable[[], object]) -> Run:
+    """Call ``func`` once; return ``(wall seconds of the call, its result)``."""
+    start = time.perf_counter()
+    result = func()
+    return time.perf_counter() - start, result
+
+
+def interleave(legs: Dict[str, Callable[[], Run]], repeats: int) -> Dict[str, List[Run]]:
+    """Run every leg, in the order given, on each of ``repeats`` repeats.
+
+    Each leg returns its own ``(wall, result)`` (see :func:`timed`), so a
+    leg that sets up state outside its timed window can leave it out.
+    Returns each leg's runs in repeat order.
+    """
+    runs: Dict[str, List[Run]] = {name: [] for name in legs}
+    for _ in range(max(1, repeats)):
+        for name, leg in legs.items():
+            runs[name].append(leg())
+    return runs
+
+
+def best(runs: List[Run]) -> Run:
+    """The fastest run of a leg (the earliest one on a tie)."""
+    return min(runs, key=lambda run: run[0])
+
+
+def walls(runs: List[Run]) -> List[float]:
+    """The wall seconds of a leg's runs, in repeat order."""
+    return [wall for wall, _ in runs]
+
+
+def best_of(func: Callable[[], object], repeats: int) -> Run:
+    """Best ``(wall, result)`` of ``repeats`` whole calls of ``func``."""
+    return best(interleave({"": lambda: timed(func)}, repeats)[""])
+
+
+def drive_clients(
+    work: Callable[[object], None], clients: Iterable, prefix: str, *, tag: str
+) -> float:
+    """Run ``work(c)`` on one thread per client ``c``, named ``prefix-c``.
+
+    Returns the wall seconds from the first start to the last join.
+    Raises ``SystemExit`` naming the first (up to three) client errors.
+    """
+    errors: List[tuple] = []
+
+    def client(c) -> None:
+        try:
+            work(c)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append((c, exc))
+
+    threads = [
+        threading.Thread(target=client, args=(c,), name=f"{prefix}-{c}") for c in clients
+    ]
+    start = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    wall = time.perf_counter() - start
+    if errors:
+        raise SystemExit(f"{tag}: client errors: {errors[:3]}")
+    return wall
+
+
+def report_gate(tag: str, backend: str, failures: List[str], holds: str) -> None:
+    """Print one ``FAIL gate`` line per failure to stderr and exit 1, or
+    print the ``gate holds`` line when there is none."""
+    for failure in failures:
+        print(f"[{tag}] FAIL gate ({backend}): {failure}", file=sys.stderr)
+    if failures:
+        raise SystemExit(1)
+    print(f"[{tag}] gate holds on {backend}: {holds}")
 
 
 # ---------------------------------------------------------------------- #
@@ -195,11 +285,18 @@ def write_bench_json(
     return path
 
 
+def _written(name: str, entries, summary=None, out=None) -> pathlib.Path:
+    """:func:`write_bench_json`, then print the path written."""
+    path = write_bench_json(name, entries, summary=summary, out=out)
+    print(f"[{name}] wrote {path}")
+    return path
+
+
 # ---------------------------------------------------------------------- #
 # CLI modes (used by CI)                                                 #
 # ---------------------------------------------------------------------- #
-def _smoke_entries() -> List[Dict[str, object]]:
-    """Scaled-down Figure 1 + Figure 5 runs with per-kernel wall times."""
+def run_smoke(out: Optional[pathlib.Path] = None) -> pathlib.Path:
+    """CI smoke benchmark: quick fig1/fig5 configs → BENCH_smoke.json."""
     from repro.config import get_config
     from repro.experiments import ExperimentConfig, fig1_fd_laplace3d, fig5_kernel_speedups
     from repro.perfmodel import KernelTimer, use_timer
@@ -212,9 +309,7 @@ def _smoke_entries() -> List[Dict[str, object]]:
         ("figure5_kernel_speedups", fig5_kernel_speedups.run, "three-PDE suite"),
     ):
         with use_timer(KernelTimer(label)) as timer:
-            start = time.perf_counter()
-            driver(cfg)
-            elapsed = time.perf_counter() - start
+            elapsed, _ = timed(lambda: driver(cfg))
         entries.extend(
             timer_entries(
                 timer,
@@ -225,24 +320,7 @@ def _smoke_entries() -> List[Dict[str, object]]:
             )
         )
         print(f"[smoke] {label}: {elapsed:.1f} s wall", flush=True)
-    return entries
-
-
-def run_smoke(out: Optional[pathlib.Path] = None) -> pathlib.Path:
-    """CI smoke benchmark: quick fig1/fig5 configs → BENCH_smoke.json."""
-    path = write_bench_json("smoke", _smoke_entries(), out=out)
-    print(f"[smoke] wrote {path}")
-    return path
-
-
-def _time_kernel(func, *, repeats: int = 7) -> float:
-    """Best-of-``repeats`` wall time of ``func`` (seconds)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return _written("smoke", entries, out=out)
 
 
 def run_backend_comparison(
@@ -272,53 +350,43 @@ def run_backend_comparison(
         matrix = matrix64.astype(dtype_name)
         x = gen.standard_normal(matrix.n_cols).astype(matrix.dtype)
         X = gen.standard_normal((matrix.n_cols, n_rhs)).astype(matrix.dtype)
-        t_ref = _time_kernel(
-            lambda: reference_spmv(matrix.data, matrix.indices, matrix.indptr, x)
+        times = spmv_times.setdefault(dtype_name, {})
+
+        def add(backend: str, kernel: str, seconds: float, width: int) -> None:
+            entries.append(
+                {
+                    "benchmark": "backend_comparison",
+                    "backend": backend,
+                    "matrix": matrix.name,
+                    "kernel": kernel,
+                    "dtype": dtype_name,
+                    "calls": 1,
+                    "wall_seconds": seconds,
+                    "n_rows": matrix.n_rows,
+                    "nnz": matrix.nnz,
+                    "n_rhs": width,
+                }
+            )
+
+        times["reference"], _ = best_of(
+            lambda: reference_spmv(matrix.data, matrix.indices, matrix.indptr, x), 7
         )
-        spmv_times.setdefault(dtype_name, {})["reference"] = t_ref
-        entries.append(
-            {
-                "benchmark": "backend_comparison",
-                "backend": "reference",
-                "matrix": matrix.name,
-                "kernel": "SpMV",
-                "dtype": dtype_name,
-                "calls": 1,
-                "wall_seconds": t_ref,
-                "n_rows": matrix.n_rows,
-                "nnz": matrix.nnz,
-                "n_rhs": 1,
-            }
-        )
+        add("reference", "SpMV", times["reference"], 1)
         print(
             f"[backends] {matrix.name} {dtype_name} reference: "
-            f"SpMV {t_ref * 1e3:.2f} ms",
+            f"SpMV {times['reference'] * 1e3:.2f} ms",
             flush=True,
         )
         for name in available_backends():
             backend = get_backend(name)
             backend.spmv(matrix, x)  # warm-up pass also builds cached handles
-            t_spmv = _time_kernel(lambda: backend.spmv(matrix, x))
-            t_spmm = _time_kernel(lambda: backend.spmm(matrix, X))
-            spmv_times.setdefault(dtype_name, {})[name] = t_spmv
-            for kernel, seconds in (("SpMV", t_spmv), ("SpMM", t_spmm)):
-                entries.append(
-                    {
-                        "benchmark": "backend_comparison",
-                        "backend": name,
-                        "matrix": matrix.name,
-                        "kernel": kernel,
-                        "dtype": dtype_name,
-                        "calls": 1,
-                        "wall_seconds": seconds,
-                        "n_rows": matrix.n_rows,
-                        "nnz": matrix.nnz,
-                        "n_rhs": n_rhs if kernel == "SpMM" else 1,
-                    }
-                )
+            times[name], _ = best_of(lambda: backend.spmv(matrix, x), 7)
+            t_spmm, _ = best_of(lambda: backend.spmm(matrix, X), 7)
+            add(name, "SpMV", times[name], 1)
+            add(name, "SpMM", t_spmm, n_rhs)
             print(
                 f"[backends] {matrix.name} {dtype_name} {name}: "
-                f"SpMV {t_spmv * 1e3:.2f} ms, SpMM({n_rhs}) {t_spmm * 1e3:.2f} ms",
+                f"SpMV {times[name] * 1e3:.2f} ms, SpMM({n_rhs}) {t_spmm * 1e3:.2f} ms",
                 flush=True,
             )
     summary: Dict[str, object] = {"grid": grid, "n_rhs": n_rhs}
@@ -332,9 +400,7 @@ def run_backend_comparison(
             summary[f"spmv_speedup_scipy_over_numpy_{dtype_name}"] = (
                 times["numpy"] / times["scipy"]
             )
-    path = write_bench_json("backends", entries, summary=summary, out=out)
-    print(f"[backends] wrote {path}")
-    return path
+    return _written("backends", entries, summary, out)
 
 
 #: Per-iteration wall time (µs) of the unmetered smoke GMRES(50) fp64 solve
@@ -383,13 +449,9 @@ def run_solve(out: Optional[pathlib.Path] = None, *, repeats: int = 3) -> pathli
             b = np.ones(matrix.n_rows)
             for mode in ("unmetered", "metered"):
                 with backend_context(backend, meter=(mode == "metered")):
-                    result = gmres(matrix, b, **solve_kwargs)  # warm-up
-                    best = float("inf")
-                    for _ in range(repeats):
-                        start = time.perf_counter()
-                        result = gmres(matrix, b, **solve_kwargs)
-                        best = min(best, time.perf_counter() - start)
-                per_iter_us = best / result.iterations * 1e6
+                    gmres(matrix, b, **solve_kwargs)  # warm-up
+                    wall, result = best_of(lambda: gmres(matrix, b, **solve_kwargs), repeats)
+                per_iter_us = wall / result.iterations * 1e6
                 entries.append(
                     {
                         "benchmark": "solve",
@@ -400,15 +462,13 @@ def run_solve(out: Optional[pathlib.Path] = None, *, repeats: int = 3) -> pathli
                         "mode": mode,
                         "status": str(result.status),
                         "iterations": result.iterations,
-                        "wall_seconds": best,
+                        "wall_seconds": wall,
                         "wall_per_iteration_us": per_iter_us,
                     }
                 )
-                if mode == "unmetered":
-                    key = f"{backend}/{label}"
-                    baseline = PRE_PR_BASELINE_US.get(key)
-                    if baseline:
-                        speedups[key] = baseline / per_iter_us
+                baseline = PRE_PR_BASELINE_US.get(f"{backend}/{label}")
+                if mode == "unmetered" and baseline:
+                    speedups[f"{backend}/{label}"] = baseline / per_iter_us
                 print(
                     f"[solve] {backend} {label} {mode}: "
                     f"{result.iterations} iters, {per_iter_us:.1f} us/iter",
@@ -423,9 +483,7 @@ def run_solve(out: Optional[pathlib.Path] = None, *, repeats: int = 3) -> pathli
         "pre_pr_baseline_us": dict(PRE_PR_BASELINE_US),
         "unmetered_speedup_vs_pre_pr": speedups,
     }
-    path = write_bench_json("solve", entries, summary=summary, out=out)
-    print(f"[solve] wrote {path}")
-    return path
+    return _written("solve", entries, summary, out)
 
 
 #: The batched-solve gate: on the default backend, Block-GMRES at block
@@ -489,45 +547,24 @@ def run_solve_block(
                 if degree is not None
                 else None
             )
-            seq_kwargs = dict(
-                restart=seq_restart,
-                tol=tol,
-                max_restarts=10,
-                preconditioner=precond,
-                fp64_check=True,
-            )
-            blk_kwargs = dict(
-                restart=blk_restart,
-                tol=tol,
-                max_restarts=60,
-                preconditioner=precond,
-                fp64_check=True,
-            )
+            kwargs = dict(tol=tol, preconditioner=precond, fp64_check=True)
 
-            def run_sequential():
-                return [gmres(matrix, B[:, c], **seq_kwargs) for c in range(block_size)]
+            def sequential():
+                return [
+                    gmres(matrix, B[:, c], restart=seq_restart, max_restarts=10, **kwargs)
+                    for c in range(block_size)
+                ]
 
-            def run_block():
-                return block_gmres(matrix, B, **blk_kwargs)
+            def block():
+                return block_gmres(matrix, B, restart=blk_restart, max_restarts=60, **kwargs)
 
-            # Interleave the sequential and block measurements so machine
-            # drift (thermal, noisy neighbours) cancels out of the ratio,
-            # as the committed --solve baselines were recorded.  Only the
-            # gate configuration earns the full repeat count.
-            n_reps = repeats if config == BLOCK_GATE["config"] else 1
-            seq_results = run_sequential()  # warm-up (plans, BLAS, caches)
-            blk = run_block()  # warm-up
-            seq_runs: List[float] = []
-            blk_runs: List[float] = []
-            for _ in range(n_reps):
-                start = time.perf_counter()
-                seq_results = run_sequential()
-                seq_runs.append(time.perf_counter() - start)
-                start = time.perf_counter()
-                blk = run_block()
-                blk_runs.append(time.perf_counter() - start)
-            t_seq = min(seq_runs)
-            t_blk = min(blk_runs)
+            legs = {"sequential": lambda: timed(sequential), "block": lambda: timed(block)}
+            for leg in legs.values():
+                leg()  # warm-up (plans, BLAS, caches)
+            # Only the gate configuration earns the full repeat count.
+            runs = interleave(legs, repeats if config == BLOCK_GATE["config"] else 1)
+            t_seq, seq_results = best(runs["sequential"])
+            t_blk, blk = best(runs["block"])
 
             # Correctness: every column converged on both paths and the
             # block solutions match the sequential ones to solver
@@ -552,7 +589,9 @@ def run_solve_block(
 
             key = f"{backend}/{config}"
             speedups[key] = t_seq / t_blk
-            run_speedups[key] = [t_s / t_b for t_s, t_b in zip(seq_runs, blk_runs)]
+            run_speedups[key] = [
+                t_s / t_b for t_s, t_b in zip(walls(runs["sequential"]), walls(runs["block"]))
+            ]
             parity[key] = max_diff
             common = {
                 "benchmark": "solve_block",
@@ -569,7 +608,7 @@ def run_solve_block(
                     mode="sequential",
                     solver=f"gmres({seq_restart})",
                     wall_seconds=t_seq,
-                    run_wall_seconds=seq_runs,
+                    run_wall_seconds=walls(runs["sequential"]),
                     per_rhs_wall_seconds=t_seq / block_size,
                     iterations=sum(r.iterations for r in seq_results),
                 )
@@ -580,7 +619,7 @@ def run_solve_block(
                     mode="block",
                     solver=f"block-gmres({blk_restart}x{block_size})",
                     wall_seconds=t_blk,
-                    run_wall_seconds=blk_runs,
+                    run_wall_seconds=walls(runs["block"]),
                     per_rhs_wall_seconds=t_blk / block_size,
                     iterations=int(blk.iterations.max()),
                     block_iterations=blk.block_iterations,
@@ -604,21 +643,14 @@ def run_solve_block(
         "per_run_speedup_block_over_sequential": run_speedups,
         "max_solution_diff_vs_sequential": parity,
     }
-    path = write_bench_json("block", entries, summary=summary, out=out)
-    print(f"[block] wrote {path}")
-
+    path = _written("block", entries, summary, out)
     gate_key = f"{BLOCK_GATE['backend']}/{BLOCK_GATE['config']}"
-    gate_speedup = speedups.get(gate_key, 0.0)
-    if gate_speedup < BLOCK_GATE["min_speedup"]:
-        print(
-            f"[block] FAIL gate: {gate_key} per-RHS speedup "
-            f"{gate_speedup:.2f}x < {BLOCK_GATE['min_speedup']}x",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
-    print(
-        f"[block] gate holds: {gate_key} {gate_speedup:.2f}x >= "
-        f"{BLOCK_GATE['min_speedup']}x per RHS"
+    speedup, bound = speedups.get(gate_key, 0.0), BLOCK_GATE["min_speedup"]
+    report_gate(
+        "block",
+        BLOCK_GATE["backend"],
+        [f"{gate_key} per-RHS speedup {speedup:.2f}x < {bound}x"] if speedup < bound else [],
+        f"{gate_key} {speedup:.2f}x >= {bound}x per RHS",
     )
     return path
 
@@ -639,22 +671,58 @@ SERVE_GATE = {
     "min_speedup": 0.7,
 }
 
-#: (mode label, OperatorSession kwargs).  The unbatched scheduler serves
+#: Mode label -> OperatorSession kwargs.  The unbatched scheduler serves
 #: width-1 solves with the single-RHS-tuned restart; the batched scheduler
 #: coalesces up to 8 requests with the block-tuned restart — the same two
 #: solver configurations BLOCK_GATE compares, now measured *as a service*.
-_SERVE_MODES = [
-    (
-        "unbatched",
-        dict(max_block=1, max_wait_ms=0.0, restart=50, max_restarts=10,
-             policy="sequential"),
-    ),
-    (
-        "batched",
-        dict(max_block=8, max_wait_ms=25.0, restart=15, max_restarts=60,
-             policy="block"),
-    ),
-]
+_SERVE_MODES = {
+    "unbatched": dict(max_block=1, max_wait_ms=0.0, restart=50, max_restarts=10,
+                      policy="sequential"),
+    "batched": dict(max_block=8, max_wait_ms=25.0, restart=15, max_restarts=60,
+                    policy="block"),
+}
+
+
+def _serve_setup(grid: int, total: int) -> tuple:
+    """The ``--serve`` / ``--obs`` workload: Laplace3D, its degree-16
+    polynomial preconditioner and ``total`` right-hand sides."""
+    from repro.config import rng
+    from repro.matrices import laplace3d
+    from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
+
+    matrix = laplace3d(grid)
+    precond = GmresPolynomialPreconditioner(matrix, degree=16)
+    return matrix, precond, rng(2026).standard_normal((matrix.n_rows, total))
+
+
+def _serve_window(session, B, clients: int, per_client: int, tol: float, tag: str, check):
+    """Warm ``session``, time its client fleet, run ``check(session)``,
+    close it.  Returns ``(wall, (stats, what check returned))``.
+
+    Each client submits one right-hand side at a time and waits for its
+    future — the serving workload shape.
+    """
+
+    def work(c: int) -> None:
+        for j in range(per_client):
+            idx = c * per_client + j
+            result = session.submit(B[:, idx]).result(timeout=600)
+            assert result.converged, f"request {idx} ended {result.status}"
+            assert result.relative_residual_fp64 <= tol * 1.01
+
+    try:
+        # Warm both dispatch widths through the telemetry-free direct path
+        # so the timed window measures steady state.
+        session.solve(B[:, 0])
+        if session.max_block > 1:
+            session.solve_many(B[:, : session.max_block])
+        wall = drive_clients(work, range(clients), "client", tag=tag)
+        stats = session.stats()
+        checked = check(session)
+    finally:
+        session.close()
+    assert stats.requests_completed >= clients * per_client
+    return wall, (stats, checked)
 
 
 def run_serve(
@@ -669,12 +737,11 @@ def run_serve(
     """Solver-service throughput benchmark → BENCH_serve.json (with gate).
 
     Drives ``clients`` concurrent client threads against one
-    :class:`repro.serve.OperatorSession` (each client submits one
-    right-hand side at a time and waits for its future — the serving
-    workload shape), once with the unbatched width-1 scheduler and once
-    with micro-batching enabled, for every registered backend.  Records
-    RHS/s and p50/p95 queue-wait/solve/total latency from the service
-    telemetry, checks the served results, and enforces :data:`SERVE_GATE`.
+    :class:`repro.serve.OperatorSession`, once with the unbatched width-1
+    scheduler and once with micro-batching enabled, for every registered
+    backend.  Records RHS/s and p50/p95 queue-wait/solve/total latency
+    from the service telemetry, checks the served results, and enforces
+    :data:`SERVE_GATE`.
 
     Also asserts the two serving acceptance properties end to end: a
     request served through the unbatched scheduler is *bit-identical* to
@@ -682,116 +749,61 @@ def run_serve(
     non-finite (diverging) right-hand side still completes its other
     requests.
     """
-    import threading
-
     import numpy as np
 
-    from repro.config import rng
-    from repro.matrices import laplace3d
-    from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
     from repro.serve import OperatorSession
 
-    matrix = laplace3d(grid)
-    label = f"Laplace3D{grid}"
-    precond = GmresPolynomialPreconditioner(matrix, degree=16)
     total = clients * requests_per_client
-    B = rng(2026).standard_normal((matrix.n_rows, total))
+    matrix, precond, B = _serve_setup(grid, total)
     entries: List[Dict[str, object]] = []
     speedups: Dict[str, float] = {}
     run_speedups: Dict[str, List[float]] = {}
 
     for backend in each_backend():
 
-        def drive_clients(session, mode):
-            """Run the client fleet once; returns the wall seconds."""
-            errors: List[BaseException] = []
+        def bit_parity(session) -> None:
+            """Unbatched served == direct solve."""
+            served = session.submit(B[:, 0]).result(timeout=600)
+            assert np.array_equal(served.x, session.solve(B[:, 0]).x), (
+                f"[serve] {backend}: served result drifted from the direct solve path"
+            )
 
-            def client(c):
-                try:
-                    for j in range(requests_per_client):
-                        idx = c * requests_per_client + j
-                        result = session.submit(B[:, idx]).result(timeout=600)
-                        assert result.converged, (
-                            f"request {idx} ended {result.status}"
-                        )
-                        assert result.relative_residual_fp64 <= tol * 1.01
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    errors.append(exc)
+        def divergence_isolation(session) -> None:
+            """A NaN request fails alone while the good requests sharing
+            the window complete."""
+            good = [session.submit(B[:, c]) for c in range(3)]
+            bad = session.submit(np.full(matrix.n_rows, np.nan))
+            assert all(g.result(timeout=600).converged for g in good)
+            try:
+                bad.result(timeout=600)
+            except ValueError:
+                return
+            raise SystemExit(f"[serve] {backend}: non-finite request did not fail")
 
-            threads = [
-                threading.Thread(target=client, args=(c,), name=f"client-{c}")
-                for c in range(clients)
-            ]
-            start = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            wall = time.perf_counter() - start
-            if errors:
-                raise SystemExit(
-                    f"[serve] {backend}/{mode}: client errors: {errors[:3]}"
+        checks = {"unbatched": bit_parity, "batched": divergence_isolation}
+        runs = interleave(
+            {
+                mode: lambda mode=mode: _serve_window(
+                    OperatorSession(
+                        matrix, preconditioner=precond, tol=tol, **_SERVE_MODES[mode]
+                    ),
+                    B, clients, requests_per_client, tol, f"[serve] {backend}/{mode}",
+                    checks[mode],
                 )
-            return wall
-
-        # Interleave the unbatched and batched measurements across repeats
-        # so machine drift cancels out of the throughput ratio (the same
-        # discipline the --solve-block gate uses); keep each mode's best.
-        best: Dict[str, tuple] = {}
-        walls: Dict[str, List[float]] = {}
-        for _ in range(max(1, repeats)):
-            for mode, session_kwargs in _SERVE_MODES:
-                session = OperatorSession(
-                    matrix, preconditioner=precond, tol=tol, **session_kwargs
-                )
-                try:
-                    # Warm both dispatch widths through the telemetry-free
-                    # direct path so the timed window measures steady state.
-                    session.solve(B[:, 0])
-                    if session.max_block > 1:
-                        session.solve_many(B[:, : session.max_block])
-                    wall = drive_clients(session, mode)
-                    stats = session.stats()
-
-                    # Bit-parity acceptance: unbatched served == direct.
-                    if mode == "unbatched":
-                        served = session.submit(B[:, 0]).result(timeout=600)
-                        direct = session.solve(B[:, 0])
-                        assert np.array_equal(served.x, direct.x), (
-                            f"[serve] {backend}: served result drifted from "
-                            "the direct solve path"
-                        )
-                    # Divergence isolation: a NaN request fails alone while
-                    # the good requests sharing the window complete.
-                    if mode == "batched":
-                        good = [session.submit(B[:, c]) for c in range(3)]
-                        bad = session.submit(np.full(matrix.n_rows, np.nan))
-                        assert all(g.result(timeout=600).converged for g in good)
-                        try:
-                            bad.result(timeout=600)
-                            raise SystemExit(
-                                f"[serve] {backend}: non-finite request "
-                                "did not fail"
-                            )
-                        except ValueError:
-                            pass
-                finally:
-                    session.close()
-                assert stats.requests_completed >= total
-                walls.setdefault(mode, []).append(wall)
-                if mode not in best or wall < best[mode][0]:
-                    best[mode] = (wall, stats)
+                for mode in _SERVE_MODES
+            },
+            repeats,
+        )
 
         throughput: Dict[str, float] = {}
-        for mode, session_kwargs in _SERVE_MODES:
-            wall, stats = best[mode]
-            rps = total / wall
-            throughput[mode] = rps
+        for mode, session_kwargs in _SERVE_MODES.items():
+            wall, (stats, _) = best(runs[mode])
+            rps = throughput[mode] = total / wall
             entries.append(
                 {
                     "benchmark": "serve",
                     "backend": backend,
-                    "matrix": label,
+                    "matrix": f"Laplace3D{grid}",
                     "config": "poly16",
                     "dtype": "double",
                     "mode": mode,
@@ -802,7 +814,7 @@ def run_serve(
                     "max_wait_ms": session_kwargs["max_wait_ms"],
                     "restart": session_kwargs["restart"],
                     "wall_seconds": wall,
-                    "run_wall_seconds": walls[mode],
+                    "run_wall_seconds": walls(runs[mode]),
                     "rhs_per_second": rps,
                     "queue_wait_p50_ms": stats.queue_wait.p50_ms,
                     "queue_wait_p95_ms": stats.queue_wait.p95_ms,
@@ -827,7 +839,7 @@ def run_serve(
             )
         speedups[backend] = throughput["batched"] / throughput["unbatched"]
         run_speedups[backend] = [
-            t_u / t_b for t_u, t_b in zip(walls["unbatched"], walls["batched"])
+            t_u / t_b for t_u, t_b in zip(walls(runs["unbatched"]), walls(runs["batched"]))
         ]
         print(
             f"[serve] {backend}: batched/unbatched throughput "
@@ -845,21 +857,10 @@ def run_serve(
         "throughput_speedup_batched_over_unbatched": speedups,
         "per_run_speedup_batched_over_unbatched": run_speedups,
     }
-    path = write_bench_json("serve", entries, summary=summary, out=out)
-    print(f"[serve] wrote {path}")
-
-    gate_speedup = speedups.get(SERVE_GATE["backend"], 0.0)
-    if gate_speedup < SERVE_GATE["min_speedup"]:
-        print(
-            f"[serve] FAIL gate: {SERVE_GATE['backend']} batched serving "
-            f"{gate_speedup:.2f}x < {SERVE_GATE['min_speedup']}x RHS/s",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
-    print(
-        f"[serve] gate holds: {SERVE_GATE['backend']} batched serving "
-        f"{gate_speedup:.2f}x >= {SERVE_GATE['min_speedup']}x RHS/s"
-    )
+    path = _written("serve", entries, summary, out)
+    speedup, bound = speedups.get(SERVE_GATE["backend"], 0.0), SERVE_GATE["min_speedup"]
+    verdict = f"batched serving {speedup:.2f}x {'<' if speedup < bound else '>='} {bound}x RHS/s"
+    report_gate("serve", SERVE_GATE["backend"], [verdict] if speedup < bound else [], verdict)
     return path
 
 
@@ -882,6 +883,50 @@ OBS_GATE = {
 _OBS_VARIANTS = ("baseline", "untraced", "sampled", "traced")
 
 
+def _check_obs_ledger(variant: str, obs, stats, scrape: str, tag: str) -> None:
+    """A variant's instrumentation accounts for every request it served."""
+    tracer = obs.tracer
+    if variant == "traced":
+        # Span ledger reconciles with the service telemetry.
+        assert tracer.open_spans == 0, "span leak under load"
+        roots = [s for s in tracer.finished_spans() if s.name == "request"]
+        if tracer.dropped_spans == 0 and len(roots) != stats.requests_submitted:
+            raise SystemExit(
+                f"{tag}: {len(roots)} request spans != "
+                f"{stats.requests_submitted} submitted requests"
+            )
+        if stats.requests_submitted != stats.requests_completed + stats.requests_failed:
+            raise SystemExit(f"{tag}: telemetry skew")
+    if variant == "sampled":
+        # Sampled ledger reconciles: every request either left a kept root
+        # or was counted sampled-out — and with an all-converged workload
+        # the kept set is the head stride plus the tail's slowest-decile
+        # keeps.
+        assert tracer.open_spans == 0, "span leak under sampling"
+        roots = [
+            s for s in tracer.finished_spans()
+            if s.parent_id is None and s.name == "request"
+        ]
+        if tracer.dropped_spans == 0 and (
+            len(roots) + tracer.sampled_out_traces != stats.requests_submitted
+        ):
+            raise SystemExit(
+                f"{tag}: sampled ledger skew: {len(roots)} kept + "
+                f"{tracer.sampled_out_traces} dropped != "
+                f"{stats.requests_submitted} submitted"
+            )
+        bad = [
+            s for s in roots
+            if s.attrs.get("outcome") not in ("converged", "cancelled")
+            and s.attrs.get("sampled") == "tail"
+        ]
+        if stats.requests_failed and not bad:
+            raise SystemExit(f"{tag}: failed requests were sampled out")
+    if variant == "untraced" and "repro_requests_submitted_total" not in scrape:
+        # The collectors actually publish on scrape.
+        raise SystemExit(f"{tag}: metrics collector silent")
+
+
 def run_obs(
     out: Optional[pathlib.Path] = None,
     *,
@@ -895,11 +940,11 @@ def run_obs(
     """Observability overhead benchmark → BENCH_obs.json (with gate).
 
     Replays the ``--serve`` batched client mix (``clients`` threads, one
-    in-flight request each) against three identically configured sessions
-    that differ only in instrumentation:
+    in-flight request each) against identically configured sessions that
+    differ only in instrumentation:
 
     * ``baseline`` — :meth:`repro.obs.Observability.disabled`: no tracer,
-      no metrics registry (the PR-8 state);
+      no metrics registry;
     * ``untraced`` — metrics collectors registered, tracing off (the
       library default);
     * ``sampled`` — adaptive tracing (:class:`repro.obs.Sampler`, 10%
@@ -907,21 +952,13 @@ def run_obs(
     * ``traced`` — a live :class:`repro.obs.Tracer` spanning every
       request plus solver probes, with metrics on.
 
-    The variants are interleaved across ``repeats`` and each keeps its
-    best wall time, so machine drift cancels out of the overhead ratios.
-    The traced run's span ledger must reconcile with the service
-    telemetry (one ``request`` root per submitted request,
-    ``submitted == completed + failed``); its Chrome trace-event export
-    is written next to the JSON (``TRACE_obs.json``) and the gate
-    (:data:`OBS_GATE`) bounds both overhead ratios on the reference
-    backend.
+    The traced and sampled runs' span ledgers must reconcile with the
+    service telemetry (one ``request`` root per submitted request,
+    ``submitted == completed + failed``); the reference backend's traced
+    run is exported as a Chrome trace next to the JSON
+    (``TRACE_obs.json``), and the gate (:data:`OBS_GATE`) bounds the
+    overhead ratios on that backend.
     """
-    import threading
-
-    import numpy as np
-
-    from repro.config import rng
-    from repro.matrices import laplace3d
     from repro.obs import (
         MetricsRegistry,
         Observability,
@@ -930,146 +967,48 @@ def run_obs(
         export_chrome_trace,
         prometheus_text,
     )
-    from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
     from repro.serve import OperatorSession
 
-    matrix = laplace3d(grid)
-    label = f"Laplace3D{grid}"
-    precond = GmresPolynomialPreconditioner(matrix, degree=16)
     total = clients * requests_per_client
-    B = rng(2026).standard_normal((matrix.n_rows, total))
-    session_kwargs = dict(_SERVE_MODES[1][1])  # the batched serving config
+    matrix, precond, B = _serve_setup(grid, total)
+    session_kwargs = _SERVE_MODES["batched"]
     entries: List[Dict[str, object]] = []
     costs: Dict[str, Dict[str, float]] = {}
     trace_path = trace_out or (RESULTS_DIR / "TRACE_obs.json")
-
-    def make_obs(variant: str) -> "Observability":
-        if variant == "baseline":
-            return Observability.disabled()
-        if variant == "untraced":
-            return Observability(tracer=None, registry=MetricsRegistry())
-        if variant == "sampled":
-            return Observability(
-                tracer=Tracer(sampler=Sampler(head_rate=0.1, tail_keep=True)),
-                registry=MetricsRegistry(),
-            )
-        return Observability(
-            tracer=Tracer(), registry=MetricsRegistry()
-        )
+    make_obs = {
+        "baseline": Observability.disabled,
+        "untraced": lambda: Observability(tracer=None, registry=MetricsRegistry()),
+        "sampled": lambda: Observability(
+            tracer=Tracer(sampler=Sampler(head_rate=0.1, tail_keep=True)),
+            registry=MetricsRegistry(),
+        ),
+        "traced": lambda: Observability(tracer=Tracer(), registry=MetricsRegistry()),
+    }
 
     for backend in each_backend():
 
-        def drive_clients(session):
-            errors: List[BaseException] = []
+        def leg(variant: str) -> Run:
+            obs = make_obs[variant]()
+            session = OperatorSession(
+                matrix, preconditioner=precond, tol=tol, obs=obs, **session_kwargs
+            )
+            # Scrape before close: a closed session's collector retires
+            # itself and drops its series.
+            wall, (stats, scrape) = _serve_window(
+                session, B, clients, requests_per_client, tol, f"[obs] {backend}",
+                lambda _: prometheus_text(obs.registry) if obs.registry is not None else "",
+            )
+            _check_obs_ledger(variant, obs, stats, scrape, f"[obs] {backend}")
+            return wall, (stats, obs)
 
-            def client(c):
-                try:
-                    for j in range(requests_per_client):
-                        idx = c * requests_per_client + j
-                        result = session.submit(B[:, idx]).result(timeout=600)
-                        assert result.converged, (
-                            f"request {idx} ended {result.status}"
-                        )
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(c,), name=f"client-{c}")
-                for c in range(clients)
-            ]
-            start = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            wall = time.perf_counter() - start
-            if errors:
-                raise SystemExit(f"[obs] {backend}: client errors: {errors[:3]}")
-            return wall
-
-        best: Dict[str, tuple] = {}
-        for _ in range(max(1, repeats)):
-            for variant in _OBS_VARIANTS:
-                obs = make_obs(variant)
-                session = OperatorSession(
-                    matrix, preconditioner=precond, tol=tol, obs=obs,
-                    **session_kwargs,
-                )
-                try:
-                    session.solve(B[:, 0])
-                    session.solve_many(B[:, : session.max_block])
-                    wall = drive_clients(session)
-                    stats = session.stats()
-                    # Scrape before close: a closed session's collector
-                    # retires itself and drops its series.
-                    scrape = (
-                        prometheus_text(obs.registry)
-                        if obs.registry is not None
-                        else ""
-                    )
-                finally:
-                    session.close()
-                assert stats.requests_completed >= total
-                if variant == "traced":
-                    # Span ledger reconciles with the service telemetry.
-                    tracer = obs.tracer
-                    assert tracer.open_spans == 0, "span leak under load"
-                    roots = [
-                        s for s in tracer.finished_spans()
-                        if s.name == "request"
-                    ]
-                    dropped = tracer.dropped_spans
-                    if dropped == 0 and len(roots) != stats.requests_submitted:
-                        raise SystemExit(
-                            f"[obs] {backend}: {len(roots)} request spans != "
-                            f"{stats.requests_submitted} submitted requests"
-                        )
-                    if stats.requests_submitted != (
-                        stats.requests_completed + stats.requests_failed
-                    ):
-                        raise SystemExit(f"[obs] {backend}: telemetry skew")
-                if variant == "sampled":
-                    # Sampled ledger reconciles: every request either left
-                    # a kept root or was counted sampled-out — and with an
-                    # all-converged workload the kept set is the head
-                    # stride plus the tail's slowest-decile keeps.
-                    tracer = obs.tracer
-                    assert tracer.open_spans == 0, "span leak under sampling"
-                    roots = [
-                        s for s in tracer.finished_spans()
-                        if s.parent_id is None and s.name == "request"
-                    ]
-                    if tracer.dropped_spans == 0 and (
-                        len(roots) + tracer.sampled_out_traces
-                        != stats.requests_submitted
-                    ):
-                        raise SystemExit(
-                            f"[obs] {backend}: sampled ledger skew: "
-                            f"{len(roots)} kept + {tracer.sampled_out_traces} "
-                            f"dropped != {stats.requests_submitted} submitted"
-                        )
-                    bad = [
-                        s for s in roots
-                        if s.attrs.get("outcome") not in ("converged", "cancelled")
-                        and s.attrs.get("sampled") == "tail"
-                    ]
-                    if stats.requests_failed and not bad:
-                        raise SystemExit(
-                            f"[obs] {backend}: failed requests were sampled out"
-                        )
-                if variant == "untraced":
-                    # The collectors actually publish on scrape.
-                    if "repro_requests_submitted_total" not in scrape:
-                        raise SystemExit(
-                            f"[obs] {backend}: metrics collector silent"
-                        )
-                if variant not in best or wall < best[variant][0]:
-                    best[variant] = (wall, stats, obs)
-
-        baseline_rps = total / best["baseline"][0]
+        runs = interleave(
+            {variant: lambda variant=variant: leg(variant) for variant in _OBS_VARIANTS},
+            repeats,
+        )
+        baseline_rps = total / best(runs["baseline"])[0]
         costs[backend] = {}
         for variant in _OBS_VARIANTS:
-            wall, stats, obs = best[variant]
+            wall, (stats, obs) = best(runs[variant])
             rps = total / wall
             cost = 1.0 - rps / baseline_rps
             if variant != "baseline":
@@ -1077,7 +1016,7 @@ def run_obs(
             entry: Dict[str, object] = {
                 "benchmark": "obs",
                 "backend": backend,
-                "matrix": label,
+                "matrix": f"Laplace3D{grid}",
                 "config": "poly16",
                 "dtype": "double",
                 "variant": variant,
@@ -1091,12 +1030,11 @@ def run_obs(
                 "latency_p50_ms": stats.latency.p50_ms,
                 "latency_p95_ms": stats.latency.p95_ms,
             }
+            tracer = obs.tracer
             if variant == "traced":
-                tracer = best["traced"][2].tracer
                 entry["finished_spans"] = len(tracer.finished_spans())
                 entry["dropped_spans"] = tracer.dropped_spans
             if variant == "sampled":
-                tracer = best["sampled"][2].tracer
                 entry["finished_spans"] = len(tracer.finished_spans())
                 entry["sampled_out_traces"] = tracer.sampled_out_traces
                 entry["head_rate"] = tracer.sampler.head_rate
@@ -1104,18 +1042,14 @@ def run_obs(
             print(
                 f"[obs] {backend}/{variant}: {total} requests in "
                 f"{wall:.2f} s -> {rps:.1f} RHS/s"
-                + (
-                    f" ({100 * cost:+.1f}% vs baseline)"
-                    if variant != "baseline"
-                    else ""
-                ),
+                + (f" ({100 * cost:+.1f}% vs baseline)" if variant != "baseline" else ""),
                 flush=True,
             )
 
         if backend == OBS_GATE["backend"]:
             # Export the reference backend's traced run for Perfetto.
-            tracer = best["traced"][2].tracer
-            payload = export_chrome_trace(trace_path, tracer=tracer)
+            _, (_, traced) = best(runs["traced"])
+            payload = export_chrome_trace(trace_path, tracer=traced.tracer)
             print(
                 f"[obs] wrote {trace_path} "
                 f"({len(payload['traceEvents'])} trace events)"
@@ -1130,35 +1064,25 @@ def run_obs(
         "throughput_cost_vs_baseline": costs,
         "chrome_trace": trace_path.name,
     }
-    path = write_bench_json("obs", entries, summary=summary, out=out)
-    print(f"[obs] wrote {path}")
-
+    path = _written("obs", entries, summary, out)
     gate_costs = costs.get(OBS_GATE["backend"], {})
-    failures = []
-    if gate_costs.get("untraced", 1.0) > OBS_GATE["max_untraced_cost"]:
-        failures.append(
-            f"metrics-only serving cost {100 * gate_costs.get('untraced', 1.0):.1f}% "
-            f"> {100 * OBS_GATE['max_untraced_cost']:.0f}% RHS/s"
+    failures = [
+        f"{what} cost {100 * gate_costs.get(variant, 1.0):.1f}% "
+        f"> {100 * OBS_GATE[f'max_{variant}_cost']:.0f}% RHS/s"
+        for variant, what in (
+            ("untraced", "metrics-only serving"),
+            ("sampled", "sampled tracing"),
+            ("traced", "traced serving"),
         )
-    if gate_costs.get("sampled", 1.0) > OBS_GATE["max_sampled_cost"]:
-        failures.append(
-            f"sampled tracing cost {100 * gate_costs.get('sampled', 1.0):.1f}% "
-            f"> {100 * OBS_GATE['max_sampled_cost']:.0f}% RHS/s"
-        )
-    if gate_costs.get("traced", 1.0) > OBS_GATE["max_traced_cost"]:
-        failures.append(
-            f"traced serving cost {100 * gate_costs.get('traced', 1.0):.1f}% "
-            f"> {100 * OBS_GATE['max_traced_cost']:.0f}% RHS/s"
-        )
-    if failures:
-        for failure in failures:
-            print(f"[obs] FAIL gate ({OBS_GATE['backend']}): {failure}", file=sys.stderr)
-        raise SystemExit(1)
-    print(
-        f"[obs] gate holds on {OBS_GATE['backend']}: tracing off "
-        f"{100 * gate_costs.get('untraced', 0.0):+.1f}%, sampled "
+        if gate_costs.get(variant, 1.0) > OBS_GATE[f"max_{variant}_cost"]
+    ]
+    report_gate(
+        "obs",
+        OBS_GATE["backend"],
+        failures,
+        f"tracing off {100 * gate_costs.get('untraced', 0.0):+.1f}%, sampled "
         f"{100 * gate_costs.get('sampled', 0.0):+.1f}%, tracing on "
-        f"{100 * gate_costs.get('traced', 0.0):+.1f}% RHS/s vs baseline"
+        f"{100 * gate_costs.get('traced', 0.0):+.1f}% RHS/s vs baseline",
     )
     return path
 
@@ -1202,33 +1126,29 @@ def run_farm(
     0 is *hot* (``hot_requests`` submissions) and the rest are cold
     (``cold_requests`` each).  Three measurements per backend:
 
+    * **cold-only** — the cold tenants served concurrently through an
+      identical farm *without* the hot tenant, ``repeats`` times first:
+      the per-tenant p95 latency baseline that isolates exactly the hot
+      neighbour's impact for the noisy-neighbour check (cold-vs-cold
+      contention is present in both runs and cancels out of the ratio);
     * **farm** — every tenant drives its requests concurrently through one
       :class:`repro.serve.SolverFarm` with ``max_sessions < operators``,
       so the run includes LRU eviction and transparent re-warm;
     * **naive** — the no-farm alternative: the same trace served
       sequentially with a single warm :class:`OperatorSession` at a time,
-      rebuilt on every operator switch;
-    * **cold-only** — the cold tenants served concurrently through an
-      identical farm *without* the hot tenant: the per-tenant p95 latency
-      baseline that isolates exactly the hot neighbour's impact for the
-      noisy-neighbour check (cold-vs-cold contention is present in both
-      runs and cancels out of the ratio).
+      rebuilt on every operator switch.
 
-    Farm and naive measurements are interleaved across ``repeats`` so
-    machine drift cancels out of the throughput ratio; each tenant's best
-    p95 across the contended repeats is compared against its cold-only
-    baseline.  Enforces :data:`FARM_GATE` on the reference backend.
+    Farm and naive runs are interleaved; each tenant's best contended p95
+    is compared against its best cold-only one.  Enforces
+    :data:`FARM_GATE` on the reference backend.
     """
-    import threading
-
     from repro.config import rng
     from repro.matrices import laplace3d
     from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
     from repro.serve import OperatorSession, SolverFarm
 
-    label = f"Laplace3D{grid}"
     keys = [f"op{i}" for i in range(operators)]
-    hot = keys[0]
+    hot, cold = keys[0], keys[1:]
     counts = {k: (hot_requests if k == hot else cold_requests) for k in keys}
     total = sum(counts.values())
     # One matrix and one preconditioner instance *per operator*, as a
@@ -1237,22 +1157,17 @@ def run_farm(
     # Setup cost is paid outside any timed window, as a deployment pays
     # it at registration time.
     matrices = {k: laplace3d(grid) for k in keys}
-    matrix = matrices[keys[0]]
     preconds = {
         k: GmresPolynomialPreconditioner(matrices[k], degree=16) for k in keys
     }
-    session_kwargs = dict(
-        restart=10,
-        tol=tol,
-        max_restarts=60,
-    )
+    session_kwargs = dict(restart=10, tol=tol, max_restarts=60)
     # Per-operator batching width, as a deployment would tune it: the hot
     # tenant coalesces to 8-wide blocks, the cold tenants' full burst is
     # exactly one 4-wide block (so a burst dispatches immediately instead
     # of waiting out the micro-batch window for stragglers).
     max_blocks = {k: (8 if k == hot else 4) for k in keys}
     B = {
-        k: rng(3000 + i).standard_normal((matrix.n_rows, counts[k]))
+        k: rng(3000 + i).standard_normal((matrices[k].n_rows, counts[k]))
         for i, k in enumerate(keys)
     }
 
@@ -1262,11 +1177,7 @@ def run_farm(
     trace: List[tuple] = []
     remaining = dict(counts)
     while any(remaining.values()):
-        for _ in range(4):
-            if remaining[hot]:
-                trace.append((hot, counts[hot] - remaining[hot]))
-                remaining[hot] -= 1
-        for k in keys[1:]:
+        for k in [hot] * 4 + cold:
             if remaining[k]:
                 trace.append((k, counts[k] - remaining[k]))
                 remaining[k] -= 1
@@ -1277,105 +1188,82 @@ def run_farm(
     summary_p95: Dict[str, float] = {}
     summary_evictions: Dict[str, int] = {}
 
-    for backend in each_backend():
+    def run_naive() -> int:
+        """One warm session at a time, rebuilt on every operator switch;
+        returns the number of sessions built."""
+        current: Optional[str] = None
+        session: Optional[OperatorSession] = None
+        switches = 0
+        try:
+            for key, idx in trace:
+                if key != current:
+                    if session is not None:
+                        session.close()
+                    session = OperatorSession(
+                        matrices[key],
+                        name=f"naive-{key}",
+                        preconditioner=preconds[key],
+                        max_block=max_blocks[key],
+                        **session_kwargs,
+                    )
+                    current, switches = key, switches + 1
+                result = session.solve(B[key][:, idx])
+                assert result.converged, f"naive {key}[{idx}] {result.status}"
+        finally:
+            if session is not None:
+                session.close()
+        return switches
 
-        def run_naive() -> tuple:
-            """One warm session at a time, rebuilt on every operator switch."""
-            start = time.perf_counter()
-            current: Optional[str] = None
-            session: Optional[OperatorSession] = None
-            switches = 0
-            try:
-                for key, idx in trace:
-                    if key != current:
-                        if session is not None:
-                            session.close()
-                        session = OperatorSession(
-                            matrices[key],
-                            name=f"naive-{key}",
-                            preconditioner=preconds[key],
-                            max_block=max_blocks[key],
-                            **session_kwargs,
-                        )
-                        current, switches = key, switches + 1
-                    result = session.solve(B[key][:, idx])
-                    assert result.converged, f"naive {key}[{idx}] {result.status}"
-            finally:
-                if session is not None:
-                    session.close()
-            return time.perf_counter() - start, switches
-
-        def run_fleet(selected: List[str]) -> tuple:
-            """Drive ``selected`` tenants concurrently through one farm."""
-            farm = SolverFarm(
-                max_sessions=max_sessions,
-                workers=workers,
-                queue_depth=max(128, hot_requests * 2),
-                fairness="weighted",
-                max_wait_ms=2.0,
-                name="bench",
+    def run_fleet(selected: List[str], tag: str) -> Run:
+        """Drive ``selected`` tenants concurrently through one farm."""
+        farm = SolverFarm(
+            max_sessions=max_sessions,
+            workers=workers,
+            queue_depth=max(128, hot_requests * 2),
+            fairness="weighted",
+            max_wait_ms=2.0,
+            name="bench",
+        )
+        for k in selected:
+            farm.register(
+                k,
+                matrices[k],
+                preconditioner=preconds[k],
+                max_block=max_blocks[k],
+                **session_kwargs,
             )
-            for k in selected:
-                farm.register(
-                    k,
-                    matrices[k],
-                    preconditioner=preconds[k],
-                    max_block=max_blocks[k],
-                    **session_kwargs,
-                )
-            errors: List[tuple] = []
 
-            def client(k: str) -> None:
-                try:
-                    futures = [
-                        farm.submit(k, B[k][:, j]) for j in range(counts[k])
-                    ]
-                    for j, f in enumerate(futures):
-                        result = f.result(timeout=600)
-                        assert result.converged, f"{k}[{j}] {result.status}"
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    errors.append((k, exc))
+        def work(k: str) -> None:
+            futures = [farm.submit(k, B[k][:, j]) for j in range(counts[k])]
+            for j, f in enumerate(futures):
+                result = f.result(timeout=600)
+                assert result.converged, f"{k}[{j}] {result.status}"
 
-            threads = [
-                threading.Thread(target=client, args=(k,), name=f"tenant-{k}")
-                for k in selected
-            ]
-            start = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            wall = time.perf_counter() - start
-            stats = farm.stats()
+        try:
+            wall = drive_clients(work, selected, "tenant", tag=tag)
+            return wall, farm.stats()
+        finally:
             farm.close()
-            if errors:
-                raise SystemExit(f"[farm] {backend}: tenant errors: {errors[:3]}")
-            return wall, stats
 
+    for backend in each_backend():
+        tag = f"[farm] {backend}"
         # Hot-free baseline first (per-cold-tenant p95 without the noisy
-        # neighbour), then the contended farm and naive runs interleaved
-        # across repeats.
-        baseline_p95: Dict[str, float] = {}
-        for _ in range(max(1, repeats)):
-            _, cold_stats = run_fleet(keys[1:])
-            for k in keys[1:]:
-                p95 = cold_stats.tenants[k].serve.latency.p95_ms
-                baseline_p95[k] = min(baseline_p95.get(k, float("inf")), p95)
-        best_farm: Optional[tuple] = None
-        best_naive = float("inf")
-        naive_switches = 0
-        cold_best_p95: Dict[str, float] = {}
-        for _ in range(max(1, repeats)):
-            wall, stats = run_fleet(keys)
-            if best_farm is None or wall < best_farm[0]:
-                best_farm = (wall, stats)
-            for k in keys[1:]:
-                p95 = stats.tenants[k].serve.latency.p95_ms
-                cold_best_p95[k] = min(cold_best_p95.get(k, float("inf")), p95)
-            naive_wall, naive_switches = run_naive()
-            best_naive = min(best_naive, naive_wall)
+        # neighbour), then the contended farm and naive runs interleaved.
+        solo = interleave({"cold": lambda: run_fleet(cold, tag)}, repeats)["cold"]
+        runs = interleave(
+            {"farm": lambda: run_fleet(keys, tag), "naive": lambda: timed(run_naive)},
+            repeats,
+        )
 
-        farm_wall, farm_stats = best_farm
+        def best_p95(fleet_runs: List[Run]) -> Dict[str, float]:
+            return {
+                k: min(stats.tenants[k].serve.latency.p95_ms for _, stats in fleet_runs)
+                for k in cold
+            }
+
+        baseline_p95, cold_best_p95 = best_p95(solo), best_p95(runs["farm"])
+        farm_wall, farm_stats = best(runs["farm"])
+        naive_wall, naive_switches = best(runs["naive"])
         # Fault-tolerance quiescence gate: a healthy benchmark load must
         # not leak requests (submitted == completed + failed) nor trigger
         # any of the failure machinery — deadlines, cancellations and
@@ -1385,7 +1273,7 @@ def run_farm(
             fleet.requests_completed + fleet.requests_failed
         ):
             raise SystemExit(
-                f"[farm] {backend}: telemetry does not reconcile: "
+                f"{tag}: telemetry does not reconcile: "
                 f"{fleet.requests_submitted} submitted != "
                 f"{fleet.requests_completed} completed + "
                 f"{fleet.requests_failed} failed"
@@ -1396,17 +1284,17 @@ def run_farm(
             or farm_stats.breaker_trips
         ):
             raise SystemExit(
-                f"[farm] {backend}: spurious failure-path activity under "
+                f"{tag}: spurious failure-path activity under "
                 f"healthy load: timed_out={fleet.requests_timed_out} "
                 f"cancelled={fleet.requests_cancelled} "
                 f"breaker_trips={farm_stats.breaker_trips}"
             )
         farm_rps = total / farm_wall
-        naive_rps = total / best_naive
+        naive_rps = total / naive_wall
         speedup = farm_rps / naive_rps
         worst_ratio = max(
             (cold_best_p95[k] / baseline_p95[k] if baseline_p95[k] > 0 else 0.0)
-            for k in keys[1:]
+            for k in cold
         )
         summary_speedups[backend] = speedup
         summary_p95[backend] = worst_ratio
@@ -1415,7 +1303,7 @@ def run_farm(
         common = {
             "benchmark": "farm",
             "backend": backend,
-            "matrix": label,
+            "matrix": f"Laplace3D{grid}",
             "config": "poly16",
             "dtype": "double",
             "operators": operators,
@@ -1428,7 +1316,7 @@ def run_farm(
             dict(
                 common,
                 mode="naive",
-                wall_seconds=best_naive,
+                wall_seconds=naive_wall,
                 rhs_per_second=naive_rps,
                 session_rebuilds=naive_switches,
             )
@@ -1443,8 +1331,8 @@ def run_farm(
                 evictions=farm_stats.evictions,
                 sessions_created=farm_stats.sessions_created,
                 sessions_live=farm_stats.sessions_live,
-                latency_p50_ms=farm_stats.fleet.latency.p50_ms,
-                latency_p95_ms=farm_stats.fleet.latency.p95_ms,
+                latency_p50_ms=fleet.latency.p50_ms,
+                latency_p95_ms=fleet.latency.p95_ms,
                 worst_cold_p95_degradation=worst_ratio,
                 requests_timed_out=fleet.requests_timed_out,
                 requests_cancelled=fleet.requests_cancelled,
@@ -1491,79 +1379,75 @@ def run_farm(
         "worst_cold_p95_degradation": summary_p95,
         "evictions": summary_evictions,
     }
-    path = write_bench_json("farm", entries, summary=summary, out=out)
-    print(f"[farm] wrote {path}")
-
+    path = _written("farm", entries, summary, out)
     gate_backend = FARM_GATE["backend"]
+    speedup = summary_speedups.get(gate_backend, 0.0)
+    worst = summary_p95.get(gate_backend, float("inf"))
+    evictions = summary_evictions.get(gate_backend, 0)
     failures = []
-    if summary_speedups.get(gate_backend, 0.0) < FARM_GATE["min_fleet_speedup"]:
+    if speedup < FARM_GATE["min_fleet_speedup"]:
         failures.append(
-            f"fleet speedup {summary_speedups.get(gate_backend, 0.0):.2f}x "
-            f"< {FARM_GATE['min_fleet_speedup']}x vs naive"
+            f"fleet speedup {speedup:.2f}x < {FARM_GATE['min_fleet_speedup']}x vs naive"
         )
-    if summary_p95.get(gate_backend, float("inf")) > FARM_GATE["max_cold_p95_degradation"]:
+    if worst > FARM_GATE["max_cold_p95_degradation"]:
         failures.append(
-            f"cold-tenant p95 degraded {summary_p95.get(gate_backend, 0.0):.2f}x "
+            f"cold-tenant p95 degraded {worst:.2f}x "
             f"> {FARM_GATE['max_cold_p95_degradation']}x by the hot neighbour"
         )
-    if summary_evictions.get(gate_backend, 0) < FARM_GATE["min_evictions"]:
+    if evictions < FARM_GATE["min_evictions"]:
         failures.append("no session evictions observed (LRU churn not exercised)")
-    if failures:
-        for failure in failures:
-            print(f"[farm] FAIL gate ({gate_backend}): {failure}", file=sys.stderr)
-        raise SystemExit(1)
-    print(
-        f"[farm] gate holds on {gate_backend}: "
-        f"{summary_speedups[gate_backend]:.2f}x fleet RHS/s, cold p95 "
-        f"{summary_p95[gate_backend]:.2f}x solo, "
-        f"{summary_evictions[gate_backend]} evictions"
+    report_gate(
+        "farm",
+        gate_backend,
+        failures,
+        f"{speedup:.2f}x fleet RHS/s, cold p95 {worst:.2f}x solo, {evictions} evictions",
     )
     return path
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="repro benchmark harness CLI")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the scaled-down fig1/fig5 smoke benchmark (BENCH_smoke.json)",
-    )
-    parser.add_argument(
-        "--backends",
-        action="store_true",
-        help="run the kernel-backend comparison (BENCH_backends.json)",
-    )
-    parser.add_argument(
-        "--solve",
-        action="store_true",
-        help="run the end-to-end GMRES(50) solve benchmark (BENCH_solve.json)",
-    )
-    parser.add_argument(
-        "--solve-block",
-        action="store_true",
-        help="run the batched multi-RHS solve benchmark with its >=0.9x "
+#: flag -> (help, how it runs from the parsed arguments), in run order.
+MODES: Dict[str, Tuple[str, Callable]] = {
+    "smoke": (
+        "run the scaled-down fig1/fig5 smoke benchmark (BENCH_smoke.json)",
+        lambda args: run_smoke(out=args.out),
+    ),
+    "backends": (
+        "run the kernel-backend comparison (BENCH_backends.json)",
+        lambda args: run_backend_comparison(args.grid, out=args.out),
+    ),
+    "solve": (
+        "run the end-to-end GMRES(50) solve benchmark (BENCH_solve.json)",
+        lambda args: run_solve(out=args.out),
+    ),
+    "solve-block": (
+        "run the batched multi-RHS solve benchmark with its >=0.9x "
         "per-RHS gate (BENCH_block.json)",
-    )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="run the solver-service throughput benchmark with its >=0.7x "
+        lambda args: run_solve_block(out=args.out),
+    ),
+    "serve": (
+        "run the solver-service throughput benchmark with its >=0.7x "
         "batched-vs-unbatched RHS/s gate (BENCH_serve.json)",
-    )
-    parser.add_argument(
-        "--farm",
-        action="store_true",
-        help="run the multi-tenant solver-farm benchmark with its >=1.5x "
+        lambda args: run_serve(out=args.out, clients=args.clients),
+    ),
+    "farm": (
+        "run the multi-tenant solver-farm benchmark with its >=1.5x "
         "fleet-RHS/s + noisy-neighbour + eviction gate (BENCH_farm.json)",
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="run the observability overhead benchmark (tracing off / "
+        lambda args: run_farm(out=args.out),
+    ),
+    "obs": (
+        "run the observability overhead benchmark (tracing off / "
         "sampled / fully on vs no-obs baseline, <2%%/<2%%/<10%% RHS/s "
         "gates) and emit BENCH_obs.json plus the Chrome trace artifact "
         "TRACE_obs.json",
-    )
+        lambda args: run_obs(out=args.out, clients=args.clients),
+    ),
+}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description="repro benchmark harness CLI")
+    for flag, (help_text, _) in MODES.items():
+        parser.add_argument(f"--{flag}", action="store_true", help=help_text)
     parser.add_argument(
         "--grid", type=int, default=64, help="Laplace3D grid for --backends"
     )
@@ -1580,36 +1464,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="override the output path (only valid with exactly one mode)",
     )
     args = parser.parse_args(argv)
-    modes = [
-        args.smoke,
-        args.backends,
-        args.solve,
-        args.solve_block,
-        args.serve,
-        args.farm,
-        args.obs,
-    ]
-    if not any(modes):
-        parser.error(
-            "choose at least one of --smoke / --backends / --solve / "
-            "--solve-block / --serve / --farm / --obs"
-        )
-    if args.out is not None and sum(modes) > 1:
+    chosen = [run for flag, (_, run) in MODES.items() if getattr(args, flag.replace("-", "_"))]
+    if not chosen:
+        parser.error("choose at least one of " + " / ".join(f"--{flag}" for flag in MODES))
+    if args.out is not None and len(chosen) > 1:
         parser.error("--out is ambiguous with more than one mode")
-    if args.smoke:
-        run_smoke(out=args.out)
-    if args.backends:
-        run_backend_comparison(args.grid, out=args.out)
-    if args.solve:
-        run_solve(out=args.out)
-    if args.solve_block:
-        run_solve_block(out=args.out)
-    if args.serve:
-        run_serve(out=args.out, clients=args.clients)
-    if args.farm:
-        run_farm(out=args.out)
-    if args.obs:
-        run_obs(out=args.out, clients=args.clients)
+    for run in chosen:
+        run(args)
     return 0
 
 

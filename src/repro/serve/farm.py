@@ -60,6 +60,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..config import get_config
+from ..obs import Observability
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import watch_farm
 from ..sparse.csr import CsrMatrix
@@ -187,7 +188,10 @@ class SolverFarm(SolveScheduler):
         the farm builds the session factory, or pass a ready ``factory``
         together with ``n_rows`` (needed to validate right-hand sides
         without forcing a cold session to warm).  ``weight`` is the
-        tenant's fairness share under ``fairness="weighted"``.
+        tenant's fairness share under ``fairness="weighted"``.  A session
+        built from ``matrix`` runs with :meth:`Observability.disabled
+        <repro.obs.Observability.disabled>` unless ``obs=`` is passed: the
+        farm's own tracer and metrics cover its requests.
         """
         if weight <= 0:
             raise ValueError("weight must be positive")
@@ -195,6 +199,10 @@ class SolverFarm(SolveScheduler):
             raise ValueError("pass exactly one of matrix= or factory=")
         if factory is None:
             rows = matrix.n_rows
+            # The farm serves through its own scheduler, so a built
+            # session's scheduler never runs: without obs= it would publish
+            # all-zero series and leave a collector behind on every re-warm.
+            session_kwargs.setdefault("obs", Observability.disabled())
 
             def factory(matrix=matrix, kwargs=dict(session_kwargs)) -> OperatorSession:
                 return OperatorSession(matrix, name=f"{self.name}:{key}", **kwargs)

@@ -181,9 +181,20 @@ def _gmres_ir(
         implicit = []
         done = 0
         final = False
-        for _ in range(refine_every):
+        for cycle in range(refine_every):
             if remaining - done <= 0:
                 break
+            if cycle:
+                # Between the cycles of one refinement the inner solver
+                # restarts from its own low-precision residual (workspace.W
+                # is free between cycles, so the extra product lands
+                # there).  It is computed only when another cycle runs.
+                w_in = multiply(A_inner, correction[:, :k], workspace.W[:, :k], vector=vector)
+                for i in range(k):
+                    kernels.copy(r_inner[:, i], out=rhs_buf[:, i])
+                    kernels.axpy(-1.0, w_in[:, i], rhs_buf[:, i])
+                cycle_rhs = rhs_buf[:, :k]
+                cycle_rnorm = kernels.norm2(cycle_rhs[:, 0]) if vector else None
             outcome = run_cycle(
                 A_inner, cycle_rhs[:, 0] if vector else cycle_rhs, workspace,
                 ortho=ortho_mgr, preconditioner=precond, residual_norm=cycle_rnorm,
@@ -204,16 +215,6 @@ def _gmres_ir(
                 # nothing, ends it and the next outer residual decides.
                 final = outcome.nonfinite or not correction[:, :k].any()
                 break
-            if refine_every > 1:
-                # Between refinements the inner solver restarts from its
-                # own low-precision residual (workspace.W is free between
-                # cycles, so the extra product lands there).
-                w_in = multiply(A_inner, correction[:, :k], workspace.W[:, :k], vector=vector)
-                for i in range(k):
-                    kernels.copy(r_inner[:, i], out=rhs_buf[:, i])
-                    kernels.axpy(-1.0, w_in[:, i], rhs_buf[:, i])
-                cycle_rhs = rhs_buf[:, :k]
-                cycle_rnorm = kernels.norm2(cycle_rhs[:, 0]) if vector else None
         # Promote the correction and update the solution in fp64.
         for i in range(k):
             u = kernels.cast(correction[:, i], outer, out=u_buf[:, i] if mixed else None)

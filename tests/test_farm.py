@@ -24,6 +24,7 @@ import pytest
 import repro
 from repro.config import ServeConfig, rng, set_config
 from repro.matrices import laplace2d, laplace3d
+from repro.obs import MetricsRegistry, Observability, default_registry
 from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
 from repro.serve import (
     FarmStats,
@@ -330,6 +331,34 @@ class TestFarmEvictionUnderLoad:
         assert stats.tenants["b"].evictions == 1
         per_tenant = sum(t.evictions for t in stats.tenants.values())
         assert per_tenant == stats.evictions == registry_evictions == 3
+
+    def test_rewarm_churn_leaves_default_registry_collectors_unchanged(self, matrix):
+        """Sessions the farm builds from matrix= never serve through their
+        own scheduler, so re-warming them registers no collector in the
+        process-default metrics registry."""
+        registry = default_registry()
+        before = list(registry._collectors)
+        obs = Observability(tracer=None, registry=MetricsRegistry())
+        with make_farm(workers=1, max_sessions=1, obs=obs) as farm:
+            for key in ("a", "b", "c"):
+                farm.register(key, matrix, **SESSION_KWARGS)
+            for _ in range(4):
+                for key in ("a", "b", "c"):
+                    farm.submit(key, np.ones(matrix.n_rows)).result(timeout=30)
+            stats = farm.stats()
+        assert stats.sessions_created == 12
+        assert registry._collectors == before
+
+    def test_session_obs_kwarg_reaches_the_built_session(self, matrix):
+        obs = Observability(tracer=None, registry=MetricsRegistry())
+        with make_farm(workers=1) as farm:
+            farm.register("a", matrix, obs=obs, **SESSION_KWARGS)
+            farm.submit("a", np.ones(matrix.n_rows)).result(timeout=30)
+            assert farm.registry.peek("a").obs is obs
+            farm.register("b", matrix, **SESSION_KWARGS)
+            farm.submit("b", np.ones(matrix.n_rows)).result(timeout=30)
+            session = farm.registry.peek("b")
+            assert session.obs.registry is None and session.obs.tracer is None
 
     def test_fairness_under_skewed_mix(self, matrix):
         """A hot tenant floods the farm; equal-weight cold tenants still

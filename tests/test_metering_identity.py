@@ -255,21 +255,21 @@ GOLDEN: dict = {'block-gmres': ({'GEMM (No Trans)|double': (116,
                                                      '0x1.56ee629544db3p-10',
                                                      3138548.0,
                                                      267486.0),
-                                    'Other|single': (308,
-                                                     '0x1.433bd6891119ap-9',
-                                                     1351680.0,
-                                                     168960.0),
-                                    'SpMM|single': (88,
-                                                    '0x1.73624a9d63dacp-11',
-                                                    3424608.0,
-                                                    1548800.0)},
+                                    'Other|single': (286,
+                                                     '0x1.2c2490043cf8cp-9',
+                                                     1239040.0,
+                                                     157696.0),
+                                    'SpMM|single': (84,
+                                                    '0x1.6280bb963c680p-11',
+                                                    3268944.0,
+                                                    1478400.0)},
                                    {'GEMM (No Trans)': 168,
                                     'GEMM (Trans)': 160,
                                     'GEMV (No Trans)': 308,
                                     'GEMV (Trans)': 308,
                                     'Norm': 245,
-                                    'Other': 476,
-                                    'SpMM': 88}),
+                                    'Other': 454,
+                                    'SpMM': 84}),
  'gmres-fd': ({'GEMV (No Trans)|double': (52,
                                           '0x1.ec679f7fb61b8p-11',
                                           2375384.0,
@@ -349,27 +349,27 @@ GOLDEN: dict = {'block-gmres': ({'GEMM (No Trans)|double': (116,
                                               '0x1.f769269c4cc89p-16',
                                               4096.0,
                                               1024.0),
-                              'Norm|single': (69,
-                                              '0x1.0f5c515235291p-9',
-                                              141312.0,
-                                              70656.0),
+                              'Norm|single': (66,
+                                              '0x1.038ff4bdf0110p-9',
+                                              135168.0,
+                                              67584.0),
                               'Other|double': (91,
                                                '0x1.21be0a48635d9p-11',
                                                407888.0,
                                                39444.0),
-                              'Other|single': (84,
-                                               '0x1.609e5e66fb613p-11',
-                                               368640.0,
-                                               46080.0),
-                              'SpMV|single': (66,
-                                              '0x1.1638e72c9577dp-11',
-                                              2095368.0,
-                                              422400.0)},
+                              'Other|single': (78,
+                                               '0x1.476db461b6e0cp-11',
+                                               337920.0,
+                                               43008.0),
+                              'SpMV|single': (63,
+                                              '0x1.0993684d7766dp-11',
+                                              2000124.0,
+                                              403200.0)},
                              {'GEMV (No Trans)': 126,
                               'GEMV (Trans)': 120,
-                              'Norm': 70,
-                              'Other': 175,
-                              'SpMV': 66}),
+                              'Norm': 67,
+                              'Other': 169,
+                              'SpMV': 63}),
  'gmres-ir-same-precision': ({'GEMV (No Trans)|double': (84,
                                                          '0x1.8d4bf8f22fd9ap-10',
                                                          2658048.0,
