@@ -58,8 +58,9 @@ overrides the output file when exactly one mode runs):
   (baseline), metrics only (the default), adaptive sampling (10% head +
   tail keep) and full tracing + solver probes, best of 6 →
   ``BENCH_obs.json`` and the traced run's Chrome trace ``TRACE_obs.json``
-  (chrome://tracing / Perfetto).  Gate :data:`OBS_GATE`, plus span
-  ledgers that reconcile with the service telemetry;
+  (chrome://tracing / Perfetto; with ``--out PATH`` the trace goes to
+  ``TRACE_obs_fresh.json`` beside ``PATH``).  Gate :data:`OBS_GATE`,
+  plus span ledgers that reconcile with the service telemetry;
 * ``--farm`` replays a skewed 8-operator mix (one hot tenant, seven cold
   ones) through a :class:`repro.serve.SolverFarm` with fewer session
   slots than operators, so LRU eviction and re-warm are measured,
@@ -1438,8 +1439,12 @@ MODES: Dict[str, Tuple[str, Callable]] = {
         "run the observability overhead benchmark (tracing off / "
         "sampled / fully on vs no-obs baseline, <2%%/<2%%/<10%% RHS/s "
         "gates) and emit BENCH_obs.json plus the Chrome trace artifact "
-        "TRACE_obs.json",
-        lambda args: run_obs(out=args.out, clients=args.clients),
+        "TRACE_obs.json (TRACE_obs_fresh.json beside --out)",
+        lambda args: run_obs(
+            out=args.out,
+            clients=args.clients,
+            trace_out=None if args.out is None else args.out.with_name("TRACE_obs_fresh.json"),
+        ),
     ),
 }
 

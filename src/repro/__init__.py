@@ -40,7 +40,7 @@ import numpy as np
 from . import config, precision, perfmodel, backends, sparse, linalg, matrices, ortho
 from . import preconditioners, solvers, analysis, experiments, obs, serve, testing
 from .backends import KernelBackend, available_backends, get_backend, register_backend
-from .config import ObsConfig, ReproConfig, get_config, set_config
+from .config import ReproConfig, get_config, set_config
 from .precision import HALF, SINGLE, DOUBLE, Precision, as_precision
 from .sparse import CsrMatrix
 from .linalg import MultiVector, use_context, use_device, use_backend
@@ -89,7 +89,6 @@ __all__ = [
     "testing",
     # configuration / precision
     "ReproConfig",
-    "ObsConfig",
     "get_config",
     "set_config",
     # backends
@@ -152,10 +151,13 @@ def session(matrix: CsrMatrix, **kwargs) -> "serve.OperatorSession":
         with repro.session(A, preconditioner=M, restart=15) as s:
             x = s.submit(b).result().x
 
-    Pass ``obs=`` (a :class:`repro.obs.Observability` or a bare
-    :class:`repro.obs.Tracer`) to trace requests and publish metrics; by
-    default the session follows ``ReproConfig.obs``.  For many operators
-    behind one service, see :func:`farm`.
+    The micro-batching knobs are keyword arguments with plain defaults
+    (``max_block=8``, ``max_wait_ms=2.0``, ``policy="auto"``).  Pass
+    ``obs=`` (a :class:`repro.obs.Observability` or a bare
+    :class:`repro.obs.Tracer`) to trace requests; by default the session
+    uses ``Observability()`` (the process-default tracer, if any, and the
+    process metrics registry).  For many operators behind one service,
+    see :func:`farm`.
     """
     return serve.OperatorSession(matrix, **kwargs)
 
@@ -172,9 +174,12 @@ def farm(**kwargs) -> "serve.SolverFarm":
             f.register("poisson", A, preconditioner=M)
             x = f.submit("poisson", b).result().x
 
-    Knobs default from ``ReproConfig.serve``
-    (:class:`repro.config.ServeConfig`); ``obs=`` works as in
-    :func:`session` (see :mod:`repro.obs`).
+    Every knob is a keyword argument of :class:`repro.serve.SolverFarm`
+    with a plain default (``max_sessions=8``, ``max_session_bytes=None``
+    for no byte budget, ``queue_depth=64``, ``fairness="weighted"``,
+    ``workers=2``, ``max_wait_ms=2.0``, ``breaker_threshold=3``,
+    ``breaker_cooldown_ms=250.0``); ``obs=`` works as in :func:`session`
+    (see :mod:`repro.obs`).
     """
     return serve.SolverFarm(**kwargs)
 

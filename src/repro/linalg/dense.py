@@ -117,6 +117,13 @@ class GivensWorkspace:
         self._solve_scratch = np.empty(self.band, dtype=self.dtype)
         self._open = []  # rows whose column claimed no diagonal
 
+    def nbytes(self) -> int:
+        """Bytes of the rotation buffers, the block state once allocated."""
+        arrays = [self.R, self.g, self.cosines, self.sines]
+        if self.G is not None:
+            arrays += [self.G, self.QT, self._t0, self._t1, self._solve_scratch]
+        return sum(a.nbytes for a in arrays)
+
     def reset(self, seed) -> None:
         """Start a cycle: ``seed`` is the initial residual norm ``beta`` of
         a single-vector cycle, or the ``k × k`` factor ``S`` of a block

@@ -7,14 +7,16 @@ Three cooperating pieces, all off the hot path by default:
   demux``) plus solver convergence probes, exportable as Chrome
   trace-event JSON (:func:`export_chrome_trace`) for
   ``chrome://tracing`` / Perfetto.  Off by default; enable per session
-  (``obs=``), process-wide (:func:`enable_tracing`) or via config
-  (``ReproConfig(obs=ObsConfig(tracing=True))``).
+  or farm (``obs=``) or process-wide (:func:`enable_tracing`, e.g.
+  ``enable_tracing(sampler=Sampler(head_rate=0.1))`` for adaptive
+  sampling).
 * **Metrics** (:mod:`repro.obs.metrics`): a registry of pull-based
   collectors that build fresh counter and gauge families on every
   scrape, with Prometheus text exposition (:func:`prometheus_text`) and
   an optional stdlib HTTP exporter (:func:`start_metrics_server`).
-  Sessions, farms and kernel timers publish by being sampled at scrape
-  time — the serve hot paths pay nothing.
+  Sessions and farms publish by being sampled at scrape time — the
+  serve hot paths pay nothing.  ``Observability(registry=None)`` (or
+  :meth:`Observability.disabled`) turns publication off per object.
 * **Structured logging** (:mod:`repro.obs.log`): ``event key=value``
   records under the ``"repro"`` logger namespace for breaker trips,
   evictions and width-1 retries.
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..config import ObsConfig, get_config
 from .anomaly import (
     ALERT_SEVERITIES,
     Alert,
@@ -84,7 +85,6 @@ from .metrics import (
     start_metrics_server,
     watch_farm,
     watch_session,
-    watch_timer,
 )
 from .probe import PROBE_KINDS, ProbeEvent, span_probe
 from .trace import (
@@ -99,10 +99,9 @@ from .trace import (
 )
 
 __all__ = [
-    # bundle + config
+    # bundle
     "Observability",
     "resolve_observability",
-    "ObsConfig",
     # tracing
     "Tracer",
     "Span",
@@ -143,7 +142,6 @@ __all__ = [
     "MetricsHTTPServer",
     "watch_session",
     "watch_farm",
-    "watch_timer",
     "METRIC_NAMES",
     "METRIC_NAME_RE",
     # logging
@@ -159,13 +157,11 @@ class Observability:
     """The tracer + metrics-registry (+ health monitor) bundle a session
     or farm runs with.
 
-    Omitted pieces resolve from ``get_config().obs`` at construction
-    time: ``tracer`` from the process-default tracer (``None`` unless
-    tracing is on), ``registry`` from the process registry (unless
-    ``ObsConfig.metrics`` is off).  Pass ``tracer=None`` /
-    ``registry=None`` explicitly to force a piece off regardless of
-    config — :meth:`disabled` does both, which is what the overhead
-    benchmark uses as its baseline.
+    Omitted pieces resolve at construction time: ``tracer`` to
+    :func:`default_tracer` (``None`` unless :func:`enable_tracing` ran),
+    ``registry`` to :func:`default_registry`.  Pass ``tracer=None`` /
+    ``registry=None`` to turn a piece off — :meth:`disabled` does both,
+    which is what the overhead benchmark uses as its baseline.
 
     ``health`` is explicit-only (default ``None``): pass a
     :class:`HealthMonitor` to have served requests book their outcomes in
@@ -180,14 +176,14 @@ class Observability:
         if tracer is _UNSET:
             tracer = default_tracer()
         if registry is _UNSET:
-            registry = default_registry() if get_config().obs.metrics else None
+            registry = default_registry()
         self.tracer: Optional[Tracer] = tracer
         self.registry: Optional[MetricsRegistry] = registry
         self.health: Optional[HealthMonitor] = health
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """Everything off — no tracer, no metrics, regardless of config."""
+        """Everything off — no tracer, no metrics."""
         return cls(tracer=None, registry=None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -201,7 +197,7 @@ class Observability:
 def resolve_observability(obs) -> Observability:
     """Normalise the ``obs=`` kwarg of sessions and farms.
 
-    ``None`` → config-driven defaults; an :class:`Observability` passes
+    ``None`` → ``Observability()``; an :class:`Observability` passes
     through; a bare :class:`Tracer` is shorthand for "trace with this".
     """
     if obs is None:

@@ -423,8 +423,8 @@ def cost_model_drift(
     wall time, and wall/modelled outside ``[1/max_ratio, max_ratio]`` —
     the modelled device no longer predicts the machine for that kernel,
     so every consumer of the cost model (batching policy, figures) is
-    suspect.  One alert per drifted label per call; the caller holds them
-    off (:class:`~repro.obs.health.HealthMonitor` deduplicates).
+    suspect.  One alert per drifted label per call; holding repeats off
+    is the caller's job.
     """
     fired: List[Alert] = []
     for record in timer.records:

@@ -3,9 +3,8 @@
 The :class:`HealthMonitor` is the one object that answers "is the stack
 healthy?".  It owns the :class:`~repro.obs.slo.SloEngine` and the
 :class:`~repro.obs.anomaly.AlertLedger`, runs the pull-side detectors
-(queue saturation, breaker flapping, cost-model drift) against weakly
-referenced farms and kernel timers, and folds everything into per
-component states:
+(queue saturation, breaker flapping) against weakly referenced farms,
+and folds everything into per component states:
 
 * ``unhealthy`` — an open circuit breaker, a critical alert inside the
   alert window, or a breached SLO (both burn windows over threshold).
@@ -32,14 +31,13 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from .anomaly import (
     AlertLedger,
     BreakerFlapDetector,
     ConvergenceWatch,
     LatencySpikeDetector,
-    cost_model_drift,
 )
 from .slo import SloEngine, SloPolicy, SloStatus
 
@@ -106,15 +104,14 @@ class HealthReport:
 class HealthMonitor:
     """SLO engine + alert ledger + pull-side detectors, aggregated.
 
-    Thread-safe; one monitor typically serves a whole process.  Farms and
-    kernel timers are watched through weak references — a collected farm
-    silently leaves the component map, it does not pin memory or report
-    stale health.
+    Thread-safe; one monitor typically serves a whole process.  Farms are
+    watched through weak references — a collected farm silently leaves
+    the component map, it does not pin memory or report stale health.
     """
 
     def __init__(
         self,
-        policy: Optional[SloPolicy] = None,
+        policy: SloPolicy = SloPolicy(),
         *,
         alert_window_s: float = 120.0,
         queue_saturation: float = 0.8,
@@ -132,7 +129,6 @@ class HealthMonitor:
         self._lock = threading.Lock()
         self._components: set = set()
         self._farms: List[weakref.ref] = []
-        self._timers: List[Tuple[weakref.ref, float]] = []  # (ref, last drift check)
         self._last_fired: Dict[Tuple[str, str], float] = {}
 
     # -- registration ---------------------------------------------------- #
@@ -146,11 +142,6 @@ class HealthMonitor:
         with self._lock:
             self._farms.append(weakref.ref(farm))
             self._components.add(farm.name)
-
-    def watch_timer(self, timer) -> None:
-        """Watch a :class:`~repro.perfmodel.timer.KernelTimer` for drift."""
-        with self._lock:
-            self._timers.append((weakref.ref(timer), -float("inf")))
 
     def tracker(self, scope: str) -> "ServeTelemetry":
         """The scope's outcome ledger (registers the scope as a component);
@@ -205,7 +196,6 @@ class HealthMonitor:
         """Run the pull-side detectors against the watched objects."""
         with self._lock:
             farms = list(self._farms)
-            timers = list(self._timers)
         for ref in farms:
             farm = ref()
             if farm is None or farm.closed:
@@ -227,18 +217,6 @@ class HealthMonitor:
                         queue_limit=farm.queue_depth,
                     )
                 self.flaps.observe(component, tenant.breaker_trips)
-        now = self._clock()
-        refreshed: List[Tuple[weakref.ref, float]] = []
-        for ref, last_check in timers:
-            timer = ref()
-            if timer is None:
-                continue
-            if now - last_check >= self._holdoff_s:
-                cost_model_drift(timer, self.ledger)
-                last_check = now
-            refreshed.append((ref, last_check))
-        with self._lock:
-            self._timers = refreshed
 
     def _breaker_states(self) -> Dict[str, int]:
         states: Dict[str, int] = {}

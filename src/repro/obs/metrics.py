@@ -3,10 +3,9 @@
 A :class:`MetricsRegistry` is a list of *collectors*: callbacks that, on
 every scrape, read the stack's existing snapshot state (session and farm
 ``stats()``, read from the :class:`~repro.serve.telemetry.ServeTelemetry`
-outcome ledgers, circuit-breaker states, registry occupancy,
-:class:`~repro.perfmodel.timer.KernelTimer` records) into a fresh
-:class:`Scrape` of counter and gauge families, which is rendered and
-dropped.  No sample outlives its scrape: the ledgers stay the only
+outcome ledgers, circuit-breaker states, registry occupancy) into a
+fresh :class:`Scrape` of counter and gauge families, which is rendered
+and dropped.  No sample outlives its scrape: the ledgers stay the only
 store, and a closed or collected source is absent from the next
 exposition because its collector has retired.  The pull model keeps the
 serve hot paths untouched: nothing is published per request;
@@ -38,7 +37,6 @@ __all__ = [
     "MetricsHTTPServer",
     "watch_session",
     "watch_farm",
-    "watch_timer",
     "METRIC_NAMES",
     "METRIC_NAME_RE",
 ]
@@ -74,11 +72,6 @@ METRIC_NAMES = (
     "repro_breaker_trips_total",
     "repro_breaker_state",
     "repro_session_bytes_estimated",
-    # per-kernel cost-model drift (from KernelTimer records)
-    "repro_kernel_calls_total",
-    "repro_kernel_model_seconds_total",
-    "repro_kernel_wall_seconds_total",
-    "repro_kernel_wall_model_ratio",
     # SLO engine + health surface (published by obs.health.watch_health)
     "repro_slo_availability_ratio",
     "repro_slo_burn_rate",
@@ -399,71 +392,6 @@ def watch_farm(farm, *, registry: Optional[MetricsRegistry] = None) -> None:
         )
         for key, state in live.breaker_states().items():
             breaker.set(state, name=farm_name, tenant=key)
-
-    registry.register_collector(collect)
-
-
-def watch_timer(
-    timer, *, registry: Optional[MetricsRegistry] = None, backend: str = ""
-) -> None:
-    """Publish per-kernel wall-vs-model drift from a ``KernelTimer``.
-
-    The ratio ``wall / model`` per kernel label is the cost-model
-    calibration signal the ROADMAP's autotuning item consumes: 1.0 means
-    the analytic model still predicts this machine; sustained drift means
-    the model (or the machine) changed.
-    """
-    registry = registry or _DEFAULT_REGISTRY
-    ref = weakref.ref(timer)
-
-    def collect(reg: Scrape):
-        live = ref()
-        if live is None:
-            return False
-        labels = ("timer", "label", "precision", "backend")
-        calls = reg.counter(
-            "repro_kernel_calls_total", "Kernel invocations metered.", labels
-        )
-        model = reg.counter(
-            "repro_kernel_model_seconds_total",
-            "Modelled kernel seconds (analytic V100 cost model).",
-            labels,
-        )
-        wall = reg.counter(
-            "repro_kernel_wall_seconds_total", "Measured kernel wall seconds.", labels
-        )
-        ratio = reg.gauge(
-            "repro_kernel_wall_model_ratio",
-            "Measured/modelled seconds per kernel label (cost-model drift).",
-            ("timer", "label", "backend"),
-        )
-        wall_by_label: Dict[str, float] = {}
-        model_by_label: Dict[str, float] = {}
-        for record in live.records:
-            where = dict(
-                timer=live.name,
-                label=record.label,
-                precision=record.precision,
-                backend=backend,
-            )
-            calls.set(record.calls, **where)
-            model.set(record.model_seconds, **where)
-            wall.set(record.wall_seconds, **where)
-            wall_by_label[record.label] = (
-                wall_by_label.get(record.label, 0.0) + record.wall_seconds
-            )
-            model_by_label[record.label] = (
-                model_by_label.get(record.label, 0.0) + record.model_seconds
-            )
-        for label, wall_seconds in wall_by_label.items():
-            model_seconds = model_by_label.get(label, 0.0)
-            if model_seconds > 0:
-                ratio.set(
-                    wall_seconds / model_seconds,
-                    timer=live.name,
-                    label=label,
-                    backend=backend,
-                )
 
     registry.register_collector(collect)
 

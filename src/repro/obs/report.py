@@ -186,7 +186,7 @@ def _stage_table(rows: List[Tuple[str, List[float]]]) -> List[str]:
 
 
 def _metrics_highlights(path: str) -> List[str]:
-    """Pull the SLO/alert/drift lines out of a Prometheus text snapshot."""
+    """Pull the SLO/alert/health lines out of a Prometheus text snapshot."""
     interesting = (
         "repro_alerts_total",
         "repro_alerts_active",
@@ -194,7 +194,6 @@ def _metrics_highlights(path: str) -> List[str]:
         "repro_slo_burn_rate",
         "repro_slo_error_budget_remaining_ratio",
         "repro_health_state",
-        "repro_kernel_wall_model_ratio",
     )
     lines: List[str] = []
     with open(path) as handle:

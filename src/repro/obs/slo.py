@@ -32,8 +32,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..config import get_config
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..serve.telemetry import Outcome, ServeTelemetry
 
@@ -98,17 +96,6 @@ class SloPolicy:
     def error_budget(self) -> float:
         """Allowed error fraction (``1 - availability_target``)."""
         return 1.0 - self.availability_target
-
-    @classmethod
-    def from_config(cls) -> "SloPolicy":
-        """Policy implied by the active :class:`repro.config.ObsConfig`."""
-        obs = get_config().obs
-        return cls(
-            availability_target=obs.slo_availability_target,
-            latency_p95_ms=obs.slo_latency_p95_ms,
-            fast_window_s=obs.slo_fast_window_s,
-            slow_window_s=obs.slo_slow_window_s,
-        )
 
 
 @dataclass(frozen=True)
@@ -220,11 +207,11 @@ class SloEngine:
 
     def __init__(
         self,
-        policy: Optional[SloPolicy] = None,
+        policy: SloPolicy = SloPolicy(),
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.policy = policy if policy is not None else SloPolicy.from_config()
+        self.policy = policy
         self._clock = clock
         self._lock = threading.Lock()
         self._ledgers: Dict[str, "ServeTelemetry"] = {}

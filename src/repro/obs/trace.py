@@ -5,10 +5,10 @@ microsecond timestamps, a parent link, free-form attributes and point
 events — and keeps the finished ones in a bounded in-memory buffer.  The
 design goals, in order:
 
-1. **Cheap when off.**  Tracing is opt-in (``ObsConfig.tracing`` on
-   :class:`repro.config.ReproConfig`, or an explicit
-   :func:`enable_tracing` call).  When it is off, the serve hot paths
-   carry a single ``tracer is None`` check and allocate nothing.
+1. **Cheap when off.**  Tracing is opt-in (a tracer passed as ``obs=``
+   to a session or farm, or :func:`enable_tracing` for the process).
+   When it is off, the serve hot paths carry a single
+   ``tracer is None`` check and allocate nothing.
 2. **Thread-safe.**  Spans are started and finished from client threads,
    session and farm worker threads concurrently; all mutation of the
    shared buffer happens under one lock, and ``Span.finish`` is
@@ -41,8 +41,6 @@ import threading
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
-
-from ..config import get_config
 
 __all__ = [
     "Span",
@@ -518,73 +516,33 @@ class RequestTrace:
 # ---------------------------------------------------------------------- #
 # process-default tracer                                                 #
 # ---------------------------------------------------------------------- #
-_DEFAULT_LOCK = threading.Lock()
 _DEFAULT_TRACER: Optional[Tracer] = None
-_EXPLICIT = False
-_UNSET = object()
 
 
-def _config_sampler(cfg) -> Optional[Sampler]:
-    """Sampler implied by an :class:`repro.config.ObsConfig` (or ``None``)."""
-    if cfg.sample_rate >= 1.0:
-        return None
-    return Sampler(head_rate=cfg.sample_rate, tail_keep=cfg.tail_keep)
-
-
-def enable_tracing(*, capacity: Optional[int] = None, sampler=_UNSET) -> Tracer:
+def enable_tracing(
+    *, capacity: int = DEFAULT_TRACE_CAPACITY, sampler: Optional[Sampler] = None
+) -> Tracer:
     """Install (and return) a fresh process-default tracer.
 
-    Overrides the config-driven default until :func:`disable_tracing`.
-    ``sampler`` defaults to whatever the active config implies
-    (``ObsConfig.sample_rate`` / ``tail_keep``); pass an explicit
-    :class:`Sampler` or ``None`` to override.
+    Sessions and farms built without ``obs=`` trace with it until
+    :func:`disable_tracing`.  ``sampler`` turns on adaptive sampling,
+    e.g. ``enable_tracing(sampler=Sampler(head_rate=0.1))``; the default
+    ``None`` traces every request.
     """
-    global _DEFAULT_TRACER, _EXPLICIT
-    cfg = get_config().obs
-    if sampler is _UNSET:
-        sampler = _config_sampler(cfg)
-    tracer = Tracer(capacity=capacity or cfg.trace_capacity, sampler=sampler)
-    with _DEFAULT_LOCK:
-        _DEFAULT_TRACER = tracer
-        _EXPLICIT = True
+    global _DEFAULT_TRACER
+    tracer = _DEFAULT_TRACER = Tracer(capacity=capacity, sampler=sampler)
     return tracer
 
 
 def disable_tracing() -> None:
-    """Drop the process-default tracer (config ``tracing`` is ignored too)."""
-    global _DEFAULT_TRACER, _EXPLICIT
-    with _DEFAULT_LOCK:
-        _DEFAULT_TRACER = None
-        _EXPLICIT = True
+    """Drop the process-default tracer."""
+    global _DEFAULT_TRACER
+    _DEFAULT_TRACER = None
 
 
 def default_tracer() -> Optional[Tracer]:
-    """The process-default tracer, or ``None`` when tracing is off.
-
-    Resolution order: an explicit :func:`enable_tracing` /
-    :func:`disable_tracing` call wins; otherwise ``get_config().obs``
-    decides, creating the shared tracer lazily on first use.
-    """
-    global _DEFAULT_TRACER
-    with _DEFAULT_LOCK:
-        if _EXPLICIT:
-            return _DEFAULT_TRACER
-        cfg = get_config().obs
-        if not cfg.tracing:
-            return None
-        if _DEFAULT_TRACER is None:
-            _DEFAULT_TRACER = Tracer(
-                capacity=cfg.trace_capacity, sampler=_config_sampler(cfg)
-            )
-        return _DEFAULT_TRACER
-
-
-def _reset_default_tracer() -> None:
-    """Test hook: forget any explicit/lazy default tracer."""
-    global _DEFAULT_TRACER, _EXPLICIT
-    with _DEFAULT_LOCK:
-        _DEFAULT_TRACER = None
-        _EXPLICIT = False
+    """The tracer :func:`enable_tracing` installed, or ``None``."""
+    return _DEFAULT_TRACER
 
 
 # ---------------------------------------------------------------------- #
@@ -606,8 +564,8 @@ def export_chrome_trace(
     tracer = tracer if tracer is not None else default_tracer()
     if tracer is None:
         raise RuntimeError(
-            "tracing is not enabled: pass tracer=, call "
-            "repro.obs.enable_tracing(), or set ObsConfig(tracing=True)"
+            "tracing is not enabled: pass tracer= or call "
+            "repro.obs.enable_tracing()"
         )
     events: List[Dict[str, object]] = []
     thread_names: Dict[int, str] = {}

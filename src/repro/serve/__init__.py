@@ -26,7 +26,7 @@ Pieces
 :class:`BatchingPolicy`
     Decides sequential-vs-block and the dispatch width per operator from
     the analytic kernel cost model (SpMM vs ``k`` SpMVs, GEMM vs ``k``
-    GEMVs); overridable via ``ReproConfig.serve.policy``.
+    GEMVs); overridable per session with ``OperatorSession(policy=...)``.
 :class:`Outcome` / :class:`ServeTelemetry` / :class:`ServeStats`
     Every request ends in one :class:`Outcome`, booked by
     :meth:`PendingRequest.resolve` in the :class:`ServeTelemetry` ledger

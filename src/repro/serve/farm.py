@@ -37,9 +37,6 @@ adds:
   queue depths, fairness shares, evictions, breaker trips) as a
   :class:`~repro.serve.telemetry.FarmStats`.
 
-Every knob defaults from ``ReproConfig.serve``
-(:class:`~repro.config.ServeConfig`); constructor arguments override.
-
 Quickstart::
 
     farm = repro.farm(workers=2, max_sessions=4)
@@ -59,7 +56,6 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..config import get_config
 from ..obs import Observability
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import watch_farm
@@ -73,7 +69,7 @@ from .telemetry import FarmStats, TenantStats
 
 __all__ = ["RejectedError", "CircuitOpenError", "SolverFarm", "FAIRNESS_MODES"]
 
-#: Recognized values of ``ServeConfig.fairness``.
+#: Recognized values of ``SolverFarm(fairness=...)``.
 FAIRNESS_MODES = ("weighted", "fifo")
 
 #: Structured-log channel of the farm (see :mod:`repro.obs.log`).
@@ -83,30 +79,35 @@ _LOGGER = get_logger("serve.farm")
 class SolverFarm(SolveScheduler):
     """Multi-operator, multi-tenant solver service over a shared worker pool.
 
-    Parameters (all defaulting from ``ReproConfig.serve``)
+    Parameters
     ----------
     max_sessions / max_session_bytes:
         Budgets of the warmed-session LRU cache
-        (:class:`~repro.serve.registry.SessionRegistry`).
+        (:class:`~repro.serve.registry.SessionRegistry`): at most 8 warm
+        sessions by default, and no byte budget (``None``, unlimited).
+        The least-recently-used session is evicted when a new one would
+        exceed either.
     queue_depth:
-        Bound on each tenant's queue; a submit beyond it raises
-        :class:`RejectedError`.
+        Bound on each tenant's queue (default 64); a submit beyond it
+        raises :class:`RejectedError`.
     fairness:
         ``"weighted"`` (deficit-style weighted round-robin, the default)
         or ``"fifo"`` (globally oldest request first).
     workers:
-        Size of the shared dispatch pool.  Solves on one *session* are
-        serialized on its solve lock (the modelled device is one GPU), but
-        workers overlap across tenants: while one dispatch runs, other
-        workers batch, validate, warm sessions and demux results.
+        Size of the shared dispatch pool (default 2).  Solves on one
+        *session* are serialized on its solve lock (the modelled device is
+        one GPU), but workers overlap across tenants: while one dispatch
+        runs, other workers batch, validate, warm sessions and demux
+        results.
     max_wait_ms:
-        Per-tenant micro-batching window, exactly as in
+        Per-tenant micro-batching window (default 2.0), exactly as in
         :class:`~repro.serve.scheduler.SolveScheduler`.
     breaker_threshold / breaker_cooldown_ms:
-        Per-operator circuit breaker: ``breaker_threshold`` consecutive
-        hard failures (solver exceptions, breakdowns, non-finite results)
-        quarantine the operator for ``breaker_cooldown_ms`` — its warmed
-        session is evicted and submits fail fast with
+        Per-operator circuit breaker: ``breaker_threshold`` (default 3)
+        consecutive hard failures (solver exceptions, breakdowns,
+        non-finite results) quarantine the operator for
+        ``breaker_cooldown_ms`` (default 250.0) — its warmed session is
+        evicted and submits fail fast with
         :class:`~repro.serve.errors.CircuitOpenError` — after which one
         probe request decides whether traffic resumes.
     """
@@ -114,42 +115,28 @@ class SolverFarm(SolveScheduler):
     def __init__(
         self,
         *,
-        max_sessions: Optional[int] = None,
+        max_sessions: int = 8,
         max_session_bytes: Optional[int] = None,
-        queue_depth: Optional[int] = None,
-        fairness: Optional[str] = None,
-        workers: Optional[int] = None,
-        max_wait_ms: Optional[float] = None,
-        breaker_threshold: Optional[int] = None,
-        breaker_cooldown_ms: Optional[float] = None,
+        queue_depth: int = 64,
+        fairness: str = "weighted",
+        workers: int = 2,
+        max_wait_ms: float = 2.0,
+        breaker_threshold: int = 3,
+        breaker_cooldown_ms: float = 250.0,
         name: str = "farm",
         obs=None,
     ) -> None:
-        cfg = get_config().serve
-        self.queue_depth = cfg.queue_depth if queue_depth is None else int(queue_depth)
+        self.queue_depth = int(queue_depth)
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
-        self.fairness = cfg.fairness if fairness is None else str(fairness)
+        self.fairness = str(fairness)
         if self.fairness not in FAIRNESS_MODES:
             raise ValueError(
                 f"unknown fairness mode {self.fairness!r}; choose from {FAIRNESS_MODES}"
             )
-        self.breaker_threshold = (
-            cfg.breaker_threshold
-            if breaker_threshold is None
-            else int(breaker_threshold)
-        )
-        self.breaker_cooldown_ms = (
-            cfg.breaker_cooldown_ms
-            if breaker_cooldown_ms is None
-            else float(breaker_cooldown_ms)
-        )
-        super().__init__(
-            max_wait_ms=cfg.max_wait_ms if max_wait_ms is None else float(max_wait_ms),
-            workers=cfg.workers if workers is None else int(workers),
-            name=name,
-            obs=obs,
-        )
+        self.breaker_threshold = int(breaker_threshold)
+        self.breaker_cooldown_ms = float(breaker_cooldown_ms)
+        super().__init__(max_wait_ms=max_wait_ms, workers=workers, name=name, obs=obs)
         if self.health is not None:
             self.health.watch_farm(self)
 
@@ -157,13 +144,7 @@ class SolverFarm(SolveScheduler):
             log_event(_LOGGER, "session_evicted", farm=self.name, tenant=key)
 
         self.registry = SessionRegistry(
-            max_sessions=cfg.max_sessions if max_sessions is None else int(max_sessions),
-            max_bytes=(
-                cfg.max_session_bytes
-                if max_session_bytes is None
-                else max_session_bytes
-            ),
-            on_evict=_on_evict,
+            max_sessions=max_sessions, max_bytes=max_session_bytes, on_evict=_on_evict
         )
         if self.obs.registry is not None:
             watch_farm(self, registry=self.obs.registry)

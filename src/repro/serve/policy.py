@@ -15,8 +15,8 @@ little, which the model reflects.
 
 The decision is *modelled* (the library's V100 performance model, like
 every cost in :mod:`repro.perfmodel`), deterministic per operator, and
-overridable: ``ReproConfig.serve.policy`` (or the ``policy=`` argument of
-:class:`~repro.serve.session.OperatorSession`) forces ``"block"`` or
+overridable: the ``policy=`` argument of
+:class:`~repro.serve.session.OperatorSession` forces ``"block"`` or
 ``"sequential"`` unconditionally.
 """
 

@@ -39,7 +39,6 @@ import numpy as np
 
 from ..config import get_config
 from ..linalg.context import ExecutionContext, get_context, use_context
-from ..linalg.multivector import MultiVector
 from ..obs import resolve_observability
 from ..obs.metrics import watch_session
 from ..precision import Precision, as_precision
@@ -55,26 +54,6 @@ from .scheduler import SolveScheduler, validate_rhs
 from .telemetry import ServeStats
 
 __all__ = ["OperatorSession", "validate_rhs"]
-
-
-def _nbytes_of(obj: object, depth: int = 2) -> int:
-    """Estimated array bytes held by ``obj`` (recursing into attributes,
-    dict values and the basis :class:`MultiVector` of a workspace, which
-    has no ``__dict__`` and reports its block through ``storage_bytes``)."""
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, MultiVector):
-        return obj.storage_bytes()
-    if depth <= 0:
-        return 0
-    if isinstance(obj, dict):
-        return sum(_nbytes_of(v, depth - 1) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return sum(_nbytes_of(v, depth - 1) for v in obj)
-    attrs = getattr(obj, "__dict__", None)
-    if attrs is not None:
-        return sum(_nbytes_of(v, depth - 1) for v in attrs.values())
-    return 0
 
 
 class OperatorSession:
@@ -114,17 +93,27 @@ class OperatorSession:
         can fail where each column alone succeeds (a fault in the batched
         SpMM, say); the retry contains that at the cost of one extra
         sequential solve.  Disable to surface raw batch statuses.
-    max_block / max_wait_ms / policy:
-        Micro-batching knobs, defaulting from ``ReproConfig.serve``
-        (:class:`~repro.config.ServeConfig`).  ``policy`` accepts a
-        mode string (``"auto"`` / ``"block"`` / ``"sequential"``) or a
-        ready :class:`~repro.serve.policy.BatchingPolicy`.
+    max_block:
+        Micro-batch width cap: a dispatch coalesces at most this many
+        right-hand sides (default 8).
+    max_wait_ms:
+        Micro-batching window: a queued request is dispatched once this
+        many milliseconds have passed since batch assembly began, even if
+        the batch is not full (default 2.0; ``0`` dispatches whatever is
+        already queued).
+    policy:
+        Batching policy: a mode string (``"auto"``, the default, consults
+        the kernel cost model; ``"block"`` always batches to ``max_block``;
+        ``"sequential"`` forces width-1 solves) or a ready
+        :class:`~repro.serve.policy.BatchingPolicy`.
     warmup:
         Run the plan-building warm-up at construction (default True).
     obs:
         Observability wiring — an :class:`repro.obs.Observability`
-        bundle, a bare :class:`repro.obs.Tracer`, or ``None`` to resolve
-        from ``ReproConfig.obs`` (tracing off, metrics on by default).
+        bundle, a bare :class:`repro.obs.Tracer`, or ``None`` for
+        ``Observability()`` (the process-default tracer, off unless
+        :func:`repro.obs.enable_tracing` ran, and the process metrics
+        registry).
         When a tracer is present every request gets a span tree
         (``request`` → ``submit``/``queued``/``dispatch``) and every
         dispatch a ``batch`` tree with solver probe events; when a
@@ -151,9 +140,9 @@ class OperatorSession:
         meter: bool = False,
         fp64_check: bool = True,
         retry_failed: bool = True,
-        max_block: Optional[int] = None,
-        max_wait_ms: Optional[float] = None,
-        policy: Union[str, BatchingPolicy, None] = None,
+        max_block: int = 8,
+        max_wait_ms: float = 2.0,
+        policy: Union[str, BatchingPolicy] = "auto",
         name: Optional[str] = None,
         warmup: bool = True,
         obs=None,
@@ -168,10 +157,9 @@ class OperatorSession:
         self.restart = cfg.restart if restart is None else int(restart)
         self.tol = cfg.rtol if tol is None else float(tol)
         self.max_restarts = cfg.max_restarts if max_restarts is None else int(max_restarts)
-        self.max_block = cfg.serve.max_block if max_block is None else int(max_block)
+        self.max_block = int(max_block)
         if self.max_block < 1:
             raise ValueError("max_block must be at least 1")
-        wait = cfg.serve.max_wait_ms if max_wait_ms is None else float(max_wait_ms)
         self.retry_failed = bool(retry_failed)
         self.name = name or f"serve-{matrix.name or 'operator'}"
         self.obs = resolve_observability(obs)
@@ -238,12 +226,11 @@ class OperatorSession:
         if isinstance(policy, BatchingPolicy):
             self.policy = policy
         else:
-            mode = policy if policy is not None else cfg.serve.policy
             self.policy = BatchingPolicy(
                 self._matrix,
                 self.context.cost_model,
                 max_block=self.max_block,
-                mode=mode,
+                mode=policy,
                 precision=self._work_precision,
                 basis_columns=self.restart,
                 spmvs_per_iteration=spmvs_per_iteration,
@@ -254,7 +241,7 @@ class OperatorSession:
         self._closed = False
         if warmup:
             self._warmup()
-        self.scheduler = SolveScheduler(self, max_wait_ms=wait)
+        self.scheduler = SolveScheduler(self, max_wait_ms=max_wait_ms)
         if self.obs.registry is not None:
             watch_session(self, registry=self.obs.registry)
 
@@ -289,14 +276,9 @@ class OperatorSession:
         an audit: backend-internal plan caches are keyed on the matrices
         and die with them, but are not themselves walked.
         """
-        total = 0
-        for matrix in self._matrices:
-            total += (
-                matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-            )
-        for ws in self._workspaces.values():
-            total += _nbytes_of(ws)
-        return total
+        return sum(m.storage_bytes() for m in self._matrices) + sum(
+            ws.nbytes() for ws in self._workspaces.values()
+        )
 
     def workspace_for(self, width: int) -> GmresWorkspace:
         """The pooled Krylov workspace for a dispatch of ``width`` columns.

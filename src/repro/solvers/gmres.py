@@ -134,6 +134,17 @@ class GmresWorkspace:
         """Device memory held by the Krylov basis (for OOM checks)."""
         return self.basis.storage_bytes()
 
+    def nbytes(self) -> int:
+        """Bytes of every buffer held: the basis, the Givens state, the
+        block scratch and the cached GEMM and coefficient buffers."""
+        blocks = (self.W, self.R, self.Z, self.update, self.implicit)
+        caches = (*self._gemm_work.values(), *self._coefficients.values())
+        return (
+            self.basis.storage_bytes()
+            + self.givens.nbytes()
+            + sum(a.nbytes for a in blocks + caches)
+        )
+
     def accommodates(self, n: int, restart: int, precision, block_size: int = 1) -> bool:
         """True if this workspace can run a solve of the given shape.
 

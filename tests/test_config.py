@@ -1,13 +1,12 @@
 """Tests for repro.config."""
 
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.config import (
     ReproConfig,
-    ServeConfig,
     default_config,
     get_config,
     rng,
@@ -71,55 +70,33 @@ class TestBackendSelection:
         assert get_config().backend == "scipy"
 
 
-class TestServeConfig:
-    def test_defaults(self):
-        serve = ReproConfig().serve
-        assert serve == ServeConfig()
-        assert serve.max_block == 8
-        assert serve.policy == "auto"
-        assert serve.max_sessions == 8
-        assert serve.max_session_bytes is None
-        assert serve.queue_depth == 64
-        assert serve.fairness == "weighted"
-        assert serve.workers == 2
+class TestReproConfigFields:
+    """The config holds library-wide solver defaults only; serving and
+    observability knobs are constructor defaults where they are used."""
 
-    def test_is_frozen(self):
-        with pytest.raises(Exception):
-            ServeConfig().max_block = 2  # type: ignore[misc]
-
-    def test_set_config_with_serve_bundle(self):
-        set_config(serve=ServeConfig(max_block=4, fairness="fifo"))
-        assert get_config().serve.max_block == 4
-        assert get_config().serve.fairness == "fifo"
-        # Untouched fields keep their defaults.
-        assert get_config().serve.queue_depth == 64
-
-    def test_replace_round_trips_canonical_fields(self):
-        cfg = replace(ReproConfig(), serve=ServeConfig(workers=5))
-        assert cfg.serve.workers == 5
-        assert replace(cfg).serve == cfg.serve
-
-
-class TestDeprecatedFlatServeFields:
-    """The pre-ServeConfig flat spellings are gone; the canonical ones stay quiet."""
-
-    def test_unknown_keyword_still_rejected(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ReproConfig(serve_nonsense=1)
-
-    def test_canonical_spellings_do_not_warn(self, recwarn):
-        cfg = ReproConfig(serve=ServeConfig(max_block=2))
-        assert cfg.serve.max_block == 2
-        set_config(serve=ServeConfig(policy="sequential"))
-        assert get_config().serve.policy == "sequential"
-        deprecations = [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
+    def test_fields_are_solver_device_seed_metering_and_backend(self):
+        assert [f.name for f in fields(ReproConfig)] == [
+            "rtol",
+            "restart",
+            "max_restarts",
+            "device_name",
+            "seed",
+            "meter_kernels",
+            "backend",
         ]
-        assert not deprecations
+
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ReproConfig(serve=None)
+
+    def test_set_config_rejects_unknown_override(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            set_config(obs=None)
+        assert get_config().restart == 50  # the active config is untouched
 
 
 class TestRngHelper:
-    def test_default_seed_comes_from_config(self):
+    def test_default_seed_is_the_active_config_seed(self):
         a = rng().standard_normal(8)
         b = rng().standard_normal(8)
         np.testing.assert_array_equal(a, b)

@@ -19,6 +19,7 @@ precision lookup.
 
 from __future__ import annotations
 
+import inspect
 import sys
 import threading
 
@@ -39,6 +40,7 @@ from repro.linalg.context import (
 from repro.matrices import laplace2d
 from repro.perfmodel.costs import MEMO_LIMIT, KernelCostModel
 from repro.perfmodel.timer import KernelTimer, use_timer
+from repro.serve import OperatorSession, SolverFarm
 from repro.solvers import gmres_ir
 
 
@@ -186,14 +188,16 @@ class TestConfigThreadSafety:
         np.testing.assert_array_equal(draws[0], rng(seed=1000).standard_normal(4))
 
     def test_serve_defaults_present(self):
-        cfg = ReproConfig()
-        assert cfg.serve.max_block >= 1
-        assert cfg.serve.max_wait_ms >= 0.0
-        assert cfg.serve.policy in ("auto", "block", "sequential")
-        assert cfg.serve.max_sessions >= 1
-        assert cfg.serve.queue_depth >= 1
-        assert cfg.serve.fairness in ("weighted", "fifo")
-        assert cfg.serve.workers >= 1
+        """The serving knobs are constructor defaults."""
+        session = inspect.signature(OperatorSession).parameters
+        farm = inspect.signature(SolverFarm).parameters
+        assert session["max_block"].default >= 1
+        assert session["max_wait_ms"].default >= 0.0
+        assert session["policy"].default in ("auto", "block", "sequential")
+        assert farm["max_sessions"].default >= 1
+        assert farm["queue_depth"].default >= 1
+        assert farm["fairness"].default in ("weighted", "fifo")
+        assert farm["workers"].default >= 1
 
 
 class TestTimerThreadLocality:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import ServeConfig, rng, set_config
+from repro.config import rng
 from repro.matrices import laplace2d, laplace3d
 from repro.obs import MetricsRegistry, Observability, default_registry
 from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
@@ -246,16 +246,6 @@ class TestFarmBasics:
                 outcomes.append("failed")
         # Everything resolved one way or the other: nothing hangs.
         assert len(outcomes) == 8
-
-    def test_knobs_default_from_config(self, matrix):
-        set_config(serve=ServeConfig(queue_depth=5, fairness="fifo", workers=3))
-        farm = make_farm(workers=None, max_wait_ms=None)
-        try:
-            assert farm.queue_depth == 5
-            assert farm.fairness == "fifo"
-            assert farm.workers == 3
-        finally:
-            farm.close()
 
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="fairness"):

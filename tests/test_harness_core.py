@@ -274,6 +274,16 @@ def test_every_mode_writes_the_pinned_json_shape(mode, tmp_path):
         assert {"client-0", "client-1"} <= threads
 
 
+def test_cli_obs_writes_its_trace_beside_out(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(harness, "run_obs", lambda **kwargs: calls.append(kwargs))
+    out = tmp_path / "BENCH_obs_fresh.json"
+    harness.main(["--obs", "--out", str(out)])
+    harness.main(["--obs"])
+    assert [call["trace_out"] for call in calls] == [tmp_path / "TRACE_obs_fresh.json", None]
+    assert [call["out"] for call in calls] == [out, None]
+
+
 def test_cli_dispatches_from_the_mode_table():
     assert list(harness.MODES) == [
         "smoke", "backends", "solve", "solve-block", "serve", "farm", "obs",

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import ObsConfig, ReproConfig, get_config, set_config
 from repro.matrices import laplace2d
 from repro.backends import get_backend
 from repro.linalg.context import use_backend
@@ -37,6 +36,9 @@ from repro.obs import (
     ProbeEvent,
     PROBE_KINDS,
     RequestTrace,
+    Sampler,
+    SloEngine,
+    SloPolicy,
     Tracer,
     export_chrome_trace,
     get_logger,
@@ -47,7 +49,7 @@ from repro.obs import (
     start_metrics_server,
 )
 from repro.obs.metrics import Scrape
-from repro.obs.trace import _reset_default_tracer, default_tracer
+from repro.obs.trace import default_tracer, disable_tracing
 from repro.perfmodel.costs import CostEstimate
 from repro.perfmodel.timer import KernelTimer
 from repro.serve import RejectedError, SolverFarm
@@ -59,9 +61,9 @@ from repro.testing import FaultInjectingBackend
 @pytest.fixture(autouse=True)
 def _fresh_default_tracer():
     """Keep the process-default tracer out of cross-test state."""
-    _reset_default_tracer()
+    disable_tracing()
     yield
-    _reset_default_tracer()
+    disable_tracing()
 
 
 @pytest.fixture
@@ -717,36 +719,59 @@ class TestLogging:
 
 
 # ---------------------------------------------------------------------- #
-# config + facade plumbing                                               #
+# obs wiring + facade plumbing                                           #
 # ---------------------------------------------------------------------- #
-class TestObsConfig:
-    def test_defaults_are_off_for_tracing_on_for_metrics(self):
-        cfg = ReproConfig()
-        assert cfg.obs.tracing is False
-        assert cfg.obs.metrics is True
-        assert cfg.obs.trace_capacity == 65536
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            ObsConfig().tracing = True  # type: ignore[misc]
-
-    def test_config_driven_default_tracer(self):
+class TestObsWiring:
+    def test_enable_and_disable_tracing(self):
         assert default_tracer() is None  # tracing off by default
-        set_config(ReproConfig(obs=ObsConfig(tracing=True, trace_capacity=128)))
-        _reset_default_tracer()
-        tracer = default_tracer()
-        assert isinstance(tracer, Tracer)
-        assert default_tracer() is tracer  # lazy singleton
-        assert tracer._capacity == 128
-
-    def test_explicit_enable_overrides_config(self):
         tracer = repro.obs.enable_tracing(capacity=64)
         assert default_tracer() is tracer
         repro.obs.disable_tracing()
-        assert default_tracer() is None  # even though config might say on
+        assert default_tracer() is None
+
+    def test_enable_tracing_installs_a_fresh_tracer_each_call(self):
+        first = repro.obs.enable_tracing()
+        second = repro.obs.enable_tracing()
+        assert second is not first
+        assert default_tracer() is second
+
+    def test_enable_tracing_takes_capacity_and_sampler(self):
+        sampler = Sampler(head_rate=0.25)
+        tracer = repro.obs.enable_tracing(capacity=32, sampler=sampler)
+        assert tracer._capacity == 32
+        assert tracer.sampler is sampler
+
+    def test_enable_tracing_rejects_zero_capacity(self):
+        with pytest.raises(ValueError):
+            repro.obs.enable_tracing(capacity=0)
+        assert default_tracer() is None  # nothing was installed
+
+    def test_observability_reads_the_default_tracer_at_construction(self):
+        before = Observability()
+        tracer = repro.obs.enable_tracing()
+        during = Observability()
+        repro.obs.disable_tracing()
+        assert before.tracer is None
+        assert during.tracer is tracer  # kept after disable_tracing()
+        assert Observability().tracer is None
+
+    def test_registry_none_keeps_a_session_out_of_the_default_registry(
+        self, matrix
+    ):
+        registry = repro.obs.default_registry()
+        before = list(registry._collectors)
+        obs = Observability(registry=None)
+        assert obs.registry is None and obs.tracer is None
+        with repro.session(matrix, restart=10, tol=1e-8, obs=obs) as s:
+            assert s.submit(np.ones(matrix.n_rows)).result().converged
+        assert registry._collectors == before
+
+    def test_slo_engine_defaults_to_the_default_policy(self):
+        assert SloEngine().policy == SloPolicy()
+        assert SloPolicy() == SloPolicy(0.999, 0.0, 0.0, 300.0, 3600.0, 14.4, 6.0)
 
     def test_resolve_observability(self):
-        assert resolve_observability(None).tracer is None  # config default
+        assert resolve_observability(None).tracer is None  # tracing off
         tracer = Tracer()
         shorthand = resolve_observability(tracer)
         assert shorthand.tracer is tracer
@@ -758,12 +783,6 @@ class TestObsConfig:
     def test_disabled_turns_everything_off(self):
         obs = Observability.disabled()
         assert obs.tracer is None and obs.registry is None
-
-    def test_metrics_config_gates_default_registry(self):
-        set_config(ReproConfig(obs=ObsConfig(metrics=False)))
-        assert Observability().registry is None
-        set_config(ReproConfig())
-        assert Observability().registry is repro.obs.default_registry()
 
     def test_session_facade_accepts_obs(self, matrix):
         tracer = Tracer()

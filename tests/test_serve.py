@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.config import ServeConfig, rng, set_config
+from repro.config import rng
 from repro.linalg.context import use_backend
 from repro.matrices import laplace2d, laplace3d
 from repro.perfmodel import KernelCostModel
@@ -94,6 +94,21 @@ class TestOperatorSession:
             assert basis_bytes == matrix.n_rows * (8 + 1) * 8 * 8
             assert session.estimated_bytes() >= basis_bytes + matrix.data.nbytes
 
+    def test_estimated_bytes_are_pinned(self, matrix):
+        """Exact estimates of warmed width-8 sessions (n = 512, restart 8).
+
+        fp64: CSR 42504 + basis 294912 + W/R/Z/update 131072 + implicit
+        512 + Givens R/g/cosines/sines 38408.  A width-1 solve adds its
+        (8, 1) coefficient buffer.  GMRES-IR keeps an fp32 matrix copy
+        (29704) and its workspace in fp32.
+        """
+        with make_session(matrix, max_block=8) as session:
+            assert session.estimated_bytes() == 507408
+            session.solve(np.ones(matrix.n_rows))
+            assert session.estimated_bytes() == 507408 + 64
+        with make_session(matrix, method="gmres-ir", max_block=8) as session:
+            assert session.estimated_bytes() == 304916
+
     def test_steady_state_dispatches_reuse_one_workspace(self, matrix, precond):
         b = rhs_block(matrix, 1)[:, 0]
         with make_session(matrix, precond, max_block=2) as session:
@@ -113,12 +128,6 @@ class TestOperatorSession:
             assert session.submit(b).result(timeout=30).converged
         finally:
             session.close()
-
-    def test_session_defaults_come_from_config(self, matrix):
-        set_config(serve=ServeConfig(max_block=3, policy="sequential"))
-        with make_session(matrix) as session:
-            assert session.max_block == 3
-            assert session.policy.mode == "sequential"
 
     def test_rejects_unknown_method(self, matrix):
         with pytest.raises(ValueError, match="method"):

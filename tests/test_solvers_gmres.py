@@ -8,6 +8,7 @@ from repro import ones_rhs
 from repro.perfmodel.timer import KernelTimer, use_timer
 from repro.preconditioners import GmresPolynomialPreconditioner, JacobiPreconditioner
 from repro.solvers import SolverStatus, gmres
+from repro.linalg.dense import GivensWorkspace
 from repro.solvers.gmres import GmresWorkspace, run_cycle
 from repro.ortho import make_ortho_manager
 from repro.preconditioners.base import IdentityPreconditioner
@@ -227,7 +228,7 @@ class TestErrorsAndEdgeCases:
         with pytest.raises(ValueError):
             gmres(laplace_small, np.ones(3))
 
-    def test_defaults_come_from_config(self, laplace_small):
+    def test_defaults_are_the_active_config(self, laplace_small):
         from repro.config import set_config
 
         set_config(restart=7, rtol=1e-6)
@@ -305,3 +306,29 @@ class TestRunGmresCycle:
         new_residual = np.linalg.norm(b - laplace_small.matvec(outcome.update))
         assert new_residual < 0.5 * np.linalg.norm(b)
         assert new_residual == pytest.approx(outcome.implicit[-1, 0], rel=1e-6)
+
+
+class TestWorkspaceBytes:
+    def test_gmres_workspace_counts_every_buffer(self):
+        """n = 100, restart 4, width 2, fp64: basis 100·10·8 = 8000,
+        Givens R/g/cosines/sines 640 + 72 + 64 + 64 = 840, W/R/Z/update
+        4·100·2·8 = 6400, implicit 4·2·8 = 64."""
+        ws = GmresWorkspace(100, 4, "double", block_size=2)
+        assert ws.nbytes() == 15304
+        ws.gemm_work(2)  # (100, 2) fp64
+        assert ws.nbytes() == 15304 + 1600
+        ws.coefficients(1)  # (4, 1) fp64
+        assert ws.nbytes() == 15304 + 1600 + 32
+        ws.gemm_work(2)  # cached: no new buffer
+        assert ws.nbytes() == 15304 + 1600 + 32
+
+    def test_givens_workspace_adds_block_state_on_first_block_reset(self):
+        """max_cols 6, band 2 (8 rows), fp64: R 8·6·8 = 384, g 56,
+        cosines 48, sines 48; a block reset adds G 128, QT 512, two
+        row temporaries 64 + 64 and the solve scratch 16."""
+        ws = GivensWorkspace(6, 2)
+        assert ws.nbytes() == 536
+        ws.reset(3.0)  # a single-vector cycle allocates nothing
+        assert ws.nbytes() == 536
+        ws.reset(np.eye(2))
+        assert ws.nbytes() == 536 + 784
