@@ -1,21 +1,37 @@
 """Compiled kernels (C through ctypes) for the NumPy backend and the block solvers.
 
-Two C files ship with the package: ``dia.c`` (the DIA SpMV/SpMM and
+Three C files ship with the package: ``dia.c`` (the DIA SpMV/SpMM and
 ``poly_chain``, a GMRES-polynomial preconditioner's whole factor chain
-of DIA products and axpys) and ``dense.c`` (the backend's axpy, the
+of DIA products and axpys), ``dense.c`` (the backend's axpy, the
 Givens sweep of one block step of the band-Hessenberg QR, and both
-projection passes of CGS2).  Each kernel but the last has a Python
-version that gives the same bits: the NumPy DIA sweep, the recurrence
-of ``KernelBackend.poly_chain``, the two-ufunc axpy and the Python loop
-of ``GivensWorkspace._band_qr_step``.  Those run when no kernel loaded,
-for fp16, and as the specification the tests compare against.
+projection passes of CGS2) and ``pool.c`` (the helper threads the DIA
+product and the CGS2 projection split their rows over).  Each kernel but
+the CGS2 projection has a Python version that gives the same bits: the
+NumPy DIA sweep, the recurrence of ``KernelBackend.poly_chain``, the
+two-ufunc axpy and the Python loop of ``GivensWorkspace._band_qr_step``.
+Those run when no kernel loaded, for fp16, and as the specification the
+tests compare against.
 
 ``cgs2_project`` is the exception.  Its Python version is the GEMV
 sequence of ``KernelBackend.cgs2_project``, whose sums BLAS orders as it
 likes; the kernel sums over fixed 64-byte lanes, so the two agree to
 rounding, not bit for bit.  The kernel is deterministic: the order of
-every sum depends only on the basis shape, so it gives the same bits on
-every call, at any address and in any thread.
+every sum depends only on the basis shape ``n`` and ``j``, so it gives
+the same bits on every call, at any address, in any thread and with any
+number of CPUs.
+
+Row segments.  ``dia_spmm`` and ``cgs2_project`` split an operand of at
+least two segments of 8192 rows (``POOL_SEGMENT`` in ``pool.c``) into
+segments that the calling thread sweeps while idle helper threads claim
+the rest, one helper per CPU of the process's affinity mask beyond the
+caller's, started on the first call that splits.  A call never waits on
+a segment that nobody has claimed, and one that finds the pool in use by
+another thread runs every segment itself.  A split product gives every
+row the sum of the serial sweep; the projection adds per-segment lane
+sums in segment order, so neither depends on the CPU count.  Shorter
+operands, such as the 4096-row operators of a farm, run the serial code
+and never start the pool.  Idle helpers spin briefly, then sleep; a
+child made by ``fork()`` starts its own.
 
 Both files are compiled on first use, into one library, with the
 system C compiler (``cc``, ``gcc`` or ``clang`` on ``PATH``) into
@@ -67,9 +83,9 @@ __all__ = ["KERNEL_DTYPES", "DiaMatrix", "PolyPlan", "address", "cache_dir", "ke
 
 #: ``-ffp-contract=off`` keeps each product rounded before its sum (no
 #: FMA contraction), which the bit-identity with the Python versions needs.
-FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 LIBS = ("-lm",)
-SOURCES = ("dia.c", "dense.c")
+SOURCES = ("dia.c", "dense.c", "pool.c")
 _SUFFIXES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 #: Value dtypes with compiled kernels.
 KERNEL_DTYPES = frozenset(_SUFFIXES)
@@ -80,7 +96,9 @@ _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 #: release the GIL, so threads run them in parallel; axpy and the Givens
 #: step take microseconds and keep it, because with threads waiting a
 #: release and re-acquire costs a thread switch, which is longer than the
-#: call.
+#: call.  ``dia_spmm`` and ``cgs2_project`` also split operands of two or
+#: more row segments over ``pool.c``'s helper threads (see the module
+#: docstring); their arguments are the same either way.
 _SIGNATURES = {
     # &DiaMatrix, k, x, y, chunk
     "dia_spmm": ([_ptr, _i64, _ptr, _ptr, _i64], True),

@@ -17,8 +17,16 @@
  * cgs2_project does not: its Python version is a sequence of BLAS GEMVs,
  * whose summation order BLAS picks.  It sums over fixed 64-byte lanes
  * instead, so it agrees with the GEMVs to rounding, and the order depends
- * on the basis shape only, so its results are the same on every call, at
- * any address and in any thread.
+ * on n and j only, so its results are the same on every call, at any
+ * address, in any thread and with any number of CPUs.
+ *
+ * A basis of at least two segments of rows (pool.c's POOL_SEGMENT, 8192)
+ * is split into n / POOL_SEGMENT segments, fewer when their accumulators
+ * would pass CGS2_PARTIALS_BYTES, which the caller and the pool's
+ * helpers sweep in parallel (pool_run).  Each segment sums its rows into
+ * its own lane accumulators, and those are added in segment order, so
+ * which thread swept a segment does not change a bit.  A shorter basis is
+ * one segment: the order of a sweep over all rows.
  *
  * Written once and instantiated for float and double: the file includes
  * itself with DENSE_T and DENSE_NAME defined.
@@ -30,8 +38,17 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Rows per tile of cgs2_project: a multiple of every lane count. */
+/* Rows per tile of cgs2_project: a multiple of every lane count, and a
+ * divisor of POOL_SEGMENT. */
 #define CGS2_TILE 1024
+/* Most bytes of per-segment accumulators cgs2_project keeps on the stack,
+ * once it has more than two segments. */
+#define CGS2_PARTIALS_BYTES (128 * 1024)
+
+/* pool.c */
+typedef void (*pool_task)(void *arg, int64_t segment);
+int64_t pool_segments(int64_t n, int64_t most, int64_t align, int64_t *length);
+void pool_run(int64_t count, pool_task task, void *arg);
 
 /* End of cgs2_project's tile that starts at row r.  Tiles start at load
  * boundaries (see the lane layout below), so the first ends
@@ -283,9 +300,56 @@ static void DENSE_NAME(tile_subtract)(int64_t rows, int64_t lead, int64_t j, int
         DENSE_NAME(store)(w + i, DENSE_NAME(load)(w + i) - DENSE_NAME(load)(t + i - head));
 }
 
+/* The basis of a cgs2_project call, split into `count` segments: each but
+ * the last `length` rows, which start at multiples of CGS2_TILE and so in
+ * the same load phase as row 0. */
+struct DENSE_NAME(cgs2_job) {
+    int64_t n, j, length, count, phase;
+    const DENSE_T *V;
+    DENSE_T *w;
+    const DENSE_T *h;  /* subtract V h from w first, or NULL */
+    DENSE_VEC *partial; /* count x j lane accumulators to fill, or NULL */
+};
+
+/* One sweep over the rows of segment s (a pool_task): tile by tile,
+ * w -= V h on the tile, then V^T w on it into the segment's accumulators. */
+static void DENSE_NAME(cgs2_segment)(void *arg, int64_t s)
+{
+    const struct DENSE_NAME(cgs2_job) *job = arg;
+    const int64_t j = job->j, r0 = s * job->length;
+    const int64_t rows = s + 1 == job->count ? job->n - r0 : job->length;
+    const DENSE_T *V = job->V + r0;
+    DENSE_T *w = job->w + r0;
+    DENSE_VEC t[CGS2_TILE / LANES], *acc = job->partial ? job->partial + s * j : NULL;
+    const DENSE_VEC zero = {0};
+    int64_t r, e;
+
+    for (int64_t c = 0; acc && c < j; ++c)
+        acc[c] = zero;
+    for (r = 0; r < rows; r = e) {
+        e = cgs2_tile_end(r, rows, job->phase);
+        if (job->h)
+            DENSE_NAME(tile_subtract)(e - r, r ? 0 : job->phase, j, job->n, V + r, job->h,
+                                      w + r, (DENSE_T *)t);
+        if (acc)
+            DENSE_NAME(tile_dots)(e - r, r ? 0 : job->phase, j, job->n, V + r, w + r, acc);
+    }
+}
+
+/* h[c] = the lanes of column c's accumulators, added in segment order. */
+static void DENSE_NAME(cgs2_sums)(const struct DENSE_NAME(cgs2_job) *job, DENSE_T *h)
+{
+    for (int64_t c = 0; c < job->j; ++c) {
+        DENSE_VEC acc = job->partial[c];
+        for (int64_t s = 1; s < job->count; ++s)
+            acc += job->partial[s * job->j + c];
+        h[c] = DENSE_NAME(lane_sum)(acc);
+    }
+}
+
 /* Both projection passes of CGS2 on w (n entries) against the j >= 1
  * columns of V (n x j, column-major, leading dimension n), in three
- * sweeps over V instead of four:
+ * sweeps over V instead of four, each over the segments in parallel:
  *
  *   1. h1 = V^T w;
  *   2. tile by tile, w -= V h1 on the tile, then h2 += V^T w on it while
@@ -293,38 +357,28 @@ static void DENSE_NAME(tile_subtract)(int64_t rows, int64_t lead, int64_t j, int
  *   3. w -= V h2.
  *
  * The order of every sum depends on n and j only (see the lane layout
- * above), not on addresses or threads.  It is not BLAS's order, so the
- * results agree with the GEMV sequence to rounding, not bit for bit.
- * The accumulators take 64 j bytes of the stack; the caller bounds j. */
+ * above and the segments in the header), not on addresses, threads or
+ * CPUs.  It is not BLAS's order, so the results agree with the GEMV
+ * sequence to rounding, not bit for bit.  The accumulators take 64 j
+ * bytes of the stack per segment, at most max(128 j, CGS2_PARTIALS_BYTES)
+ * bytes; the caller bounds j. */
 void DENSE_NAME(cgs2_project)(int64_t n, int64_t j, const DENSE_T *V, DENSE_T *w, DENSE_T *h1,
                               DENSE_T *h2)
 {
-    DENSE_VEC acc[j], t[CGS2_TILE / LANES];
-    const DENSE_VEC zero = {0};
-    const int64_t phase = DENSE_NAME(phase)(n, V);
-    int64_t r, e;
+    int64_t most = CGS2_PARTIALS_BYTES / (j * (int64_t)sizeof(DENSE_VEC)), length;
+    const int64_t count = pool_segments(n, most > 2 ? most : 2, CGS2_TILE, &length);
+    DENSE_VEC partial[count * j];
+    struct DENSE_NAME(cgs2_job) job = {n, j, length, count, DENSE_NAME(phase)(n, V),
+                                       V, w, NULL, partial};
 
-    for (int64_t c = 0; c < j; ++c)
-        acc[c] = zero;
-    for (r = 0; r < n; r = e) {
-        e = cgs2_tile_end(r, n, phase);
-        DENSE_NAME(tile_dots)(e - r, r ? 0 : phase, j, n, V + r, w + r, acc);
-    }
-    for (int64_t c = 0; c < j; ++c) {
-        h1[c] = DENSE_NAME(lane_sum)(acc[c]);
-        acc[c] = zero;
-    }
-    for (r = 0; r < n; r = e) {
-        e = cgs2_tile_end(r, n, phase);
-        DENSE_NAME(tile_subtract)(e - r, r ? 0 : phase, j, n, V + r, h1, w + r, (DENSE_T *)t);
-        DENSE_NAME(tile_dots)(e - r, r ? 0 : phase, j, n, V + r, w + r, acc);
-    }
-    for (int64_t c = 0; c < j; ++c)
-        h2[c] = DENSE_NAME(lane_sum)(acc[c]);
-    for (r = 0; r < n; r = e) {
-        e = cgs2_tile_end(r, n, phase);
-        DENSE_NAME(tile_subtract)(e - r, r ? 0 : phase, j, n, V + r, h2, w + r, (DENSE_T *)t);
-    }
+    pool_run(count, DENSE_NAME(cgs2_segment), &job);
+    DENSE_NAME(cgs2_sums)(&job, h1);
+    job.h = h1;
+    pool_run(count, DENSE_NAME(cgs2_segment), &job);
+    DENSE_NAME(cgs2_sums)(&job, h2);
+    job.h = h2;
+    job.partial = NULL;
+    pool_run(count, DENSE_NAME(cgs2_segment), &job);
 }
 
 #undef LANES

@@ -16,6 +16,14 @@
  *     zeroed;
  *   - every later diagonal, in offset order, adds x * v to y.
  *
+ * dia_spmm splits an operator of at least two segments of rows (pool.c's
+ * POOL_SEGMENT, 8192) into n_rows / POOL_SEGMENT segments, which the
+ * caller and the pool's helpers run in parallel (pool_run).  A segment
+ * runs its rows chunk by chunk, each with its whole chunk's first
+ * diagonal, so every element gets the sum the serial sweep gives it,
+ * whatever the CPU count; a shorter operator is one segment, the serial
+ * sweep itself.
+ *
  * Within a chunk the rows go in blocks small enough that a block of
  * every diagonal stays in L1 cache while the k columns stream past it,
  * so the matrix is read from memory once for all k right-hand sides.
@@ -87,6 +95,20 @@ static inline int64_t dia_block(const struct dia_matrix *A, int64_t itemsize)
 {
     return dia_max(DIA_BLOCK_BYTES / (dia_max(A->n_diags, 1) * itemsize), DIA_MIN_BLOCK);
 }
+
+/* pool.c */
+typedef void (*pool_task)(void *arg, int64_t segment);
+int64_t pool_segments(int64_t n, int64_t most, int64_t align, int64_t *length);
+void pool_run(int64_t count, pool_task task, void *arg);
+
+/* One dia_spmm call, split into `count` segments of `length` rows (the
+ * last takes the rest). */
+struct dia_job {
+    const struct dia_matrix *A;
+    int64_t k, chunk, length, count;
+    const void *x;
+    void *y;
+};
 
 /* Where a pass that trails a sweep by `behind` rows ends once the sweep
  * has reached row r1 of n: it catches up when the sweep is done. */
@@ -191,20 +213,35 @@ static void DIA_NAME(product_block)(const struct dia_matrix *A, int64_t first, i
     DIA_NAME(rows_by_diagonal)(A, first, r0, r1, x, y);
 }
 
-void DIA_NAME(dia_spmm)(const struct dia_matrix *A, int64_t k, const DIA_T *x,
-                        DIA_T *y, int64_t chunk)
+/* Y = A X on the rows of segment s of a dia_spmm call (a pool_task):
+ * chunk by chunk, each chunk's rows in the segment run with the chunk's
+ * first diagonal, in blocks, every column of a block before the next. */
+static void DIA_NAME(spmm_segment)(void *arg, int64_t s)
 {
-    const int64_t n_rows = A->n_rows, n_cols = A->n_cols;
+    const struct dia_job *job = arg;
+    const struct dia_matrix *A = job->A;
+    const int64_t n_rows = A->n_rows, n_cols = A->n_cols, chunk = job->chunk;
     const int64_t block = dia_block(A, sizeof(DIA_T));
-    for (int64_t c0 = 0; c0 < n_rows; c0 += chunk) {
-        int64_t c1 = dia_min(c0 + chunk, n_rows);
-        int64_t first = dia_first(A, c0, c1);
-        for (int64_t b0 = c0; b0 < c1; b0 += block) {
-            int64_t b1 = dia_min(b0 + block, c1);
-            for (int64_t c = 0; c < k; ++c)
+    const int64_t r0 = s * job->length, r1 = s + 1 == job->count ? n_rows : r0 + job->length;
+    const DIA_T *x = job->x;
+    DIA_T *y = job->y;
+    for (int64_t c0 = r0 - r0 % chunk; c0 < r1; c0 += chunk) {
+        const int64_t c1 = dia_min(c0 + chunk, n_rows), end = dia_min(c1, r1);
+        const int64_t first = dia_first(A, c0, c1);
+        for (int64_t b0 = dia_max(c0, r0); b0 < end; b0 += block) {
+            const int64_t b1 = dia_min(b0 + block, end);
+            for (int64_t c = 0; c < job->k; ++c)
                 DIA_NAME(product_block)(A, first, b0, b1, x + c * n_cols, y + c * n_rows);
         }
     }
+}
+
+void DIA_NAME(dia_spmm)(const struct dia_matrix *A, int64_t k, const DIA_T *x,
+                        DIA_T *y, int64_t chunk)
+{
+    struct dia_job job = {A, k, chunk, 0, 0, x, y};
+    job.count = pool_segments(A->n_rows, A->n_rows /* no cap */, 64, &job.length);
+    pool_run(job.count, DIA_NAME(spmm_segment), &job);
 }
 
 /* y = A x on rows [r0, r1) of one column; the rows of each chunk they

@@ -28,7 +28,9 @@ Which SpMV/SpMM path :class:`NumpyBackend` runs, per matrix and call:
   - **compiled** (fp32 and fp64): one call of the C kernel in
     ``native/dia.c``, built on first use with the system C compiler and
     cached (see :mod:`repro.backends.native`).  ctypes releases the GIL
-    for the call, so threads sharing a process run products in parallel.
+    for the call, so threads sharing a process run products in parallel,
+    and an operator of two or more 8192-row segments is split over the
+    kernels' helper threads, with the same bits.
   - **NumPy sweep** (:func:`_dia_sweep`, contiguous slice
     multiply-adds): fp16, and every dtype when no compiler is available.
     It is the executable specification the compiled kernel is tested
@@ -59,7 +61,10 @@ instead of the four of the GEMV sequence, released from the GIL like the
 DIA product.  It is the one compiled kernel that does not reproduce its
 Python version bit for bit: its sums run over fixed 64-byte lanes, so it
 agrees with the GEMV sequence to rounding, and gives the same bits on
-every call, at any address, in any thread.  Other operands, fp16 and
+every call, at any address, in any thread and with any number of CPUs
+(a basis of two or more 8192-row segments is swept by the calling
+thread and the kernels' helper threads together; see
+:mod:`repro.backends.native`).  Other operands, fp16 and
 builds without a compiler run the GEMV sequence.
 
 ``NumpyBackend.poly_chain`` (one apply of a GMRES-polynomial
@@ -478,7 +483,8 @@ def _poly_plan_address(plan: FactorPlan) -> int:
 
 
 #: Widest basis the compiled CGS2 projection takes: it keeps 64 bytes of
-#: accumulators per basis column on the calling thread's stack.
+#: accumulators per basis column and row segment on the calling thread's
+#: stack, at most 128 KiB (two segments at this width).
 _CGS2_MAX_COLUMNS = 1024
 
 

@@ -118,10 +118,12 @@ class GivensWorkspace:
         self._open = []  # rows whose column claimed no diagonal
 
     def nbytes(self) -> int:
-        """Bytes of the rotation buffers, the block state once allocated."""
+        """Bytes of the rotation buffers, the block state once allocated,
+        and the panel scratch of every active width seen so far."""
         arrays = [self.R, self.g, self.cosines, self.sines]
         if self.G is not None:
             arrays += [self.G, self.QT, self._t0, self._t1, self._solve_scratch]
+            arrays += [block for pair in self._panel_scratch.values() for block in pair]
         return sum(a.nbytes for a in arrays)
 
     def reset(self, seed) -> None:

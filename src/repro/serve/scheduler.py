@@ -646,8 +646,10 @@ class SolveScheduler:
         a fresh window per batch lets in-flight clients' follow-up
         requests coalesce with the ones that waited, instead of locking
         the traffic into two alternating half-width cohorts.  It is
-        skipped when more arrivals cannot change the dispatch (width-1
-        session, sequential policy) or the engine is draining, and capped
+        skipped when more arrivals cannot change the dispatch (the policy
+        picks width 1 even for a full queue: a width-1 session, the
+        sequential policy, or ``"auto"`` when no width clears its
+        threshold) or the engine is draining, and capped
         by the tightest queued deadline, so a near-deadline request is
         never held for the full window.  Requests whose deadline already
         lapsed are failed fast here, never dispatched; requests cancelled
@@ -656,10 +658,9 @@ class SolveScheduler:
         expired: List[PendingRequest] = []
         with self._wakeup:
             expired.extend(_sweep_expired(tenant.queue))
-            can_batch = (
-                session.max_block > 1
-                and getattr(session.policy, "mode", "auto") != "sequential"
-            )
+            # A full queue gets the widest dispatch the policy would pick;
+            # if even that is width 1, more arrivals change nothing.
+            can_batch = session.policy.block_width(session.max_block) > 1
             if can_batch:
                 window_ends = time.perf_counter() + self.max_wait_seconds
                 # An empty queue (everything expired, was cancelled, or

@@ -76,6 +76,7 @@ def test_sources_ship_as_package_data():
     assert "struct dia_matrix" in text["dia.c"] and "DIA_NAME(dia_spmm)" in text["dia.c"]
     assert "DENSE_NAME(axpy)" in text["dense.c"]
     assert "DENSE_NAME(band_qr_step)" in text["dense.c"]
+    assert "pool_run" in text["pool.c"]
 
 
 def test_no_compiler_falls_back_to_sweep_with_one_log_event(

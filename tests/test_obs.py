@@ -233,7 +233,8 @@ class TestRequestTrace:
 
     def test_rejected_is_an_immediately_closed_tree(self, matrix):
         # A queue_depth=1 farm whose worker holds the one queued request
-        # for a long batching window: the next submit is refused.
+        # for a long batching window (the "block" policy waits for more
+        # arrivals): the next submit is refused.
         tracer = Tracer()
         farm = SolverFarm(
             workers=1,
@@ -241,7 +242,7 @@ class TestRequestTrace:
             max_wait_ms=5000.0,
             obs=Observability(tracer=tracer, registry=None),
         )
-        farm.register("op", matrix, max_block=4, restart=8, tol=1e-8)
+        farm.register("op", matrix, max_block=4, restart=8, tol=1e-8, policy="block")
         b = np.ones(matrix.n_rows)
         with farm:
             queued = farm.submit("op", b)

@@ -20,6 +20,8 @@ import pytest
 from repro.backends import get_backend
 from repro.config import rng
 from repro.linalg.context import use_backend
+from repro.linalg.dense import GivensWorkspace
+from repro.linalg.multivector import MultiVector
 from repro.matrices import laplace2d, laplace3d
 from repro.perfmodel import KernelCostModel
 from repro.preconditioners import GmresPolynomialPreconditioner
@@ -108,6 +110,33 @@ class TestOperatorSession:
             assert session.estimated_bytes() == 507408 + 64
         with make_session(matrix, method="gmres-ir", max_block=8) as session:
             assert session.estimated_bytes() == 304916
+
+    def test_estimated_bytes_count_every_buffer_after_a_block_dispatch(self, matrix):
+        """Restart 8, one width-8 ``solve_many`` that deflates to width 3:
+        the Givens workspace keeps a panel scratch pair per active width
+        (8 and 3), and the estimate counts them with every other buffer."""
+
+        def array_bytes(obj) -> int:
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            if isinstance(obj, MultiVector):
+                return obj.storage_bytes()
+            if isinstance(obj, dict):
+                return sum(map(array_bytes, obj.values()))
+            if isinstance(obj, (list, tuple)):
+                return sum(map(array_bytes, obj))
+            if isinstance(obj, GivensWorkspace):
+                return array_bytes(vars(obj))
+            return 0
+
+        with make_session(matrix, max_block=8) as session:
+            session.solve_many(rhs_block(matrix, 8))
+            [workspace] = session._workspaces.values()
+            assert set(workspace.givens._panel_scratch) == {8, 3}
+            every_buffer = array_bytes(vars(workspace)) + sum(
+                m.storage_bytes() for m in session._matrices
+            )
+            assert session.estimated_bytes() == every_buffer == 604432 + 12672
 
     def test_steady_state_dispatches_reuse_one_workspace(self, matrix, precond):
         b = rhs_block(matrix, 1)[:, 0]
@@ -291,6 +320,27 @@ class TestSchedulerCoalescing:
             result = session.submit(b).result(timeout=30)
         assert result.batch_size == 1
         assert result.queue_wait_seconds < 1.0
+
+    def test_auto_skips_the_batching_window_when_no_width_wins(self, matrix):
+        # Plain GMRES: "auto" picks width 1 even for a full queue, so more
+        # arrivals cannot change the dispatch and a lone request goes at once.
+        b = rhs_block(matrix, 1)[:, 0]
+        with make_session(matrix, max_block=8, max_wait_ms=500.0, policy="auto") as session:
+            assert session.policy.block_width(8) == 1
+            result = session.submit(b).result(timeout=30)
+        assert result.batch_size == 1
+        assert result.queue_wait_seconds < 0.25
+
+    def test_auto_coalesces_when_a_width_wins(self, matrix):
+        poly16 = GmresPolynomialPreconditioner(matrix, degree=16)
+        B = rhs_block(matrix, 4)
+        with make_session(
+            matrix, poly16, max_block=4, max_wait_ms=500.0, policy="auto"
+        ) as session:
+            assert session.policy.block_width(4) > 1
+            futures = [session.submit(B[:, c]) for c in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+        assert max(r.batch_size for r in results) > 1
 
     def test_close_drains_queued_requests(self, matrix, precond):
         k = 3

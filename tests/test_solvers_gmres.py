@@ -325,10 +325,16 @@ class TestWorkspaceBytes:
     def test_givens_workspace_adds_block_state_on_first_block_reset(self):
         """max_cols 6, band 2 (8 rows), fp64: R 8·6·8 = 384, g 56,
         cosines 48, sines 48; a block reset adds G 128, QT 512, two
-        row temporaries 64 + 64 and the solve scratch 16."""
+        row temporaries 64 + 64, the solve scratch 16 and the panel
+        scratch of its width, two (8, 2) blocks of 128; a reset at a new
+        width adds that width's pair."""
         ws = GivensWorkspace(6, 2)
         assert ws.nbytes() == 536
         ws.reset(3.0)  # a single-vector cycle allocates nothing
         assert ws.nbytes() == 536
         ws.reset(np.eye(2))
-        assert ws.nbytes() == 536 + 784
+        assert ws.nbytes() == 536 + 784 + 256
+        ws.reset(np.eye(1))  # two (8, 1) blocks
+        assert ws.nbytes() == 536 + 784 + 256 + 128
+        ws.reset(np.eye(2))  # cached: no new buffer
+        assert ws.nbytes() == 536 + 784 + 256 + 128
