@@ -316,6 +316,33 @@ class KernelBackend(abc.ABC):
         fastest.
         """
 
+    def bcgs2_project(
+        self,
+        V: np.ndarray,
+        W: np.ndarray,
+        H1: Optional[np.ndarray] = None,
+        H2: Optional[np.ndarray] = None,
+        *,
+        work: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both projection passes of block CGS2 on ``W``, in place; returns
+        ``(H1, H2)``.
+
+        ``H1 = V^T W; W -= V H1; H2 = V^T W; W -= V H2`` for a basis ``V``
+        (n × j) and a block ``W`` (n × k).  ``H1``/``H2``, when given, are
+        C-contiguous ``(j, k)`` coefficient blocks; ``work`` is as in
+        :meth:`gemm_notrans`.  This default runs exactly that sequence of
+        :meth:`gemm_transpose` and :meth:`gemm_notrans` calls, so a
+        backend that wraps those two (fault injection, timing) sees every
+        pass.  A backend may override it with a fused kernel that agrees
+        with the sequence to rounding.
+        """
+        H1 = self.gemm_transpose(V, W, out=H1)
+        self.gemm_notrans(V, H1, W, work=work)
+        H2 = self.gemm_transpose(V, W, out=H2)
+        self.gemm_notrans(V, H2, W, work=work)
+        return H1, H2
+
     # ------------------------------------------------------------------ #
     # vector kernels                                                     #
     # ------------------------------------------------------------------ #

@@ -4,34 +4,37 @@ Three C files ship with the package: ``dia.c`` (the DIA SpMV/SpMM and
 ``poly_chain``, a GMRES-polynomial preconditioner's whole factor chain
 of DIA products and axpys), ``dense.c`` (the backend's axpy, the
 Givens sweep of one block step of the band-Hessenberg QR, and both
-projection passes of CGS2) and ``pool.c`` (the helper threads the DIA
-product and the CGS2 projection split their rows over).  Each kernel but
-the CGS2 projection has a Python version that gives the same bits: the
-NumPy DIA sweep, the recurrence of ``KernelBackend.poly_chain``, the
-two-ufunc axpy and the Python loop of ``GivensWorkspace._band_qr_step``.
-Those run when no kernel loaded, for fp16, and as the specification the
-tests compare against.
+projection passes of CGS2 and of block CGS2) and ``pool.c`` (the helper
+threads the DIA product and the projections split their rows over).  Each kernel but the two projections has a Python
+version that gives the same bits: the NumPy DIA sweep, the recurrence of
+``KernelBackend.poly_chain``, the two-ufunc axpy and the Python loop of
+``GivensWorkspace._band_qr_step``.  Those run when no kernel loaded, for
+fp16, and as the specification the tests compare against.
 
-``cgs2_project`` is the exception.  Its Python version is the GEMV
-sequence of ``KernelBackend.cgs2_project``, whose sums BLAS orders as it
-likes; the kernel sums over fixed 64-byte lanes, so the two agree to
-rounding, not bit for bit.  The kernel is deterministic: the order of
-every sum depends only on the basis shape ``n`` and ``j``, so it gives
-the same bits on every call, at any address, in any thread and with any
-number of CPUs.
+``cgs2_project`` and ``bcgs2_project`` are the exceptions.  Their Python
+versions are the GEMV sequence of ``KernelBackend.cgs2_project`` and the
+GEMM sequence of ``KernelBackend.bcgs2_project``, whose sums BLAS orders
+as it likes; the kernels sum over fixed 64-byte lanes, so they agree
+with BLAS to rounding, not bit for bit.  The kernels are deterministic:
+the order of every sum depends only on the shape (the basis's ``n`` and
+``j``, and the block's width ``k``), so they give the same bits on every
+call, at any address, in any thread and with any number of CPUs.
 
-Row segments.  ``dia_spmm`` and ``cgs2_project`` split an operand of at
-least two segments of 8192 rows (``POOL_SEGMENT`` in ``pool.c``) into
-segments that the calling thread sweeps while idle helper threads claim
-the rest, one helper per CPU of the process's affinity mask beyond the
-caller's, started on the first call that splits.  A call never waits on
-a segment that nobody has claimed, and one that finds the pool in use by
-another thread runs every segment itself.  A split product gives every
-row the sum of the serial sweep; the projection adds per-segment lane
-sums in segment order, so neither depends on the CPU count.  Shorter
-operands, such as the 4096-row operators of a farm, run the serial code
-and never start the pool.  Idle helpers spin briefly, then sleep; a
-child made by ``fork()`` starts its own.
+Row segments.  ``dia_spmm``, ``cgs2_project`` and ``bcgs2_project``
+split an operand of at least two segments of 8192 rows (``POOL_SEGMENT``
+in ``pool.c``) into segments that the calling thread sweeps while idle
+helper threads claim the rest, one helper per CPU of the process's
+affinity mask beyond the caller's, started on the first call that
+splits.  A call never waits on a segment that nobody has claimed, and
+one that finds the pool in use by another thread runs every segment
+itself.  A split product gives every row the sum of the serial sweep;
+the projections add per-segment lane sums in segment order; so none
+depends on the CPU count.  Shorter operands, such
+as the 4096-row operators of a farm, run the serial code and never
+start the pool.  Idle helpers spin briefly, yielding the CPU now and
+then, and sleep; a helper that a call finds on its caller's CPU moves
+to the other CPUs of the mask; a child made by ``fork()`` starts its
+own.
 
 Both files are compiled on first use, into one library, with the
 system C compiler (``cc``, ``gcc`` or ``clang`` on ``PATH``) into
@@ -52,7 +55,7 @@ and the callers keep their Python versions; one
 ``native_kernels_unavailable`` event goes to the ``repro.backends.native``
 logger and nothing is printed.
 
-The DIA products, the polynomial chain and the CGS2 projection are
+The DIA products, the polynomial chain and the two projections are
 called through :class:`ctypes.CDLL`, which releases the GIL for the
 duration of the call, so threads run them in parallel.  axpy and the Givens step are
 called through :class:`ctypes.PyDLL` and keep the GIL (see
@@ -90,26 +93,28 @@ _SUFFIXES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 #: Value dtypes with compiled kernels.
 KERNEL_DTYPES = frozenset(_SUFFIXES)
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
-#: Kernel name -> (argument types, whether the call releases the GIL).
-#: Few arguments, because each one costs ctypes a conversion on every
-#: call.  The products, the polynomial chain and the CGS2 projection
+#: Kernel name -> (argument types, result type, whether the call releases
+#: the GIL).  Few arguments, because each one costs ctypes a conversion on
+#: every call.  The products, the polynomial chain and the projections
 #: release the GIL, so threads run them in parallel; axpy and the Givens
 #: step take microseconds and keep it, because with threads waiting a
 #: release and re-acquire costs a thread switch, which is longer than the
-#: call.  ``dia_spmm`` and ``cgs2_project`` also split operands of two or
-#: more row segments over ``pool.c``'s helper threads (see the module
-#: docstring); their arguments are the same either way.
+#: call.  ``dia_spmm``, ``cgs2_project`` and ``bcgs2_project`` also split
+#: operands of two or more row segments over ``pool.c``'s helper threads
+#: (see the module docstring); their arguments are the same either way.
 _SIGNATURES = {
     # &DiaMatrix, k, x, y, chunk
-    "dia_spmm": ([_ptr, _i64, _ptr, _ptr, _i64], True),
+    "dia_spmm": ([_ptr, _i64, _ptr, _ptr, _i64], None, True),
     # &DiaMatrix, &PolyPlan, k, x, y, prod, w, t, chunk
-    "poly_chain": ([_ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _i64], True),
+    "poly_chain": ([_ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _i64], None, True),
     # n, alpha, x, y
-    "axpy": ([_i64, ctypes.c_double, _ptr, _ptr], False),
+    "axpy": ([_i64, ctypes.c_double, _ptr, _ptr], None, False),
     # q, k, R, ldr, G, ldg, QT, ldq
-    "band_qr_step": ([_i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _i64], False),
+    "band_qr_step": ([_i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _i64], None, False),
     # n, j, V, w, h1, h2
-    "cgs2_project": ([_i64, _i64, _ptr, _ptr, _ptr, _ptr], True),
+    "cgs2_project": ([_i64, _i64, _ptr, _ptr, _ptr, _ptr], None, True),
+    # n, j, k, V, W, H1, H2 -> 0, or -1 when its accumulators found no memory
+    "bcgs2_project": ([_i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr], ctypes.c_int, True),
 }
 
 _LOGGER = get_logger("backends.native")
@@ -191,7 +196,12 @@ def kernel(name: str, dtype: np.dtype):
     * ``"cgs2_project"`` — ``h1 = V^T w; w -= V h1; h2 = V^T w;
       w -= V h2``: ``(n, j, V, w, h1, h2)``, ``V`` an ``(n, j)``
       Fortran-ordered basis (``1 <= j``), ``w`` ``n`` contiguous entries,
-      ``h1``/``h2`` ``j`` each.
+      ``h1``/``h2`` ``j`` each;
+    * ``"bcgs2_project"`` — ``H1 = V^T W; W -= V H1; H2 = V^T W;
+      W -= V H2``: ``(n, j, k, V, W, H1, H2)``, ``V`` an ``(n, j)`` and
+      ``W`` an ``(n, k)`` Fortran-ordered block (``1 <= j, k``),
+      ``H1``/``H2`` C-ordered ``(j, k)``; returns 0, or -1 (nothing
+      changed) when its accumulators found no memory.
     """
     kernels = _kernels
     if kernels is None:
@@ -224,18 +234,18 @@ def _load() -> dict:
                 holding = ctypes.PyDLL(library._name, handle=library._handle)
                 _kernels = {
                     (name, dtype): _bind(
-                        library if releases else holding, f"{name}_{suffix}", argtypes
+                        library if releases else holding, f"{name}_{suffix}", argtypes, restype
                     )
-                    for name, (argtypes, releases) in _SIGNATURES.items()
+                    for name, (argtypes, restype, releases) in _SIGNATURES.items()
                     for dtype, suffix in _SUFFIXES.items()
                 }
         return _kernels
 
 
-def _bind(library: ctypes.CDLL, symbol: str, argtypes: list):
+def _bind(library: ctypes.CDLL, symbol: str, argtypes: list, restype):
     fn = getattr(library, symbol)
     fn.argtypes = argtypes
-    fn.restype = None
+    fn.restype = restype
     return fn
 
 

@@ -5,7 +5,9 @@
  *   - band_qr_step: the Givens sweep of one block step of the
  *     band-Hessenberg QR (linalg/dense.py, BlockGivensWorkspace);
  *   - cgs2_project: both projection passes of CGS2 against a Krylov
- *     basis, in three sweeps over it instead of four.
+ *     basis, in three sweeps over it instead of four;
+ *   - bcgs2_project: both projection passes of block CGS2, a block W of
+ *     k vectors against the basis, in three sweeps instead of four GEMMs.
  *
  * axpy and band_qr_step do the arithmetic of their Python versions in
  * the same order and precision, so the results agree bit for bit (built
@@ -14,19 +16,23 @@
  * multiply then add does, and band_qr_step computes each rotation and
  * applies it to the same entries in the same order as the Python loop.
  *
- * cgs2_project does not: its Python version is a sequence of BLAS GEMVs,
- * whose summation order BLAS picks.  It sums over fixed 64-byte lanes
- * instead, so it agrees with the GEMVs to rounding, and the order depends
- * on n and j only, so its results are the same on every call, at any
+ * cgs2_project and bcgs2_project do not: their Python versions are
+ * sequences of BLAS GEMVs and GEMMs, whose summation order BLAS picks.
+ * They sum over fixed 64-byte lanes instead, so they agree with BLAS to
+ * rounding, and the order depends on the shape only (n and j, and k for
+ * bcgs2_project), so their results are the same on every call, at any
  * address, in any thread and with any number of CPUs.
  *
  * A basis of at least two segments of rows (pool.c's POOL_SEGMENT, 8192)
  * is split into n / POOL_SEGMENT segments, fewer when their accumulators
- * would pass CGS2_PARTIALS_BYTES, which the caller and the pool's
- * helpers sweep in parallel (pool_run).  Each segment sums its rows into
+ * would pass CGS2_PARTIALS_BYTES (BCGS2_PARTIALS_BYTES), which the caller
+ * and the pool's helpers sweep in parallel (pool_run).  A segment starts
+ * at a multiple of the kernel's row tile.  Each segment sums its rows into
  * its own lane accumulators, and those are added in segment order, so
  * which thread swept a segment does not change a bit.  A shorter basis is
- * one segment: the order of a sweep over all rows.
+ * one segment: the order of a sweep over all rows.  bcgs2_project keeps
+ * its accumulators on the stack up to BCGS2_PARTIALS_BYTES and on the
+ * heap above; everything else it needs is a tile on the stack.
  *
  * Written once and instantiated for float and double: the file includes
  * itself with DENSE_T and DENSE_NAME defined.
@@ -36,6 +42,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Rows per tile of cgs2_project: a multiple of every lane count, and a
@@ -44,6 +51,18 @@
 /* Most bytes of per-segment accumulators cgs2_project keeps on the stack,
  * once it has more than two segments. */
 #define CGS2_PARTIALS_BYTES (128 * 1024)
+
+/* Rows per tile of bcgs2_project: a multiple of every lane count, and a
+ * divisor of POOL_SEGMENT; a tile of 8 columns of W and of their products
+ * stays in L1/L2 while the basis streams past. */
+#define BCGS2_TILE 512
+/* Columns of W, and of the basis, one register block of bcgs2_project
+ * holds. */
+#define BCGS2_KB 8
+#define BCGS2_NC 4
+/* Most bytes of per-segment accumulators bcgs2_project keeps on the
+ * stack; more go on the heap. */
+#define BCGS2_PARTIALS_BYTES (128 * 1024)
 
 /* pool.c */
 typedef void (*pool_task)(void *arg, int64_t segment);
@@ -57,6 +76,21 @@ static inline int64_t cgs2_tile_end(int64_t r, int64_t n, int64_t phase)
 {
     const int64_t end = r ? r + CGS2_TILE : CGS2_TILE - phase;
     return end < n ? end : n;
+}
+
+/* The same for bcgs2_project's tiles. */
+static inline int64_t bcgs2_tile_end(int64_t r, int64_t n, int64_t phase)
+{
+    const int64_t end = r ? r + BCGS2_TILE : BCGS2_TILE - phase;
+    return end < n ? end : n;
+}
+
+/* Basis columns of the next register block: bcgs2_project's widest block for kb that
+ * fits the j - c columns left, else one. */
+static inline int64_t bcgs2_block_columns(int64_t kb, int64_t left)
+{
+    const int64_t wide = kb <= 2 ? 2 * BCGS2_NC : BCGS2_NC;
+    return left >= wide ? wide : 1;
 }
 
 #define DENSE_T float
@@ -379,6 +413,268 @@ void DENSE_NAME(cgs2_project)(int64_t n, int64_t j, const DENSE_T *V, DENSE_T *w
     job.h = h2;
     job.partial = NULL;
     pool_run(count, DENSE_NAME(cgs2_segment), &job);
+}
+
+
+/* ---- bcgs2_project ----------------------------------------------------- */
+
+/* The lane layout, the phase and the segments of cgs2_project, for a
+ * block W of k columns: coefficient (c, q) of V^T W sums row i of
+ * V[:, c] * W[:, q] into lane i mod LANES, and each product row of V H
+ * adds its columns' products in column order.  The kernels below work on
+ * register blocks of nc <= BCGS2_NC basis columns by kb <= BCGS2_KB
+ * columns of W, inlined with both constant; the blocking changes no bit. */
+
+/* acc[c * k + q] += V[:, c] * W[:, q] over the full loads of a tile,
+ * rows [head, full), for nc x kb accumulators. */
+static inline __attribute__((always_inline)) void
+DENSE_NAME(block_dots)(const int64_t nc, const int64_t kb, int64_t head, int64_t full,
+                       int64_t ld, const DENSE_T *V, const DENSE_T *W, DENSE_VEC *acc,
+                       int64_t k)
+{
+    DENSE_VEC a[2 * BCGS2_NC][BCGS2_KB];
+    for (int64_t c = 0; c < nc; ++c)
+        for (int64_t q = 0; q < kb; ++q)
+            a[c][q] = acc[c * k + q];
+    for (int64_t i = head; i < full; i += LANES) {
+        DENSE_VEC v[2 * BCGS2_NC];
+        for (int64_t c = 0; c < nc; ++c)
+            v[c] = DENSE_NAME(load)(V + c * ld + i);
+        for (int64_t q = 0; q < kb; ++q) {
+            const DENSE_VEC x = DENSE_NAME(load)(W + q * ld + i);
+            for (int64_t c = 0; c < nc; ++c)
+                a[c][q] += v[c] * x;
+        }
+    }
+    for (int64_t c = 0; c < nc; ++c)
+        for (int64_t q = 0; q < kb; ++q)
+            acc[c * k + q] = a[c][q];
+}
+
+/* t[q][i] (+)= sum over the nc columns c of V[i, c] H[c, q], the first
+ * block (`first`) starting from the product of its first column, over
+ * the full loads of a tile, rows [head, full).  H has row stride k; t has
+ * row stride BCGS2_TILE and starts at row head. */
+static inline __attribute__((always_inline)) void
+DENSE_NAME(block_products)(const int64_t nc, const int64_t kb, int first, int64_t head,
+                           int64_t full, int64_t ld, const DENSE_T *V, const DENSE_T *H,
+                           int64_t k, DENSE_T *t)
+{
+    const DENSE_VEC zero = {0};
+    DENSE_VEC b[2 * BCGS2_NC][BCGS2_KB];
+    for (int64_t c = 0; c < nc; ++c)
+        for (int64_t q = 0; q < kb; ++q)
+            b[c][q] = zero + H[c * k + q];
+    for (int64_t i = head; i < full; i += LANES) {
+        DENSE_VEC v[2 * BCGS2_NC];
+        for (int64_t c = 0; c < nc; ++c)
+            v[c] = DENSE_NAME(load)(V + c * ld + i);
+        for (int64_t q = 0; q < kb; ++q) {
+            DENSE_T *tq = t + q * BCGS2_TILE + i - head;
+            DENSE_VEC s = first ? v[0] * b[0][q] : DENSE_NAME(load)(tq) + v[0] * b[0][q];
+            for (int64_t c = 1; c < nc; ++c)
+                s = s + v[c] * b[c][q];
+            DENSE_NAME(store)(tq, s);
+        }
+    }
+}
+
+/* Calls `kernel` with constant nc and kb, so that each instance keeps its
+ * block in registers: nc is BCGS2_NC basis columns (twice that for kb of
+ * 1 or 2, where a block has few accumulators), or 1 for the last columns;
+ * kb is 1 to BCGS2_KB. */
+#define BCGS2_DISPATCH(kernel, nc, kb, ...)                                                \
+    do {                                                                                   \
+        if ((nc) == 2 * BCGS2_NC) {                                                        \
+            if ((kb) == 1)                                                                 \
+                kernel(2 * BCGS2_NC, 1, __VA_ARGS__);                                      \
+            else                                                                           \
+                kernel(2 * BCGS2_NC, 2, __VA_ARGS__);                                      \
+        } else if ((nc) == BCGS2_NC) {                                                     \
+            switch (kb) {                                                                  \
+            case 3: kernel(BCGS2_NC, 3, __VA_ARGS__); break;                               \
+            case 4: kernel(BCGS2_NC, 4, __VA_ARGS__); break;                               \
+            case 5: kernel(BCGS2_NC, 5, __VA_ARGS__); break;                               \
+            case 6: kernel(BCGS2_NC, 6, __VA_ARGS__); break;                               \
+            case 7: kernel(BCGS2_NC, 7, __VA_ARGS__); break;                               \
+            default: kernel(BCGS2_NC, 8, __VA_ARGS__); break;                              \
+            }                                                                              \
+        } else {                                                                           \
+            switch (kb) {                                                                  \
+            case 1: kernel(1, 1, __VA_ARGS__); break;                                      \
+            case 2: kernel(1, 2, __VA_ARGS__); break;                                      \
+            case 3: kernel(1, 3, __VA_ARGS__); break;                                      \
+            case 4: kernel(1, 4, __VA_ARGS__); break;                                      \
+            case 5: kernel(1, 5, __VA_ARGS__); break;                                      \
+            case 6: kernel(1, 6, __VA_ARGS__); break;                                      \
+            case 7: kernel(1, 7, __VA_ARGS__); break;                                      \
+            default: kernel(1, 8, __VA_ARGS__); break;                                     \
+            }                                                                              \
+        }                                                                                  \
+    } while (0)
+
+/* acc[c * k + q] += the lanes of V[:, c] * W[:, q] over a tile, for all
+ * j x k pairs. */
+static void DENSE_NAME(tile_block_dots)(int64_t rows, int64_t lead, int64_t j, int64_t k,
+                                        int64_t ld, const DENSE_T *V, const DENSE_T *W,
+                                        DENSE_VEC *acc)
+{
+    const int64_t head = DENSE_NAME(head)(rows, lead);
+    const int64_t full = head + (rows - head) / LANES * LANES;
+    for (int64_t c = 0; c < j; ++c)
+        for (int64_t q = 0; q < k; ++q) {
+            for (int64_t r = 0; r < head; ++r)
+                acc[c * k + q][lead + r] += V[c * ld + r] * W[q * ld + r];
+        }
+    for (int64_t q = 0; q < k; q += BCGS2_KB) {
+        const int64_t kb = k - q < BCGS2_KB ? k - q : BCGS2_KB;
+        for (int64_t c = 0; c < j;) {
+            const int64_t nc = bcgs2_block_columns(kb, j - c);
+            BCGS2_DISPATCH(DENSE_NAME(block_dots), nc, kb, head, full, ld, V + c * ld,
+                           W + q * ld, acc + c * k + q, k);
+            c += nc;
+        }
+    }
+    for (int64_t c = 0; c < j; ++c)
+        for (int64_t q = 0; q < k; ++q) {
+            for (int64_t r = full; r < rows; ++r)
+                acc[c * k + q][r - full] += V[c * ld + r] * W[q * ld + r];
+        }
+}
+
+/* W -= V H on rows [r0, r1), one row at a time. */
+static void DENSE_NAME(rows_subtract)(int64_t r0, int64_t r1, int64_t j, int64_t k, int64_t ld,
+                                      const DENSE_T *V, const DENSE_T *H, DENSE_T *W)
+{
+    for (int64_t q = 0; q < k; ++q)
+        for (int64_t i = r0; i < r1; ++i) {
+            DENSE_T s = V[i] * H[q];
+            for (int64_t c = 1; c < j; ++c)
+                s = s + V[c * ld + i] * H[c * k + q];
+            W[q * ld + i] = W[q * ld + i] - s;
+        }
+}
+
+/* W -= V H over the `rows` rows of a tile: each row's product formed in
+ * column order (in t, from the first full load on), then subtracted. */
+static void DENSE_NAME(tile_block_subtract)(int64_t rows, int64_t lead, int64_t j, int64_t k,
+                                            int64_t ld, const DENSE_T *V, const DENSE_T *H,
+                                            DENSE_T *W, DENSE_T *t)
+{
+    const int64_t head = DENSE_NAME(head)(rows, lead);
+    const int64_t full = head + (rows - head) / LANES * LANES;
+    DENSE_NAME(rows_subtract)(0, head, j, k, ld, V, H, W);
+    DENSE_NAME(rows_subtract)(full, rows, j, k, ld, V, H, W);
+    for (int64_t q = 0; q < k; q += BCGS2_KB) {
+        const int64_t kb = k - q < BCGS2_KB ? k - q : BCGS2_KB;
+        for (int64_t c = 0; c < j;) {
+            const int64_t nc = bcgs2_block_columns(kb, j - c);
+            BCGS2_DISPATCH(DENSE_NAME(block_products), nc, kb, c == 0, head, full, ld,
+                           V + c * ld, H + c * k + q, k, t);
+            c += nc;
+        }
+        for (int64_t p = 0; p < kb; ++p) {
+            DENSE_T *w = W + (q + p) * ld;
+            const DENSE_T *tq = t + p * BCGS2_TILE - head;
+            for (int64_t i = head; i < full; i += LANES)
+                DENSE_NAME(store)(w + i, DENSE_NAME(load)(w + i) - DENSE_NAME(load)(tq + i));
+        }
+    }
+}
+
+#undef BCGS2_DISPATCH
+
+/* A bcgs2_project call split into `count` segments of `length` rows, a
+ * multiple of BCGS2_TILE (the last takes the rest). */
+struct DENSE_NAME(bcgs2_job) {
+    int64_t n, j, k, length, count, phase;
+    const DENSE_T *V;
+    DENSE_T *W;
+    const DENSE_T *H;   /* subtract V H from W first, or NULL */
+    DENSE_VEC *partial; /* count x j x k lane accumulators to fill, or NULL */
+};
+
+/* One sweep over the rows of segment s (a pool_task): tile by tile,
+ * W -= V H on the tile, then V^T W on it into the segment's accumulators. */
+static void DENSE_NAME(bcgs2_segment)(void *arg, int64_t s)
+{
+    const struct DENSE_NAME(bcgs2_job) *job = arg;
+    const int64_t j = job->j, k = job->k, r0 = s * job->length;
+    const int64_t rows = s + 1 == job->count ? job->n - r0 : job->length;
+    DENSE_VEC t[BCGS2_TILE * BCGS2_KB / LANES];
+    DENSE_VEC *acc = job->partial ? job->partial + s * j * k : NULL;
+    const DENSE_VEC zero = {0};
+    int64_t r, e;
+
+    for (int64_t c = 0; acc && c < j * k; ++c)
+        acc[c] = zero;
+    for (r = 0; r < rows; r = e) {
+        e = bcgs2_tile_end(r, rows, job->phase);
+        const int64_t lead = r ? 0 : job->phase;
+        if (job->H)
+            DENSE_NAME(tile_block_subtract)(e - r, lead, j, k, job->n, job->V + r0 + r, job->H,
+                                            job->W + r0 + r, (DENSE_T *)t);
+        if (acc)
+            DENSE_NAME(tile_block_dots)(e - r, lead, j, k, job->n, job->V + r0 + r,
+                                        job->W + r0 + r, acc);
+    }
+}
+
+/* H[c * k + q] = the lanes of (c, q)'s accumulators, added in segment
+ * order. */
+static void DENSE_NAME(bcgs2_sums)(const struct DENSE_NAME(bcgs2_job) *job, DENSE_T *H)
+{
+    const int64_t jk = job->j * job->k;
+    for (int64_t c = 0; c < jk; ++c) {
+        DENSE_VEC acc = job->partial[c];
+        for (int64_t s = 1; s < job->count; ++s)
+            acc += job->partial[s * jk + c];
+        H[c] = DENSE_NAME(lane_sum)(acc);
+    }
+}
+
+/* Both projection passes of block CGS2 on W (n x k, column-major,
+ * leading dimension n) against the j >= 1 columns of V (n x j, leading
+ * dimension n), in three sweeps over V instead of four, each over the
+ * segments in parallel:
+ *
+ *   1. H1 = V^T W;
+ *   2. tile by tile, W -= V H1 on the tile, then H2 += V^T W on it while
+ *      the tile is still in cache;
+ *   3. W -= V H2.
+ *
+ * H1 and H2 are j x k, row-major.  The order of every sum depends on n,
+ * j and k only, not on addresses, threads or CPUs; it is not BLAS's, so
+ * the results agree with the four GEMMs to rounding.  The accumulators
+ * take 64 j k bytes per segment, on the stack up to
+ * BCGS2_PARTIALS_BYTES and on the heap above.  Returns 0, or -1 when the
+ * heap had no room and nothing was changed. */
+int DENSE_NAME(bcgs2_project)(int64_t n, int64_t j, int64_t k, const DENSE_T *V, DENSE_T *W,
+                              DENSE_T *H1, DENSE_T *H2)
+{
+    const int64_t per_segment = j * k * (int64_t)sizeof(DENSE_VEC);
+    const int64_t most = BCGS2_PARTIALS_BYTES / per_segment;
+    int64_t length;
+    const int64_t count = pool_segments(n, most > 2 ? most : 2, BCGS2_TILE, &length);
+    const int64_t bytes = count * per_segment;
+    DENSE_VEC stack[bytes <= BCGS2_PARTIALS_BYTES ? bytes / (int64_t)sizeof(DENSE_VEC) : 1];
+    DENSE_VEC *partial = stack;
+    if (bytes > BCGS2_PARTIALS_BYTES && !(partial = aligned_alloc(sizeof(DENSE_VEC), bytes)))
+        return -1;
+    struct DENSE_NAME(bcgs2_job) job = {n, j, k, length, count, DENSE_NAME(phase)(n, V),
+                                        V, W, NULL, partial};
+
+    pool_run(count, DENSE_NAME(bcgs2_segment), &job);
+    DENSE_NAME(bcgs2_sums)(&job, H1);
+    job.H = H1;
+    pool_run(count, DENSE_NAME(bcgs2_segment), &job);
+    DENSE_NAME(bcgs2_sums)(&job, H2);
+    job.H = H2;
+    job.partial = NULL;
+    pool_run(count, DENSE_NAME(bcgs2_segment), &job);
+    if (partial != stack)
+        free(partial);
+    return 0;
 }
 
 #undef LANES

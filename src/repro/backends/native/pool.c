@@ -1,5 +1,6 @@
 /* A fork-join pool of helper threads for the kernels that split their rows
- * into segments: cgs2_project (dense.c) and dia_spmm (dia.c).
+ * into segments: cgs2_project and bcgs2_project (dense.c) and dia_spmm
+ * (dia.c).
  *
  * pool_run(count, task, arg) runs task(arg, s) once for every segment
  * s < count and returns when all of them have run.  The calling thread
@@ -14,9 +15,13 @@
  * The pool starts on the first call that splits, with one helper per CPU
  * of the process's affinity mask beyond the caller's.  After its last
  * segment a helper spins for POOL_SPIN_NS, because the solvers call the
- * kernels back to back, and then sleeps on a condition variable.  A child
- * made by fork() inherits no helpers: a pthread_atfork handler resets the
- * pool there, and the child's first call that splits starts its own.
+ * kernels back to back, and then sleeps on a condition variable.  The
+ * spin yields the CPU every 64 pauses, so a helper that shares its CPU
+ * with the caller lets the caller run.  A helper that a call finds on
+ * its caller's CPU moves itself to the mask's other CPUs (pool_step_aside)
+ * before it claims a segment.  A child made by fork() inherits no
+ * helpers: a pthread_atfork handler resets the pool there, and the
+ * child's first call that splits starts its own.
  */
 
 #define _GNU_SOURCE
@@ -56,8 +61,10 @@ static struct {
     atomic_int busy;         /* a call holds the pool */
     pool_task task;
     void *arg;
+    atomic_int caller_cpu;   /* the CPU the call's caller last ran on */
     int helpers;
     int started; /* the helpers of this process have started */
+    cpu_set_t cpus; /* the process's affinity mask when the helpers started */
     pthread_mutex_t lock;
     pthread_cond_t wake;
 } pool = {.lock = PTHREAD_MUTEX_INITIALIZER, .wake = PTHREAD_COND_INITIALIZER};
@@ -108,7 +115,10 @@ static uint64_t pool_wait(uint32_t seen)
         word = atomic_load_explicit(&pool.word, memory_order_acquire);
         if (pool_generation(word) != seen)
             return word;
-        pool_pause();
+        if (spin % 64)
+            pool_pause();
+        else
+            sched_yield();
         if (spin % 256 == 0 && pool_elapsed_ns(&start) >= POOL_SPIN_NS)
             break;
     }
@@ -119,11 +129,29 @@ static uint64_t pool_wait(uint32_t seen)
     return word;
 }
 
+/* A helper woken onto the CPU of the call's caller would share it with
+ * the caller and take turns with it instead of running beside it, until
+ * the scheduler moves one of them, which may take the whole call.  Such
+ * a helper restricts itself to the other CPUs of the mask, which moves it
+ * at once; a later call that finds it on the caller's CPU again moves it
+ * again. */
+static void pool_step_aside(void)
+{
+    const int caller = atomic_load_explicit(&pool.caller_cpu, memory_order_relaxed);
+    if (caller < 0 || caller >= CPU_SETSIZE || sched_getcpu() != caller)
+        return;
+    cpu_set_t others = pool.cpus;
+    CPU_CLR(caller, &others);
+    if (CPU_COUNT(&others) > 0)
+        sched_setaffinity(0, sizeof others, &others);
+}
+
 static void *pool_helper(void *seen)
 {
     uint32_t generation = (uint32_t)(uintptr_t)seen;
     for (;;) {
         generation = pool_generation(pool_wait(generation));
+        pool_step_aside();
         pool_work(generation, 1);
     }
     return NULL;
@@ -158,8 +186,10 @@ static void pool_start(void)
     int want = 0;
 
     pthread_once(&once, pool_register_fork_handler);
+    CPU_ZERO(&cpus);
     if (sched_getaffinity(0, sizeof cpus, &cpus) == 0)
         want = CPU_COUNT(&cpus) - 1;
+    pool.cpus = cpus;
     if (want > POOL_MAX_HELPERS)
         want = POOL_MAX_HELPERS;
     const uintptr_t seen = pool_generation(atomic_load(&pool.word));
@@ -209,6 +239,7 @@ POOL_API void pool_run(int64_t count, pool_task task, void *arg)
             const uint32_t generation = pool_generation(atomic_load(&pool.word)) + 1;
             pool.task = task;
             pool.arg = arg;
+            atomic_store_explicit(&pool.caller_cpu, sched_getcpu(), memory_order_relaxed);
             atomic_store_explicit(&pool.pending, count, memory_order_relaxed);
             pthread_mutex_lock(&pool.lock);
             atomic_store_explicit(&pool.word, (uint64_t)generation << 32 | (uint64_t)count,

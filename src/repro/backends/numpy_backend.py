@@ -58,14 +58,17 @@ same; other operands, fp16 and builds without a compiler keep NumPy.
 fp32/fp64 operands (see :func:`_cgs2_addresses`) is one call of the compiled
 ``cgs2_project`` in ``native/dense.c``: three sweeps over the basis
 instead of the four of the GEMV sequence, released from the GIL like the
-DIA product.  It is the one compiled kernel that does not reproduce its
-Python version bit for bit: its sums run over fixed 64-byte lanes, so it
-agrees with the GEMV sequence to rounding, and gives the same bits on
-every call, at any address, in any thread and with any number of CPUs
-(a basis of two or more 8192-row segments is swept by the calling
-thread and the kernels' helper threads together; see
-:mod:`repro.backends.native`).  Other operands, fp16 and
-builds without a compiler run the GEMV sequence.
+DIA product.  ``NumpyBackend.bcgs2_project`` (both passes of block CGS2;
+see :func:`_bcgs2_addresses`) is likewise one call of the compiled
+``bcgs2_project``, three sweeps instead of four GEMMs.  They are the
+compiled kernels that do not reproduce their Python versions bit for
+bit: their sums run over fixed 64-byte lanes, so they agree with the
+GEMV or GEMM sequence to rounding, and give the same bits on every call,
+at any address, in any thread and with any number of CPUs (a basis of
+two or more 8192-row segments is swept by the calling thread and the
+kernels' helper threads together; see :mod:`repro.backends.native`).
+Other operands, fp16 and builds without a compiler run the GEMV or GEMM
+sequence, as the SciPy backend's ``bcgs2_project`` does.
 
 ``NumpyBackend.poly_chain`` (one apply of a GMRES-polynomial
 preconditioner) on a square fp32/fp64 DIA matrix, with a contiguous
@@ -517,6 +520,40 @@ def _cgs2_addresses(V: np.ndarray, w: np.ndarray, h1: np.ndarray, h2: np.ndarray
     return addresses
 
 
+#: Largest basis width times block width the compiled block CGS2
+#: projection takes: it keeps 64 bytes of accumulators per coefficient and
+#: row segment, on the stack up to 128 KiB and on the heap above.
+_BCGS2_MAX_COEFFICIENTS = 8192
+
+
+def _bcgs2_addresses(V: np.ndarray, W: np.ndarray, H1: np.ndarray, H2: np.ndarray):
+    """The data addresses the compiled block CGS2 projection takes, or
+    ``None`` for operands it may not take: it needs one dtype, a non-empty
+    Fortran-contiguous ``(n, j)`` basis and ``(n, k)`` block ``W`` outside
+    it, with ``j * k <= _BCGS2_MAX_COEFFICIENTS``, C-contiguous ``(j, k)``
+    coefficient blocks, and every operand writable."""
+    (n, j), k = V.shape, W.shape[1]
+    if not (
+        V.dtype == W.dtype == H1.dtype == H2.dtype
+        and j * k <= _BCGS2_MAX_COEFFICIENTS
+        and W.shape[0] == n
+        and H1.shape == H2.shape == (j, k)
+    ):
+        return None
+    try:
+        # from_buffer takes only writable, C-contiguous, non-empty arrays
+        # (the transpose of a Fortran-contiguous array is C-contiguous).
+        addresses = [
+            ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (V.T, W.T, H1, H2)
+        ]
+    except (TypeError, ValueError, BufferError):
+        return None
+    v, x = addresses[0], addresses[1]
+    if x < v + V.nbytes and v < x + W.nbytes:
+        return None  # W overlaps the basis
+    return addresses
+
+
 class NumpyBackend(KernelBackend):
     """Reference backend: vectorised NumPy kernels, plus the compiled DIA
     product and polynomial chain for stencil matrices, the compiled axpy
@@ -711,6 +748,27 @@ class NumpyBackend(KernelBackend):
                 kernel(n, j, *addresses)
                 return h1, h2
         return super().cgs2_project(V, w, h1, h2, work=work)
+
+    def bcgs2_project(
+        self,
+        V: np.ndarray,
+        W: np.ndarray,
+        H1: Optional[np.ndarray] = None,
+        H2: Optional[np.ndarray] = None,
+        *,
+        work: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        kernel = native.kernel("bcgs2_project", W.dtype) if V.ndim == W.ndim == 2 else None
+        if kernel is not None:
+            (n, j), k = V.shape, W.shape[1]
+            H1 = np.empty((j, k), dtype=W.dtype) if H1 is None else H1
+            H2 = np.empty((j, k), dtype=W.dtype) if H2 is None else H2
+            addresses = _bcgs2_addresses(V, W, H1, H2)
+            # Three sweeps over V instead of four, split over the pool's
+            # helpers; agrees with the GEMM sequence to rounding.
+            if addresses is not None and kernel(n, j, k, *addresses) == 0:
+                return H1, H2
+        return super().bcgs2_project(V, W, H1, H2, work=work)
 
     def poly_chain(
         self,

@@ -77,6 +77,8 @@ class ScipyBackend(NumpyBackend):
     #: The recurrence on this backend's own products, not the NumPy
     #: backend's compiled DIA chain.
     poly_chain = KernelBackend.poly_chain
+    #: The four BLAS GEMMs, not the NumPy backend's compiled projection.
+    bcgs2_project = KernelBackend.bcgs2_project
 
     @staticmethod
     def _handle(matrix: "CsrMatrix"):

@@ -97,6 +97,7 @@ __all__ = [
     "poly_chain",
     "gemm_transpose",
     "gemm_notrans",
+    "bcgs2_project",
     "dot",
     "norm2",
     "axpy",
@@ -431,6 +432,45 @@ def gemm_notrans(
     cost = ctx.cost_model.estimate(("gemm", *V.shape, H.shape[1], dtype.itemsize, False))
     _record(label, dtype, cost, wall)
     return W
+
+
+def bcgs2_project(
+    V: np.ndarray,
+    W: np.ndarray,
+    H1: Optional[np.ndarray] = None,
+    H2: Optional[np.ndarray] = None,
+    *,
+    work: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both projection passes of block CGS2 on ``W`` in place; returns
+    ``(H1, H2)``.
+
+    ``H1 = V^T W; W -= V H1; H2 = V^T W; W -= V H2`` (see
+    :meth:`KernelBackend.bcgs2_project`).  Metered as the four GEMMs it
+    stands for, in their order and with their cost keys — GEMM (Trans),
+    GEMM (No Trans), GEMM (Trans), GEMM (No Trans) — and with the call's
+    one measured wall split among them by their shares of the modelled
+    seconds, as :func:`cgs2_project` splits its wall among four GEMVs.
+    """
+    V = np.asarray(V)
+    W = np.asarray(W)
+    dtype = _check_same_dtype(V, W)
+    ctx = get_context()
+    if not (ctx.meter and _TIMER_TLS.stack):
+        return ctx.backend.bcgs2_project(V, W, H1, H2, work=work)
+    start = time.perf_counter()
+    H = ctx.backend.bcgs2_project(V, W, H1, H2, work=work)
+    wall = time.perf_counter() - start
+    k = W.shape[1]
+    cost_t = ctx.cost_model.estimate(("gemm", *V.shape, k, dtype.itemsize, True))
+    cost_n = ctx.cost_model.estimate(("gemm", *V.shape, k, dtype.itemsize, False))
+    modelled = cost_t.seconds + cost_n.seconds
+    wall_t = wall * cost_t.seconds / (2.0 * modelled) if modelled > 0 else wall / 4.0
+    wall_n = wall / 2.0 - wall_t
+    for _ in range(2):
+        _record("GEMM (Trans)", dtype, cost_t, wall_t)
+        _record("GEMM (No Trans)", dtype, cost_n, wall_n)
+    return H
 
 
 # ---------------------------------------------------------------------- #

@@ -77,6 +77,11 @@ class MultiVector:
         """Bytes of device memory the block occupies (used for OOM checks)."""
         return int(self._block.nbytes)
 
+    def scratch_bytes(self) -> int:
+        """Bytes of the length-``n`` scratch vector the GEMV updates use,
+        which :meth:`storage_bytes` leaves out."""
+        return int(self._work.nbytes)
+
     # ------------------------------------------------------------------ #
     # vector access                                                      #
     # ------------------------------------------------------------------ #
@@ -183,6 +188,26 @@ class MultiVector:
         of length :attr:`count`.
         """
         return kernels.cgs2_project(self.block(), w, h1, h2, work=self._work)
+
+    def bcgs2_project(
+        self,
+        W: np.ndarray,
+        j: Optional[int] = None,
+        H1: Optional[np.ndarray] = None,
+        H2: Optional[np.ndarray] = None,
+        *,
+        work: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both block CGS2 passes on the block ``W`` against the first
+        ``j`` stored vectors ``V``: ``H1 = V^T W; W -= V H1; H2 = V^T W;
+        W -= V H2`` in place (metered as those four GEMMs); returns
+        ``(H1, H2)``.
+
+        ``H1``/``H2``, when given, are caller-owned C-contiguous
+        ``(j, k)`` coefficient blocks; ``work`` is a block's scratch, as
+        in :meth:`subtract_projection`.
+        """
+        return kernels.bcgs2_project(self.block(j), W, H1, H2, work=work)
 
     def combine(
         self,

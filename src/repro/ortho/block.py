@@ -6,21 +6,30 @@ parts with very different shapes:
 
 * **inter-block** — project the ``k`` new vectors against the ``j·k``
   already-orthonormal basis columns.  This is where the bytes are, and it
-  is expressed as two BLAS-3 passes (``gemm_transpose`` +
-  ``gemm_notrans``): the basis streams through memory *once* for all
-  ``k`` vectors, instead of once per vector as in the GEMV-based CGS2 of
-  single-vector GMRES;
+  is expressed as BLAS-3 passes (``gemm_transpose`` + ``gemm_notrans``):
+  the basis streams through memory *once* for all ``k`` vectors, instead
+  of once per vector as in the GEMV-based CGS2 of single-vector GMRES.
+  BCGS2 runs both passes as one :func:`~repro.linalg.kernels.bcgs2_project`
+  (:meth:`MultiVector.bcgs2_project`), which the NumPy backend runs as
+  one compiled call of three sweeps, split over the kernels' helper
+  threads for a basis of two or more 8192-row segments; it books the four
+  GEMMs;
 * **intra-block** — mutually orthonormalize the ``k`` new vectors.  The
-  panel is tiny (``k ≈ 8``), so this runs column-by-column with the
-  existing metered GEMV/norm kernels (two classical Gram-Schmidt passes
-  per column, the CGS2 discipline), producing the ``k × k`` triangular
-  factor that becomes the subdiagonal block of the band Hessenberg.
+  panel is tiny (``k ≈ 8``), so this runs column by column (two classical
+  Gram-Schmidt passes per column, the CGS2 discipline; for BCGS2 one
+  :func:`~repro.linalg.kernels.cgs2_project` on the column's
+  predecessors, which books the four GEMVs), producing the ``k × k``
+  triangular factor that becomes the subdiagonal block of the band
+  Hessenberg.
 
-Managers own their coefficient/work scratch (allocated once per distinct
-active block width, i.e. once per deflation event), so the steady-state
-block iteration allocates nothing.  The ``work`` block of the
-``W -= V H`` update is Fortran-ordered like the basis columns it updates,
-so ``gemm_notrans`` runs the product in BLAS's tall-skinny orientation.
+The compiled projections agree with the GEMM and GEMV sequences to
+rounding, not bit for bit; the SciPy backend keeps the GEMMs, and a
+build without a compiler runs both sequences.  Managers own their coefficient/work
+scratch (allocated once per distinct active block width, i.e. once per
+deflation event), so the steady-state block iteration allocates nothing.
+The ``work`` block of the ``W -= V H`` update is Fortran-ordered like the
+basis columns it updates, so ``gemm_notrans`` runs the product in BLAS's
+tall-skinny orientation.
 """
 
 from __future__ import annotations
@@ -62,9 +71,11 @@ class BlockOrthogonalizationManager(OrthogonalizationManager):
             dtype = basis.dtype
             bufs = self._bufs[key] = {
                 "coeff": np.empty((basis.capacity, k), dtype=dtype),
+                "coeff2": np.empty((basis.capacity, k), dtype=dtype),
                 "panel": np.empty((basis.capacity, k), dtype=dtype),
                 "work": np.empty((basis.length, k), dtype=dtype, order="F"),
                 "col": np.empty(basis.capacity, dtype=dtype),
+                "col2": np.empty(basis.capacity, dtype=dtype),
                 "vec": np.empty(basis.length, dtype=dtype),
             }
         return bufs
@@ -108,9 +119,15 @@ class BlockOrthogonalizationManager(OrthogonalizationManager):
 
         # Inter-block passes: BLAS-3 projection against the orthonormal part.
         if start > 0:
-            for _ in range(self._n_block_passes):
+            if self._n_block_passes == 2:
+                passes = basis.bcgs2_project(
+                    W, start, bufs["coeff"][:start], bufs["coeff2"][:start], work=bufs["work"]
+                )
+            else:
                 h = basis.project(W, j=start, out=bufs["coeff"][:start])
                 basis.subtract_projection(W, h, j=start, work=bufs["work"])
+                passes = (h,)
+            for h in passes:
                 np.add(panel[:start], h, out=panel[:start])
 
         # Intra-block: CGS2 column sweep producing the triangular factor.
@@ -120,10 +137,15 @@ class BlockOrthogonalizationManager(OrthogonalizationManager):
             w = W[:, i]
             sub = W[:, :i]
             if i > 0:
-                for _ in range(self._n_block_passes):
-                    h = kernels.gemv_transpose(sub, w, out=col_scratch[:i])
-                    kernels.gemv_notrans(sub, h, w, work=vec_work)
-                    target = panel[start : start + i, i]
+                if self._n_block_passes == 2:
+                    passes = kernels.cgs2_project(
+                        sub, w, col_scratch[:i], bufs["col2"][:i], work=vec_work
+                    )
+                else:
+                    passes = (kernels.gemv_transpose(sub, w, out=col_scratch[:i]),)
+                    kernels.gemv_notrans(sub, passes[0], w, work=vec_work)
+                target = panel[start : start + i, i]
+                for h in passes:
                     np.add(target, h, out=target)
             norm = kernels.norm2(w)
             if norm <= BREAKDOWN_TOLERANCE:

@@ -135,12 +135,14 @@ class GmresWorkspace:
         return self.basis.storage_bytes()
 
     def nbytes(self) -> int:
-        """Bytes of every buffer held: the basis, the Givens state, the
-        block scratch and the cached GEMM and coefficient buffers."""
+        """Bytes of every buffer held: the basis and its scratch vector, the
+        Givens state, the block scratch and the cached GEMM and
+        coefficient buffers."""
         blocks = (self.W, self.R, self.Z, self.update, self.implicit)
         caches = (*self._gemm_work.values(), *self._coefficients.values())
         return (
             self.basis.storage_bytes()
+            + self.basis.scratch_bytes()
             + self.givens.nbytes()
             + sum(a.nbytes for a in blocks + caches)
         )

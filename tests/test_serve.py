@@ -99,28 +99,30 @@ class TestOperatorSession:
     def test_estimated_bytes_are_pinned(self, matrix):
         """Exact estimates of warmed width-8 sessions (n = 512, restart 8).
 
-        fp64: CSR 42504 + basis 294912 + W/R/Z/update 131072 + implicit
-        512 + Givens R/g/cosines/sines 38408.  A width-1 solve adds its
-        (8, 1) coefficient buffer.  GMRES-IR keeps an fp32 matrix copy
-        (29704) and its workspace in fp32.
+        fp64: CSR 42504 + basis 294912 + the basis's scratch vector 4096 +
+        W/R/Z/update 131072 + implicit 512 + Givens R/g/cosines/sines
+        38408.  A width-1 solve adds its (8, 1) coefficient buffer.
+        GMRES-IR keeps an fp32 matrix copy (29704) and its workspace in
+        fp32.
         """
         with make_session(matrix, max_block=8) as session:
-            assert session.estimated_bytes() == 507408
+            assert session.estimated_bytes() == 511504
             session.solve(np.ones(matrix.n_rows))
-            assert session.estimated_bytes() == 507408 + 64
+            assert session.estimated_bytes() == 511504 + 64
         with make_session(matrix, method="gmres-ir", max_block=8) as session:
-            assert session.estimated_bytes() == 304916
+            assert session.estimated_bytes() == 306964
 
     def test_estimated_bytes_count_every_buffer_after_a_block_dispatch(self, matrix):
         """Restart 8, one width-8 ``solve_many`` that deflates to width 3:
         the Givens workspace keeps a panel scratch pair per active width
-        (8 and 3), and the estimate counts them with every other buffer."""
+        (8 and 3), and the estimate counts them with every other buffer,
+        the basis's scratch vector (``MultiVector._work``) among them."""
 
         def array_bytes(obj) -> int:
             if isinstance(obj, np.ndarray):
                 return obj.nbytes
             if isinstance(obj, MultiVector):
-                return obj.storage_bytes()
+                return sum(array_bytes(getattr(obj, slot)) for slot in obj.__slots__)
             if isinstance(obj, dict):
                 return sum(map(array_bytes, obj.values()))
             if isinstance(obj, (list, tuple)):
@@ -136,7 +138,7 @@ class TestOperatorSession:
             every_buffer = array_bytes(vars(workspace)) + sum(
                 m.storage_bytes() for m in session._matrices
             )
-            assert session.estimated_bytes() == every_buffer == 604432 + 12672
+            assert session.estimated_bytes() == every_buffer == 604432 + 12672 + 4096
 
     def test_steady_state_dispatches_reuse_one_workspace(self, matrix, precond):
         b = rhs_block(matrix, 1)[:, 0]

@@ -310,17 +310,18 @@ class TestRunGmresCycle:
 
 class TestWorkspaceBytes:
     def test_gmres_workspace_counts_every_buffer(self):
-        """n = 100, restart 4, width 2, fp64: basis 100·10·8 = 8000,
-        Givens R/g/cosines/sines 640 + 72 + 64 + 64 = 840, W/R/Z/update
-        4·100·2·8 = 6400, implicit 4·2·8 = 64."""
+        """n = 100, restart 4, width 2, fp64: basis 100·10·8 = 8000 and
+        its scratch vector 100·8 = 800, Givens R/g/cosines/sines 640 + 72
+        + 64 + 64 = 840, W/R/Z/update 4·100·2·8 = 6400, implicit 4·2·8 =
+        64."""
         ws = GmresWorkspace(100, 4, "double", block_size=2)
-        assert ws.nbytes() == 15304
+        assert ws.nbytes() == 16104
         ws.gemm_work(2)  # (100, 2) fp64
-        assert ws.nbytes() == 15304 + 1600
+        assert ws.nbytes() == 16104 + 1600
         ws.coefficients(1)  # (4, 1) fp64
-        assert ws.nbytes() == 15304 + 1600 + 32
+        assert ws.nbytes() == 16104 + 1600 + 32
         ws.gemm_work(2)  # cached: no new buffer
-        assert ws.nbytes() == 15304 + 1600 + 32
+        assert ws.nbytes() == 16104 + 1600 + 32
 
     def test_givens_workspace_adds_block_state_on_first_block_reset(self):
         """max_cols 6, band 2 (8 rows), fp64: R 8·6·8 = 384, g 56,
