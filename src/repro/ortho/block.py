@@ -24,9 +24,10 @@ parts with very different shapes:
 
 The compiled projections agree with the GEMM and GEMV sequences to
 rounding, not bit for bit; the SciPy backend keeps the GEMMs, and a
-build without a compiler runs both sequences.  Managers own their coefficient/work
-scratch (allocated once per distinct active block width, i.e. once per
-deflation event), so the steady-state block iteration allocates nothing.
+build without a compiler runs both sequences.  Managers own their
+coefficient/work scratch (allocated once per distinct active block
+width, i.e. once per deflation event), so the steady-state block
+iteration allocates nothing.
 The ``work`` block of the ``W -= V H`` update is Fortran-ordered like the
 basis columns it updates, so ``gemm_notrans`` runs the product in BLAS's
 tall-skinny orientation.
