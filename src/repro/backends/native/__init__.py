@@ -29,12 +29,11 @@ splits.  A call never waits on a segment that nobody has claimed, and
 one that finds the pool in use by another thread runs every segment
 itself.  A split product gives every row the sum of the serial sweep;
 the projections add per-segment lane sums in segment order; so none
-depends on the CPU count.  Shorter operands, such
-as the 4096-row operators of a farm, run the serial code and never
-start the pool.  Idle helpers spin briefly, yielding the CPU now and
-then, and sleep; a helper that a call finds on its caller's CPU moves
-to the other CPUs of the mask; a child made by ``fork()`` starts its
-own.
+depends on the CPU count.  Shorter operands, such as the 4096-row
+operators of a farm, run the serial code and never start the pool.  Idle
+helpers spin briefly and sleep; a helper that a call finds on its
+caller's CPU moves to the other CPUs of the mask; a child made by
+``fork()`` starts its own.
 
 Both files are compiled on first use, into one library, with the
 system C compiler (``cc``, ``gcc`` or ``clang`` on ``PATH``) into

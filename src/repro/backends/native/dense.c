@@ -31,8 +31,8 @@
  * its own lane accumulators, and those are added in segment order, so
  * which thread swept a segment does not change a bit.  A shorter basis is
  * one segment: the order of a sweep over all rows.  bcgs2_project keeps
- * its accumulators on the stack up to BCGS2_PARTIALS_BYTES and on the
- * heap above; everything else it needs is a tile on the stack.
+ * its accumulators on the heap, one allocation per call; everything else
+ * it needs is a tile on the stack.
  *
  * Written once and instantiated for float and double: the file includes
  * itself with DENSE_T and DENSE_NAME defined.
@@ -60,8 +60,8 @@
  * holds. */
 #define BCGS2_KB 8
 #define BCGS2_NC 4
-/* Most bytes of per-segment accumulators bcgs2_project keeps on the
- * stack; more go on the heap. */
+/* Most bytes of per-segment accumulators bcgs2_project allocates, once
+ * it has more than two segments. */
 #define BCGS2_PARTIALS_BYTES (128 * 1024)
 
 /* pool.c */
@@ -69,19 +69,12 @@ typedef void (*pool_task)(void *arg, int64_t segment);
 int64_t pool_segments(int64_t n, int64_t most, int64_t align, int64_t *length);
 void pool_run(int64_t count, pool_task task, void *arg);
 
-/* End of cgs2_project's tile that starts at row r.  Tiles start at load
- * boundaries (see the lane layout below), so the first ends
- * CGS2_TILE - phase rows in. */
-static inline int64_t cgs2_tile_end(int64_t r, int64_t n, int64_t phase)
+/* End of the projections' tile of `tile` rows (CGS2_TILE or BCGS2_TILE)
+ * that starts at row r.  Tiles start at load boundaries (see the lane
+ * layout below), so the first ends tile - phase rows in. */
+static inline int64_t tile_end(int64_t r, int64_t n, int64_t phase, int64_t tile)
 {
-    const int64_t end = r ? r + CGS2_TILE : CGS2_TILE - phase;
-    return end < n ? end : n;
-}
-
-/* The same for bcgs2_project's tiles. */
-static inline int64_t bcgs2_tile_end(int64_t r, int64_t n, int64_t phase)
-{
-    const int64_t end = r ? r + BCGS2_TILE : BCGS2_TILE - phase;
+    const int64_t end = r ? r + tile : tile - phase;
     return end < n ? end : n;
 }
 
@@ -361,7 +354,7 @@ static void DENSE_NAME(cgs2_segment)(void *arg, int64_t s)
     for (int64_t c = 0; acc && c < j; ++c)
         acc[c] = zero;
     for (r = 0; r < rows; r = e) {
-        e = cgs2_tile_end(r, rows, job->phase);
+        e = tile_end(r, rows, job->phase, CGS2_TILE);
         if (job->h)
             DENSE_NAME(tile_subtract)(e - r, r ? 0 : job->phase, j, job->n, V + r, job->h,
                                       w + r, (DENSE_T *)t);
@@ -609,7 +602,7 @@ static void DENSE_NAME(bcgs2_segment)(void *arg, int64_t s)
     for (int64_t c = 0; acc && c < j * k; ++c)
         acc[c] = zero;
     for (r = 0; r < rows; r = e) {
-        e = bcgs2_tile_end(r, rows, job->phase);
+        e = tile_end(r, rows, job->phase, BCGS2_TILE);
         const int64_t lead = r ? 0 : job->phase;
         if (job->H)
             DENSE_NAME(tile_block_subtract)(e - r, lead, j, k, job->n, job->V + r0 + r, job->H,
@@ -646,8 +639,8 @@ static void DENSE_NAME(bcgs2_sums)(const struct DENSE_NAME(bcgs2_job) *job, DENS
  * H1 and H2 are j x k, row-major.  The order of every sum depends on n,
  * j and k only, not on addresses, threads or CPUs; it is not BLAS's, so
  * the results agree with the four GEMMs to rounding.  The accumulators
- * take 64 j k bytes per segment, on the stack up to
- * BCGS2_PARTIALS_BYTES and on the heap above.  Returns 0, or -1 when the
+ * take 64 j k bytes of the heap per segment, at most
+ * max(128 j k, BCGS2_PARTIALS_BYTES) bytes.  Returns 0, or -1 when the
  * heap had no room and nothing was changed. */
 int DENSE_NAME(bcgs2_project)(int64_t n, int64_t j, int64_t k, const DENSE_T *V, DENSE_T *W,
                               DENSE_T *H1, DENSE_T *H2)
@@ -656,10 +649,8 @@ int DENSE_NAME(bcgs2_project)(int64_t n, int64_t j, int64_t k, const DENSE_T *V,
     const int64_t most = BCGS2_PARTIALS_BYTES / per_segment;
     int64_t length;
     const int64_t count = pool_segments(n, most > 2 ? most : 2, BCGS2_TILE, &length);
-    const int64_t bytes = count * per_segment;
-    DENSE_VEC stack[bytes <= BCGS2_PARTIALS_BYTES ? bytes / (int64_t)sizeof(DENSE_VEC) : 1];
-    DENSE_VEC *partial = stack;
-    if (bytes > BCGS2_PARTIALS_BYTES && !(partial = aligned_alloc(sizeof(DENSE_VEC), bytes)))
+    DENSE_VEC *partial = aligned_alloc(sizeof(DENSE_VEC), count * per_segment);
+    if (!partial)
         return -1;
     struct DENSE_NAME(bcgs2_job) job = {n, j, k, length, count, DENSE_NAME(phase)(n, V),
                                         V, W, NULL, partial};
@@ -672,8 +663,7 @@ int DENSE_NAME(bcgs2_project)(int64_t n, int64_t j, int64_t k, const DENSE_T *V,
     job.H = H2;
     job.partial = NULL;
     pool_run(count, DENSE_NAME(bcgs2_segment), &job);
-    if (partial != stack)
-        free(partial);
+    free(partial);
     return 0;
 }
 

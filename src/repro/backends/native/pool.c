@@ -15,11 +15,10 @@
  * The pool starts on the first call that splits, with one helper per CPU
  * of the process's affinity mask beyond the caller's.  After its last
  * segment a helper spins for POOL_SPIN_NS, because the solvers call the
- * kernels back to back, and then sleeps on a condition variable.  The
- * spin yields the CPU every 64 pauses, so a helper that shares its CPU
- * with the caller lets the caller run.  A helper that a call finds on
- * its caller's CPU moves itself to the mask's other CPUs (pool_step_aside)
- * before it claims a segment.  A child made by fork() inherits no
+ * kernels back to back, and then sleeps on a condition variable.  A
+ * helper that a call finds on its caller's CPU moves itself to the mask's
+ * other CPUs (pool_step_aside) before it claims a segment, so the two do
+ * not take turns on one CPU.  A child made by fork() inherits no
  * helpers: a pthread_atfork handler resets the pool there, and the
  * child's first call that splits starts its own.
  */
@@ -115,10 +114,7 @@ static uint64_t pool_wait(uint32_t seen)
         word = atomic_load_explicit(&pool.word, memory_order_acquire);
         if (pool_generation(word) != seen)
             return word;
-        if (spin % 64)
-            pool_pause();
-        else
-            sched_yield();
+        pool_pause();
         if (spin % 256 == 0 && pool_elapsed_ns(&start) >= POOL_SPIN_NS)
             break;
     }

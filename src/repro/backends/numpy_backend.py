@@ -68,7 +68,8 @@ at any address, in any thread and with any number of CPUs (a basis of
 two or more 8192-row segments is swept by the calling thread and the
 kernels' helper threads together; see :mod:`repro.backends.native`).
 Other operands, fp16 and builds without a compiler run the GEMV or GEMM
-sequence, as the SciPy backend's ``bcgs2_project`` does.
+sequence, as the SciPy backend's ``bcgs2_project`` does (its
+``cgs2_project`` is this one).
 
 ``NumpyBackend.poly_chain`` (one apply of a GMRES-polynomial
 preconditioner) on a square fp32/fp64 DIA matrix, with a contiguous
@@ -521,8 +522,8 @@ def _cgs2_addresses(V: np.ndarray, w: np.ndarray, h1: np.ndarray, h2: np.ndarray
 
 
 #: Largest basis width times block width the compiled block CGS2
-#: projection takes: it keeps 64 bytes of accumulators per coefficient and
-#: row segment, on the stack up to 128 KiB and on the heap above.
+#: projection takes: it allocates 64 bytes of accumulators per coefficient
+#: and row segment, two segments' worth at this width.
 _BCGS2_MAX_COEFFICIENTS = 8192
 
 

@@ -77,7 +77,11 @@ class ScipyBackend(NumpyBackend):
     #: The recurrence on this backend's own products, not the NumPy
     #: backend's compiled DIA chain.
     poly_chain = KernelBackend.poly_chain
-    #: The four BLAS GEMMs, not the NumPy backend's compiled projection.
+    #: The inter-block passes of block CGS2 as the four BLAS GEMMs, not the
+    #: NumPy backend's compiled projection.  The intra-block passes are
+    #: CGS2 projections, which this backend inherits compiled like every
+    #: single-vector solve's, so its block CGS2 solves agree with the BLAS
+    #: sequence to rounding, not bit for bit.
     bcgs2_project = KernelBackend.bcgs2_project
 
     @staticmethod

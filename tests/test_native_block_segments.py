@@ -5,8 +5,8 @@
 ``pool.c``'s row segments.  Pinned here:
 
 * the bits of a NumPy model of its documented order (lane sums over each
-  segment, added in segment order), with the accumulators on the stack
-  and on the heap;
+  segment, added in segment order), including a basis too wide for more
+  than two segments' accumulators;
 * agreement with the four GEMMs to rounding;
 * the same bits with one CPU and with two (subprocesses that set their
   own CPU affinity before the pool starts) for ``k`` in {1, 2, 3, 8},
@@ -65,8 +65,8 @@ def _define(source: str, name: str) -> int:
     return int(match.group(1)) * int(match.group(2) or 1)
 
 
-#: Rows per segment, rows per tile and the stack budget of the per-segment
-#: accumulators, read from the sources.
+#: Rows per segment, rows per tile and the budget of the per-segment
+#: accumulators past two segments, read from the sources.
 SEGMENT = _define("pool.c", "POOL_SEGMENT")
 TILE = _define("dense.c", "BCGS2_TILE")
 PARTIALS_BYTES = _define("dense.c", "BCGS2_PARTIALS_BYTES")
@@ -182,7 +182,7 @@ def compiled():
 
 def test_the_cases_span_one_to_three_segments():
     assert [len(segments(n, 40, 8)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 3, 3]
-    # Wider bases take fewer segments, so their accumulators fit the stack.
+    # Wider bases take fewer segments, so their accumulators fit the budget.
     assert [len(segments(n, 128, 8)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 2, 2]
 
 
@@ -212,8 +212,8 @@ class TestBcgs2:
                     for g, r in zip(got, (W_ref, *H_ref)):
                         np.testing.assert_allclose(g, r, rtol=0, atol=tol, err_msg=f"{n} {k} {j}")
 
-    def test_a_wide_basis_takes_its_accumulators_from_the_heap(self):
-        """64 j k bytes per segment past the stack budget: same order."""
+    def test_a_basis_past_the_budget_keeps_two_segments(self):
+        """64 j k bytes per segment past the budget: same order."""
         n, k = 2 * SEGMENT + PART, 8
         j = PARTIALS_BYTES // (64 * k) + 3
         V, W = basis(n, j, k, np.float64)

@@ -28,6 +28,7 @@ import pytest
 from repro.backends import native
 from repro.backends.numpy_backend import NumpyBackend
 from repro.config import rng
+from repro.linalg import get_context
 from repro.linalg.dense import GivensWorkspace
 from repro.matrices import laplace3d, uniflow2d
 from repro.preconditioners.polynomial import GmresPolynomialPreconditioner
@@ -222,14 +223,27 @@ def test_block_solves_are_unchanged(monkeypatch, width):
     assert_same_bits(fast, block_solves(width)()[:4])
 
 
+#: Iterations per column of the compiled block GMRES-IR solve minus those
+#: of the Python one, by backend and width.  Rounding moves these columns
+#: of the width-8 fp32-inner solve across their tolerance one inner cycle
+#: (10 iterations) sooner; on the SciPy backend, which keeps the GEMMs for
+#: the inter-block passes, different columns move.
+IR_ITERATION_DRIFT = {
+    ("numpy", 3): [0, 0, 0],
+    ("numpy", 8): [0, 0, 0, 0, 0, -10, 0, 0],
+    ("scipy", 3): [0, 0, 0],
+    ("scipy", 8): [-10, 0, 0, 0, -10, 0, -10, 0],
+}
+
+
 @pytest.mark.parametrize("width", [3, 8])
 def test_block_solves_with_the_compiled_projections_agree_to_rounding(monkeypatch, width):
-    """Rounding may move a column of the fp32-inner GMRES-IR solve across
-    its tolerance one inner cycle (10 iterations) sooner or later; every
-    column still converges, to the same solution."""
+    """The same iterations but for the recorded columns of the fp32-inner
+    GMRES-IR solve; every column converges, to the same solution."""
     fast, slow = both_ways(monkeypatch, block_solves(width))
     np.testing.assert_array_equal(fast[1], slow[1])
-    assert np.abs(fast[3] - slow[3]).max() <= 10
+    backend = get_context().backend.name
+    np.testing.assert_array_equal(fast[3] - slow[3], IR_ITERATION_DRIFT[backend, width])
     for f, s in ((fast[4], slow[4]), (fast[5], slow[5])):
         assert f.converged and s.converged
         np.testing.assert_allclose(f.X, s.X, rtol=1e-7, atol=1e-8 * np.abs(s.X).max())
