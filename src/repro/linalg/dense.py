@@ -109,13 +109,15 @@ class GivensWorkspace:
 
     def _allocate_block_state(self) -> None:
         rows = self._max_rows
-        self.G = np.zeros((rows, self.band), dtype=self.dtype)
         self.QT = np.zeros((rows, rows), dtype=self.dtype)
         self._t0 = np.empty(rows, dtype=self.dtype)
         self._t1 = np.empty(rows, dtype=self.dtype)
         self._panel_scratch = {}  # active width k -> pair of (rows, k) C blocks
         self._solve_scratch = np.empty(self.band, dtype=self.dtype)
         self._open = []  # rows whose column claimed no diagonal
+        # Last: nbytes(), which a metrics scrape may call from another
+        # thread, counts the block state once G is set.
+        self.G = np.zeros((rows, self.band), dtype=self.dtype)
 
     def nbytes(self) -> int:
         """Bytes of the rotation buffers, the block state once allocated,
@@ -123,7 +125,7 @@ class GivensWorkspace:
         arrays = [self.R, self.g, self.cosines, self.sines]
         if self.G is not None:
             arrays += [self.G, self.QT, self._t0, self._t1, self._solve_scratch]
-            arrays += [block for pair in self._panel_scratch.values() for block in pair]
+            arrays += [block for pair in list(self._panel_scratch.values()) for block in pair]
         return sum(a.nbytes for a in arrays)
 
     def reset(self, seed) -> None:

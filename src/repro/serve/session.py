@@ -276,8 +276,11 @@ class OperatorSession:
         an audit: backend-internal plan caches are keyed on the matrices
         and die with them, but are not themselves walked.
         """
+        # A copy of the pool: a dispatch may add a workspace while a
+        # metrics scrape on another thread walks it.
+        workspaces = list(self._workspaces.values())
         return sum(m.storage_bytes() for m in self._matrices) + sum(
-            ws.nbytes() for ws in self._workspaces.values()
+            ws.nbytes() for ws in workspaces
         )
 
     def workspace_for(self, width: int) -> GmresWorkspace:

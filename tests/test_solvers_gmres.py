@@ -339,3 +339,30 @@ class TestWorkspaceBytes:
         assert ws.nbytes() == 536 + 784 + 256 + 128
         ws.reset(np.eye(2))  # cached: no new buffer
         assert ws.nbytes() == 536 + 784 + 256 + 128
+
+    def test_givens_workspace_counts_while_its_block_state_is_built(self, monkeypatch):
+        """A metrics scrape on another thread may call nbytes() while the
+        first block reset allocates: it sees none of the block state or
+        all of it, and never fails on part of it."""
+        from repro.linalg import dense
+
+        ws = GivensWorkspace(6, 2)
+        seen = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                seen.append(ws.nbytes())
+                return np.zeros(*args, **kwargs)
+
+            def empty(self, *args, **kwargs):
+                seen.append(ws.nbytes())
+                return np.empty(*args, **kwargs)
+
+        monkeypatch.setattr(dense, "np", CountingNumpy())
+        ws.reset(np.eye(2))
+        monkeypatch.undo()
+        assert len(seen) >= 6 and set(seen) <= {536, 536 + 784}
+        assert ws.nbytes() == 536 + 784 + 256
