@@ -7,8 +7,8 @@ two ways through ``NumpyBackend`` with caller-owned buffers:
 
 * ``gemv``: the backend default, ``KernelBackend.cgs2_project`` — two
   BLAS GEMV-T and two GEMV-N, four sweeps over the basis;
-* ``fused``: ``NumpyBackend.cgs2_project`` — the compiled kernel, three
-  sweeps.
+* ``fused``: ``NumpyBackend.cgs2_project`` — the compiled projection
+  kernel ``bcgs2_project`` at block width 1, three sweeps.
 
 The two alternate within each repeat, and the table reports the medians
 and the median of the per-repeat fused/gemv ratios, with the machine's
@@ -55,8 +55,8 @@ def main(argv=None) -> int:
     worst = 0.0
     for n in args.n:
         for dtype in (np.float32, np.float64):
-            if native.kernel("cgs2_project", np.dtype(dtype)) is None:
-                print("FAIL: the compiled cgs2_project kernel is not available")
+            if native.kernel("bcgs2_project", np.dtype(dtype)) is None:
+                print("FAIL: the compiled bcgs2_project kernel is not available")
                 return 1
             gen = np.random.default_rng(n)
             block = np.asfortranarray(

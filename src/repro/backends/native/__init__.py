@@ -3,39 +3,40 @@
 Three C files ship with the package: ``dia.c`` (the DIA SpMV/SpMM and
 ``poly_chain``, a GMRES-polynomial preconditioner's whole factor chain
 of DIA products and axpys), ``dense.c`` (the backend's axpy, the
-Givens sweep of one block step of the band-Hessenberg QR, and both
-projection passes of CGS2 and of block CGS2) and ``pool.c`` (the helper
-threads the DIA product and the projections split their rows over).  Each kernel but the two projections has a Python
-version that gives the same bits: the NumPy DIA sweep, the recurrence of
-``KernelBackend.poly_chain``, the two-ufunc axpy and the Python loop of
-``GivensWorkspace._band_qr_step``.  Those run when no kernel loaded, for
-fp16, and as the specification the tests compare against.
+Givens sweep of one block step of the band-Hessenberg QR, and
+``bcgs2_project``, both projection passes of block CGS2, which at block
+width 1 are those of CGS2) and ``pool.c`` (the helper threads the DIA
+product and the projection split their rows over).  Each kernel but the
+projection has a Python version that gives the same bits: the NumPy DIA
+sweep, the recurrence of ``KernelBackend.poly_chain``, the two-ufunc axpy
+and the Python loop of ``GivensWorkspace._band_qr_step``.  Those run when
+no kernel loaded, for fp16, and as the specification the tests compare
+against.
 
-``cgs2_project`` and ``bcgs2_project`` are the exceptions.  Their Python
-versions are the GEMV sequence of ``KernelBackend.cgs2_project`` and the
-GEMM sequence of ``KernelBackend.bcgs2_project``, whose sums BLAS orders
-as it likes; the kernels sum over fixed 64-byte lanes, so they agree
-with BLAS to rounding, not bit for bit.  The kernels are deterministic:
-the order of every sum depends only on the shape (the basis's ``n`` and
-``j``, and the block's width ``k``), so they give the same bits on every
-call, at any address, in any thread and with any number of CPUs.
+``bcgs2_project`` is the exception.  Its Python versions are the GEMM
+sequence of ``KernelBackend.bcgs2_project`` and, for one vector, the GEMV
+sequence of ``KernelBackend.cgs2_project``, whose sums BLAS orders as it
+likes; the kernel sums over fixed 64-byte lanes, so it agrees with BLAS
+to rounding, not bit for bit.  The kernel is deterministic: the order of
+every sum depends only on the shape (the basis's ``n`` and ``j``, and
+the block's width ``k``), so it gives the same bits on every call, at any
+address, in any thread and with any number of CPUs.
 
-Row segments.  ``dia_spmm``, ``cgs2_project`` and ``bcgs2_project``
-split an operand of at least two segments of 8192 rows (``POOL_SEGMENT``
-in ``pool.c``) into segments that the calling thread sweeps while idle
-helper threads claim the rest, one helper per CPU of the process's
-affinity mask beyond the caller's, started on the first call that
-splits.  A call never waits on a segment that nobody has claimed, and
-one that finds the pool in use by another thread runs every segment
-itself.  A split product gives every row the sum of the serial sweep;
-the projections add per-segment lane sums in segment order; so none
-depends on the CPU count.  Shorter operands, such as the 4096-row
-operators of a farm, run the serial code and never start the pool.  Idle
-helpers spin briefly and sleep; a helper that a call finds on its
-caller's CPU moves to the other CPUs of the mask; a child made by
-``fork()`` starts its own.
+Row segments.  ``dia_spmm`` and ``bcgs2_project`` split an operand of at
+least two segments of 8192 rows (``POOL_SEGMENT`` in ``pool.c``) into
+segments that the calling thread sweeps while idle helper threads claim
+the rest, one helper per CPU of the process's affinity mask beyond the
+caller's, started on the first call that splits.  A call never waits on
+a segment that nobody has claimed, and one that finds the pool in use by
+another thread runs every segment itself.  A split product gives every
+row the sum of the serial sweep; the projection adds per-segment lane
+sums in segment order; so none depends on the CPU count.  Shorter
+operands, such as the 4096-row operators of a farm, run the serial code
+and never start the pool.  Idle helpers spin briefly and sleep; a helper
+that a call finds on its caller's CPU moves to the other CPUs of the
+mask; a child made by ``fork()`` starts its own.
 
-Both files are compiled on first use, into one library, with the
+The files are compiled on first use, into one library, with the
 system C compiler (``cc``, ``gcc`` or ``clang`` on ``PATH``) into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``).  The library's
 file name starts with a hash of the sources, the compiler flags, the
@@ -54,8 +55,8 @@ and the callers keep their Python versions; one
 ``native_kernels_unavailable`` event goes to the ``repro.backends.native``
 logger and nothing is printed.
 
-The DIA products, the polynomial chain and the two projections are
-called through :class:`ctypes.CDLL`, which releases the GIL for the
+The DIA products, the polynomial chain and the projection are called
+through :class:`ctypes.CDLL`, which releases the GIL for the
 duration of the call, so threads run them in parallel.  axpy and the Givens step are
 called through :class:`ctypes.PyDLL` and keep the GIL (see
 ``_SIGNATURES``).
@@ -94,13 +95,14 @@ KERNEL_DTYPES = frozenset(_SUFFIXES)
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 #: Kernel name -> (argument types, result type, whether the call releases
 #: the GIL).  Few arguments, because each one costs ctypes a conversion on
-#: every call.  The products, the polynomial chain and the projections
+#: every call.  The products, the polynomial chain and the projection
 #: release the GIL, so threads run them in parallel; axpy and the Givens
 #: step take microseconds and keep it, because with threads waiting a
 #: release and re-acquire costs a thread switch, which is longer than the
-#: call.  ``dia_spmm``, ``cgs2_project`` and ``bcgs2_project`` also split
-#: operands of two or more row segments over ``pool.c``'s helper threads
-#: (see the module docstring); their arguments are the same either way.
+#: call.  ``dia_spmm`` and ``bcgs2_project`` also split operands of two or
+#: more row segments over ``pool.c``'s helper threads (see the module
+#: docstring); their arguments are the same either way.  ``bcgs2_project``
+#: at ``k = 1`` is CGS2's projection of one vector.
 _SIGNATURES = {
     # &DiaMatrix, k, x, y, chunk
     "dia_spmm": ([_ptr, _i64, _ptr, _ptr, _i64], None, True),
@@ -110,8 +112,6 @@ _SIGNATURES = {
     "axpy": ([_i64, ctypes.c_double, _ptr, _ptr], None, False),
     # q, k, R, ldr, G, ldg, QT, ldq
     "band_qr_step": ([_i64, _i64, _ptr, _i64, _ptr, _i64, _ptr, _i64], None, False),
-    # n, j, V, w, h1, h2
-    "cgs2_project": ([_i64, _i64, _ptr, _ptr, _ptr, _ptr], None, True),
     # n, j, k, V, W, H1, H2 -> 0, or -1 when its accumulators found no memory
     "bcgs2_project": ([_i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr], ctypes.c_int, True),
 }
@@ -192,15 +192,12 @@ def kernel(name: str, dtype: np.dtype):
     * ``"band_qr_step"`` — :meth:`GivensWorkspace._band_qr_step`'s
       rotations: ``(q, k, R, ldr, G, ldg, QT, ldq)``, C-ordered arrays
       with their row strides in elements;
-    * ``"cgs2_project"`` — ``h1 = V^T w; w -= V h1; h2 = V^T w;
-      w -= V h2``: ``(n, j, V, w, h1, h2)``, ``V`` an ``(n, j)``
-      Fortran-ordered basis (``1 <= j``), ``w`` ``n`` contiguous entries,
-      ``h1``/``h2`` ``j`` each;
     * ``"bcgs2_project"`` — ``H1 = V^T W; W -= V H1; H2 = V^T W;
       W -= V H2``: ``(n, j, k, V, W, H1, H2)``, ``V`` an ``(n, j)`` and
       ``W`` an ``(n, k)`` Fortran-ordered block (``1 <= j, k``),
       ``H1``/``H2`` C-ordered ``(j, k)``; returns 0, or -1 (nothing
-      changed) when its accumulators found no memory.
+      changed) when its accumulators found no memory.  At ``k = 1`` it is
+      CGS2's ``h1 = V^T w; w -= V h1; h2 = V^T w; w -= V h2``.
     """
     kernels = _kernels
     if kernels is None:

@@ -4,10 +4,10 @@
  *     backend's axpy in one pass instead of a multiply and an add;
  *   - band_qr_step: the Givens sweep of one block step of the
  *     band-Hessenberg QR (linalg/dense.py, BlockGivensWorkspace);
- *   - cgs2_project: both projection passes of CGS2 against a Krylov
- *     basis, in three sweeps over it instead of four;
  *   - bcgs2_project: both projection passes of block CGS2, a block W of
- *     k vectors against the basis, in three sweeps instead of four GEMMs.
+ *     k vectors against a Krylov basis, in three sweeps over the basis
+ *     instead of four GEMMs; at k = 1 they are CGS2's two passes, in
+ *     three sweeps instead of four GEMVs.
  *
  * axpy and band_qr_step do the arithmetic of their Python versions in
  * the same order and precision, so the results agree bit for bit (built
@@ -16,23 +16,23 @@
  * multiply then add does, and band_qr_step computes each rotation and
  * applies it to the same entries in the same order as the Python loop.
  *
- * cgs2_project and bcgs2_project do not: their Python versions are
- * sequences of BLAS GEMVs and GEMMs, whose summation order BLAS picks.
- * They sum over fixed 64-byte lanes instead, so they agree with BLAS to
- * rounding, and the order depends on the shape only (n and j, and k for
- * bcgs2_project), so their results are the same on every call, at any
- * address, in any thread and with any number of CPUs.
+ * bcgs2_project does not: its Python versions are sequences of BLAS
+ * GEMMs (GEMVs at k = 1), whose summation order BLAS picks.  It sums over
+ * fixed 64-byte lanes instead, so it agrees with BLAS to rounding, and the
+ * order depends on the shape only (n, j and k), so its results are the
+ * same on every call, at any address, in any thread and with any number
+ * of CPUs.
  *
  * A basis of at least two segments of rows (pool.c's POOL_SEGMENT, 8192)
  * is split into n / POOL_SEGMENT segments, fewer when their accumulators
- * would pass CGS2_PARTIALS_BYTES (BCGS2_PARTIALS_BYTES), which the caller
- * and the pool's helpers sweep in parallel (pool_run).  A segment starts
- * at a multiple of the kernel's row tile.  Each segment sums its rows into
- * its own lane accumulators, and those are added in segment order, so
- * which thread swept a segment does not change a bit.  A shorter basis is
- * one segment: the order of a sweep over all rows.  bcgs2_project keeps
- * its accumulators on the heap, one allocation per call; everything else
- * it needs is a tile on the stack.
+ * would pass BCGS2_PARTIALS_BYTES, which the caller and the pool's helpers
+ * sweep in parallel (pool_run).  A segment starts at a multiple of the
+ * call's row tile.  Each segment sums its rows into its own lane
+ * accumulators, and those are added in segment order, so which thread
+ * swept a segment does not change a bit.  A shorter basis is one segment:
+ * the order of a sweep over all rows.  The accumulators live on the heap,
+ * one allocation per call; everything else a segment needs is a tile on
+ * the stack.
  *
  * Written once and instantiated for float and double: the file includes
  * itself with DENSE_T and DENSE_NAME defined.
@@ -45,21 +45,18 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Rows per tile of cgs2_project: a multiple of every lane count, and a
- * divisor of POOL_SEGMENT. */
-#define CGS2_TILE 1024
-/* Most bytes of per-segment accumulators cgs2_project keeps on the stack,
- * once it has more than two segments. */
-#define CGS2_PARTIALS_BYTES (128 * 1024)
-
-/* Rows per tile of bcgs2_project: a multiple of every lane count, and a
- * divisor of POOL_SEGMENT; a tile of 8 columns of W and of their products
- * stays in L1/L2 while the basis streams past. */
+/* Rows per tile of bcgs2_project: multiples of every lane count, and
+ * divisors of POOL_SEGMENT.  A tile of up to 8 columns of W and of their
+ * products stays in L1/L2 while the basis streams past; one vector (k = 1)
+ * takes a longer tile, which halves the per-tile overhead of its sweeps. */
 #define BCGS2_TILE 512
+#define BCGS2_VECTOR_TILE 1024
 /* Columns of W, and of the basis, one register block of bcgs2_project
  * holds. */
 #define BCGS2_KB 8
 #define BCGS2_NC 4
+/* A segment's scratch t holds BCGS2_KB block tiles, or one vector tile. */
+_Static_assert(BCGS2_VECTOR_TILE <= BCGS2_TILE * BCGS2_KB, "t too small for a vector tile");
 /* Most bytes of per-segment accumulators bcgs2_project allocates, once
  * it has more than two segments. */
 #define BCGS2_PARTIALS_BYTES (128 * 1024)
@@ -69,20 +66,20 @@ typedef void (*pool_task)(void *arg, int64_t segment);
 int64_t pool_segments(int64_t n, int64_t most, int64_t align, int64_t *length);
 void pool_run(int64_t count, pool_task task, void *arg);
 
-/* End of the projections' tile of `tile` rows (CGS2_TILE or BCGS2_TILE)
- * that starts at row r.  Tiles start at load boundaries (see the lane
- * layout below), so the first ends tile - phase rows in. */
+/* End of the tile of `tile` rows that starts at row r.  Tiles start at
+ * load boundaries (see the lane layout below), so the first ends
+ * tile - phase rows in. */
 static inline int64_t tile_end(int64_t r, int64_t n, int64_t phase, int64_t tile)
 {
     const int64_t end = r ? r + tile : tile - phase;
     return end < n ? end : n;
 }
 
-/* Basis columns of the next register block: bcgs2_project's widest block for kb that
+/* Basis columns of the next register block: the widest block for kb that
  * fits the j - c columns left, else one. */
 static inline int64_t bcgs2_block_columns(int64_t kb, int64_t left)
 {
-    const int64_t wide = kb <= 2 ? 2 * BCGS2_NC : BCGS2_NC;
+    const int64_t wide = kb == 2 ? 2 * BCGS2_NC : BCGS2_NC;
     return left >= wide ? wide : 1;
 }
 
@@ -165,7 +162,7 @@ void DENSE_NAME(band_qr_step)(int64_t q, int64_t k, DENSE_T *R, int64_t ldr, DEN
     }
 }
 
-/* ---- cgs2_project ------------------------------------------------------ */
+/* ---- bcgs2_project ----------------------------------------------------- */
 
 /* 64 bytes of lanes whatever the CPU's vector width, so the lane layout,
  * and with it the summation order, is the same on every host. */
@@ -191,7 +188,7 @@ static inline void DENSE_NAME(store)(DENSE_T *p, DENSE_VEC v)
  * (i + phase) mod LANES == p, so its accumulator is the lane layout
  * rotated by phase, which lane_sum does not see.  A partial load adds
  * its rows to their lanes only, so the phase changes which loads are
- * aligned but not one bit of the result.  cgs2_project picks the phase
+ * aligned but not one bit of the result.  bcgs2_project picks the phase
  * that aligns the loads of V. */
 
 /* The phase that makes the loads of every column of V (n x j, leading
@@ -213,53 +210,6 @@ static inline int64_t DENSE_NAME(head)(int64_t rows, int64_t lead)
     return lead == 0 ? 0 : (rows < LANES - lead ? rows : LANES - lead);
 }
 
-/* a[pos + k] += v[k] * x[k] for k < count: the products of a partial
- * load, added to their lanes only (the other lanes would add +0). */
-#define PARTIAL_DOT(a, v, x, pos, count)                                                   \
-    for (int64_t k_ = 0; k_ < (count); ++k_)                                               \
-        (a)[(pos) + k_] += (v)[k_] * (x)[k_];
-
-/* acc[c] += V[:, c] * w, lane by lane, over the `rows` rows of a tile. */
-static void DENSE_NAME(tile_dots)(int64_t rows, int64_t lead, int64_t j, int64_t ld,
-                                  const DENSE_T *V, const DENSE_T *w, DENSE_VEC *acc)
-{
-    const int64_t head = DENSE_NAME(head)(rows, lead);
-    const int64_t full = head + (rows - head) / LANES * LANES, rest = rows - full;
-    const DENSE_T *wt = w + full;
-    int64_t c = 0;
-    for (; c + 4 <= j; c += 4) {
-        const DENSE_T *v0 = V + c * ld, *v1 = v0 + ld, *v2 = v1 + ld, *v3 = v2 + ld;
-        DENSE_VEC a0 = acc[c], a1 = acc[c + 1], a2 = acc[c + 2], a3 = acc[c + 3];
-        PARTIAL_DOT(a0, v0, w, lead, head)
-        PARTIAL_DOT(a1, v1, w, lead, head)
-        PARTIAL_DOT(a2, v2, w, lead, head)
-        PARTIAL_DOT(a3, v3, w, lead, head)
-        for (int64_t i = head; i < full; i += LANES) {
-            const DENSE_VEC x = DENSE_NAME(load)(w + i);
-            a0 += DENSE_NAME(load)(v0 + i) * x;
-            a1 += DENSE_NAME(load)(v1 + i) * x;
-            a2 += DENSE_NAME(load)(v2 + i) * x;
-            a3 += DENSE_NAME(load)(v3 + i) * x;
-        }
-        PARTIAL_DOT(a0, v0 + full, wt, 0, rest)
-        PARTIAL_DOT(a1, v1 + full, wt, 0, rest)
-        PARTIAL_DOT(a2, v2 + full, wt, 0, rest)
-        PARTIAL_DOT(a3, v3 + full, wt, 0, rest)
-        acc[c] = a0, acc[c + 1] = a1, acc[c + 2] = a2, acc[c + 3] = a3;
-    }
-    for (; c < j; ++c) {
-        const DENSE_T *v0 = V + c * ld;
-        DENSE_VEC a0 = acc[c];
-        PARTIAL_DOT(a0, v0, w, lead, head)
-        for (int64_t i = head; i < full; i += LANES)
-            a0 += DENSE_NAME(load)(v0 + i) * DENSE_NAME(load)(w + i);
-        PARTIAL_DOT(a0, v0 + full, wt, 0, rest)
-        acc[c] = a0;
-    }
-}
-
-#undef PARTIAL_DOT
-
 /* The lanes of an accumulator summed as a tree: lane l + LANES/2 into
  * lane l, then l + LANES/4 into l, ...  Each step pairs lanes by their
  * distance, so an accumulator rotated by any phase pairs the same sums:
@@ -274,150 +224,11 @@ static DENSE_T DENSE_NAME(lane_sum)(DENSE_VEC v)
     return s[0];
 }
 
-/* Row i's entry of V h: the columns' products added in column order. */
-static inline DENSE_T DENSE_NAME(row_product)(const DENSE_T *V, int64_t ld, int64_t j,
-                                              const DENSE_T *h)
-{
-    DENSE_T s = V[0] * h[0];
-    for (int64_t c = 1; c < j; ++c)
-        s = s + V[c * ld] * h[c];
-    return s;
-}
-
-/* w -= V h over the `rows` rows of a tile.  Each row's product is formed
- * as row_product does (in t, from the first full load on) and then
- * subtracted, as gemv_notrans forms V h in its scratch vector before the
- * subtraction. */
-static void DENSE_NAME(tile_subtract)(int64_t rows, int64_t lead, int64_t j, int64_t ld,
-                                      const DENSE_T *V, const DENSE_T *h, DENSE_T *w,
-                                      DENSE_T *t)
-{
-    const int64_t head = DENSE_NAME(head)(rows, lead);
-    const int64_t full = head + (rows - head) / LANES * LANES;
-    for (int64_t i = 0; i < head; ++i)
-        w[i] = w[i] - DENSE_NAME(row_product)(V + i, ld, j, h);
-    for (int64_t i = full; i < rows; ++i)
-        w[i] = w[i] - DENSE_NAME(row_product)(V + i, ld, j, h);
-    const DENSE_VEC zero = {0};
-    const DENSE_VEC b = zero + h[0];
-    for (int64_t i = head; i < full; i += LANES)
-        DENSE_NAME(store)(t + i - head, DENSE_NAME(load)(V + i) * b);
-    int64_t c = 1;
-    for (; c + 4 <= j; c += 4) {
-        const DENSE_T *v0 = V + c * ld, *v1 = v0 + ld, *v2 = v1 + ld, *v3 = v2 + ld;
-        const DENSE_VEC b0 = zero + h[c], b1 = zero + h[c + 1], b2 = zero + h[c + 2],
-                        b3 = zero + h[c + 3];
-        for (int64_t i = head; i < full; i += LANES) {
-            DENSE_VEC s = DENSE_NAME(load)(t + i - head);
-            s = s + DENSE_NAME(load)(v0 + i) * b0;
-            s = s + DENSE_NAME(load)(v1 + i) * b1;
-            s = s + DENSE_NAME(load)(v2 + i) * b2;
-            s = s + DENSE_NAME(load)(v3 + i) * b3;
-            DENSE_NAME(store)(t + i - head, s);
-        }
-    }
-    for (; c < j; ++c) {
-        const DENSE_T *v0 = V + c * ld;
-        const DENSE_VEC b0 = zero + h[c];
-        for (int64_t i = head; i < full; i += LANES)
-            DENSE_NAME(store)(t + i - head,
-                              DENSE_NAME(load)(t + i - head) + DENSE_NAME(load)(v0 + i) * b0);
-    }
-    for (int64_t i = head; i < full; i += LANES)
-        DENSE_NAME(store)(w + i, DENSE_NAME(load)(w + i) - DENSE_NAME(load)(t + i - head));
-}
-
-/* The basis of a cgs2_project call, split into `count` segments: each but
- * the last `length` rows, which start at multiples of CGS2_TILE and so in
- * the same load phase as row 0. */
-struct DENSE_NAME(cgs2_job) {
-    int64_t n, j, length, count, phase;
-    const DENSE_T *V;
-    DENSE_T *w;
-    const DENSE_T *h;  /* subtract V h from w first, or NULL */
-    DENSE_VEC *partial; /* count x j lane accumulators to fill, or NULL */
-};
-
-/* One sweep over the rows of segment s (a pool_task): tile by tile,
- * w -= V h on the tile, then V^T w on it into the segment's accumulators. */
-static void DENSE_NAME(cgs2_segment)(void *arg, int64_t s)
-{
-    const struct DENSE_NAME(cgs2_job) *job = arg;
-    const int64_t j = job->j, r0 = s * job->length;
-    const int64_t rows = s + 1 == job->count ? job->n - r0 : job->length;
-    const DENSE_T *V = job->V + r0;
-    DENSE_T *w = job->w + r0;
-    DENSE_VEC t[CGS2_TILE / LANES], *acc = job->partial ? job->partial + s * j : NULL;
-    const DENSE_VEC zero = {0};
-    int64_t r, e;
-
-    for (int64_t c = 0; acc && c < j; ++c)
-        acc[c] = zero;
-    for (r = 0; r < rows; r = e) {
-        e = tile_end(r, rows, job->phase, CGS2_TILE);
-        if (job->h)
-            DENSE_NAME(tile_subtract)(e - r, r ? 0 : job->phase, j, job->n, V + r, job->h,
-                                      w + r, (DENSE_T *)t);
-        if (acc)
-            DENSE_NAME(tile_dots)(e - r, r ? 0 : job->phase, j, job->n, V + r, w + r, acc);
-    }
-}
-
-/* h[c] = the lanes of column c's accumulators, added in segment order. */
-static void DENSE_NAME(cgs2_sums)(const struct DENSE_NAME(cgs2_job) *job, DENSE_T *h)
-{
-    for (int64_t c = 0; c < job->j; ++c) {
-        DENSE_VEC acc = job->partial[c];
-        for (int64_t s = 1; s < job->count; ++s)
-            acc += job->partial[s * job->j + c];
-        h[c] = DENSE_NAME(lane_sum)(acc);
-    }
-}
-
-/* Both projection passes of CGS2 on w (n entries) against the j >= 1
- * columns of V (n x j, column-major, leading dimension n), in three
- * sweeps over V instead of four, each over the segments in parallel:
- *
- *   1. h1 = V^T w;
- *   2. tile by tile, w -= V h1 on the tile, then h2 += V^T w on it while
- *      the tile is still in cache;
- *   3. w -= V h2.
- *
- * The order of every sum depends on n and j only (see the lane layout
- * above and the segments in the header), not on addresses, threads or
- * CPUs.  It is not BLAS's order, so the results agree with the GEMV
- * sequence to rounding, not bit for bit.  The accumulators take 64 j
- * bytes of the stack per segment, at most max(128 j, CGS2_PARTIALS_BYTES)
- * bytes; the caller bounds j. */
-void DENSE_NAME(cgs2_project)(int64_t n, int64_t j, const DENSE_T *V, DENSE_T *w, DENSE_T *h1,
-                              DENSE_T *h2)
-{
-    int64_t most = CGS2_PARTIALS_BYTES / (j * (int64_t)sizeof(DENSE_VEC)), length;
-    const int64_t count = pool_segments(n, most > 2 ? most : 2, CGS2_TILE, &length);
-    DENSE_VEC partial[count * j];
-    struct DENSE_NAME(cgs2_job) job = {n, j, length, count, DENSE_NAME(phase)(n, V),
-                                       V, w, NULL, partial};
-
-    pool_run(count, DENSE_NAME(cgs2_segment), &job);
-    DENSE_NAME(cgs2_sums)(&job, h1);
-    job.h = h1;
-    pool_run(count, DENSE_NAME(cgs2_segment), &job);
-    DENSE_NAME(cgs2_sums)(&job, h2);
-    job.h = h2;
-    job.partial = NULL;
-    pool_run(count, DENSE_NAME(cgs2_segment), &job);
-}
-
-
-/* ---- bcgs2_project ----------------------------------------------------- */
-
-/* The lane layout, the phase and the segments of cgs2_project, for a
- * block W of k columns: coefficient (c, q) of V^T W sums row i of
- * V[:, c] * W[:, q] into lane i mod LANES, and each product row of V H
- * adds its columns' products in column order.  The kernels below work on
- * register blocks of nc <= BCGS2_NC basis columns by kb <= BCGS2_KB
- * columns of W, inlined with both constant; the blocking changes no bit. */
-
+/* Coefficient (c, q) of V^T W sums row i of V[:, c] * W[:, q] into lane
+ * i mod LANES, and each product row of V H adds its columns' products in
+ * column order.  The kernels below work on register blocks of nc basis
+ * columns by kb <= BCGS2_KB columns of W, inlined with both constant; the
+ * blocking changes no bit. */
 /* acc[c * k + q] += V[:, c] * W[:, q] over the full loads of a tile,
  * rows [head, full), for nc x kb accumulators. */
 static inline __attribute__((always_inline)) void
@@ -474,17 +285,15 @@ DENSE_NAME(block_products)(const int64_t nc, const int64_t kb, int first, int64_
 
 /* Calls `kernel` with constant nc and kb, so that each instance keeps its
  * block in registers: nc is BCGS2_NC basis columns (twice that for kb of
- * 1 or 2, where a block has few accumulators), or 1 for the last columns;
- * kb is 1 to BCGS2_KB. */
+ * 2, where a block has few accumulators), or 1 for the last columns; kb
+ * is 1 to BCGS2_KB. */
 #define BCGS2_DISPATCH(kernel, nc, kb, ...)                                                \
     do {                                                                                   \
         if ((nc) == 2 * BCGS2_NC) {                                                        \
-            if ((kb) == 1)                                                                 \
-                kernel(2 * BCGS2_NC, 1, __VA_ARGS__);                                      \
-            else                                                                           \
-                kernel(2 * BCGS2_NC, 2, __VA_ARGS__);                                      \
+            kernel(2 * BCGS2_NC, 2, __VA_ARGS__);                                          \
         } else if ((nc) == BCGS2_NC) {                                                     \
             switch (kb) {                                                                  \
+            case 1: kernel(BCGS2_NC, 1, __VA_ARGS__); break;                               \
             case 3: kernel(BCGS2_NC, 3, __VA_ARGS__); break;                               \
             case 4: kernel(BCGS2_NC, 4, __VA_ARGS__); break;                               \
             case 5: kernel(BCGS2_NC, 5, __VA_ARGS__); break;                               \
@@ -508,9 +317,10 @@ DENSE_NAME(block_products)(const int64_t nc, const int64_t kb, int first, int64_
 
 /* acc[c * k + q] += the lanes of V[:, c] * W[:, q] over a tile, for all
  * j x k pairs. */
-static void DENSE_NAME(tile_block_dots)(int64_t rows, int64_t lead, int64_t j, int64_t k,
-                                        int64_t ld, const DENSE_T *V, const DENSE_T *W,
-                                        DENSE_VEC *acc)
+static inline __attribute__((always_inline)) void
+DENSE_NAME(tile_block_dots)(int64_t rows, int64_t lead, int64_t j, int64_t k,
+                            int64_t ld, const DENSE_T *V, const DENSE_T *W,
+                            DENSE_VEC *acc)
 {
     const int64_t head = DENSE_NAME(head)(rows, lead);
     const int64_t full = head + (rows - head) / LANES * LANES;
@@ -536,8 +346,9 @@ static void DENSE_NAME(tile_block_dots)(int64_t rows, int64_t lead, int64_t j, i
 }
 
 /* W -= V H on rows [r0, r1), one row at a time. */
-static void DENSE_NAME(rows_subtract)(int64_t r0, int64_t r1, int64_t j, int64_t k, int64_t ld,
-                                      const DENSE_T *V, const DENSE_T *H, DENSE_T *W)
+static inline __attribute__((always_inline)) void
+DENSE_NAME(rows_subtract)(int64_t r0, int64_t r1, int64_t j, int64_t k, int64_t ld,
+                          const DENSE_T *V, const DENSE_T *H, DENSE_T *W)
 {
     for (int64_t q = 0; q < k; ++q)
         for (int64_t i = r0; i < r1; ++i) {
@@ -550,9 +361,10 @@ static void DENSE_NAME(rows_subtract)(int64_t r0, int64_t r1, int64_t j, int64_t
 
 /* W -= V H over the `rows` rows of a tile: each row's product formed in
  * column order (in t, from the first full load on), then subtracted. */
-static void DENSE_NAME(tile_block_subtract)(int64_t rows, int64_t lead, int64_t j, int64_t k,
-                                            int64_t ld, const DENSE_T *V, const DENSE_T *H,
-                                            DENSE_T *W, DENSE_T *t)
+static inline __attribute__((always_inline)) void
+DENSE_NAME(tile_block_subtract)(int64_t rows, int64_t lead, int64_t j, int64_t k,
+                                int64_t ld, const DENSE_T *V, const DENSE_T *H,
+                                DENSE_T *W, DENSE_T *t)
 {
     const int64_t head = DENSE_NAME(head)(rows, lead);
     const int64_t full = head + (rows - head) / LANES * LANES;
@@ -578,21 +390,23 @@ static void DENSE_NAME(tile_block_subtract)(int64_t rows, int64_t lead, int64_t 
 #undef BCGS2_DISPATCH
 
 /* A bcgs2_project call split into `count` segments of `length` rows, a
- * multiple of BCGS2_TILE (the last takes the rest). */
+ * multiple of its tile (the last takes the rest). */
 struct DENSE_NAME(bcgs2_job) {
-    int64_t n, j, k, length, count, phase;
+    int64_t n, j, k, tile, length, count, phase;
     const DENSE_T *V;
     DENSE_T *W;
     const DENSE_T *H;   /* subtract V H from W first, or NULL */
     DENSE_VEC *partial; /* count x j x k lane accumulators to fill, or NULL */
 };
 
-/* One sweep over the rows of segment s (a pool_task): tile by tile,
- * W -= V H on the tile, then V^T W on it into the segment's accumulators. */
-static void DENSE_NAME(bcgs2_segment)(void *arg, int64_t s)
+/* One sweep over the rows of segment s: tile by tile, W -= V H on the
+ * tile, then V^T W on it into the segment's accumulators.  t holds a
+ * tile's products, BCGS2_TILE rows apart; one vector's longer tile uses
+ * its first BCGS2_VECTOR_TILE rows. */
+static inline __attribute__((always_inline)) void
+DENSE_NAME(sweep)(const struct DENSE_NAME(bcgs2_job) *job, int64_t s, const int64_t k)
 {
-    const struct DENSE_NAME(bcgs2_job) *job = arg;
-    const int64_t j = job->j, k = job->k, r0 = s * job->length;
+    const int64_t j = job->j, r0 = s * job->length;
     const int64_t rows = s + 1 == job->count ? job->n - r0 : job->length;
     DENSE_VEC t[BCGS2_TILE * BCGS2_KB / LANES];
     DENSE_VEC *acc = job->partial ? job->partial + s * j * k : NULL;
@@ -602,7 +416,7 @@ static void DENSE_NAME(bcgs2_segment)(void *arg, int64_t s)
     for (int64_t c = 0; acc && c < j * k; ++c)
         acc[c] = zero;
     for (r = 0; r < rows; r = e) {
-        e = tile_end(r, rows, job->phase, BCGS2_TILE);
+        e = tile_end(r, rows, job->phase, job->tile);
         const int64_t lead = r ? 0 : job->phase;
         if (job->H)
             DENSE_NAME(tile_block_subtract)(e - r, lead, j, k, job->n, job->V + r0 + r, job->H,
@@ -611,6 +425,17 @@ static void DENSE_NAME(bcgs2_segment)(void *arg, int64_t s)
             DENSE_NAME(tile_block_dots)(e - r, lead, j, k, job->n, job->V + r0 + r,
                                         job->W + r0 + r, acc);
     }
+}
+
+/* The sweep of segment s (a pool_task), with k constant for one vector,
+ * whose index arithmetic then folds away. */
+static void DENSE_NAME(bcgs2_segment)(void *arg, int64_t s)
+{
+    const struct DENSE_NAME(bcgs2_job) *job = arg;
+    if (job->k == 1)
+        DENSE_NAME(sweep)(job, s, 1);
+    else
+        DENSE_NAME(sweep)(job, s, job->k);
 }
 
 /* H[c * k + q] = the lanes of (c, q)'s accumulators, added in segment
@@ -647,13 +472,17 @@ int DENSE_NAME(bcgs2_project)(int64_t n, int64_t j, int64_t k, const DENSE_T *V,
 {
     const int64_t per_segment = j * k * (int64_t)sizeof(DENSE_VEC);
     const int64_t most = BCGS2_PARTIALS_BYTES / per_segment;
+    const int64_t tile = k == 1 ? BCGS2_VECTOR_TILE : BCGS2_TILE;
     int64_t length;
-    const int64_t count = pool_segments(n, most > 2 ? most : 2, BCGS2_TILE, &length);
-    DENSE_VEC *partial = aligned_alloc(sizeof(DENSE_VEC), count * per_segment);
-    if (!partial)
+    const int64_t count = pool_segments(n, most > 2 ? most : 2, tile, &length);
+    /* malloc and a manual 64-byte alignment: aligned_alloc costs more
+     * than the sweeps of a short basis can hide. */
+    char *heap = malloc(count * per_segment + sizeof(DENSE_VEC));
+    if (!heap)
         return -1;
-    struct DENSE_NAME(bcgs2_job) job = {n, j, k, length, count, DENSE_NAME(phase)(n, V),
-                                        V, W, NULL, partial};
+    DENSE_VEC *partial = (DENSE_VEC *)(heap + (-(uintptr_t)heap & (sizeof(DENSE_VEC) - 1)));
+    struct DENSE_NAME(bcgs2_job) job = {n, j, k, tile, length, count,
+                                        DENSE_NAME(phase)(n, V), V, W, NULL, partial};
 
     pool_run(count, DENSE_NAME(bcgs2_segment), &job);
     DENSE_NAME(bcgs2_sums)(&job, H1);
@@ -663,7 +492,7 @@ int DENSE_NAME(bcgs2_project)(int64_t n, int64_t j, int64_t k, const DENSE_T *V,
     job.H = H2;
     job.partial = NULL;
     pool_run(count, DENSE_NAME(bcgs2_segment), &job);
-    free(partial);
+    free(heap);
     return 0;
 }
 

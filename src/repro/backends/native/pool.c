@@ -1,6 +1,5 @@
 /* A fork-join pool of helper threads for the kernels that split their rows
- * into segments: cgs2_project and bcgs2_project (dense.c) and dia_spmm
- * (dia.c).
+ * into segments: bcgs2_project (dense.c) and dia_spmm (dia.c).
  *
  * pool_run(count, task, arg) runs task(arg, s) once for every segment
  * s < count and returns when all of them have run.  The calling thread

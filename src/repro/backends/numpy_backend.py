@@ -1,5 +1,5 @@
 """NumPy reference backend, with compiled kernels for stencil products, polynomial
-chains, axpy and CGS2.
+chains, axpy and the CGS2 projections.
 
 The module-level CSR kernels here (:func:`spmv`, :func:`spmv_transpose`,
 :func:`spmm`) are the library's numerical ground truth (moved from
@@ -54,22 +54,21 @@ compiled axpy in ``native/dense.c``, which rounds ``alpha * x`` and then
 the sum, as the NumPy multiply-then-add it replaces, so the bits are the
 same; other operands, fp16 and builds without a compiler keep NumPy.
 
-``NumpyBackend.cgs2_project`` (both projection passes of CGS2) on
-fp32/fp64 operands (see :func:`_cgs2_addresses`) is one call of the compiled
-``cgs2_project`` in ``native/dense.c``: three sweeps over the basis
-instead of the four of the GEMV sequence, released from the GIL like the
-DIA product.  ``NumpyBackend.bcgs2_project`` (both passes of block CGS2;
-see :func:`_bcgs2_addresses`) is likewise one call of the compiled
-``bcgs2_project``, three sweeps instead of four GEMMs.  They are the
-compiled kernels that do not reproduce their Python versions bit for
-bit: their sums run over fixed 64-byte lanes, so they agree with the
-GEMV or GEMM sequence to rounding, and give the same bits on every call,
-at any address, in any thread and with any number of CPUs (a basis of
-two or more 8192-row segments is swept by the calling thread and the
-kernels' helper threads together; see :mod:`repro.backends.native`).
-Other operands, fp16 and builds without a compiler run the GEMV or GEMM
-sequence, as the SciPy backend's ``bcgs2_project`` does (its
-``cgs2_project`` is this one).
+``NumpyBackend.bcgs2_project`` (both projection passes of block CGS2) on
+fp32/fp64 operands (see :func:`_bcgs2_addresses`) is one call of the
+compiled ``bcgs2_project`` in ``native/dense.c``: three sweeps over the
+basis instead of the four of the GEMM sequence, released from the GIL
+like the DIA product.  ``NumpyBackend.cgs2_project`` (both passes of
+CGS2) is the same call on one vector, block width ``k = 1``, in place of
+the four GEMVs.  It is the compiled kernel that does not reproduce its
+Python versions bit for bit: its sums run over fixed 64-byte lanes, so
+it agrees with the GEMV or GEMM sequence to rounding, and gives the same
+bits on every call, at any address, in any thread and with any number of
+CPUs (a basis of two or more 8192-row segments is swept by the calling
+thread and the kernel's helper threads together; see
+:mod:`repro.backends.native`).  Other operands, fp16 and builds without
+a compiler run the GEMV or GEMM sequence, as the SciPy backend's
+``bcgs2_project`` does (its ``cgs2_project`` is this one).
 
 ``NumpyBackend.poly_chain`` (one apply of a GMRES-polynomial
 preconditioner) on a square fp32/fp64 DIA matrix, with a contiguous
@@ -486,59 +485,27 @@ def _poly_plan_address(plan: FactorPlan) -> int:
     return entry[0]
 
 
-#: Widest basis the compiled CGS2 projection takes: it keeps 64 bytes of
-#: accumulators per basis column and row segment on the calling thread's
-#: stack, at most 128 KiB (two segments at this width).
-_CGS2_MAX_COLUMNS = 1024
-
-
-def _cgs2_addresses(V: np.ndarray, w: np.ndarray, h1: np.ndarray, h2: np.ndarray):
-    """The data addresses the compiled CGS2 projection takes, or ``None``
-    for operands it may not take: it needs one dtype, a non-empty
-    Fortran-contiguous ``(n, j)`` basis with ``j <= _CGS2_MAX_COLUMNS``,
-    ``w`` a contiguous length-``n`` vector outside the basis, contiguous
-    length-``j`` coefficient buffers, and every operand writable."""
-    n, j = V.shape
-    if not (
-        V.dtype == w.dtype == h1.dtype == h2.dtype
-        and j <= _CGS2_MAX_COLUMNS
-        and w.shape == (n,)
-        and h1.shape == h2.shape == (j,)
-    ):
-        return None
-    try:
-        # from_buffer takes only writable, C-contiguous, non-empty arrays
-        # (V.T is C-contiguous when V is Fortran-contiguous), and is the
-        # cheapest route to an address.
-        addresses = [
-            ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (V.T, w, h1, h2)
-        ]
-    except (TypeError, ValueError, BufferError):
-        return None
-    v, x = addresses[0], addresses[1]
-    if x < v + V.nbytes and v < x + w.nbytes:
-        return None  # w overlaps the basis
-    return addresses
-
-
-#: Largest basis width times block width the compiled block CGS2
-#: projection takes: it allocates 64 bytes of accumulators per coefficient
-#: and row segment, two segments' worth at this width.
+#: Largest basis width times block width the compiled projection takes:
+#: it allocates 64 bytes of accumulators per coefficient and row segment,
+#: two segments' worth at this width.
 _BCGS2_MAX_COEFFICIENTS = 8192
 
 
 def _bcgs2_addresses(V: np.ndarray, W: np.ndarray, H1: np.ndarray, H2: np.ndarray):
-    """The data addresses the compiled block CGS2 projection takes, or
-    ``None`` for operands it may not take: it needs one dtype, a non-empty
-    Fortran-contiguous ``(n, j)`` basis and ``(n, k)`` block ``W`` outside
-    it, with ``j * k <= _BCGS2_MAX_COEFFICIENTS``, C-contiguous ``(j, k)``
-    coefficient blocks, and every operand writable."""
-    (n, j), k = V.shape, W.shape[1]
+    """The data addresses the compiled projection takes, or ``None`` for
+    operands it may not take: it needs one dtype, a non-empty
+    Fortran-contiguous ``(n, j)`` basis and, outside it, ``W`` an
+    ``(n, k)`` Fortran-contiguous block with C-contiguous ``(j, k)``
+    coefficient blocks, or a contiguous length-``n`` vector with
+    length-``j`` coefficient vectors (``k = 1``); ``j * k <=
+    _BCGS2_MAX_COEFFICIENTS`` and every operand writable.  The caller
+    checks that ``V`` has two dimensions and ``W`` one or two."""
+    (n, j), k = V.shape, W.shape[1] if W.ndim == 2 else 1
     if not (
         V.dtype == W.dtype == H1.dtype == H2.dtype
         and j * k <= _BCGS2_MAX_COEFFICIENTS
         and W.shape[0] == n
-        and H1.shape == H2.shape == (j, k)
+        and H1.shape == H2.shape == (j, k)[: W.ndim]
     ):
         return None
     try:
@@ -558,7 +525,7 @@ def _bcgs2_addresses(V: np.ndarray, W: np.ndarray, H1: np.ndarray, H2: np.ndarra
 class NumpyBackend(KernelBackend):
     """Reference backend: vectorised NumPy kernels, plus the compiled DIA
     product and polynomial chain for stencil matrices, the compiled axpy
-    and the compiled CGS2 projection (see the module docstring)."""
+    and the compiled CGS2 projections (see the module docstring)."""
 
     name = "numpy"
 
@@ -737,16 +704,15 @@ class NumpyBackend(KernelBackend):
         *,
         work: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        kernel = native.kernel("cgs2_project", w.dtype) if V.ndim == 2 else None
+        kernel = native.kernel("bcgs2_project", w.dtype) if V.ndim == 2 and w.ndim == 1 else None
         if kernel is not None:
             n, j = V.shape
             h1 = np.empty(j, dtype=w.dtype) if h1 is None else h1
             h2 = np.empty(j, dtype=w.dtype) if h2 is None else h2
-            addresses = _cgs2_addresses(V, w, h1, h2)
-            if addresses is not None:
-                # Three sweeps over V instead of four; agrees with the
-                # GEMV sequence to rounding.
-                kernel(n, j, *addresses)
+            addresses = _bcgs2_addresses(V, w, h1, h2)
+            # Block CGS2 of one column: three sweeps over V instead of
+            # four GEMVs; agrees with the GEMV sequence to rounding.
+            if addresses is not None and kernel(n, j, 1, *addresses) == 0:
                 return h1, h2
         return super().cgs2_project(V, w, h1, h2, work=work)
 

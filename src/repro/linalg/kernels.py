@@ -130,6 +130,26 @@ def _record(label: str, dtype: np.dtype, cost: CostEstimate, wall: float) -> Non
         timer.record(label, prec, cost, wall)
 
 
+def _record_projection(
+    ctx, labels: Tuple[str, str], shape_key: tuple, dtype: np.dtype, wall: float
+) -> None:
+    """Book a fused CGS2 projection as the four kernels it stands for —
+    ``labels`` (Trans), (No Trans), (Trans), (No Trans) — with the cost
+    keys ``(*shape_key, itemsize, transposed)``, and split its one measured
+    ``wall`` among them by their shares of the modelled seconds: each
+    transposed kernel books ``wall * t / (2 (t + n))`` and each update
+    ``wall / 2`` minus that, where ``t`` and ``n`` are the modelled seconds
+    of one of each (half each when both are zero)."""
+    cost_t = ctx.cost_model.estimate((*shape_key, dtype.itemsize, True))
+    cost_n = ctx.cost_model.estimate((*shape_key, dtype.itemsize, False))
+    modelled = cost_t.seconds + cost_n.seconds
+    wall_t = wall * cost_t.seconds / (2.0 * modelled) if modelled > 0 else wall / 4.0
+    wall_n = wall / 2.0 - wall_t
+    for _ in range(2):
+        _record(labels[0], dtype, cost_t, wall_t)
+        _record(labels[1], dtype, cost_n, wall_n)
+
+
 def _check_same_dtype(*arrays: np.ndarray) -> np.dtype:
     dtypes = {a.dtype for a in arrays}
     if len(dtypes) != 1:
@@ -349,10 +369,7 @@ def cgs2_project(
     bytes, FLOPs and modelled seconds are those of the four separate
     kernels.  The backend may run the passes as one call, so one wall
     time is measured and split across the four records by their shares
-    of the modelled seconds: each transposed GEMV books
-    ``wall * t / (2 (t + n))`` and each update ``wall / 2`` minus that,
-    where ``t`` and ``n`` are the modelled seconds of one GEMV (Trans)
-    and one GEMV (No Trans) (half each when both are zero).
+    of the modelled seconds (see :func:`_record_projection`).
     """
     V = np.asarray(V)
     w = np.asarray(w)
@@ -363,14 +380,7 @@ def cgs2_project(
     start = time.perf_counter()
     h = ctx.backend.cgs2_project(V, w, h1, h2, work=work)
     wall = time.perf_counter() - start
-    cost_t = ctx.cost_model.estimate(("gemv", *V.shape, dtype.itemsize, True))
-    cost_n = ctx.cost_model.estimate(("gemv", *V.shape, dtype.itemsize, False))
-    modelled = cost_t.seconds + cost_n.seconds
-    wall_t = wall * cost_t.seconds / (2.0 * modelled) if modelled > 0 else wall / 4.0
-    wall_n = wall / 2.0 - wall_t
-    for _ in range(2):
-        _record("GEMV (Trans)", dtype, cost_t, wall_t)
-        _record("GEMV (No Trans)", dtype, cost_n, wall_n)
+    _record_projection(ctx, ("GEMV (Trans)", "GEMV (No Trans)"), ("gemv", *V.shape), dtype, wall)
     return h
 
 
@@ -461,15 +471,8 @@ def bcgs2_project(
     start = time.perf_counter()
     H = ctx.backend.bcgs2_project(V, W, H1, H2, work=work)
     wall = time.perf_counter() - start
-    k = W.shape[1]
-    cost_t = ctx.cost_model.estimate(("gemm", *V.shape, k, dtype.itemsize, True))
-    cost_n = ctx.cost_model.estimate(("gemm", *V.shape, k, dtype.itemsize, False))
-    modelled = cost_t.seconds + cost_n.seconds
-    wall_t = wall * cost_t.seconds / (2.0 * modelled) if modelled > 0 else wall / 4.0
-    wall_n = wall / 2.0 - wall_t
-    for _ in range(2):
-        _record("GEMM (Trans)", dtype, cost_t, wall_t)
-        _record("GEMM (No Trans)", dtype, cost_n, wall_n)
+    key = ("gemm", *V.shape, W.shape[1])
+    _record_projection(ctx, ("GEMM (Trans)", "GEMM (No Trans)"), key, dtype, wall)
     return H
 
 

@@ -18,13 +18,14 @@ parts with very different shapes:
   panel is tiny (``k ≈ 8``), so this runs column by column (two classical
   Gram-Schmidt passes per column, the CGS2 discipline; for BCGS2 one
   :func:`~repro.linalg.kernels.cgs2_project` on the column's
-  predecessors, which books the four GEMVs), producing the ``k × k``
-  triangular factor that becomes the subdiagonal block of the band
-  Hessenberg.
+  predecessors, which the NumPy backend runs as the same compiled kernel
+  at block width 1 and which books the four GEMVs), producing the
+  ``k × k`` triangular factor that becomes the subdiagonal block of the
+  band Hessenberg.
 
-The compiled projections agree with the GEMM and GEMV sequences to
-rounding, not bit for bit; the SciPy backend keeps the GEMMs, and a
-build without a compiler runs both sequences.  Managers own their
+The compiled kernel agrees with the GEMM and GEMV sequences to rounding,
+not bit for bit; the SciPy backend keeps the GEMMs for the inter-block
+passes, and a build without a compiler runs both sequences.  Managers own their
 coefficient/work scratch (allocated once per distinct active block
 width, i.e. once per deflation event), so the steady-state block
 iteration allocates nothing.

@@ -7,8 +7,9 @@ into exactly "GEMV (Trans)", "Norm" and "GEMV (No Trans)".  The summed
 coefficients of both passes form the Hessenberg column.
 
 Both passes are one :func:`~repro.linalg.kernels.cgs2_project` call,
-which the NumPy backend runs as a compiled kernel reading the basis three
-times instead of four; it is metered as the four GEMVs.
+which the NumPy backend runs as the compiled block CGS2 kernel at block
+width 1, reading the basis three times instead of four; it is metered as
+the four GEMVs.
 """
 
 from __future__ import annotations

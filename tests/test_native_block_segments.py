@@ -2,16 +2,19 @@
 
 ``bcgs2_project`` (``native/dense.c``) runs both passes of block CGS2,
 ``H1 = V^T W; W -= V H1; H2 = V^T W; W -= V H2``, in three sweeps over
-``pool.c``'s row segments.  Pinned here:
+``pool.c``'s row segments.  At block width ``k = 1`` it is the CGS2
+projection ``NumpyBackend.cgs2_project`` runs.  Pinned here:
 
 * the bits of a NumPy model of its documented order (lane sums over each
-  segment, added in segment order), including a basis too wide for more
-  than two segments' accumulators;
+  segment, added in segment order), at ``k = 1`` too, including a basis
+  too wide for more than two segments' accumulators;
+* ``NumpyBackend.cgs2_project`` gives the bits of ``bcgs2_project`` on
+  the vector as an ``(n, 1)`` block;
 * agreement with the four GEMMs to rounding;
 * the same bits with one CPU and with two (subprocesses that set their
   own CPU affinity before the pool starts) for ``k`` in {1, 2, 3, 8},
-  basis widths from 1 to ``(restart + 1) k`` and 1, 2 and 3 segments
-  minus and plus a partial tile;
+  basis widths from 1 to ``(restart + 1) k`` (and 50 at ``k = 1``) and
+  1, 2 and 3 segments minus and plus a partial tile;
 * NaN and inf reach ``H`` and ``W`` from every segment;
 * operands it may not take run the four GEMMs;
 * a child made by ``os.fork()`` after the pool started gets the same bits;
@@ -65,18 +68,24 @@ def _define(source: str, name: str) -> int:
     return int(match.group(1)) * int(match.group(2) or 1)
 
 
-#: Rows per segment, rows per tile and the budget of the per-segment
-#: accumulators past two segments, read from the sources.
+#: Rows per segment, rows per tile of a block and of one vector (k = 1),
+#: and the budget of the per-segment accumulators past two segments, read
+#: from the sources.
 SEGMENT = _define("pool.c", "POOL_SEGMENT")
 TILE = _define("dense.c", "BCGS2_TILE")
+VECTOR_TILE = _define("dense.c", "BCGS2_VECTOR_TILE")
 PARTIALS_BYTES = _define("dense.c", "BCGS2_PARTIALS_BYTES")
 #: Rows past a whole number of tiles: a partial tile.
 PART = TILE // 2 + 3
 #: Lengths at 1, 2 and 3 segments, minus and plus a partial tile.
 LENGTHS = [s * SEGMENT + d for s in (1, 2, 3) for d in (-PART, 0, PART)]
-#: The block widths and, per width, basis widths from 1 to (15 + 1) k.
+#: The block widths and, per width, basis widths from 1 to (15 + 1) k;
+#: at k = 1 also 50, a single-vector GMRES(50) basis.
 RESTART = 15
 WIDTHS = {k: sorted({1, 2, 3, 5, k, 4 * k + 1, (RESTART + 1) * k}) for k in (1, 2, 3, 8)}
+WIDTHS[1].append(50)
+#: Basis widths of the documented-order cases, per block width.
+ORDER_WIDTHS = {1: (1, 4, 50), 3: (1, 5, 10), 8: (1, 5, 25)}
 
 
 def bits(a) -> np.ndarray:
@@ -114,7 +123,8 @@ def segments(n: int, j: int, k: int):
     count = min(n // SEGMENT, max(2, PARTIALS_BYTES // (64 * j * k)))
     if count < 2:
         return [(0, n)]
-    length = n // count // TILE * TILE
+    tile = VECTOR_TILE if k == 1 else TILE
+    length = n // count // tile * tile
     starts = [s * length for s in range(count)]
     return list(zip(starts, starts[1:] + [n]))
 
@@ -182,19 +192,34 @@ def compiled():
 
 def test_the_cases_span_one_to_three_segments():
     assert [len(segments(n, 40, 8)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 3, 3]
+    assert [len(segments(n, 50, 1)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 3, 3]
     # Wider bases take fewer segments, so their accumulators fit the budget.
     assert [len(segments(n, 128, 8)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 2, 2]
 
 
 class TestBcgs2:
-    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("k", sorted(ORDER_WIDTHS))
     @pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
     def test_bits_of_the_documented_order(self, dtype, k):
         for n in LENGTHS:
-            for j in (1, 5, 3 * k + 1):
+            for j in ORDER_WIDTHS[k]:
                 V, W = basis(n, j, k, dtype)
                 for got, want in zip(project(V, W), modelled(V, W)):
                     np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"{n} {j}")
+
+    @pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
+    def test_cgs2_project_is_the_kernel_at_k_1(self, dtype):
+        """``cgs2_project`` on a vector and ``bcgs2_project`` on it as an
+        ``(n, 1)`` block: the same bits, split lengths included."""
+        for n in LENGTHS:
+            for j in (1, 4, 50):
+                V, W = basis(n, j, 1, dtype)
+                w = W[:, 0].copy()
+                h1, h2 = NUMPY.cgs2_project(V, w)
+                for got, want in zip((w, h1, h2), project(V, W)):
+                    np.testing.assert_array_equal(
+                        bits(got), bits(want.ravel()), err_msg=f"{n} {j}"
+                    )
 
     @pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
     def test_agrees_with_the_four_gemms_to_rounding(self, dtype):
@@ -222,17 +247,18 @@ class TestBcgs2:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(bits(g), bits(w))
 
+    @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
-    def test_non_finite_reaches_h_and_w_from_every_segment(self, dtype, value):
-        n, j, k = 3 * SEGMENT + PART, 6, 3
+    def test_non_finite_reaches_h_and_w_from_every_segment(self, dtype, value, k):
+        n, j = 3 * SEGMENT + PART, 6
         V, W = basis(n, j, k, dtype)
         for r0, r1 in segments(n, j, k):
             row = (r0 + r1) // 2
             for poisoned in ("W", "V"):
                 Vp, Wp = V.copy(order="F"), W.copy(order="F")
                 if poisoned == "W":
-                    Wp[row, 1] = value
+                    Wp[row, k // 2] = value
                 else:
                     Vp[row, 2] = value
                 W_out, H1, H2 = project(Vp, Wp)

@@ -1,4 +1,5 @@
-"""The compiled CGS2 projection (``cgs2_project`` in ``backends/native/dense.c``).
+"""The compiled CGS2 projection: ``NumpyBackend.cgs2_project``, which runs
+``bcgs2_project`` (``backends/native/dense.c``) at block width 1.
 
 Unlike the other compiled kernels it does not reproduce its Python version
 bit for bit: it sums over fixed 64-byte lanes, where BLAS picks its own
@@ -45,10 +46,10 @@ from repro.testing.faults import FaultInjectedError, FaultInjectingBackend
 NUMPY = NumpyBackend()
 FLOATS = [np.float32, np.float64]
 FLOAT_IDS = ["fp32", "fp64"]
-#: Rows per tile of the kernel, read from its source.
+#: Rows per tile of the kernel at block width 1, read from its source.
 TILE = int(
     re.search(
-        r"#define CGS2_TILE (\d+)",
+        r"#define BCGS2_VECTOR_TILE (\d+)",
         importlib.resources.files(native).joinpath("dense.c").read_text(),
     ).group(1)
 )
@@ -56,7 +57,7 @@ TILE = int(
 
 @pytest.fixture(autouse=True)
 def compiled():
-    if native.kernel("cgs2_project", np.dtype(np.float64)) is None:
+    if native.kernel("bcgs2_project", np.dtype(np.float64)) is None:
         pytest.skip("no C compiler: the compiled kernels are unavailable")
 
 

@@ -1,27 +1,25 @@
 """Kernels split into row segments over the helper pool (``native/pool.c``).
 
-``cgs2_project`` (``dense.c``) and ``dia_spmm`` (``dia.c``) split an
+``bcgs2_project`` (``dense.c``) and ``dia_spmm`` (``dia.c``) split an
 operand of at least two segments (``POOL_SEGMENT`` rows) into segments
 that the calling thread and the pool's helper threads sweep in parallel.
-Pinned here:
+The projection's documented order and its CPU-count independence,
+``NumpyBackend.cgs2_project``'s block width 1 included, are pinned in
+``test_native_block_segments.py``.  Pinned here:
 
-* ``cgs2_project`` gives the same bits with one CPU and with two
-  (subprocesses that set their own CPU affinity before the pool starts),
-  at 1, 2 and 3 segments, each with and without a partial tile, and the
-  bits of a NumPy model of its documented order: lane sums over each
-  segment, added in segment order;
-* below two segments, the bits of the kernel before the split
-  (digests recorded from it);
-* the split DIA SpMV/SpMM gives the bits of the serial NumPy sweep;
-* NaN and inf reach ``h`` and ``w`` from every segment;
+* below two segments, ``NumpyBackend.cgs2_project`` gives the bits of
+  the single-vector kernel before the split (digests recorded from it);
+* the split DIA SpMV/SpMM gives the bits of the serial NumPy sweep, and
+  the same bits with one CPU and with two (subprocesses that set their
+  own CPU affinity before the pool starts);
 * a child made by ``os.fork()`` after the pool started gets the same
   bits and does not hang;
 * four threads calling at once, sharing the pool, get the bits of serial
   calls.
 
 Run as a script (``python tests/test_native_segments.py [CPU]``), the
-module prints the digests of every case as JSON, pinned to ``CPU`` first
-when one is given; the affinity test runs it so.
+module prints the digests of every DIA case as JSON, pinned to ``CPU``
+first when one is given; the affinity test runs it so.
 """
 
 from __future__ import annotations
@@ -60,18 +58,18 @@ def _define(source: str, name: str) -> int:
     return int(match.group(1)) * int(match.group(2) or 1)
 
 
-#: Rows per segment, rows per tile and the stack budget of the per-segment
-#: accumulators, read from the sources.
+#: Rows per segment and the projection's rows per tile at block width 1,
+#: read from the sources.
 SEGMENT = _define("pool.c", "POOL_SEGMENT")
-TILE = _define("dense.c", "CGS2_TILE")
-PARTIALS_BYTES = _define("dense.c", "CGS2_PARTIALS_BYTES")
+TILE = _define("dense.c", "BCGS2_VECTOR_TILE")
 #: Rows past a whole number of tiles: a partial tile.
 PART = TILE // 2 + 3
 #: Basis lengths at 1, 2 and 3 segments, minus and plus a partial tile.
 LENGTHS = [s * SEGMENT + d for s in (1, 2, 3) for d in (-PART, 0, PART)]
 WIDTHS = [1, 4, 50]
 #: sha256 of the (w, h1, h2) bytes of every case below two segments, as
-#: the kernel gave them before it split rows (fp32 cases, then fp64).
+#: the single-vector kernel gave them before it split rows (fp32 cases,
+#: then fp64).
 BEFORE_SPLIT = {
     "fp32": "348a40eb0b7d56d3865f7f5361168dc8f35d3dfeb4d054f95f1820a04c41c421",
     "fp64": "5fdb371a7ab4fdda2a0056624da795eace2ff6a711c0647a0e22c0d150be26fc",
@@ -106,57 +104,6 @@ def digest(arrays) -> str:
     return sha.hexdigest()
 
 
-def segments(n: int, j: int):
-    """``cgs2_project``'s segments of ``n`` rows: ``(start, end)`` pairs."""
-    count = min(n // SEGMENT, max(2, PARTIALS_BYTES // (64 * j)))
-    if count < 2:
-        return [(0, n)]
-    length = n // count // TILE * TILE
-    starts = [s * length for s in range(count)]
-    return list(zip(starts, starts[1:] + [n]))
-
-
-def lane_dots(V, w, bounds):
-    """``V^T w`` in the kernel's order: row ``i`` in lane ``i mod L`` (64
-    bytes of lanes), each lane summing its rows in row order from +0 over
-    each segment, the segments' lanes added in segment order, then the
-    lanes of each column summed as a tree (lane ``l + L/2`` into ``l``,
-    then ``l + L/4``, ...)."""
-    dtype, (n, j) = V.dtype, V.shape
-    lanes = 64 // dtype.itemsize
-    products = V * w[:, None]
-    total = None
-    for r0, r1 in bounds:
-        part = products[r0:r1]
-        pad = np.zeros((-len(part) % lanes, j), dtype)  # +0 changes no lane sum
-        rows = np.concatenate([part, pad]).reshape(-1, lanes, j)
-        rows = np.concatenate([np.zeros((1, lanes, j), dtype), rows])
-        acc = np.add.accumulate(rows, axis=0)[-1]  # sequential, from +0
-        total = acc if total is None else total + acc
-    width = lanes // 2
-    while width:
-        total[:width] = total[:width] + total[width : 2 * width]
-        width //= 2
-    return total[0]
-
-
-def subtract(V, h, w):
-    """``w -= V h``, each row's product summed in column order first."""
-    t = V[:, 0] * h[0]
-    for c in range(1, V.shape[1]):
-        t = t + V[:, c] * h[c]
-    return w - t
-
-
-def modelled(V, w):
-    """``(w, h1, h2)`` of the kernel's documented order, in NumPy."""
-    bounds = segments(*V.shape)
-    h1 = lane_dots(V, w, bounds)
-    w = subtract(V, h1, w)
-    h2 = lane_dots(V, w, bounds)
-    return subtract(V, h2, w), h1, h2
-
-
 def banded(shape, offsets, dtype, seed=0) -> CsrMatrix:
     values = rng(seed).standard_normal((len(offsets), max(shape)))
     return CsrMatrix.from_scipy(
@@ -185,12 +132,9 @@ def dia_operand(A, k, dtype, seed):
 
 
 def all_digests() -> dict:
-    """Digests of every cgs2 case and of the DIA products, by name."""
+    """Digests of the DIA products, by name."""
     out = {}
     for dtype, name in zip(FLOATS, FLOAT_IDS):
-        for n in LENGTHS:
-            for j in WIDTHS:
-                out[f"cgs2-{name}-{n}-{j}"] = digest(project(*problem(n, j, dtype)))
         for key, (shape, offsets) in OPERATORS.items():
             A = banded(shape, offsets, dtype)
             for k in (1, 3):
@@ -200,32 +144,21 @@ def all_digests() -> dict:
 
 @pytest.fixture(autouse=True)
 def compiled():
-    if native.kernel("cgs2_project", np.dtype(np.float64)) is None:
+    if native.kernel("bcgs2_project", np.dtype(np.float64)) is None:
         pytest.skip("no C compiler: the compiled kernels are unavailable")
 
 
-def test_the_cases_span_one_to_three_segments():
-    assert [len(segments(n, 50)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 3, 3]
-
-
 class TestOrder:
-    @pytest.mark.parametrize("j", WIDTHS)
-    @pytest.mark.parametrize("n", LENGTHS)
-    @pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
-    def test_bits_of_the_documented_order(self, dtype, n, j):
-        V, w = problem(n, j, dtype)
-        for got, want in zip(project(V, w), modelled(V, w)):
-            np.testing.assert_array_equal(bits(got), bits(want))
-
     @pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
     def test_below_two_segments_the_bits_are_those_before_the_split(self, dtype):
         name = np.dtype(dtype).name.replace("float", "fp")
         runs = [
             project(*problem(n, j, dtype))
             for n in LENGTHS
-            if len(segments(n, 1)) == 1
+            if n < 2 * SEGMENT
             for j in WIDTHS
         ]
+        assert len(runs) == 4 * len(WIDTHS)
         assert digest(a for run in runs for a in run) == BEFORE_SPLIT[name]
 
 
@@ -247,7 +180,7 @@ def test_one_cpu_and_two_give_the_same_bits():
     pinned, free = child(str(cpus[0])), child()
     assert pinned.pop("helpers") == 0 and free.pop("helpers") >= 1
     assert pinned == free
-    assert len(pinned) == len(LENGTHS) * len(WIDTHS) * 2 + len(OPERATORS) * 4
+    assert len(pinned) == len(OPERATORS) * 4
 
 
 @pytest.mark.parametrize("signed_zeros", [False, True], ids=["uniform", "negative-zeros"])
@@ -268,25 +201,6 @@ def test_split_dia_products_match_the_serial_sweep(monkeypatch, dtype, key, k, s
         m.setattr(native, "_kernels", {})
         slow = product(A, X)
     np.testing.assert_array_equal(bits(fast), bits(slow))
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
-def test_non_finite_reaches_h_and_w_from_every_segment(dtype, value):
-    n, j = 3 * SEGMENT + PART, 6
-    V, w = problem(n, j, dtype)
-    for r0, r1 in segments(n, j):
-        row = (r0 + r1) // 2
-        for poisoned in ("w", "V"):
-            Vp, wp = V.copy(order="F"), w.copy()
-            if poisoned == "w":
-                wp[row] = value
-            else:
-                Vp[row, 2] = value
-            w_out, h1, h2 = project(Vp, wp)
-            assert not np.isfinite(h1).all(), (row, poisoned)
-            assert not np.isfinite(h2).all(), (row, poisoned)
-            assert not np.isfinite(w_out).all(), (row, poisoned)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
