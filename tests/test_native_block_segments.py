@@ -192,7 +192,6 @@ def compiled():
 
 def test_the_cases_span_one_to_three_segments():
     assert [len(segments(n, 40, 8)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 3, 3]
-    assert [len(segments(n, 50, 1)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 3, 3]
     # Wider bases take fewer segments, so their accumulators fit the budget.
     assert [len(segments(n, 128, 8)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 2, 2]
 
@@ -247,18 +246,17 @@ class TestBcgs2:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(bits(g), bits(w))
 
-    @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
-    def test_non_finite_reaches_h_and_w_from_every_segment(self, dtype, value, k):
-        n, j = 3 * SEGMENT + PART, 6
+    def test_non_finite_reaches_h_and_w_from_every_segment(self, dtype, value):
+        n, j, k = 3 * SEGMENT + PART, 6, 3
         V, W = basis(n, j, k, dtype)
         for r0, r1 in segments(n, j, k):
             row = (r0 + r1) // 2
             for poisoned in ("W", "V"):
                 Vp, Wp = V.copy(order="F"), W.copy(order="F")
                 if poisoned == "W":
-                    Wp[row, k // 2] = value
+                    Wp[row, 1] = value
                 else:
                     Vp[row, 2] = value
                 W_out, H1, H2 = project(Vp, Wp)

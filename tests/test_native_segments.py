@@ -3,12 +3,18 @@
 ``bcgs2_project`` (``dense.c``) and ``dia_spmm`` (``dia.c``) split an
 operand of at least two segments (``POOL_SEGMENT`` rows) into segments
 that the calling thread and the pool's helper threads sweep in parallel.
-The projection's documented order and its CPU-count independence,
-``NumpyBackend.cgs2_project``'s block width 1 included, are pinned in
-``test_native_block_segments.py``.  Pinned here:
+``NumpyBackend.cgs2_project`` runs ``bcgs2_project`` on the vector as an
+``(n, 1)`` block; the kernel's own cases, its CPU-count independence at
+``k = 1`` included, are pinned in ``test_native_block_segments.py``.
+Pinned here:
 
-* below two segments, ``NumpyBackend.cgs2_project`` gives the bits of
-  the single-vector kernel before the split (digests recorded from it);
+* ``NumpyBackend.cgs2_project`` gives the bits of the block suite's NumPy
+  model of the documented order (lane sums over each segment, added in
+  segment order) at 1, 2 and 3 segments, each with and without a partial
+  tile;
+* below two segments, the bits of the single-vector kernel before the
+  split (digests recorded from it);
+* NaN and inf reach ``h`` and ``w`` from every segment;
 * the split DIA SpMV/SpMM gives the bits of the serial NumPy sweep, and
   the same bits with one CPU and with two (subprocesses that set their
   own CPU affinity before the pool starts);
@@ -40,6 +46,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from test_native_block_segments import modelled, segments
 
 from repro.backends import native
 from repro.backends.numpy_backend import NumpyBackend
@@ -148,7 +155,19 @@ def compiled():
         pytest.skip("no C compiler: the compiled kernels are unavailable")
 
 
+def test_the_cases_span_one_to_three_segments():
+    assert [len(segments(n, 50, 1)) for n in LENGTHS] == [1, 1, 1, 1, 2, 2, 2, 3, 3]
+
+
 class TestOrder:
+    @pytest.mark.parametrize("j", WIDTHS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
+    def test_bits_of_the_documented_order(self, dtype, n, j):
+        V, w = problem(n, j, dtype)
+        for got, want in zip(project(V, w), modelled(V, w[:, None])):
+            np.testing.assert_array_equal(bits(got), bits(want.ravel()))
+
     @pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
     def test_below_two_segments_the_bits_are_those_before_the_split(self, dtype):
         name = np.dtype(dtype).name.replace("float", "fp")
@@ -201,6 +220,25 @@ def test_split_dia_products_match_the_serial_sweep(monkeypatch, dtype, key, k, s
         m.setattr(native, "_kernels", {})
         slow = product(A, X)
     np.testing.assert_array_equal(bits(fast), bits(slow))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("dtype", FLOATS, ids=FLOAT_IDS)
+def test_non_finite_reaches_h_and_w_from_every_segment(dtype, value):
+    n, j = 3 * SEGMENT + PART, 6
+    V, w = problem(n, j, dtype)
+    for r0, r1 in segments(n, j, 1):
+        row = (r0 + r1) // 2
+        for poisoned in ("w", "V"):
+            Vp, wp = V.copy(order="F"), w.copy()
+            if poisoned == "w":
+                wp[row] = value
+            else:
+                Vp[row, 2] = value
+            w_out, h1, h2 = project(Vp, wp)
+            assert not np.isfinite(h1).all(), (row, poisoned)
+            assert not np.isfinite(h2).all(), (row, poisoned)
+            assert not np.isfinite(w_out).all(), (row, poisoned)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
